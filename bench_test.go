@@ -1,26 +1,35 @@
-// Benchmarks regenerating every experiment in EXPERIMENTS.md (E1–E14). The
-// paper has no quantitative evaluation — its conclusion defers "the
-// development of testbeds and benchmarks" — so each benchmark here is keyed
-// to a quantifiable claim from the text; see DESIGN.md §3 for the mapping.
+// Benchmarks regenerating the component-level experiments of
+// EXPERIMENTS.md (E1–E14 and E18); the system-level ones (E16, E17,
+// E19–E23) are scenarios run by cmd/gupbench. The paper has no
+// quantitative evaluation — its conclusion defers "the development of
+// testbeds and benchmarks" — so each benchmark here is keyed to a
+// quantifiable claim from the text; see DESIGN.md §3 for the mapping.
+// Columns the tables need beyond ns/op are custom metrics (mdmB/op, hit%,
+// downB/op, shieldEvals/op, p99-ms, replay-ms, …).
 //
 // Run all of them with:
 //
 //	go test -bench=. -benchmem
+//
+// CI smoke-runs every sub-benchmark once (-benchtime 1x) so none rots.
 package gupster_test
 
 import (
 	"context"
 	"fmt"
-	"io"
-	"net"
+	"os"
+	"path/filepath"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"gupster/internal/core"
 	"gupster/internal/coverage"
+	"gupster/internal/faultinject"
 	"gupster/internal/federation"
 	"gupster/internal/hlr"
+	"gupster/internal/journal"
+	"gupster/internal/metrics"
 	"gupster/internal/policy"
 	"gupster/internal/presence"
 	"gupster/internal/reachme"
@@ -110,7 +119,7 @@ func newSplitRig(b *testing.B, k, sizeBytes, cacheEntries int) *splitRig {
 // metric mdmB/op is the data volume flowing through the MDM: ~0 for
 // referral, the full component for chaining.
 func BenchmarkE1QueryPatterns(b *testing.B) {
-	for _, k := range []int{1, 2, 4} {
+	for _, k := range []int{1, 2, 4, 8} {
 		for _, size := range []int{1 << 10, 16 << 10} {
 			for _, pattern := range []wire.QueryPattern{
 				wire.PatternReferral, wire.PatternChaining, wire.PatternRecruiting,
@@ -296,7 +305,7 @@ func BenchmarkE4Caching(b *testing.B) {
 		b.Cleanup(func() { cli.Close(); mdm.Close(); srv.Close(); ssrv.Close() })
 		return mdm, cli
 	}
-	for _, cacheEntries := range []int{0, 16, 64} {
+	for _, cacheEntries := range []int{0, 8, 32, 64} {
 		b.Run(fmt.Sprintf("cache=%d", cacheEntries), func(b *testing.B) {
 			mdm, cli := build(b, cacheEntries)
 			pop := workload.NewPopulation(users, 1.2, 3)
@@ -323,7 +332,7 @@ func BenchmarkE4Caching(b *testing.B) {
 // payload volume toward the device.
 func BenchmarkE5Sync(b *testing.B) {
 	for _, entries := range []int{100, 1000} {
-		for _, changePct := range []int{1, 10} {
+		for _, changePct := range []int{1, 10, 50} {
 			b.Run(fmt.Sprintf("fast/entries=%d/change=%d%%", entries, changePct), func(b *testing.B) {
 				benchSync(b, entries, changePct, false)
 			})
@@ -438,7 +447,7 @@ func BenchmarkE6CoverageLookup(b *testing.B) {
 // full converged testbed (§2.2: "a selective reach-me decision can be
 // rendered in just a few seconds"; §2.3: "within hundreds of
 // milliseconds"). Parallel vs sequential component gathering is the
-// ablation.
+// ablation; p99-ms and max-ms are the tail against that budget.
 func BenchmarkE7ReachMe(b *testing.B) {
 	tb, err := workload.NewTestbed(workload.TestbedOptions{
 		Users: 8, BookEntries: 40, Seed: 5, AllowRole: "reachme",
@@ -462,15 +471,20 @@ func BenchmarkE7ReachMe(b *testing.B) {
 		}
 		b.Run(name, func(b *testing.B) {
 			svc := &reachme.Service{Profile: getter, Sequential: seq}
+			h := metrics.NewHistogram()
 			for i := 0; i < b.N; i++ {
+				start := time.Now()
 				d, err := svc.Decide(context.Background(), tb.Users[i%len(tb.Users)], at)
 				if err != nil {
 					b.Fatal(err)
 				}
+				h.Record(time.Since(start))
 				if len(d.Attempts) == 0 {
 					b.Fatal("no attempts")
 				}
 			}
+			b.ReportMetric(float64(h.Percentile(99))/1e6, "p99-ms")
+			b.ReportMetric(float64(h.Max())/1e6, "max-ms")
 		})
 	}
 }
@@ -478,9 +492,11 @@ func BenchmarkE7ReachMe(b *testing.B) {
 // BenchmarkE8PushVsPull — subscriptions against polling for presence
 // (§5.2: "every polling request needs to be checked to enforce the
 // end-user's privacy shield. Having the subscription handled by GUPster
-// internally would save this extra work"). shieldEvals/op is the saved
-// quantity.
+// internally would save this extra work"). One op is one presence change
+// observed by the watcher — polled pollsPerChange times, or pushed once —
+// so shieldEvals/op and msgs/op are the table's per-event columns.
 func BenchmarkE8PushVsPull(b *testing.B) {
+	const pollsPerChange = 10
 	build := func(b *testing.B) (*workload.Testbed, *core.Client, string) {
 		tb, err := workload.NewTestbed(workload.TestbedOptions{Users: 1, Seed: 9})
 		if err != nil {
@@ -501,13 +517,17 @@ func BenchmarkE8PushVsPull(b *testing.B) {
 		before := tb.MDM.Stats.ShieldEvals.Load()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := cli.Get(context.Background(), path); err != nil {
-				b.Fatal(err)
+			tb.Presence.Set(user, presenceStatus([]string{"available", "busy"}[i%2]), "")
+			for poll := 0; poll < pollsPerChange; poll++ {
+				if _, err := cli.Get(context.Background(), path); err != nil {
+					b.Fatal(err)
+				}
 			}
 		}
 		b.StopTimer()
 		evals := tb.MDM.Stats.ShieldEvals.Load() - before
 		b.ReportMetric(float64(evals)/float64(b.N), "shieldEvals/op")
+		b.ReportMetric(pollsPerChange, "msgs/op")
 	})
 	b.Run("push", func(b *testing.B) {
 		tb, cli, user := build(b)
@@ -536,6 +556,8 @@ func BenchmarkE8PushVsPull(b *testing.B) {
 		b.StopTimer()
 		evals := tb.MDM.Stats.ShieldEvals.Load() - before
 		b.ReportMetric(float64(evals)/float64(b.N), "shieldEvals/op")
+		// One notification per change, plus the subscribe itself.
+		b.ReportMetric(float64(b.N+1)/float64(b.N), "msgs/op")
 	})
 }
 
@@ -840,8 +862,7 @@ func BenchmarkE13Mirrors(b *testing.B) {
 // naive order pays its delay on every fetch; latency-aware ordering learns
 // to prefer the near one.
 func BenchmarkE14ClosestReplica(b *testing.B) {
-	const farDelay = 10 * time.Millisecond
-	build := func(b *testing.B, disableRouting bool) *core.Client {
+	build := func(b *testing.B, farDelay time.Duration, disableRouting bool) *core.Client {
 		rig := newSplitRig(b, 1, 2<<10, 0)
 		signer := token.NewSigner(benchKey)
 		farEng := store.NewEngine("a-far-replica")
@@ -857,50 +878,13 @@ func BenchmarkE14ClosestReplica(b *testing.B) {
 		if _, err := farEng.Put("u", xpath.MustParse("/user[@id='u']/address-book"), comp.Clone()); err != nil {
 			b.Fatal(err)
 		}
-		proxyLn, err := net.Listen("tcp", "127.0.0.1:0")
+		proxy, err := faultinject.NewProxy(farSrv.Addr(), 14)
 		if err != nil {
 			b.Fatal(err)
 		}
-		b.Cleanup(func() { proxyLn.Close() })
-		go func() {
-			for {
-				c, err := proxyLn.Accept()
-				if err != nil {
-					return
-				}
-				go func(client net.Conn) {
-					defer client.Close()
-					backend, err := net.Dial("tcp", farSrv.Addr())
-					if err != nil {
-						return
-					}
-					defer backend.Close()
-					done := make(chan struct{}, 2)
-					go func() {
-						defer func() { done <- struct{}{} }()
-						buf := make([]byte, 32<<10)
-						for {
-							n, err := client.Read(buf)
-							if n > 0 {
-								time.Sleep(farDelay)
-								if _, werr := backend.Write(buf[:n]); werr != nil {
-									return
-								}
-							}
-							if err != nil {
-								return
-							}
-						}
-					}()
-					go func() {
-						defer func() { done <- struct{}{} }()
-						io.Copy(client, backend)
-					}()
-					<-done
-				}(c)
-			}
-		}()
-		if err := rig.mdm.Register("a-far-replica", proxyLn.Addr().String(),
+		b.Cleanup(func() { proxy.Close() })
+		proxy.SetLatency(farDelay, 0)
+		if err := rig.mdm.Register("a-far-replica", proxy.Addr(),
 			xpath.MustParse("/user[@id='u']/address-book")); err != nil {
 			b.Fatal(err)
 		}
@@ -912,19 +896,113 @@ func BenchmarkE14ClosestReplica(b *testing.B) {
 		cli.DisableLatencyRouting = disableRouting
 		return cli
 	}
-	for _, disabled := range []bool{true, false} {
-		name := "latency-aware"
-		if disabled {
-			name = "naive-order"
+	for _, farDelay := range []time.Duration{10 * time.Millisecond, 50 * time.Millisecond} {
+		for _, disabled := range []bool{true, false} {
+			name := "latency-aware"
+			if disabled {
+				name = "naive-order"
+			}
+			b.Run(fmt.Sprintf("far=%s/%s", farDelay, name), func(b *testing.B) {
+				cli := build(b, farDelay, disabled)
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if _, err := cli.Get(context.Background(), "/user[@id='u']/address-book"); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
 		}
-		b.Run(name, func(b *testing.B) {
-			cli := build(b, disabled)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := cli.Get(context.Background(), "/user[@id='u']/address-book"); err != nil {
+	}
+}
+
+// BenchmarkE18Recovery — crash recovery of the durable directory (§5.3,
+// DESIGN.md §8). A journaled MDM is populated under real fsync group
+// commit with n registrations (a shield rule riding every 10th) and then
+// abandoned without Close: an append is acknowledged only after its fsync,
+// so everything acknowledged is on disk — exactly the kill -9 contract.
+// One op is one restart on that data dir: journal replay, listener up,
+// first successful resolve over TCP with no store re-registering. ns/op
+// is kill → first resolve; replay-ms, listen-ms and first-resolve-ms
+// split it and wal-B is the journal replayed. (The other half of E18 —
+// a silent store leaves plans within lease TTL + grace — is pinned by
+// TestLeaseQuarantineDegradesAndRecovers and the kill -9 e2e.)
+func BenchmarkE18Recovery(b *testing.B) {
+	signer := token.NewSigner(benchKey)
+	mkMDM := func() *core.MDM {
+		return core.New(core.Config{Schema: schema.GUP(), Signer: signer, GrantTTL: time.Minute})
+	}
+	for _, n := range []int{100, 1000, 5000} {
+		dir := b.TempDir()
+		crashed := mkMDM()
+		if _, err := core.OpenDurable(crashed, dir, journal.Options{CompactEvery: -1}); err != nil {
+			b.Fatal(err)
+		}
+		// Closed only after every restart below has run: until then the
+		// directory is what a killed process left behind.
+		b.Cleanup(func() { crashed.Close() })
+		for i := 0; i < n; i++ {
+			path := fmt.Sprintf("/user[@id='u%d']/presence", i)
+			if err := crashed.Register(coverage.StoreID(fmt.Sprintf("store-%d", i%16)),
+				fmt.Sprintf("127.0.0.1:%d", 7100+i%16), xpath.MustParse(path)); err != nil {
+				b.Fatal(err)
+			}
+			if i%10 == 0 {
+				owner := fmt.Sprintf("u%d", i)
+				if err := crashed.PutRule(owner, &wire.PutRuleRequest{
+					Owner: owner,
+					Rule:  wire.RulePayload{ID: "r", Path: path, Effect: "permit", Cond: "role=friend"},
+				}); err != nil {
 					b.Fatal(err)
 				}
 			}
+		}
+		wal, err := os.Stat(filepath.Join(dir, "wal.log"))
+		if err != nil {
+			b.Fatal(err)
+		}
+
+		b.Run(fmt.Sprintf("registrations=%d", n), func(b *testing.B) {
+			var replay, listen, resolve time.Duration
+			for i := 0; i < b.N; i++ {
+				t0 := time.Now()
+				m := mkMDM()
+				if _, err := core.OpenDurable(m, dir, journal.Options{CompactEvery: -1}); err != nil {
+					b.Fatal(err)
+				}
+				tReplay := time.Now()
+				srv := core.NewServer(m)
+				if err := srv.Start("127.0.0.1:0"); err != nil {
+					b.Fatal(err)
+				}
+				tListen := time.Now()
+				cli, err := core.DialMDM(srv.Addr(), "u1", "self")
+				if err != nil {
+					b.Fatal(err)
+				}
+				if _, err := cli.Resolve(context.Background(), &wire.ResolveRequest{
+					Path:    "/user[@id='u1']/presence",
+					Context: policy.Context{Requester: "u1", Role: "self"},
+				}); err != nil {
+					b.Fatalf("first resolve after recovery: %v", err)
+				}
+				tResolve := time.Now()
+				b.StopTimer()
+				replay += tReplay.Sub(t0)
+				listen += tListen.Sub(tReplay)
+				resolve += tResolve.Sub(tListen)
+				if got := m.Registry.Len(); got != n {
+					b.Fatalf("recovered %d registrations, want %d", got, n)
+				}
+				cli.Close()
+				srv.Close()
+				m.Close()
+				b.StartTimer()
+			}
+			perOpMillis := func(d time.Duration) float64 { return float64(d) / 1e6 / float64(b.N) }
+			b.ReportMetric(perOpMillis(replay), "replay-ms")
+			b.ReportMetric(perOpMillis(listen), "listen-ms")
+			b.ReportMetric(perOpMillis(resolve), "first-resolve-ms")
+			b.ReportMetric(float64(wal.Size()), "wal-B")
 		})
 	}
 }

@@ -1,47 +1,21 @@
-// Command gupbench regenerates the experiment tables of EXPERIMENTS.md —
-// the testbed-and-benchmark suite the paper's conclusion calls for. Every
-// experiment runs the real components (client, MDM, data stores over TCP;
-// substrate simulators behind adapters) and prints the measured table.
+// Command gupbench runs the declarative scenarios of internal/scenario —
+// the system-level half of the testbed-and-benchmark suite the paper's
+// conclusion calls for (E16, E17, E19–E23 in EXPERIMENTS.md; the
+// component-level half, E1–E14 and E18, is `go test -bench . .`).
 //
 // Usage:
 //
-//	gupbench [-iters N] [e1 e2 … e19 | fig5 | all]
-//	gupbench resolve [-clients N] [-rounds N] [-json out.json] [-check baseline.json] [-p95-slack 0.25] [-min-speedup 2]
-//	gupbench trace-overhead [-clients N] [-rounds N] [-json out.json] [-max 0.05]
-//	gupbench recovery [-sizes 100,1000,5000] [-lease-ttl 150ms] [-lease-grace 150ms] [-json out.json] [-detect-slack 1.0]
-//	gupbench overload [-conns N] [-phase 2s] [-json out.json] [-check baseline.json] [-min-retention 0.8] [-max-off-retention 0.5]
 //	gupbench scenario <name|file.yaml> [-fast] [-seed N] [-json out.json] [-check baseline.json] [-v]
 //	gupbench scenario -list
 //
-// The resolve subcommand runs the E16 resolve-pipeline benchmark on its
-// own flag set: -json writes the machine-readable report consumed by the
-// CI bench-regression job, and -check compares the fresh run against a
-// committed baseline, exiting non-zero on a p95 regression beyond the
-// slack or a within-run referral speedup below the floor.
-//
-// The trace-overhead subcommand runs the E17 tracing-overhead benchmark
-// (resolve p95 with tracing on vs off on the same rig) and, with -max,
-// exits non-zero when the traced p95 exceeds the budget.
-//
-// The recovery subcommand runs the E18 crash-recovery benchmark: it
-// populates a journaled directory, abandons the MDM (crash), and measures
-// the restart path (replay, listen, first resolve) plus the lease-expiry
-// detection latency of a silent store. With -detect-slack it exits
-// non-zero when detection overruns the claimed TTL+grace budget.
-//
-// The overload subcommand runs the E19 overload-protection benchmark: an
-// MDM with a bandwidth-throttled store link is driven at 0.8x and 2x its
-// calibrated capacity, with admission control + deadline budgets on and
-// off. With -check it exits non-zero unless shedding retains at least
-// -min-retention of the pre-saturation goodput at 2x load while the
-// unprotected run collapses below -max-off-retention.
-//
-// The scenario subcommand runs a declarative scenario (a committed name
-// like e20_mixed, or a .yaml file path) through the unified harness in
-// internal/scenario: it builds the declared rigs, drives the phased
-// workload mix, evaluates the file's assertions and exits non-zero when
-// any fail. -fast shrinks the run for smoke testing (assertions become
-// informational); -check gates against a committed baseline report.
+// A scenario is a committed name like e20_mixed or a .yaml file path.
+// The run builds the declared rigs (real client, MDM and data stores over
+// TCP behind fault-injection proxies), drives the phased workload mix,
+// prints the per-phase table, evaluates the file's assertions and exits
+// non-zero when any fail. -fast shrinks the run for smoke testing
+// (assertions become informational); -check additionally gates against a
+// committed baseline report (same scenario, phase coverage, assertion
+// count). A breach is confirmed by a second run before failing.
 package main
 
 import (
@@ -49,221 +23,18 @@ import (
 	"fmt"
 	"log"
 	"os"
-	"strconv"
 	"strings"
 
-	"gupster/internal/bench"
-	"gupster/internal/metrics"
 	"gupster/internal/scenario"
 )
 
 func main() {
-	if len(os.Args) > 1 && os.Args[1] == "resolve" {
-		runResolve(os.Args[2:])
-		return
+	if len(os.Args) < 2 || os.Args[1] != "scenario" {
+		fmt.Fprintln(os.Stderr, "usage: gupbench scenario <name|file.yaml> [-fast] [-seed N] [-json out.json] [-check baseline.json] [-v]\n       gupbench scenario -list")
+		os.Exit(2)
 	}
-	if len(os.Args) > 1 && os.Args[1] == "trace-overhead" {
-		runTraceOverhead(os.Args[2:])
-		return
-	}
-	if len(os.Args) > 1 && os.Args[1] == "recovery" {
-		runRecovery(os.Args[2:])
-		return
-	}
-	if len(os.Args) > 1 && os.Args[1] == "overload" {
-		runOverload(os.Args[2:])
-		return
-	}
-	if len(os.Args) > 1 && os.Args[1] == "scenario" {
-		runScenario(os.Args[2:])
-		return
-	}
+	args := os.Args[2:]
 
-	iters := flag.Int("iters", 0, "override per-cell iteration count (0 = experiment default)")
-	flag.Parse()
-
-	opts := bench.Options{Iters: *iters}
-	type experiment struct {
-		id  string
-		run func(bench.Options) (*metrics.Table, error)
-	}
-	experiments := []experiment{
-		{"e1", bench.RunE1}, {"e2", bench.RunE2}, {"e3", bench.RunE3},
-		{"e4", bench.RunE4}, {"e5", bench.RunE5}, {"e6", bench.RunE6},
-		{"e7", bench.RunE7}, {"e8", bench.RunE8}, {"e9", bench.RunE9},
-		{"e10", bench.RunE10}, {"e11", bench.RunE11}, {"e12", bench.RunE12},
-		{"e13", bench.RunE13}, {"e14", bench.RunE14}, {"e16", bench.RunE16},
-		{"e17", bench.RunE17}, {"e18", bench.RunE18}, {"e19", bench.RunE19},
-		{"fig5", func(bench.Options) (*metrics.Table, error) { return bench.RunFig5() }},
-	}
-
-	want := flag.Args()
-	if len(want) == 0 || (len(want) == 1 && want[0] == "all") {
-		want = nil
-		for _, e := range experiments {
-			want = append(want, e.id)
-		}
-	}
-	byID := map[string]experiment{}
-	for _, e := range experiments {
-		byID[e.id] = e
-	}
-	for _, id := range want {
-		e, ok := byID[strings.ToLower(id)]
-		if !ok {
-			fmt.Fprintf(os.Stderr, "gupbench: unknown experiment %q (have e1..e19, fig5, resolve, trace-overhead, recovery, overload, all)\n", id)
-			os.Exit(2)
-		}
-		t, err := e.run(opts)
-		if err != nil {
-			log.Fatalf("gupbench: %s: %v", e.id, err)
-		}
-		fmt.Println(t.String())
-	}
-}
-
-// runResolve is the E16 resolve-pipeline benchmark with its own flag set:
-// it emits the machine-readable report CI diffs against the committed
-// baseline.
-func runResolve(args []string) {
-	fs := flag.NewFlagSet("resolve", flag.ExitOnError)
-	clients := fs.Int("clients", 0, "concurrent clients (0 = default 64)")
-	rounds := fs.Int("rounds", 0, "referral rounds per client (0 = default)")
-	chainRounds := fs.Int("chain-rounds", 0, "chaining rounds per client (0 = default)")
-	batch := fs.Int("batch", 0, "batch width / store count (0 = default 8)")
-	jsonOut := fs.String("json", "", "write the machine-readable report here")
-	check := fs.String("check", "", "compare against this committed baseline report")
-	slack := fs.Float64("p95-slack", 0.25, "allowed p95 regression against the baseline (0.25 = +25%)")
-	minSpeedup := fs.Float64("min-speedup", 2, "required within-run referral speedup when -check is set (0 disables)")
-	_ = fs.Parse(args)
-
-	rep, err := bench.RunResolveReport(bench.ResolveOptions{
-		Clients: *clients, Rounds: *rounds, ChainRounds: *chainRounds, Batch: *batch,
-	})
-	if err != nil {
-		log.Fatalf("gupbench: resolve: %v", err)
-	}
-	fmt.Println(rep.Table().String())
-	if *jsonOut != "" {
-		if err := bench.WriteResolveReport(rep, *jsonOut); err != nil {
-			log.Fatalf("gupbench: resolve: write %s: %v", *jsonOut, err)
-		}
-	}
-	if *check != "" {
-		baseline, err := bench.ReadResolveReport(*check)
-		if err != nil {
-			log.Fatalf("gupbench: resolve: baseline %s: %v", *check, err)
-		}
-		if err := bench.CheckResolveRegression(baseline, rep, *slack, *minSpeedup); err != nil {
-			log.Fatalf("gupbench: resolve: %v", err)
-		}
-		fmt.Printf("bench-regression gate: ok (p95 within %.0f%% of %s, referral speedup %.2fx)\n",
-			*slack*100, *check, rep.SpeedupReferral)
-	}
-}
-
-// runTraceOverhead is the E17 tracing-overhead benchmark with its own flag
-// set: it measures resolve p95 with client tracing on vs off and gates the
-// run when -max is set.
-func runTraceOverhead(args []string) {
-	fs := flag.NewFlagSet("trace-overhead", flag.ExitOnError)
-	clients := fs.Int("clients", 0, "concurrent clients (0 = default 64)")
-	rounds := fs.Int("rounds", 0, "referral rounds per client (0 = default)")
-	chainRounds := fs.Int("chain-rounds", 0, "chaining rounds per client (0 = default)")
-	batch := fs.Int("batch", 0, "batch width / store count (0 = default 8)")
-	jsonOut := fs.String("json", "", "write the machine-readable report here")
-	max := fs.Float64("max", 0, "allowed p95 overhead of tracing (0.05 = +5%; 0 disables the gate)")
-	_ = fs.Parse(args)
-
-	rep, err := bench.RunTraceOverheadReport(bench.ResolveOptions{
-		Clients: *clients, Rounds: *rounds, ChainRounds: *chainRounds, Batch: *batch,
-	})
-	if err != nil {
-		log.Fatalf("gupbench: trace-overhead: %v", err)
-	}
-	fmt.Println(rep.Table().String())
-	if *jsonOut != "" {
-		if err := bench.WriteTraceOverheadReport(rep, *jsonOut); err != nil {
-			log.Fatalf("gupbench: trace-overhead: write %s: %v", *jsonOut, err)
-		}
-	}
-	if *max > 0 {
-		if err := bench.CheckTraceOverhead(rep, *max); err != nil {
-			// Perf gates on shared machines flake; a true regression fails
-			// the confirmation run too.
-			fmt.Printf("trace-overhead gate: %v — confirming with a second run\n", err)
-			var rerr error
-			rep, rerr = bench.RunTraceOverheadReport(bench.ResolveOptions{
-				Clients: *clients, Rounds: *rounds, ChainRounds: *chainRounds, Batch: *batch,
-			})
-			if rerr != nil {
-				log.Fatalf("gupbench: trace-overhead: %v", rerr)
-			}
-			fmt.Println(rep.Table().String())
-			if err := bench.CheckTraceOverhead(rep, *max); err != nil {
-				log.Fatalf("gupbench: %v", err)
-			}
-		}
-		fmt.Printf("trace-overhead gate: ok (worst p95 overhead %+.1f%% within %.0f%% budget)\n",
-			rep.Overhead*100, *max*100)
-	}
-}
-
-// runRecovery is the E18 crash-recovery benchmark with its own flag set:
-// CI runs it with -detect-slack to gate the liveness-detection claim.
-func runRecovery(args []string) {
-	fs := flag.NewFlagSet("recovery", flag.ExitOnError)
-	sizes := fs.String("sizes", "", "comma-separated directory sizes to measure (default 100,1000,5000)")
-	leaseTTL := fs.Duration("lease-ttl", 0, "lease TTL for the detection phase (0 = default 150ms)")
-	leaseGrace := fs.Duration("lease-grace", 0, "lease grace for the detection phase (0 = lease TTL)")
-	jsonOut := fs.String("json", "", "write the machine-readable report here")
-	slack := fs.Float64("detect-slack", 0, "allowed detection overrun past TTL+grace (1.0 = 2x the claim; 0 disables the gate)")
-	_ = fs.Parse(args)
-
-	opts := bench.RecoveryOptions{LeaseTTL: *leaseTTL, LeaseGrace: *leaseGrace}
-	if *sizes != "" {
-		for _, s := range strings.Split(*sizes, ",") {
-			n, err := strconv.Atoi(strings.TrimSpace(s))
-			if err != nil || n <= 1 {
-				log.Fatalf("gupbench: recovery: bad -sizes entry %q", s)
-			}
-			opts.Sizes = append(opts.Sizes, n)
-		}
-	}
-	rep, err := bench.RunRecoveryReport(opts)
-	if err != nil {
-		log.Fatalf("gupbench: recovery: %v", err)
-	}
-	fmt.Println(rep.Table().String())
-	if *jsonOut != "" {
-		if err := bench.WriteRecoveryReport(rep, *jsonOut); err != nil {
-			log.Fatalf("gupbench: recovery: write %s: %v", *jsonOut, err)
-		}
-	}
-	if *slack > 0 {
-		if err := bench.CheckRecovery(rep, *slack); err != nil {
-			// Detection latency is timer-driven; a loaded CI machine can
-			// overshoot once. A true miss fails the confirmation run too.
-			fmt.Printf("recovery gate: %v — confirming with a second run\n", err)
-			rep, err = bench.RunRecoveryReport(opts)
-			if err != nil {
-				log.Fatalf("gupbench: recovery: %v", err)
-			}
-			fmt.Println(rep.Table().String())
-			if err := bench.CheckRecovery(rep, *slack); err != nil {
-				log.Fatalf("gupbench: %v", err)
-			}
-		}
-		fmt.Printf("recovery gate: ok (detection %.0fms within %.0f%% of the %dms claim)\n",
-			rep.DetectMillis, (1+*slack)*100, rep.ClaimMillis)
-	}
-}
-
-// runScenario drives a declarative scenario through the unified harness:
-// committed scenarios by name, local files by path. Full runs gate on the
-// scenario's own assertions; -check additionally gates against a
-// committed baseline report (phase coverage + assertion count).
-func runScenario(args []string) {
 	fs := flag.NewFlagSet("scenario", flag.ExitOnError)
 	fast := fs.Bool("fast", false, "shrink the run for smoke testing (assertions become informational)")
 	seed := fs.Int64("seed", -1, "override the scenario's RNG seed (-1 = use the file's)")
@@ -307,6 +78,13 @@ func runScenario(args []string) {
 			log.Fatalf("gupbench: scenario: %v", lerr)
 		}
 	}
+	var baseline *scenario.Report
+	if *check != "" {
+		var err error
+		if baseline, err = scenario.ReadReport(*check); err != nil {
+			log.Fatalf("gupbench: scenario: baseline %s: %v", *check, err)
+		}
+	}
 
 	opts := scenario.RunOptions{Fast: *fast}
 	if *seed >= 0 {
@@ -317,109 +95,41 @@ func runScenario(args []string) {
 			fmt.Fprintf(os.Stderr, "scenario: "+format+"\n", args...)
 		}
 	}
+	// run executes the scenario once, prints and saves its report.
 	run := func() *scenario.Report {
 		rep, err := scenario.Run(sc, opts)
 		if err != nil {
 			log.Fatalf("gupbench: scenario %s: %v", sc.Name, err)
 		}
+		fmt.Println(rep.Table().String())
+		for _, a := range rep.Assertions {
+			mark := "ok  "
+			if !a.Pass {
+				mark = "FAIL"
+			}
+			fmt.Printf("  %s %s(%s): %s\n", mark, a.Kind, a.Target, a.Detail)
+		}
+		if *jsonOut != "" {
+			if err := scenario.WriteReport(rep, *jsonOut); err != nil {
+				log.Fatalf("gupbench: scenario: write %s: %v", *jsonOut, err)
+			}
+		}
 		return rep
 	}
 	rep := run()
-	fmt.Println(rep.Table().String())
-	for _, a := range rep.Assertions {
-		mark := "ok  "
-		if !a.Pass {
-			mark = "FAIL"
-		}
-		fmt.Printf("  %s %s(%s): %s\n", mark, a.Kind, a.Target, a.Detail)
-	}
-	if *jsonOut != "" {
-		if err := scenario.WriteReport(rep, *jsonOut); err != nil {
-			log.Fatalf("gupbench: scenario: write %s: %v", *jsonOut, err)
-		}
-	}
 	if *fast {
 		// A smoke run proves the scenario builds, drives and tears down;
 		// the shrunken load makes ratio assertions meaningless.
 		return
 	}
-	gate := func(rep *scenario.Report) error {
-		if *check != "" {
-			baseline, err := scenario.ReadReport(*check)
-			if err != nil {
-				return fmt.Errorf("baseline %s: %w", *check, err)
-			}
-			return scenario.CheckRegression(baseline, rep)
-		}
-		return scenario.CheckRegression(nil, rep)
-	}
-	if err := gate(rep); err != nil {
+	if err := scenario.CheckRegression(baseline, rep); err != nil {
 		// Within-run ratios are scheduler-sensitive; a true regression
 		// fails the confirmation run too.
 		fmt.Printf("scenario gate: %v — confirming with a second run\n", err)
 		rep = run()
-		fmt.Println(rep.Table().String())
-		if *jsonOut != "" {
-			if werr := scenario.WriteReport(rep, *jsonOut); werr != nil {
-				log.Fatalf("gupbench: scenario: write %s: %v", *jsonOut, werr)
-			}
-		}
-		if err := gate(rep); err != nil {
+		if err := scenario.CheckRegression(baseline, rep); err != nil {
 			log.Fatalf("gupbench: %v", err)
 		}
 	}
 	fmt.Printf("scenario gate: ok (%d assertions hold)\n", len(rep.Assertions))
-}
-
-// runOverload is the E19 overload-protection benchmark with its own flag
-// set: CI runs it with -check against the committed BENCH_overload.json to
-// gate the goodput-retention claim.
-func runOverload(args []string) {
-	fs := flag.NewFlagSet("overload", flag.ExitOnError)
-	conns := fs.Int("conns", 0, "client connections carrying the open-loop load (0 = default 32)")
-	phase := fs.Duration("phase", 0, "send window per (protection, load) phase (0 = default 2s)")
-	jsonOut := fs.String("json", "", "write the machine-readable report here")
-	check := fs.String("check", "", "gate against this committed baseline report")
-	minOn := fs.Float64("min-retention", 0.8, "required goodput retention at 2x load with shedding on")
-	maxOff := fs.Float64("max-off-retention", 0.5, "retention above which the unprotected collapse is considered gone")
-	_ = fs.Parse(args)
-
-	opts := bench.OverloadOptions{Conns: *conns, PhaseDuration: *phase}
-	rep, err := bench.RunOverloadReport(opts)
-	if err != nil {
-		log.Fatalf("gupbench: overload: %v", err)
-	}
-	fmt.Println(rep.Table().String())
-	if *jsonOut != "" {
-		if err := bench.WriteOverloadReport(rep, *jsonOut); err != nil {
-			log.Fatalf("gupbench: overload: write %s: %v", *jsonOut, err)
-		}
-	}
-	if *check != "" {
-		baseline, err := bench.ReadOverloadReport(*check)
-		if err != nil {
-			log.Fatalf("gupbench: overload: baseline %s: %v", *check, err)
-		}
-		if err := bench.CheckOverloadRegression(baseline, rep, *minOn, *maxOff); err != nil {
-			// Goodput under saturation is scheduler-sensitive; a true
-			// regression fails the confirmation run too.
-			fmt.Printf("overload gate: %v — confirming with a second run\n", err)
-			var rerr error
-			rep, rerr = bench.RunOverloadReport(opts)
-			if rerr != nil {
-				log.Fatalf("gupbench: overload: %v", rerr)
-			}
-			fmt.Println(rep.Table().String())
-			if *jsonOut != "" {
-				if err := bench.WriteOverloadReport(rep, *jsonOut); err != nil {
-					log.Fatalf("gupbench: overload: write %s: %v", *jsonOut, err)
-				}
-			}
-			if err := bench.CheckOverloadRegression(baseline, rep, *minOn, *maxOff); err != nil {
-				log.Fatalf("gupbench: %v", err)
-			}
-		}
-		fmt.Printf("overload gate: ok (retention with shedding %.2f >= %.2f; unprotected %.2f <= %.2f)\n",
-			rep.RetentionOn, *minOn, rep.RetentionOff, *maxOff)
-	}
 }

@@ -2,6 +2,7 @@ package scenario
 
 import (
 	"fmt"
+	"sort"
 	"time"
 )
 
@@ -183,6 +184,40 @@ func evalOne(a *Assertion, report *Report) AssertionResult {
 			return fail("phase %s rebalance moved %d owners, floor %.0f — the expansion did not actually spread the keyspace", a.Phase, p.MovedOwners, a.Min)
 		}
 		return pass("phase %s rebalanced in %dms, %d owners moved (floor %.0f)", a.Phase, p.RebalanceMillis, p.MovedOwners, a.Min)
+
+	case AssertPairedP95Ceiling:
+		// The median of adjacent-wave ratios, not the ratio of pooled
+		// p95s: a pooled tail is owned by whichever single wave machine
+		// noise hit, while noise on adjacent waves hits both modes alike
+		// and cancels in each pair's ratio.
+		var ratios []float64
+		for i := range report.Phases {
+			off := &report.Phases[i]
+			if name, ok := wavePair(off.Name, a.Phase); ok {
+				if on := phase(name); on != nil && off.P95Micros > 0 {
+					ratios = append(ratios, float64(on.P95Micros)/float64(off.P95Micros))
+				}
+			}
+		}
+		if len(ratios) == 0 {
+			return fail("no w<k>-%s-off/-on phase pair in report — nothing was compared", a.Phase)
+		}
+		sort.Float64s(ratios)
+		median := ratios[len(ratios)/2]
+		if len(ratios)%2 == 0 {
+			median = (ratios[len(ratios)/2-1] + median) / 2
+		}
+		if median > a.MaxRatio {
+			return fail("median on/off p95 ratio %.3f over %d %s waves above ceiling %.2f — the toggled feature costs more than its budget", median, len(ratios), a.Phase, a.MaxRatio)
+		}
+		return pass("median on/off p95 ratio %.3f over %d %s waves within ceiling %.2f", median, len(ratios), a.Phase, a.MaxRatio)
+
+	case AssertMDMSpansFloor:
+		res.Target = "mdm-spans"
+		if float64(report.MDMSpans) < a.Min {
+			return fail("rig MDMs collected %d trace spans, floor %.0f — tracing was not exercised", report.MDMSpans, a.Min)
+		}
+		return pass("rig MDMs collected %d trace spans (floor %.0f)", report.MDMSpans, a.Min)
 	}
 	return fail("unknown assertion kind %q", a.Kind)
 }

@@ -7,11 +7,19 @@ import (
 )
 
 // healthyReport is the fixture every assertion kind is judged against: a
-// fast steady phase, a degraded phase that shed, and clean registration
-// audits.
+// fast steady phase, a degraded phase that shed, three interleaved
+// off/on wave pairs (on/off p95 ratios 1.01, 0.99 and one noisy 1.50
+// outlier the median must discard), and clean registration audits.
 func healthyReport() *Report {
+	wave := func(name string, p95 int64) PhaseReport {
+		return PhaseReport{Name: name, Rig: "r", Kind: "closed", Sent: 16, InBudget: 16, P95Micros: p95}
+	}
 	return &Report{
+		MDMSpans: 40,
 		Phases: []PhaseReport{
+			wave("w0-lookup-off", 1000), wave("w0-lookup-on", 1010),
+			wave("w1-lookup-on", 990), wave("w1-lookup-off", 1000),
+			wave("w2-lookup-off", 1000), wave("w2-lookup-on", 1500),
 			{
 				Name: "steady", Rig: "r", Kind: "open",
 				Sent: 100, InBudget: 98, Errors: 0,
@@ -95,9 +103,45 @@ func TestAssertions(t *testing.T) {
 			failWant: "probes failed",
 		},
 		{
+			name: "paired-p95-ceiling odd waves",
+			a:    Assertion{Kind: AssertPairedP95Ceiling, Phase: "lookup", MaxRatio: 1.05},
+			mutate: func(r *Report) {
+				r.Phase("w0-lookup-on").P95Micros = 1200
+				r.Phase("w1-lookup-on").P95Micros = 1100
+			},
+			failWant: "ratio 1.200 over 3 lookup waves above ceiling 1.05",
+		},
+		{
+			name: "paired-p95-ceiling even waves",
+			a:    Assertion{Kind: AssertPairedP95Ceiling, Phase: "lookup", MaxRatio: 1.05},
+			mutate: func(r *Report) {
+				// Two waves left, ratios 1.01 and 1.19: the even-count
+				// median is their mean.
+				r.Phases = r.Phases[:4]
+				r.Phase("w1-lookup-on").P95Micros = 1190
+			},
+			failWant: "ratio 1.100 over 2 lookup waves above ceiling 1.05",
+		},
+		{
+			name: "paired-p95-ceiling no pairs",
+			a:    Assertion{Kind: AssertPairedP95Ceiling, Phase: "lookup", MaxRatio: 1.05},
+			mutate: func(r *Report) {
+				for i := range r.Phases {
+					r.Phases[i].Name = strings.TrimSuffix(r.Phases[i].Name, "-on")
+				}
+			},
+			failWant: "nothing was compared",
+		},
+		{
+			name:     "mdm-spans-floor",
+			a:        Assertion{Kind: AssertMDMSpansFloor, Min: 1},
+			mutate:   func(r *Report) { r.MDMSpans = 0 },
+			failWant: "tracing was not exercised",
+		},
+		{
 			name:     "missing phase",
 			a:        Assertion{Kind: AssertP95Ceiling, Phase: "steady", Max: time.Second},
-			mutate:   func(r *Report) { r.Phases = r.Phases[1:] },
+			mutate:   func(r *Report) { r.Phase("steady").Name = "renamed" },
 			failWant: "not in report",
 		},
 	}

@@ -11,8 +11,8 @@ import (
 // binary: each must parse and validate, with the name matching the file.
 func TestDecodeCommittedScenarios(t *testing.T) {
 	names := List()
-	if len(names) < 3 {
-		t.Fatalf("expected at least e16/e19/e20 committed, got %v", names)
+	if len(names) < 7 {
+		t.Fatalf("expected e16, e17 and e19–e23 committed, got %v", names)
 	}
 	for _, name := range names {
 		sc, err := Load(name)
@@ -73,6 +73,10 @@ func TestDecodeE16Golden(t *testing.T) {
 			{Kind: AssertErrorCeiling, Phase: "referral-batched"},
 			{Kind: AssertErrorCeiling, Phase: "chaining-serial"},
 			{Kind: AssertErrorCeiling, Phase: "chaining-coalesced"},
+			{Kind: AssertP95Ceiling, Phase: "referral-serial", Max: 99 * time.Millisecond},
+			{Kind: AssertP95Ceiling, Phase: "chaining-serial", Max: 435 * time.Millisecond},
+			{Kind: AssertP95Ceiling, Phase: "referral-batched", Max: 37 * time.Millisecond},
+			{Kind: AssertP95Ceiling, Phase: "chaining-coalesced", Max: 102 * time.Millisecond},
 		},
 	}
 	if !reflect.DeepEqual(got, want) {
@@ -146,6 +150,7 @@ func TestDecodeRejections(t *testing.T) {
 		{"unknown layout", strings.Replace(minimal, "layout: split", "layout: mesh", 1), "unknown layout"},
 		{"unknown verb", strings.Replace(minimal, "verb: resolve", "verb: teleport", 1), "unknown verb"},
 		{"unknown assertion kind", minimal + "assertions:\n  - kind: vibes-floor\n", "unknown assertion kind"},
+		{"paired ceiling without a wave pair", minimal + "assertions:\n  - kind: paired-p95-ceiling\n    phase: p\n    max: 1.05\n", "no w<k>-p-off/-on phase pair"},
 		{"phase names unknown rig", strings.Replace(minimal, "rig: r", "rig: ghost", 1), "unknown rig"},
 		{"duplicate phase", minimal + `  - name: p
     rig: r

@@ -159,14 +159,18 @@ func ReadReport(path string) (*Report, error) {
 	return &r, nil
 }
 
-// CheckRegression gates a fresh run against a committed baseline: every
-// baseline phase must be present, every assertion of the fresh run must
-// pass (scenario assertions encode the machine-independent within-run
-// ratios, so they are the regression surface), and the fresh run must
-// evaluate at least as many assertions as the baseline did (a scenario
-// edit that silently dropped its gates fails here). Returns nil when
-// acceptable.
+// CheckRegression gates a fresh run against a committed baseline: the
+// two must be runs of the same scenario, every baseline phase must be
+// present, every assertion of the fresh run must pass (scenario
+// assertions encode the machine-independent within-run ratios, so they
+// are the regression surface), and the fresh run must evaluate at least
+// as many assertions as the baseline did (a scenario edit that silently
+// dropped its gates fails here). Returns nil when acceptable.
 func CheckRegression(baseline, current *Report) error {
+	if baseline != nil && baseline.Scenario != current.Scenario {
+		return fmt.Errorf("scenario regression: baseline is a run of %q, current run is %q — wrong -check file for this scenario",
+			baseline.Scenario, current.Scenario)
+	}
 	var problems []string
 	if baseline != nil {
 		for _, bp := range baseline.Phases {

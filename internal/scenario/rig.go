@@ -12,7 +12,6 @@ import (
 	"gupster/internal/core"
 	"gupster/internal/coverage"
 	"gupster/internal/faultinject"
-	"gupster/internal/federation"
 	"gupster/internal/health"
 	"gupster/internal/journal"
 	"gupster/internal/overload"
@@ -29,19 +28,12 @@ import (
 	"gupster/internal/xpath"
 )
 
-// SignerKey is the shared HMAC key every harness component signs with —
-// one key so MDMs, stores and direct-fetch clients built by different
-// call sites interoperate.
-var SignerKey = []byte("gupbench-shared-key")
+// signerKey is the shared HMAC key every rig component signs with — one
+// key so MDMs, stores and direct-fetch clients interoperate.
+var signerKey = []byte("gupbench-shared-key")
 
-// NewSigner returns a token signer on the shared harness key.
-func NewSigner() *token.Signer { return token.NewSigner(SignerKey) }
-
-// MDMConfig translates a rig spec into the core configuration — exported
-// so programmatic harnesses (crash-recovery cycles that build bare MDMs,
-// not full rigs) construct their directories the same way a scenario rig
-// does.
-func MDMConfig(spec *RigSpec, signer *token.Signer) core.Config {
+// mdmConfig translates a rig spec into the core configuration.
+func mdmConfig(spec *RigSpec, signer *token.Signer) core.Config {
 	cfg := core.Config{
 		Schema:       schema.GUP(),
 		Signer:       signer,
@@ -182,7 +174,7 @@ type Rig struct {
 // and every fault proxy's RNG; rigIdx salts the derivation so multi-rig
 // scenarios draw independent streams.
 func Build(spec RigSpec, seed int64, rigIdx int) (*Rig, error) {
-	r := &Rig{Spec: spec, Seed: seed, Signer: NewSigner(), rigIdx: rigIdx}
+	r := &Rig{Spec: spec, Seed: seed, Signer: token.NewSigner(signerKey), rigIdx: rigIdx}
 	if err := r.build(); err != nil {
 		r.Close()
 		return nil, err
@@ -201,7 +193,7 @@ func (r *Rig) build() error {
 			return err
 		}
 	} else {
-		r.MDM = core.New(MDMConfig(spec, r.Signer))
+		r.MDM = core.New(mdmConfig(spec, r.Signer))
 		r.MDMSrv = core.NewServer(r.MDM)
 		if err := r.MDMSrv.Start("127.0.0.1:0"); err != nil {
 			return err
@@ -276,7 +268,7 @@ func (r *Rig) buildReplicated() error {
 		addrs[i] = ln.Addr().String()
 	}
 	for i := range lns {
-		m := core.New(MDMConfig(spec, r.Signer))
+		m := core.New(mdmConfig(spec, r.Signer))
 		dir, err := os.MkdirTemp("", "gupster-scenario-*")
 		if err != nil {
 			m.Close()
@@ -332,7 +324,7 @@ func (r *Rig) buildSharded() error {
 	// needs every member's dialable address up front.
 	lns := make([]net.Listener, total)
 	for i := 0; i < total; i++ {
-		m := core.New(MDMConfig(spec, r.Signer))
+		m := core.New(mdmConfig(spec, r.Signer))
 		ln, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
 			m.Close()
@@ -1027,55 +1019,6 @@ func (r *Rig) Close() {
 		if node.Server != nil {
 			node.Server.Close()
 		}
-	}
-}
-
-// Constellation is a mirrored-MDM federation built for the replication
-// experiments (E13): n mirrors joined pairwise.
-type Constellation struct {
-	MDMs    []*core.MDM
-	Mirrors []*federation.Mirror
-	Addrs   []string
-	servers []*wire.Server
-}
-
-// BuildConstellation assembles and joins n mirrored MDMs.
-func BuildConstellation(n int) (*Constellation, error) {
-	signer := NewSigner()
-	c := &Constellation{}
-	for i := 0; i < n; i++ {
-		m := core.New(core.Config{Schema: schema.GUP(), Signer: signer, GrantTTL: time.Minute})
-		mir := federation.NewMirror(m)
-		srv, err := mir.Serve("127.0.0.1:0")
-		if err != nil {
-			mir.Close()
-			m.Close()
-			c.Close()
-			return nil, err
-		}
-		c.MDMs = append(c.MDMs, m)
-		c.Mirrors = append(c.Mirrors, mir)
-		c.Addrs = append(c.Addrs, srv.Addr())
-		c.servers = append(c.servers, srv)
-	}
-	if err := federation.Join(c.Mirrors, c.Addrs); err != nil {
-		c.Close()
-		return nil, err
-	}
-	return c, nil
-}
-
-// Close tears the constellation down: wire servers, then mirrors, then
-// MDMs.
-func (c *Constellation) Close() {
-	for _, s := range c.servers {
-		s.Close()
-	}
-	for _, m := range c.Mirrors {
-		m.Close()
-	}
-	for _, m := range c.MDMs {
-		m.Close()
 	}
 }
 

@@ -143,22 +143,3 @@ func TestRigCloseIdempotent(t *testing.T) {
 	rig.Close()
 	rig.Close()
 }
-
-// TestConstellationBuild checks the mirrored-MDM assembly: n joined
-// mirrors that converge registrations, torn down without leaks.
-func TestConstellationBuild(t *testing.T) {
-	if testing.Short() {
-		t.Skip("builds live constellations")
-	}
-	baseline := runtime.NumGoroutine()
-	c, err := BuildConstellation(3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(c.MDMs) != 3 || len(c.Mirrors) != 3 || len(c.Addrs) != 3 {
-		t.Errorf("constellation shape: %d MDMs, %d mirrors, %d addrs; want 3 of each",
-			len(c.MDMs), len(c.Mirrors), len(c.Addrs))
-	}
-	c.Close()
-	waitNoExtraGoroutines(t, baseline)
-}

@@ -9,10 +9,9 @@
 //
 // A scenario is a small YAML-subset file (see decode.go; no external
 // dependencies) declaring a topology, a phase list, and assertions. The
-// engine subsumes the bespoke rigs the E13–E19 experiments each grew in
-// internal/bench: those benchmarks now build their rigs and run their
-// phases through this package, so composing a new experiment — an
-// overload wave during a store blackout under a thundering-herd
+// engine is the only home of the system-level experiments (E16, E17,
+// E19–E23): each is a committed file under scenarios/, so composing a new
+// one — an overload wave during a store blackout under a thundering-herd
 // re-registration, say — is a scenario file, not a new harness.
 package scenario
 
@@ -72,6 +71,8 @@ const (
 	AssertMovedOwnersFloor = "moved-owners-floor"
 	AssertRepairCeiling    = "repair-ceiling"
 	AssertConvergence      = "convergence"
+	AssertPairedP95Ceiling = "paired-p95-ceiling"
+	AssertMDMSpansFloor    = "mdm-spans-floor"
 )
 
 // Scenario is one declarative experiment: a topology, phases on a
@@ -299,15 +300,18 @@ type FaultSpec struct {
 // Assertion is one end-of-run check against the report.
 type Assertion struct {
 	Kind string
-	// Phase targets single-phase kinds; Num/Den the ratio kinds.
+	// Phase targets single-phase kinds; Num/Den the ratio kinds. For
+	// paired-p95-ceiling it is the stem shared by the wave phases
+	// "w<k>-<stem>-off" / "w<k>-<stem>-on".
 	Phase    string
 	Num, Den string
 	// Max bounds p95-ceiling.
 	Max time.Duration
 	// Min floors goodput-floor (per-sec), throughput-ratio-floor,
-	// retention-floor and shed-floor.
+	// retention-floor, shed-floor, moved-owners-floor and mdm-spans-floor.
 	Min float64
-	// MaxRatio caps retention-ceiling; MaxCount caps error-ceiling.
+	// MaxRatio caps retention-ceiling and paired-p95-ceiling; MaxCount
+	// caps error-ceiling.
 	MaxRatio float64
 	MaxCount int
 }
@@ -641,9 +645,38 @@ func (a *Assertion) validate(sc string, phases map[string]bool) error {
 		return need(a.Phase, "phase")
 	case AssertConvergence:
 		return nil
+	case AssertPairedP95Ceiling:
+		if a.MaxRatio <= 0 {
+			return fmt.Errorf("scenario %s: paired-p95-ceiling needs max", sc)
+		}
+		for name := range phases {
+			if on, ok := wavePair(name, a.Phase); ok && phases[on] {
+				return nil
+			}
+		}
+		return fmt.Errorf("scenario %s: paired-p95-ceiling: no w<k>-%s-off/-on phase pair", sc, a.Phase)
+	case AssertMDMSpansFloor:
+		if a.Min <= 0 {
+			return fmt.Errorf("scenario %s: mdm-spans-floor needs min", sc)
+		}
+		return nil
 	default:
 		return fmt.Errorf("scenario %s: unknown assertion kind %q", sc, a.Kind)
 	}
+}
+
+// wavePair reports whether name is the "w<k>-<stem>-off" half of an
+// interleaved wave pair, returning its "-on" twin's name.
+func wavePair(name, stem string) (on string, ok bool) {
+	var k int
+	if n, err := fmt.Sscanf(name, "w%d-", &k); err != nil || n != 1 || k < 0 {
+		return "", false
+	}
+	prefix := fmt.Sprintf("w%d-%s-", k, stem)
+	if name != prefix+"off" {
+		return "", false
+	}
+	return prefix + "on", true
 }
 
 // storeIndex parses "store-3" → 3, or -1.

@@ -42,7 +42,7 @@ func Dial(seeds ...string) (*Client, error) {
 			lastErr = err
 			continue
 		}
-		ctx, cancel := context.WithTimeout(context.Background(), 5e9)
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 		var m wire.ShardMap
 		err = conn.Call(ctx, wire.TypeShardMap, wire.Empty{}, &m)
 		cancel()
