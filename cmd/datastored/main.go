@@ -29,6 +29,7 @@ import (
 	"syscall"
 	"time"
 
+	"gupster/internal/dirclient"
 	"gupster/internal/overload"
 	"gupster/internal/schema"
 	"gupster/internal/store"
@@ -76,7 +77,7 @@ func main() {
 	}
 	log.Printf("datastored: %s listening on %s", *id, srv.Addr())
 
-	mdm, err := wire.Dial(*mdmAddr)
+	mdm, err := dirclient.Dial(*mdmAddr)
 	if err != nil {
 		log.Fatalf("datastored: dial MDM: %v", err)
 	}
@@ -84,7 +85,7 @@ func main() {
 
 	// Change notifications keep MDM caches and subscriptions fresh.
 	eng.OnChange(func(u string, path xpath.Path, frag *xmltree.Node, version uint64) {
-		err := mdm.Call(context.Background(), wire.TypeChanged, &wire.ChangedNotice{
+		err := mdm.Call(context.Background(), u, wire.TypeChanged, &wire.ChangedNotice{
 			Store: *id, User: u, Path: path.String(), XML: frag.String(), Version: version,
 		}, nil)
 		if err != nil {

@@ -226,32 +226,27 @@ func main() {
 		// A shard running a gossip failure detector answers TypeMembership
 		// with its constellation view; anything else refuses the frame and
 		// we fall through to the store-liveness lease table.
-		if wc, derr := wire.Dial(*mdmAddr); derr == nil {
-			var mem wire.MembershipResponse
-			merr := wc.Call(ctx, wire.TypeMembership, wire.Empty{}, &mem)
-			wc.Close()
-			if merr == nil && mem.Self != "" {
-				repair := "off"
-				if mem.AutoRepair {
-					repair = "on"
-				}
-				fmt.Printf("gossip: shard %s on map v%d@e%d, auto-repair %s\n",
-					mem.Self, mem.MapVersion, mem.MapEpoch, repair)
-				fmt.Printf("%-16s %-22s %-9s %-12s %s\n", "MEMBER", "ADDR", "STATE", "FOR", "ROLE")
-				for _, m := range mem.Members {
-					role := "in-map"
-					if m.Spare {
-						role = "spare"
-					}
-					state := m.State
-					if state != "alive" {
-						state = strings.ToUpper(state)
-					}
-					fmt.Printf("%-16s %-22s %-9s %-12s %s\n",
-						m.ID, m.Addr, state, time.Duration(m.SinceMillis)*time.Millisecond, role)
-				}
-				return
+		if mem, merr := cli.Membership(ctx); merr == nil && mem.Self != "" {
+			repair := "off"
+			if mem.AutoRepair {
+				repair = "on"
 			}
+			fmt.Printf("gossip: shard %s on map v%d@e%d, auto-repair %s\n",
+				mem.Self, mem.MapVersion, mem.MapEpoch, repair)
+			fmt.Printf("%-16s %-22s %-9s %-12s %s\n", "MEMBER", "ADDR", "STATE", "FOR", "ROLE")
+			for _, m := range mem.Members {
+				role := "in-map"
+				if m.Spare {
+					role = "spare"
+				}
+				state := m.State
+				if state != "alive" {
+					state = strings.ToUpper(state)
+				}
+				fmt.Printf("%-16s %-22s %-9s %-12s %s\n",
+					m.ID, m.Addr, state, time.Duration(m.SinceMillis)*time.Millisecond, role)
+			}
+			return
 		}
 		st, err := cli.Stats(ctx)
 		fatal(err)
@@ -331,11 +326,7 @@ func main() {
 			fmt.Print(trace.RenderTree(st.Spans))
 		}
 	case "shard-map":
-		wc, err := wire.Dial(*mdmAddr)
-		fatal(err)
-		defer wc.Close()
-		var m wire.ShardMap
-		fatal(wc.Call(ctx, wire.TypeShardMap, wire.Empty{}, &m))
+		m := cli.ShardMap()
 		if m.Version == 0 || len(m.Shards) == 0 {
 			fmt.Println("(unsharded: MDM runs without -shard-of)")
 			return
@@ -350,12 +341,7 @@ func main() {
 		}
 	case "rebalance":
 		need(args, 2, `rebalance <id=addr,id=addr,...> [forward-ms]`)
-		wc, err := wire.Dial(*mdmAddr)
-		fatal(err)
-		var old wire.ShardMap
-		err = wc.Call(ctx, wire.TypeShardMap, wire.Empty{}, &old)
-		wc.Close()
-		fatal(err)
+		old := cli.ShardMap()
 		if old.Version == 0 || len(old.Shards) == 0 {
 			log.Fatalf("gupctl: %s holds no shard map — nothing to rebalance", *mdmAddr)
 		}

@@ -75,6 +75,7 @@ import (
 	"time"
 
 	"gupster/internal/core"
+	"gupster/internal/dirclient/ring"
 	"gupster/internal/federation"
 	"gupster/internal/health"
 	"gupster/internal/journal"
@@ -106,7 +107,7 @@ func parseShardMap(s string, version uint64) (wire.ShardMap, error) {
 		}
 		m.Shards = append(m.Shards, wire.ShardInfo{ID: id, Addr: addr})
 	}
-	if _, err := shard.BuildRing(m); err != nil {
+	if _, err := ring.Build(m); err != nil {
 		return m, fmt.Errorf("gupsterd: bad -shard-map: %w", err)
 	}
 	return m, nil

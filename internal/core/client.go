@@ -2,12 +2,13 @@ package core
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"sort"
 	"sync"
 	"time"
 
+	"gupster/internal/coverage"
+	"gupster/internal/dirclient"
 	"gupster/internal/flight"
 	"gupster/internal/metrics"
 	"gupster/internal/policy"
@@ -26,8 +27,10 @@ import (
 // handling the choice ("||") and merge semantics of §4.3 transparently.
 // Safe for concurrent use.
 type Client struct {
-	mdm     *wire.Client
-	mdmAddr string
+	// dir is the client's one handle on the directory, whatever stands
+	// behind it: it follows leader and shard redirects, remembers where
+	// each was last answered, and leaves a dead address.
+	dir *dirclient.Directory
 	// Identity stamps the request context.
 	Identity string
 	// Role is the asserted relationship to profile owners.
@@ -44,17 +47,15 @@ type Client struct {
 	// directory (snapshot install) or hands the owner to another shard.
 	// The client therefore keeps its own durable record of every
 	// subscription — path and handler, keyed by a stable client-side
-	// handle — and re-establishes them on reconnect or tombstone, chasing
-	// not-leader and wrong-shard redirects. Callers see the stable handle
-	// in every notification, never the server's per-incarnation ID.
+	// handle — and re-establishes them on reconnect or tombstone through
+	// the directory handle. Callers see the stable handle in every
+	// notification, never the server's per-incarnation ID.
 	subMu       sync.Mutex
 	subRecs     map[uint64]*subRecord // stable handle → record
 	subByServer map[uint64]uint64     // current server sub ID → stable handle
 	subNextID   uint64
 	subConn     *wire.Client // dedicated notification connection
-	subConnAddr string
-	subAddrs    []string // extra re-home candidates (constellation members)
-	subRehoming bool     // one re-home loop at a time
+	subRehoming bool         // one re-home loop at a time
 	subClosed   bool
 
 	// DisableLatencyRouting turns off closest-replica ordering of
@@ -96,13 +97,6 @@ type Client struct {
 	// here — no hard-coded durations on any call path.
 	Budgets Budgets
 
-	// leaderConn is a lazily dialed connection to the constellation
-	// leader a follower redirected a mutation to (DESIGN.md §11.3). It is
-	// kept for the next mutation; leadership moving again just re-chases.
-	leaderMu   sync.Mutex
-	leaderConn *wire.Client
-	leaderAddr string
-
 	// traceConn is a lazily dialed out-of-band connection for trace
 	// reports: telemetry frames must never queue ahead of request frames
 	// on the request connection (on a slow link one report delays the next
@@ -134,14 +128,13 @@ type Budgets struct {
 
 // DialMDM connects a client identity to the MDM.
 func DialMDM(addr, identity, role string) (*Client, error) {
-	c, err := wire.Dial(addr)
+	dir, err := dirclient.Dial(addr)
 	if err != nil {
 		return nil, err
 	}
 	pipe := &metrics.PipelineStats{}
 	return &Client{
-		mdm:         c,
-		mdmAddr:     addr,
+		dir:         dir,
 		Identity:    identity,
 		Role:        role,
 		Keys:        xmltree.DefaultKeys,
@@ -246,7 +239,7 @@ func (c *Client) traceConnection() (*wire.Client, error) {
 	if c.traceConn != nil {
 		return c.traceConn, nil
 	}
-	conn, err := wire.Dial(c.mdmAddr)
+	conn, err := wire.Dial(c.dir.AddrFor(""))
 	if err != nil {
 		return nil, err
 	}
@@ -270,7 +263,7 @@ func (c *Client) NewTrace(ctx context.Context, name string) (tctx context.Contex
 // TraceSpans fetches one trace's spans from the MDM's trace directory.
 func (c *Client) TraceSpans(ctx context.Context, traceID string) ([]trace.Span, error) {
 	var resp wire.TraceResponse
-	if err := c.mdm.Call(ctx, wire.TypeTrace, &wire.TraceRequest{TraceID: traceID}, &resp); err != nil {
+	if err := c.dir.Call(ctx, "", wire.TypeTrace, &wire.TraceRequest{TraceID: traceID}, &resp); err != nil {
 		return nil, err
 	}
 	return resp.Spans, nil
@@ -279,7 +272,7 @@ func (c *Client) TraceSpans(ctx context.Context, traceID string) ([]trace.Span, 
 // SlowTraces fetches recent slow-query traces from the MDM.
 func (c *Client) SlowTraces(ctx context.Context, max int) ([]trace.SlowTrace, error) {
 	var resp wire.SlowResponse
-	if err := c.mdm.Call(ctx, wire.TypeSlow, &wire.SlowRequest{Max: max}, &resp); err != nil {
+	if err := c.dir.Call(ctx, "", wire.TypeSlow, &wire.SlowRequest{Max: max}, &resp); err != nil {
 		return nil, err
 	}
 	return resp.Traces, nil
@@ -322,12 +315,6 @@ func (c *Client) Close() error {
 		delete(c.pool, addr)
 	}
 	c.poolMu.Unlock()
-	c.leaderMu.Lock()
-	if c.leaderConn != nil {
-		c.leaderConn.Close()
-		c.leaderConn = nil
-	}
-	c.leaderMu.Unlock()
 	c.subMu.Lock()
 	c.subClosed = true
 	if c.subConn != nil {
@@ -348,73 +335,29 @@ func (c *Client) Close() error {
 		}
 	}
 	c.traceMu.Unlock()
-	return c.mdm.Close()
+	c.dir.Close()
+	return nil
 }
 
 func (c *Client) contextFor(purpose policy.Purpose) policy.Context {
 	return policy.Context{Requester: c.Identity, Role: c.Role, Purpose: purpose}
 }
 
-// callMutate issues a directory mutation, chasing redirects: on a
-// quorum-replicated constellation a follower refuses mutations and names
-// the leader; on a sharded directory the wrong shard refuses and names
-// the owner's home. The client follows both transparently instead of
-// surfacing the refusal. Three hops bound the chase (wrong shard, then
-// not-leader inside the target constellation, then one leadership move);
-// beyond that the topology is churning and the caller should see the
-// error.
-func (c *Client) callMutate(ctx context.Context, typ string, req, resp any) error {
-	return c.callDirectory(ctx, typ, req, resp)
+// ownerOf names the profile owner a request path is scoped to, so the
+// call goes straight to the owner's home shard. Parsing costs allocations
+// the unsharded path must not pay, hence the Sharded guard.
+func (c *Client) ownerOf(path string) string {
+	if !c.dir.Sharded() {
+		return ""
+	}
+	owner, _ := coverage.UserOfPath(path)
+	return owner
 }
 
-func (c *Client) callDirectory(ctx context.Context, typ string, req, resp any) error {
-	err := c.mdm.Call(ctx, typ, req, resp)
-	for hops := 0; hops < 3; hops++ {
-		var addr string
-		var nl *wire.NotLeaderError
-		var ws *wire.WrongShardError
-		switch {
-		case errors.As(err, &nl) && nl.LeaderAddr != "":
-			addr = nl.LeaderAddr
-		case errors.As(err, &ws) && ws.Addr != "":
-			addr = ws.Addr
-		default:
-			return err
-		}
-		lc, derr := c.leaderClient(addr)
-		if derr != nil {
-			return err
-		}
-		err = lc.Call(ctx, typ, req, resp)
-	}
-	return err
-}
-
-// leaderClient returns (dialing or re-dialing on demand) the cached
-// connection to the redirected-to leader.
-func (c *Client) leaderClient(addr string) (*wire.Client, error) {
-	c.leaderMu.Lock()
-	defer c.leaderMu.Unlock()
-	if c.leaderConn != nil && c.leaderAddr == addr {
-		return c.leaderConn, nil
-	}
-	lc, err := wire.Dial(addr)
-	if err != nil {
-		return nil, err
-	}
-	if c.leaderConn != nil {
-		c.leaderConn.Close()
-	}
-	c.leaderConn, c.leaderAddr = lc, addr
-	return lc, nil
-}
-
-// Resolve asks the MDM for referrals (or data, for chaining/recruiting),
-// following a wrong-shard redirect when the dialed MDM is not the owner's
-// home shard.
+// Resolve asks the MDM for referrals (or data, for chaining/recruiting).
 func (c *Client) Resolve(ctx context.Context, req *wire.ResolveRequest) (*wire.ResolveResponse, error) {
 	var resp wire.ResolveResponse
-	if err := c.callDirectory(ctx, wire.TypeResolve, req, &resp); err != nil {
+	if err := c.dir.Call(ctx, c.ownerOf(req.Path), wire.TypeResolve, req, &resp); err != nil {
 		return nil, err
 	}
 	return &resp, nil
@@ -497,7 +440,7 @@ func (c *Client) getAs(ctx context.Context, path string, reqCtx policy.Context) 
 // entries concurrently and positionally (Results[i] ↔ Requests[i]).
 func (c *Client) BatchResolve(ctx context.Context, req *wire.BatchResolveRequest) (*wire.BatchResolveResponse, error) {
 	var resp wire.BatchResolveResponse
-	if err := c.mdm.Call(ctx, wire.TypeBatchResolve, req, &resp); err != nil {
+	if err := c.dir.Call(ctx, "", wire.TypeBatchResolve, req, &resp); err != nil {
 		return nil, err
 	}
 	return &resp, nil
@@ -790,14 +733,12 @@ type subRecord struct {
 	serverID uint64
 }
 
-// SetReconnectAddrs supplies extra addresses (constellation members, shard
-// peers) the client may try when re-homing subscriptions after losing its
-// notification connection. The learned leader address and the original
-// MDM address are always tried first.
+// SetReconnectAddrs supplies extra directory addresses (constellation
+// members, shard peers) the client may fall back to when the ones it has
+// learnt stop answering — for requests and for re-homing subscriptions
+// alike.
 func (c *Client) SetReconnectAddrs(addrs []string) {
-	c.subMu.Lock()
-	c.subAddrs = append([]string(nil), addrs...)
-	c.subMu.Unlock()
+	c.dir.AddSeeds(addrs...)
 }
 
 // Subscribe registers a push subscription; handler runs on the client's
@@ -808,21 +749,14 @@ func (c *Client) SetReconnectAddrs(addrs []string) {
 // handle.
 func (c *Client) Subscribe(ctx context.Context, path string, handler func(wire.Notification)) (uint64, error) {
 	c.subMu.Lock()
-	conn, err := c.subConnLocked()
-	if err != nil {
-		c.subMu.Unlock()
-		return 0, err
-	}
 	c.subNextID++
 	rec := &subRecord{id: c.subNextID, path: path, handler: handler}
 	c.subMu.Unlock()
-
-	if err := c.subscribeOn(ctx, conn, rec); err != nil {
+	if err := c.subscribeRec(ctx, rec); err != nil {
 		return 0, err
 	}
 	c.subMu.Lock()
 	c.subRecs[rec.id] = rec
-	c.subByServer[rec.serverID] = rec.id
 	c.subMu.Unlock()
 	return rec.id, nil
 }
@@ -844,28 +778,38 @@ func (c *Client) Unsubscribe(ctx context.Context, subID uint64) error {
 	return conn.Call(ctx, wire.TypeUnsubscribe, &wire.UnsubscribeRequest{SubID: rec.serverID}, nil)
 }
 
-// subConnLocked returns the dedicated notification connection, dialing it
-// on first use. Caller holds subMu. Notifications ride a connection of
-// their own so a re-home never disturbs the request connection, and vice
-// versa.
-func (c *Client) subConnLocked() (*wire.Client, error) {
-	if c.subConn != nil {
-		return c.subConn, nil
+// subscribeRec issues rec's subscribe on the notification connection.
+// Notifications ride a connection of their own so a re-home never
+// disturbs the request connections, and vice versa. When there is no
+// such connection yet, or the one there is refuses (it died, or its node
+// redirects the owner elsewhere), the directory handle opens a fresh
+// socket wherever the owner is served now and that becomes the
+// notification connection. On success rec.serverID holds the new
+// server-side ID and the stream is routed to rec.
+func (c *Client) subscribeRec(ctx context.Context, rec *subRecord) error {
+	req := &wire.SubscribeRequest{Path: rec.path, Context: c.contextFor(policy.PurposeSubscribe)}
+	var resp wire.SubscribeResponse
+	c.subMu.Lock()
+	conn := c.subConn
+	c.subMu.Unlock()
+	if conn == nil || conn.Call(ctx, wire.TypeSubscribe, req, &resp) != nil {
+		fresh, err := c.dir.Dedicated(ctx, c.ownerOf(rec.path), wire.TypeSubscribe, req, &resp)
+		if err != nil {
+			return err
+		}
+		c.adoptSubConn(fresh)
 	}
-	return c.adoptSubConnLocked(c.mdmAddr)
+	c.subMu.Lock()
+	delete(c.subByServer, rec.serverID)
+	rec.serverID = resp.SubID
+	c.subByServer[rec.serverID] = rec.id
+	c.subMu.Unlock()
+	return nil
 }
 
-// adoptSubConnLocked dials addr and installs it as the notification
-// connection, wiring the dispatch and disconnect hooks. Caller holds subMu.
-func (c *Client) adoptSubConnLocked(addr string) (*wire.Client, error) {
-	conn, err := wire.Dial(addr)
-	if err != nil {
-		return nil, err
-	}
-	if c.subConn != nil {
-		c.subConn.Close()
-	}
-	c.subConn, c.subConnAddr = conn, addr
+// adoptSubConn installs conn as the notification connection, wiring the
+// dispatch and disconnect hooks, and closes the one it replaces.
+func (c *Client) adoptSubConn(conn *wire.Client) {
 	conn.OnNotify(func(msgType string, payload []byte) {
 		if msgType != wire.TypeNotify {
 			return
@@ -877,7 +821,17 @@ func (c *Client) adoptSubConnLocked(addr string) (*wire.Client, error) {
 		c.dispatchNotification(n)
 	})
 	conn.OnDisconnect(func(error) { c.rehomeSubs(conn) })
-	return conn, nil
+	c.subMu.Lock()
+	old := c.subConn
+	if c.subClosed {
+		old = conn
+	} else {
+		c.subConn = conn
+	}
+	c.subMu.Unlock()
+	if old != nil {
+		old.Close()
+	}
 }
 
 // dispatchNotification routes a server notification to the caller's
@@ -890,86 +844,31 @@ func (c *Client) dispatchNotification(n wire.Notification) {
 	rec := c.subRecs[id]
 	if ok && n.Canceled {
 		delete(c.subByServer, n.SubID)
-		rec.serverID = 0
 	}
 	c.subMu.Unlock()
 	if !ok || rec == nil {
 		return
 	}
 	if n.Canceled {
-		go c.resubscribe(rec)
+		// Failure is retried by the next disconnect/re-home cycle, not
+		// here: a tombstone arrives on a live connection, so one attempt
+		// is the common case.
+		go func() {
+			ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+			defer cancel()
+			_ = c.subscribeRec(ctx, rec)
+		}()
 		return
 	}
 	n.SubID = rec.id
 	rec.handler(n)
 }
 
-// resubscribe re-establishes one tombstoned subscription on the current
-// notification connection (chasing redirects). Failure is retried by the
-// next disconnect/re-home cycle, not here: a tombstone arrives on a live
-// connection, so one attempt is the common case.
-func (c *Client) resubscribe(rec *subRecord) {
-	c.subMu.Lock()
-	conn := c.subConn
-	closed := c.subClosed
-	c.subMu.Unlock()
-	if closed || conn == nil {
-		return
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	if err := c.subscribeOn(ctx, conn, rec); err != nil {
-		return
-	}
-	c.subMu.Lock()
-	if _, live := c.subRecs[rec.id]; live {
-		c.subByServer[rec.serverID] = rec.id
-	}
-	c.subMu.Unlock()
-}
-
-// subscribeOn issues one subscribe for rec on conn, chasing a not-leader
-// or wrong-shard redirect (two hops) by re-homing the notification
-// connection to the named address. On success rec.serverID holds the new
-// server-side ID.
-func (c *Client) subscribeOn(ctx context.Context, conn *wire.Client, rec *subRecord) error {
-	req := &wire.SubscribeRequest{Path: rec.path, Context: c.contextFor(policy.PurposeSubscribe)}
-	var resp wire.SubscribeResponse
-	err := conn.Call(ctx, wire.TypeSubscribe, req, &resp)
-	for hops := 0; hops < 2 && err != nil; hops++ {
-		addr := ""
-		var nl *wire.NotLeaderError
-		var ws *wire.WrongShardError
-		switch {
-		case errors.As(err, &nl) && nl.LeaderAddr != "":
-			addr = nl.LeaderAddr
-		case errors.As(err, &ws) && ws.Addr != "":
-			addr = ws.Addr
-		default:
-			return err
-		}
-		c.subMu.Lock()
-		next, derr := c.adoptSubConnLocked(addr)
-		c.subMu.Unlock()
-		if derr != nil {
-			return err
-		}
-		conn = next
-		err = conn.Call(ctx, wire.TypeSubscribe, req, &resp)
-	}
-	if err != nil {
-		return err
-	}
-	rec.serverID = resp.SubID
-	return nil
-}
-
 // rehomeSubs runs when the notification connection dies with live
-// subscriptions outstanding: it re-dials the constellation — the learned
-// leader first, then the original address, then any SetReconnectAddrs
-// candidates — and re-subscribes every record there. Without it a leader
-// failover silently orphans every push subscription: the client keeps a
-// dead handle and the next change is never delivered.
+// subscriptions outstanding: it re-subscribes every record wherever the
+// directory handle now finds their owners. Without it a leader failover
+// silently orphans every push subscription: the client keeps a dead handle
+// and the next change is never delivered.
 func (c *Client) rehomeSubs(dead *wire.Client) {
 	c.subMu.Lock()
 	if c.subClosed || c.subConn != dead || len(c.subRecs) == 0 || c.subRehoming {
@@ -977,6 +876,7 @@ func (c *Client) rehomeSubs(dead *wire.Client) {
 		return
 	}
 	c.subRehoming = true
+	c.subConn = nil
 	c.subMu.Unlock()
 	defer func() {
 		c.subMu.Lock()
@@ -987,58 +887,27 @@ func (c *Client) rehomeSubs(dead *wire.Client) {
 	deadline := time.Now().Add(10 * time.Second)
 	for time.Now().Before(deadline) {
 		c.subMu.Lock()
-		if c.subClosed || len(c.subRecs) == 0 {
-			c.subMu.Unlock()
-			return
+		closed := c.subClosed
+		recs := make([]*subRecord, 0, len(c.subRecs))
+		for _, rec := range c.subRecs {
+			recs = append(recs, rec)
 		}
-		c.leaderMu.Lock()
-		leader := c.leaderAddr
-		c.leaderMu.Unlock()
-		candidates := make([]string, 0, 2+len(c.subAddrs))
-		if leader != "" {
-			candidates = append(candidates, leader)
-		}
-		candidates = append(candidates, c.mdmAddr)
-		candidates = append(candidates, c.subAddrs...)
 		c.subMu.Unlock()
-
-		for _, addr := range candidates {
-			if c.rehomeSubsTo(addr) {
-				return
-			}
+		if closed || c.resubscribeAll(recs) {
+			return
 		}
 		time.Sleep(100 * time.Millisecond)
 	}
 }
 
-// rehomeSubsTo tries to move every live subscription to addr; it reports
-// whether all of them re-established (possibly elsewhere, via redirects).
-func (c *Client) rehomeSubsTo(addr string) bool {
-	c.subMu.Lock()
-	conn, err := c.adoptSubConnLocked(addr)
-	recs := make([]*subRecord, 0, len(c.subRecs))
-	for _, rec := range c.subRecs {
-		recs = append(recs, rec)
-	}
-	c.subMu.Unlock()
-	if err != nil {
-		return false
-	}
+// resubscribeAll reports whether every record re-established.
+func (c *Client) resubscribeAll(recs []*subRecord) bool {
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
 	for _, rec := range recs {
-		c.subMu.Lock()
-		delete(c.subByServer, rec.serverID)
-		conn = c.subConn // subscribeOn may have re-homed the connection
-		c.subMu.Unlock()
-		if err := c.subscribeOn(ctx, conn, rec); err != nil {
+		if err := c.subscribeRec(ctx, rec); err != nil {
 			return false
 		}
-		c.subMu.Lock()
-		if _, live := c.subRecs[rec.id]; live {
-			c.subByServer[rec.serverID] = rec.id
-		}
-		c.subMu.Unlock()
 	}
 	return true
 }
@@ -1046,7 +915,7 @@ func (c *Client) rehomeSubsTo(addr string) bool {
 // PutRule provisions a privacy-shield rule for owner (self-provisioning —
 // "enter once, use everywhere" requires the owner to stay in control).
 func (c *Client) PutRule(ctx context.Context, owner string, rule policy.Rule) error {
-	return c.callMutate(ctx, wire.TypePutRule, &wire.PutRuleRequest{
+	return c.dir.Call(ctx, owner, wire.TypePutRule, &wire.PutRuleRequest{
 		Owner: owner,
 		Rule:  encodeRule(rule),
 	}, nil)
@@ -1054,7 +923,7 @@ func (c *Client) PutRule(ctx context.Context, owner string, rule policy.Rule) er
 
 // DeleteRule removes a rule.
 func (c *Client) DeleteRule(ctx context.Context, owner, ruleID string) error {
-	return c.callMutate(ctx, wire.TypeDeleteRule, &wire.DeleteRuleRequest{Owner: owner, RuleID: ruleID}, nil)
+	return c.dir.Call(ctx, owner, wire.TypeDeleteRule, &wire.DeleteRuleRequest{Owner: owner, RuleID: ruleID}, nil)
 }
 
 // SyncDeviceComponent resolves an update grant for path and runs one sync
@@ -1087,7 +956,7 @@ func (c *Client) SyncDeviceComponent(ctx context.Context, path string, dev *sync
 // read it.
 func (c *Client) Provenance(ctx context.Context, sinceSeq uint64) ([]wire.ProvenanceRecord, error) {
 	var resp wire.ProvenanceResponse
-	err := c.mdm.Call(ctx, wire.TypeProvenance, &wire.ProvenanceRequest{
+	err := c.dir.Call(ctx, "", wire.TypeProvenance, &wire.ProvenanceRequest{
 		Owner: c.Identity, Requester: c.Identity, SinceSeq: sinceSeq,
 	}, &resp)
 	return resp.Records, err
@@ -1096,16 +965,31 @@ func (c *Client) Provenance(ctx context.Context, sinceSeq uint64) ([]wire.Proven
 // ProvenanceSummary fetches the per-requester disclosure rollup.
 func (c *Client) ProvenanceSummary(ctx context.Context) ([]wire.ProvenanceSummary, error) {
 	var resp wire.ProvenanceResponse
-	err := c.mdm.Call(ctx, wire.TypeProvenance, &wire.ProvenanceRequest{
+	err := c.dir.Call(ctx, "", wire.TypeProvenance, &wire.ProvenanceRequest{
 		Owner: c.Identity, Requester: c.Identity, Summarize: true,
 	}, &resp)
 	return resp.Summaries, err
 }
 
+// ShardMap returns the directory's shard map as the client has learnt it
+// (asked at dial time, refreshed by redirects); the zero map when the
+// directory is unsharded.
+func (c *Client) ShardMap() wire.ShardMap { return c.dir.Map() }
+
+// Membership fetches the dialed shard's gossip membership view; a node
+// running no failure detector refuses the call.
+func (c *Client) Membership(ctx context.Context) (*wire.MembershipResponse, error) {
+	var resp wire.MembershipResponse
+	if err := c.dir.Call(ctx, "", wire.TypeMembership, wire.Empty{}, &resp); err != nil {
+		return nil, err
+	}
+	return &resp, nil
+}
+
 // Stats fetches the MDM's counters.
 func (c *Client) Stats(ctx context.Context) (*wire.StatsResponse, error) {
 	var resp wire.StatsResponse
-	if err := c.mdm.Call(ctx, wire.TypeStats, wire.Empty{}, &resp); err != nil {
+	if err := c.dir.Call(ctx, "", wire.TypeStats, wire.Empty{}, &resp); err != nil {
 		return nil, err
 	}
 	return &resp, nil

@@ -63,6 +63,16 @@ func UserOf(p xpath.Path) (string, bool) {
 	return "", false
 }
 
+// UserOfPath is UserOf for an unparsed path; an unparsable path pins no
+// user.
+func UserOfPath(path string) (string, bool) {
+	p, err := xpath.Parse(path)
+	if err != nil {
+		return "", false
+	}
+	return UserOf(p)
+}
+
 // sectionOf returns the top-level profile section a path addresses (the
 // element name of its second step), or "*" when the path stops at the user
 // element or uses a wildcard there.

@@ -1,4 +1,4 @@
-package shard
+package ring
 
 import (
 	"fmt"
@@ -22,9 +22,9 @@ func TestShardRoutingIsTotalPartition(t *testing.T) {
 			m.Shards = append(m.Shards, wire.ShardInfo{ID: id, Addr: "addr:" + id})
 			members[id] = true
 		}
-		r, err := BuildRing(m)
+		r, err := Build(m)
 		if err != nil {
-			t.Fatalf("trial %d: BuildRing: %v", trial, err)
+			t.Fatalf("trial %d: Build: %v", trial, err)
 		}
 		for i := 0; i < 500; i++ {
 			owner := randOwner(rng)
@@ -62,7 +62,7 @@ func FuzzShardMap(f *testing.F) {
 		for _, entry := range splitPacked(packed) {
 			m.Shards = append(m.Shards, entry)
 		}
-		r, err := BuildRing(m)
+		r, err := Build(m)
 		if err != nil {
 			return // rejected: fine, as long as it didn't panic
 		}

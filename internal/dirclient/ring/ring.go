@@ -1,18 +1,10 @@
-// Package shard partitions the directory's owner keyspace across a
-// constellation of MDM shards. Owners map to shards through a
-// deterministic consistent-hash ring built from a versioned shard map
-// (wire.ShardMap): any two nodes holding the same map version route every
-// owner identically, so "which shard owns alice" is a pure function of
-// the map — no coordination on the request path.
-//
-// The package supplies four pieces: the Ring (the pure routing function),
-// the Node (a shard-aware wrapper around an MDM's wire dispatch that
-// serves its own slice, forwards or redirects the rest, and runs the
-// live-rebalance handoff state machine), the Router (a data-less
-// front-end that lets clients address "the directory" as one endpoint),
-// and the Client (a shard-map-aware caller that routes client-side and
-// chases wrong-shard redirects).
-package shard
+// Package ring is the pure routing function of a sharded directory.
+// Owners map to shards through a deterministic consistent-hash ring built
+// from a versioned shard map (wire.ShardMap): any two holders of the same
+// map route every owner identically, so "which shard owns alice" needs no
+// coordination on the request path. The directory client (package
+// dirclient) and the shard servers (package shard) both route with it.
+package ring
 
 import (
 	"fmt"
@@ -42,13 +34,13 @@ type Ring struct {
 	points  []point // sorted by hash
 }
 
-// CompareMaps orders two shard maps by (Epoch, Version), lexicographically:
+// Compare orders two shard maps by (Epoch, Version), lexicographically:
 // negative when a is older than b, zero when the coordinates are equal,
 // positive when a is newer. Repair bumps the epoch, operator rebalances
 // bump the version within an epoch, so the pair totally orders every
 // legitimate map lineage; equal coordinates with different content mean a
 // split-brain and are the installer's job to reject.
-func CompareMaps(a, b wire.ShardMap) int {
+func Compare(a, b wire.ShardMap) int {
 	switch {
 	case a.Epoch < b.Epoch:
 		return -1
@@ -62,10 +54,10 @@ func CompareMaps(a, b wire.ShardMap) int {
 	return 0
 }
 
-// BuildRing validates a shard map and builds its ring. A valid map has a
+// Build validates a shard map and builds its ring. A valid map has a
 // non-zero version and at least one shard, every shard a non-empty unique
 // ID and a non-empty address.
-func BuildRing(m wire.ShardMap) (*Ring, error) {
+func Build(m wire.ShardMap) (*Ring, error) {
 	if m.Version == 0 {
 		return nil, fmt.Errorf("shard: map version 0 (unversioned)")
 	}

@@ -1,4 +1,4 @@
-package shard
+package ring
 
 import (
 	"fmt"
@@ -29,11 +29,11 @@ func TestBuildRingValidation(t *testing.T) {
 		}}},
 	}
 	for _, tc := range cases {
-		if _, err := BuildRing(tc.m); err == nil {
-			t.Errorf("%s: BuildRing accepted an invalid map", tc.name)
+		if _, err := Build(tc.m); err == nil {
+			t.Errorf("%s: Build accepted an invalid map", tc.name)
 		}
 	}
-	if _, err := BuildRing(mapOf(1, "a")); err != nil {
+	if _, err := Build(mapOf(1, "a")); err != nil {
 		t.Fatalf("one-shard map rejected: %v", err)
 	}
 }
@@ -43,11 +43,11 @@ func TestBuildRingValidation(t *testing.T) {
 // function of the map.
 func TestRingDeterministic(t *testing.T) {
 	m := mapOf(7, "a", "b", "c", "d")
-	r1, err := BuildRing(m)
+	r1, err := Build(m)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := BuildRing(m)
+	r2, err := Build(m)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,7 +58,7 @@ func TestRingDeterministic(t *testing.T) {
 		}
 	}
 	// Shard order in the map must not matter either.
-	r3, err := BuildRing(wire.ShardMap{Version: 7, Shards: []wire.ShardInfo{
+	r3, err := Build(wire.ShardMap{Version: 7, Shards: []wire.ShardInfo{
 		{ID: "d", Addr: "addr-d"}, {ID: "b", Addr: "addr-b"},
 		{ID: "a", Addr: "addr-a"}, {ID: "c", Addr: "addr-c"},
 	}})
@@ -82,7 +82,7 @@ func TestRingDistribution(t *testing.T) {
 		for i := range ids {
 			ids[i] = fmt.Sprintf("s%d", i)
 		}
-		r, err := BuildRing(mapOf(1, ids...))
+		r, err := Build(mapOf(1, ids...))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -106,11 +106,11 @@ func TestRingDistribution(t *testing.T) {
 // stays in the old shard set keeps its home. This is the property that
 // makes rebalances cheap (only the new shard's slice migrates).
 func TestRingMinimalMovement(t *testing.T) {
-	old, err := BuildRing(mapOf(1, "a", "b", "c"))
+	old, err := Build(mapOf(1, "a", "b", "c"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	next, err := BuildRing(mapOf(2, "a", "b", "c", "d"))
+	next, err := Build(mapOf(2, "a", "b", "c", "d"))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"gupster/internal/core"
+	"gupster/internal/dirclient"
 	"gupster/internal/flight"
 	"gupster/internal/resilience"
 	"gupster/internal/trace"
@@ -23,8 +24,8 @@ import (
 //   - Mirror fronts a local MDM and replicates every meta-data mutation
 //     (coverage registrations, privacy-shield rules, change notices) to its
 //     peer mirrors, so any mirror can answer any resolve,
-//   - MirrorClient gives applications the logical single entry point: it
-//     talks to one mirror and fails over to the next when it dies.
+//   - MirrorClient gives applications the logical single entry point: a
+//     directory handle over the members plus backoff between passes.
 //
 // Replication is best-effort fan-out on the mutation path — exactly the
 // UDDI-style mirroring the paper invokes; peers that are down miss updates
@@ -257,19 +258,16 @@ func (m *Mirror) handle(c *wire.ServerConn, msg *wire.Message) {
 var ErrAllMirrorsDown = errors.New("federation: all mirrors unreachable")
 
 // MirrorClient is the application's logical single entry point to a
-// constellation: calls go to the current mirror and fail over to the next
-// on connection errors. Per-mirror circuit breakers remember which
-// members are dead so reconnects skip them while any peer is healthy,
-// and full failover passes are separated by capped, jittered backoff so
-// a blinking constellation is not hammered. Safe for concurrent use.
+// constellation. Finding the member to talk to — failing over off a dead
+// one, following a redirect to the leader — is the directory handle's
+// job; what MirrorClient adds is patience: a pass over the constellation
+// that found nobody (or only an election in progress) is retried after
+// capped, jittered backoff so a blinking constellation is not hammered.
+// Application-level errors (denials, spurious queries) are returned
+// as-is — they would fail identically everywhere. Safe for concurrent use.
 type MirrorClient struct {
-	addrs []string
-	res   *resilience.Group
-
-	mu       sync.Mutex
-	cur      int
-	conn     *wire.Client
-	connAddr string
+	dir *dirclient.Directory
+	res *resilience.Group
 }
 
 // DialMirrors creates a failover client over the constellation's addresses.
@@ -277,156 +275,36 @@ func DialMirrors(addrs []string) (*MirrorClient, error) {
 	if len(addrs) == 0 {
 		return nil, errors.New("federation: no mirror addresses")
 	}
-	mc := &MirrorClient{
-		addrs: append([]string(nil), addrs...),
+	dir, err := dirclient.Dial(addrs...)
+	if err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrAllMirrorsDown, err)
+	}
+	return &MirrorClient{
+		dir: dir,
 		res: resilience.NewGroup(
 			resilience.Policy{MaxAttempts: 2, BaseDelay: 20 * time.Millisecond, MaxDelay: 200 * time.Millisecond},
 			resilience.BreakerConfig{},
 			nil,
 		),
-	}
-	if _, _, err := mc.connection(); err != nil {
-		return nil, err
-	}
-	return mc, nil
+	}, nil
 }
 
-// Resilience exposes the failover client's breaker states and retry
-// counters.
-func (mc *MirrorClient) Resilience() *resilience.Group { return mc.res }
-
-// connection returns the live connection, dialing forward through the
-// address list as needed. Mirrors whose breakers are open are skipped
-// while at least one member still accepts traffic.
-func (mc *MirrorClient) connection() (*wire.Client, string, error) {
-	mc.mu.Lock()
-	defer mc.mu.Unlock()
-	if mc.conn != nil {
-		return mc.conn, mc.connAddr, nil
-	}
-	anyAvailable := false
-	for _, a := range mc.addrs {
-		if mc.res.Available(a) {
-			anyAvailable = true
-			break
-		}
-	}
-	for range mc.addrs {
-		addr := mc.addrs[mc.cur%len(mc.addrs)]
-		if anyAvailable && !mc.res.Available(addr) {
-			mc.cur++
-			continue
-		}
-		c, err := wire.Dial(addr)
-		if err == nil {
-			mc.conn, mc.connAddr = c, addr
-			return c, addr, nil
-		}
-		mc.res.Failure(addr)
-		mc.cur++
-	}
-	return nil, "", ErrAllMirrorsDown
-}
-
-// drop discards the current connection and advances to the next mirror.
-func (mc *MirrorClient) drop() {
-	mc.mu.Lock()
-	defer mc.mu.Unlock()
-	if mc.conn != nil {
-		mc.conn.Close()
-		mc.conn = nil
-		mc.connAddr = ""
-	}
-	mc.cur++
-}
-
-// rehome points the client at the constellation's current leader after a
-// not-leader redirect. A leader address outside the configured list is
-// adopted (the constellation knows its membership better than our
-// config); an empty one — mid-election — just advances to the next
-// member like a failed connection would.
-func (mc *MirrorClient) rehome(leaderAddr string) {
-	mc.mu.Lock()
-	defer mc.mu.Unlock()
-	if mc.conn != nil {
-		mc.conn.Close()
-		mc.conn = nil
-		mc.connAddr = ""
-	}
-	if leaderAddr == "" {
-		mc.cur++
-		return
-	}
-	for i, a := range mc.addrs {
-		if a == leaderAddr {
-			mc.cur = i
-			return
-		}
-	}
-	mc.addrs = append(mc.addrs, leaderAddr)
-	mc.cur = len(mc.addrs) - 1
-}
-
-// Call invokes one MDM operation with failover: connection-level failures
-// advance to the next mirror and retry (once per mirror and pass, with
-// backoff between passes). Application-level errors (denials, spurious
-// queries) are returned as-is — they would fail identically everywhere.
+// Call invokes one MDM operation with failover: a pass that reached no
+// member is retried after backoff, anything else is the answer.
 func (mc *MirrorClient) Call(ctx context.Context, msgType string, req, resp any) error {
-	var lastErr error
+	var err error
 	for pass := 0; pass < mc.res.Policy.MaxAttempts; pass++ {
 		if pass > 0 {
-			mc.res.Stats.Retries.Add(1)
 			if resilience.Sleep(ctx, mc.res.Backoff(pass-1)) != nil {
-				return lastErr
+				break
 			}
 		}
-		for range mc.addrs {
-			c, addr, err := mc.connection()
-			if err != nil {
-				lastErr = err
-				break // everyone down this pass; back off and re-try
-			}
-			mc.res.Stats.Attempts.Add(1)
-			err = c.Call(ctx, msgType, req, resp)
-			if err == nil {
-				mc.res.Success(addr)
-				return nil
-			}
-			var notLeader *wire.NotLeaderError
-			if errors.As(err, &notLeader) {
-				// A replicated constellation redirected us: re-home to the
-				// leader and retry there. The member that answered is
-				// healthy — no breaker failure.
-				mc.res.Success(addr)
-				mc.rehome(notLeader.LeaderAddr)
-				lastErr = err
-				continue
-			}
-			var wrongShard *wire.WrongShardError
-			if errors.As(err, &wrongShard) && wrongShard.Addr != "" {
-				// A sharded directory redirected us to the owner's home
-				// shard: same treatment as a leader redirect.
-				mc.res.Success(addr)
-				mc.rehome(wrongShard.Addr)
-				lastErr = err
-				continue
-			}
-			var remote *wire.RemoteError
-			if errors.As(err, &remote) {
-				return err // the MDM answered; failing over cannot help
-			}
-			lastErr = err
-			mc.res.Failure(addr)
-			mc.drop()
-		}
-		if err := ctx.Err(); err != nil {
-			break
+		err = mc.dir.Call(ctx, "", msgType, req, resp)
+		if !errors.Is(err, dirclient.ErrUnreachable) {
+			return err
 		}
 	}
-	if lastErr == nil {
-		lastErr = ErrAllMirrorsDown
-	}
-	return lastErr
+	return fmt.Errorf("%w: %v", ErrAllMirrorsDown, err)
 }
 
 // Resolve is the common operation, with failover.
@@ -438,12 +316,5 @@ func (mc *MirrorClient) Resolve(ctx context.Context, req *wire.ResolveRequest) (
 	return &resp, nil
 }
 
-// Close tears down the current connection.
-func (mc *MirrorClient) Close() {
-	mc.mu.Lock()
-	defer mc.mu.Unlock()
-	if mc.conn != nil {
-		mc.conn.Close()
-		mc.conn = nil
-	}
-}
+// Close tears down the client's connections.
+func (mc *MirrorClient) Close() { mc.dir.Close() }

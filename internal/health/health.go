@@ -27,7 +27,7 @@ import (
 	"sync"
 	"time"
 
-	"gupster/internal/shard"
+	"gupster/internal/dirclient/ring"
 	"gupster/internal/wire"
 )
 
@@ -463,7 +463,7 @@ func (a *Agent) learnMap(epoch, version uint64, fromAddr string) {
 		return
 	}
 	cur := a.currentMap()
-	if shard.CompareMaps(wire.ShardMap{Epoch: epoch, Version: version}, cur) <= 0 {
+	if ring.Compare(wire.ShardMap{Epoch: epoch, Version: version}, cur) <= 0 {
 		return
 	}
 	a.mu.Lock()
@@ -487,7 +487,7 @@ func (a *Agent) learnMap(epoch, version uint64, fromAddr string) {
 		if err := a.call(ctx, fromAddr, wire.TypeShardMap, wire.Empty{}, &m); err != nil {
 			return
 		}
-		if shard.CompareMaps(m, a.currentMap()) <= 0 {
+		if ring.Compare(m, a.currentMap()) <= 0 {
 			return
 		}
 		// Fence mode — adopt and immediately drop every owner the new map

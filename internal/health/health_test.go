@@ -11,6 +11,8 @@ import (
 
 	"gupster/internal/core"
 	"gupster/internal/coverage"
+	"gupster/internal/dirclient"
+	"gupster/internal/dirclient/ring"
 	"gupster/internal/policy"
 	"gupster/internal/schema"
 	"gupster/internal/shard"
@@ -288,7 +290,7 @@ func TestAutoRepairPromotesSpare(t *testing.T) {
 	}
 
 	// Seed owners at their home shards before any gossip starts.
-	ring, err := shard.BuildRing(v1)
+	ring, err := ring.Build(v1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -370,8 +372,8 @@ func TestAutoRepairPromotesSpare(t *testing.T) {
 
 	// A client still on the pre-repair map reaches every owner, including
 	// the dead shard's, by refreshing off the survivors mid-call.
-	cli, err := shard.DialMap(v1)
-	if err != nil {
+	cli := dirclient.New()
+	if err := cli.Adopt(v1); err != nil {
 		t.Fatal(err)
 	}
 	defer cli.Close()
@@ -411,11 +413,11 @@ func TestAntiEntropyFencesOnlyEvictedNodes(t *testing.T) {
 	// v2 is a repair-shaped successor: epoch-bumped, s1 evicted, the
 	// spare s2 promoted in its place.
 	v2 := wire.ShardMap{Version: 2, Epoch: 1, Shards: []wire.ShardInfo{ms[0].info, ms[2].info}}
-	ring1, err := shard.BuildRing(v1)
+	ring1, err := ring.Build(v1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ring2, err := shard.BuildRing(v2)
+	ring2, err := ring.Build(v2)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"gupster/internal/dirclient/ring"
 	"gupster/internal/shard"
 	"gupster/internal/wire"
 )
@@ -135,7 +136,7 @@ func TestRepairLineageEpochsMonotonic(t *testing.T) {
 		if !ok {
 			continue // double-kill of the same shard, or majority lost
 		}
-		if shard.CompareMaps(next, cur) <= 0 {
+		if ring.Compare(next, cur) <= 0 {
 			t.Fatalf("round %d: plan v%d@e%d does not outrank v%d@e%d",
 				round, next.Version, next.Epoch, cur.Version, cur.Epoch)
 		}
@@ -158,7 +159,7 @@ func TestRepairLineageEpochsMonotonic(t *testing.T) {
 		_, _ = n.Install(&wire.ShardInstallRequest{Map: m}) // stale replays refused
 	}
 	got := n.Ring().Map()
-	if shard.CompareMaps(got, final) != 0 {
+	if ring.Compare(got, final) != 0 {
 		t.Fatalf("node converged on v%d@e%d, want the lineage maximum v%d@e%d",
 			got.Version, got.Epoch, final.Version, final.Epoch)
 	}

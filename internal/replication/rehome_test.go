@@ -2,6 +2,9 @@ package replication_test
 
 import (
 	"context"
+	"encoding/json"
+	"errors"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -119,5 +122,92 @@ func TestCoreClientFollowsRedirect(t *testing.T) {
 			}
 			time.Sleep(5 * time.Millisecond)
 		}
+	}
+}
+
+// followerFront stands in front of one constellation member and relays
+// every frame to it, counting the shield mutations that arrive: what the
+// member itself sees, measured server-side.
+type followerFront struct {
+	srv       *wire.Server
+	member    *wire.Client
+	mutations atomic.Int64
+}
+
+func (f *followerFront) ServeWire(c *wire.ServerConn, m *wire.Message) {
+	if m.Type == wire.TypePutRule {
+		f.mutations.Add(1)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	var raw json.RawMessage
+	err := f.member.Call(ctx, m.Type, json.RawMessage(m.Payload), &raw)
+	var nl *wire.NotLeaderError
+	switch {
+	case err == nil:
+		_ = c.Reply(m, raw)
+	case errors.As(err, &nl):
+		_ = c.ReplyNotLeader(m, nl.LeaderAddr, nl.LeaderID, nl.Term)
+	default:
+		_ = c.ReplyError(m, err)
+	}
+}
+
+// Regression: core.Client started every call at the address it was dialed
+// at. Dialed at a follower it re-paid the follower hop on every mutation
+// (the leader connection was cached, the leader was not remembered), and
+// when the dialed member died every call failed although the client knew
+// the leader's address. The client must start where it was last answered
+// and leave a dead address for one it has learnt.
+func TestCoreClientRemembersLeaderAndLeavesDeadMember(t *testing.T) {
+	c := newCluster(t, 3, journal.Options{})
+	lead := c.waitLeader(4 * testTTL)
+	follower := (lead + 1) % 3
+
+	member, err := wire.Dial(c.addrs[follower])
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer member.Close()
+	front := &followerFront{member: member}
+	if front.srv, err = wire.Serve("127.0.0.1:0", front); err != nil {
+		t.Fatal(err)
+	}
+	defer front.srv.Close()
+
+	cli, err := core.DialMDM(front.srv.Addr(), "redir", "self")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cli.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	putRule := func(id string) error {
+		return cli.PutRule(ctx, "redir", policy.Rule{
+			ID: id, Effect: policy.Permit, Path: xpath.MustParse("/user[@id='redir']/presence"),
+		})
+	}
+
+	// (a) Two mutations through a follower: only the first may pay the hop.
+	for _, id := range []string{"r1", "r2"} {
+		if err := putRule(id); err != nil {
+			t.Fatalf("PutRule %s via follower: %v", id, err)
+		}
+	}
+	if n := front.mutations.Load(); n != 1 {
+		t.Errorf("the dialed follower saw %d mutations, want 1: the second must go straight to the leader", n)
+	}
+
+	// (b) The dialed member dies: reads and mutations carry on at the
+	// address the client learnt. (The cluster's MDMs carry no signer, so
+	// the read is a stats fetch rather than a resolve.)
+	front.srv.Close()
+	if st, err := cli.Stats(ctx); err != nil {
+		t.Fatalf("read after the dialed member died: %v", err)
+	} else if st.Repl == nil || st.Repl.Role != "leader" {
+		t.Fatalf("read after the dialed member died was answered by %+v, want the learnt leader", st.Repl)
+	}
+	if err := putRule("r3"); err != nil {
+		t.Fatalf("PutRule after the dialed member died: %v", err)
 	}
 }

@@ -11,6 +11,7 @@ import (
 
 	"gupster/internal/core"
 	"gupster/internal/coverage"
+	"gupster/internal/dirclient/ring"
 	"gupster/internal/faultinject"
 	"gupster/internal/health"
 	"gupster/internal/journal"
@@ -148,7 +149,7 @@ type Rig struct {
 	Shards    []*Shard
 	shardMu   sync.Mutex
 	shardMap  wire.ShardMap
-	shardRing *shard.Ring
+	shardRing *ring.Ring
 
 	// repairs collects completed auto-repairs from every shard's gossip
 	// agent (auto-repair rigs); WaitRepair polls it.
@@ -387,7 +388,7 @@ func (r *Rig) buildSharded() error {
 	for _, s := range r.Shards[:spec.Shards] {
 		initial.Shards = append(initial.Shards, wire.ShardInfo{ID: s.ID, Addr: s.Addr})
 	}
-	ring, err := shard.BuildRing(initial)
+	ring, err := ring.Build(initial)
 	if err != nil {
 		return err
 	}
@@ -442,11 +443,11 @@ func (r *Rig) Rebalance(ctx context.Context) (int, error) {
 	for _, s := range r.Shards {
 		next.Shards = append(next.Shards, wire.ShardInfo{ID: s.ID, Addr: s.Addr})
 	}
-	oldRing, err := shard.BuildRing(old)
+	oldRing, err := ring.Build(old)
 	if err != nil {
 		return 0, err
 	}
-	nextRing, err := shard.BuildRing(next)
+	nextRing, err := ring.Build(next)
 	if err != nil {
 		return 0, err
 	}
@@ -514,14 +515,14 @@ func (r *Rig) refreshShardView() {
 		if s.Killed.Load() {
 			continue
 		}
-		ring := s.Node.Ring()
-		if ring == nil {
+		cur := s.Node.Ring()
+		if cur == nil {
 			continue
 		}
-		m := ring.Map()
+		m := cur.Map()
 		r.shardMu.Lock()
-		if shard.CompareMaps(m, r.shardMap) > 0 {
-			r.shardMap, r.shardRing = m, ring
+		if ring.Compare(m, r.shardMap) > 0 {
+			r.shardMap, r.shardRing = m, cur
 		}
 		r.shardMu.Unlock()
 		return

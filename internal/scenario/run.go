@@ -11,11 +11,10 @@ import (
 	"time"
 
 	"gupster/internal/core"
-	"gupster/internal/federation"
+	"gupster/internal/dirclient"
 	"gupster/internal/metrics"
 	"gupster/internal/policy"
 	"gupster/internal/reachme"
-	"gupster/internal/shard"
 	"gupster/internal/store"
 	"gupster/internal/syncml"
 	"gupster/internal/token"
@@ -145,25 +144,20 @@ type rigRun struct {
 	engine *engine
 	rig    *Rig
 
-	mu        sync.Mutex
-	wireConns []*wire.Client
+	mu sync.Mutex
+	// dirs are handles on the rig's directory, seeded with every member
+	// address. Whatever the rig's layout — one MDM, a quorum constellation,
+	// a shard ring — raw directory traffic rides them, so a leader kill
+	// re-homes and a mid-phase rebalance re-routes instead of erroring.
+	dirs      []*dirclient.Directory
 	coreClis  []*core.Client
 	storeClis map[int]*store.Client
-	// mirrors are failover clients over the rig's member addresses —
-	// directory mutations (and, on replicated rigs, resolves) ride them
-	// so a leader kill re-homes transparently.
-	mirrors []*federation.MirrorClient
-	// shardClis are shard-aware clients (sharded rigs) — they route each
-	// request to its owner's home shard and adopt newer maps from
-	// wrong-shard redirects, so a mid-phase rebalance re-routes instead
-	// of erroring.
-	shardClis []*shard.Client
 	// userStore maps user → owning store index (sharded layout).
 	userStore map[string]int
 }
 
 func (rr *rigRun) close() {
-	for _, c := range rr.wireConns {
+	for _, c := range rr.dirs {
 		c.Close()
 	}
 	for _, c := range rr.coreClis {
@@ -172,27 +166,31 @@ func (rr *rigRun) close() {
 	for _, c := range rr.storeClis {
 		c.Close()
 	}
-	for _, c := range rr.mirrors {
-		c.Close()
-	}
-	for _, c := range rr.shardClis {
-		c.Close()
-	}
-	rr.wireConns, rr.coreClis, rr.storeClis, rr.mirrors, rr.shardClis = nil, nil, nil, nil, nil
+	rr.dirs, rr.coreClis, rr.storeClis = nil, nil, nil
 }
 
-// wireConn returns (dialing on demand) the i-th raw wire connection.
-func (rr *rigRun) wireConn(i int) (*wire.Client, error) {
+// dir returns (dialing on demand) the i-th directory handle.
+func (rr *rigRun) dir(i int) (*dirclient.Directory, error) {
 	rr.mu.Lock()
 	defer rr.mu.Unlock()
-	for len(rr.wireConns) <= i {
-		c, err := wire.Dial(rr.rig.MDMAddr)
+	for len(rr.dirs) <= i {
+		d, err := dirclient.Dial(rr.rig.MemberAddrs()...)
 		if err != nil {
 			return nil, err
 		}
-		rr.wireConns = append(rr.wireConns, c)
+		rr.dirs = append(rr.dirs, d)
 	}
-	return rr.wireConns[i], nil
+	return rr.dirs[i], nil
+}
+
+// dirIdx maps a request index onto the pre-dialed handle pool.
+func (rr *rigRun) dirIdx(i int) int {
+	rr.mu.Lock()
+	defer rr.mu.Unlock()
+	if n := len(rr.dirs); n > 0 {
+		return i % n
+	}
+	return 0
 }
 
 // coreCli returns the i-th pooled core client (reach-me decisions).
@@ -207,47 +205,6 @@ func (rr *rigRun) coreCli(i int) (*core.Client, error) {
 		rr.coreClis = append(rr.coreClis, c)
 	}
 	return rr.coreClis[i], nil
-}
-
-// mirrorCli returns the i-th pooled failover client over the rig's
-// constellation (or its single MDM).
-func (rr *rigRun) mirrorCli(i int) (*federation.MirrorClient, error) {
-	rr.mu.Lock()
-	defer rr.mu.Unlock()
-	for len(rr.mirrors) <= i {
-		mc, err := federation.DialMirrors(rr.rig.MemberAddrs())
-		if err != nil {
-			return nil, err
-		}
-		rr.mirrors = append(rr.mirrors, mc)
-	}
-	return rr.mirrors[i], nil
-}
-
-// shardCli returns the i-th pooled shard-aware client, bootstrapping its
-// map from the rig's first shard.
-func (rr *rigRun) shardCli(i int) (*shard.Client, error) {
-	rr.mu.Lock()
-	defer rr.mu.Unlock()
-	for len(rr.shardClis) <= i {
-		c, err := shard.Dial(rr.rig.MDMAddr)
-		if err != nil {
-			return nil, err
-		}
-		rr.shardClis = append(rr.shardClis, c)
-	}
-	return rr.shardClis[i], nil
-}
-
-// shardIdx maps a request index onto the pre-dialed shard-client pool.
-func (rr *rigRun) shardIdx(i int) int {
-	rr.mu.Lock()
-	n := len(rr.shardClis)
-	rr.mu.Unlock()
-	if n == 0 {
-		return 0
-	}
-	return i % n
 }
 
 // storeCli returns the pooled direct connection to store i (through its
@@ -486,25 +443,16 @@ func (rr *rigRun) runPhase(p *Phase, phaseIdx int) (*PhaseReport, error) {
 	return pr, nil
 }
 
-// chainOnce issues one chaining resolve — the calibration unit. Sharded
-// rigs route it by owner through the shard-aware client; everything else
-// goes over the raw wire connection.
-func (rr *rigRun) chainOnce(ctx context.Context, conn *wire.Client, user string) error {
-	req := &wire.ResolveRequest{
-		Path:    fmt.Sprintf("/user[@id='%s']/address-book", user),
+// resolveVia issues one raw resolve for user's address book (or the
+// request's split path) through a directory handle.
+func resolveVia(ctx context.Context, d *dirclient.Directory, user, path, pattern string) error {
+	var resp wire.ResolveResponse
+	return d.Call(ctx, user, wire.TypeResolve, &wire.ResolveRequest{
+		Path:    path,
 		Context: policy.Context{Requester: user},
 		Verb:    token.VerbFetch,
-		Pattern: wire.PatternChaining,
-	}
-	var resp wire.ResolveResponse
-	if len(rr.rig.Shards) > 0 {
-		sc, err := rr.shardCli(0)
-		if err != nil {
-			return err
-		}
-		return sc.Call(ctx, user, wire.TypeResolve, req, &resp)
-	}
-	return conn.Call(ctx, wire.TypeResolve, req, &resp)
+		Pattern: wire.QueryPattern(pattern),
+	}, &resp)
 }
 
 // runCalibrate measures the unloaded sequential service p50. The run's
@@ -516,7 +464,7 @@ func (rr *rigRun) runCalibrate(p *Phase, fast bool) (*PhaseReport, error) {
 	if fast && iters > 5 {
 		iters = 5
 	}
-	conn, err := rr.wireConn(0)
+	d, err := rr.dir(0)
 	if err != nil {
 		return nil, err
 	}
@@ -525,7 +473,9 @@ func (rr *rigRun) runCalibrate(p *Phase, fast bool) (*PhaseReport, error) {
 	start := time.Now()
 	for i := 0; i < iters; i++ {
 		t0 := time.Now()
-		if err := rr.chainOnce(context.Background(), conn, rr.rig.Users[i%len(rr.rig.Users)]); err != nil {
+		user := rr.rig.Users[i%len(rr.rig.Users)]
+		path := fmt.Sprintf("/user[@id='%s']/address-book", user)
+		if err := resolveVia(context.Background(), d, user, path, string(wire.PatternChaining)); err != nil {
 			return nil, fmt.Errorf("calibrate: %w", err)
 		}
 		samples = append(samples, time.Since(t0))
@@ -596,12 +546,12 @@ func (rr *rigRun) execCore(ctx context.Context, cli *core.Client, req Request, p
 	}
 }
 
-// execRegister issues one fresh coverage registration through the
-// failover client. A nil error means the directory durably holds it (at
+// execRegister issues one fresh coverage registration through a
+// directory handle. A nil error means the directory durably holds it (at
 // quorum, on a replicated rig) — the teardown audit demands every acked
 // one back from whoever leads after the run's faults.
 func (rr *rigRun) execRegister(ctx context.Context, req Request, phaseIdx, reqIdx, connIdx int, o *phaseOutcome, budget time.Duration) int {
-	mc, err := rr.mirrorCli(connIdx)
+	d, err := rr.dir(connIdx)
 	if err != nil {
 		o.classify(err, 0, budget)
 		return 1
@@ -613,23 +563,12 @@ func (rr *rigRun) execRegister(ctx context.Context, req Request, phaseIdx, reqId
 		Path:    fmt.Sprintf("/user[@id='%s']/scratch-p%d-%d", req.User, phaseIdx, reqIdx),
 	}
 	t0 := time.Now()
-	err = mc.Call(ctx, wire.TypeRegister, &reg, nil)
+	err = d.Call(ctx, req.User, wire.TypeRegister, &reg, nil)
 	if err == nil {
 		rr.rig.RecordAcked(reg)
 	}
 	o.classify(err, time.Since(t0), budget)
 	return 1
-}
-
-// mirrorIdx maps a request index onto the pre-dialed mirror-client pool.
-func (rr *rigRun) mirrorIdx(i int) int {
-	rr.mu.Lock()
-	n := len(rr.mirrors)
-	rr.mu.Unlock()
-	if n == 0 {
-		return 0
-	}
-	return i % n
 }
 
 // pathFor picks the resolve target of a non-batch request: the user's
@@ -794,46 +733,16 @@ func (rr *rigRun) runOpen(p *Phase, phaseIdx int, fast bool) (*PhaseReport, erro
 	d := newDrawer(rr.engine.seed, phaseIdx, -1, p, rr.rig.Users)
 
 	// Pre-dial so dial latency does not eat into the send schedule.
+	needCore := false
+	for _, m := range p.Mix {
+		needCore = needCore || m.Verb == VerbReachMe
+	}
 	for c := 0; c < conns; c++ {
-		if _, err := rr.wireConn(c); err != nil {
+		if _, err := rr.dir(c); err != nil {
 			return nil, err
 		}
-	}
-	needCore, needMirror, needShard := false, false, false
-	replicated := len(rr.rig.Members) > 0
-	sharded := len(rr.rig.Shards) > 0
-	for _, m := range p.Mix {
-		switch m.Verb {
-		case VerbReachMe:
-			needCore = true
-		case VerbRegister:
-			needMirror = true
-		case VerbResolve:
-			if replicated {
-				needMirror = true
-			}
-			if sharded {
-				needShard = true
-			}
-		}
-	}
-	if needCore {
-		for c := 0; c < conns; c++ {
+		if needCore {
 			if _, err := rr.coreCli(c); err != nil {
-				return nil, err
-			}
-		}
-	}
-	if needMirror {
-		for c := 0; c < conns; c++ {
-			if _, err := rr.mirrorCli(c); err != nil {
-				return nil, err
-			}
-		}
-	}
-	if needShard {
-		for c := 0; c < conns; c++ {
-			if _, err := rr.shardCli(c); err != nil {
 				return nil, err
 			}
 		}
@@ -1023,60 +932,15 @@ func (rr *rigRun) runOpen(p *Phase, phaseIdx int, fast bool) (*PhaseReport, erro
 func (rr *rigRun) execOpen(ctx context.Context, req Request, phaseIdx, i int, o *phaseOutcome, budget time.Duration) {
 	switch req.Verb {
 	case VerbRegister:
-		rr.execRegister(ctx, req, phaseIdx, i, rr.mirrorIdx(i), o, budget)
+		rr.execRegister(ctx, req, phaseIdx, i, rr.dirIdx(i), o, budget)
 	case VerbResolve:
-		if len(rr.rig.Shards) > 0 {
-			// Sharded rigs resolve through the shard-aware client so each
-			// request lands on its owner's home shard — and re-routes via
-			// wrong-shard redirects while a rebalance moves the keyspace.
-			sc, err := rr.shardCli(rr.shardIdx(i))
-			if err != nil {
-				o.classify(err, 0, budget)
-				return
-			}
-			var resp wire.ResolveResponse
-			t0 := time.Now()
-			err = sc.Call(ctx, req.User, wire.TypeResolve, &wire.ResolveRequest{
-				Path:    rr.pathFor(req, i),
-				Context: policy.Context{Requester: req.User},
-				Verb:    token.VerbFetch,
-				Pattern: wire.QueryPattern(req.Pattern),
-			}, &resp)
-			o.classify(err, time.Since(t0), budget)
-			return
-		}
-		if len(rr.rig.Members) > 0 {
-			// Replicated rigs resolve through the failover client so a
-			// mid-phase leader kill re-homes instead of erroring.
-			mc, err := rr.mirrorCli(rr.mirrorIdx(i))
-			if err != nil {
-				o.classify(err, 0, budget)
-				return
-			}
-			var resp wire.ResolveResponse
-			t0 := time.Now()
-			err = mc.Call(ctx, wire.TypeResolve, &wire.ResolveRequest{
-				Path:    rr.pathFor(req, i),
-				Context: policy.Context{Requester: req.User},
-				Verb:    token.VerbFetch,
-				Pattern: wire.QueryPattern(req.Pattern),
-			}, &resp)
-			o.classify(err, time.Since(t0), budget)
-			return
-		}
-		conn, err := rr.wireConn(i % len(rr.wireConns))
+		d, err := rr.dir(rr.dirIdx(i))
 		if err != nil {
 			o.classify(err, 0, budget)
 			return
 		}
-		var resp wire.ResolveResponse
 		t0 := time.Now()
-		err = conn.Call(ctx, wire.TypeResolve, &wire.ResolveRequest{
-			Path:    rr.pathFor(req, i),
-			Context: policy.Context{Requester: req.User},
-			Verb:    token.VerbFetch,
-			Pattern: wire.QueryPattern(req.Pattern),
-		}, &resp)
+		err = resolveVia(ctx, d, req.User, rr.pathFor(req, i), req.Pattern)
 		o.classify(err, time.Since(t0), budget)
 	case VerbReachMe:
 		cli, err := rr.coreCli(i % len(rr.coreClis))

@@ -1,3 +1,12 @@
+// Package shard partitions the directory's owner keyspace across a
+// constellation of MDM shards, routed by the consistent-hash ring of
+// package ring. It supplies the server side: the Node (a shard-aware
+// wrapper around an MDM's wire dispatch that serves its own slice,
+// forwards or redirects the rest, and runs the live-rebalance handoff
+// state machine), the Router (a data-less front-end that lets clients
+// address "the directory" as one endpoint) and Rebalance (the three-phase
+// live map change). Clients reach a sharded directory through package
+// dirclient like any other.
 package shard
 
 import (
@@ -10,8 +19,9 @@ import (
 
 	"gupster/internal/core"
 	"gupster/internal/coverage"
+	"gupster/internal/dirclient"
+	"gupster/internal/dirclient/ring"
 	"gupster/internal/wire"
-	"gupster/internal/xpath"
 )
 
 // NodeConfig parameterizes a shard node.
@@ -45,7 +55,7 @@ type NodeConfig struct {
 type handoffState struct {
 	mode  string // "handoff" | "drain"
 	until time.Time
-	prev  *Ring
+	prev  *ring.Ring
 	timer *time.Timer
 }
 
@@ -57,59 +67,62 @@ type Node struct {
 	cfg NodeConfig
 
 	mu      sync.Mutex
-	ring    *Ring
+	ring    *ring.Ring
 	handoff *handoffState
 
-	connMu sync.Mutex
-	conns  map[string]*wire.Client // addr → forwarding connection
+	// peers forwards to the other shards. It holds every map this node
+	// installs (and any newer one a peer's redirect carries), so a forward
+	// routes by owner exactly as this node's own ring would.
+	peers *dirclient.Directory
 }
 
 // NewNode wraps inner with shard routing. With no map installed the node
 // serves everything locally — a one-shard directory needs no map.
 func NewNode(cfg NodeConfig) *Node {
-	return &Node{cfg: cfg, conns: make(map[string]*wire.Client)}
+	return &Node{cfg: cfg, peers: dirclient.New()}
 }
 
 // Install adopts a shard map in-process (the wire path arrives via
 // TypeShardInstall). See ShardInstallRequest for the mode semantics.
 func (n *Node) Install(req *wire.ShardInstallRequest) (*wire.ShardInstallResponse, error) {
-	ring, err := BuildRing(req.Map)
+	rg, err := ring.Build(req.Map)
 	if err != nil {
 		return nil, err
 	}
-	resp, err := n.install(ring, req)
+	resp, err := n.install(rg, req)
 	if err != nil {
 		return nil, err
 	}
+	_ = n.peers.Adopt(req.Map) // built into a ring above; cannot fail
 	if req.Mode == "fence" && n.cfg.MDM != nil {
 		// The fencing drop runs outside n.mu: RetainOwners walks the whole
 		// directory and must not stall dispatch. The ring captured above is
 		// the one just installed, so a racing newer install only makes the
 		// retain predicate stricter, never wrong.
 		dropped := n.cfg.MDM.RetainOwners(func(owner string) bool {
-			return ring.Owner(owner).ID == n.cfg.ShardID
+			return rg.Owner(owner).ID == n.cfg.ShardID
 		})
-		n.logf("shard %s: fenced to map v%d@e%d, dropped %d stale registrations", n.cfg.ShardID, ring.Version(), ring.Epoch(), dropped)
+		n.logf("shard %s: fenced to map v%d@e%d, dropped %d stale registrations", n.cfg.ShardID, rg.Version(), rg.Epoch(), dropped)
 	}
 	return resp, nil
 }
 
 // install is Install's locked core: fencing checks, handoff-state
 // bookkeeping, and the ring swap.
-func (n *Node) install(ring *Ring, req *wire.ShardInstallRequest) (*wire.ShardInstallResponse, error) {
+func (n *Node) install(rg *ring.Ring, req *wire.ShardInstallRequest) (*wire.ShardInstallResponse, error) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	if n.ring != nil {
-		switch CompareMaps(ring.Map(), n.ring.Map()) {
+		switch ring.Compare(rg.Map(), n.ring.Map()) {
 		case -1:
-			return nil, errStaleMap(ring, n.ring)
+			return nil, errStaleMap(req.Map, n.ring.Map())
 		case 0:
 			// Same coordinates re-arrive legitimately (handoff→drain chains
 			// reinstall the same map), but only with identical content: two
 			// different maps at one (epoch, version) mean a split-brain
 			// repair and neither side may silently win.
-			if !sameMapContent(ring.Map(), n.ring.Map()) {
-				return nil, errDivergentMap(ring)
+			if !sameMapContent(rg.Map(), n.ring.Map()) {
+				return nil, errDivergentMap(req.Map)
 			}
 		}
 	}
@@ -124,7 +137,7 @@ func (n *Node) install(ring *Ring, req *wire.ShardInstallRequest) (*wire.ShardIn
 		}
 		n.handoff = nil
 	}
-	n.ring = ring
+	n.ring = rg
 	switch req.Mode {
 	case "":
 		// Adopted outright.
@@ -147,16 +160,16 @@ func (n *Node) install(ring *Ring, req *wire.ShardInstallRequest) (*wire.ShardIn
 	default:
 		return nil, errUnknownMode(req.Mode)
 	}
-	n.logf("shard %s: installed map v%d@e%d (%d shards, mode=%q)", n.cfg.ShardID, ring.Version(), ring.Epoch(), len(ring.Shards()), req.Mode)
-	return &wire.ShardInstallResponse{Version: ring.Version()}, nil
+	n.logf("shard %s: installed map v%d@e%d (%d shards, mode=%q)", n.cfg.ShardID, rg.Version(), rg.Epoch(), len(rg.Shards()), req.Mode)
+	return &wire.ShardInstallResponse{Version: rg.Version()}, nil
 }
 
-func errStaleMap(got, have *Ring) error {
-	return fmt.Errorf("shard: refusing stale map v%d@e%d (holding v%d@e%d)", got.Version(), got.Epoch(), have.Version(), have.Epoch())
+func errStaleMap(got, have wire.ShardMap) error {
+	return fmt.Errorf("shard: refusing stale map v%d@e%d (holding v%d@e%d)", got.Version, got.Epoch, have.Version, have.Epoch)
 }
 
-func errDivergentMap(got *Ring) error {
-	return fmt.Errorf("shard: refusing divergent map v%d@e%d (same coordinates, different shards)", got.Version(), got.Epoch())
+func errDivergentMap(got wire.ShardMap) error {
+	return fmt.Errorf("shard: refusing divergent map v%d@e%d (same coordinates, different shards)", got.Version, got.Epoch)
 }
 
 // sameMapContent reports whether two maps name the same shards in the same
@@ -179,7 +192,7 @@ func errUnknownMode(mode string) error {
 func (n *Node) finishDrain() {
 	n.mu.Lock()
 	h := n.handoff
-	ring := n.ring
+	rg := n.ring
 	if h == nil || h.mode != "drain" {
 		n.mu.Unlock()
 		return
@@ -188,14 +201,14 @@ func (n *Node) finishDrain() {
 	n.mu.Unlock()
 	if n.cfg.MDM != nil {
 		dropped := n.cfg.MDM.RetainOwners(func(owner string) bool {
-			return ring.Owner(owner).ID == n.cfg.ShardID
+			return rg.Owner(owner).ID == n.cfg.ShardID
 		})
 		n.logf("shard %s: drain complete, dropped %d moved registrations", n.cfg.ShardID, dropped)
 	}
 }
 
 // Ring returns the node's current routing table (nil before any install).
-func (n *Node) Ring() *Ring {
+func (n *Node) Ring() *ring.Ring {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	return n.ring
@@ -252,7 +265,7 @@ func (n *Node) Handle(c *wire.ServerConn, m *wire.Message) {
 	}
 
 	n.mu.Lock()
-	ring := n.ring
+	rg := n.ring
 	h := n.handoff
 	if h != nil && h.mode == "drain" && time.Now().After(h.until) {
 		// The timer callback flips the state; don't serve a stale window
@@ -260,7 +273,7 @@ func (n *Node) Handle(c *wire.ServerConn, m *wire.Message) {
 		h = nil
 	}
 	n.mu.Unlock()
-	if ring == nil {
+	if rg == nil {
 		n.cfg.Inner.ServeWire(c, m)
 		return
 	}
@@ -270,25 +283,25 @@ func (n *Node) Handle(c *wire.ServerConn, m *wire.Message) {
 	// foreign owner — the shard-aware client splits batches by owner and
 	// never sends one.
 	for _, owner := range owners {
-		target := ring.Owner(owner)
+		target := rg.Owner(owner)
 		if target.ID == n.cfg.ShardID {
 			continue
 		}
 		movedAway := h != nil && h.prev.Owner(owner).ID == n.cfg.ShardID
 		switch {
 		case movedAway && h.mode == "drain":
-			n.forward(c, m, target)
+			n.forward(c, m, owner)
 			return
 		case movedAway && h.mode == "handoff":
 			if m.Type == wire.TypeSubscribe {
 				// Subscriptions are never forwarded (the notification
 				// stream would need relaying); the new shard already has
 				// the map and serves them directly.
-				n.redirect(c, m, owner, target, ring)
+				n.redirect(c, m, owner, target, rg)
 				return
 			}
 			if isMutation(m.Type) {
-				n.forward(c, m, target)
+				n.forward(c, m, owner)
 				return
 			}
 			if m.Type == wire.TypeChanged {
@@ -296,14 +309,14 @@ func (n *Node) Handle(c *wire.ServerConn, m *wire.Message) {
 				// serves reads for the owner, so its cache must hear the
 				// change too.
 				n.applyChangedLocally(m)
-				n.forward(c, m, target)
+				n.forward(c, m, owner)
 				return
 			}
 			// Reads stay local until the drain: the replay to the new
 			// shard is still in flight and this replica is complete.
 			continue
 		default:
-			n.redirect(c, m, owner, target, ring)
+			n.redirect(c, m, owner, target, rg)
 			return
 		}
 	}
@@ -313,11 +326,11 @@ func (n *Node) Handle(c *wire.ServerConn, m *wire.Message) {
 // ServeWire implements wire.Handler.
 func (n *Node) ServeWire(c *wire.ServerConn, m *wire.Message) { n.Handle(c, m) }
 
-func (n *Node) redirect(c *wire.ServerConn, m *wire.Message, owner string, target wire.ShardInfo, ring *Ring) {
+func (n *Node) redirect(c *wire.ServerConn, m *wire.Message, owner string, target wire.ShardInfo, rg *ring.Ring) {
 	if m.ID == 0 {
 		return // one-way frame: nothing to redirect
 	}
-	mp := ring.Map()
+	mp := rg.Map()
 	_ = c.ReplyWrongShard(m, wire.WrongShardPayload{
 		Owner: owner, ShardID: target.ID, Addr: target.Addr,
 		Members: target.Members, Map: &mp,
@@ -337,12 +350,14 @@ func (n *Node) applyChangedLocally(m *wire.Message) {
 	n.cfg.MDM.HandleChanged(&cn)
 }
 
-// forward relays a frame to another shard and relays the raw reply back,
-// chasing one not-leader hop inside the target constellation. Forwarding
+// forward relays a frame to the owner's new home and relays the raw reply
+// back; the peers handle rides out the install sweep (a destination that
+// does not hold the new map yet bounces the frame with an older map) and
+// chases a not-leader hop inside the target constellation. Forwarding
 // exists only inside rebalance windows; steady-state cross-shard traffic
 // is redirected so clients learn the map instead of taxing two shards per
 // call.
-func (n *Node) forward(c *wire.ServerConn, m *wire.Message, target wire.ShardInfo) {
+func (n *Node) forward(c *wire.ServerConn, m *wire.Message, owner string) {
 	timeout := n.cfg.ForwardTimeout
 	if timeout <= 0 {
 		timeout = 5 * time.Second
@@ -356,94 +371,30 @@ func (n *Node) forward(c *wire.ServerConn, m *wire.Message, target wire.ShardInf
 	}
 
 	if m.ID == 0 {
-		if conn, err := n.shardConn(target.Addr); err == nil {
-			if err := conn.Send(ctx, m.Type, json.RawMessage(m.Payload)); err != nil {
-				n.dropConn(target.Addr)
-			}
-		}
+		_ = n.peers.Send(ctx, owner, m.Type, json.RawMessage(m.Payload))
 		return
 	}
-
 	var raw json.RawMessage
-	var err error
-	// During the coordinator's install sweep the destination may not hold
-	// the new map yet and bounce the frame back with a redirect; the
-	// window is one install round-trip wide, so retry briefly before
-	// surfacing anything.
-	for attempt := 0; attempt < 5; attempt++ {
-		err = n.callShard(ctx, target.Addr, m.Type, json.RawMessage(m.Payload), &raw)
-		var ws *wire.WrongShardError
-		if err == nil || !errors.As(err, &ws) || ctx.Err() != nil {
-			break
-		}
-		time.Sleep(20 * time.Millisecond)
-	}
-	if err != nil {
-		var ws *wire.WrongShardError
-		if errors.As(err, &ws) {
-			// The target knows better (a newer map): propagate its verdict.
-			_ = c.ReplyWrongShard(m, wire.WrongShardPayload{
-				Owner: ws.Owner, ShardID: ws.ShardID, Addr: ws.Addr,
-				Members: ws.Members, Map: ws.Map,
-			})
-			return
-		}
-		_ = c.ReplyError(m, err)
+	if err := n.peers.Call(ctx, owner, m.Type, json.RawMessage(m.Payload), &raw); err != nil {
+		replyForwardError(c, m, err)
 		return
 	}
 	_ = c.Reply(m, raw)
 }
 
-// callShard issues one call to a shard address, chasing a single
-// not-leader redirect (the shard is a constellation and the address we
-// hold is a follower's).
-func (n *Node) callShard(ctx context.Context, addr, typ string, req, resp any) error {
-	conn, err := n.shardConn(addr)
-	if err != nil {
-		return err
+// replyForwardError answers a forwarded frame that failed. A wrong-shard
+// verdict that outlasted the forwarder's own chase passes through typed:
+// the target knows better (a newer map) and the caller should hear it.
+func replyForwardError(c *wire.ServerConn, m *wire.Message, err error) {
+	var ws *wire.WrongShardError
+	if errors.As(err, &ws) {
+		_ = c.ReplyWrongShard(m, wire.WrongShardPayload{
+			Owner: ws.Owner, ShardID: ws.ShardID, Addr: ws.Addr,
+			Members: ws.Members, Map: ws.Map,
+		})
+		return
 	}
-	err = conn.Call(ctx, typ, req, resp)
-	if err == nil {
-		return nil
-	}
-	var nl *wire.NotLeaderError
-	if errors.As(err, &nl) && nl.LeaderAddr != "" && nl.LeaderAddr != addr {
-		lc, derr := n.shardConn(nl.LeaderAddr)
-		if derr != nil {
-			return err
-		}
-		return lc.Call(ctx, typ, req, resp)
-	}
-	var re *wire.RemoteError
-	if !errors.As(err, &re) {
-		// Transport-level failure: drop the pooled conn so the next
-		// forward redials.
-		n.dropConn(addr)
-	}
-	return err
-}
-
-func (n *Node) shardConn(addr string) (*wire.Client, error) {
-	n.connMu.Lock()
-	defer n.connMu.Unlock()
-	if c, ok := n.conns[addr]; ok {
-		return c, nil
-	}
-	c, err := wire.Dial(addr)
-	if err != nil {
-		return nil, err
-	}
-	n.conns[addr] = c
-	return c, nil
-}
-
-func (n *Node) dropConn(addr string) {
-	n.connMu.Lock()
-	if c, ok := n.conns[addr]; ok {
-		c.Close()
-		delete(n.conns, addr)
-	}
-	n.connMu.Unlock()
+	_ = c.ReplyError(m, err)
 }
 
 // Close releases forwarding connections and stops any drain timer.
@@ -454,12 +405,7 @@ func (n *Node) Close() {
 	}
 	n.handoff = nil
 	n.mu.Unlock()
-	n.connMu.Lock()
-	for addr, c := range n.conns {
-		c.Close()
-		delete(n.conns, addr)
-	}
-	n.connMu.Unlock()
+	n.peers.Close()
 }
 
 // isMutation reports whether a message type mutates the directory.
@@ -501,7 +447,7 @@ func ownersOfMessage(typ string, payload []byte) (owners []string, scoped bool) 
 		if err := wire.Unmarshal(payload, &req); err != nil {
 			return nil, false
 		}
-		if o, ok := pathOwner(req.Path); ok {
+		if o, ok := coverage.UserOfPath(req.Path); ok {
 			return []string{o}, true
 		}
 		return nil, true
@@ -510,7 +456,7 @@ func ownersOfMessage(typ string, payload []byte) (owners []string, scoped bool) 
 		if err := wire.Unmarshal(payload, &req); err != nil {
 			return nil, false
 		}
-		if o, ok := pathOwner(req.Path); ok {
+		if o, ok := coverage.UserOfPath(req.Path); ok {
 			return []string{o}, true
 		}
 		return nil, true
@@ -558,13 +504,5 @@ func resolveOwner(owner, path string) (string, bool) {
 	if owner != "" {
 		return owner, true
 	}
-	return pathOwner(path)
-}
-
-func pathOwner(path string) (string, bool) {
-	p, err := xpath.Parse(path)
-	if err != nil {
-		return "", false
-	}
-	return coverage.UserOf(p)
+	return coverage.UserOfPath(path)
 }

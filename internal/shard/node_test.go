@@ -11,6 +11,8 @@ import (
 	"time"
 
 	"gupster/internal/core"
+	"gupster/internal/dirclient"
+	"gupster/internal/dirclient/ring"
 	"gupster/internal/policy"
 	"gupster/internal/schema"
 	"gupster/internal/shard"
@@ -71,7 +73,7 @@ func mapFor(version uint64, shards ...*testShard) wire.ShardMap {
 // ownersBy buckets generated owner IDs by their home shard under a map.
 func ownersBy(t *testing.T, m wire.ShardMap, n int) map[string][]string {
 	t.Helper()
-	r, err := shard.BuildRing(m)
+	r, err := ring.Build(m)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +97,13 @@ func registerOwner(t *testing.T, conn *wire.Client, owner string) error {
 	}, nil)
 }
 
-func resolveOwnerVia(ctx context.Context, cli *shard.Client, owner string) error {
+// dialMap returns a directory handle that already holds map m.
+func dialMap(m wire.ShardMap) (*dirclient.Directory, error) {
+	d := dirclient.New()
+	return d, d.Adopt(m)
+}
+
+func resolveOwnerVia(ctx context.Context, cli *dirclient.Directory, owner string) error {
 	var resp wire.ResolveResponse
 	err := cli.Call(ctx, owner, wire.TypeResolve, &wire.ResolveRequest{
 		Path:    fmt.Sprintf("/user[@id='%s']/presence", owner),
@@ -170,7 +178,7 @@ func TestNodeRoutesAndRedirects(t *testing.T) {
 	}
 
 	// The shard-aware client reaches both owners regardless of seed.
-	cli, err := shard.DialMap(m)
+	cli, err := dialMap(m)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,7 +192,7 @@ func TestNodeRoutesAndRedirects(t *testing.T) {
 	}
 
 	// A stale-map client chases the redirect: point everything at shard a.
-	stale, err := shard.DialMap(wire.ShardMap{Version: 1, Shards: []wire.ShardInfo{{ID: "a", Addr: a.addr()}}})
+	stale, err := dialMap(wire.ShardMap{Version: 1, Shards: []wire.ShardInfo{{ID: "a", Addr: a.addr()}}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -252,11 +260,11 @@ func TestRebalanceNoResolveGap(t *testing.T) {
 	// Shard c joins; work out which owners v2 moves to it.
 	c := startShard(t, "c")
 	v2 := mapFor(2, a, b, c)
-	oldRing, err := shard.BuildRing(v1)
+	oldRing, err := ring.Build(v1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	newRing, err := shard.BuildRing(v2)
+	newRing, err := ring.Build(v2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -277,7 +285,7 @@ func TestRebalanceNoResolveGap(t *testing.T) {
 
 	// Hammer the moved owners from a client that starts on the old map and
 	// must ride redirects/forwards across the whole transition.
-	cli, err := shard.DialMap(v1)
+	cli, err := dialMap(v1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -376,8 +384,8 @@ func TestHandoffForwardsMutations(t *testing.T) {
 
 	c := startShard(t, "c")
 	v2 := mapFor(2, a, b, c)
-	oldRing, _ := shard.BuildRing(v1)
-	newRing, _ := shard.BuildRing(v2)
+	oldRing, _ := ring.Build(v1)
+	newRing, _ := ring.Build(v2)
 	var owner string
 	for i := 0; ; i++ {
 		cand := fmt.Sprintf("user-%d", i)

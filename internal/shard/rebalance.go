@@ -4,6 +4,8 @@ import (
 	"context"
 	"fmt"
 
+	"gupster/internal/coverage"
+	"gupster/internal/dirclient/ring"
 	"gupster/internal/wire"
 )
 
@@ -46,15 +48,15 @@ type RebalanceOptions struct {
 // either land on the source before handoff (and are replayed) or are
 // forwarded to the destination from the moment the handoff installs.
 func Rebalance(ctx context.Context, old, next wire.ShardMap, opts RebalanceOptions) error {
-	oldRing, err := BuildRing(old)
+	oldRing, err := ring.Build(old)
 	if err != nil {
 		return fmt.Errorf("shard: rebalance: bad old map: %w", err)
 	}
-	nextRing, err := BuildRing(next)
+	nextRing, err := ring.Build(next)
 	if err != nil {
 		return fmt.Errorf("shard: rebalance: bad new map: %w", err)
 	}
-	if CompareMaps(next, old) <= 0 {
+	if ring.Compare(next, old) <= 0 {
 		return fmt.Errorf("shard: rebalance: new map v%d@e%d must supersede v%d@e%d", next.Version, next.Epoch, old.Version, old.Epoch)
 	}
 	logf := opts.Logf
@@ -138,7 +140,7 @@ func Rebalance(ctx context.Context, old, next wire.ShardMap, opts RebalanceOptio
 			}
 		}
 		for _, reg := range dump.Coverage {
-			owner, ok := pathOwner(reg.Path)
+			owner, ok := coverage.UserOfPath(reg.Path)
 			if !ok || oldRing.Owner(owner).ID != src.ID {
 				continue // not this source's to move (or ownerless)
 			}

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"gupster/internal/dirclient/ring"
 	"gupster/internal/wire"
 )
 
@@ -38,12 +39,12 @@ func FuzzRepairEpoch(f *testing.F) {
 				m.Shards = append(m.Shards, wire.ShardInfo{ID: id, Addr: "addr:" + id})
 			}
 			_, err := n.Install(&wire.ShardInstallRequest{Map: m, Mode: modes[rng.Intn(len(modes))], ForwardMillis: 1})
-			ring := n.Ring()
-			if ring == nil {
+			held := n.Ring()
+			if held == nil {
 				t.Fatalf("step %d: no ring after an install attempt (first install must succeed)", i)
 			}
-			cur := ring.Map()
-			if havePrev && CompareMaps(cur, prev) < 0 {
+			cur := held.Map()
+			if havePrev && ring.Compare(cur, prev) < 0 {
 				t.Fatalf("step %d: ring went backwards: held v%d@e%d, now v%d@e%d",
 					i, prev.Version, prev.Epoch, cur.Version, cur.Epoch)
 			}
@@ -51,7 +52,7 @@ func FuzzRepairEpoch(f *testing.F) {
 				t.Fatalf("step %d: accepted install of v%d@e%d but ring holds v%d@e%d",
 					i, m.Version, m.Epoch, cur.Version, cur.Epoch)
 			}
-			if err != nil && havePrev && CompareMaps(cur, prev) != 0 {
+			if err != nil && havePrev && ring.Compare(cur, prev) != 0 {
 				t.Fatalf("step %d: rejected install still changed the ring", i)
 			}
 			prev, havePrev = cur, true

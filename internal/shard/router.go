@@ -5,26 +5,22 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"sync"
 	"time"
 
+	"gupster/internal/dirclient"
+	"gupster/internal/dirclient/ring"
 	"gupster/internal/wire"
 )
 
 // Router is a data-less shard front-end: it holds no directory state,
-// only the shard map, and forwards every frame to the owning shard. It
-// lets shard-unaware clients (old tooling, store registrars, federation
-// mirrors) address a sharded directory as a single endpoint, at the cost
-// of one extra network hop per call. Shard-aware clients should route
-// themselves with Client instead.
+// only a handle on the sharded directory, and forwards every frame to the
+// owning shard. It gives callers that cannot reach the shards themselves a
+// single endpoint, at the cost of one extra network hop per call.
 type Router struct {
 	cfg RouterConfig
-
-	mu   sync.Mutex
-	ring *Ring
-
-	connMu sync.Mutex
-	conns  map[string]*wire.Client
+	// dir is the router's whole state: its shard map is the one the router
+	// serves and installs into, its pool the forwarding connections.
+	dir *dirclient.Directory
 }
 
 // RouterConfig parameterizes a Router.
@@ -38,8 +34,8 @@ type RouterConfig struct {
 
 // NewRouter builds a router over an initial shard map.
 func NewRouter(m wire.ShardMap, cfg RouterConfig) (*Router, error) {
-	ring, err := BuildRing(m)
-	if err != nil {
+	dir := dirclient.New()
+	if err := dir.Adopt(m); err != nil {
 		return nil, err
 	}
 	if cfg.ForwardTimeout == 0 {
@@ -48,31 +44,26 @@ func NewRouter(m wire.ShardMap, cfg RouterConfig) (*Router, error) {
 	if cfg.Logf == nil {
 		cfg.Logf = func(string, ...any) {}
 	}
-	return &Router{cfg: cfg, ring: ring, conns: make(map[string]*wire.Client)}, nil
+	return &Router{cfg: cfg, dir: dir}, nil
 }
 
 // Install adopts a new shard map. The router holds no owners, so installs
 // are plain: any mode is accepted and only the map matters.
 func (r *Router) Install(req *wire.ShardInstallRequest) (uint64, error) {
-	ring, err := BuildRing(req.Map)
-	if err != nil {
+	cur := r.dir.Map()
+	if err := r.dir.Adopt(req.Map); err != nil { // installs only a newer map
 		return 0, err
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.ring != nil {
-		switch CompareMaps(ring.Map(), r.ring.Map()) {
-		case -1:
-			return 0, errStaleMap(ring, r.ring)
-		case 0:
-			if !sameMapContent(ring.Map(), r.ring.Map()) {
-				return 0, errDivergentMap(ring)
-			}
+	switch ring.Compare(req.Map, cur) {
+	case -1:
+		return 0, errStaleMap(req.Map, cur)
+	case 0:
+		if !sameMapContent(req.Map, cur) {
+			return 0, errDivergentMap(req.Map)
 		}
 	}
-	r.ring = ring
-	r.cfg.Logf("router: shard map v%d@e%d installed (%d shards)", ring.Version(), ring.Epoch(), len(ring.Shards()))
-	return ring.Version(), nil
+	r.cfg.Logf("router: shard map v%d@e%d installed (%d shards)", req.Map.Version, req.Map.Epoch, len(req.Map.Shards))
+	return req.Map.Version, nil
 }
 
 // NoShardAvailableError reports that every shard named by the router's
@@ -95,10 +86,7 @@ func (e *NoShardAvailableError) Unwrap() error { return e.LastErr }
 func (r *Router) ServeWire(c *wire.ServerConn, m *wire.Message) {
 	switch m.Type {
 	case wire.TypeShardMap:
-		r.mu.Lock()
-		mp := r.ring.Map()
-		r.mu.Unlock()
-		_ = c.Reply(m, mp)
+		_ = c.Reply(m, r.dir.Map())
 		return
 	case wire.TypeShardInstall:
 		var req wire.ShardInstallRequest
@@ -115,144 +103,38 @@ func (r *Router) ServeWire(c *wire.ServerConn, m *wire.Message) {
 		return
 	}
 
-	r.mu.Lock()
-	ring := r.ring
-	r.mu.Unlock()
-
-	owners, scoped := ownersOfMessage(m.Type, m.Payload)
-	var target wire.ShardInfo
-	if scoped && len(owners) > 0 {
-		target = ring.Owner(owners[0])
-		// Cross-shard batches are split-routed by shard-aware clients; a
-		// router keeps the single-endpoint illusion only for single-owner
-		// frames and sends mixed batches to the first owner's shard, which
-		// redirects the rest.
-	} else {
-		// Ownerless traffic (stats, trace reports, heartbeat frames with no
-		// scoped owner) goes to the first shard deterministically.
-		target = ring.Shards()[0]
+	// Cross-shard batches go to the first owner's shard, which redirects
+	// the rest; ownerless traffic (stats, trace reports) goes wherever the
+	// directory last answered such a frame — the map's first shard until
+	// it dies.
+	owner := ""
+	if owners, scoped := ownersOfMessage(m.Type, m.Payload); scoped && len(owners) > 0 {
+		owner = owners[0]
 	}
-	r.forward(c, m, target, ring)
-}
-
-func (r *Router) forward(c *wire.ServerConn, m *wire.Message, target wire.ShardInfo, ring *Ring) {
 	ctx, cancel := wire.BudgetContext(context.Background(), m)
 	if _, has := ctx.Deadline(); !has {
 		ctx, cancel = context.WithTimeout(ctx, r.cfg.ForwardTimeout)
 	}
 	defer cancel()
 
-	conn, err := r.shardConn(target.Addr)
-	if err != nil {
-		// The owner's shard refused the dial. Any other live map member can
-		// still make progress (a redirect carrying a newer post-repair map,
-		// or direct service once the repair moved the owner), so fail over
-		// across the ring — and when every member is down, answer with the
-		// typed no-shard verdict instead of burning the caller's deadline on
-		// repeat dials of a dead constellation.
-		conn, err = r.failover(ctx, ring, target.Addr, err)
-		if err != nil {
-			if m.ID != 0 {
-				_ = c.ReplyError(m, err)
-			}
-			return
-		}
-	}
 	if m.ID == 0 {
-		_ = conn.Send(ctx, m.Type, json.RawMessage(m.Payload))
+		_ = r.dir.Send(ctx, owner, m.Type, json.RawMessage(m.Payload))
 		return
 	}
 	var raw json.RawMessage
-	err = conn.Call(ctx, m.Type, json.RawMessage(m.Payload), &raw)
+	err := r.dir.Call(ctx, owner, m.Type, json.RawMessage(m.Payload), &raw)
+	if errors.Is(err, dirclient.ErrUnreachable) {
+		// Every member is down: answer with the typed verdict instead of
+		// letting the caller burn its deadline on a dead constellation.
+		mp := r.dir.Map()
+		err = &NoShardAvailableError{MapVersion: mp.Version, MapEpoch: mp.Epoch, LastErr: err}
+	}
 	if err != nil {
-		var nl *wire.NotLeaderError
-		if errors.As(err, &nl) && nl.LeaderAddr != "" && nl.LeaderAddr != target.Addr {
-			if lc, derr := r.shardConn(nl.LeaderAddr); derr == nil {
-				if err2 := lc.Call(ctx, m.Type, json.RawMessage(m.Payload), &raw); err2 == nil {
-					_ = c.Reply(m, raw)
-					return
-				}
-			}
-		}
-		var ws *wire.WrongShardError
-		if errors.As(err, &ws) {
-			// The target knows better than we do; pass its redirect through
-			// so the caller (or we, on its next call) can adopt the map.
-			_ = c.ReplyWrongShard(m, wire.WrongShardPayload{
-				Owner: ws.Owner, ShardID: ws.ShardID, Addr: ws.Addr,
-				Members: ws.Members, Map: ws.Map,
-			})
-			if ws.Map != nil {
-				if ring, berr := BuildRing(*ws.Map); berr == nil {
-					r.mu.Lock()
-					if CompareMaps(ring.Map(), r.ring.Map()) > 0 {
-						r.ring = ring
-					}
-					r.mu.Unlock()
-				}
-			}
-			return
-		}
-		var re *wire.RemoteError
-		if !errors.As(err, &re) {
-			r.dropConn(target.Addr)
-		}
-		_ = c.ReplyError(m, err)
+		replyForwardError(c, m, err)
 		return
 	}
 	_ = c.Reply(m, raw)
 }
 
-// failover tries every other shard in the map once. It returns the first
-// connection that dials, or a NoShardAvailableError when the whole ring is
-// unreachable (bounded further by ctx between attempts).
-func (r *Router) failover(ctx context.Context, ring *Ring, failedAddr string, firstErr error) (*wire.Client, error) {
-	lastErr := firstErr
-	for _, s := range ring.Shards() {
-		if s.Addr == failedAddr {
-			continue
-		}
-		if ctx.Err() != nil {
-			break
-		}
-		conn, err := r.shardConn(s.Addr)
-		if err == nil {
-			return conn, nil
-		}
-		lastErr = err
-	}
-	return nil, &NoShardAvailableError{MapVersion: ring.Version(), MapEpoch: ring.Epoch(), LastErr: lastErr}
-}
-
-func (r *Router) shardConn(addr string) (*wire.Client, error) {
-	r.connMu.Lock()
-	defer r.connMu.Unlock()
-	if conn, ok := r.conns[addr]; ok {
-		return conn, nil
-	}
-	conn, err := wire.Dial(addr)
-	if err != nil {
-		return nil, err
-	}
-	r.conns[addr] = conn
-	return conn, nil
-}
-
-func (r *Router) dropConn(addr string) {
-	r.connMu.Lock()
-	if conn, ok := r.conns[addr]; ok {
-		conn.Close()
-		delete(r.conns, addr)
-	}
-	r.connMu.Unlock()
-}
-
 // Close releases the router's shard connections.
-func (r *Router) Close() {
-	r.connMu.Lock()
-	defer r.connMu.Unlock()
-	for addr, conn := range r.conns {
-		conn.Close()
-		delete(r.conns, addr)
-	}
-}
+func (r *Router) Close() { r.dir.Close() }

@@ -8,6 +8,8 @@ import (
 	"testing"
 	"time"
 
+	"gupster/internal/dirclient"
+	"gupster/internal/dirclient/ring"
 	"gupster/internal/policy"
 	"gupster/internal/shard"
 	"gupster/internal/token"
@@ -97,7 +99,7 @@ func TestRouterFailsOverToLiveShard(t *testing.T) {
 	installMap(t, m, "", b)
 	ws := serveRouter(t, m)
 
-	ring, err := shard.BuildRing(m)
+	ring, err := ring.Build(m)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +133,7 @@ func TestRouterFailsOverToLiveShard(t *testing.T) {
 // Bootstrap must rotate past a dead first seed instead of giving up.
 func TestDialSkipsDeadSeed(t *testing.T) {
 	solo := startShard(t, "solo")
-	cli, err := shard.Dial(deadAddr(t), solo.addr())
+	cli, err := dirclient.Dial(deadAddr(t), solo.addr())
 	if err != nil {
 		t.Fatalf("bootstrap with a dead first seed: %v", err)
 	}
@@ -165,7 +167,7 @@ func TestClientRebootstrapAfterShardDeath(t *testing.T) {
 	}
 	ownerB := byHome["b"][0]
 
-	cli, err := shard.DialMap(v1)
+	cli, err := dialMap(v1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,12 +2,13 @@ package store
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"gupster/internal/coverage"
+	"gupster/internal/dirclient"
 	"gupster/internal/wire"
 )
 
@@ -21,25 +22,14 @@ import (
 // healed by its stores within one heartbeat interval.
 type Registrar struct {
 	cfg RegistrarConfig
-
-	mu   sync.Mutex
-	conn *wire.Client
-	// target is the MDM address currently dialed: cfg.MDM until a
-	// replicated constellation redirects us to its leader, cfg.MDM again
-	// when that leader stops answering.
-	target string
-	// seeds are every directory address the registrar can fall back to:
-	// the configured MDM plus every shard address learned from the
-	// directory's shard map (fetched once per connection, and absorbed
-	// from wrong-shard redirects). When the current target stops dialing
-	// — its shard died and a spare was promoted in its place — the
-	// registrar rotates to the next seed instead of redialing the corpse
-	// forever.
-	seeds []string
-	// seedsFresh is cleared whenever the connection is dropped or
-	// re-homed so the next successful call re-fetches the map (a repair
-	// may have changed it).
-	seedsFresh bool
+	// dir is the handle on the directory: it follows leader and shard
+	// redirects, learns the shard map, and rotates off a dead address.
+	dir *dirclient.Directory
+	// beatOwner addresses heartbeats. Leases are kept per shard and a
+	// heartbeat frame names no owner, so the beat goes where the last
+	// coverage path was registered: a single-owner store renews the lease
+	// its registrations created.
+	beatOwner string
 
 	stop     chan struct{}
 	stopOnce sync.Once
@@ -65,14 +55,17 @@ type RegistrarConfig struct {
 	// registrar then only registers once). Keep it under the MDM's lease
 	// TTL — half the TTL is a good default.
 	Interval time.Duration
-	// Logf, when non-nil, receives registrar events (reconnects,
-	// re-registrations).
+	// Logf, when non-nil, receives registrar events (re-registrations).
 	Logf func(format string, args ...any)
 }
 
 // NewRegistrar creates a registrar; call Start.
 func NewRegistrar(cfg RegistrarConfig) *Registrar {
-	return &Registrar{cfg: cfg, stop: make(chan struct{})}
+	r := &Registrar{cfg: cfg, dir: dirclient.New(cfg.MDM), stop: make(chan struct{})}
+	if n := len(cfg.Coverage); n > 0 {
+		r.beatOwner = pathOwner(cfg.Coverage[n-1])
+	}
+	return r
 }
 
 func (r *Registrar) logf(format string, args ...any) {
@@ -81,195 +74,18 @@ func (r *Registrar) logf(format string, args ...any) {
 	}
 }
 
-// client returns the registrar's MDM connection, dialing if needed.
-func (r *Registrar) client() (*wire.Client, error) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.conn != nil {
-		return r.conn, nil
-	}
-	if r.target == "" {
-		r.target = r.cfg.MDM
-	}
-	c, err := wire.Dial(r.target)
-	if err != nil {
-		// The current target (a redirected-to leader or shard that died)
-		// is unreachable: rotate to the next known seed so a dead home
-		// shard cannot strand us — its replacement answers on another
-		// address and will redirect us the rest of the way.
-		r.target = r.nextSeedLocked(r.target)
-		return nil, err
-	}
-	r.conn = c
-	return c, nil
-}
-
-// nextSeedLocked returns the seed to try after cur, wrapping around the
-// learned list; with nothing learned it falls back to the configured
-// address. Callers hold r.mu.
-func (r *Registrar) nextSeedLocked(cur string) string {
-	if len(r.seeds) == 0 {
-		return r.cfg.MDM
-	}
-	for i, s := range r.seeds {
-		if s == cur {
-			return r.seeds[(i+1)%len(r.seeds)]
-		}
-	}
-	return r.seeds[0]
-}
-
-// learnSeedsLocked merges newly discovered directory addresses into the
-// rotation list, keeping the configured address present and the existing
-// order stable. Callers hold r.mu.
-func (r *Registrar) learnSeedsLocked(addrs []string) {
-	have := make(map[string]bool, len(r.seeds)+1)
-	for _, s := range r.seeds {
-		have[s] = true
-	}
-	if !have[r.cfg.MDM] {
-		r.seeds = append(r.seeds, r.cfg.MDM)
-		have[r.cfg.MDM] = true
-	}
-	for _, a := range addrs {
-		if a != "" && !have[a] {
-			r.seeds = append(r.seeds, a)
-			have[a] = true
-		}
-	}
-}
-
-// maybeLearnMap fetches the directory's shard map once per connection and
-// absorbs every shard address as a fallback seed. A non-sharded directory
-// refuses the call; either way the connection is marked fresh so the
-// probe is not repeated until the next reconnect or re-home.
-func (r *Registrar) maybeLearnMap(ctx context.Context, c *wire.Client) {
-	r.mu.Lock()
-	fresh := r.seedsFresh
-	r.seedsFresh = true
-	r.mu.Unlock()
-	if fresh {
-		return
-	}
-	var mp wire.ShardMap
-	if err := c.Call(ctx, wire.TypeShardMap, wire.Empty{}, &mp); err != nil || len(mp.Shards) == 0 {
-		return
-	}
-	addrs := make([]string, 0, len(mp.Shards))
-	for _, s := range mp.Shards {
-		addrs = append(addrs, s.Addr)
-	}
-	r.mu.Lock()
-	r.learnSeedsLocked(addrs)
-	n := len(r.seeds)
-	r.mu.Unlock()
-	r.logf("registrar: learned shard map v%d (%d fallback seeds)", mp.Version, n)
-}
-
-// dropConn discards the connection after a transport failure so the next
-// call redials (the MDM may have restarted), and forgets any redirected
-// leader — the configured address is the seed we can always start from.
-func (r *Registrar) dropConn() {
-	r.mu.Lock()
-	if r.conn != nil {
-		r.conn.Close()
-		r.conn = nil
-	}
-	r.target = r.cfg.MDM
-	r.seedsFresh = false
-	r.mu.Unlock()
-}
-
-// rehome re-points the registrar at a replicated constellation's current
-// leader after a not-leader redirect.
-func (r *Registrar) rehome(leaderAddr string) {
-	r.mu.Lock()
-	if r.conn != nil {
-		r.conn.Close()
-		r.conn = nil
-	}
-	if leaderAddr != "" {
-		r.target = leaderAddr
-	}
-	r.seedsFresh = false
-	r.mu.Unlock()
-}
-
-// call invokes one MDM operation, redialing once on transport failure
-// and following one not-leader redirect to the constellation's leader.
-func (r *Registrar) call(ctx context.Context, msgType string, req, resp any) error {
-	for attempt := 0; ; attempt++ {
-		c, err := r.client()
-		if err == nil {
-			err = c.Call(ctx, msgType, req, resp)
-			if err == nil {
-				r.maybeLearnMap(ctx, c)
-				return nil
-			}
-			var notLeader *wire.NotLeaderError
-			if errors.As(err, &notLeader) {
-				r.logf("registrar: %s redirected to leader %q", msgType, notLeader.LeaderAddr)
-				r.rehome(notLeader.LeaderAddr)
-				if attempt >= 4 {
-					return err
-				}
-				if notLeader.LeaderAddr == "" {
-					// Mid-election: no leader to re-home to yet. Elections
-					// settle within a lease TTL; wait a beat and ask again.
-					select {
-					case <-ctx.Done():
-						return err
-					case <-time.After(100 * time.Millisecond):
-					}
-				}
-				continue
-			}
-			var wrongShard *wire.WrongShardError
-			if errors.As(err, &wrongShard) && wrongShard.Addr != "" {
-				// A sharded directory: this path's owner lives on another
-				// shard. Re-home there; a store whose coverage spans shards
-				// bounces per path, which is fine at registration cadence.
-				r.logf("registrar: %s redirected to shard %q at %q", msgType, wrongShard.ShardID, wrongShard.Addr)
-				r.rehome(wrongShard.Addr)
-				if wrongShard.Map != nil {
-					addrs := make([]string, 0, len(wrongShard.Map.Shards))
-					for _, s := range wrongShard.Map.Shards {
-						addrs = append(addrs, s.Addr)
-					}
-					r.mu.Lock()
-					r.learnSeedsLocked(addrs)
-					r.mu.Unlock()
-				}
-				if attempt >= 4 {
-					return err
-				}
-				continue
-			}
-			var remote *wire.RemoteError
-			if errors.As(err, &remote) {
-				return err // the MDM answered; redialing cannot help
-			}
-			r.dropConn()
-		}
-		// With fallback seeds learned, allow one attempt per seed so a
-		// single call can rotate past dead addresses; otherwise keep the
-		// historical redial-once behavior.
-		r.mu.Lock()
-		limit := len(r.seeds)
-		r.mu.Unlock()
-		if limit < 1 {
-			limit = 1
-		}
-		if attempt >= limit {
-			return err
-		}
-	}
+// pathOwner names the profile owner a coverage path belongs to, so the
+// call goes straight to the owner's home shard; "" when the path names
+// none.
+func pathOwner(path string) string {
+	owner, _ := coverage.UserOfPath(path)
+	return owner
 }
 
 // Register announces every coverage path (idempotent at the MDM).
 func (r *Registrar) Register(ctx context.Context) error {
 	for _, path := range r.cfg.Coverage {
-		err := r.call(ctx, wire.TypeRegister, &wire.RegisterRequest{
+		err := r.dir.Call(ctx, pathOwner(path), wire.TypeRegister, &wire.RegisterRequest{
 			Store: r.cfg.Store, Address: r.cfg.Addr, Path: path,
 		}, nil)
 		if err != nil {
@@ -283,7 +99,7 @@ func (r *Registrar) Register(ctx context.Context) error {
 func (r *Registrar) Deregister(ctx context.Context) error {
 	var firstErr error
 	for _, path := range r.cfg.Coverage {
-		err := r.call(ctx, wire.TypeUnregister, &wire.UnregisterRequest{
+		err := r.dir.Call(ctx, pathOwner(path), wire.TypeUnregister, &wire.UnregisterRequest{
 			Store: r.cfg.Store, Path: path,
 		}, nil)
 		if err != nil && firstErr == nil {
@@ -328,7 +144,7 @@ func (r *Registrar) beat() {
 	ctx, cancel := context.WithTimeout(context.Background(), r.cfg.Interval)
 	defer cancel()
 	var resp wire.HeartbeatResponse
-	err := r.call(ctx, wire.TypeHeartbeat, &wire.HeartbeatRequest{
+	err := r.dir.Call(ctx, r.beatOwner, wire.TypeHeartbeat, &wire.HeartbeatRequest{
 		Store: r.cfg.Store, Addr: r.cfg.Addr,
 	}, &resp)
 	if err != nil {
@@ -354,5 +170,5 @@ func (r *Registrar) beat() {
 func (r *Registrar) Close() {
 	r.stopOnce.Do(func() { close(r.stop) })
 	r.done.Wait()
-	r.dropConn()
+	r.dir.Close()
 }

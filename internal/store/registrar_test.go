@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"gupster/internal/core"
+	"gupster/internal/dirclient/ring"
 	"gupster/internal/schema"
 	"gupster/internal/shard"
 	"gupster/internal/store"
@@ -159,7 +160,7 @@ func TestRegistrarRotatesToLearnedSeedsWhenHomeShardDies(t *testing.T) {
 	v1 := wire.ShardMap{Version: 1, Shards: []wire.ShardInfo{
 		{ID: "sa", Addr: wsA.Addr()}, {ID: "sb", Addr: wsB.Addr()},
 	}}
-	ring, err := shard.BuildRing(v1)
+	ring, err := ring.Build(v1)
 	if err != nil {
 		t.Fatal(err)
 	}
