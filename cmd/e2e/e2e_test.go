@@ -11,6 +11,7 @@ import (
 	"os/exec"
 	"path/filepath"
 	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -412,5 +413,94 @@ func TestChaosKillRecovery(t *testing.T) {
 	}
 	if !strings.Contains(out, "gup.durable.example") {
 		t.Fatalf("health lacks the store's lease:\n%s", out)
+	}
+}
+
+// A sharded constellation through the real binaries — the flags no other
+// test here passes: two -shard-of shards gossiping at -gossip-interval and
+// one data-less -router. The store registers through the router, gupctl
+// reads through the router and through the shard that does not hold the
+// owner (the redirect is chased), and the operator views — shard-map and
+// health — show the map and both shards alive.
+func TestShardedConstellationThroughBinaries(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds and launches real processes")
+	}
+	const key = "e2e-shard-key"
+	shards := []string{freePort(t), freePort(t)}
+	routerAddr := freePort(t)
+	storeAddr := freePort(t)
+	shardMap := "s1=" + shards[0] + ",s2=" + shards[1]
+
+	for i, addr := range shards {
+		startDaemon(t, "gupsterd", "-listen", addr, "-key", key,
+			"-shard-of", fmt.Sprintf("s%d", i+1), "-shard-map", shardMap,
+			"-gossip-interval", "100ms")
+	}
+	startDaemon(t, "gupsterd", "-listen", routerAddr, "-router", "-shard-map", shardMap)
+	for _, addr := range append(shards, routerAddr) {
+		waitFor(t, addr)
+	}
+
+	profile := filepath.Join(binDir, "erin.xml")
+	if err := os.WriteFile(profile, []byte(
+		`<user id="erin"><presence status="sharded"/></user>`,
+	), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	startDaemon(t, "datastored",
+		"-id", "gup.sharded.example", "-listen", storeAddr,
+		"-mdm", routerAddr, "-key", key,
+		"-load", profile, "-user", "erin",
+		"-register", "/user[@id='erin']/presence",
+	)
+	waitFor(t, storeAddr)
+
+	// Registration is asynchronous after startup; it lands on exactly one
+	// shard, whichever the ring assigns erin to.
+	registrations := func(addr string) int {
+		out, err := gupctl(t, addr, "erin", "self", "stats")
+		if err != nil {
+			return -1
+		}
+		m := regexp.MustCompile(`registrations: (\d+)`).FindStringSubmatch(out)
+		if m == nil {
+			return -1
+		}
+		n, _ := strconv.Atoi(m[1])
+		return n
+	}
+	home, away := "", ""
+	deadline := time.Now().Add(10 * time.Second)
+	for home == "" {
+		for i, addr := range shards {
+			if registrations(addr) == 1 {
+				home, away = addr, shards[1-i]
+			}
+		}
+		if home == "" && time.Now().After(deadline) {
+			t.Fatal("the registration sent through the router reached neither shard")
+		}
+		time.Sleep(100 * time.Millisecond)
+	}
+	if n := registrations(away); n != 0 {
+		t.Fatalf("the shard not owning erin holds %d registrations", n)
+	}
+
+	for name, addr := range map[string]string{"router": routerAddr, "home shard": home, "wrong shard": away} {
+		out, err := gupctl(t, addr, "erin", "self", "get", "/user[@id='erin']/presence")
+		if err != nil || !strings.Contains(out, `status="sharded"`) {
+			t.Fatalf("get via the %s: %v\n%s", name, err, out)
+		}
+	}
+
+	out, err := gupctl(t, routerAddr, "erin", "self", "shard-map")
+	if err != nil || !strings.Contains(out, "shard map v1 (2 shards)") ||
+		!strings.Contains(out, shards[0]) || !strings.Contains(out, shards[1]) {
+		t.Fatalf("shard-map via the router: %v\n%s", err, out)
+	}
+	out, err = gupctl(t, away, "erin", "self", "health")
+	if err != nil || !strings.Contains(out, "gossip: shard s") || strings.Count(out, " alive ") != 2 {
+		t.Fatalf("health lacks the gossip view with two alive members: %v\n%s", err, out)
 	}
 }

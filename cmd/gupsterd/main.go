@@ -67,23 +67,20 @@ import (
 	"flag"
 	"fmt"
 	"log"
-	"net"
 	"os"
 	"os/signal"
+	"slices"
 	"strings"
 	"syscall"
 	"time"
 
 	"gupster/internal/core"
-	"gupster/internal/dirclient/ring"
-	"gupster/internal/federation"
+	"gupster/internal/dirnode"
 	"gupster/internal/health"
-	"gupster/internal/journal"
 	"gupster/internal/overload"
 	"gupster/internal/provenance"
 	"gupster/internal/replication"
 	"gupster/internal/schema"
-	"gupster/internal/shard"
 	"gupster/internal/token"
 	"gupster/internal/wire"
 )
@@ -93,9 +90,10 @@ type repeated []string
 func (r *repeated) String() string     { return strings.Join(*r, ",") }
 func (r *repeated) Set(s string) error { *r = append(*r, s); return nil }
 
-// parseShardMap decodes "id=addr,id=addr,..." into a versioned shard map.
-func parseShardMap(s string, version uint64) (wire.ShardMap, error) {
-	m := wire.ShardMap{Version: version}
+// parseShards decodes "id=addr,id=addr,..." (a -shard-map value, or the
+// -spare entries joined) into shard entries.
+func parseShards(flagName, s string) ([]wire.ShardInfo, error) {
+	var shards []wire.ShardInfo
 	for _, entry := range strings.Split(s, ",") {
 		entry = strings.TrimSpace(entry)
 		if entry == "" {
@@ -103,64 +101,11 @@ func parseShardMap(s string, version uint64) (wire.ShardMap, error) {
 		}
 		id, addr, ok := strings.Cut(entry, "=")
 		if !ok || id == "" || addr == "" {
-			return m, fmt.Errorf(`gupsterd: bad -shard-map entry %q (want "id=addr")`, entry)
+			return nil, fmt.Errorf(`bad %s entry %q (want "id=addr")`, flagName, entry)
 		}
-		m.Shards = append(m.Shards, wire.ShardInfo{ID: id, Addr: addr})
+		shards = append(shards, wire.ShardInfo{ID: id, Addr: addr})
 	}
-	if _, err := ring.Build(m); err != nil {
-		return m, fmt.Errorf("gupsterd: bad -shard-map: %w", err)
-	}
-	return m, nil
-}
-
-// startGossip wraps a shard node's dispatch in a gossip failure detector
-// when -gossip-interval / -auto-repair ask for one, returning the handler
-// to serve and a closer. With gossip off both pass through untouched.
-// The constellation is the shard map plus every -spare entry; a node
-// absent from both (a spare learning the map by install) gossips as
-// itself on its advertised address.
-func startGossip(sn *shard.Node, selfID, selfAddr string, m wire.ShardMap, spares []string,
-	interval, suspectTimeout time.Duration, autoRepair bool) (wire.Handler, func()) {
-	if !autoRepair && interval <= 0 && suspectTimeout <= 0 {
-		return sn, func() {}
-	}
-	members := append([]wire.ShardInfo(nil), m.Shards...)
-	for _, s := range spares {
-		id, addr, ok := strings.Cut(s, "=")
-		if !ok || id == "" || addr == "" {
-			log.Fatalf(`gupsterd: bad -spare entry %q (want "id=addr")`, s)
-		}
-		members = append(members, wire.ShardInfo{ID: id, Addr: addr})
-	}
-	self := wire.ShardInfo{ID: selfID, Addr: selfAddr}
-	found := false
-	for _, mem := range members {
-		if mem.ID == selfID {
-			self = mem
-			found = true
-			break
-		}
-	}
-	if !found {
-		members = append(members, self)
-	}
-	agent := health.New(health.Config{
-		Self:    self,
-		Members: members,
-		Map: func() wire.ShardMap {
-			if r := sn.Ring(); r != nil {
-				return r.Map()
-			}
-			return wire.ShardMap{}
-		},
-		SelfInstall:    sn.Install,
-		Interval:       interval,
-		SuspectTimeout: suspectTimeout,
-		AutoRepair:     autoRepair,
-		Logf:           log.Printf,
-	})
-	agent.Start()
-	return health.Wrap(agent, sn), agent.Close
+	return shards, nil
 }
 
 func main() {
@@ -194,97 +139,74 @@ func main() {
 	flag.Var(&spareFlags, "spare", `a spare shard outside the map, as "id=addr" (repeatable; the auto-repair promotion pool)`)
 	flag.Parse()
 
-	if *router {
-		// A router holds no directory state — it needs no key, journal or
-		// replication, only the map.
-		if *shardMapFlag == "" {
-			fmt.Fprintln(os.Stderr, "gupsterd: -router requires -shard-map")
-			os.Exit(2)
-		}
-		m, err := parseShardMap(*shardMapFlag, *shardMapVersion)
-		if err != nil {
-			log.Fatalf("gupsterd: %v", err)
-		}
-		rt, err := shard.NewRouter(m, shard.RouterConfig{Logf: log.Printf})
-		if err != nil {
-			log.Fatalf("gupsterd: %v", err)
-		}
-		ws, err := wire.Serve(*listen, rt)
-		if err != nil {
-			log.Fatalf("gupsterd: %v", err)
-		}
-		log.Printf("gupsterd: shard router listening on %s (map v%d, %d shards)", ws.Addr(), m.Version, len(m.Shards))
-		sig := make(chan os.Signal, 1)
-		signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-		<-sig
-		log.Printf("gupsterd: shutting down")
-		ws.Close()
-		rt.Close()
-		return
-	}
-
-	var shardMap wire.ShardMap
-	if *shardOf != "" {
-		if *shardMapFlag == "" {
-			fmt.Fprintln(os.Stderr, "gupsterd: -shard-of requires -shard-map")
-			os.Exit(2)
-		}
-		m, err := parseShardMap(*shardMapFlag, *shardMapVersion)
-		if err != nil {
-			log.Fatalf("gupsterd: %v", err)
-		}
-		shardMap = m
-	}
-
-	if *key == "" {
-		fmt.Fprintln(os.Stderr, "gupsterd: -key is required (shared with data stores)")
-		os.Exit(2)
-	}
-	if len(replPeers) > 0 && *dataDir == "" {
-		fmt.Fprintln(os.Stderr, "gupsterd: -peers (quorum replication) requires -data-dir (the journal is the replicated log)")
-		os.Exit(2)
-	}
-	if len(replPeers) > 0 && len(peers) > 0 {
-		fmt.Fprintln(os.Stderr, "gupsterd: -peers (quorum replication) and -peer (best-effort mirroring) are mutually exclusive")
-		os.Exit(2)
-	}
-	if *shardOf != "" && len(peers) > 0 {
-		fmt.Fprintln(os.Stderr, "gupsterd: -shard-of cannot combine with -peer mirroring (shard a plain or quorum-replicated MDM)")
-		os.Exit(2)
-	}
-	if (*autoRepair || *gossipInterval > 0 || *suspectTimeout > 0 || len(spareFlags) > 0) && *shardOf == "" {
-		fmt.Fprintln(os.Stderr, "gupsterd: -auto-repair/-gossip-interval/-suspect-timeout/-spare require -shard-of (gossip runs between directory shards)")
-		os.Exit(2)
-	}
-
-	cfg := core.Config{
-		Schema:        schema.GUP(),
-		Signer:        token.NewSigner([]byte(*key)),
-		GrantTTL:      *ttl,
-		CacheEntries:  *cache,
-		Adjuncts:      schema.GUPAdjuncts(),
-		SlowThreshold: *slow,
-		LeaseTTL:      *leaseTTL,
-		LeaseGrace:    *leaseGrace,
-		Overload: overload.Config{
-			MaxConcurrency:    *maxConc,
-			QueueDepth:        *queueDepth,
-			BrownoutThreshold: *brownout,
+	// Flags → one dirnode.Config. Which layers run, in what order they
+	// stack and which combinations are refused is dirnode's knowledge; this
+	// function only translates.
+	cfg := dirnode.Config{
+		MDM: core.Config{
+			Schema:        schema.GUP(),
+			GrantTTL:      *ttl,
+			CacheEntries:  *cache,
+			Adjuncts:      schema.GUPAdjuncts(),
+			SlowThreshold: *slow,
+			LeaseTTL:      *leaseTTL,
+			LeaseGrace:    *leaseGrace,
+			Overload: overload.Config{
+				MaxConcurrency:    *maxConc,
+				QueueDepth:        *queueDepth,
+				BrownoutThreshold: *brownout,
+			},
 		},
+		DataDir:     *dataDir,
+		MirrorPeers: peers,
+		ShardID:     *shardOf,
+		Router:      *router,
+		Listen:      *listen,
+		Advertise:   *advertise,
+		Logf:        log.Printf,
+	}
+	if *key != "" {
+		cfg.MDM.Signer = token.NewSigner([]byte(*key))
 	}
 	if *ledger > 0 {
-		cfg.Provenance = provenance.NewLedger(*ledger)
+		cfg.MDM.Provenance = provenance.NewLedger(*ledger)
 	}
-	mdm := core.New(cfg)
-
-	// Recover the durable directory before serving: once the listener is
-	// up, every registration and shield rule from before the crash is
-	// already back.
-	if *dataDir != "" {
-		rec, err := core.OpenDurable(mdm, *dataDir, journal.Options{})
-		if err != nil {
-			log.Fatalf("gupsterd: recover %s: %v", *dataDir, err)
+	if len(replPeers) > 0 {
+		cfg.Replication = &replication.Config{
+			Peers: replPeers, Quorum: *replQuorum, TTL: *electionTTL, Logf: log.Printf,
 		}
+	}
+	shards, err := parseShards("-shard-map", *shardMapFlag)
+	if err != nil {
+		log.Fatalf("gupsterd: %v", err)
+	}
+	if len(shards) > 0 {
+		cfg.ShardMap = wire.ShardMap{Version: *shardMapVersion, Shards: shards}
+	}
+	if *autoRepair || *gossipInterval > 0 || *suspectTimeout > 0 || len(spareFlags) > 0 {
+		// The constellation is the shard map plus every -spare entry.
+		spares, err := parseShards("-spare", strings.Join(spareFlags, ","))
+		if err != nil {
+			log.Fatalf("gupsterd: %v", err)
+		}
+		cfg.Gossip = &health.Config{
+			Members:        slices.Concat(shards, spares),
+			Interval:       *gossipInterval,
+			SuspectTimeout: *suspectTimeout,
+			AutoRepair:     *autoRepair,
+			Logf:           log.Printf,
+		}
+	}
+	if err := cfg.Validate(); err != nil {
+		fmt.Fprintln(os.Stderr, "gupsterd:", err)
+		os.Exit(2)
+	}
+
+	node, err := dirnode.Start(cfg)
+	if err != nil {
+		log.Fatalf("gupsterd: %v", err)
+	}
+	if rec := node.Recovered; rec != nil {
 		snapN := 0
 		if rec.Snapshot != nil {
 			snapN = len(rec.Snapshot.Coverage) + len(rec.Snapshot.Shields)
@@ -292,117 +214,11 @@ func main() {
 		log.Printf("gupsterd: recovered directory from %s (%d snapshot entries, %d log records, %d torn bytes dropped)",
 			*dataDir, snapN, len(rec.Records), rec.TornBytes)
 	}
-
-	var closeServer func() error
-	if len(replPeers) > 0 {
-		// Quorum-replicated constellation: this member ships its journal
-		// to followers (or follows a leader), mutations ack only after a
-		// quorum holds them durably, and leader failure elects a
-		// replacement within one election TTL.
-		id := *advertise
-		if id == "" {
-			id = *listen
-		}
-		node, err := replication.NewNode(mdm, replication.Config{
-			ID:     id,
-			Peers:  replPeers,
-			Quorum: *replQuorum,
-			TTL:    *electionTTL,
-			Logf:   log.Printf,
-		})
-		if err != nil {
-			log.Fatalf("gupsterd: %v", err)
-		}
-		if *shardOf != "" {
-			// Shard routing fronts the constellation member: the shard node
-			// answers map/install/coverage frames and routes owner-scoped
-			// traffic before the replication layer sees it.
-			sn := shard.NewNode(shard.NodeConfig{
-				ShardID: *shardOf, MDM: mdm,
-				Inner: wire.HandlerFunc(node.Handle), Logf: log.Printf,
-			})
-			if _, err := sn.Install(&wire.ShardInstallRequest{Map: shardMap}); err != nil {
-				log.Fatalf("gupsterd: %v", err)
-			}
-			selfAddr := *advertise
-			if selfAddr == "" {
-				selfAddr = *listen
-			}
-			h, stopGossip := startGossip(sn, *shardOf, selfAddr, shardMap, spareFlags,
-				*gossipInterval, *suspectTimeout, *autoRepair)
-			ln, err := net.Listen("tcp", *listen)
-			if err != nil {
-				log.Fatalf("gupsterd: %v", err)
-			}
-			node.StartWith(ln, h)
-			closeServer = func() error {
-				stopGossip()
-				sn.Close()
-				return node.Close()
-			}
-			log.Printf("gupsterd: replicated MDM shard %q listening on %s (map v%d, id=%s, peers=%v, quorum=%d, auto-repair=%v)",
-				*shardOf, node.Addr(), shardMap.Version, id, replPeers, *replQuorum, *autoRepair)
-		} else {
-			if err := node.Start(*listen); err != nil {
-				log.Fatalf("gupsterd: %v", err)
-			}
-			closeServer = node.Close
-			log.Printf("gupsterd: replicated MDM listening on %s (id=%s, peers=%v, quorum=%d, election-ttl=%s)",
-				node.Addr(), id, replPeers, *replQuorum, *electionTTL)
-		}
-	} else if len(peers) > 0 {
-		mirror := federation.NewMirror(mdm)
-		srv, err := mirror.Serve(*listen)
-		if err != nil {
-			log.Fatalf("gupsterd: %v", err)
-		}
-		closeServer = srv.Close
-		log.Printf("gupsterd: mirror listening on %s (cache=%d, ttl=%s, peers=%v)", srv.Addr(), *cache, *ttl, peers)
-		// Anti-entropy peering: late or restarted peers are (re-)peered and
-		// resynced from this mirror's snapshot.
-		for _, p := range peers {
-			mirror.KeepPeer(p, time.Second)
-		}
-		defer mirror.Close()
-	} else if *shardOf != "" {
-		srv := core.NewServer(mdm)
-		sn := shard.NewNode(shard.NodeConfig{
-			ShardID: *shardOf, MDM: mdm,
-			Inner: wire.HandlerFunc(srv.Handle), Logf: log.Printf,
-		})
-		if _, err := sn.Install(&wire.ShardInstallRequest{Map: shardMap}); err != nil {
-			log.Fatalf("gupsterd: %v", err)
-		}
-		selfAddr := *advertise
-		if selfAddr == "" {
-			selfAddr = *listen
-		}
-		h, stopGossip := startGossip(sn, *shardOf, selfAddr, shardMap, spareFlags,
-			*gossipInterval, *suspectTimeout, *autoRepair)
-		ws, err := wire.Serve(*listen, h)
-		if err != nil {
-			log.Fatalf("gupsterd: %v", err)
-		}
-		closeServer = func() error {
-			stopGossip()
-			sn.Close()
-			return ws.Close()
-		}
-		log.Printf("gupsterd: MDM shard %q listening on %s (map v%d, %d shards, cache=%d, ttl=%s, auto-repair=%v)",
-			*shardOf, ws.Addr(), shardMap.Version, len(shardMap.Shards), *cache, *ttl, *autoRepair)
-	} else {
-		srv := core.NewServer(mdm)
-		if err := srv.Start(*listen); err != nil {
-			log.Fatalf("gupsterd: %v", err)
-		}
-		closeServer = srv.Close
-		log.Printf("gupsterd: MDM listening on %s (cache=%d, ttl=%s)", srv.Addr(), *cache, *ttl)
-	}
+	log.Printf("gupsterd: %s listening on %s", cfg.Role(), node.Addr())
 
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	<-sig
 	log.Printf("gupsterd: shutting down")
-	mdm.Close()
-	closeServer()
+	node.Close()
 }

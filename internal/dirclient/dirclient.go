@@ -154,9 +154,6 @@ func New(seeds ...string) *Directory {
 // Dial returns a handle connected to the first reachable seed.
 func Dial(seeds ...string) (*Directory, error) {
 	d := New(seeds...)
-	// The dial itself is bounded by wire.Dial; this bounds the map probe.
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
 	var failed []string
 	var lastErr error
 	for {
@@ -164,7 +161,12 @@ func Dial(seeds ...string) (*Directory, error) {
 		if addr == "" {
 			return nil, unreachable(lastErr)
 		}
-		if _, err := d.open(ctx, addr, false); err != nil {
+		// One budget per seed, covering its dial and its map probe: a
+		// blackholed seed must not use up the next one's.
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		_, err := d.open(ctx, addr, false)
+		cancel()
+		if err != nil {
 			failed, lastErr = append(failed, addr), err
 			continue
 		}
@@ -382,7 +384,7 @@ func transport(err error) bool {
 // dedicated, else the pooled one, dialed and asked for its shard map on
 // first use.
 func (d *Directory) open(ctx context.Context, addr string, dedicated bool) (*wire.Client, error) {
-	conn, err := wire.Dial(addr)
+	conn, err := wire.DialContext(ctx, addr)
 	if err != nil || dedicated {
 		return conn, err
 	}

@@ -65,8 +65,6 @@ type Mirror struct {
 	keepStop chan struct{}
 	keepOnce sync.Once
 	keepG    sync.WaitGroup
-
-	ws *wire.Server
 }
 
 // NewMirror fronts a local MDM.
@@ -82,12 +80,7 @@ func NewMirror(local *core.MDM) *Mirror {
 
 // Serve starts the mirror's listener.
 func (m *Mirror) Serve(addr string) (*wire.Server, error) {
-	ws, err := wire.Serve(addr, wire.HandlerFunc(m.handle))
-	if err != nil {
-		return nil, err
-	}
-	m.ws = ws
-	return ws, nil
+	return wire.Serve(addr, m)
 }
 
 // AddPeer connects this mirror to a peer mirror; mutations will be
@@ -202,7 +195,10 @@ func (m *Mirror) Close() {
 	}
 }
 
-func (m *Mirror) handle(c *wire.ServerConn, msg *wire.Message) {
+// ServeWire implements wire.Handler: peer hellos are answered here,
+// client mutations fan out to the peers, and everything is then applied by
+// the local core server, which replies.
+func (m *Mirror) ServeWire(c *wire.ServerConn, msg *wire.Message) {
 	if msg.Type == typePeerHello {
 		m.peerMu.Lock()
 		m.peerConns[c] = true

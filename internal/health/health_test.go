@@ -60,14 +60,9 @@ func startConstellation(t *testing.T, n int, mut func(i int, cfg *Config)) []*me
 			ShardID: m.info.ID, MDM: mdm, Inner: wire.HandlerFunc(srv.Handle), Logf: t.Logf,
 		})
 		cfg := Config{
-			Self:    m.info,
-			Members: infos,
-			Map: func() wire.ShardMap {
-				if r := node.Ring(); r != nil {
-					return r.Map()
-				}
-				return wire.ShardMap{}
-			},
+			Self:           m.info,
+			Members:        infos,
+			Map:            node.Map,
 			SelfInstall:    node.Install,
 			Interval:       25 * time.Millisecond,
 			SuspectTimeout: 100 * time.Millisecond,

@@ -167,48 +167,18 @@ func NewNode(m *core.MDM, cfg Config) (*Node, error) {
 	return n, nil
 }
 
-// Inner exposes the embedded core server (for admission tuning etc.).
-func (n *Node) Inner() *core.Server { return n.inner }
-
-// Start opens the listener and starts the election and shipping loops.
-func (n *Node) Start(addr string) error {
-	ws, err := wire.Serve(addr, wire.HandlerFunc(n.Handle))
-	if err != nil {
-		return err
-	}
-	n.attach(ws)
-	return nil
-}
-
-// StartListener is Start on a pre-opened listener — constellation
-// bootstrap needs every member's address before any member exists.
-func (n *Node) StartListener(ln net.Listener) {
-	n.attach(wire.ServeListener(ln, wire.HandlerFunc(n.Handle)))
-}
-
-// StartWith is StartListener with an outer handler fronting this node's
-// dispatch — shard routing wraps the constellation member while the
-// node's election and shipping loops still run against the listener.
-// The outer handler must eventually delegate to Handle.
-func (n *Node) StartWith(ln net.Listener, h wire.Handler) {
-	n.attach(wire.ServeListener(ln, h))
-}
-
-func (n *Node) attach(ws *wire.Server) {
-	n.ws = ws
+// Start serves ln with h and starts the election and shipping loops. h is
+// the node's own Handle, or an outer layer (shard routing) that
+// eventually delegates to it. The listener is pre-opened because
+// constellation bootstrap needs every member's address before any member
+// exists.
+func (n *Node) Start(ln net.Listener, h wire.Handler) {
+	n.ws = wire.ServeListener(ln, h)
 	n.wg.Add(1 + len(n.peers))
 	go n.run()
 	for _, p := range n.peers {
 		go n.shipper(p)
 	}
-}
-
-// Addr is the listener's address (useful with ":0").
-func (n *Node) Addr() string {
-	if n.ws == nil {
-		return ""
-	}
-	return n.ws.Addr()
 }
 
 // Close stops the loops and the listener. The journal stays open — it

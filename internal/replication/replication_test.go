@@ -77,7 +77,7 @@ func newCluster(t *testing.T, n int, opts journal.Options, deferred ...int) *clu
 		if isDeferred(i) {
 			_ = lns[i].Close()
 		} else {
-			node.StartListener(lns[i])
+			node.Start(lns[i], wire.HandlerFunc(node.Handle))
 		}
 	}
 	t.Cleanup(func() {
@@ -100,7 +100,7 @@ func (c *cluster) startDeferred(i int) {
 	if err != nil {
 		c.t.Fatal(err)
 	}
-	c.nodes[i].StartListener(ln)
+	c.nodes[i].Start(ln, wire.HandlerFunc(c.nodes[i].Handle))
 }
 
 // waitLeader polls until exactly one started node reports itself leader

@@ -12,6 +12,7 @@ import (
 	"gupster/internal/core"
 	"gupster/internal/coverage"
 	"gupster/internal/dirclient/ring"
+	"gupster/internal/dirnode"
 	"gupster/internal/faultinject"
 	"gupster/internal/health"
 	"gupster/internal/journal"
@@ -84,39 +85,26 @@ type StoreNode struct {
 	Dead bool
 }
 
-// Member is one MDM of a quorum-replicated rig: the directory, its
-// replication node (journal shipping + election) and the temp journal
-// directory backing it.
-type Member struct {
-	MDM  *core.MDM
-	Node *replication.Node
-	Addr string
-	Dir  string
-	// Killed marks a member whose node was hard-closed mid-run (the
-	// leader-kill fault); pollers skip it.
-	Killed atomic.Bool
-}
-
-// Shard is one directory shard of a sharded rig: an independent MDM
-// slice wrapped in a routing shard node, serving the owners the
-// installed map's ring assigns to its ID.
-type Shard struct {
-	ID   string
-	MDM  *core.MDM
-	Node *shard.Node
-	Addr string
-	srv  *wire.Server
-	// Proxy fronts the shard when the spec declares shard-links; Addr is
-	// the proxy address then, and partitions act on it.
+// DirNode is one directory node of a rig — the single MDM, one member of
+// a quorum-replicated constellation, or one shard — as dirnode.Start
+// assembled it, plus what the rig put around it.
+type DirNode struct {
+	// Node is the serving stack: Node.MDM the directory (slice),
+	// Node.Repl the replication layer (replicated rigs), Node.Shard the
+	// routing layer (sharded rigs).
+	Node *dirnode.Node
+	// ID is the shard ID ("" off sharded rigs).
+	ID string
+	// Addr is what clients and peers dial: the proxy when the spec
+	// declares an mdm link or shard-links, else the listener. Partitions
+	// act on the proxy.
+	Addr  string
 	Proxy *faultinject.Proxy
-	// Agent is the shard's gossip failure detector (auto-repair rigs).
-	Agent *health.Agent
-	// Killed marks a shard hard-killed mid-run (KillShard); pollers and
-	// the teardown audit skip it.
+	// Dir is the temp journal directory of a replicated member.
+	Dir string
+	// Killed marks a node hard-closed mid-run (the leader-kill and
+	// shard-kill faults); pollers and the teardown audit skip it.
 	Killed atomic.Bool
-	// Spare marks a shard built outside the initial map — a rebalance
-	// expansion target holding no owners until the map grows onto it.
-	Spare bool
 }
 
 // Rig is a built topology instance: one MDM fronting a set of stores,
@@ -124,29 +112,26 @@ type Shard struct {
 // one from a spec; Close tears it down registrars-first so no goroutine
 // outlives it.
 //
-// With Spec.Replicas >= 2 the MDM side is a quorum-replicated
-// constellation instead: Members holds the nodes, MDM points at the
-// seed-time leader's directory (for in-process counters) and MDMAddr at
-// its address; workload mutations ride a federation.MirrorClient so they
-// re-home when leadership moves.
+// The directory side is Nodes: one node on a plain rig, Spec.Replicas
+// members of a quorum constellation, or Spec.Shards+Spec.SpareShards
+// shards. MDM aliases one node's directory for in-process counters (the
+// seed-time leader's, or the first shard's) and MDMAddr is where clients
+// bootstrap; workload mutations ride a directory handle so they re-home
+// when leadership or the map moves.
 type Rig struct {
 	Spec   RigSpec
 	Seed   int64
 	Signer *token.Signer
 
-	MDM    *core.MDM
-	MDMSrv *core.Server
+	MDM *core.MDM
 	// MDMProxy fronts the MDM for clients when the spec declares an mdm
 	// link; MDMAddr is what clients dial either way.
 	MDMProxy *faultinject.Proxy
 	MDMAddr  string
 
-	// Members is the replicated constellation (empty on single-MDM rigs).
-	Members []*Member
+	Nodes []*DirNode
 
-	// Shards is the sharded directory (empty on single-MDM and replicated
-	// rigs); shardMap/shardRing track the currently installed map.
-	Shards    []*Shard
+	// shardMap/shardRing track the currently installed map (sharded rigs).
 	shardMu   sync.Mutex
 	shardMap  wire.ShardMap
 	shardRing *ring.Ring
@@ -185,29 +170,8 @@ func Build(spec RigSpec, seed int64, rigIdx int) (*Rig, error) {
 
 func (r *Rig) build() error {
 	spec := &r.Spec
-	if spec.Replicas >= 2 {
-		if err := r.buildReplicated(); err != nil {
-			return err
-		}
-	} else if spec.Shards >= 2 {
-		if err := r.buildSharded(); err != nil {
-			return err
-		}
-	} else {
-		r.MDM = core.New(mdmConfig(spec, r.Signer))
-		r.MDMSrv = core.NewServer(r.MDM)
-		if err := r.MDMSrv.Start("127.0.0.1:0"); err != nil {
-			return err
-		}
-		r.MDMAddr = r.MDMSrv.Addr()
-		if spec.Links.MDM != nil {
-			p, err := r.newProxy(r.MDMSrv.Addr(), spec.Links.MDM, 0)
-			if err != nil {
-				return err
-			}
-			r.MDMProxy = p
-			r.MDMAddr = p.Addr()
-		}
+	if err := r.buildDirectory(); err != nil {
+		return err
 	}
 
 	for i := 0; i < spec.Stores; i++ {
@@ -239,193 +203,147 @@ func (r *Rig) build() error {
 	return nil
 }
 
-// buildReplicated assembles the quorum-replicated MDM constellation:
-// Replicas members with temp-dir journals, pre-bound listeners (so every
-// member knows its peers' addresses before any starts), and an initial
-// election. Seeding then runs through the leader's directory in-process,
-// which acks each registration only after a quorum holds it durably.
-func (r *Rig) buildReplicated() error {
+func (r *Rig) replicated() bool { return r.Spec.Replicas >= 2 }
+func (r *Rig) sharded() bool    { return r.Spec.Shards >= 2 }
+
+// buildDirectory assembles the directory side, whatever its kind, in two
+// passes. First every node's listener is bound and, where the spec
+// declares a link, fronted by its fault proxy — constellation members and
+// gossip agents need every peer's dialable address before any of them
+// starts, and addressing peers through the proxies makes a partition sever
+// replication, gossip and repair traffic alike. Then dirnode.Start stacks
+// and serves each node. A replicated rig journals to temp directories and
+// waits for its first election; seeding then runs through the leader's
+// directory in-process, which acks only after a quorum holds the record. A
+// sharded rig starts every shard — spares included, so a spare redirects
+// rather than mis-serving — under the version-1 map of the non-spare
+// shards; seeding registers each owner at its home shard, as the ring
+// routes it.
+func (r *Rig) buildDirectory() error {
 	spec := &r.Spec
-	ttl := spec.ElectionTTL
-	if ttl <= 0 {
-		ttl = 500 * time.Millisecond
+	count, link, linkBase := 1, spec.Links.MDM, 0
+	switch {
+	case r.replicated():
+		count = spec.Replicas
+	case r.sharded():
+		count, link, linkBase = spec.Shards+spec.SpareShards, spec.ShardLinks, 100
 	}
-	lns := make([]net.Listener, spec.Replicas)
-	addrs := make([]string, spec.Replicas)
-	closeRest := func(from int) {
-		for i := from; i < len(lns); i++ {
-			if lns[i] != nil {
-				lns[i].Close()
+	lns := make([]net.Listener, count)
+	defer func() {
+		for _, ln := range lns { // whatever no node took ownership of
+			if ln != nil {
+				ln.Close()
 			}
 		}
-	}
+	}()
+	infos := make([]wire.ShardInfo, count)
 	for i := range lns {
 		ln, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
-			closeRest(0)
 			return err
 		}
 		lns[i] = ln
-		addrs[i] = ln.Addr().String()
+		node := &DirNode{Addr: ln.Addr().String()}
+		r.Nodes = append(r.Nodes, node)
+		if r.sharded() {
+			node.ID = fmt.Sprintf("shard-%d", i)
+		}
+		if link != nil {
+			p, err := r.newProxy(node.Addr, link, linkBase+i)
+			if err != nil {
+				return err
+			}
+			node.Proxy, node.Addr = p, p.Addr()
+		}
+		infos[i] = wire.ShardInfo{ID: node.ID, Addr: node.Addr}
 	}
-	for i := range lns {
-		m := core.New(mdmConfig(spec, r.Signer))
-		dir, err := os.MkdirTemp("", "gupster-scenario-*")
-		if err != nil {
-			m.Close()
-			closeRest(i)
-			return err
+
+	for i, node := range r.Nodes {
+		cfg := dirnode.Config{
+			MDM:       mdmConfig(spec, r.Signer),
+			Listener:  lns[i],
+			Advertise: node.Addr,
 		}
-		if _, err := core.OpenDurable(m, dir, journal.Options{NoSync: true}); err != nil {
-			m.Close()
-			os.RemoveAll(dir)
-			closeRest(i)
-			return err
-		}
-		peers := make([]string, 0, len(addrs)-1)
-		for j, a := range addrs {
-			if j != i {
-				peers = append(peers, a)
+		if r.replicated() {
+			dir, err := os.MkdirTemp("", "gupster-scenario-*")
+			if err != nil {
+				return err
+			}
+			node.Dir = dir
+			cfg.DataDir, cfg.Journal = dir, journal.Options{NoSync: true}
+			cfg.Replication = &replication.Config{Quorum: spec.Quorum, TTL: r.electionTTL()}
+			for j, peer := range r.Nodes {
+				if j != i {
+					cfg.Replication.Peers = append(cfg.Replication.Peers, peer.Addr)
+				}
 			}
 		}
-		node, err := replication.NewNode(m, replication.Config{
-			ID: addrs[i], Peers: peers, Quorum: spec.Quorum, TTL: ttl,
-		})
+		if r.sharded() {
+			cfg.ShardID = node.ID
+			cfg.ShardMap = wire.ShardMap{Version: 1, Shards: infos[:spec.Shards]}
+			if spec.AutoRepair {
+				// Members cover the whole constellation: the spares are the
+				// promotion pool.
+				cfg.Gossip = &health.Config{
+					Members:        infos,
+					Interval:       spec.GossipInterval,
+					SuspectTimeout: spec.SuspectTimeout,
+					AutoRepair:     true,
+					ForwardMillis:  300,
+					OnRepair:       r.recordRepair,
+				}
+			}
+		}
+		lns[i] = nil // Start owns the listener from here, error or not
+		n, err := dirnode.Start(cfg)
 		if err != nil {
-			m.Close()
-			os.RemoveAll(dir)
-			closeRest(i)
 			return err
 		}
-		node.StartListener(lns[i])
-		r.Members = append(r.Members, &Member{MDM: m, Node: node, Addr: addrs[i], Dir: dir})
+		node.Node = n
 	}
-	lead := r.WaitLeader(20 * ttl)
-	if lead < 0 {
-		return fmt.Errorf("replicated rig %s: no leader elected within %s", spec.Name, 20*ttl)
+
+	// One node stands in as "the MDM" for pipeline counters and as the
+	// address clients bootstrap from: the elected leader, else the first.
+	first := r.Nodes[0]
+	if r.replicated() {
+		wait := 20 * r.electionTTL()
+		lead := r.WaitLeader(wait)
+		if lead < 0 {
+			return fmt.Errorf("replicated rig %s: no leader elected within %s", spec.Name, wait)
+		}
+		first = r.Nodes[lead]
 	}
-	r.MDM = r.Members[lead].MDM
-	r.MDMAddr = r.Members[lead].Addr
+	r.MDM, r.MDMAddr = first.Node.MDM, first.Addr
+	if r.sharded() {
+		r.shardMap, r.shardRing = first.Node.Shard.Map(), first.Node.Shard.Ring()
+	} else {
+		r.MDMProxy = first.Proxy
+	}
 	return nil
 }
 
-// buildSharded assembles the partitioned directory: Shards+SpareShards
-// independent MDM slices, each behind a routing shard node on its own
-// listener. The initial map (version 1) covers only the non-spare shards
-// and is installed everywhere — spares included, so a spare redirects
-// rather than mis-serving until a rebalance grows the map onto it.
-// Seeding then registers each owner's coverage at its home shard's MDM
-// in-process, exactly as the ring routes it.
-func (r *Rig) buildSharded() error {
-	spec := &r.Spec
-	total := spec.Shards + spec.SpareShards
-	// Phase A: build every shard's directory, node, listener and (when the
-	// spec declares shard-links) fault proxy, so the full constellation
-	// address list is known before anything serves — each gossip agent
-	// needs every member's dialable address up front.
-	lns := make([]net.Listener, total)
-	for i := 0; i < total; i++ {
-		m := core.New(mdmConfig(spec, r.Signer))
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			m.Close()
-			return err
-		}
-		id := fmt.Sprintf("shard-%d", i)
-		sn := shard.NewNode(shard.NodeConfig{
-			ShardID: id,
-			MDM:     m,
-			Inner:   wire.HandlerFunc(core.NewServer(m).Handle),
-		})
-		sh := &Shard{ID: id, MDM: m, Node: sn, Addr: ln.Addr().String(), Spare: i >= spec.Shards}
-		if spec.ShardLinks != nil {
-			p, err := r.newProxy(ln.Addr().String(), spec.ShardLinks, 100+i)
-			if err != nil {
-				ln.Close()
-				sn.Close()
-				m.Close()
-				return err
-			}
-			sh.Proxy = p
-			sh.Addr = p.Addr()
-		}
-		lns[i] = ln
-		r.Shards = append(r.Shards, sh)
+// electionTTL is the replicated rig's leader lease (spec value or 500ms).
+func (r *Rig) electionTTL() time.Duration {
+	if r.Spec.ElectionTTL > 0 {
+		return r.Spec.ElectionTTL
 	}
-	// Phase B: serve each shard, wrapping its dispatch in a gossip agent
-	// on auto-repair rigs. Members cover the whole constellation (spares
-	// included — they are the promotion pool), addressed through the
-	// proxies so a partition severs gossip and repair traffic alike.
-	infos := make([]wire.ShardInfo, total)
-	for i, s := range r.Shards {
-		infos[i] = wire.ShardInfo{ID: s.ID, Addr: s.Addr}
-	}
-	for i, s := range r.Shards {
-		var h wire.Handler = s.Node
-		if spec.AutoRepair {
-			sn := s.Node
-			s.Agent = health.New(health.Config{
-				Self:    infos[i],
-				Members: infos,
-				Map: func() wire.ShardMap {
-					if ring := sn.Ring(); ring != nil {
-						return ring.Map()
-					}
-					return wire.ShardMap{}
-				},
-				SelfInstall:    sn.Install,
-				Interval:       spec.GossipInterval,
-				SuspectTimeout: spec.SuspectTimeout,
-				AutoRepair:     true,
-				ForwardMillis:  300,
-				OnRepair:       r.recordRepair,
-			})
-			h = health.Wrap(s.Agent, s.Node)
-		}
-		s.srv = wire.ServeListener(lns[i], h)
-	}
-	initial := wire.ShardMap{Version: 1}
-	for _, s := range r.Shards[:spec.Shards] {
-		initial.Shards = append(initial.Shards, wire.ShardInfo{ID: s.ID, Addr: s.Addr})
-	}
-	ring, err := ring.Build(initial)
-	if err != nil {
-		return err
-	}
-	for _, s := range r.Shards {
-		if _, err := s.Node.Install(&wire.ShardInstallRequest{Map: initial}); err != nil {
-			return err
-		}
-	}
-	r.shardMap, r.shardRing = initial, ring
-	// The first shard stands in as "the MDM" for pipeline counters and as
-	// the seed address shard-aware clients bootstrap from.
-	r.MDM = r.Shards[0].MDM
-	r.MDMAddr = r.Shards[0].Addr
-	// Agents start only after the initial map is everywhere, so the first
-	// probe rounds gossip real coordinates.
-	if spec.AutoRepair {
-		for _, s := range r.Shards {
-			s.Agent.Start()
-		}
-	}
-	return nil
+	return 500 * time.Millisecond
 }
 
 // directoryFor returns the MDM holding an owner's directory slice: the
 // owner's home shard under the current ring, or the audit MDM on
 // unsharded rigs.
 func (r *Rig) directoryFor(owner string) *core.MDM {
-	if len(r.Shards) == 0 {
+	if !r.sharded() {
 		return r.auditMDM()
 	}
 	r.shardMu.Lock()
 	ring := r.shardRing
 	r.shardMu.Unlock()
 	home := ring.Owner(owner)
-	for _, s := range r.Shards {
+	for _, s := range r.Nodes {
 		if s.ID == home.ID {
-			return s.MDM
+			return s.Node.MDM
 		}
 	}
 	return r.MDM
@@ -440,7 +358,7 @@ func (r *Rig) Rebalance(ctx context.Context) (int, error) {
 	old := r.shardMap
 	r.shardMu.Unlock()
 	next := wire.ShardMap{Version: old.Version + 1}
-	for _, s := range r.Shards {
+	for _, s := range r.Nodes {
 		next.Shards = append(next.Shards, wire.ShardInfo{ID: s.ID, Addr: s.Addr})
 	}
 	oldRing, err := ring.Build(old)
@@ -496,12 +414,9 @@ func (r *Rig) WaitRepair(sinceEpoch uint64, timeout time.Duration) (health.Repai
 // CurrentEpoch reads the repair epoch a live shard currently serves — the
 // baseline a WaitRepair measures progress against.
 func (r *Rig) CurrentEpoch() uint64 {
-	for _, s := range r.Shards {
-		if s.Killed.Load() {
-			continue
-		}
-		if ring := s.Node.Ring(); ring != nil {
-			return ring.Map().Epoch
+	for _, s := range r.Nodes {
+		if !s.Killed.Load() && s.Node.Shard != nil {
+			return s.Node.Shard.Map().Epoch
 		}
 	}
 	return 0
@@ -511,14 +426,11 @@ func (r *Rig) CurrentEpoch() uint64 {
 // directoryFor and the audit probes route by the post-repair ring rather
 // than the map the rig installed at build time.
 func (r *Rig) refreshShardView() {
-	for _, s := range r.Shards {
+	for _, s := range r.Nodes {
 		if s.Killed.Load() {
 			continue
 		}
-		cur := s.Node.Ring()
-		if cur == nil {
-			continue
-		}
+		cur := s.Node.Shard.Ring()
 		m := cur.Map()
 		r.shardMu.Lock()
 		if ring.Compare(m, r.shardMap) > 0 {
@@ -529,32 +441,33 @@ func (r *Rig) refreshShardView() {
 	}
 }
 
-// KillShard hard-kills the named shard: its gossip agent, wire server and
-// fault proxy all go down, so peer dials are refused — the in-process
-// analog of a machine loss. Reports whether a live shard was killed.
+// KillShard hard-kills the named shard: the whole node and its fault proxy
+// go down, so peer dials are refused — the in-process analog of a machine
+// loss. Reports whether a live shard was killed.
 func (r *Rig) KillShard(id string) bool {
-	for _, s := range r.Shards {
-		if s.ID != id || s.Killed.Load() {
-			continue
+	for _, s := range r.Nodes {
+		if s.ID == id && !s.Killed.Load() {
+			s.kill()
+			return true
 		}
-		s.Killed.Store(true)
-		if s.Agent != nil {
-			s.Agent.Close()
-		}
-		s.srv.Close()
-		if s.Proxy != nil {
-			s.Proxy.Close()
-		}
-		return true
 	}
 	return false
+}
+
+// kill hard-closes a node mid-run and marks it so pollers skip it.
+func (n *DirNode) kill() {
+	n.Killed.Store(true)
+	n.Node.Close()
+	if n.Proxy != nil {
+		n.Proxy.Close()
+	}
 }
 
 // PartitionShard imposes (on=true) or heals the one-way partition on the
 // named shard's proxy: inbound requests still land, but its replies
 // vanish — the shard can hear and not be heard.
 func (r *Rig) PartitionShard(id string, on bool) bool {
-	for _, s := range r.Shards {
+	for _, s := range r.Nodes {
 		if s.ID == id && s.Proxy != nil && !s.Killed.Load() {
 			s.Proxy.PartitionOneWay(on)
 			return true
@@ -566,11 +479,8 @@ func (r *Rig) PartitionShard(id string, on bool) bool {
 // Leader returns the index of the live member currently reporting
 // itself leader, or -1 mid-election.
 func (r *Rig) Leader() int {
-	for i, mem := range r.Members {
-		if mem.Killed.Load() {
-			continue
-		}
-		if st := mem.Node.Status(); st.Role == "leader" {
+	for i, mem := range r.Nodes {
+		if !mem.Killed.Load() && mem.Node.Repl != nil && mem.Node.Repl.Status().Role == "leader" {
 			return i
 		}
 	}
@@ -593,26 +503,24 @@ func (r *Rig) WaitLeader(timeout time.Duration) int {
 }
 
 // KillLeader hard-closes the current leader's node (listener, shippers,
-// election loop — the in-process analog of kill -9) and returns its
-// index, or -1 when no member holds the lease right now.
+// election loop, journal — the in-process analog of kill -9) and returns
+// its index, or -1 when no member holds the lease right now.
 func (r *Rig) KillLeader() int {
 	i := r.Leader()
-	if i < 0 {
-		return -1
+	if i >= 0 {
+		r.Nodes[i].kill()
 	}
-	r.Members[i].Killed.Store(true)
-	r.Members[i].Node.Close()
 	return i
 }
 
-// MemberAddrs lists every constellation address (single-MDM rigs: just
-// MDMAddr) — the MirrorClient seed list.
+// MemberAddrs lists every constellation address (single-MDM and sharded
+// rigs: just MDMAddr) — the directory handle's seed list.
 func (r *Rig) MemberAddrs() []string {
-	if len(r.Members) == 0 {
+	if !r.replicated() {
 		return []string{r.MDMAddr}
 	}
-	addrs := make([]string, len(r.Members))
-	for i, mem := range r.Members {
+	addrs := make([]string, len(r.Nodes))
+	for i, mem := range r.Nodes {
 		addrs[i] = mem.Addr
 	}
 	return addrs
@@ -630,18 +538,18 @@ func (r *Rig) RecordAcked(reg wire.RegisterRequest) {
 // leader of a replicated rig (any live member as a fallback), or the
 // single MDM.
 func (r *Rig) auditMDM() *core.MDM {
-	if len(r.Members) == 0 {
+	if !r.replicated() {
 		return r.MDM
 	}
 	if i := r.Leader(); i >= 0 {
-		return r.Members[i].MDM
+		return r.Nodes[i].Node.MDM
 	}
-	for _, mem := range r.Members {
+	for _, mem := range r.Nodes {
 		if !mem.Killed.Load() {
-			return mem.MDM
+			return mem.Node.MDM
 		}
 	}
-	return r.Members[0].MDM
+	return r.Nodes[0].Node.MDM
 }
 
 // newProxy builds one fault proxy with the spec's initial settings and a
@@ -693,7 +601,7 @@ func (r *Rig) buildStore(i int) (*StoreNode, error) {
 func (r *Rig) register(node *StoreNode, path string) error {
 	p := xpath.MustParse(path)
 	m := r.MDM
-	if len(r.Shards) > 0 {
+	if r.sharded() {
 		if owner, ok := coverage.UserOf(p); ok {
 			m = r.directoryFor(owner)
 		}
@@ -777,7 +685,7 @@ func (r *Rig) startRegistrar(node *StoreNode) error {
 	reg := store.NewRegistrar(store.RegistrarConfig{
 		Store:    node.Engine.ID(),
 		Addr:     node.Addr,
-		MDM:      r.MDMSrv.Addr(),
+		MDM:      r.Nodes[0].Node.Addr(),
 		Coverage: node.Coverage,
 		Interval: r.Spec.LeaseTTL / 2,
 	})
@@ -867,7 +775,7 @@ func (r *Rig) auditCoverage(audit *RegistrationAudit) {
 	r.ackedMu.Lock()
 	acked := append([]wire.RegisterRequest(nil), r.acked...)
 	r.ackedMu.Unlock()
-	if len(r.Members) == 0 && len(r.Shards) == 0 && len(acked) == 0 {
+	if !r.replicated() && !r.sharded() && len(acked) == 0 {
 		audit.Registered = r.auditMDM().Registry.Len()
 		return
 	}
@@ -880,12 +788,12 @@ func (r *Rig) auditCoverage(audit *RegistrationAudit) {
 	// A killed shard's MDM is excluded: its slice is stale by definition,
 	// and counting it could mask a registration the repair failed to move.
 	present := map[string]bool{}
-	if len(r.Shards) > 0 {
-		for _, s := range r.Shards {
+	if r.sharded() {
+		for _, s := range r.Nodes {
 			if s.Killed.Load() {
 				continue
 			}
-			for _, reg := range s.MDM.CoverageSnapshot() {
+			for _, reg := range s.Node.MDM.CoverageSnapshot() {
 				present[reg.Store+"|"+reg.Path] = true
 			}
 		}
@@ -907,7 +815,7 @@ func (r *Rig) auditCoverage(audit *RegistrationAudit) {
 			audit.Lost++
 		}
 	}
-	if len(r.Shards) > 0 && r.Spec.AutoRepair {
+	if r.sharded() && r.Spec.AutoRepair {
 		r.auditConstellation(audit)
 	}
 }
@@ -920,15 +828,13 @@ func (r *Rig) auditCoverage(audit *RegistrationAudit) {
 func (r *Rig) constellationView() (views, splitBrain int) {
 	coords := map[[2]uint64]bool{}
 	ownersAt := map[string]map[string]bool{}
-	for _, s := range r.Shards {
+	for _, s := range r.Nodes {
 		if s.Killed.Load() {
 			continue
 		}
-		if ring := s.Node.Ring(); ring != nil {
-			m := ring.Map()
-			coords[[2]uint64{m.Epoch, m.Version}] = true
-		}
-		for _, reg := range s.MDM.CoverageSnapshot() {
+		m := s.Node.Shard.Map()
+		coords[[2]uint64{m.Epoch, m.Version}] = true
+		for _, reg := range s.Node.MDM.CoverageSnapshot() {
 			owner, ok := coverage.UserOf(xpath.MustParse(reg.Path))
 			if !ok {
 				continue
@@ -963,10 +869,11 @@ func (r *Rig) auditConstellation(audit *RegistrationAudit) {
 }
 
 // Close tears the rig down in dependency order: registrars first (stop
-// heartbeat traffic), then the client-facing proxy and the MDM (stop
-// request traffic, close pooled store connections), then the store
-// proxies and servers. Every component's Close blocks until its
-// goroutines exit, so a closed rig leaks nothing.
+// heartbeat traffic), then the directory nodes — each in dirnode's order,
+// which ends with its MDM and journal — and their proxies, then the store
+// proxies and servers. Every component's Close blocks until its goroutines
+// exit, so a closed rig leaks nothing. Idempotent, and safe on a rig whose
+// build failed half-way.
 func (r *Rig) Close() {
 	for _, node := range r.Stores {
 		if node.Registrar != nil {
@@ -974,44 +881,16 @@ func (r *Rig) Close() {
 			node.Registrar = nil
 		}
 	}
-	if r.MDMProxy != nil {
-		r.MDMProxy.Close()
-	}
-	if r.MDMSrv != nil {
-		r.MDMSrv.Close()
-	}
-	// Replicated members own their MDMs (r.MDM aliases the leader's);
-	// close nodes first so no shipper is mid-append when the journals go.
-	for _, mem := range r.Members {
-		mem.Node.Close()
-	}
-	for _, mem := range r.Members {
-		mem.MDM.Close()
-		os.RemoveAll(mem.Dir)
-	}
-	// Shards own their MDMs (r.MDM aliases the first shard's); stop the
-	// gossip agents first (no repair mid-teardown), then the wire servers
-	// and proxies, then the routing nodes' forwarding connections and
-	// drain timers, then the directories themselves.
-	for _, s := range r.Shards {
-		if s.Agent != nil {
-			s.Agent.Close()
+	for _, n := range r.Nodes {
+		if n.Node != nil {
+			n.Node.Close()
 		}
-	}
-	for _, s := range r.Shards {
-		if s.srv != nil {
-			s.srv.Close()
+		if n.Proxy != nil {
+			n.Proxy.Close()
 		}
-		if s.Proxy != nil {
-			s.Proxy.Close()
+		if n.Dir != "" {
+			os.RemoveAll(n.Dir)
 		}
-	}
-	for _, s := range r.Shards {
-		s.Node.Close()
-		s.MDM.Close()
-	}
-	if r.MDM != nil && len(r.Members) == 0 && len(r.Shards) == 0 {
-		r.MDM.Close()
 	}
 	for _, node := range r.Stores {
 		if node.Proxy != nil {
@@ -1033,7 +912,7 @@ func probeContext(owner string) policy.Context {
 // verifying end-of-run registration integrity (the zero-lost-
 // registrations audit). Returns the number of failed probes.
 func (r *Rig) probeCoverage(ctx context.Context) int {
-	if len(r.Shards) > 0 {
+	if r.sharded() {
 		r.refreshShardView()
 	}
 	failures := 0

@@ -803,7 +803,7 @@ func (rr *rigRun) runOpen(p *Phase, phaseIdx int, fast bool) (*PhaseReport, erro
 			pr.RebalanceMillis = ms
 			pr.MovedOwners = moved
 			rr.engine.opts.logf("phase %s: rebalanced onto %d shards in %dms (%d owners moved)",
-				p.Name, len(rr.rig.Shards), ms, moved)
+				p.Name, len(rr.rig.Nodes), ms, moved)
 		}()
 	}
 

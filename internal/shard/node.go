@@ -214,6 +214,15 @@ func (n *Node) Ring() *ring.Ring {
 	return n.ring
 }
 
+// Map returns the shard map the node currently serves (the zero map
+// before any install) — the accessor the gossip layer reads.
+func (n *Node) Map() wire.ShardMap {
+	if r := n.Ring(); r != nil {
+		return r.Map()
+	}
+	return wire.ShardMap{}
+}
+
 func (n *Node) logf(format string, args ...any) {
 	if n.cfg.Logf != nil {
 		n.cfg.Logf(format, args...)

@@ -40,7 +40,15 @@ type Client struct {
 
 // Dial connects to a wire server.
 func Dial(addr string) (*Client, error) {
-	conn, err := net.DialTimeout("tcp", addr, 5*time.Second)
+	return DialContext(context.Background(), addr)
+}
+
+// DialContext is Dial bounded by ctx as well as by the 5 s dial timeout,
+// whichever ends first: a caller with 100 ms left does not spend 5 s on a
+// blackholed address. The error wraps ctx's when ctx ended the dial.
+func DialContext(ctx context.Context, addr string) (*Client, error) {
+	d := net.Dialer{Timeout: 5 * time.Second}
+	conn, err := d.DialContext(ctx, "tcp", addr)
 	if err != nil {
 		return nil, fmt.Errorf("wire: dial %s: %w", addr, err)
 	}

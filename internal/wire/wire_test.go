@@ -268,3 +268,26 @@ func TestDialFailure(t *testing.T) {
 		t.Error("Dial to closed port succeeded")
 	}
 }
+
+// A caller whose context has already ended is told so at once, in the
+// context's own words, whatever the address would have done.
+func TestDialContextExpired(t *testing.T) {
+	expired, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
+	defer cancel()
+	cancelled, cancel2 := context.WithCancel(context.Background())
+	cancel2()
+	for _, ctx := range []context.Context{expired, cancelled} {
+		t0 := time.Now()
+		c, err := DialContext(ctx, "127.0.0.1:1")
+		if err == nil {
+			c.Close()
+			t.Fatal("dial under a dead context succeeded")
+		}
+		if !errors.Is(err, ctx.Err()) {
+			t.Errorf("err = %v, want it to wrap %v", err, ctx.Err())
+		}
+		if took := time.Since(t0); took > time.Second {
+			t.Errorf("dial under a dead context took %s", took)
+		}
+	}
+}
