@@ -38,8 +38,9 @@ type Client struct {
 	// Keys drives client-side merges.
 	Keys xmltree.KeySpec
 
-	poolMu sync.Mutex
-	pool   map[string]*store.Client
+	// pool holds the connections to data stores that referrals are
+	// followed on.
+	pool wire.Pool
 
 	// Subscription state. Push subscriptions are server-side, in-memory,
 	// per-node objects: they die with the serving node (leader failover)
@@ -68,6 +69,8 @@ type Client struct {
 	// "requests … will be routed to the closest store available").
 	latMu sync.Mutex
 	lat   map[string]time.Duration
+	// observe is observeLatency, bound once rather than on every request.
+	observe func(addr string, d time.Duration)
 
 	// Resilience guards store fetches and updates: per-attempt timeouts,
 	// capped exponential backoff with jitter, and a per-store circuit
@@ -97,17 +100,17 @@ type Client struct {
 	// here — no hard-coded durations on any call path.
 	Budgets Budgets
 
-	// traceConn is a lazily dialed out-of-band connection for trace
+	// traces holds the lazily dialed out-of-band connection for trace
 	// reports: telemetry frames must never queue ahead of request frames
 	// on the request connection (on a slow link one report delays the next
 	// resolve by a full store-and-forward hop). traceQ feeds one reporter
 	// goroutine; when it backs up reports are dropped — tracing is lossy
 	// under pressure by design, never a brake on requests.
-	traceMu   sync.Mutex
-	traceConn *wire.Client
+	traces    wire.Pool
 	traceQ    chan []trace.Span
 	traceQuit chan struct{}
-	traceOnce sync.Once
+	traceOnce sync.Once // starts the reporter
+	traceStop sync.Once // closes traceQuit
 }
 
 // Budgets configures the client's deadline behavior. Budgets stamp
@@ -133,12 +136,11 @@ func DialMDM(addr, identity, role string) (*Client, error) {
 		return nil, err
 	}
 	pipe := &metrics.PipelineStats{}
-	return &Client{
+	c := &Client{
 		dir:         dir,
 		Identity:    identity,
 		Role:        role,
 		Keys:        xmltree.DefaultKeys,
-		pool:        make(map[string]*store.Client),
 		subRecs:     make(map[uint64]*subRecord),
 		subByServer: make(map[uint64]uint64),
 		lat:         make(map[string]time.Duration),
@@ -149,7 +151,9 @@ func DialMDM(addr, identity, role string) (*Client, error) {
 		Budgets:     Budgets{TraceReport: 2 * time.Second},
 		traceQ:      make(chan []trace.Span, 64),
 		traceQuit:   make(chan struct{}),
-	}, nil
+	}
+	c.observe = c.observeLatency
+	return c, nil
 }
 
 // withBudget applies the default operation deadline when the caller's
@@ -210,41 +214,16 @@ func (c *Client) reportTrace(spans []trace.Span) {
 	if len(spans) == 0 {
 		return
 	}
-	conn, err := c.traceConnection()
-	if err != nil {
-		return
-	}
 	d := c.Budgets.TraceReport
 	if d <= 0 {
 		d = 2 * time.Second
 	}
 	rctx, cancel := context.WithTimeout(context.Background(), d)
 	defer cancel()
-	if err := conn.Send(rctx, wire.TypeTraceReport, wire.TraceReportRequest{Spans: spans}); err != nil {
-		// Drop the dead connection; the next report redials.
-		c.traceMu.Lock()
-		if c.traceConn == conn {
-			c.traceConn = nil
-		}
-		c.traceMu.Unlock()
-		conn.Close()
+	if conn, err := c.traces.Get(rctx, c.dir.AddrFor("")); err == nil {
+		// A failed send kills the connection; the next report redials.
+		_ = conn.Send(rctx, wire.TypeTraceReport, wire.TraceReportRequest{Spans: spans})
 	}
-}
-
-// traceConnection returns the out-of-band reporting connection, dialing it
-// on first use.
-func (c *Client) traceConnection() (*wire.Client, error) {
-	c.traceMu.Lock()
-	defer c.traceMu.Unlock()
-	if c.traceConn != nil {
-		return c.traceConn, nil
-	}
-	conn, err := wire.Dial(c.dir.AddrFor(""))
-	if err != nil {
-		return nil, err
-	}
-	c.traceConn = conn
-	return conn, nil
 }
 
 // NewTrace explicitly begins a traced operation for callers (like gupctl)
@@ -309,12 +288,7 @@ func (c *Client) latencyScore(alt wire.Alternative) time.Duration {
 
 // Close tears down the MDM connection and pooled store connections.
 func (c *Client) Close() error {
-	c.poolMu.Lock()
-	for addr, sc := range c.pool {
-		sc.Close()
-		delete(c.pool, addr)
-	}
-	c.poolMu.Unlock()
+	c.pool.Close()
 	c.subMu.Lock()
 	c.subClosed = true
 	if c.subConn != nil {
@@ -322,19 +296,8 @@ func (c *Client) Close() error {
 		c.subConn = nil
 	}
 	c.subMu.Unlock()
-	c.traceMu.Lock()
-	if c.traceConn != nil {
-		c.traceConn.Close()
-		c.traceConn = nil
-	}
-	if c.traceQuit != nil {
-		select {
-		case <-c.traceQuit:
-		default:
-			close(c.traceQuit)
-		}
-	}
-	c.traceMu.Unlock()
+	c.traces.Close()
+	c.traceStop.Do(func() { close(c.traceQuit) })
 	c.dir.Close()
 	return nil
 }
@@ -363,30 +326,18 @@ func (c *Client) Resolve(ctx context.Context, req *wire.ResolveRequest) (*wire.R
 	return &resp, nil
 }
 
-func (c *Client) storeClient(addr string) (*store.Client, error) {
-	if addr == "" {
-		return nil, fmt.Errorf("gupster: referral without store address")
+// plans is the executor referrals are followed with, built per call
+// because Resilience, Keys and FanOut may be replaced until the first
+// request.
+func (c *Client) plans() store.Executor {
+	return store.Executor{
+		Pool:       &c.pool,
+		Resilience: c.Resilience,
+		Keys:       c.Keys,
+		FanOut:     c.FanOut,
+		Pipe:       c.pipe,
+		Observe:    c.observe,
 	}
-	c.poolMu.Lock()
-	defer c.poolMu.Unlock()
-	if sc, ok := c.pool[addr]; ok {
-		return sc, nil
-	}
-	sc, err := store.DialClient(addr)
-	if err != nil {
-		return nil, err
-	}
-	c.pool[addr] = sc
-	return sc, nil
-}
-
-func (c *Client) dropStoreClient(addr string) {
-	c.poolMu.Lock()
-	if sc, ok := c.pool[addr]; ok {
-		sc.Close()
-		delete(c.pool, addr)
-	}
-	c.poolMu.Unlock()
 }
 
 // Get resolves and fetches a profile component with the referral pattern:
@@ -542,86 +493,15 @@ func (c *Client) FollowReferrals(ctx context.Context, resp *wire.ResolveResponse
 	if resp.Data != "" {
 		return xmltree.ParseString(resp.Data)
 	}
-	alts := append([]wire.Alternative(nil), resp.Alternatives...)
+	alts := resp.Alternatives
 	if !c.DisableLatencyRouting {
+		alts = append([]wire.Alternative(nil), alts...)
 		sort.SliceStable(alts, func(i, j int) bool {
 			return c.latencyScore(alts[i]) < c.latencyScore(alts[j])
 		})
 	}
-	var ready, tripped []wire.Alternative
-	for _, alt := range alts {
-		if c.altAvailable(alt) {
-			ready = append(ready, alt)
-		} else {
-			tripped = append(tripped, alt)
-		}
-	}
-	alts = append(ready, tripped...)
-	var lastErr error
-	for i, alt := range alts {
-		merged, err := c.fetchAlternative(ctx, alt)
-		if err != nil {
-			lastErr = err
-			continue
-		}
-		if i > 0 {
-			c.Resilience.Stats.Fallbacks.Add(1)
-		}
-		return merged, nil
-	}
-	if lastErr == nil {
-		lastErr = ErrNoCoverage
-	}
-	return nil, lastErr
-}
-
-// altAvailable reports whether every store of an alternative currently
-// accepts traffic according to its breaker.
-func (c *Client) altAvailable(alt wire.Alternative) bool {
-	for _, ref := range alt.Referrals {
-		if !c.Resilience.Available(ref.Address) {
-			return false
-		}
-	}
-	return true
-}
-
-// fetchAlternative fetches an alternative's pieces on a bounded worker
-// pool (Client.FanOut) and deep-unions them in referral order.
-func (c *Client) fetchAlternative(ctx context.Context, alt wire.Alternative) (*xmltree.Node, error) {
-	pieces := make([]*xmltree.Node, len(alt.Referrals))
-	if len(alt.Referrals) > 1 {
-		c.pipe.FanOuts.Add(1)
-		c.pipe.FanOutCalls.Add(uint64(len(alt.Referrals)))
-	}
-	// No per-fetch client span: the store's own span rides back on the
-	// fetch reply and the EWMA latency map already times each store from
-	// this side, so a span here would only duplicate both at measurable
-	// per-request cost (E17).
-	err := flight.ForEach(ctx, len(alt.Referrals), c.FanOut, func(i int) error {
-		ref := alt.Referrals[i]
-		// Each attempt re-resolves the pooled connection so a retry
-		// after a failure dials afresh.
-		return c.Resilience.Do(ctx, ref.Address, func(actx context.Context) error {
-			sc, err := c.storeClient(ref.Address)
-			if err != nil {
-				return err
-			}
-			start := time.Now()
-			d, _, err := sc.Fetch(actx, ref.Query)
-			if err != nil {
-				c.dropStoreClient(ref.Address)
-				return err
-			}
-			c.observeLatency(ref.Address, time.Since(start))
-			pieces[i] = d
-			return nil
-		})
-	})
-	if err != nil {
-		return nil, err
-	}
-	return xmltree.MergeAll(c.Keys, pieces...), nil
+	x := c.plans()
+	return x.Run(ctx, alts, x.Fetch)
 }
 
 // Update resolves an update grant and writes the fragment to every store
@@ -646,6 +526,7 @@ func (c *Client) update(ctx context.Context, path string, frag *xmltree.Node) (i
 	if err != nil {
 		return 0, err
 	}
+	x := c.plans()
 	written := 0
 	seen := map[string]bool{}
 	for _, alt := range resp.Alternatives {
@@ -665,16 +546,9 @@ func (c *Client) update(ctx context.Context, path string, frag *xmltree.Node) (i
 			}
 			// Component writes are scoped replaces, so retrying one is
 			// idempotent.
-			err := c.Resilience.Do(ctx, ref.Address, func(actx context.Context) error {
-				sc, err := c.storeClient(ref.Address)
-				if err != nil {
-					return err
-				}
-				if _, err := sc.Update(actx, ref.Query, toWrite); err != nil {
-					c.dropStoreClient(ref.Address)
-					return err
-				}
-				return nil
+			err := x.Call(ctx, ref.Address, func(actx context.Context, sc store.Client) error {
+				_, err := sc.Update(actx, ref.Query, toWrite)
+				return err
 			})
 			if err != nil {
 				return written, err
@@ -942,7 +816,7 @@ func (c *Client) SyncDeviceComponent(ctx context.Context, path string, dev *sync
 			continue // sync needs a single authoritative store
 		}
 		ref := alt.Referrals[0]
-		sc, err := c.storeClient(ref.Address)
+		sc, err := c.plans().Client(ctx, ref.Address)
 		if err != nil {
 			return syncml.Stats{}, err
 		}

@@ -123,7 +123,7 @@ func (m *MDM) Heartbeat(req *wire.HeartbeatRequest) *wire.HeartbeatResponse {
 			m.addrs[storeID] = req.Addr
 			m.mu.Unlock()
 			if old != "" && old != req.Addr {
-				m.dropStoreClient(old)
+				m.pool.Evict(old)
 			}
 		}
 		m.renewLease(storeID)

@@ -42,7 +42,7 @@ import (
 var (
 	ErrDenied     = errors.New("gupster: access denied")
 	ErrSpurious   = errors.New("gupster: query does not fit the GUP schema")
-	ErrNoCoverage = errors.New("gupster: no data store covers the request")
+	ErrNoCoverage = store.ErrNoCoverage
 	ErrNoOwner    = errors.New("gupster: request does not identify a profile owner")
 )
 
@@ -157,8 +157,10 @@ type MDM struct {
 	// finished traces here — acts as the constellation's trace directory.
 	tracer *trace.Collector
 
-	poolMu sync.Mutex
-	pool   map[string]*store.Client // address → connection (chaining)
+	// pool holds the connections to the data stores; plans executes the
+	// server-side query patterns (chaining, recruiting) over it.
+	pool  wire.Pool
+	plans store.Executor
 
 	// journal, when attached, makes the meta-data directory crash-safe:
 	// every Register/Unregister/PutRule/DeleteRule appends a durable
@@ -206,12 +208,19 @@ func New(cfg Config) *MDM {
 		subs:     newSubscriptions(),
 		res:      resilience.NewGroup(cfg.Retry, cfg.Breaker, nil),
 		adm:      overload.New(cfg.Overload, nil),
-		pool:     make(map[string]*store.Client),
 		leases:   make(map[coverage.StoreID]*lease),
 		Liveness: &metrics.LivenessStats{},
 	}
 	m.pipe = &metrics.PipelineStats{}
 	m.flights = flight.NewGroup(m.pipe)
+	m.plans = store.Executor{
+		Pool:       &m.pool,
+		Resilience: m.res,
+		Keys:       cfg.Keys,
+		FanOut:     cfg.FanOut,
+		Pipe:       m.pipe,
+		Span:       "mdm.fetch",
+	}
 	m.tracer = trace.NewCollector("mdm", cfg.TraceSpans, cfg.SlowThreshold)
 	m.PAP = &policy.AdministrationPoint{Repo: repo}
 	if cfg.Schema != nil {
@@ -287,7 +296,7 @@ func (m *MDM) applyRegister(storeID coverage.StoreID, addr string, path xpath.Pa
 	}
 	m.mu.Unlock()
 	if old != "" && addr != "" && old != addr {
-		m.dropStoreClient(old)
+		m.pool.Evict(old)
 	}
 	m.renewLease(storeID)
 	return nil
@@ -344,7 +353,7 @@ func (m *MDM) forgetStore(storeID coverage.StoreID) {
 	delete(m.addrs, storeID)
 	m.mu.Unlock()
 	if addr != "" {
-		m.dropStoreClient(addr)
+		m.pool.Evict(addr)
 	}
 	m.dropLease(storeID)
 }
@@ -600,34 +609,6 @@ func (m *MDM) plan(owner string, grants []xpath.Path, verb token.Verb, requester
 	return []wire.Alternative{combined}, degraded, nil
 }
 
-// storeClient returns a pooled connection to a store address.
-func (m *MDM) storeClient(addr string) (*store.Client, error) {
-	if addr == "" {
-		return nil, errors.New("gupster: store has no registered address")
-	}
-	m.poolMu.Lock()
-	defer m.poolMu.Unlock()
-	if c, ok := m.pool[addr]; ok {
-		return c, nil
-	}
-	c, err := store.DialClient(addr)
-	if err != nil {
-		return nil, err
-	}
-	m.pool[addr] = c
-	return c, nil
-}
-
-// dropStoreClient evicts a pooled connection after a failure.
-func (m *MDM) dropStoreClient(addr string) {
-	m.poolMu.Lock()
-	if c, ok := m.pool[addr]; ok {
-		c.Close()
-		delete(m.pool, addr)
-	}
-	m.poolMu.Unlock()
-}
-
 // cacheKey derives the cache identity of a grant set.
 func cacheKey(owner string, grants []xpath.Path) string {
 	parts := make([]string, len(grants))
@@ -684,30 +665,19 @@ func (m *MDM) chain(ctx context.Context, owner string, grants []xpath.Path, alts
 		defer m.cache.endFill(owner)
 	}
 
-	var lastErr error
-	for i, alt := range alts {
-		merged, err := m.fetchAlternative(ctx, alt)
-		if err != nil {
-			lastErr = err
-			continue
-		}
-		if i > 0 {
-			m.res.Stats.Fallbacks.Add(1)
-		}
-		xml := ""
-		if merged != nil {
-			xml = merged.String()
-		}
-		m.Stats.BytesProxied.Add(uint64(len(xml)))
-		if cacheable && xml != "" {
-			m.cache.putIfFresh(key, owner, xml, gen)
-		}
-		return &wire.ResolveResponse{Data: xml}, nil
+	merged, err := m.plans.Run(ctx, alts, m.plans.Fetch)
+	if err != nil {
+		return nil, err
 	}
-	if lastErr == nil {
-		lastErr = ErrNoCoverage
+	xml := ""
+	if merged != nil {
+		xml = merged.String()
 	}
-	return nil, lastErr
+	m.Stats.BytesProxied.Add(uint64(len(xml)))
+	if cacheable && xml != "" {
+		m.cache.putIfFresh(key, owner, xml, gen)
+	}
+	return &wire.ResolveResponse{Data: xml}, nil
 }
 
 // cacheableGrants reports whether every granted path may be cached under
@@ -725,50 +695,6 @@ func (m *MDM) cacheableGrants(grants []xpath.Path) bool {
 	return true
 }
 
-// fetchAlternative retrieves and merges all referrals of one alternative.
-// Multi-referral alternatives fan out on a bounded worker pool
-// (Config.FanOut) instead of fetching store by store; each fetch still
-// runs under the MDM's resilience layer — per-attempt timeouts, backoff
-// retries, and the per-store breaker. Merge order is preserved by index,
-// so the result is identical to the serial loop this replaces.
-func (m *MDM) fetchAlternative(ctx context.Context, alt wire.Alternative) (*xmltree.Node, error) {
-	pieces := make([]*xmltree.Node, len(alt.Referrals))
-	if len(alt.Referrals) > 1 {
-		m.pipe.FanOuts.Add(1)
-		m.pipe.FanOutCalls.Add(uint64(len(alt.Referrals)))
-	}
-	err := flight.ForEach(ctx, len(alt.Referrals), m.cfg.FanOut, func(i int) error {
-		ref := alt.Referrals[i]
-		fctx, fsp := trace.Start(ctx, "mdm.fetch")
-		fsp.Annotate("store=" + ref.Query.Store)
-		ferr := m.res.Do(fctx, ref.Address, func(actx context.Context) error {
-			c, err := m.storeClient(ref.Address)
-			if err != nil {
-				return err
-			}
-			d, _, err := c.Fetch(actx, ref.Query)
-			if err != nil {
-				m.dropStoreClient(ref.Address)
-				return err
-			}
-			pieces[i] = d
-			return nil
-		})
-		fsp.Finish(ferr)
-		return ferr
-	})
-	if err != nil {
-		return nil, err
-	}
-	docs := make([]*xmltree.Node, 0, len(pieces))
-	for _, d := range pieces {
-		if d != nil {
-			docs = append(docs, d)
-		}
-	}
-	return xmltree.MergeAll(m.cfg.Keys, docs...), nil
-}
-
 // recruit implements the recruiting pattern: the query migrates to the
 // first referral's store, which gathers the sibling pieces itself.
 func (m *MDM) recruit(ctx context.Context, alts []wire.Alternative) (*wire.ResolveResponse, error) {
@@ -778,15 +704,14 @@ func (m *MDM) recruit(ctx context.Context, alts []wire.Alternative) (*wire.Resol
 	// request into N store-to-store fetches — the first amplification to
 	// cut when the fabric is drowning.
 	brown := m.adm.Brownout()
-	var lastErr error
-	for _, alt := range alts {
+	var skipped []string // of the alternative that answered
+	merged, err := m.plans.Run(ctx, alts, func(ctx context.Context, alt wire.Alternative) (doc *xmltree.Node, err error) {
 		if len(alt.Referrals) == 0 {
-			continue
+			return nil, ErrNoCoverage
 		}
-		primary := alt.Referrals[0]
-		siblings := alt.Referrals[1:]
-		var skipped []string
-		if brown && len(siblings) > 0 {
+		primary, siblings := alt.Referrals[0], alt.Referrals[1:]
+		skipped = nil
+		if brown {
 			for _, ref := range siblings {
 				skipped = append(skipped, ref.Query.Path)
 			}
@@ -794,44 +719,30 @@ func (m *MDM) recruit(ctx context.Context, alts []wire.Alternative) (*wire.Resol
 		}
 		rctx, rsp := trace.Start(ctx, "mdm.recruit")
 		rsp.Annotate("store=" + primary.Query.Store)
-		var merged *xmltree.Node
-		err := m.res.Do(rctx, primary.Address, func(actx context.Context) error {
-			c, err := m.storeClient(primary.Address)
-			if err != nil {
-				return err
-			}
-			mg, err := c.Exec(actx, wire.FetchRequest{Query: primary.Query}, siblings)
-			if err != nil {
-				m.dropStoreClient(primary.Address)
-				return err
-			}
-			merged = mg
-			return nil
+		if len(skipped) > 0 {
+			rsp.Annotate("brownout-skip-siblings")
+		}
+		err = m.plans.Call(rctx, primary.Address, func(actx context.Context, c store.Client) error {
+			doc, err = c.Exec(actx, wire.FetchRequest{Query: primary.Query}, siblings)
+			return err
 		})
 		rsp.Finish(err)
-		if err != nil {
-			lastErr = err
-			continue
-		}
-		xml := ""
-		if merged != nil {
-			xml = merged.String()
-		}
-		// Recruiting moves only the final result through neither the MDM
-		// nor extra client round trips; the MDM just relays the response.
-		m.Stats.BytesProxied.Add(uint64(len(xml)))
-		resp := &wire.ResolveResponse{Data: xml}
-		if len(skipped) > 0 {
-			m.adm.Stats.BrownoutServed.Add(1)
-			rsp.Annotate("brownout-skip-siblings")
-			resp.Degraded = skipped
-		}
-		return resp, nil
+		return doc, err
+	})
+	if err != nil {
+		return nil, err
 	}
-	if lastErr == nil {
-		lastErr = ErrNoCoverage
+	xml := ""
+	if merged != nil {
+		xml = merged.String()
 	}
-	return nil, lastErr
+	// Recruiting moves only the final result through neither the MDM
+	// nor extra client round trips; the MDM just relays the response.
+	m.Stats.BytesProxied.Add(uint64(len(xml)))
+	if len(skipped) > 0 {
+		m.adm.Stats.BrownoutServed.Add(1)
+	}
+	return &wire.ResolveResponse{Data: xml, Degraded: skipped}, nil
 }
 
 // recordProvenance appends a disclosure record when the ledger is enabled.
@@ -957,7 +868,7 @@ func (m *MDM) ResetDirectory() {
 	m.addrs = make(map[coverage.StoreID]string)
 	m.mu.Unlock()
 	for _, addr := range addrs {
-		m.dropStoreClient(addr)
+		m.pool.Evict(addr)
 	}
 	m.leaseMu.Lock()
 	for id := range m.leases {
@@ -1101,12 +1012,7 @@ func (m *MDM) Close() {
 	if m.sweepStop != nil {
 		m.sweepOnce.Do(func() { close(m.sweepStop) })
 	}
-	m.poolMu.Lock()
-	for addr, c := range m.pool {
-		c.Close()
-		delete(m.pool, addr)
-	}
-	m.poolMu.Unlock()
+	m.pool.Close()
 	if m.journal != nil {
 		m.journal.Close()
 	}

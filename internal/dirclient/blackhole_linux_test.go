@@ -3,41 +3,20 @@ package dirclient
 import (
 	"context"
 	"errors"
-	"fmt"
-	"net"
-	"syscall"
 	"testing"
 	"time"
 
+	"gupster/internal/faultinject"
 	"gupster/internal/wire"
 )
 
-// blackhole returns a loopback address whose dials hang: a listener with a
-// zero backlog that never accepts, its one queue slot already taken, so
-// every further SYN is dropped. (Linux semantics, hence the file name.)
 func blackhole(t *testing.T) string {
 	t.Helper()
-	fd, err := syscall.Socket(syscall.AF_INET, syscall.SOCK_STREAM, 0)
+	addr, release, err := faultinject.Blackhole()
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { syscall.Close(fd) })
-	if err := syscall.Bind(fd, &syscall.SockaddrInet4{Addr: [4]byte{127, 0, 0, 1}}); err != nil {
-		t.Fatal(err)
-	}
-	if err := syscall.Listen(fd, 0); err != nil {
-		t.Fatal(err)
-	}
-	sa, err := syscall.Getsockname(fd)
-	if err != nil {
-		t.Fatal(err)
-	}
-	addr := fmt.Sprintf("127.0.0.1:%d", sa.(*syscall.SockaddrInet4).Port)
-	filler, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { filler.Close() })
+	t.Cleanup(release)
 	return addr
 }
 

@@ -69,7 +69,9 @@ type view struct {
 	ring  *ring.Ring // nil until a shard map is adopted
 	// at maps a constellation to the address that last answered for it:
 	// a shard ID, or "" for an unsharded directory and ownerless calls.
-	at    map[string]string
+	at map[string]string
+	// conns is not a wire.Pool: membership swaps atomically with the
+	// routes above, and every new connection is asked for its shard map.
 	conns map[string]*wire.Client
 }
 

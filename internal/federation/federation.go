@@ -17,8 +17,10 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"time"
 
 	"gupster/internal/core"
+	"gupster/internal/trace"
 	"gupster/internal/wire"
 	"gupster/internal/xpath"
 )
@@ -113,13 +115,12 @@ type Node struct {
 	mu          sync.RWMutex
 	delegations []Delegation
 
-	clientMu sync.Mutex
-	clients  map[string]*wire.Client
+	delegates wire.Pool
 }
 
 // NewNode wraps a local MDM.
 func NewNode(local *core.MDM) *Node {
-	return &Node{Local: local, clients: make(map[string]*wire.Client)}
+	return &Node{Local: local}
 }
 
 // Delegate routes requests under path to the MDM at addr.
@@ -147,20 +148,6 @@ func (n *Node) delegateFor(p xpath.Path) (Delegation, bool) {
 	return Delegation{}, false
 }
 
-func (n *Node) client(addr string) (*wire.Client, error) {
-	n.clientMu.Lock()
-	defer n.clientMu.Unlock()
-	if c, ok := n.clients[addr]; ok {
-		return c, nil
-	}
-	c, err := wire.Dial(addr)
-	if err != nil {
-		return nil, err
-	}
-	n.clients[addr] = c
-	return c, nil
-}
-
 // Resolve answers a request, forwarding into the hierarchy when a
 // delegation covers the path. The response's Hops field counts forwards.
 func (n *Node) Resolve(ctx context.Context, req *wire.ResolveRequest) (*wire.ResolveResponse, error) {
@@ -169,7 +156,7 @@ func (n *Node) Resolve(ctx context.Context, req *wire.ResolveRequest) (*wire.Res
 		return nil, fmt.Errorf("federation: %w", err)
 	}
 	if d, ok := n.delegateFor(p); ok {
-		c, err := n.client(d.Addr)
+		c, err := n.delegates.Get(ctx, d.Addr)
 		if err != nil {
 			return nil, fmt.Errorf("federation: delegate %s unreachable: %w", d.Addr, err)
 		}
@@ -195,7 +182,12 @@ func (n *Node) Serve(addr string) (*wire.Server, error) {
 				_ = c.ReplyError(m, err)
 				return
 			}
-			resp, err := n.Resolve(context.Background(), &req)
+			// The frame's trace header and remaining budget ride into the
+			// forwarded hop, as they do through core.Server.
+			ctx := trace.WithRemote(context.Background(), m.Trace, "mdm", n.Local.Tracer())
+			ctx, cancel := wire.BudgetContext(ctx, m)
+			resp, err := n.Resolve(ctx, &req)
+			cancel()
 			if err != nil {
 				_ = c.ReplyError(m, err)
 				return
@@ -208,48 +200,34 @@ func (n *Node) Serve(addr string) (*wire.Server, error) {
 }
 
 // Close releases delegate connections.
-func (n *Node) Close() {
-	n.clientMu.Lock()
-	defer n.clientMu.Unlock()
-	for addr, c := range n.clients {
-		c.Close()
-		delete(n.clients, addr)
-	}
-}
+func (n *Node) Close() { n.delegates.Close() }
 
 // Locator is the client-side discovery flow for user-level distributed
 // MDMs: white pages first, then the user's MDM.
 type Locator struct {
-	wp *wire.Client
-
-	mu      sync.Mutex
-	clients map[string]*wire.Client
+	whitePages string
+	// conns reaches the white pages and every MDM they pointed at.
+	conns wire.Pool
 }
 
 // NewLocator dials the white pages.
 func NewLocator(whitePagesAddr string) (*Locator, error) {
-	c, err := wire.Dial(whitePagesAddr)
-	if err != nil {
+	l := &Locator{whitePages: whitePagesAddr}
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	if _, err := l.conns.Get(ctx, whitePagesAddr); err != nil {
 		return nil, err
 	}
-	return &Locator{wp: c, clients: make(map[string]*wire.Client)}, nil
+	return l, nil
 }
 
 // Close tears down all connections.
-func (l *Locator) Close() {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	for addr, c := range l.clients {
-		c.Close()
-		delete(l.clients, addr)
-	}
-	l.wp.Close()
-}
+func (l *Locator) Close() { l.conns.Close() }
 
 // WhoHas asks the white pages for a user's MDM address.
 func (l *Locator) WhoHas(ctx context.Context, user string) (string, error) {
 	var resp wire.WhoHasResponse
-	if err := l.wp.Call(ctx, wire.TypeWhoHas, &wire.WhoHasRequest{User: user}, &resp); err != nil {
+	if err := l.conns.Call(ctx, l.whitePages, wire.TypeWhoHas, &wire.WhoHasRequest{User: user}, &resp); err != nil {
 		return "", err
 	}
 	if resp.Unlisted {
@@ -266,19 +244,8 @@ func (l *Locator) Resolve(ctx context.Context, user string, req *wire.ResolveReq
 	if err != nil {
 		return nil, err
 	}
-	l.mu.Lock()
-	c, ok := l.clients[addr]
-	if !ok {
-		c, err = wire.Dial(addr)
-		if err != nil {
-			l.mu.Unlock()
-			return nil, err
-		}
-		l.clients[addr] = c
-	}
-	l.mu.Unlock()
 	var resp wire.ResolveResponse
-	if err := c.Call(ctx, wire.TypeResolve, req, &resp); err != nil {
+	if err := l.conns.Call(ctx, addr, wire.TypeResolve, req, &resp); err != nil {
 		return nil, err
 	}
 	return &resp, nil

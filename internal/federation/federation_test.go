@@ -285,3 +285,96 @@ func TestNodeServeRejectsGarbagePath(t *testing.T) {
 		t.Error("garbage path accepted")
 	}
 }
+
+// A delegate that restarts must not poison its subtree: the parent's
+// connection to it died with the old process, and the next resolve dials
+// the new one.
+func TestDelegateRestartIsRedialed(t *testing.T) {
+	serveBank := func(addr string) *wire.Server {
+		t.Helper()
+		bank := federation.NewNode(newMDM(t))
+		t.Cleanup(bank.Close)
+		st := newStore(t, "bank-store")
+		bank.Local.Register("bank-store", st.Addr(), xpath.MustParse("/user[@id='u']/wallet"))
+		srv, err := bank.Serve(addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { srv.Close() })
+		return srv
+	}
+	bankSrv := serveBank("127.0.0.1:0")
+	addr := bankSrv.Addr()
+
+	top := federation.NewNode(newMDM(t))
+	defer top.Close()
+	top.Delegate(xpath.MustParse("/user[@id='u']/wallet"), addr)
+	req := &wire.ResolveRequest{
+		Path:    "/user[@id='u']/wallet",
+		Context: policy.Context{Requester: "u"},
+		Verb:    token.VerbFetch,
+	}
+	if _, err := top.Resolve(context.Background(), req); err != nil {
+		t.Fatalf("before restart: %v", err)
+	}
+
+	bankSrv.Close()
+	serveBank(addr)
+	// The parent notices the old connection's EOF within moments of the
+	// restart; until this change it never did.
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		resp, err := top.Resolve(context.Background(), req)
+		if err == nil {
+			if resp.Hops != 1 {
+				t.Fatalf("hops = %d, want 1", resp.Hops)
+			}
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("delegate restarted on %s, parent still answers: %v", addr, err)
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+}
+
+// A forwarded resolve runs under the budget its frame carried, so a
+// delegate that never answers cannot strand the parent's handler past the
+// caller's deadline.
+func TestNodeServeForwardsUnderTheFramesBudget(t *testing.T) {
+	hung, err := wire.Serve("127.0.0.1:0", wire.HandlerFunc(func(*wire.ServerConn, *wire.Message) {}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer hung.Close()
+	top := federation.NewNode(newMDM(t))
+	defer top.Close()
+	top.Delegate(xpath.MustParse("/user[@id='u']/wallet"), hung.Addr())
+	topSrv, err := top.Serve("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	cli, err := wire.Dial(topSrv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cli.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
+	defer cancel()
+	err = cli.Call(ctx, wire.TypeResolve, &wire.ResolveRequest{
+		Path:    "/user[@id='u']/wallet",
+		Context: policy.Context{Requester: "u"},
+	}, nil)
+	if err == nil {
+		t.Fatal("a delegate that never answers produced an answer")
+	}
+	// Close waits for the handler: it returns only if the forward ended.
+	closed := make(chan struct{})
+	go func() { topSrv.Close(); close(closed) }()
+	select {
+	case <-closed:
+	case <-time.After(3 * time.Second):
+		t.Fatal("handler still forwarding long after the frame's 100ms budget")
+	}
+}

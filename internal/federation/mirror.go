@@ -54,6 +54,8 @@ type Mirror struct {
 	mdm   *core.MDM
 	local *core.Server
 
+	// peers is a set, not a wire.Pool cache: a mutation fans out to all of
+	// it, and every new link does peer-hello plus a snapshot replay.
 	mu    sync.Mutex
 	peers map[string]*wire.Client // address → connection
 
@@ -86,13 +88,14 @@ func (m *Mirror) Serve(addr string) (*wire.Server, error) {
 // AddPeer connects this mirror to a peer mirror; mutations will be
 // forwarded there, and this mirror's current meta-data (coverage and
 // shields) is replayed to the peer so late joiners catch up. Peering is
-// directional — call on both sides (or use Join).
-func (m *Mirror) AddPeer(addr string) error {
-	c, err := wire.Dial(addr)
+// directional — call on both sides (or use Join). ctx bounds the dial and
+// the hello; the replay that follows is best-effort and runs to its end.
+func (m *Mirror) AddPeer(ctx context.Context, addr string) error {
+	c, err := wire.DialContext(ctx, addr)
 	if err != nil {
 		return err
 	}
-	if err := c.Call(context.Background(), typePeerHello, wire.Empty{}, nil); err != nil {
+	if err := c.Call(ctx, typePeerHello, wire.Empty{}, nil); err != nil {
 		c.Close()
 		return err
 	}
@@ -161,7 +164,9 @@ func (m *Mirror) ensurePeer(addr string, timeout time.Duration) {
 		m.mu.Unlock()
 		c.Close()
 	}
-	_ = m.AddPeer(addr)
+	ctx, cancel := context.WithTimeout(context.Background(), timeout)
+	defer cancel()
+	_ = m.AddPeer(ctx, addr)
 }
 
 // Join wires a set of mirrors into a full mesh.
@@ -174,7 +179,10 @@ func Join(mirrors []*Mirror, addrs []string) error {
 			if i == j {
 				continue
 			}
-			if err := m.AddPeer(addr); err != nil {
+			ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+			err := m.AddPeer(ctx, addr)
+			cancel()
+			if err != nil {
 				return fmt.Errorf("federation: peering %d→%d: %w", i, j, err)
 			}
 		}

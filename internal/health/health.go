@@ -98,8 +98,8 @@ type Config struct {
 	// OnRepair, when set, is called after each completed repair.
 	OnRepair func(RepairEvent)
 	// Dial overrides the connection factory (tests simulate partial
-	// partitions with it). Nil means wire.Dial.
-	Dial func(addr string) (*wire.Client, error)
+	// partitions with it). Nil means wire.DialContext.
+	Dial func(ctx context.Context, addr string) (*wire.Client, error)
 	// Logf, when set, receives detector and repair events.
 	Logf func(format string, args ...any)
 }
@@ -118,11 +118,14 @@ type memberView struct {
 type Agent struct {
 	cfg Config
 
+	// conns carries gossip, map fetches and coverage snapshots to the
+	// other members.
+	conns wire.Pool
+
 	mu       sync.Mutex
 	members  map[string]*memberView // by ID, Self excluded
-	conns    map[string]*wire.Client
-	fetching bool // anti-entropy map fetch in flight
-	repair   bool // repair in flight
+	fetching bool                   // anti-entropy map fetch in flight
+	repair   bool                   // repair in flight
 	closed   bool
 
 	stop chan struct{}
@@ -143,18 +146,15 @@ func New(cfg Config) *Agent {
 	if cfg.IndirectProbes <= 0 {
 		cfg.IndirectProbes = 2
 	}
-	if cfg.Dial == nil {
-		cfg.Dial = wire.Dial
-	}
 	if cfg.Logf == nil {
 		cfg.Logf = func(string, ...any) {}
 	}
 	a := &Agent{
 		cfg:     cfg,
 		members: make(map[string]*memberView),
-		conns:   make(map[string]*wire.Client),
 		stop:    make(chan struct{}),
 	}
+	a.conns.Dial = cfg.Dial
 	now := time.Now()
 	for _, m := range cfg.Members {
 		if m.ID == cfg.Self.ID {
@@ -183,12 +183,7 @@ func (a *Agent) Close() {
 	a.mu.Unlock()
 	close(a.stop)
 	a.wg.Wait()
-	a.mu.Lock()
-	for addr, c := range a.conns {
-		c.Close()
-		delete(a.conns, addr)
-	}
-	a.mu.Unlock()
+	a.conns.Close()
 }
 
 // StateOf reports the agent's view of one member (Self is always alive).
@@ -342,7 +337,7 @@ func (a *Agent) ping(addr string) (*wire.GossipAck, error) {
 	ctx, cancel := context.WithTimeout(context.Background(), a.cfg.PingTimeout)
 	defer cancel()
 	var ack wire.GossipAck
-	if err := a.call(ctx, addr, wire.TypeGossipPing, &req, &ack); err != nil {
+	if err := a.conns.Call(ctx, addr, wire.TypeGossipPing, &req, &ack); err != nil {
 		return nil, err
 	}
 	return &ack, nil
@@ -359,60 +354,10 @@ func (a *Agent) pingReq(relay, target wire.ShardInfo) (*wire.GossipAck, error) {
 	ctx, cancel := context.WithTimeout(context.Background(), 2*a.cfg.PingTimeout)
 	defer cancel()
 	var ack wire.GossipAck
-	if err := a.call(ctx, relay.Addr, wire.TypeGossipPingReq, &req, &ack); err != nil {
+	if err := a.conns.Call(ctx, relay.Addr, wire.TypeGossipPingReq, &req, &ack); err != nil {
 		return nil, err
 	}
 	return &ack, nil
-}
-
-// call issues one gossip call on the pooled connection for addr, dropping
-// the connection on transport failure so the next tick redials.
-func (a *Agent) call(ctx context.Context, addr, msgType string, req, resp any) error {
-	a.mu.Lock()
-	if a.closed {
-		a.mu.Unlock()
-		return fmt.Errorf("health: agent closed")
-	}
-	conn, ok := a.conns[addr]
-	a.mu.Unlock()
-	if !ok {
-		c, err := a.cfg.Dial(addr)
-		if err != nil {
-			return err
-		}
-		a.mu.Lock()
-		if a.closed {
-			a.mu.Unlock()
-			c.Close()
-			return fmt.Errorf("health: agent closed")
-		}
-		if existing, dup := a.conns[addr]; dup {
-			a.mu.Unlock()
-			c.Close()
-			conn = existing
-		} else {
-			a.conns[addr] = c
-			a.mu.Unlock()
-			conn = c
-		}
-	}
-	err := conn.Call(ctx, msgType, req, resp)
-	if err != nil {
-		// Gossip frames are tiny and answered from memory: any failure —
-		// including a timeout, which on this traffic means the reply path
-		// is gone — warrants a fresh dial next round.
-		a.dropConn(addr)
-	}
-	return err
-}
-
-func (a *Agent) dropConn(addr string) {
-	a.mu.Lock()
-	if c, ok := a.conns[addr]; ok {
-		c.Close()
-		delete(a.conns, addr)
-	}
-	a.mu.Unlock()
 }
 
 // observeAck refutes any suspicion of the member and learns the map
@@ -484,7 +429,7 @@ func (a *Agent) learnMap(epoch, version uint64, fromAddr string) {
 		ctx, cancel := context.WithTimeout(context.Background(), 2*a.cfg.PingTimeout)
 		defer cancel()
 		var m wire.ShardMap
-		if err := a.call(ctx, fromAddr, wire.TypeShardMap, wire.Empty{}, &m); err != nil {
+		if err := a.conns.Call(ctx, fromAddr, wire.TypeShardMap, wire.Empty{}, &m); err != nil {
 			return
 		}
 		if ring.Compare(m, a.currentMap()) <= 0 {
@@ -565,7 +510,7 @@ func (a *Agent) HandlePingReq(c *wire.ServerConn, m *wire.Message) {
 		ctx, cancel := context.WithTimeout(context.Background(), timeout)
 		defer cancel()
 		var ack wire.GossipAck
-		if err := a.call(ctx, req.TargetAddr, wire.TypeGossipPing, &ping, &ack); err != nil {
+		if err := a.conns.Call(ctx, req.TargetAddr, wire.TypeGossipPing, &ping, &ack); err != nil {
 			_ = c.ReplyError(m, fmt.Errorf("health: indirect probe of %s failed: %w", req.TargetID, err))
 			return
 		}
@@ -622,7 +567,7 @@ func (a *Agent) snapshotLoop() {
 			}
 			ctx, cancel := context.WithTimeout(context.Background(), 4*a.cfg.PingTimeout)
 			var snap wire.ShardCoverageResponse
-			err := a.call(ctx, s.Addr, wire.TypeShardCoverage, wire.Empty{}, &snap)
+			err := a.conns.Call(ctx, s.Addr, wire.TypeShardCoverage, wire.Empty{}, &snap)
 			cancel()
 			if err != nil {
 				continue

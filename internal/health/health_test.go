@@ -147,14 +147,14 @@ type blockSet struct {
 	blocked map[string]bool
 }
 
-func (b *blockSet) dial(addr string) (*wire.Client, error) {
+func (b *blockSet) dial(ctx context.Context, addr string) (*wire.Client, error) {
 	b.mu.Lock()
 	bad := b.blocked[addr]
 	b.mu.Unlock()
 	if bad {
 		return nil, errors.New("blockSet: partitioned")
 	}
-	return wire.Dial(addr)
+	return wire.DialContext(ctx, addr)
 }
 
 func (b *blockSet) set(addr string, on bool) {
@@ -207,8 +207,8 @@ func TestRefutationAfterPartitionHeals(t *testing.T) {
 	// hook never sees another dial.
 	block.set(ms[1].info.Addr, true)
 	block.set(ms[2].info.Addr, true)
-	ms[0].agent.dropConn(ms[1].info.Addr)
-	ms[0].agent.dropConn(ms[2].info.Addr)
+	ms[0].agent.conns.Evict(ms[1].info.Addr)
+	ms[0].agent.conns.Evict(ms[2].info.Addr)
 	awaitState(t, ms[0].agent, "s1", StateDead, 3*time.Second)
 	awaitState(t, ms[0].agent, "s2", StateDead, 3*time.Second)
 

@@ -285,7 +285,7 @@ func (n *Node) startElectionLocked() {
 	for _, p := range n.peers {
 		go func(p *peer) {
 			var resp VoteResponse
-			if err := n.peerCallTimeout(p, wire.TypeReplVote, req, &resp, n.voteTimeout()); err != nil {
+			if err := n.peerCall(p, wire.TypeReplVote, req, &resp, n.voteTimeout()); err != nil {
 				votes <- false
 				return
 			}
@@ -403,7 +403,7 @@ func (n *Node) shipTo(p *peer) {
 			PrevIndex: prevIndex, PrevTerm: prevTerm, Entries: entries,
 		}
 		var resp AppendResponse
-		if err := n.peerCall(p, wire.TypeReplAppend, req, &resp); err != nil {
+		if err := n.peerCall(p, wire.TypeReplAppend, req, &resp, n.callTimeout()); err != nil {
 			p.mu.Lock()
 			p.reachable = false
 			p.mu.Unlock()
@@ -471,7 +471,7 @@ func (n *Node) shipSnapshot(p *peer, term uint64) bool {
 			Seq: i, Last: i == len(chunks)-1, Data: c,
 		}
 		var resp SnapshotResponse
-		if err := n.peerCall(p, wire.TypeReplSnapshot, req, &resp); err != nil {
+		if err := n.peerCall(p, wire.TypeReplSnapshot, req, &resp, n.callTimeout()); err != nil {
 			p.mu.Lock()
 			p.reachable = false
 			p.mu.Unlock()
@@ -497,38 +497,9 @@ func (n *Node) shipSnapshot(p *peer, term uint64) bool {
 	return true
 }
 
-// peerCall sends one request on the peer's (lazily dialed, cached)
-// connection, dropping it on transport errors so the next call redials.
-func (n *Node) peerCall(p *peer, msgType string, req, resp any) error {
-	return n.peerCallTimeout(p, msgType, req, resp, n.callTimeout())
-}
-
-func (n *Node) peerCallTimeout(p *peer, msgType string, req, resp any, timeout time.Duration) error {
-	p.cmu.Lock()
-	cli := p.cli
-	if cli == nil {
-		c, err := wire.Dial(p.addr)
-		if err != nil {
-			p.cmu.Unlock()
-			return err
-		}
-		p.cli = c
-		cli = c
-	}
-	p.cmu.Unlock()
+// peerCall sends one request on the peer's pooled connection.
+func (n *Node) peerCall(p *peer, msgType string, req, resp any, timeout time.Duration) error {
 	ctx, cancel := context.WithTimeout(context.Background(), timeout)
 	defer cancel()
-	err := cli.Call(ctx, msgType, req, resp)
-	if err != nil {
-		var remote *wire.RemoteError
-		if !errors.As(err, &remote) {
-			p.cmu.Lock()
-			if p.cli == cli {
-				_ = cli.Close()
-				p.cli = nil
-			}
-			p.cmu.Unlock()
-		}
-	}
-	return err
+	return n.conns.Call(ctx, p.addr, msgType, req, resp)
 }

@@ -93,7 +93,9 @@ type Node struct {
 	electionAt time.Time
 	waiters    []waiter
 
-	peers     []*peer
+	peers []*peer
+	// conns carries the repl-* traffic to the peers.
+	conns     wire.Pool
 	stopCh    chan struct{}
 	stopOnce  sync.Once
 	wg        sync.WaitGroup
@@ -109,9 +111,6 @@ type waiter struct {
 type peer struct {
 	addr   string
 	notify chan struct{}
-
-	cmu sync.Mutex
-	cli *wire.Client
 
 	mu        sync.Mutex
 	next      uint64
@@ -193,14 +192,7 @@ func (n *Node) Close() error {
 	n.mu.Lock()
 	n.failWaitersLocked(errors.New("replication: node closed"))
 	n.mu.Unlock()
-	for _, p := range n.peers {
-		p.cmu.Lock()
-		if p.cli != nil {
-			_ = p.cli.Close()
-			p.cli = nil
-		}
-		p.cmu.Unlock()
-	}
+	n.conns.Close()
 	return err
 }
 

@@ -149,9 +149,11 @@ type rigRun struct {
 	// address. Whatever the rig's layout — one MDM, a quorum constellation,
 	// a shard ring — raw directory traffic rides them, so a leader kill
 	// re-homes and a mid-phase rebalance re-routes instead of erroring.
-	dirs      []*dirclient.Directory
-	coreClis  []*core.Client
-	storeClis map[int]*store.Client
+	dirs     []*dirclient.Directory
+	coreClis []*core.Client
+	// stores holds the direct connections to the stores (through their
+	// fault proxies where those exist).
+	stores wire.Pool
 	// userStore maps user → owning store index (sharded layout).
 	userStore map[string]int
 }
@@ -163,10 +165,8 @@ func (rr *rigRun) close() {
 	for _, c := range rr.coreClis {
 		c.Close()
 	}
-	for _, c := range rr.storeClis {
-		c.Close()
-	}
-	rr.dirs, rr.coreClis, rr.storeClis = nil, nil, nil
+	rr.stores.Close()
+	rr.dirs, rr.coreClis = nil, nil
 }
 
 // dir returns (dialing on demand) the i-th directory handle.
@@ -207,37 +207,6 @@ func (rr *rigRun) coreCli(i int) (*core.Client, error) {
 	return rr.coreClis[i], nil
 }
 
-// storeCli returns the pooled direct connection to store i (through its
-// fault proxy when one exists).
-func (rr *rigRun) storeCli(i int) (*store.Client, error) {
-	rr.mu.Lock()
-	defer rr.mu.Unlock()
-	if rr.storeClis == nil {
-		rr.storeClis = map[int]*store.Client{}
-	}
-	if c, ok := rr.storeClis[i]; ok {
-		return c, nil
-	}
-	c, err := store.DialClient(rr.rig.Stores[i].Addr)
-	if err != nil {
-		return nil, err
-	}
-	rr.storeClis[i] = c
-	return c, nil
-}
-
-// dropStoreCli discards the pooled connection to store i — a lifted
-// blackout leaves the old TCP stream severed, so the next request must
-// re-dial through the restored proxy.
-func (rr *rigRun) dropStoreCli(i int) {
-	rr.mu.Lock()
-	if c, ok := rr.storeClis[i]; ok {
-		c.Close()
-		delete(rr.storeClis, i)
-	}
-	rr.mu.Unlock()
-}
-
 // storeFor maps a user (or, in the split layout, a request index) to the
 // owning store index.
 func (rr *rigRun) storeFor(user string, i int) int {
@@ -269,7 +238,6 @@ func (rr *rigRun) applyFaults(p *Phase) error {
 			case !*f.Blackout && idx >= 0:
 				rr.engine.opts.logf("phase %s: restore %s", p.Name, f.Link)
 				rr.rig.RestoreStore(idx)
-				rr.dropStoreCli(idx)
 			case proxy != nil:
 				proxy.Blackout(*f.Blackout)
 			}
@@ -327,9 +295,7 @@ func (rr *rigRun) startHerd(p *Phase) func() int {
 				mu.Lock()
 				failures++
 				mu.Unlock()
-				return
 			}
-			rr.dropStoreCli(idx)
 		}(idx)
 	}
 	return func() int {
@@ -584,7 +550,7 @@ func (rr *rigRun) pathFor(req Request, reqIdx int) string {
 func (rr *rigRun) execStore(ctx context.Context, req Request, reqIdx int, o *phaseOutcome, budget time.Duration) int {
 	rig := rr.rig
 	idx := rr.storeFor(req.User, reqIdx)
-	sc, err := rr.storeCli(idx)
+	sc, err := store.Executor{Pool: &rr.stores}.Client(ctx, rig.Stores[idx].Addr)
 	if err != nil {
 		o.classify(err, 0, budget)
 		return 1

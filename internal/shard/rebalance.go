@@ -64,30 +64,11 @@ func Rebalance(ctx context.Context, old, next wire.ShardMap, opts RebalanceOptio
 		logf = func(string, ...any) {}
 	}
 
-	conns := make(map[string]*wire.Client)
-	defer func() {
-		for _, c := range conns {
-			c.Close()
-		}
-	}()
-	conn := func(addr string) (*wire.Client, error) {
-		if c, ok := conns[addr]; ok {
-			return c, nil
-		}
-		c, err := wire.Dial(addr)
-		if err != nil {
-			return nil, err
-		}
-		conns[addr] = c
-		return c, nil
-	}
+	var conns wire.Pool
+	defer conns.Close()
 	install := func(addr, mode string) error {
-		c, err := conn(addr)
-		if err != nil {
-			return err
-		}
 		var resp wire.ShardInstallResponse
-		return c.Call(ctx, wire.TypeShardInstall, &wire.ShardInstallRequest{
+		return conns.Call(ctx, addr, wire.TypeShardInstall, &wire.ShardInstallRequest{
 			Map: next, Mode: mode, ForwardMillis: opts.ForwardMillis,
 		}, &resp)
 	}
@@ -131,11 +112,7 @@ func Rebalance(ctx context.Context, old, next wire.ShardMap, opts RebalanceOptio
 		if snap, dead := opts.DeadShards[src.ID]; dead {
 			dump = snap
 		} else {
-			c, err := conn(src.Addr)
-			if err != nil {
-				return fmt.Errorf("shard: rebalance: dial source %s: %w", src.ID, err)
-			}
-			if err := c.Call(ctx, wire.TypeShardCoverage, wire.Empty{}, &dump); err != nil {
+			if err := conns.Call(ctx, src.Addr, wire.TypeShardCoverage, wire.Empty{}, &dump); err != nil {
 				return fmt.Errorf("shard: rebalance: coverage dump from %s: %w", src.ID, err)
 			}
 		}
@@ -148,11 +125,7 @@ func Rebalance(ctx context.Context, old, next wire.ShardMap, opts RebalanceOptio
 			if dest.ID == src.ID {
 				continue // stays put
 			}
-			dc, err := conn(dest.Addr)
-			if err != nil {
-				return fmt.Errorf("shard: rebalance: dial destination %s: %w", dest.ID, err)
-			}
-			if err := dc.Call(ctx, wire.TypeRegister, &reg, nil); err != nil {
+			if err := conns.Call(ctx, dest.Addr, wire.TypeRegister, &reg, nil); err != nil {
 				return fmt.Errorf("shard: rebalance: replay registration %s→%s (%s): %w", src.ID, dest.ID, reg.Path, err)
 			}
 			moved++
@@ -165,11 +138,7 @@ func Rebalance(ctx context.Context, old, next wire.ShardMap, opts RebalanceOptio
 			if dest.ID == src.ID {
 				continue
 			}
-			dc, err := conn(dest.Addr)
-			if err != nil {
-				return fmt.Errorf("shard: rebalance: dial destination %s: %w", dest.ID, err)
-			}
-			if err := dc.Call(ctx, wire.TypePutRule, &pr, nil); err != nil {
+			if err := conns.Call(ctx, dest.Addr, wire.TypePutRule, &pr, nil); err != nil {
 				return fmt.Errorf("shard: rebalance: replay shield rule %s→%s (owner %s): %w", src.ID, dest.ID, pr.Owner, err)
 			}
 			moved++

@@ -9,7 +9,9 @@ import (
 	"gupster/internal/xmltree"
 )
 
-// Client talks to a store Server. Safe for concurrent use.
+// Client talks to a store Server over one connection: its own when it
+// came from DialClient, a pooled one inside an Executor. Safe for
+// concurrent use.
 type Client struct {
 	c *wire.Client
 }
@@ -24,7 +26,7 @@ func DialClient(addr string) (*Client, error) {
 }
 
 // Close tears down the connection.
-func (c *Client) Close() error { return c.c.Close() }
+func (c Client) Close() error { return c.c.Close() }
 
 func orBackground(ctx context.Context) context.Context {
 	if ctx == nil {
@@ -35,7 +37,7 @@ func orBackground(ctx context.Context) context.Context {
 
 // Fetch retrieves the component granted by q. A nil document with nil error
 // means the store holds nothing under the granted path.
-func (c *Client) Fetch(ctx context.Context, q token.SignedQuery) (*xmltree.Node, uint64, error) {
+func (c Client) Fetch(ctx context.Context, q token.SignedQuery) (*xmltree.Node, uint64, error) {
 	var resp wire.FetchResponse
 	if err := c.c.Call(orBackground(ctx), wire.TypeFetch, wire.FetchRequest{Query: q}, &resp); err != nil {
 		return nil, 0, err
@@ -51,14 +53,14 @@ func (c *Client) Fetch(ctx context.Context, q token.SignedQuery) (*xmltree.Node,
 }
 
 // Update writes a component under the grant q.
-func (c *Client) Update(ctx context.Context, q token.SignedQuery, frag *xmltree.Node) (uint64, error) {
+func (c Client) Update(ctx context.Context, q token.SignedQuery, frag *xmltree.Node) (uint64, error) {
 	var resp wire.UpdateResponse
 	err := c.c.Call(orBackground(ctx), wire.TypeUpdate, wire.UpdateRequest{Query: q, XML: frag.String()}, &resp)
 	return resp.Version, err
 }
 
 // Exec migrates a merged fetch to the store (recruiting pattern).
-func (c *Client) Exec(ctx context.Context, primary wire.FetchRequest, siblings []wire.Referral) (*xmltree.Node, error) {
+func (c Client) Exec(ctx context.Context, primary wire.FetchRequest, siblings []wire.Referral) (*xmltree.Node, error) {
 	var resp wire.ExecResponse
 	if err := c.c.Call(orBackground(ctx), wire.TypeExec, wire.ExecRequest{Primary: primary, Siblings: siblings}, &resp); err != nil {
 		return nil, err
@@ -71,7 +73,7 @@ func (c *Client) Exec(ctx context.Context, primary wire.FetchRequest, siblings [
 
 // SyncTransport adapts the connection into a syncml.Transport for the
 // component granted by q (which must carry an update grant).
-func (c *Client) SyncTransport(q token.SignedQuery) syncml.Transport {
+func (c Client) SyncTransport(q token.SignedQuery) syncml.Transport {
 	return &syncTransport{c: c.c, q: q}
 }
 

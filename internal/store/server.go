@@ -6,8 +6,9 @@ import (
 	"fmt"
 	"time"
 
-	"gupster/internal/flight"
+	"gupster/internal/metrics"
 	"gupster/internal/overload"
+	"gupster/internal/resilience"
 	"gupster/internal/syncml"
 	"gupster/internal/token"
 	"gupster/internal/trace"
@@ -33,6 +34,9 @@ type Server struct {
 	// shed with a retry-after hint when saturated. Nil (the default)
 	// admits everything.
 	Admission *overload.Controller
+
+	// siblings fetches the other stores' pieces of a recruited query.
+	siblings Executor
 }
 
 // NewServer wraps an engine. Call Start to begin serving.
@@ -42,6 +46,11 @@ func NewServer(e *Engine, signer *token.Signer) *Server {
 		Signer: signer,
 		sync:   &syncml.Server{Store: e, Keys: e.Keys, Adjuncts: e.Adjuncts},
 		Tracer: trace.NewCollector("store", 0, 0),
+		siblings: Executor{
+			Pool:       &wire.Pool{},
+			Resilience: resilience.NewGroup(resilience.Policy{}, resilience.BreakerConfig{}, nil),
+			Pipe:       &metrics.PipelineStats{},
+		},
 	}
 }
 
@@ -76,8 +85,13 @@ func (s *Server) Start(addr string) error {
 // Addr returns the listen address.
 func (s *Server) Addr() string { return s.ws.Addr() }
 
-// Close stops the server.
-func (s *Server) Close() error { return s.ws.Close() }
+// Close stops the server: the listener and inbound connections first, so
+// no exec is left to ask for a sibling connection, then those.
+func (s *Server) Close() error {
+	err := s.ws.Close()
+	s.siblings.Pool.Close()
+	return err
+}
 
 func (s *Server) serve(c *wire.ServerConn, m *wire.Message) {
 	// The request's remaining budget (if stamped) bounds everything the
@@ -260,40 +274,18 @@ func (s *Server) exec(ctx context.Context, req *wire.ExecRequest) (wire.ExecResp
 	if err != nil {
 		return wire.ExecResponse{}, err
 	}
-	// The primary piece merges first; siblings are gathered concurrently
-	// on a bounded pool and merged in referral order, matching the serial
-	// loop this replaces. The traced ctx rides into the sibling fetches so
-	// their stores' spans join the trace one hop deeper.
-	pieces := make([]*xmltree.Node, 1+len(req.Siblings))
-	if doc, _, gerr := s.Engine.Get(owner, path); gerr == nil {
-		pieces[0] = doc
-	}
-	err = flight.ForEach(ctx, len(req.Siblings), flight.DefaultWorkers, func(i int) error {
-		ref := req.Siblings[i]
-		cli, derr := DialClient(ref.Address)
-		if derr != nil {
-			return fmt.Errorf("store: recruit %s: %w", ref.Address, derr)
-		}
-		doc, _, ferr := cli.Fetch(ctx, ref.Query)
-		cli.Close()
-		if ferr != nil {
-			return fmt.Errorf("store: recruit fetch %s: %w", ref.Address, ferr)
-		}
-		pieces[i+1] = doc
-		return nil
-	})
+	// The primary piece merges first, then the siblings in referral order.
+	// The traced ctx rides into the sibling fetches so their stores' spans
+	// join the trace one hop deeper.
+	pieces, err := s.siblings.pieces(ctx, req.Siblings)
 	if err != nil {
-		return wire.ExecResponse{}, err
+		return wire.ExecResponse{}, fmt.Errorf("store: recruit: %w", err)
 	}
-	docs := make([]*xmltree.Node, 0, len(pieces))
-	for _, d := range pieces {
-		if d != nil {
-			docs = append(docs, d)
-		}
+	if doc, _, gerr := s.Engine.Get(owner, path); gerr == nil {
+		pieces = append([]*xmltree.Node{doc}, pieces...)
 	}
-	merged := xmltree.MergeAll(s.Engine.Keys, docs...)
 	resp := wire.ExecResponse{}
-	if merged != nil {
+	if merged := xmltree.MergeAll(s.Engine.Keys, pieces...); merged != nil {
 		resp.XML = merged.String()
 	}
 	return resp, nil

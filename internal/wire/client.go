@@ -2,6 +2,7 @@ package wire
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"net"
@@ -32,6 +33,10 @@ type Client struct {
 	deadline map[uint64]time.Time // per-call ctx deadlines, for the read bound
 	closed   bool
 	closeErr error
+	// dead is closed's lock-free mirror for Alive, set as soon as the
+	// connection is known lost — a failed write marks it before the read
+	// loop has noticed.
+	dead atomic.Bool
 
 	notifyMu     sync.RWMutex
 	onNotify     func(msgType string, payload []byte)
@@ -50,6 +55,13 @@ func DialContext(ctx context.Context, addr string) (*Client, error) {
 	d := net.Dialer{Timeout: 5 * time.Second}
 	conn, err := d.DialContext(ctx, "tcp", addr)
 	if err != nil {
+		// A context deadline that fires mid-connect surfaces from the
+		// poller as a bare "i/o timeout", possibly a moment before ctx.Err
+		// reports it; name it so callers can tell their own budget from
+		// the address's fault.
+		if dl, ok := ctx.Deadline(); ok && !time.Now().Before(dl) && !errors.Is(err, context.DeadlineExceeded) {
+			err = context.DeadlineExceeded
+		}
 		return nil, fmt.Errorf("wire: dial %s: %w", addr, err)
 	}
 	c := &Client{
@@ -209,7 +221,7 @@ func (c *Client) Call(ctx context.Context, msgType string, req any, resp any) er
 		c.forget(id)
 		// A failed write may have left a partial frame on the stream; the
 		// connection's framing is unrecoverable.
-		c.conn.Close()
+		c.Close()
 		return err
 	}
 
@@ -318,7 +330,7 @@ func (c *Client) Send(ctx context.Context, msgType string, req any) error {
 	c.writeMu.Unlock()
 	if err != nil {
 		// As in Call: a partial frame makes the stream unrecoverable.
-		c.conn.Close()
+		c.Close()
 	}
 	return err
 }
@@ -354,8 +366,16 @@ func (c *Client) updateReadDeadlineLocked() {
 
 // Close tears down the connection; outstanding calls fail with ErrClosed.
 func (c *Client) Close() error {
+	c.dead.Store(true)
 	return c.conn.Close()
 }
+
+// Alive reports whether the connection can still carry a call. It turns
+// false for good when the connection itself is lost: a read error, a
+// failed write, nothing read within readGrace of the last pending
+// deadline, or Close. A call that merely returned an error — a typed
+// reply, the caller's context ending — leaves it true.
+func (c *Client) Alive() bool { return !c.dead.Load() }
 
 func (c *Client) readLoop() {
 	var err error
@@ -389,6 +409,7 @@ func (c *Client) readLoop() {
 	if err == io.EOF {
 		err = ErrClosed
 	}
+	c.dead.Store(true)
 	c.mu.Lock()
 	c.closed = true
 	c.closeErr = err
