@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -44,16 +45,56 @@ func itemKeys(n *Node) []string {
 	return ks
 }
 
-// Property: serialization round-trips for arbitrary generated trees.
+// genValue draws a text or attribute value from the characters that need
+// care on the way out or back in: markup, both quotes, non-ASCII, and CR, LF
+// and TAB inside.
+func genValue(rng *rand.Rand) string {
+	alphabet := []string{"a", "Z", "7", " ", "&", "<", ">", `"`, "'", "]]>", "&amp;", "\u00e9", "\u4e16", "\U0001f600", "\r", "\n", "\t", "\r\n"}
+	var b strings.Builder
+	for i := rng.Intn(6); i > 0; i-- {
+		b.WriteString(alphabet[rng.Intn(len(alphabet))])
+	}
+	return b.String()
+}
+
+// genTree builds a random tree over that alphabet: empty elements, text
+// beside children, up to three attributes an element. Text is kept free of
+// white space at its ends, which parsing trims by design.
+func genTree(rng *rand.Rand, depth int) *Node {
+	n := New([]string{"a", "b-c", "d.e", "_f", "\u00e9l"}[rng.Intn(5)])
+	for i := rng.Intn(4); i > 0; i-- {
+		n.SetAttr([]string{"k", "name", "x-y", "\u00fc"}[rng.Intn(4)], genValue(rng))
+	}
+	if rng.Intn(2) == 0 {
+		n.Text = strings.TrimSpace(genValue(rng))
+	}
+	if depth > 0 {
+		for i := rng.Intn(4); i > 0; i-- {
+			n.Add(genTree(rng, depth-1))
+		}
+	}
+	return n
+}
+
+// Property: serialization round-trips for arbitrary generated trees, compact
+// or indented, through the parser and through the reference alike.
 func TestQuickSerializationRoundTrip(t *testing.T) {
 	prop := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		n := genBook(rng, 8)
-		back, err := ParseString(n.String())
-		if err != nil {
-			return false
+		for _, n := range []*Node{genBook(rng, 8), genTree(rng, 3)} {
+			for _, doc := range []string{n.String(), n.Indent()} {
+				back, err := ParseString(doc)
+				if err != nil || !n.Equal(back) {
+					t.Logf("%q reads back as %v, %v", doc, back, err)
+					return false
+				}
+				if ref, err := referenceParseString(doc); err != nil || !n.Equal(ref) {
+					t.Logf("%q reads back through the reference as %v, %v", doc, ref, err)
+					return false
+				}
+			}
 		}
-		return n.Equal(back)
+		return true
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 500}); err != nil {
 		t.Error(err)

@@ -8,6 +8,12 @@
 // processing instructions, no mixed content beyond a single text run per
 // element. That matches the paper's use of XML as a nested data model for
 // profile components rather than as a document format.
+//
+// ParseString is the one way in: a hand-written single-pass scanner, no
+// encoding/xml. It reads what String and Indent write plus the XML a store
+// may have on file (prolog, comments, DOCTYPE, CDATA, namespace prefixes),
+// refuses nesting deeper than MaxDepth and anything not well-formed, and
+// returns a tree whose strings alias the input.
 package xmltree
 
 import (
@@ -17,7 +23,7 @@ import (
 
 // Node is one element in a profile component tree. The zero value is an
 // unnamed empty element, which is rarely useful; build trees with New or
-// Parse.
+// ParseString.
 type Node struct {
 	// Name is the element name, e.g. "address-book".
 	Name string
@@ -242,9 +248,13 @@ func (n *Node) write(b *strings.Builder, indent, depth int) {
 // machinery on first use, so constructing one per escape call rebuilt that
 // machinery for every attribute and text node serialized — pure allocation
 // churn on the fetch hot path.
+//
+// CR is escaped because a raw one does not survive any XML parser: line-end
+// normalisation turns it into LF, and the tree read back would differ from
+// the tree written.
 var (
-	textEscaper = strings.NewReplacer("&", "&amp;", "<", "&lt;", ">", "&gt;")
-	attrEscaper = strings.NewReplacer("&", "&amp;", "<", "&lt;", ">", "&gt;", `"`, "&quot;")
+	textEscaper = strings.NewReplacer("&", "&amp;", "<", "&lt;", ">", "&gt;", "\r", "&#xD;")
+	attrEscaper = strings.NewReplacer("&", "&amp;", "<", "&lt;", ">", "&gt;", `"`, "&quot;", "\r", "&#xD;")
 )
 
 func escapeText(s string) string { return textEscaper.Replace(s) }

@@ -66,6 +66,15 @@ func TestEscaping(t *testing.T) {
 	if n2.ChildText("t") != "1 < 2 & 3 > 2" {
 		t.Errorf("text = %q", n2.ChildText("t"))
 	}
+
+	// A raw CR does not survive a parser's line-end normalisation, so it is
+	// written as a character reference.
+	for _, n := range []*Node{NewText("a", "x\ry"), New("a").SetAttr("k", "x\ry\r\nz")} {
+		back, err := ParseString(n.String())
+		if err != nil || !back.Equal(n) {
+			t.Errorf("%q reads back as %q, %v", n.String(), back, err)
+		}
+	}
 }
 
 func TestCanonicalAttrOrder(t *testing.T) {
