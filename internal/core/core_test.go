@@ -556,3 +556,33 @@ func TestMDMErrors(t *testing.T) {
 		t.Error("unknown pattern accepted")
 	}
 }
+
+// One-way frames (ID 0) get no answer, whatever is wrong with them: the
+// peer's read loop would deliver one as a notification of the request's
+// type. The only frame that comes back is the call's reply.
+func TestOneWayFramesGetNoAnswer(t *testing.T) {
+	r := newRig(t, 0)
+	wc, err := wire.Dial(r.server.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer wc.Close()
+	wc.OnNotify(func(msgType string, payload []byte) {
+		t.Errorf("the MDM answered a one-way frame: %q %s", msgType, payload)
+	})
+	ctx := context.Background()
+	for typ, payload := range map[string]any{
+		wire.TypeResolve:     "not a resolve request",
+		wire.TypeTraceReport: "not a trace report",
+		"no-such-type":       wire.Empty{},
+	} {
+		if err := wc.Send(ctx, typ, payload); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Frames are served in order: the reply means the three are done with.
+	var stats wire.StatsResponse
+	if err := wc.Call(ctx, wire.TypeStats, nil, &stats); err != nil {
+		t.Fatal(err)
+	}
+}

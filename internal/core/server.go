@@ -2,12 +2,9 @@ package core
 
 import (
 	"context"
-	"errors"
 	"fmt"
-	"time"
 
 	"gupster/internal/coverage"
-	"gupster/internal/overload"
 	"gupster/internal/policy"
 	"gupster/internal/trace"
 	"gupster/internal/wire"
@@ -18,17 +15,73 @@ import (
 // stores both talk to the GUPster server).
 type Server struct {
 	MDM *MDM
+	// Mux serves the directory's frames: one route per message type, the
+	// MDM's trace join and its admission controller (DESIGN.md §18). A
+	// layer that changes how a directory frame is served — federation's
+	// delegating resolve, the mirror's replicate-after-apply, replication's
+	// leader gate — re-routes or wraps there before the server starts; a
+	// layer with frames of its own puts its own Mux in front, with Handle as
+	// the fallback.
+	Mux *wire.Mux
 	ws  *wire.Server
 }
 
 // NewServer wraps an MDM; call Start.
 func NewServer(m *MDM) *Server {
-	return &Server{MDM: m}
+	s := &Server{MDM: m, Mux: &wire.Mux{Admit: m.Admission().Admit}}
+	// Spans recorded while serving a traced frame join the caller's trace
+	// in the MDM's collector. The MDM never piggybacks spans back down to
+	// the requester — the trace directory lives here, the client reports its
+	// own spans out-of-band, and span payload on the client-facing reply
+	// would tax every response frame with data the directory already holds
+	// (E17 measures exactly that: on a slow link the extra bytes cost the
+	// coalesce leader a full store-and-forward hop).
+	s.Mux.Join = func(ctx context.Context, msg *wire.Message) context.Context {
+		return trace.WithRemote(ctx, msg.Trace, "mdm", m.Tracer())
+	}
+	wire.Route(s.Mux, wire.TypeResolve, m.Resolve)
+	// Entries of a batch fail independently: a denied or uncovered entry
+	// carries its error string while its siblings still return data.
+	wire.Route(s.Mux, wire.TypeBatchResolve, m.BatchResolve)
+	wire.Route(s.Mux, wire.TypeTrace, func(_ context.Context, req *wire.TraceRequest) (wire.TraceResponse, error) {
+		return wire.TraceResponse{Spans: m.Tracer().Trace(req.TraceID)}, nil
+	})
+	wire.Route(s.Mux, wire.TypeSlow, func(_ context.Context, req *wire.SlowRequest) (wire.SlowResponse, error) {
+		return wire.SlowResponse{Traces: m.Tracer().Slow(req.Max)}, nil
+	})
+	wire.Route(s.Mux, wire.TypeRegister, s.register)
+	wire.Route(s.Mux, wire.TypeUnregister, s.unregister)
+	wire.Route(s.Mux, wire.TypeHeartbeat, func(_ context.Context, req *wire.HeartbeatRequest) (*wire.HeartbeatResponse, error) {
+		return m.Heartbeat(req), nil
+	})
+	wire.Route(s.Mux, wire.TypeUnsubscribe, func(_ context.Context, req *wire.UnsubscribeRequest) (wire.Empty, error) {
+		if !m.Unsubscribe(req.SubID) {
+			return wire.Empty{}, fmt.Errorf("gupster: no subscription %d", req.SubID)
+		}
+		return wire.Empty{}, nil
+	})
+	wire.Route(s.Mux, wire.TypePutRule, func(_ context.Context, req *wire.PutRuleRequest) (wire.Empty, error) {
+		return wire.Empty{}, m.PutRule(req.Owner, req)
+	})
+	wire.Route(s.Mux, wire.TypeDeleteRule, func(_ context.Context, req *wire.DeleteRuleRequest) (wire.Empty, error) {
+		return wire.Empty{}, m.DeleteRule(req.Owner, req.RuleID)
+	})
+	wire.Route(s.Mux, wire.TypeChanged, func(_ context.Context, n *wire.ChangedNotice) (wire.Empty, error) {
+		m.HandleChanged(n)
+		return wire.Empty{}, nil
+	})
+	wire.Route(s.Mux, wire.TypeStats, func(context.Context, *wire.Empty) (wire.StatsResponse, error) {
+		return m.Snapshot(), nil
+	})
+	wire.Route(s.Mux, wire.TypeProvenance, s.provenance)
+	wire.Handle(s.Mux, wire.TypeSubscribe, s.handleSubscribe)
+	wire.Handle(s.Mux, wire.TypeTraceReport, s.handleTraceReport)
+	return s
 }
 
 // Start listens on addr.
 func (s *Server) Start(addr string) error {
-	ws, err := wire.Serve(addr, wire.HandlerFunc(s.serve))
+	ws, err := wire.Serve(addr, s.Mux)
 	if err != nil {
 		return err
 	}
@@ -42,298 +95,60 @@ func (s *Server) Addr() string { return s.ws.Addr() }
 // Close stops the server.
 func (s *Server) Close() error { return s.ws.Close() }
 
-// Handle dispatches one message; exported so federated nodes can embed a
-// core server behind their own listener.
-func (s *Server) Handle(c *wire.ServerConn, m *wire.Message) { s.serve(c, m) }
+// Handle dispatches one message; exported so outer layers (replication,
+// shard routing, mirrors) can embed a core server behind their own listener.
+func (s *Server) Handle(c *wire.ServerConn, m *wire.Message) { s.Mux.ServeWire(c, m) }
 
-func (s *Server) serve(c *wire.ServerConn, m *wire.Message) {
-	// The serving context carries the caller's remaining deadline budget
-	// (if the frame stamped one) so every downstream hop — store fetches,
-	// chained MDMs — inherits it and refuses work it cannot finish in time.
-	ctx, cancel := wire.BudgetContext(s.traceCtx(m), m)
-	defer cancel()
-
-	// Admission runs before dispatch, so shedding is all-or-nothing: a
-	// shed BatchResolve produces one overloaded frame, never a
-	// half-answered batch. Control traffic (stats, heartbeats,
-	// registrations) bypasses admission entirely — operators must be able
-	// to observe and steer an overloaded node.
-	class := overload.Classify(m.Type)
-	adm := s.MDM.Admission()
-	if ra, expired := adm.ExpiredOnArrival(ctx, class); expired {
-		s.shed(c, m, ra, "budget expired on arrival")
-		return
-	}
-	release, err := adm.Acquire(ctx, class)
-	if err != nil {
-		var shed *overload.ShedError
-		if errors.As(err, &shed) {
-			s.shed(c, m, shed.RetryAfter, shed.Reason)
-		} else {
-			s.shed(c, m, adm.RetryAfter(class), "request expired in admission queue")
-		}
-		return
-	}
-	defer release()
-
-	switch m.Type {
-	case wire.TypeResolve:
-		err = s.handleResolve(ctx, c, m)
-	case wire.TypeBatchResolve:
-		err = s.handleBatchResolve(ctx, c, m)
-	case wire.TypeTrace:
-		err = s.handleTrace(c, m)
-	case wire.TypeSlow:
-		err = s.handleSlow(c, m)
-	case wire.TypeTraceReport:
-		err = s.handleTraceReport(c, m)
-	case wire.TypeRegister:
-		err = s.handleRegister(c, m)
-	case wire.TypeUnregister:
-		err = s.handleUnregister(c, m)
-	case wire.TypeHeartbeat:
-		err = s.handleHeartbeat(c, m)
-	case wire.TypeSubscribe:
-		err = s.handleSubscribe(c, m)
-	case wire.TypeUnsubscribe:
-		err = s.handleUnsubscribe(c, m)
-	case wire.TypePutRule:
-		err = s.handlePutRule(c, m)
-	case wire.TypeDeleteRule:
-		err = s.handleDeleteRule(c, m)
-	case wire.TypeChanged:
-		err = s.handleChanged(c, m)
-	case wire.TypeStats:
-		err = c.Reply(m, s.MDM.Snapshot())
-	case wire.TypeProvenance:
-		err = s.handleProvenance(c, m)
-	default:
-		err = fmt.Errorf("gupster: unknown message type %q", m.Type)
-	}
-	if err != nil {
-		// A mutation refused because this node lost (or never had)
-		// constellation leadership is a redirect, not a failure: the typed
-		// reply carries the leader's address so the caller re-homes.
-		var nl *wire.NotLeaderError
-		if errors.As(err, &nl) {
-			_ = c.ReplyNotLeader(m, nl.LeaderAddr, nl.LeaderID, nl.Term)
-			return
-		}
-		// Likewise a request that reached a shard no longer owning the
-		// subject (surfaced here when a forwarding hop chased a stale map):
-		// propagate the redirect so the caller re-routes instead of failing.
-		var ws *wire.WrongShardError
-		if errors.As(err, &ws) {
-			_ = c.ReplyWrongShard(m, wire.WrongShardPayload{
-				Owner: ws.Owner, ShardID: ws.ShardID, Addr: ws.Addr,
-				Members: ws.Members, Map: ws.Map,
-			})
-			return
-		}
-		_ = c.ReplyError(m, err)
-	}
-}
-
-// shed answers a refused request with a first-class overloaded frame so
-// new clients back off per the hint while old clients see a plain remote
-// error. One-way frames (ID 0) have nothing to reply to and drop silently.
-func (s *Server) shed(c *wire.ServerConn, m *wire.Message, retryAfter time.Duration, reason string) {
-	if m.ID == 0 {
-		return
-	}
-	_ = c.ReplyOverloaded(m, retryAfter, reason)
-}
-
-// traceCtx derives the serving context for a request: when the frame
-// carries a span header, spans recorded while serving join the caller's
-// trace in the MDM's collector. The MDM never piggybacks spans back down
-// to the requester — the trace directory lives here, the client reports
-// its own spans out-of-band, and span payload on the client-facing reply
-// would tax every response frame with data the directory already holds
-// (E17 measures exactly that: on a slow link the extra bytes cost the
-// coalesce leader a full store-and-forward hop).
-func (s *Server) traceCtx(m *wire.Message) context.Context {
-	ctx := context.Background()
-	if m.Trace == nil {
-		return ctx
-	}
-	return trace.WithRemote(ctx, m.Trace, "mdm", s.MDM.Tracer())
-}
-
-func (s *Server) handleResolve(ctx context.Context, c *wire.ServerConn, m *wire.Message) error {
-	var req wire.ResolveRequest
-	if err := wire.Unmarshal(m.Payload, &req); err != nil {
-		return err
-	}
-	resp, err := s.MDM.Resolve(ctx, &req)
-	if err != nil {
-		return err
-	}
-	return c.Reply(m, resp)
-}
-
-func (s *Server) handleTrace(c *wire.ServerConn, m *wire.Message) error {
-	var req wire.TraceRequest
-	if err := wire.Unmarshal(m.Payload, &req); err != nil {
-		return err
-	}
-	return c.Reply(m, wire.TraceResponse{Spans: s.MDM.Tracer().Trace(req.TraceID)})
-}
-
-func (s *Server) handleSlow(c *wire.ServerConn, m *wire.Message) error {
-	var req wire.SlowRequest
-	if err := wire.Unmarshal(m.Payload, &req); err != nil {
-		return err
-	}
-	return c.Reply(m, wire.SlowResponse{Traces: s.MDM.Tracer().Slow(req.Max)})
-}
-
-// handleTraceReport ingests a client's finished trace. Reports normally
-// arrive as one-way frames (ID 0) and get no reply; a regular request gets
-// an acknowledgement.
-func (s *Server) handleTraceReport(c *wire.ServerConn, m *wire.Message) error {
-	var req wire.TraceReportRequest
-	if err := wire.Unmarshal(m.Payload, &req); err != nil {
-		if m.ID == 0 {
-			return nil // nothing to reply to; drop the bad report
-		}
-		return err
-	}
-	// Clients report over a dedicated connection, so ingesting inline on
-	// the serve goroutine delays no resolves.
+// handleTraceReport ingests a client's finished trace. It is a raw handler
+// because reports are one-way frames (ID 0): a bad one is dropped, a good
+// one gets no answer. Clients report over a dedicated connection, so
+// ingesting inline on the serve goroutine delays no resolves.
+func (s *Server) handleTraceReport(c *wire.ServerConn, m *wire.Message, req *wire.TraceReportRequest) {
 	s.MDM.Tracer().Ingest(req.Spans)
-	if m.ID == 0 {
-		return nil
-	}
-	return c.Reply(m, wire.Empty{})
+	_ = c.Reply(m, wire.Empty{})
 }
 
-// handleBatchResolve answers every entry of a batch, resolving them
-// concurrently on the MDM's fan-out pool. Entries fail independently: a
-// denied or uncovered entry carries its error string while its siblings
-// still return data, so one bad query never poisons the frame.
-func (s *Server) handleBatchResolve(ctx context.Context, c *wire.ServerConn, m *wire.Message) error {
-	var req wire.BatchResolveRequest
-	if err := wire.Unmarshal(m.Payload, &req); err != nil {
-		return err
-	}
-	resp, err := s.MDM.BatchResolve(ctx, &req)
-	if err != nil {
-		return err
-	}
-	return c.Reply(m, resp)
-}
-
-func (s *Server) handleRegister(c *wire.ServerConn, m *wire.Message) error {
-	var req wire.RegisterRequest
-	if err := wire.Unmarshal(m.Payload, &req); err != nil {
-		return err
-	}
-	p, err := xpath.Parse(req.Path)
-	if err != nil {
-		return err
-	}
-	if err := s.MDM.Register(coverage.StoreID(req.Store), req.Address, p); err != nil {
-		return err
-	}
-	return c.Reply(m, wire.Empty{})
-}
-
-func (s *Server) handleUnregister(c *wire.ServerConn, m *wire.Message) error {
-	var req wire.UnregisterRequest
-	if err := wire.Unmarshal(m.Payload, &req); err != nil {
-		return err
-	}
-	p, err := xpath.Parse(req.Path)
-	if err != nil {
-		return err
-	}
-	if err := s.MDM.Unregister(coverage.StoreID(req.Store), p); err != nil {
-		return err
-	}
-	return c.Reply(m, wire.Empty{})
-}
-
-func (s *Server) handleHeartbeat(c *wire.ServerConn, m *wire.Message) error {
-	var req wire.HeartbeatRequest
-	if err := wire.Unmarshal(m.Payload, &req); err != nil {
-		return err
-	}
-	return c.Reply(m, s.MDM.Heartbeat(&req))
-}
-
-func (s *Server) handleSubscribe(c *wire.ServerConn, m *wire.Message) error {
-	var req wire.SubscribeRequest
-	if err := wire.Unmarshal(m.Payload, &req); err != nil {
-		return err
-	}
-	id, err := s.MDM.Subscribe(&req, func(n wire.Notification) {
+// handleSubscribe is a raw handler because a subscription lives on the
+// connection: notifications are pushed down it and it ends with it.
+func (s *Server) handleSubscribe(c *wire.ServerConn, m *wire.Message, req *wire.SubscribeRequest) {
+	id, err := s.MDM.Subscribe(req, func(n wire.Notification) {
 		_ = c.Notify(wire.TypeNotify, n)
 	})
 	if err != nil {
-		return err
+		_ = c.ReplyError(m, err)
+		return
 	}
 	// Tear the subscription down with the connection.
 	c.OnClose(func() { s.MDM.Unsubscribe(id) })
-	return c.Reply(m, wire.SubscribeResponse{SubID: id})
+	_ = c.Reply(m, wire.SubscribeResponse{SubID: id})
 }
 
-func (s *Server) handleUnsubscribe(c *wire.ServerConn, m *wire.Message) error {
-	var req wire.UnsubscribeRequest
-	if err := wire.Unmarshal(m.Payload, &req); err != nil {
-		return err
+func (s *Server) register(_ context.Context, req *wire.RegisterRequest) (wire.Empty, error) {
+	p, err := xpath.Parse(req.Path)
+	if err != nil {
+		return wire.Empty{}, err
 	}
-	if !s.MDM.Unsubscribe(req.SubID) {
-		return fmt.Errorf("gupster: no subscription %d", req.SubID)
-	}
-	return c.Reply(m, wire.Empty{})
+	return wire.Empty{}, s.MDM.Register(coverage.StoreID(req.Store), req.Address, p)
 }
 
-func (s *Server) handlePutRule(c *wire.ServerConn, m *wire.Message) error {
-	var req wire.PutRuleRequest
-	if err := wire.Unmarshal(m.Payload, &req); err != nil {
-		return err
+func (s *Server) unregister(_ context.Context, req *wire.UnregisterRequest) (wire.Empty, error) {
+	p, err := xpath.Parse(req.Path)
+	if err != nil {
+		return wire.Empty{}, err
 	}
-	if err := s.MDM.PutRule(req.Owner, &req); err != nil {
-		return err
-	}
-	return c.Reply(m, wire.Empty{})
+	return wire.Empty{}, s.MDM.Unregister(coverage.StoreID(req.Store), p)
 }
 
-func (s *Server) handleDeleteRule(c *wire.ServerConn, m *wire.Message) error {
-	var req wire.DeleteRuleRequest
-	if err := wire.Unmarshal(m.Payload, &req); err != nil {
-		return err
-	}
-	if err := s.MDM.DeleteRule(req.Owner, req.RuleID); err != nil {
-		return err
-	}
-	return c.Reply(m, wire.Empty{})
-}
-
-func (s *Server) handleChanged(c *wire.ServerConn, m *wire.Message) error {
-	var n wire.ChangedNotice
-	if err := wire.Unmarshal(m.Payload, &n); err != nil {
-		return err
-	}
-	s.MDM.HandleChanged(&n)
-	return c.Reply(m, wire.Empty{})
-}
-
-func (s *Server) handleProvenance(c *wire.ServerConn, m *wire.Message) error {
-	var req wire.ProvenanceRequest
-	if err := wire.Unmarshal(m.Payload, &req); err != nil {
-		return err
-	}
+func (s *Server) provenance(_ context.Context, req *wire.ProvenanceRequest) (wire.ProvenanceResponse, error) {
+	var resp wire.ProvenanceResponse
 	ledger := s.MDM.Provenance()
 	if ledger == nil {
-		return fmt.Errorf("gupster: provenance ledger not enabled")
+		return resp, fmt.Errorf("gupster: provenance ledger not enabled")
 	}
 	// Disclosure data is itself sensitive: only the owner reads her ledger.
 	if req.Requester != req.Owner {
-		return fmt.Errorf("%w: provenance of %s for %s", ErrDenied, req.Owner, req.Requester)
+		return resp, fmt.Errorf("%w: provenance of %s for %s", ErrDenied, req.Owner, req.Requester)
 	}
-	var resp wire.ProvenanceResponse
 	if req.Summarize {
 		for _, d := range ledger.Summary(req.Owner) {
 			resp.Summaries = append(resp.Summaries, wire.ProvenanceSummary{
@@ -351,7 +166,7 @@ func (s *Server) handleProvenance(c *wire.ServerConn, m *wire.Message) error {
 			})
 		}
 	}
-	return c.Reply(m, resp)
+	return resp, nil
 }
 
 // decodeRule converts the wire form of a rule into a policy rule.

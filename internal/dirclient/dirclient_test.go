@@ -80,12 +80,14 @@ func deadAddr(t testing.TB) string {
 func ok(_ int64, c *wire.ServerConn, m *wire.Message) { _ = c.Reply(m, wire.Empty{}) }
 
 func notLeader(addr func() string) func(int64, *wire.ServerConn, *wire.Message) {
-	return func(_ int64, c *wire.ServerConn, m *wire.Message) { _ = c.ReplyNotLeader(m, addr(), "", 1) }
+	return func(_ int64, c *wire.ServerConn, m *wire.Message) {
+		_ = c.ReplyError(m, &wire.NotLeaderError{LeaderAddr: addr(), Term: 1})
+	}
 }
 
 func wrongShard(id string, addr func() string, mp *wire.ShardMap) func(int64, *wire.ServerConn, *wire.Message) {
 	return func(_ int64, c *wire.ServerConn, m *wire.Message) {
-		_ = c.ReplyWrongShard(m, wire.WrongShardPayload{Owner: "o", ShardID: id, Addr: addr(), Map: mp})
+		_ = c.ReplyError(m, &wire.WrongShardError{Owner: "o", ShardID: id, Addr: addr(), Map: mp})
 	}
 }
 
@@ -328,7 +330,7 @@ func TestRuleSet(t *testing.T) {
 			name: "overload is an answer: conn kept",
 			build: func(t *testing.T, f *fleet) (*Directory, string) {
 				f.a.set(nil, func(_ int64, c *wire.ServerConn, m *wire.Message) {
-					_ = c.ReplyOverloaded(m, time.Millisecond, "shed")
+					_ = c.ReplyError(m, &wire.OverloadedError{RetryAfter: time.Millisecond, Reason: "shed"})
 				})
 				return New(f.a.addr(), f.b.addr()), ""
 			},
@@ -336,13 +338,25 @@ func TestRuleSet(t *testing.T) {
 			a:       1,
 		},
 		{
-			name: "caller expiry says nothing about the link: conn kept",
+			// wire.Client's liveness rule, seen from here: the call is the
+			// caller's loss alone — no rotation, b is not asked — but a link
+			// that stayed silent for a whole deadline is not trusted again.
+			name: "caller expiry in silence: no rotation, the link is given up",
 			build: func(t *testing.T, f *fleet) (*Directory, string) {
 				f.a.set(nil, func(int64, *wire.ServerConn, *wire.Message) {}) // never answers
 				return New(f.a.addr(), f.b.addr()), ""
 			},
 			wantErr: context.DeadlineExceeded,
 			a:       1,
+			after: func(t *testing.T, f *fleet, d *Directory, owner string, _ result) {
+				if conn := d.view.Load().conns[f.a.addr()]; conn != nil && conn.Alive() {
+					t.Fatal("the silent link still counts as alive")
+				}
+				f.a.set(nil, ok)
+				if err := d.Call(context.Background(), owner, "op", nil, nil); err != nil {
+					t.Fatalf("call after the silent expiry: %v", err)
+				}
+			},
 		},
 	}
 	for _, row := range rows {
@@ -382,7 +396,7 @@ func TestRuleSet(t *testing.T) {
 			if a, b := f.a.calls.Load(), f.b.calls.Load(); a != row.a || b != row.b {
 				t.Fatalf("members served a=%d b=%d calls, want a=%d b=%d", a, b, row.a, row.b)
 			}
-			if row.wantErr != nil && row.wantErr != ErrUnreachable && row.a > 0 {
+			if row.wantErr != nil && row.wantErr != ErrUnreachable && row.wantErr != context.DeadlineExceeded && row.a > 0 {
 				after := d.view.Load().conns[f.a.addr()]
 				if after == nil || (before != nil && after != before) {
 					t.Fatalf("pooled connection to a was dropped on %v", err)
@@ -580,9 +594,9 @@ func FuzzLocatorRedirect(f *testing.F) {
 				case 0:
 					_ = c.Reply(m, wire.Empty{})
 				case 1:
-					_ = c.ReplyNotLeader(m, target, "", uint64(x))
+					_ = c.ReplyError(m, &wire.NotLeaderError{LeaderAddr: target, Term: uint64(x)})
 				case 2:
-					_ = c.ReplyWrongShard(m, wire.WrongShardPayload{ShardID: "s", Addr: target})
+					_ = c.ReplyError(m, &wire.WrongShardError{ShardID: "s", Addr: target})
 				case 3:
 					mp := wire.ShardMap{Version: uint64(x >> 4 & 3), Epoch: uint64(x >> 6)}
 					switch x >> 4 & 3 {
@@ -593,7 +607,7 @@ func FuzzLocatorRedirect(f *testing.F) {
 					case 3:
 						mp.Shards = []wire.ShardInfo{{ID: "b", Addr: ""}} // no address
 					}
-					_ = c.ReplyWrongShard(m, wire.WrongShardPayload{ShardID: "s", Addr: target, Map: &mp})
+					_ = c.ReplyError(m, &wire.WrongShardError{ShardID: "s", Addr: target, Map: &mp})
 				}
 			}
 		}

@@ -18,7 +18,9 @@
 //	health.Wrap        gossip frames; the agent probes only after the install
 //	wire.Server        the listener
 //
-// A router replaces all of it with a data-less shard.Router.
+// Every layer is a wire.Mux that routes its own frames and falls through to
+// the layer inside it (DESIGN.md §18). A router replaces all of it with a
+// data-less shard.Router.
 package dirnode
 
 import (
@@ -231,7 +233,7 @@ func (n *Node) assemble(cfg *Config, advertise string) (wire.Handler, error) {
 		n.mirror = federation.NewMirror(n.MDM)
 		h = n.mirror
 	default:
-		h = wire.HandlerFunc(core.NewServer(n.MDM).Handle)
+		h = core.NewServer(n.MDM).Mux
 	}
 	if cfg.ShardID == "" {
 		return h, nil

@@ -20,7 +20,6 @@ import (
 	"time"
 
 	"gupster/internal/core"
-	"gupster/internal/trace"
 	"gupster/internal/wire"
 	"gupster/internal/xpath"
 )
@@ -74,26 +73,15 @@ func (w *WhitePages) Lookup(user string) (string, error) {
 
 // Serve exposes the white pages over the wire protocol (who-has).
 func (w *WhitePages) Serve(addr string) (*wire.Server, error) {
-	return wire.Serve(addr, wire.HandlerFunc(func(c *wire.ServerConn, m *wire.Message) {
-		if m.Type != wire.TypeWhoHas {
-			_ = c.ReplyError(m, fmt.Errorf("white pages: unknown message type %q", m.Type))
-			return
-		}
-		var req wire.WhoHasRequest
-		if err := wire.Unmarshal(m.Payload, &req); err != nil {
-			_ = c.ReplyError(m, err)
-			return
-		}
+	x := &wire.Mux{}
+	wire.Route(x, wire.TypeWhoHas, func(_ context.Context, req *wire.WhoHasRequest) (wire.WhoHasResponse, error) {
 		a, err := w.Lookup(req.User)
-		switch {
-		case errors.Is(err, ErrUnlisted):
-			_ = c.Reply(m, wire.WhoHasResponse{Unlisted: true})
-		case err != nil:
-			_ = c.ReplyError(m, err)
-		default:
-			_ = c.Reply(m, wire.WhoHasResponse{Address: a})
+		if errors.Is(err, ErrUnlisted) {
+			return wire.WhoHasResponse{Unlisted: true}, nil
 		}
-	}))
+		return wire.WhoHasResponse{Address: a}, err
+	})
+	return wire.Serve(addr, x)
 }
 
 // Delegation hands meta-data management for a profile subtree to another
@@ -170,33 +158,14 @@ func (n *Node) Resolve(ctx context.Context, req *wire.ResolveRequest) (*wire.Res
 	return n.Local.Resolve(ctx, req)
 }
 
-// Serve exposes the node over the wire protocol. It answers resolve (with
-// delegation), and defers every other message type to a plain core server
-// for the local MDM.
+// Serve exposes the node over the wire protocol: a plain core server for
+// the local MDM whose resolve route delegates. The route is served like any
+// other — under the frame's trace header and budget, which ride into the
+// forwarded hop, and through the local MDM's admission.
 func (n *Node) Serve(addr string) (*wire.Server, error) {
 	inner := core.NewServer(n.Local)
-	return wire.Serve(addr, wire.HandlerFunc(func(c *wire.ServerConn, m *wire.Message) {
-		if m.Type == wire.TypeResolve {
-			var req wire.ResolveRequest
-			if err := wire.Unmarshal(m.Payload, &req); err != nil {
-				_ = c.ReplyError(m, err)
-				return
-			}
-			// The frame's trace header and remaining budget ride into the
-			// forwarded hop, as they do through core.Server.
-			ctx := trace.WithRemote(context.Background(), m.Trace, "mdm", n.Local.Tracer())
-			ctx, cancel := wire.BudgetContext(ctx, m)
-			resp, err := n.Resolve(ctx, &req)
-			cancel()
-			if err != nil {
-				_ = c.ReplyError(m, err)
-				return
-			}
-			_ = c.Reply(m, resp)
-			return
-		}
-		inner.Handle(c, m)
-	}))
+	wire.Route(inner.Mux, wire.TypeResolve, n.Resolve)
+	return wire.Serve(addr, inner.Mux)
 }
 
 // Close releases delegate connections.

@@ -9,6 +9,7 @@ import (
 	"gupster/internal/core"
 	"gupster/internal/coverage"
 	"gupster/internal/federation"
+	"gupster/internal/overload"
 	"gupster/internal/policy"
 	"gupster/internal/schema"
 	"gupster/internal/store"
@@ -376,5 +377,70 @@ func TestNodeServeForwardsUnderTheFramesBudget(t *testing.T) {
 	case <-closed:
 	case <-time.After(3 * time.Second):
 		t.Fatal("handler still forwarding long after the frame's 100ms budget")
+	}
+}
+
+// A federated node's resolve is a route like any other: it passes the local
+// MDM's admission. Before the dispatcher, Node.Serve answered resolves
+// itself and only handed the other types to the core server, so the one
+// class admission exists to bound was never admitted, counted or shed.
+func TestNodeServeAdmitsResolves(t *testing.T) {
+	local := core.New(core.Config{
+		Schema:   schema.GUP(),
+		Signer:   token.NewSigner(key),
+		GrantTTL: time.Minute,
+		Overload: overload.Config{MaxConcurrency: 1, QueueDepth: 1, QueueWait: 50 * time.Millisecond},
+	})
+	t.Cleanup(local.Close)
+	st := newStore(t, "s1")
+	if err := local.Register("s1", st.Addr(), xpath.MustParse("/user[@id='u']/presence")); err != nil {
+		t.Fatal(err)
+	}
+	n := federation.NewNode(local)
+	defer n.Close()
+	srv, err := n.Serve("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	cli, err := wire.Dial(srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cli.Close()
+	req := &wire.ResolveRequest{
+		Path:    "/user[@id='u']/presence",
+		Context: policy.Context{Requester: "u"},
+		Verb:    token.VerbFetch,
+	}
+
+	if err := cli.Call(context.Background(), wire.TypeResolve, req, nil); err != nil {
+		t.Fatalf("resolve: %v", err)
+	}
+	if got := local.Snapshot().AdmissionAdmitted; got != 1 {
+		t.Fatalf("AdmissionAdmitted = %d after one resolve, want 1", got)
+	}
+
+	// The slot held and the queue full: the next resolve is shed.
+	held, err := local.Admission().Acquire(context.Background(), overload.ClassHigh)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer held()
+	go func() { // fills the queue until the resolve displaces it
+		if release, err := local.Admission().Acquire(context.Background(), overload.ClassHigh); err == nil {
+			release()
+		}
+	}()
+	for {
+		if _, queued := local.Admission().InUse(); queued == 1 {
+			break
+		}
+		time.Sleep(time.Millisecond)
+	}
+	err = cli.Call(context.Background(), wire.TypeResolve, req, nil)
+	var ov *wire.OverloadedError
+	if !errors.As(err, &ov) {
+		t.Fatalf("resolve on a saturated node: got %v, want *wire.OverloadedError", err)
 	}
 }

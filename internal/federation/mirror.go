@@ -28,9 +28,9 @@ import (
 //     directory handle over the members plus backoff between passes.
 //
 // Replication is best-effort fan-out on the mutation path — exactly the
-// UDDI-style mirroring the paper invokes; peers that are down miss updates
-// until re-registration (stores re-announce coverage on reconnect, so the
-// registry is self-healing).
+// UDDI-style mirroring the paper invokes; peers that are down or too slow
+// for the caller's budget miss updates until re-registration (stores
+// re-announce coverage on reconnect, so the registry is self-healing).
 
 // peerHello marks a connection as a mirror-to-mirror link so forwarded
 // mutations are not forwarded again (no loops).
@@ -51,8 +51,10 @@ var mirroredTypes = map[string]bool{
 
 // Mirror is one member of an MDM constellation.
 type Mirror struct {
-	mdm   *core.MDM
-	local *core.Server
+	mdm *core.MDM
+	// mux answers peer hellos; everything else falls through to the local
+	// core server, whose mutation routes are wrapped by replicate.
+	mux *wire.Mux
 
 	// peers is a set, not a wire.Pool cache: a mutation fans out to all of
 	// it, and every new link does peer-hello plus a snapshot replay.
@@ -71,13 +73,19 @@ type Mirror struct {
 
 // NewMirror fronts a local MDM.
 func NewMirror(local *core.MDM) *Mirror {
-	return &Mirror{
+	m := &Mirror{
 		mdm:       local,
-		local:     core.NewServer(local),
 		peers:     make(map[string]*wire.Client),
 		peerConns: make(map[*wire.ServerConn]bool),
 		keepStop:  make(chan struct{}),
 	}
+	inner := core.NewServer(local).Mux
+	for typ := range mirroredTypes {
+		inner.Wrap(typ, m.replicate)
+	}
+	m.mux = &wire.Mux{Fallback: inner}
+	wire.Handle(m.mux, typePeerHello, m.handlePeerHello)
+	return m
 }
 
 // Serve starts the mirror's listener.
@@ -203,59 +211,62 @@ func (m *Mirror) Close() {
 	}
 }
 
-// ServeWire implements wire.Handler: peer hellos are answered here,
-// client mutations fan out to the peers, and everything is then applied by
-// the local core server, which replies.
-func (m *Mirror) ServeWire(c *wire.ServerConn, msg *wire.Message) {
-	if msg.Type == typePeerHello {
+// ServeWire implements wire.Handler.
+func (m *Mirror) ServeWire(c *wire.ServerConn, msg *wire.Message) { m.mux.ServeWire(c, msg) }
+
+// handlePeerHello is a raw handler because it marks the connection: what
+// arrives on a mirror-to-mirror link is applied, never forwarded again.
+func (m *Mirror) handlePeerHello(c *wire.ServerConn, msg *wire.Message, _ *wire.Empty) {
+	m.peerMu.Lock()
+	m.peerConns[c] = true
+	m.peerMu.Unlock()
+	c.OnClose(func() {
 		m.peerMu.Lock()
-		m.peerConns[c] = true
+		delete(m.peerConns, c)
 		m.peerMu.Unlock()
-		c.OnClose(func() {
-			m.peerMu.Lock()
-			delete(m.peerConns, c)
-			m.peerMu.Unlock()
-		})
-		_ = c.Reply(msg, wire.Empty{})
-		return
+	})
+	_ = c.Reply(msg, wire.Empty{})
+}
+
+// replicate wraps the local server's mutation routes: a mutation from a
+// client or store — not one that arrived over a peer link — is applied
+// locally first, and only one the local server accepted is fanned out to
+// the peers, before the dispatcher replies: when the caller's
+// acknowledgement arrives, the constellation has converged. Apply-then-
+// fan-out also means a mutation is in the snapshot AddPeer replays or in a
+// fan-out that includes the new peer, possibly both (replays are
+// idempotent), never in neither.
+func (m *Mirror) replicate(ctx context.Context, c *wire.ServerConn, msg *wire.Message, apply func(context.Context) (any, error)) (any, error) {
+	resp, err := apply(ctx)
+	m.peerMu.Lock()
+	fromPeer := m.peerConns[c]
+	m.peerMu.Unlock()
+	if err != nil || fromPeer {
+		return resp, err
 	}
-	// Replicate mutations that originated from clients or stores — not
-	// ones that arrived over a peer link — synchronously, before the local
-	// apply replies to the caller: when the caller's acknowledgement
-	// arrives, the constellation has converged.
-	if mirroredTypes[msg.Type] {
-		m.peerMu.Lock()
-		fromPeer := m.peerConns[c]
-		m.peerMu.Unlock()
-		if !fromPeer {
-			m.mu.Lock()
-			peers := make([]*wire.Client, 0, len(m.peers))
-			for _, p := range m.peers {
-				peers = append(peers, p)
-			}
-			m.mu.Unlock()
-			// A traced mutation records the replication fan-out as a span in
-			// the local MDM's collector (recording directly there, not on the
-			// request frame — the local apply below owns the reply).
-			rctx := context.Background()
-			var rsp *trace.Active
-			if msg.Trace != nil {
-				rctx = trace.WithRemote(rctx, msg.Trace, "mirror", m.mdm.Tracer())
-				rctx, rsp = trace.Start(rctx, "mirror.replicate")
-			}
-			// Fan the mutation out to all peers concurrently (bounded pool)
-			// instead of peer by peer: convergence latency is the slowest
-			// peer, not the sum. Best-effort: a dead peer misses the update;
-			// stores re-register on reconnect.
-			_ = flight.ForEach(rctx, len(peers), flight.DefaultWorkers, func(i int) error {
-				_ = peers[i].Call(rctx, msg.Type, msg.Payload, nil)
-				return nil
-			})
-			rsp.Finish(nil)
-		}
+	m.mu.Lock()
+	peers := make([]*wire.Client, 0, len(m.peers))
+	for _, p := range m.peers {
+		peers = append(peers, p)
 	}
-	// Apply locally (the local core server replies to the caller).
-	m.local.Handle(c, msg)
+	m.mu.Unlock()
+	// The fan-out lives inside the caller's budget (wire.ForwardTimeout for
+	// a frame without one): a peer that holds TCP open and never answers
+	// costs the caller that long, not this connection's serve loop forever.
+	rctx, cancel := wire.ForwardContext(ctx, nil)
+	defer cancel()
+	// A traced mutation records the fan-out as a span of its own site in
+	// the local MDM's collector.
+	rctx, rsp := trace.Start(trace.WithRemote(rctx, msg.Trace, "mirror", m.mdm.Tracer()), "mirror.replicate")
+	// All peers concurrently (bounded pool): convergence latency is the
+	// slowest peer, not the sum. Best-effort: a dead peer misses the update;
+	// stores re-register on reconnect.
+	_ = flight.ForEach(rctx, len(peers), flight.DefaultWorkers, func(i int) error {
+		_ = peers[i].Call(rctx, msg.Type, msg.Payload, nil)
+		return nil
+	})
+	rsp.Finish(nil)
+	return resp, nil
 }
 
 // ErrAllMirrorsDown reports that no member of the constellation answered.

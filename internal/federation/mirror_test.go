@@ -3,13 +3,16 @@ package federation_test
 import (
 	"context"
 	"errors"
+	"net"
 	"strings"
 	"testing"
 	"time"
 
 	"gupster/internal/core"
 	"gupster/internal/federation"
+	"gupster/internal/overload"
 	"gupster/internal/policy"
+	"gupster/internal/schema"
 	"gupster/internal/token"
 	"gupster/internal/wire"
 	"gupster/internal/xmltree"
@@ -237,5 +240,117 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 			t.Fatalf("timed out waiting for %s", what)
 		}
 		time.Sleep(15 * time.Millisecond)
+	}
+}
+
+// A peer that holds TCP open and never answers costs a mutation its
+// budget, not the connection: the mirror replies (best effort — the mute
+// peer missed the update) in about that long, and the next frame on the
+// same client connection is served. Before the dispatcher the fan-out ran
+// under context.Background and the handler, and with it every later frame
+// on the connection, hung for good.
+func TestMirrorMutePeerCostsOnlyTheBudget(t *testing.T) {
+	mdm := newMDM(t)
+	mirror := federation.NewMirror(mdm)
+	srv, err := mirror.Serve("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { srv.Close(); mirror.Close() })
+	mute, err := wire.Serve("127.0.0.1:0", wire.HandlerFunc(func(c *wire.ServerConn, m *wire.Message) {
+		if m.Type == "peer-hello" {
+			_ = c.Reply(m, wire.Empty{})
+		}
+	}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { mute.Close() })
+	if err := mirror.AddPeer(context.Background(), mute.Addr()); err != nil {
+		t.Fatal(err)
+	}
+
+	// Raw frames: the client's own timeout must not be what ends the wait.
+	conn, err := net.Dial("tcp", srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	conn.SetDeadline(time.Now().Add(5 * time.Second))
+	start := time.Now()
+	for _, m := range []*wire.Message{
+		{Type: wire.TypeRegister, ID: 1, BudgetMillis: 200, Payload: wire.Marshal(wire.RegisterRequest{
+			Store: "s1", Address: "127.0.0.1:7101", Path: "/user[@id='u']/presence",
+		})},
+		{Type: wire.TypeStats, ID: 2},
+	} {
+		if err := wire.WriteFrame(conn, m); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ack, err := wire.ReadFrame(conn)
+	if err != nil {
+		t.Fatalf("the register behind a mute peer was never answered: %v", err)
+	}
+	if took := time.Since(start); ack.ID != 1 || ack.Error != "" || took < 150*time.Millisecond || took > 2*time.Second {
+		t.Fatalf("register: reply %+v after %s, want the ack after about the 200 ms budget", ack, took)
+	}
+	if next, err := wire.ReadFrame(conn); err != nil || next.ID != 2 || next.Error != "" {
+		t.Fatalf("the frame after it: %+v, %v", next, err)
+	}
+	if mdm.Registry.StoreCount("s1") != 1 {
+		t.Fatal("the registration was acknowledged but not applied locally")
+	}
+}
+
+// A mutation the local server refuses — here shed by admission — reaches
+// no peer: mirrors replicate what they applied. Before the dispatcher the
+// fan-out came first, so the peers held a rule the mirror that was asked
+// had refused.
+func TestMirrorRefusedMutationReachesNoPeer(t *testing.T) {
+	mdmA := core.New(core.Config{
+		Schema:   schema.GUP(),
+		Signer:   token.NewSigner(key),
+		GrantTTL: time.Minute,
+		Overload: overload.Config{MaxConcurrency: 1, QueueDepth: 1, QueueWait: 30 * time.Millisecond},
+	})
+	t.Cleanup(mdmA.Close)
+	mdmB := newMDM(t)
+	mirrors := []*federation.Mirror{federation.NewMirror(mdmA), federation.NewMirror(mdmB)}
+	var addrs []string
+	for _, m := range mirrors {
+		srv, err := m.Serve("127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		m := m
+		t.Cleanup(func() { srv.Close(); m.Close() })
+		addrs = append(addrs, srv.Addr())
+	}
+	if err := federation.Join(mirrors, addrs); err != nil {
+		t.Fatal(err)
+	}
+	rule := &wire.PutRuleRequest{Owner: "u", Rule: wire.RulePayload{ID: "r1", Path: "/user[@id='u']/presence", Effect: "permit"}}
+
+	held, err := mdmA.Admission().Acquire(context.Background(), overload.ClassHigh)
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = callAt(t, addrs[0], wire.TypePutRule, rule)
+	held()
+	var ov *wire.OverloadedError
+	if !errors.As(err, &ov) {
+		t.Fatalf("put-rule on a saturated mirror: got %v, want *wire.OverloadedError", err)
+	}
+	if got := len(mdmB.ShieldSnapshot()); got != 0 {
+		t.Fatalf("the peer holds %d rules after a put-rule its mirror refused", got)
+	}
+
+	// Accepted, it converges as before.
+	if err := callAt(t, addrs[0], wire.TypePutRule, rule); err != nil {
+		t.Fatal(err)
+	}
+	if got := len(mdmB.ShieldSnapshot()); got != 1 {
+		t.Fatalf("the peer holds %d rules after an accepted put-rule, want 1", got)
 	}
 }

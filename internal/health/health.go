@@ -463,31 +463,22 @@ func (a *Agent) learnMap(epoch, version uint64, fromAddr string) {
 	}()
 }
 
-// HandlePing answers a direct probe: ack with our map coordinates, and
+// answerPing answers a direct probe: ack with our map coordinates, and
 // learn the sender's. Receiving a ping deliberately does NOT mark the
 // sender alive — its inbound path provably works, but clients need its
 // replies, and only its acks witness those.
-func (a *Agent) HandlePing(c *wire.ServerConn, m *wire.Message) {
-	var req wire.GossipPing
-	if err := wire.Unmarshal(m.Payload, &req); err != nil {
-		_ = c.ReplyError(m, err)
-		return
-	}
+func (a *Agent) answerPing(_ context.Context, req *wire.GossipPing) (wire.GossipAck, error) {
 	cur := a.currentMap()
-	_ = c.Reply(m, wire.GossipAck{FromID: a.cfg.Self.ID, MapEpoch: cur.Epoch, MapVersion: cur.Version})
 	a.learnMap(req.MapEpoch, req.MapVersion, req.FromAddr)
+	return wire.GossipAck{FromID: a.cfg.Self.ID, MapEpoch: cur.Epoch, MapVersion: cur.Version}, nil
 }
 
-// HandlePingReq probes the named target on the requester's behalf and
-// relays the target's ack. The probe runs on its own goroutine: handlers
-// are sequential per connection and a relay blocking for a ping timeout
-// must not stall the requester's other gossip frames.
-func (a *Agent) HandlePingReq(c *wire.ServerConn, m *wire.Message) {
-	var req wire.GossipPingReq
-	if err := wire.Unmarshal(m.Payload, &req); err != nil {
-		_ = c.ReplyError(m, err)
-		return
-	}
+// handlePingReq probes the named target on the requester's behalf and
+// relays the target's ack. It is a raw handler because the answer comes
+// from its own goroutine: handlers are sequential per connection and a
+// relay blocking for a ping timeout must not stall the requester's other
+// gossip frames.
+func (a *Agent) handlePingReq(c *wire.ServerConn, m *wire.Message, req *wire.GossipPingReq) {
 	a.mu.Lock()
 	if a.closed {
 		a.mu.Unlock()
@@ -520,29 +511,17 @@ func (a *Agent) HandlePingReq(c *wire.ServerConn, m *wire.Message) {
 	}()
 }
 
-// HandleMembership answers the operator-facing view dump.
-func (a *Agent) HandleMembership(c *wire.ServerConn, m *wire.Message) {
-	_ = c.Reply(m, a.Membership())
-}
-
 // Wrap composes the agent's gossip handling in front of a shard node's
 // dispatch: gossip frames are intercepted, everything else falls through,
 // and internal/shard stays ignorant of the health layer.
 func Wrap(a *Agent, inner wire.Handler) wire.Handler {
-	return wire.HandlerFunc(func(c *wire.ServerConn, m *wire.Message) {
-		switch m.Type {
-		case wire.TypeGossipPing:
-			a.HandlePing(c, m)
-			return
-		case wire.TypeGossipPingReq:
-			a.HandlePingReq(c, m)
-			return
-		case wire.TypeMembership:
-			a.HandleMembership(c, m)
-			return
-		}
-		inner.ServeWire(c, m)
+	x := &wire.Mux{Fallback: inner}
+	wire.Route(x, wire.TypeGossipPing, a.answerPing)
+	wire.Handle(x, wire.TypeGossipPingReq, a.handlePingReq)
+	wire.Route(x, wire.TypeMembership, func(context.Context, *wire.Empty) (wire.MembershipResponse, error) {
+		return a.Membership(), nil
 	})
+	return x
 }
 
 // snapshotLoop caches coverage snapshots of alive in-map members on a slow

@@ -25,6 +25,7 @@ package overload
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sort"
 	"sync"
@@ -79,8 +80,8 @@ func Classify(msgType string) Class {
 	}
 }
 
-// ShedError is the controller refusing work. The serving layer converts it
-// into a wire.TypeOverloaded reply carrying the retry-after hint.
+// ShedError is the controller refusing work; Admit turns it into the
+// wire.OverloadedError the dispatcher replies with.
 type ShedError struct {
 	Class      Class
 	RetryAfter time.Duration
@@ -272,6 +273,31 @@ func (c *Controller) Acquire(ctx context.Context, class Class) (release func(), 
 		}
 		return nil, ctx.Err()
 	}
+}
+
+// Admit is the admission step of a node's dispatcher (wire.Mux.Admit): it
+// classifies the frame, refuses one whose budget cannot cover the class's
+// service time, and otherwise waits for a slot. Admission runs before
+// dispatch, so shedding is all-or-nothing — a shed BatchResolve is one
+// overloaded frame, never a half-answered batch — and control traffic
+// (stats, heartbeats, registrations) bypasses it: operators must be able to
+// observe and steer an overloaded node. Every refusal is a
+// *wire.OverloadedError carrying the retry-after hint; this is the only
+// place a ShedError becomes one.
+func (c *Controller) Admit(ctx context.Context, msgType string) (release func(), err error) {
+	class := Classify(msgType)
+	if ra, expired := c.ExpiredOnArrival(ctx, class); expired {
+		return nil, &wire.OverloadedError{Op: msgType, RetryAfter: ra, Reason: "budget expired on arrival"}
+	}
+	release, err = c.Acquire(ctx, class)
+	if err == nil {
+		return release, nil
+	}
+	var shed *ShedError
+	if errors.As(err, &shed) {
+		return nil, &wire.OverloadedError{Op: msgType, RetryAfter: shed.RetryAfter, Reason: shed.Reason}
+	}
+	return nil, &wire.OverloadedError{Op: msgType, RetryAfter: c.RetryAfter(class), Reason: "request expired in admission queue"}
 }
 
 // releaseFunc builds the once-only release closure for an admitted slot.

@@ -1,6 +1,7 @@
 package replication
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -73,7 +74,7 @@ type Node struct {
 	quorum int
 	ttl    time.Duration
 	mdm    *core.MDM
-	inner  *core.Server
+	mux    *wire.Mux
 	jr     *journal.Journal
 	ws     *wire.Server
 
@@ -150,13 +151,13 @@ func NewNode(m *core.MDM, cfg Config) (*Node, error) {
 		quorum: quorum,
 		ttl:    ttl,
 		mdm:    m,
-		inner:  core.NewServer(m),
 		jr:     jr,
 		stopCh: make(chan struct{}),
 	}
 	for _, addr := range cfg.Peers {
 		n.peers = append(n.peers, &peer{addr: addr, notify: make(chan struct{}, 1)})
 	}
+	n.mux = n.newMux(core.NewServer(m))
 	if err := n.loadElectionState(); err != nil {
 		return nil, err
 	}
@@ -208,70 +209,45 @@ func (n *Node) SuspendHeartbeats(v bool) { n.suspended.Store(v) }
 // (and learning terms) through the "partition".
 var errPartitioned = errors.New("replication: peer unreachable (suspended)")
 
-// Handle is the node's wire dispatch: replication traffic is handled
-// here, directory mutations are redirected unless this node leads, and
-// everything else (resolves, heartbeats, traces, …) falls through to
-// the embedded core server — any member answers reads from its own
-// replica.
-func (n *Node) Handle(c *wire.ServerConn, m *wire.Message) {
-	switch m.Type {
-	case wire.TypeReplAppend:
-		var req AppendRequest
-		if err := json.Unmarshal(m.Payload, &req); err != nil {
-			_ = c.ReplyError(m, err)
-			return
-		}
-		resp, err := n.HandleAppend(&req)
-		if err != nil {
-			_ = c.ReplyError(m, err)
-			return
-		}
-		_ = c.Reply(m, resp)
-	case wire.TypeReplVote:
-		var req VoteRequest
-		if err := json.Unmarshal(m.Payload, &req); err != nil {
-			_ = c.ReplyError(m, err)
-			return
-		}
-		resp, err := n.HandleVote(&req)
-		if err != nil {
-			_ = c.ReplyError(m, err)
-			return
-		}
-		_ = c.Reply(m, resp)
-	case wire.TypeReplSnapshot:
-		var req SnapshotChunk
-		if err := json.Unmarshal(m.Payload, &req); err != nil {
-			_ = c.ReplyError(m, err)
-			return
-		}
-		resp, err := n.HandleSnapshotChunk(&req)
-		if err != nil {
-			_ = c.ReplyError(m, err)
-			return
-		}
-		_ = c.Reply(m, resp)
-	case wire.TypeRegister, wire.TypeUnregister, wire.TypePutRule, wire.TypeDeleteRule:
-		// Leader-only: redirect instead of applying locally, BEFORE the
-		// embedded server touches its in-memory directory (mutations are
-		// apply-then-journal, so letting them through would pollute a
-		// follower's replica).
-		n.mu.Lock()
-		isLeader := n.role == Leader
-		leader := n.leaderID
-		term := n.term
-		n.mu.Unlock()
-		if !isLeader {
-			if leader == n.cfg.ID {
-				leader = ""
-			}
-			_ = c.ReplyNotLeader(m, leader, leader, term)
-			return
-		}
-		n.inner.Handle(c, m)
-	default:
-		n.inner.Handle(c, m)
+// Handle is the node's wire dispatch: replication traffic is routed here,
+// and everything else falls through to the embedded core server — any
+// member answers reads (resolves, heartbeats, traces, …) from its own
+// replica, and directory mutations pass leaderOnly on their way in.
+func (n *Node) Handle(c *wire.ServerConn, m *wire.Message) { n.mux.ServeWire(c, m) }
+
+// newMux builds that dispatch around the embedded server.
+func (n *Node) newMux(inner *core.Server) *wire.Mux {
+	x := &wire.Mux{Fallback: inner.Mux}
+	wire.Route(x, wire.TypeReplAppend, withoutCtx(n.HandleAppend))
+	wire.Route(x, wire.TypeReplVote, withoutCtx(n.HandleVote))
+	wire.Route(x, wire.TypeReplSnapshot, withoutCtx(n.HandleSnapshotChunk))
+	for _, typ := range []string{wire.TypeRegister, wire.TypeUnregister, wire.TypePutRule, wire.TypeDeleteRule} {
+		inner.Mux.Wrap(typ, n.leaderOnly)
 	}
+	return x
+}
+
+func withoutCtx[Req, Resp any](fn func(*Req) (Resp, error)) func(context.Context, *Req) (Resp, error) {
+	return func(_ context.Context, req *Req) (Resp, error) { return fn(req) }
+}
+
+// leaderOnly wraps the directory's mutation routes: a node that does not
+// lead redirects instead of applying, BEFORE the embedded server touches
+// its in-memory directory (mutations are apply-then-journal, so letting
+// them through would pollute a follower's replica).
+func (n *Node) leaderOnly(ctx context.Context, _ *wire.ServerConn, _ *wire.Message, next func(context.Context) (any, error)) (any, error) {
+	n.mu.Lock()
+	isLeader := n.role == Leader
+	leader := n.leaderID
+	term := n.term
+	n.mu.Unlock()
+	if !isLeader {
+		if leader == n.cfg.ID {
+			leader = ""
+		}
+		return nil, &wire.NotLeaderError{LeaderAddr: leader, LeaderID: leader, Term: term}
+	}
+	return next(ctx)
 }
 
 // HandleAppend is the follower half of log shipping. Exported (like the

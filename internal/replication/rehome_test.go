@@ -3,7 +3,6 @@ package replication_test
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -142,15 +141,11 @@ func (f *followerFront) ServeWire(c *wire.ServerConn, m *wire.Message) {
 	defer cancel()
 	var raw json.RawMessage
 	err := f.member.Call(ctx, m.Type, json.RawMessage(m.Payload), &raw)
-	var nl *wire.NotLeaderError
-	switch {
-	case err == nil:
-		_ = c.Reply(m, raw)
-	case errors.As(err, &nl):
-		_ = c.ReplyNotLeader(m, nl.LeaderAddr, nl.LeaderID, nl.Term)
-	default:
-		_ = c.ReplyError(m, err)
+	if err != nil {
+		_ = c.ReplyError(m, err) // a not-leader verdict passes through typed
+		return
 	}
+	_ = c.Reply(m, raw)
 }
 
 // Regression: core.Client started every call at the address it was dialed

@@ -281,16 +281,6 @@ func (g *Group) State(endpoint string) State {
 	return g.breaker(endpoint).State()
 }
 
-// Success and Failure feed an endpoint's breaker directly, for callers
-// that run their own attempt loop (e.g. the mirror failover client).
-func (g *Group) Success(endpoint string) { g.breaker(endpoint).Success() }
-
-// Failure records one transient failure against the endpoint.
-func (g *Group) Failure(endpoint string) {
-	g.Stats.Failures.Add(1)
-	g.breaker(endpoint).Failure()
-}
-
 // Backoff returns the jittered delay before retry number retry (0-based).
 func (g *Group) Backoff(retry int) time.Duration {
 	d := float64(g.Policy.BaseDelay) * math.Pow(g.Policy.Multiplier, float64(retry))

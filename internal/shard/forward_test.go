@@ -80,11 +80,13 @@ func TestForwardersKeepPeerLinkOnTypedReplies(t *testing.T) {
 	const inflight = 4
 	replies := map[string]func(peer *peerShard) func(*wire.ServerConn, *wire.Message){
 		"overloaded": func(*peerShard) func(*wire.ServerConn, *wire.Message) {
-			return func(c *wire.ServerConn, m *wire.Message) { _ = c.ReplyOverloaded(m, time.Millisecond, "shed") }
+			return func(c *wire.ServerConn, m *wire.Message) {
+				_ = c.ReplyError(m, &wire.OverloadedError{RetryAfter: time.Millisecond, Reason: "shed"})
+			}
 		},
 		"wrong-shard": func(p *peerShard) func(*wire.ServerConn, *wire.Message) {
 			return func(c *wire.ServerConn, m *wire.Message) {
-				_ = c.ReplyWrongShard(m, wire.WrongShardPayload{ShardID: "peer", Addr: p.srv.Addr()})
+				_ = c.ReplyError(m, &wire.WrongShardError{ShardID: "peer", Addr: p.srv.Addr()})
 			}
 		},
 		"caller deadline": func(*peerShard) func(*wire.ServerConn, *wire.Message) {
@@ -100,7 +102,7 @@ func TestForwardersKeepPeerLinkOnTypedReplies(t *testing.T) {
 				t.Fatal(err)
 			}
 			node := shard.NewNode(shard.NodeConfig{
-				ShardID: "self", ForwardTimeout: 5 * time.Second, Logf: t.Logf,
+				ShardID: "self", Logf: t.Logf,
 				Inner: wire.HandlerFunc(func(c *wire.ServerConn, m *wire.Message) {
 					_ = c.ReplyError(m, errors.New("served locally"))
 				}),

@@ -33,13 +33,10 @@ type NodeConfig struct {
 	// MDM is the local directory slice (used for coverage dumps and the
 	// post-drain cleanup; the serving path goes through Inner).
 	MDM *core.MDM
-	// Inner is the unsharded dispatch the node wraps: a core.Server's
-	// Handle for a plain shard, a replication.Node's Handle when the
-	// shard is itself a quorum constellation.
+	// Inner is the unsharded dispatch the node wraps: a core.Server's Mux
+	// for a plain shard, a replication.Node's Handle when the shard is
+	// itself a quorum constellation.
 	Inner wire.Handler
-	// ForwardTimeout bounds one shard-to-shard forward when the inbound
-	// frame carries no budget; 0 means 5s.
-	ForwardTimeout time.Duration
 	// Logf, when set, receives install/rebalance events.
 	Logf func(format string, args ...any)
 }
@@ -66,6 +63,9 @@ type handoffState struct {
 type Node struct {
 	cfg NodeConfig
 
+	// mux answers shard administration; its fallback is route.
+	mux *wire.Mux
+
 	mu      sync.Mutex
 	ring    *ring.Ring
 	handoff *handoffState
@@ -79,7 +79,29 @@ type Node struct {
 // NewNode wraps inner with shard routing. With no map installed the node
 // serves everything locally — a one-shard directory needs no map.
 func NewNode(cfg NodeConfig) *Node {
-	return &Node{cfg: cfg, peers: dirclient.New()}
+	n := &Node{cfg: cfg, peers: dirclient.New()}
+	n.mux = adminMux(n.Map, n.Install, wire.HandlerFunc(n.route))
+	wire.Route(n.mux, wire.TypeShardCoverage, func(context.Context, *wire.Empty) (wire.ShardCoverageResponse, error) {
+		if cfg.MDM == nil {
+			return wire.ShardCoverageResponse{}, fmt.Errorf("shard: node has no local directory to dump")
+		}
+		return wire.ShardCoverageResponse{Coverage: cfg.MDM.CoverageSnapshot(), Shields: cfg.MDM.ShieldSnapshot()}, nil
+	})
+	return n
+}
+
+// adminMux is the dispatch a Node and a Router share: the map and install
+// frames are answered from the holder's own state, every other frame is
+// rest's.
+func adminMux(current func() wire.ShardMap, install func(*wire.ShardInstallRequest) (*wire.ShardInstallResponse, error), rest wire.Handler) *wire.Mux {
+	x := &wire.Mux{Fallback: rest}
+	wire.Route(x, wire.TypeShardMap, func(context.Context, *wire.Empty) (wire.ShardMap, error) {
+		return current(), nil
+	})
+	wire.Route(x, wire.TypeShardInstall, func(_ context.Context, req *wire.ShardInstallRequest) (*wire.ShardInstallResponse, error) {
+		return install(req)
+	})
+	return x
 }
 
 // Install adopts a shard map in-process (the wire path arrives via
@@ -229,44 +251,14 @@ func (n *Node) logf(format string, args ...any) {
 	}
 }
 
-// Handle implements wire.Handler: shard administration is answered here,
-// owner-scoped traffic is routed, everything else falls through.
-func (n *Node) Handle(c *wire.ServerConn, m *wire.Message) {
-	switch m.Type {
-	case wire.TypeShardMap:
-		n.mu.Lock()
-		var mp wire.ShardMap
-		if n.ring != nil {
-			mp = n.ring.Map()
-		}
-		n.mu.Unlock()
-		_ = c.Reply(m, mp)
-		return
-	case wire.TypeShardInstall:
-		var req wire.ShardInstallRequest
-		if err := wire.Unmarshal(m.Payload, &req); err != nil {
-			_ = c.ReplyError(m, err)
-			return
-		}
-		resp, err := n.Install(&req)
-		if err != nil {
-			_ = c.ReplyError(m, err)
-			return
-		}
-		_ = c.Reply(m, resp)
-		return
-	case wire.TypeShardCoverage:
-		if n.cfg.MDM == nil {
-			_ = c.ReplyError(m, fmt.Errorf("shard: node has no local directory to dump"))
-			return
-		}
-		_ = c.Reply(m, wire.ShardCoverageResponse{
-			Coverage: n.cfg.MDM.CoverageSnapshot(),
-			Shields:  n.cfg.MDM.ShieldSnapshot(),
-		})
-		return
-	}
+// ServeWire implements wire.Handler: shard administration is answered by
+// the node's Mux, everything else is routed.
+func (n *Node) ServeWire(c *wire.ServerConn, m *wire.Message) { n.mux.ServeWire(c, m) }
 
+// route is a raw handler because it never decodes what it passes on: it
+// peeks at the frame's owner, and the frame then falls through to Inner
+// untouched, is redirected, or — inside a rebalance window — is relayed.
+func (n *Node) route(c *wire.ServerConn, m *wire.Message) {
 	owners, scoped := ownersOfMessage(m.Type, m.Payload)
 	if !scoped || len(owners) == 0 {
 		n.cfg.Inner.ServeWire(c, m)
@@ -299,7 +291,7 @@ func (n *Node) Handle(c *wire.ServerConn, m *wire.Message) {
 		movedAway := h != nil && h.prev.Owner(owner).ID == n.cfg.ShardID
 		switch {
 		case movedAway && h.mode == "drain":
-			n.forward(c, m, owner)
+			relay(n.peers, c, m, owner)
 			return
 		case movedAway && h.mode == "handoff":
 			if m.Type == wire.TypeSubscribe {
@@ -310,7 +302,7 @@ func (n *Node) Handle(c *wire.ServerConn, m *wire.Message) {
 				return
 			}
 			if isMutation(m.Type) {
-				n.forward(c, m, owner)
+				relay(n.peers, c, m, owner)
 				return
 			}
 			if m.Type == wire.TypeChanged {
@@ -318,7 +310,7 @@ func (n *Node) Handle(c *wire.ServerConn, m *wire.Message) {
 				// serves reads for the owner, so its cache must hear the
 				// change too.
 				n.applyChangedLocally(m)
-				n.forward(c, m, owner)
+				relay(n.peers, c, m, owner)
 				return
 			}
 			// Reads stay local until the drain: the replay to the new
@@ -332,15 +324,9 @@ func (n *Node) Handle(c *wire.ServerConn, m *wire.Message) {
 	n.cfg.Inner.ServeWire(c, m)
 }
 
-// ServeWire implements wire.Handler.
-func (n *Node) ServeWire(c *wire.ServerConn, m *wire.Message) { n.Handle(c, m) }
-
 func (n *Node) redirect(c *wire.ServerConn, m *wire.Message, owner string, target wire.ShardInfo, rg *ring.Ring) {
-	if m.ID == 0 {
-		return // one-way frame: nothing to redirect
-	}
 	mp := rg.Map()
-	_ = c.ReplyWrongShard(m, wire.WrongShardPayload{
+	_ = c.ReplyError(m, &wire.WrongShardError{
 		Owner: owner, ShardID: target.ID, Addr: target.Addr,
 		Members: target.Members, Map: &mp,
 	})
@@ -359,51 +345,36 @@ func (n *Node) applyChangedLocally(m *wire.Message) {
 	n.cfg.MDM.HandleChanged(&cn)
 }
 
-// forward relays a frame to the owner's new home and relays the raw reply
-// back; the peers handle rides out the install sweep (a destination that
+// relay passes a frame through undecoded to the shard dir routes owner to
+// and passes the raw reply back, under the frame's budget or, without one,
+// wire.ForwardTimeout. dir rides out an install sweep (a destination that
 // does not hold the new map yet bounces the frame with an older map) and
-// chases a not-leader hop inside the target constellation. Forwarding
-// exists only inside rebalance windows; steady-state cross-shard traffic
-// is redirected so clients learn the map instead of taxing two shards per
-// call.
-func (n *Node) forward(c *wire.ServerConn, m *wire.Message, owner string) {
-	timeout := n.cfg.ForwardTimeout
-	if timeout <= 0 {
-		timeout = 5 * time.Second
-	}
-	ctx, cancel := wire.BudgetContext(context.Background(), m)
+// chases a not-leader hop inside the target constellation; a typed verdict
+// that outlasts its chase — the target knows better (a newer map, a leader,
+// its own load) — reaches the caller typed, and a dead constellation is
+// named as one. A Node relays only inside rebalance windows: steady-state
+// cross-shard traffic is redirected so clients learn the map instead of
+// taxing two shards per call.
+func relay(dir *dirclient.Directory, c *wire.ServerConn, m *wire.Message, owner string) {
+	ctx, cancel := wire.ForwardContext(context.Background(), m)
 	defer cancel()
-	if _, ok := ctx.Deadline(); !ok {
-		var tcancel context.CancelFunc
-		ctx, tcancel = context.WithTimeout(ctx, timeout)
-		defer tcancel()
-	}
-
 	if m.ID == 0 {
-		_ = n.peers.Send(ctx, owner, m.Type, json.RawMessage(m.Payload))
+		_ = dir.Send(ctx, owner, m.Type, m.Payload)
 		return
 	}
 	var raw json.RawMessage
-	if err := n.peers.Call(ctx, owner, m.Type, json.RawMessage(m.Payload), &raw); err != nil {
-		replyForwardError(c, m, err)
+	err := dir.Call(ctx, owner, m.Type, m.Payload, &raw)
+	if errors.Is(err, dirclient.ErrUnreachable) {
+		// Every member is down: answer with the typed verdict instead of
+		// letting the caller burn its deadline on a dead constellation.
+		mp := dir.Map()
+		err = &NoShardAvailableError{MapVersion: mp.Version, MapEpoch: mp.Epoch, LastErr: err}
+	}
+	if err != nil {
+		_ = c.ReplyError(m, err)
 		return
 	}
 	_ = c.Reply(m, raw)
-}
-
-// replyForwardError answers a forwarded frame that failed. A wrong-shard
-// verdict that outlasted the forwarder's own chase passes through typed:
-// the target knows better (a newer map) and the caller should hear it.
-func replyForwardError(c *wire.ServerConn, m *wire.Message, err error) {
-	var ws *wire.WrongShardError
-	if errors.As(err, &ws) {
-		_ = c.ReplyWrongShard(m, wire.WrongShardPayload{
-			Owner: ws.Owner, ShardID: ws.ShardID, Addr: ws.Addr,
-			Members: ws.Members, Map: ws.Map,
-		})
-		return
-	}
-	_ = c.ReplyError(m, err)
 }
 
 // Close releases forwarding connections and stops any drain timer.

@@ -1,11 +1,7 @@
 package shard
 
 import (
-	"context"
-	"encoding/json"
-	"errors"
 	"fmt"
-	"time"
 
 	"gupster/internal/dirclient"
 	"gupster/internal/dirclient/ring"
@@ -21,13 +17,11 @@ type Router struct {
 	// dir is the router's whole state: its shard map is the one the router
 	// serves and installs into, its pool the forwarding connections.
 	dir *dirclient.Directory
+	mux *wire.Mux
 }
 
 // RouterConfig parameterizes a Router.
 type RouterConfig struct {
-	// ForwardTimeout bounds forwarded calls that carry no budget of their
-	// own. Zero means 10s.
-	ForwardTimeout time.Duration
 	// Logf, when set, receives routing events.
 	Logf func(format string, args ...any)
 }
@@ -38,32 +32,31 @@ func NewRouter(m wire.ShardMap, cfg RouterConfig) (*Router, error) {
 	if err := dir.Adopt(m); err != nil {
 		return nil, err
 	}
-	if cfg.ForwardTimeout == 0 {
-		cfg.ForwardTimeout = 10 * time.Second
-	}
 	if cfg.Logf == nil {
 		cfg.Logf = func(string, ...any) {}
 	}
-	return &Router{cfg: cfg, dir: dir}, nil
+	r := &Router{cfg: cfg, dir: dir}
+	r.mux = adminMux(dir.Map, r.Install, wire.HandlerFunc(r.forward))
+	return r, nil
 }
 
 // Install adopts a new shard map. The router holds no owners, so installs
 // are plain: any mode is accepted and only the map matters.
-func (r *Router) Install(req *wire.ShardInstallRequest) (uint64, error) {
+func (r *Router) Install(req *wire.ShardInstallRequest) (*wire.ShardInstallResponse, error) {
 	cur := r.dir.Map()
 	if err := r.dir.Adopt(req.Map); err != nil { // installs only a newer map
-		return 0, err
+		return nil, err
 	}
 	switch ring.Compare(req.Map, cur) {
 	case -1:
-		return 0, errStaleMap(req.Map, cur)
+		return nil, errStaleMap(req.Map, cur)
 	case 0:
 		if !sameMapContent(req.Map, cur) {
-			return 0, errDivergentMap(req.Map)
+			return nil, errDivergentMap(req.Map)
 		}
 	}
 	r.cfg.Logf("router: shard map v%d@e%d installed (%d shards)", req.Map.Version, req.Map.Epoch, len(req.Map.Shards))
-	return req.Map.Version, nil
+	return &wire.ShardInstallResponse{Version: req.Map.Version}, nil
 }
 
 // NoShardAvailableError reports that every shard named by the router's
@@ -83,57 +76,19 @@ func (e *NoShardAvailableError) Error() string {
 func (e *NoShardAvailableError) Unwrap() error { return e.LastErr }
 
 // ServeWire implements wire.Handler.
-func (r *Router) ServeWire(c *wire.ServerConn, m *wire.Message) {
-	switch m.Type {
-	case wire.TypeShardMap:
-		_ = c.Reply(m, r.dir.Map())
-		return
-	case wire.TypeShardInstall:
-		var req wire.ShardInstallRequest
-		if err := json.Unmarshal(m.Payload, &req); err != nil {
-			_ = c.ReplyError(m, err)
-			return
-		}
-		v, err := r.Install(&req)
-		if err != nil {
-			_ = c.ReplyError(m, err)
-			return
-		}
-		_ = c.Reply(m, wire.ShardInstallResponse{Version: v})
-		return
-	}
+func (r *Router) ServeWire(c *wire.ServerConn, m *wire.Message) { r.mux.ServeWire(c, m) }
 
-	// Cross-shard batches go to the first owner's shard, which redirects
-	// the rest; ownerless traffic (stats, trace reports) goes wherever the
-	// directory last answered such a frame — the map's first shard until
-	// it dies.
+// forward is a raw handler: the router relays every frame it does not
+// answer itself, undecoded. Cross-shard batches go to the first owner's
+// shard, which redirects the rest; ownerless traffic (stats, trace reports)
+// goes wherever the directory last answered such a frame — the map's first
+// shard until it dies.
+func (r *Router) forward(c *wire.ServerConn, m *wire.Message) {
 	owner := ""
 	if owners, scoped := ownersOfMessage(m.Type, m.Payload); scoped && len(owners) > 0 {
 		owner = owners[0]
 	}
-	ctx, cancel := wire.BudgetContext(context.Background(), m)
-	if _, has := ctx.Deadline(); !has {
-		ctx, cancel = context.WithTimeout(ctx, r.cfg.ForwardTimeout)
-	}
-	defer cancel()
-
-	if m.ID == 0 {
-		_ = r.dir.Send(ctx, owner, m.Type, json.RawMessage(m.Payload))
-		return
-	}
-	var raw json.RawMessage
-	err := r.dir.Call(ctx, owner, m.Type, json.RawMessage(m.Payload), &raw)
-	if errors.Is(err, dirclient.ErrUnreachable) {
-		// Every member is down: answer with the typed verdict instead of
-		// letting the caller burn its deadline on a dead constellation.
-		mp := r.dir.Map()
-		err = &NoShardAvailableError{MapVersion: mp.Version, MapEpoch: mp.Epoch, LastErr: err}
-	}
-	if err != nil {
-		replyForwardError(c, m, err)
-		return
-	}
-	_ = c.Reply(m, raw)
+	relay(r.dir, c, m, owner)
 }
 
 // Close releases the router's shard connections.

@@ -31,7 +31,7 @@ func deadAddr(t *testing.T) string {
 
 func serveRouter(t *testing.T, m wire.ShardMap) *wire.Server {
 	t.Helper()
-	r, err := shard.NewRouter(m, shard.RouterConfig{ForwardTimeout: 2 * time.Second, Logf: t.Logf})
+	r, err := shard.NewRouter(m, shard.RouterConfig{Logf: t.Logf})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -93,7 +93,7 @@ func TestBadReplyKeepsSharedStoreConnection(t *testing.T) {
 		wantError bool // the fetch answered bad fails for good
 	}{
 		{"overloaded", func(c *wire.ServerConn, m *wire.Message) {
-			_ = c.ReplyOverloaded(m, time.Millisecond, "shed")
+			_ = c.ReplyError(m, &wire.OverloadedError{RetryAfter: time.Millisecond, Reason: "shed"})
 		}, false},
 		{"denied", func(c *wire.ServerConn, m *wire.Message) {
 			_ = c.ReplyError(m, errors.New("token: bad signature"))

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"time"
 
 	"gupster/internal/metrics"
 	"gupster/internal/overload"
@@ -54,32 +53,49 @@ func NewServer(e *Engine, signer *token.Signer) *Server {
 	}
 }
 
-// traceCtx derives the serving context and span for a traced request: when
-// the frame carries a span header the store's spans join the caller's
-// trace and ride back on the reply. The parent carries the request's
-// budget deadline, which the traced context inherits so sibling fetches
-// (exec) stay inside the caller's remaining time. The caller must Finish
-// the span before replying.
-func (s *Server) traceCtx(parent context.Context, m *wire.Message, name string) (context.Context, *trace.Active) {
-	if m.Trace == nil {
-		return parent, nil
-	}
-	rec := trace.NewRequestRecorder(s.Tracer)
-	m.SetSpanDrain(rec.Drain)
-	ctx := trace.WithRemote(parent, m.Trace, "store", rec)
-	ctx, sp := trace.Start(ctx, name)
-	sp.Annotate("store=" + s.Engine.ID())
-	return ctx, sp
-}
-
 // Start listens on addr ("127.0.0.1:0" picks a port).
 func (s *Server) Start(addr string) error {
-	ws, err := wire.Serve(addr, wire.HandlerFunc(s.serve))
+	ws, err := wire.Serve(addr, s.mux())
 	if err != nil {
 		return err
 	}
 	s.ws = ws
 	return nil
+}
+
+// mux builds the store's dispatcher (DESIGN.md §18). It is built at Start
+// because Admission is a field the owner sets after NewServer.
+func (s *Server) mux() *wire.Mux {
+	x := &wire.Mux{Admit: s.Admission.Admit}
+	// The store's spans join the caller's trace and ride back on the reply.
+	x.Join = func(ctx context.Context, m *wire.Message) context.Context {
+		rec := trace.NewRequestRecorder(s.Tracer)
+		m.SetSpanDrain(rec.Drain)
+		return trace.WithRemote(ctx, m.Trace, "store", rec)
+	}
+	wire.Route(x, wire.TypeFetch, spanned(s, "store.fetch", s.fetch))
+	wire.Route(x, wire.TypeUpdate, spanned(s, "store.update", s.update))
+	wire.Route(x, wire.TypeExec, spanned(s, "store.exec", s.exec))
+	wire.Route(x, wire.TypeSyncStart, s.syncStart)
+	wire.Route(x, wire.TypeSyncDelta, s.syncDelta)
+	return x
+}
+
+// spanned runs a route under the store's entry span. The span covers the
+// call alone — not the admission wait before it — and has finished by the
+// time the dispatcher drains the request's spans onto the reply. The
+// traced context rides into the route so exec's sibling fetches join the
+// trace one hop deeper.
+func spanned[Req, Resp any](s *Server, name string, fn func(context.Context, *Req) (Resp, error)) func(context.Context, *Req) (Resp, error) {
+	return func(ctx context.Context, req *Req) (Resp, error) {
+		ctx, sp := trace.Start(ctx, name)
+		if sp != nil {
+			sp.Annotate("store=" + s.Engine.ID())
+		}
+		resp, err := fn(ctx, req)
+		sp.Finish(err)
+		return resp, err
+	}
 }
 
 // Addr returns the listen address.
@@ -91,57 +107,6 @@ func (s *Server) Close() error {
 	err := s.ws.Close()
 	s.siblings.Pool.Close()
 	return err
-}
-
-func (s *Server) serve(c *wire.ServerConn, m *wire.Message) {
-	// The request's remaining budget (if stamped) bounds everything the
-	// store does on its behalf, including exec's sibling fetches.
-	ctx, cancel := wire.BudgetContext(context.Background(), m)
-	defer cancel()
-
-	class := overload.Classify(m.Type)
-	if ra, expired := s.Admission.ExpiredOnArrival(ctx, class); expired {
-		s.shed(c, m, ra, "budget expired on arrival")
-		return
-	}
-	release, err := s.Admission.Acquire(ctx, class)
-	if err != nil {
-		var shed *overload.ShedError
-		if errors.As(err, &shed) {
-			s.shed(c, m, shed.RetryAfter, shed.Reason)
-		} else {
-			s.shed(c, m, s.Admission.RetryAfter(class), "request expired in admission queue")
-		}
-		return
-	}
-	defer release()
-
-	switch m.Type {
-	case wire.TypeFetch:
-		err = s.handleFetch(ctx, c, m)
-	case wire.TypeUpdate:
-		err = s.handleUpdate(ctx, c, m)
-	case wire.TypeSyncStart:
-		err = s.handleSyncStart(c, m)
-	case wire.TypeSyncDelta:
-		err = s.handleSyncDelta(c, m)
-	case wire.TypeExec:
-		err = s.handleExec(ctx, c, m)
-	default:
-		err = fmt.Errorf("store: unknown message type %q", m.Type)
-	}
-	if err != nil {
-		_ = c.ReplyError(m, err)
-	}
-}
-
-// shed answers a refused request with an overloaded frame; one-way frames
-// drop silently.
-func (s *Server) shed(c *wire.ServerConn, m *wire.Message, retryAfter time.Duration, reason string) {
-	if m.ID == 0 {
-		return
-	}
-	_ = c.ReplyOverloaded(m, retryAfter, reason)
 }
 
 // authorize verifies a signed query for a verb and returns its owner and
@@ -157,22 +122,7 @@ func (s *Server) authorize(q *token.SignedQuery, verb token.Verb) (string, xpath
 	return q.Owner, p, nil
 }
 
-func (s *Server) handleFetch(ctx context.Context, c *wire.ServerConn, m *wire.Message) error {
-	var req wire.FetchRequest
-	if err := wire.Unmarshal(m.Payload, &req); err != nil {
-		return err
-	}
-	// The span finishes before Reply so the drain sees it on the frame.
-	_, sp := s.traceCtx(ctx, m, "store.fetch")
-	resp, err := s.fetch(&req)
-	sp.Finish(err)
-	if err != nil {
-		return err
-	}
-	return c.Reply(m, resp)
-}
-
-func (s *Server) fetch(req *wire.FetchRequest) (wire.FetchResponse, error) {
+func (s *Server) fetch(_ context.Context, req *wire.FetchRequest) (wire.FetchResponse, error) {
 	owner, path, err := s.authorize(&req.Query, token.VerbFetch)
 	if err != nil {
 		return wire.FetchResponse{}, err
@@ -189,21 +139,7 @@ func (s *Server) fetch(req *wire.FetchRequest) (wire.FetchResponse, error) {
 	return wire.FetchResponse{XML: doc.String(), Version: v}, nil
 }
 
-func (s *Server) handleUpdate(ctx context.Context, c *wire.ServerConn, m *wire.Message) error {
-	var req wire.UpdateRequest
-	if err := wire.Unmarshal(m.Payload, &req); err != nil {
-		return err
-	}
-	_, sp := s.traceCtx(ctx, m, "store.update")
-	resp, err := s.update(&req)
-	sp.Finish(err)
-	if err != nil {
-		return err
-	}
-	return c.Reply(m, resp)
-}
-
-func (s *Server) update(req *wire.UpdateRequest) (wire.UpdateResponse, error) {
+func (s *Server) update(_ context.Context, req *wire.UpdateRequest) (wire.UpdateResponse, error) {
 	owner, path, err := s.authorize(&req.Query, token.VerbUpdate)
 	if err != nil {
 		return wire.UpdateResponse{}, err
@@ -219,56 +155,27 @@ func (s *Server) update(req *wire.UpdateRequest) (wire.UpdateResponse, error) {
 	return wire.UpdateResponse{Version: v}, nil
 }
 
-func (s *Server) handleSyncStart(c *wire.ServerConn, m *wire.Message) error {
-	var req wire.SyncStartRequest
-	if err := wire.Unmarshal(m.Payload, &req); err != nil {
-		return err
-	}
-	// Synchronization reads and writes; it requires an update grant.
+// syncStart opens a sync session. Synchronization reads and writes; it
+// requires an update grant.
+func (s *Server) syncStart(_ context.Context, req *wire.SyncStartRequest) (*wire.SyncStartResponse, error) {
 	owner, path, err := s.authorize(&req.Query, token.VerbUpdate)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	resp, err := s.sync.HandleStart(owner, path, req.LastAnchor)
-	if err != nil {
-		return err
-	}
-	return c.Reply(m, resp)
+	return s.sync.HandleStart(owner, path, req.LastAnchor)
 }
 
-func (s *Server) handleSyncDelta(c *wire.ServerConn, m *wire.Message) error {
-	var req wire.SyncDeltaRequest
-	if err := wire.Unmarshal(m.Payload, &req); err != nil {
-		return err
-	}
+func (s *Server) syncDelta(_ context.Context, req *wire.SyncDeltaRequest) (*wire.SyncDeltaResponse, error) {
 	owner, path, err := s.authorize(&req.Query, token.VerbUpdate)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	resp, err := s.sync.HandleDelta(owner, path, &req)
-	if err != nil {
-		return err
-	}
-	return c.Reply(m, resp)
+	return s.sync.HandleDelta(owner, path, req)
 }
 
-// handleExec implements the recruiting pattern (§5.2): this store serves its
-// own piece, fetches the sibling pieces from their stores, merges, and
-// returns the result — the client makes one round trip.
-func (s *Server) handleExec(ctx context.Context, c *wire.ServerConn, m *wire.Message) error {
-	var req wire.ExecRequest
-	if err := wire.Unmarshal(m.Payload, &req); err != nil {
-		return err
-	}
-	ctx, sp := s.traceCtx(ctx, m, "store.exec")
-	resp, err := s.exec(ctx, &req)
-	sp.Finish(err)
-	if err != nil {
-		return err
-	}
-	return c.Reply(m, resp)
-}
-
+// exec implements the recruiting pattern (§5.2): this store serves its own
+// piece, fetches the sibling pieces from their stores, merges, and returns
+// the result — the client makes one round trip.
 func (s *Server) exec(ctx context.Context, req *wire.ExecRequest) (wire.ExecResponse, error) {
 	owner, path, err := s.authorize(&req.Primary.Query, token.VerbFetch)
 	if err != nil {

@@ -216,3 +216,28 @@ func TestUnknownMessageType(t *testing.T) {
 		t.Error("unknown type accepted")
 	}
 }
+
+// One-way frames (ID 0) get no answer, whatever is wrong with them; the
+// only frame that comes back is the call's reply.
+func TestOneWayFramesGetNoAnswer(t *testing.T) {
+	srv, _, signer := startServer(t)
+	wc, err := wire.Dial(srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer wc.Close()
+	wc.OnNotify(func(msgType string, payload []byte) {
+		t.Errorf("the store answered a one-way frame: %q %s", msgType, payload)
+	})
+	ctx := context.Background()
+	for typ, payload := range map[string]any{wire.TypeFetch: "not a fetch request", "no-such-type": wire.Empty{}} {
+		if err := wc.Send(ctx, typ, payload); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Frames are served in order: the reply means both are done with.
+	q := signer.Sign(srv.Engine.ID(), "alice", mp("/user[@id='alice']/presence"), token.VerbFetch, "bob", time.Minute)
+	if err := wc.Call(ctx, wire.TypeFetch, &wire.FetchRequest{Query: q}, nil); err != nil {
+		t.Fatal(err)
+	}
+}

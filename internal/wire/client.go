@@ -2,6 +2,7 @@ package wire
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -37,6 +38,9 @@ type Client struct {
 	// connection is known lost — a failed write marks it before the read
 	// loop has noticed.
 	dead atomic.Bool
+	// read counts the bytes the read loop has taken off the connection, so
+	// a call whose deadline passed can tell a silent peer from a slow one.
+	read atomic.Uint64
 
 	notifyMu     sync.RWMutex
 	onNotify     func(msgType string, payload []byte)
@@ -101,19 +105,67 @@ type RemoteError struct {
 
 func (e *RemoteError) Error() string { return fmt.Sprintf("wire: remote %s: %s", e.Op, e.Msg) }
 
+// typedError is a reply that is more than a failure text: a refusal the
+// caller is expected to act on. Each one is defined once — the error struct
+// is its own payload (its json tags are the wire format), frame supplies
+// the reply type and the Error text for clients that predate the type, and
+// typedReplies maps the reply type back to the struct. ReplyError writes
+// any of them, Call reads any of them; nothing else knows the set.
+type typedError interface {
+	error
+	frame() (replyType, legacyError string)
+}
+
+// typedReplies builds the empty typed error for a reply type; Op is the
+// request the caller made.
+var typedReplies = map[string]func(op string) typedError{
+	TypeOverloaded: func(op string) typedError { return &OverloadedError{Op: op} },
+	TypeNotLeader:  func(op string) typedError { return &NotLeaderError{Op: op} },
+	TypeWrongShard: func(op string) typedError { return &WrongShardError{Op: op} },
+}
+
 // OverloadedError is the server shedding the request under admission
-// control (TypeOverloaded reply). It is not a failure of the operation —
-// the server is explicitly asking the caller to back off RetryAfter and
-// try again; the resilience layer honors the hint instead of counting a
-// breaker failure.
+// control (TypeOverloaded reply: queue full, queue wait exceeded, or the
+// request's propagated budget already below the observed service time). It
+// is not a failure of the operation — the server is explicitly asking the
+// caller to back off RetryAfter and try again; the resilience layer honors
+// the hint instead of counting a breaker failure.
 type OverloadedError struct {
-	Op         string
+	Op string
+	// RetryAfter hints when the server expects to have capacity; it
+	// travels as whole milliseconds.
 	RetryAfter time.Duration
-	Reason     string
+	// Reason says why the request was refused ("admission queue full",
+	// "queue wait exceeded", "budget expired on arrival", …).
+	Reason string
 }
 
 func (e *OverloadedError) Error() string {
 	return fmt.Sprintf("wire: %s overloaded: %s (retry after %s)", e.Op, e.Reason, e.RetryAfter)
+}
+
+func (e *OverloadedError) frame() (string, string) { return TypeOverloaded, "overloaded: " + e.Reason }
+
+// overloadedJSON is OverloadedError's payload: RetryAfter is a Duration in
+// the struct and milliseconds on the wire.
+type overloadedJSON struct {
+	RetryAfterMillis int64  `json:"retry_after_ms,omitempty"`
+	Reason           string `json:"reason,omitempty"`
+}
+
+// MarshalJSON implements json.Marshaler.
+func (e *OverloadedError) MarshalJSON() ([]byte, error) {
+	return json.Marshal(overloadedJSON{e.RetryAfter.Milliseconds(), e.Reason})
+}
+
+// UnmarshalJSON implements json.Unmarshaler.
+func (e *OverloadedError) UnmarshalJSON(b []byte) error {
+	var p overloadedJSON
+	if err := json.Unmarshal(b, &p); err != nil {
+		return err
+	}
+	e.RetryAfter, e.Reason = time.Duration(p.RetryAfterMillis)*time.Millisecond, p.Reason
+	return nil
 }
 
 // NotLeaderError is a replicated MDM refusing a mutation because it is
@@ -122,10 +174,15 @@ func (e *OverloadedError) Error() string {
 // (or probe other members when it is empty) and retry; the resilience
 // layer does not count it against the endpoint's breaker.
 type NotLeaderError struct {
-	Op         string
-	LeaderAddr string
-	LeaderID   string
-	Term       uint64
+	Op string `json:"-"`
+	// LeaderAddr is the current leader's dialable address; empty when the
+	// node does not know one (mid-election), in which case the caller
+	// should retry another constellation member after a short backoff.
+	LeaderAddr string `json:"leader_addr,omitempty"`
+	// LeaderID names the leader node; Term is the replying node's current
+	// election term (diagnostics and staleness checks).
+	LeaderID string `json:"leader_id,omitempty"`
+	Term     uint64 `json:"term,omitempty"`
 }
 
 func (e *NotLeaderError) Error() string {
@@ -135,20 +192,31 @@ func (e *NotLeaderError) Error() string {
 	return fmt.Sprintf("wire: %s: not leader (leader at %s, term %d)", e.Op, e.LeaderAddr, e.Term)
 }
 
+func (e *NotLeaderError) frame() (string, string) {
+	if e.LeaderAddr == "" {
+		return TypeNotLeader, "not leader (no leader known)"
+	}
+	return TypeNotLeader, "not leader (leader at " + e.LeaderAddr + ")"
+}
+
 // WrongShardError is a sharded directory node refusing an owner-scoped
 // request because the owner's keyspace slice belongs to another shard
 // (TypeWrongShard reply). Like not-leader it is a redirect, not a
 // failure: the caller should re-issue the request against Addr (or route
 // by Map when present) and must not count it against any breaker.
 type WrongShardError struct {
-	Op      string
-	Owner   string
-	ShardID string
-	Addr    string
-	Members []string
+	Op string `json:"-"`
+	// Owner is the profile owner whose keyspace slice lives elsewhere.
+	Owner string `json:"owner,omitempty"`
+	// ShardID/Addr/Members locate the owning shard. Addr may be empty when
+	// the replying node has no routable map entry, in which case the
+	// caller should retry another directory address.
+	ShardID string   `json:"shard_id,omitempty"`
+	Addr    string   `json:"addr,omitempty"`
+	Members []string `json:"members,omitempty"`
 	// Map is the replier's full shard map when it chose to share it;
 	// callers cache it and route subsequent requests client-side.
-	Map *ShardMap
+	Map *ShardMap `json:"map,omitempty"`
 }
 
 func (e *WrongShardError) Error() string {
@@ -156,6 +224,13 @@ func (e *WrongShardError) Error() string {
 		return fmt.Sprintf("wire: %s: wrong shard for owner %q (no routable shard known)", e.Op, e.Owner)
 	}
 	return fmt.Sprintf("wire: %s: wrong shard for owner %q (shard %s at %s)", e.Op, e.Owner, e.ShardID, e.Addr)
+}
+
+func (e *WrongShardError) frame() (string, string) {
+	if e.Addr == "" {
+		return TypeWrongShard, "wrong shard for owner " + e.Owner + " (no routable shard known)"
+	}
+	return TypeWrongShard, "wrong shard for owner " + e.Owner + " (shard " + e.ShardID + " at " + e.Addr + ")"
 }
 
 // Call sends a request and decodes the response payload into resp (which
@@ -181,6 +256,7 @@ func (c *Client) Call(ctx context.Context, msgType string, req any, resp any) er
 	c.updateReadDeadlineLocked()
 	c.mu.Unlock()
 
+	readAtStart := c.read.Load()
 	m := &Message{Type: msgType, ID: id}
 	if req != nil {
 		m.Payload = Marshal(req)
@@ -227,7 +303,19 @@ func (c *Client) Call(ctx context.Context, msgType string, req any, resp any) er
 
 	select {
 	case <-ctx.Done():
-		c.forget(id)
+		// The liveness rule: the caller waited out its whole deadline, the
+		// peer produced not one byte in that time — for this call or any
+		// other — and nobody else is still waiting on it. TCP may be up, but
+		// nobody is home: the connection is declared dead so its owner (a
+		// Pool) dials afresh instead of letting every later caller pay its
+		// own timeout. Cancellation says nothing about the peer, a peer that
+		// is answering other calls is merely slow, and while other calls are
+		// still inside their own deadlines the verdict is theirs (or
+		// readGrace's) — closing under them would fail calls that may yet
+		// be answered.
+		if last := c.forget(id); last && errors.Is(ctx.Err(), context.DeadlineExceeded) && c.read.Load() == readAtStart {
+			c.Close()
+		}
 		return ctx.Err()
 	case reply, ok := <-ch:
 		if !ok {
@@ -242,48 +330,15 @@ func (c *Client) Call(ctx context.Context, msgType string, req any, resp any) er
 		if rec != nil && len(reply.Spans) > 0 {
 			rec.Ingest(reply.Spans)
 		}
-		// An overloaded reply outranks its own Error text: new clients get
-		// the typed backoff signal; old clients (without this branch) saw
-		// only the Error string and failed cleanly.
-		if reply.Type == TypeOverloaded {
-			var op OverloadedPayload
+		// A typed reply outranks its own Error text: new clients get the
+		// typed signal; old clients (without this branch) saw only the
+		// Error string and failed cleanly.
+		if mk := typedReplies[reply.Type]; mk != nil {
+			typed := mk(msgType)
 			if len(reply.Payload) > 0 {
-				_ = Unmarshal(reply.Payload, &op)
+				_ = Unmarshal(reply.Payload, typed)
 			}
-			return &OverloadedError{
-				Op:         msgType,
-				RetryAfter: time.Duration(op.RetryAfterMillis) * time.Millisecond,
-				Reason:     op.Reason,
-			}
-		}
-		// Same precedence for a not-leader redirect: typed for new
-		// clients, plain Error for old ones.
-		if reply.Type == TypeNotLeader {
-			var nl NotLeaderPayload
-			if len(reply.Payload) > 0 {
-				_ = Unmarshal(reply.Payload, &nl)
-			}
-			return &NotLeaderError{
-				Op:         msgType,
-				LeaderAddr: nl.LeaderAddr,
-				LeaderID:   nl.LeaderID,
-				Term:       nl.Term,
-			}
-		}
-		// And for a wrong-shard redirect from a partitioned directory.
-		if reply.Type == TypeWrongShard {
-			var ws WrongShardPayload
-			if len(reply.Payload) > 0 {
-				_ = Unmarshal(reply.Payload, &ws)
-			}
-			return &WrongShardError{
-				Op:      msgType,
-				Owner:   ws.Owner,
-				ShardID: ws.ShardID,
-				Addr:    ws.Addr,
-				Members: ws.Members,
-				Map:     ws.Map,
-			}
+			return typed
 		}
 		if reply.Error != "" {
 			return &RemoteError{Op: msgType, Msg: reply.Error}
@@ -335,12 +390,14 @@ func (c *Client) Send(ctx context.Context, msgType string, req any) error {
 	return err
 }
 
-func (c *Client) forget(id uint64) {
+// forget abandons call id and reports whether it was the last one pending.
+func (c *Client) forget(id uint64) (last bool) {
 	c.mu.Lock()
+	defer c.mu.Unlock()
 	delete(c.pending, id)
 	delete(c.deadline, id)
 	c.updateReadDeadlineLocked()
-	c.mu.Unlock()
+	return len(c.pending) == 0
 }
 
 // updateReadDeadlineLocked bounds the connection read so a half-dead peer
@@ -371,17 +428,32 @@ func (c *Client) Close() error {
 }
 
 // Alive reports whether the connection can still carry a call. It turns
-// false for good when the connection itself is lost: a read error, a
-// failed write, nothing read within readGrace of the last pending
-// deadline, or Close. A call that merely returned an error — a typed
-// reply, the caller's context ending — leaves it true.
+// false for good when the connection itself is lost: a read error
+// (nothing read within readGrace of the last pending deadline is one), a
+// failed write, a lone call that waited out its deadline while nothing at
+// all was read, or Close. A call that merely returned an error — a typed
+// reply, cancellation, a deadline passing while the peer is answering
+// other calls — leaves it true.
 func (c *Client) Alive() bool { return !c.dead.Load() }
 
+// countingReader adds every byte read to n.
+type countingReader struct {
+	r io.Reader
+	n *atomic.Uint64
+}
+
+func (cr countingReader) Read(p []byte) (int, error) {
+	n, err := cr.r.Read(p)
+	cr.n.Add(uint64(n))
+	return n, err
+}
+
 func (c *Client) readLoop() {
+	var r io.Reader = countingReader{c.conn, &c.read} // converted once, not per frame
 	var err error
 	for {
 		var m *Message
-		m, err = ReadFrame(c.conn)
+		m, err = ReadFrame(r)
 		if err != nil {
 			break
 		}

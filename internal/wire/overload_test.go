@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"errors"
-	"net"
 	"strings"
 	"testing"
 	"time"
@@ -20,23 +19,13 @@ func FuzzOverloadedReply(f *testing.F) {
 	f.Add(uint64(1<<63), int64(-5), "queue wait exceeded")
 	f.Add(uint64(42), int64(1<<40), "budget expired on arrival\x00\xff")
 	f.Fuzz(func(t *testing.T, id uint64, retryMillis int64, reason string) {
-		cli, srv := net.Pipe()
-		defer cli.Close()
-		sc := &ServerConn{conn: srv}
 		req := &Message{Type: TypeResolve, ID: id}
-
-		done := make(chan error, 1)
-		go func() {
-			done <- sc.ReplyOverloaded(req, time.Duration(retryMillis)*time.Millisecond, reason)
-		}()
-		reply, err := ReadFrame(cli)
-		if err != nil {
-			// A reason that JSON cannot encode is a marshal panic upstream,
-			// not a framing bug; only framing-level failures matter here.
-			t.Fatalf("overloaded reply unreadable: %v", err)
-		}
-		if werr := <-done; werr != nil {
-			t.Fatalf("ReplyOverloaded: %v", werr)
+		reply := errorReply(t, req, &OverloadedError{RetryAfter: time.Duration(retryMillis) * time.Millisecond, Reason: reason})
+		if id == 0 {
+			if reply != nil {
+				t.Fatalf("one-way frame answered: %+v", reply)
+			}
+			return
 		}
 		if reply.Type != TypeOverloaded {
 			t.Fatalf("reply type %q, want %q", reply.Type, TypeOverloaded)
@@ -47,12 +36,12 @@ func FuzzOverloadedReply(f *testing.F) {
 		if reply.Error == "" {
 			t.Fatal("overloaded reply without Error: old clients would hang on it")
 		}
-		var p OverloadedPayload
+		var p OverloadedError
 		if err := Unmarshal(reply.Payload, &p); err != nil {
 			t.Fatalf("overloaded payload undecodable: %v", err)
 		}
-		if want := (time.Duration(retryMillis) * time.Millisecond).Milliseconds(); p.RetryAfterMillis != want {
-			t.Fatalf("retry-after hint %d, want %d", p.RetryAfterMillis, want)
+		if want := (time.Duration(retryMillis) * time.Millisecond).Milliseconds(); p.RetryAfter.Milliseconds() != want {
+			t.Fatalf("retry-after hint %d ms, want %d", p.RetryAfter.Milliseconds(), want)
 		}
 		// The frame itself must re-frame: a shed reply that cannot be
 		// relayed would poison proxies.
@@ -181,11 +170,11 @@ func TestCallFailsFastOnSpentBudget(t *testing.T) {
 	time.Sleep(50 * time.Millisecond)
 }
 
-// TestOverloadedErrorDecoding: a ReplyOverloaded surfaces client-side as a
-// typed *OverloadedError carrying the hint, not as a RemoteError.
+// TestOverloadedErrorDecoding: a replied *OverloadedError surfaces client-side
+// as a typed *OverloadedError carrying the hint, not as a RemoteError.
 func TestOverloadedErrorDecoding(t *testing.T) {
 	srv, err := Serve("127.0.0.1:0", HandlerFunc(func(c *ServerConn, m *Message) {
-		_ = c.ReplyOverloaded(m, 750*time.Millisecond, "admission queue full")
+		_ = c.ReplyError(m, &OverloadedError{RetryAfter: 750 * time.Millisecond, Reason: "admission queue full"})
 	}))
 	if err != nil {
 		t.Fatal(err)

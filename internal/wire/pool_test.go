@@ -75,18 +75,21 @@ func TestPoolConcurrentGetsDialOnce(t *testing.T) {
 	}
 }
 
-// The eviction rule: an answer is not a link failure. Typed replies and
-// the caller's own context ending leave the multiplexed connection where
-// it is; only the connection dying replaces it.
+// The eviction rule: an answer is not a link failure. Typed replies, and
+// the caller's own deadline passing while the peer is answering other
+// calls, leave the multiplexed connection where it is; only the connection
+// dying replaces it.
 func TestPoolKeepsConnectionAcrossErrorReplies(t *testing.T) {
 	release := make(chan struct{})
+	slowArrived := make(chan struct{}, 1)
 	srv, ln := serveCounting(t, "127.0.0.1:0", func(c *ServerConn, m *Message) {
 		switch m.Type {
 		case "denied":
 			_ = c.ReplyError(m, errors.New("no"))
 		case "shed":
-			_ = c.ReplyOverloaded(m, time.Millisecond, "busy")
+			_ = c.ReplyError(m, &OverloadedError{RetryAfter: time.Millisecond, Reason: "busy"})
 		case "slow":
+			slowArrived <- struct{}{}
 			go func() { <-release; _ = c.Reply(m, Empty{}) }()
 		default:
 			echo(c, m)
@@ -109,8 +112,16 @@ func TestPoolKeepsConnectionAcrossErrorReplies(t *testing.T) {
 	if err := p.Call(ctx, srv.Addr(), "shed", Empty{}, nil); !errors.As(err, &ov) {
 		t.Fatalf("shed: %v", err)
 	}
-	short, cancel := context.WithTimeout(ctx, 20*time.Millisecond)
-	err = p.Call(short, srv.Addr(), "slow", Empty{}, nil)
+	// A slow-but-talking peer: the call's deadline passes, but the peer
+	// answered another call in the meantime.
+	short, cancel := context.WithTimeout(ctx, 100*time.Millisecond)
+	slow := make(chan error, 1)
+	go func() { slow <- p.Call(short, srv.Addr(), "slow", Empty{}, nil) }()
+	<-slowArrived
+	if err := p.Call(ctx, srv.Addr(), TypeStats, Empty{}, nil); err != nil {
+		t.Fatal(err)
+	}
+	err = <-slow
 	cancel()
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("slow: %v", err)
@@ -123,6 +134,44 @@ func TestPoolKeepsConnectionAcrossErrorReplies(t *testing.T) {
 	}
 	if a := ln.accepted.Load(); a != 1 {
 		t.Fatalf("server accepted %d connections, want 1", a)
+	}
+}
+
+// The liveness rule: a peer that holds TCP open and answers nothing loses
+// its slot to the first call that waits out a whole deadline in silence,
+// so the next caller dials afresh instead of paying its own timeout on the
+// same dead connection. Cancellation says nothing about the peer and
+// leaves the connection alone.
+func TestPoolMutePeerLosesItsSlot(t *testing.T) {
+	srv, ln := serveCounting(t, "127.0.0.1:0", func(*ServerConn, *Message) {}) // accepts, never answers
+	var p Pool
+	defer p.Close()
+
+	first, err := p.Get(context.Background(), srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	canceled, cancel := context.WithCancel(context.Background())
+	time.AfterFunc(20*time.Millisecond, cancel)
+	if err := p.Call(canceled, srv.Addr(), TypeStats, Empty{}, nil); !errors.Is(err, context.Canceled) {
+		t.Fatalf("canceled call: %v", err)
+	}
+	if !first.Alive() {
+		t.Fatal("a canceled call marked the connection dead")
+	}
+	for i := 0; i < 2; i++ {
+		ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
+		err := p.Call(ctx, srv.Addr(), TypeStats, Empty{}, nil)
+		cancel()
+		if !errors.Is(err, context.DeadlineExceeded) {
+			t.Fatalf("call %d to a mute peer: %v", i, err)
+		}
+	}
+	if first.Alive() {
+		t.Fatal("connection to a mute peer still counts as alive after a call expired in silence")
+	}
+	if a := ln.accepted.Load(); a != 2 {
+		t.Fatalf("server accepted %d connections, want 2: the second call dials afresh", a)
 	}
 }
 

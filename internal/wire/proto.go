@@ -98,27 +98,6 @@ const (
 	TypeMembership    = "membership"
 )
 
-// OverloadedPayload is the body of a TypeOverloaded reply.
-type OverloadedPayload struct {
-	// RetryAfterMillis hints when the server expects to have capacity.
-	RetryAfterMillis int64 `json:"retry_after_ms,omitempty"`
-	// Reason says why the request was refused ("admission queue full",
-	// "queue wait exceeded", "budget expired on arrival", …).
-	Reason string `json:"reason,omitempty"`
-}
-
-// NotLeaderPayload is the body of a TypeNotLeader reply.
-type NotLeaderPayload struct {
-	// LeaderAddr is the current leader's dialable address; empty when the
-	// node does not know one (mid-election), in which case the caller
-	// should retry another constellation member after a short backoff.
-	LeaderAddr string `json:"leader_addr,omitempty"`
-	// LeaderID names the leader node; Term is the replying node's current
-	// election term (diagnostics and staleness checks).
-	LeaderID string `json:"leader_id,omitempty"`
-	Term     uint64 `json:"term,omitempty"`
-}
-
 // ShardInfo locates one shard of a partitioned directory: a stable shard
 // ID, the address clients dial, and (when the shard is itself a quorum
 // constellation) the full member set for mirror-style failover clients.
@@ -142,21 +121,6 @@ type ShardMap struct {
 	// and redirects are refused by every up-to-date peer. Maps that predate
 	// the field decode as epoch 0.
 	Epoch uint64 `json:"epoch,omitempty"`
-}
-
-// WrongShardPayload is the body of a TypeWrongShard reply.
-type WrongShardPayload struct {
-	// Owner is the profile owner whose keyspace slice lives elsewhere.
-	Owner string `json:"owner,omitempty"`
-	// ShardID/Addr/Members locate the owning shard. Addr may be empty when
-	// the replying node has no routable map entry, in which case the
-	// caller should retry another directory address.
-	ShardID string   `json:"shard_id,omitempty"`
-	Addr    string   `json:"addr,omitempty"`
-	Members []string `json:"members,omitempty"`
-	// Map, when present, is the replying node's full shard map, letting
-	// the caller route all subsequent requests client-side.
-	Map *ShardMap `json:"map,omitempty"`
 }
 
 // ShardInstallRequest installs a new shard-map version on a node. Mode

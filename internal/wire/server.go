@@ -21,19 +21,34 @@ type ServerConn struct {
 
 // Reply sends a success response to m with the given payload. When a span
 // drain is registered on m (see Message.SetSpanDrain), the spans recorded
-// while serving the request ride back on the response frame.
+// while serving the request ride back on the response frame. A one-way
+// frame (ID 0) has nobody waiting for an answer — the peer's read loop
+// would deliver one as a notification — so nothing is sent for it.
 func (c *ServerConn) Reply(m *Message, payload any) error {
-	out := &Message{Type: m.Type, ID: m.ID, Payload: Marshal(payload)}
-	if m.spanDrain != nil {
-		out.Spans = m.spanDrain()
-	}
-	return c.send(out)
+	return c.reply(m, &Message{Type: m.Type, Payload: Marshal(payload)})
 }
 
 // ReplyError sends a failure response to m. Spans ride along as on Reply —
-// failed requests are the ones worth tracing.
+// failed requests are the ones worth tracing. When err is, or wraps, a
+// typed error (OverloadedError, NotLeaderError, WrongShardError) the reply
+// is that error's own frame: its reply type, its fields as the payload,
+// and an Error text for clients that predate the type, so it surfaces from
+// the caller's Call as the same typed error however many hops relay it.
 func (c *ServerConn) ReplyError(m *Message, err error) error {
-	out := &Message{Type: m.Type, ID: m.ID, Error: err.Error()}
+	out := &Message{Type: m.Type, Error: err.Error()}
+	var typed typedError
+	if errors.As(err, &typed) {
+		out.Type, out.Error = typed.frame()
+		out.Payload = Marshal(typed)
+	}
+	return c.reply(m, out)
+}
+
+func (c *ServerConn) reply(m, out *Message) error {
+	if m.ID == 0 {
+		return nil
+	}
+	out.ID = m.ID
 	if m.spanDrain != nil {
 		out.Spans = m.spanDrain()
 	}
@@ -43,68 +58,6 @@ func (c *ServerConn) ReplyError(m *Message, err error) error {
 // Notify pushes a server-initiated message (ID 0).
 func (c *ServerConn) Notify(msgType string, payload any) error {
 	return c.send(&Message{Type: msgType, Payload: Marshal(payload)})
-}
-
-// ReplyOverloaded sends the first-class shed reply for m: the response
-// frame's Type is rewritten to TypeOverloaded so new clients get a typed
-// backoff signal with a retry-after hint, and Error is also set so old
-// clients that predate the type still terminate cleanly with a plain
-// remote error instead of hanging.
-func (c *ServerConn) ReplyOverloaded(m *Message, retryAfter time.Duration, reason string) error {
-	out := &Message{
-		Type:    TypeOverloaded,
-		ID:      m.ID,
-		Error:   "overloaded: " + reason,
-		Payload: Marshal(OverloadedPayload{RetryAfterMillis: retryAfter.Milliseconds(), Reason: reason}),
-	}
-	if m.spanDrain != nil {
-		out.Spans = m.spanDrain()
-	}
-	return c.send(out)
-}
-
-// ReplyNotLeader sends the first-class replication redirect for m: the
-// response frame's Type is rewritten to TypeNotLeader so new clients get
-// a typed redirect carrying the leader's address, and Error is also set
-// so old clients that predate the type terminate cleanly with a plain
-// remote error instead of hanging.
-func (c *ServerConn) ReplyNotLeader(m *Message, leaderAddr, leaderID string, term uint64) error {
-	errText := "not leader (no leader known)"
-	if leaderAddr != "" {
-		errText = "not leader (leader at " + leaderAddr + ")"
-	}
-	out := &Message{
-		Type:    TypeNotLeader,
-		ID:      m.ID,
-		Error:   errText,
-		Payload: Marshal(NotLeaderPayload{LeaderAddr: leaderAddr, LeaderID: leaderID, Term: term}),
-	}
-	if m.spanDrain != nil {
-		out.Spans = m.spanDrain()
-	}
-	return c.send(out)
-}
-
-// ReplyWrongShard sends the first-class shard redirect for m: the
-// response frame's Type is rewritten to TypeWrongShard so new clients get
-// a typed redirect carrying the owning shard's address (and optionally
-// the full shard map), and Error is also set so old clients that predate
-// the type terminate cleanly with a plain remote error.
-func (c *ServerConn) ReplyWrongShard(m *Message, ws WrongShardPayload) error {
-	errText := "wrong shard for owner " + ws.Owner + " (no routable shard known)"
-	if ws.Addr != "" {
-		errText = "wrong shard for owner " + ws.Owner + " (shard " + ws.ShardID + " at " + ws.Addr + ")"
-	}
-	out := &Message{
-		Type:    TypeWrongShard,
-		ID:      m.ID,
-		Error:   errText,
-		Payload: Marshal(ws),
-	}
-	if m.spanDrain != nil {
-		out.Spans = m.spanDrain()
-	}
-	return c.send(out)
 }
 
 func (c *ServerConn) send(m *Message) error {

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"errors"
-	"net"
 	"strings"
 	"testing"
 )
@@ -19,27 +18,17 @@ func FuzzWrongShardReply(f *testing.F) {
 	f.Add(uint64(1<<63), "owner with spaces", "s\x00", "addr\xff", uint64(1<<50))
 	f.Add(uint64(42), "bob@example.com", "east-2", "[::1]:9", uint64(1))
 	f.Fuzz(func(t *testing.T, id uint64, owner, shardID, addr string, version uint64) {
-		cli, srv := net.Pipe()
-		defer cli.Close()
-		sc := &ServerConn{conn: srv}
 		req := &Message{Type: TypeResolve, ID: id}
-
 		var mp *ShardMap
 		if version != 0 {
 			mp = &ShardMap{Version: version, Shards: []ShardInfo{{ID: shardID, Addr: addr}}}
 		}
-		done := make(chan error, 1)
-		go func() {
-			done <- sc.ReplyWrongShard(req, WrongShardPayload{
-				Owner: owner, ShardID: shardID, Addr: addr, Map: mp,
-			})
-		}()
-		reply, err := ReadFrame(cli)
-		if err != nil {
-			t.Fatalf("wrong-shard reply unreadable: %v", err)
-		}
-		if werr := <-done; werr != nil {
-			t.Fatalf("ReplyWrongShard: %v", werr)
+		reply := errorReply(t, req, &WrongShardError{Owner: owner, ShardID: shardID, Addr: addr, Map: mp})
+		if id == 0 {
+			if reply != nil {
+				t.Fatalf("one-way frame answered: %+v", reply)
+			}
+			return
 		}
 		if reply.Type != TypeWrongShard {
 			t.Fatalf("reply type %q, want %q", reply.Type, TypeWrongShard)
@@ -50,7 +39,7 @@ func FuzzWrongShardReply(f *testing.F) {
 		if reply.Error == "" {
 			t.Fatal("wrong-shard reply without Error: old clients would treat it as success")
 		}
-		var p WrongShardPayload
+		var p WrongShardError
 		if err := Unmarshal(reply.Payload, &p); err != nil {
 			t.Fatalf("wrong-shard payload undecodable: %v", err)
 		}
@@ -73,8 +62,8 @@ func FuzzWrongShardReply(f *testing.F) {
 	})
 }
 
-// TestWrongShardErrorDecoding: a ReplyWrongShard surfaces client-side as a
-// typed *WrongShardError carrying the redirect target and map, not as a
+// TestWrongShardErrorDecoding: a replied *WrongShardError surfaces client-side
+// as a typed *WrongShardError carrying the redirect target and map, not as a
 // RemoteError.
 func TestWrongShardErrorDecoding(t *testing.T) {
 	srv, err := Serve("127.0.0.1:0", HandlerFunc(func(c *ServerConn, m *Message) {
@@ -82,7 +71,7 @@ func TestWrongShardErrorDecoding(t *testing.T) {
 			{ID: "a", Addr: "10.0.0.1:7000"},
 			{ID: "b", Addr: "10.0.0.2:7000", Members: []string{"10.0.0.2:7000", "10.0.0.3:7000"}},
 		}}
-		_ = c.ReplyWrongShard(m, WrongShardPayload{
+		_ = c.ReplyError(m, &WrongShardError{
 			Owner: "alice", ShardID: "b", Addr: "10.0.0.2:7000",
 			Members: []string{"10.0.0.2:7000", "10.0.0.3:7000"}, Map: mp,
 		})

@@ -76,6 +76,22 @@ func BudgetContext(parent context.Context, m *Message) (context.Context, context
 	return context.WithTimeout(parent, time.Duration(m.BudgetMillis)*time.Millisecond)
 }
 
+// ForwardTimeout bounds work a node does on another node's behalf — a
+// relayed frame, a mirrored mutation — when the inbound frame carries no
+// budget of its own (an old client).
+const ForwardTimeout = 5 * time.Second
+
+// ForwardContext is BudgetContext for a hop that calls onward and must not
+// wait forever: the frame's budget bounds it, else ForwardTimeout does. m
+// may be nil when parent already carries the frame's budget.
+func ForwardContext(parent context.Context, m *Message) (context.Context, context.CancelFunc) {
+	ctx, cancel := BudgetContext(parent, m)
+	if _, bounded := ctx.Deadline(); bounded {
+		return ctx, cancel
+	}
+	return context.WithTimeout(ctx, ForwardTimeout)
+}
+
 // Framing errors.
 var (
 	ErrFrameTooLarge = errors.New("wire: frame exceeds MaxFrame")
