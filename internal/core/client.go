@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"sort"
 	"sync"
@@ -689,7 +690,7 @@ func (c *Client) adoptSubConn(conn *wire.Client) {
 			return
 		}
 		var n wire.Notification
-		if err := wire.Unmarshal(payload, &n); err != nil {
+		if err := json.Unmarshal(payload, &n); err != nil {
 			return
 		}
 		c.dispatchNotification(n)

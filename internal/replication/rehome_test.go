@@ -2,7 +2,6 @@ package replication_test
 
 import (
 	"context"
-	"encoding/json"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -139,13 +138,13 @@ func (f *followerFront) ServeWire(c *wire.ServerConn, m *wire.Message) {
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
-	var raw json.RawMessage
-	err := f.member.Call(ctx, m.Type, json.RawMessage(m.Payload), &raw)
+	var reply wire.Payload
+	err := f.member.Call(ctx, m.Type, m.Payload, &reply)
 	if err != nil {
 		_ = c.ReplyError(m, err) // a not-leader verdict passes through typed
 		return
 	}
-	_ = c.Reply(m, raw)
+	_ = c.Reply(m, reply)
 }
 
 // Regression: core.Client started every call at the address it was dialed

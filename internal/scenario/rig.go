@@ -193,11 +193,37 @@ func (r *Rig) build() error {
 		}
 	}
 
+	if r.replicated() {
+		if err := r.waitSeedReplicated(20 * r.electionTTL()); err != nil {
+			return err
+		}
+	}
+
 	if spec.Heartbeats {
 		for _, node := range r.Stores {
 			if err := r.startRegistrar(node); err != nil {
 				return err
 			}
+		}
+	}
+	return nil
+}
+
+// waitSeedReplicated waits until every member holds the whole seed. Seeding
+// is acknowledged at quorum, so the member outside it can still be a record
+// behind when the last registration returns — and members answer reads from
+// their own state, so a phase that started now could resolve through that
+// member and be told an owner it was just seeded with has no store.
+func (r *Rig) waitSeedReplicated(timeout time.Duration) error {
+	want := r.MDM.Registry.Len()
+	deadline := time.Now().Add(timeout)
+	for _, mem := range r.Nodes {
+		for mem.Node.MDM.Registry.Len() < want {
+			if time.Now().After(deadline) {
+				return fmt.Errorf("replicated rig %s: %s holds %d of %d seeded registrations after %s",
+					r.Spec.Name, mem.Addr, mem.Node.MDM.Registry.Len(), want, timeout)
+			}
+			time.Sleep(2 * time.Millisecond)
 		}
 	}
 	return nil

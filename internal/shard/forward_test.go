@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"reflect"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -207,5 +208,38 @@ func TestForwardersKeepPeerLinkOnTypedReplies(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// A router relays a chained reply without looking at it: the component the
+// shard sent is the component the client reads, byte for byte — the
+// characters JSON would have escaped and bytes that are not UTF-8 included
+// — and so is everything beside it.
+func TestRouterRelaysAComponentUntouched(t *testing.T) {
+	want := wire.ResolveResponse{
+		Data:     "<book title=\"a &amp; b\">✓ 日本 <!-- \xff\xfe not utf-8 --></book>",
+		Cached:   true,
+		Hops:     2,
+		Degraded: []string{"/user[@id='u']/calendar"},
+	}
+	shardSrv, err := wire.Serve("127.0.0.1:0", wire.HandlerFunc(func(c *wire.ServerConn, m *wire.Message) {
+		_ = c.Reply(m, &want)
+	}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { shardSrv.Close() })
+	router := serveRouter(t, wire.ShardMap{Version: 1, Shards: []wire.ShardInfo{{ID: "s1", Addr: shardSrv.Addr()}}})
+	cli, err := wire.Dial(router.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cli.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	var got wire.ResolveResponse
+	err = cli.Call(ctx, wire.TypeResolve, &wire.ResolveRequest{Path: "/user[@id='u']/address-book", Pattern: wire.PatternChaining}, &got)
+	if err != nil || !reflect.DeepEqual(got, want) {
+		t.Fatalf("through the router: %+v, %v\nwant %+v", got, err, want)
 	}
 }

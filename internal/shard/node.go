@@ -362,8 +362,8 @@ func relay(dir *dirclient.Directory, c *wire.ServerConn, m *wire.Message, owner 
 		_ = dir.Send(ctx, owner, m.Type, m.Payload)
 		return
 	}
-	var raw json.RawMessage
-	err := dir.Call(ctx, owner, m.Type, m.Payload, &raw)
+	var reply wire.Payload
+	err := dir.Call(ctx, owner, m.Type, m.Payload, &reply)
 	if errors.Is(err, dirclient.ErrUnreachable) {
 		// Every member is down: answer with the typed verdict instead of
 		// letting the caller burn its deadline on a dead constellation.
@@ -374,7 +374,7 @@ func relay(dir *dirclient.Directory, c *wire.ServerConn, m *wire.Message, owner 
 		_ = c.ReplyError(m, err)
 		return
 	}
-	_ = c.Reply(m, raw)
+	_ = c.Reply(m, reply)
 }
 
 // Close releases forwarding connections and stops any drain timer.
@@ -400,7 +400,7 @@ func isMutation(typ string) bool {
 // ownersOfMessage extracts the profile owner(s) a frame is scoped to.
 // Types with no owner scope (stats, traces, heartbeats, replication
 // traffic) report scoped=false and are always served locally.
-func ownersOfMessage(typ string, payload []byte) (owners []string, scoped bool) {
+func ownersOfMessage(typ string, payload wire.Payload) (owners []string, scoped bool) {
 	switch typ {
 	case wire.TypeResolve:
 		var req wire.ResolveRequest

@@ -8,6 +8,14 @@ import (
 	"gupster/internal/policy"
 )
 
+// viaJSON is s as encoding/json carries it: every byte that is not UTF-8
+// becomes U+FFFD.
+func viaJSON(s string) string {
+	b, _ := json.Marshal(s)
+	_ = json.Unmarshal(b, &s)
+	return s
+}
+
 // FuzzBatchResolveFrame exercises the batch-resolve payload through the
 // frame codec: a batch of requests must survive encode → decode with entry
 // count, order, and per-entry fields intact, and arbitrary JSON fed to the
@@ -29,7 +37,7 @@ func FuzzBatchResolveFrame(f *testing.F) {
 		req := BatchResolveRequest{}
 		for i := 0; i < n; i++ {
 			req.Requests = append(req.Requests, ResolveRequest{
-				Path: path,
+				Path:    path,
 				Context: policy.Context{Requester: requester, Purpose: policy.Purpose(purpose)},
 			})
 		}
@@ -38,7 +46,7 @@ func FuzzBatchResolveFrame(f *testing.F) {
 			t.Skip() // strings json cannot encode losslessly
 		}
 		var buf bytes.Buffer
-		if err := WriteFrame(&buf, &Message{Type: TypeBatchResolve, ID: 1, Payload: payload}); err != nil {
+		if err := WriteFrame(&buf, &Message{Type: TypeBatchResolve, ID: 1, Payload: Payload{json: payload}}); err != nil {
 			t.Skip()
 		}
 		m, err := ReadFrame(&buf)
@@ -55,10 +63,13 @@ func FuzzBatchResolveFrame(f *testing.F) {
 		if len(got.Requests) != n {
 			t.Fatalf("entry count %d after round trip, want %d", len(got.Requests), n)
 		}
+		// A batch's entries are plain JSON, and JSON rewrites bytes that are
+		// not UTF-8 to U+FFFD: compare against what the encoder carries.
 		for i, r := range got.Requests {
 			want := req.Requests[i]
-			if r.Path != want.Path || r.Context.Requester != want.Context.Requester ||
-				r.Context.Purpose != want.Context.Purpose {
+			if r.Path != viaJSON(want.Path) ||
+				r.Context.Requester != viaJSON(want.Context.Requester) ||
+				string(r.Context.Purpose) != viaJSON(string(want.Context.Purpose)) {
 				t.Fatalf("entry %d mangled: got %+v want %+v", i, r, want)
 			}
 		}
@@ -80,7 +91,7 @@ func FuzzBatchResolveFrame(f *testing.F) {
 			t.Skip()
 		}
 		var rbuf bytes.Buffer
-		if err := WriteFrame(&rbuf, &Message{Type: TypeBatchResolve, ID: 2, Payload: rp}); err != nil {
+		if err := WriteFrame(&rbuf, &Message{Type: TypeBatchResolve, ID: 2, Payload: Payload{json: rp}}); err != nil {
 			t.Skip()
 		}
 		rm, err := ReadFrame(&rbuf)
@@ -99,7 +110,7 @@ func FuzzBatchResolveFrame(f *testing.F) {
 				if e.Response == nil {
 					t.Fatalf("entry %d lost its response", i)
 				}
-			} else if e.Response != nil || e.Error != resp.Results[i].Error {
+			} else if e.Response != nil || e.Error != viaJSON(resp.Results[i].Error) {
 				t.Fatalf("error entry %d mangled: %+v", i, e)
 			}
 		}
@@ -120,13 +131,13 @@ func FuzzBatchResolveDecode(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var req BatchResolveRequest
-		if err := Unmarshal(data, &req); err == nil {
+		if err := Unmarshal(Payload{json: data}, &req); err == nil {
 			re, merr := json.Marshal(&req)
 			if merr != nil {
 				t.Fatalf("accepted batch request does not re-encode: %v", merr)
 			}
 			var again BatchResolveRequest
-			if err := Unmarshal(re, &again); err != nil {
+			if err := Unmarshal(Payload{json: re}, &again); err != nil {
 				t.Fatalf("re-decode: %v", err)
 			}
 			if len(again.Requests) != len(req.Requests) {
@@ -134,7 +145,7 @@ func FuzzBatchResolveDecode(f *testing.F) {
 			}
 		}
 		var resp BatchResolveResponse
-		if err := Unmarshal(data, &resp); err == nil {
+		if err := Unmarshal(Payload{json: data}, &resp); err == nil {
 			if _, merr := json.Marshal(&resp); merr != nil {
 				t.Fatalf("accepted batch response does not re-encode: %v", merr)
 			}

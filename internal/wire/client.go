@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"bufio"
 	"context"
 	"encoding/json"
 	"errors"
@@ -68,13 +69,17 @@ func DialContext(ctx context.Context, addr string) (*Client, error) {
 		}
 		return nil, fmt.Errorf("wire: dial %s: %w", addr, err)
 	}
+	return newClient(conn), nil
+}
+
+func newClient(conn net.Conn) *Client {
 	c := &Client{
 		conn:     conn,
 		pending:  make(map[uint64]chan *Message),
 		deadline: make(map[uint64]time.Time),
 	}
 	go c.readLoop()
-	return c, nil
+	return c
 }
 
 // OnNotify registers the callback for server-pushed messages. It must be
@@ -108,12 +113,12 @@ func (e *RemoteError) Error() string { return fmt.Sprintf("wire: remote %s: %s",
 // typedError is a reply that is more than a failure text: a refusal the
 // caller is expected to act on. Each one is defined once — the error struct
 // is its own payload (its json tags are the wire format), frame supplies
-// the reply type and the Error text for clients that predate the type, and
+// the reply type and the Error text that says the same in words, and
 // typedReplies maps the reply type back to the struct. ReplyError writes
 // any of them, Call reads any of them; nothing else knows the set.
 type typedError interface {
 	error
-	frame() (replyType, legacyError string)
+	frame() (replyType, errorText string)
 }
 
 // typedReplies builds the empty typed error for a reply type; Op is the
@@ -330,14 +335,10 @@ func (c *Client) Call(ctx context.Context, msgType string, req any, resp any) er
 		if rec != nil && len(reply.Spans) > 0 {
 			rec.Ingest(reply.Spans)
 		}
-		// A typed reply outranks its own Error text: new clients get the
-		// typed signal; old clients (without this branch) saw only the
-		// Error string and failed cleanly.
+		// A typed reply outranks its own Error text.
 		if mk := typedReplies[reply.Type]; mk != nil {
 			typed := mk(msgType)
-			if len(reply.Payload) > 0 {
-				_ = Unmarshal(reply.Payload, typed)
-			}
+			_ = Unmarshal(reply.Payload, typed) // a bare refusal is still the refusal
 			return typed
 		}
 		if reply.Error != "" {
@@ -449,7 +450,10 @@ func (cr countingReader) Read(p []byte) (int, error) {
 }
 
 func (c *Client) readLoop() {
-	var r io.Reader = countingReader{c.conn, &c.read} // converted once, not per frame
+	// One buffered reader for the connection's life: a frame that arrived
+	// whole is one read, not one for its length and one for its body. The
+	// byte counter sits under the buffer, where it sees what the peer sent.
+	r := bufio.NewReader(countingReader{c.conn, &c.read})
 	var err error
 	for {
 		var m *Message
@@ -462,7 +466,7 @@ func (c *Client) readLoop() {
 			fn := c.onNotify
 			c.notifyMu.RUnlock()
 			if fn != nil {
-				fn(m.Type, m.Payload)
+				fn(m.Type, m.Payload.json)
 			}
 			continue
 		}

@@ -66,15 +66,15 @@ func FuzzGossipFrame(f *testing.F) {
 		// produce a value, never panic.
 		if len(raw) > 0 {
 			var p GossipPing
-			_ = Unmarshal(raw, &p)
+			_ = Unmarshal(Payload{json: raw}, &p)
 			var a GossipAck
-			_ = Unmarshal(raw, &a)
+			_ = Unmarshal(Payload{json: raw}, &a)
 			var pr GossipPingReq
-			_ = Unmarshal(raw, &pr)
+			_ = Unmarshal(Payload{json: raw}, &pr)
 			var mr MembershipResponse
-			_ = Unmarshal(raw, &mr)
+			_ = Unmarshal(Payload{json: raw}, &mr)
 			var sm ShardMap
-			_ = Unmarshal(raw, &sm)
+			_ = Unmarshal(Payload{json: raw}, &sm)
 		}
 	})
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"net"
 	"reflect"
 	"strings"
 	"sync/atomic"
@@ -269,7 +270,8 @@ func TestMuxFallbackAndWrap(t *testing.T) {
 	var calls atomic.Int64
 	inner := echoMux(&calls)
 	inner.Wrap("echo", func(ctx context.Context, _ *wire.ServerConn, m *wire.Message, next func(context.Context) (any, error)) (any, error) {
-		if strings.Contains(string(m.Payload), "refuse") {
+		var peek echoReq
+		if err := wire.Unmarshal(m.Payload, &peek); err != nil || strings.Contains(peek.Text, "refuse") {
 			return nil, errors.New("refused")
 		}
 		resp, err := next(ctx)
@@ -294,5 +296,73 @@ func TestMuxFallbackAndWrap(t *testing.T) {
 	var re *wire.RemoteError
 	if err := cli.Call(ctx5s(t), "echo", echoReq{Text: "refuse"}, nil); !errors.As(err, &re) || re.Msg != "refused" || calls.Load() != before {
 		t.Fatalf("wrapper's refusal: %v, route ran %d times", err, calls.Load()-before)
+	}
+}
+
+// A peer that sends requests and never drains its socket used to park the
+// serve goroutine in Write with the admission slot held, for good:
+// MaxConcurrency such peers shed everyone else indefinitely. The reply's
+// write is bounded by the request's budget, the write that times out closes
+// the connection, and the slot goes to the next caller.
+func TestMuxPeerThatStopsReadingLosesItsSlot(t *testing.T) {
+	ctl := overload.New(overload.Config{MaxConcurrency: 1, QueueDepth: 4, QueueWait: time.Minute}, nil)
+	x := &wire.Mux{Admit: ctl.Admit}
+	big := &wire.ResolveResponse{Data: strings.Repeat("a component far larger than any socket buffer; ", 12<<20/47)}
+	closed := make(chan string, 8) // the peers whose connections the server has let go of
+	wire.Handle(x, wire.TypeResolve, func(c *wire.ServerConn, m *wire.Message, req *wire.ResolveRequest) {
+		if req.Pattern != wire.PatternChaining {
+			_ = c.Reply(m, &wire.ResolveResponse{Hops: 1})
+			return
+		}
+		c.OnClose(func() { closed <- c.RemoteAddr() })
+		_ = c.Reply(m, big)
+	})
+	srv, err := wire.Serve("127.0.0.1:0", x)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	cli, err := wire.Dial(srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cli.Close()
+
+	mute, err := net.Dial("tcp", srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mute.Close()
+	_ = mute.(*net.TCPConn).SetReadBuffer(4 << 10)
+	const budget = 400 * time.Millisecond
+	for id := uint64(1); id <= 3; id++ {
+		if err := wire.WriteFrame(mute, &wire.Message{Type: wire.TypeResolve, ID: id, BudgetMillis: budget.Milliseconds(),
+			Payload: wire.Marshal(wire.ResolveRequest{Path: "/user[@id='u']/address-book", Pattern: wire.PatternChaining})}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for { // the mute peer's first request holds the slot, stuck in its reply
+		if executing, _ := ctl.InUse(); executing == 1 {
+			break
+		}
+		time.Sleep(time.Millisecond)
+	}
+
+	start := time.Now()
+	var resp wire.ResolveResponse
+	if err := cli.Call(ctx5s(t), wire.TypeResolve, wire.ResolveRequest{Path: "/user[@id='v']/presence"}, &resp); err != nil || resp.Hops != 1 {
+		t.Fatalf("a second client behind a peer that stopped reading: %+v, %v", resp, err)
+	}
+	if took := time.Since(start); took > budget+time.Second {
+		t.Errorf("the slot came free after %s, want about the mute peer's %s budget", took, budget)
+	}
+	// The mute peer's connection is gone: its framing was unrecoverable.
+	select {
+	case addr := <-closed:
+		if addr != mute.LocalAddr().String() {
+			t.Errorf("the server closed %s, not the mute peer %s", addr, mute.LocalAddr())
+		}
+	case <-time.After(5 * time.Second):
+		t.Error("the server kept the mute peer's connection")
 	}
 }

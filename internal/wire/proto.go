@@ -56,14 +56,14 @@ const (
 	// propagated budget was already below the observed service time). The
 	// payload carries a retry-after hint; the resilience layer treats the
 	// refusal as backoff-not-failure so retries cannot amplify the storm.
-	// Old clients that predate the type still terminate cleanly: the reply
-	// also sets Error, which they surface as a plain remote error.
+	// The reply also sets Error: the refusal in words, for whoever reads the
+	// frame without knowing the type.
 	TypeOverloaded = "overloaded"
 	// TypeNotLeader is a reply type from a replicated MDM constellation:
 	// the node refused a directory mutation because it is not the current
 	// leader. The payload carries the leader's address (when known) so
 	// clients and stores re-home transparently instead of failing. Like
-	// TypeOverloaded, the reply also sets Error for old clients.
+	// TypeOverloaded, the reply also sets Error.
 	TypeNotLeader = "not-leader"
 	// Replication traffic between the MDMs of a constellation: log
 	// append/ack (also the leader's heartbeat when empty), election votes,
@@ -78,8 +78,7 @@ const (
 	// belongs to another shard. The payload carries the owning shard's
 	// address (and, when known, the replier's full shard map) so clients,
 	// stores and mirrors re-home transparently instead of failing. Like
-	// TypeOverloaded and TypeNotLeader, the reply also sets Error for old
-	// clients.
+	// TypeOverloaded and TypeNotLeader, the reply also sets Error.
 	TypeWrongShard = "wrong-shard"
 	// Shard administration: fetch a node's current shard map, install a
 	// new map version (the rebalance protocol), and dump a shard's
@@ -343,7 +342,12 @@ type ProvenanceResponse struct {
 	Summaries []ProvenanceSummary `json:"summaries,omitempty"`
 }
 
-// ChangedNotice tells the MDM a component changed at a store.
+// ChangedNotice tells the MDM a component changed at a store. XML is its
+// bulk field (see Payload): a frame carries it as raw bytes beside the JSON
+// of the other fields. The same pair of methods declares the bulk field of
+// ExecResponse, ResolveResponse, FetchResponse and UpdateRequest; a type
+// nested in another payload (BatchResolveResponse's entries), Notification
+// and the sync-session payloads travel as plain JSON.
 type ChangedNotice struct {
 	Store   string `json:"store"`
 	User    string `json:"user"`
@@ -351,6 +355,9 @@ type ChangedNotice struct {
 	XML     string `json:"xml"`
 	Version uint64 `json:"version"`
 }
+
+func (n ChangedNotice) splitBulk() (any, string) { x := n.XML; n.XML = ""; return n, x }
+func (n *ChangedNotice) setBulk(x string)        { n.XML = x }
 
 // ExecRequest migrates a query to a store (recruiting): the primary store
 // fetches the sibling referrals itself and returns the merged result.
@@ -365,6 +372,9 @@ type ExecRequest struct {
 type ExecResponse struct {
 	XML string `json:"xml"`
 }
+
+func (r ExecResponse) splitBulk() (any, string) { x := r.XML; r.XML = ""; return r, x }
+func (r *ExecResponse) setBulk(x string)        { r.XML = x }
 
 // QueryPattern selects the distributed query pattern (§5.2, after ubQL).
 type QueryPattern string
@@ -443,6 +453,9 @@ type ResolveResponse struct {
 	Stale bool `json:"stale,omitempty"`
 }
 
+func (r ResolveResponse) splitBulk() (any, string) { x := r.Data; r.Data = ""; return r, x }
+func (r *ResolveResponse) setBulk(x string)        { r.Data = x }
+
 // BatchResolveRequest bundles independent resolves into one frame. The
 // MDM resolves the entries concurrently (bounded by its fan-out width)
 // and never fails the batch wholesale: each entry succeeds or fails on
@@ -478,11 +491,17 @@ type FetchResponse struct {
 	Version uint64 `json:"version"`
 }
 
+func (r FetchResponse) splitBulk() (any, string) { x := r.XML; r.XML = ""; return r, x }
+func (r *FetchResponse) setBulk(x string)        { r.XML = x }
+
 // UpdateRequest writes a component at a data store.
 type UpdateRequest struct {
 	Query token.SignedQuery `json:"query"`
 	XML   string            `json:"xml"`
 }
+
+func (r UpdateRequest) splitBulk() (any, string) { x := r.XML; r.XML = ""; return r, x }
+func (r *UpdateRequest) setBulk(x string)        { r.XML = x }
 
 // UpdateResponse acknowledges a write.
 type UpdateResponse struct {

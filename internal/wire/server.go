@@ -1,7 +1,9 @@
 package wire
 
 import (
+	"bufio"
 	"errors"
+	"io"
 	"log"
 	"net"
 	"sync"
@@ -11,7 +13,12 @@ import (
 
 // ServerConn is one accepted connection. Handlers reply through it and may
 // push unsolicited notifications at any time; writes are serialized
-// internally.
+// internally, and every write is bounded: a reply by what is left of its
+// request's budget (ForwardTimeout for a request without one) and never by
+// less than readGrace, a notification by ForwardTimeout. A peer that stops
+// reading therefore costs a handler that long and no longer, and a write
+// that fails or times out closes the connection — a partial frame has made
+// its framing unrecoverable.
 type ServerConn struct {
 	conn    net.Conn
 	mu      sync.Mutex // guards writes
@@ -32,8 +39,8 @@ func (c *ServerConn) Reply(m *Message, payload any) error {
 // failed requests are the ones worth tracing. When err is, or wraps, a
 // typed error (OverloadedError, NotLeaderError, WrongShardError) the reply
 // is that error's own frame: its reply type, its fields as the payload,
-// and an Error text for clients that predate the type, so it surfaces from
-// the caller's Call as the same typed error however many hops relay it.
+// and an Error text that says the same in words, so it surfaces from the
+// caller's Call as the same typed error however many hops relay it.
 func (c *ServerConn) ReplyError(m *Message, err error) error {
 	out := &Message{Type: m.Type, Error: err.Error()}
 	var typed typedError
@@ -52,21 +59,37 @@ func (c *ServerConn) reply(m, out *Message) error {
 	if m.spanDrain != nil {
 		out.Spans = m.spanDrain()
 	}
-	return c.send(out)
+	// The write is bounded by what is left of the request's budget. A reply
+	// that is ready just as the budget ends, or after it, still gets
+	// readGrace: a deadline already past would fail the write at once, and a
+	// failed write costs every other call on the connection its connection.
+	by := m.replyBy
+	if floor := time.Now().Add(readGrace); by.Before(floor) {
+		by = floor
+	}
+	return c.send(out, by)
 }
 
-// Notify pushes a server-initiated message (ID 0).
+// Notify pushes a server-initiated message (ID 0). The payload travels as
+// plain JSON whatever its type, so the subscriber's OnNotify callback is
+// handed all of it.
 func (c *ServerConn) Notify(msgType string, payload any) error {
-	return c.send(&Message{Type: msgType, Payload: Marshal(payload)})
+	return c.send(&Message{Type: msgType, Payload: Payload{json: marshalJSON(payload)}}, time.Now().Add(ForwardTimeout))
 }
 
-func (c *ServerConn) send(m *Message) error {
+func (c *ServerConn) send(m *Message, by time.Time) error {
 	if c.closed.Load() {
 		return ErrClosed
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return WriteFrame(c.conn, m)
+	_ = c.conn.SetWriteDeadline(by) // fails only on a closed connection, and then so does the write
+	err := WriteFrame(c.conn, m)
+	if err != nil && !errors.Is(err, ErrFrameTooLarge) { // an oversized frame wrote nothing
+		c.closed.Store(true)
+		c.conn.Close()
+	}
+	return err
 }
 
 // RemoteAddr reports the peer address.
@@ -210,14 +233,25 @@ func (s *Server) serveConn(conn net.Conn) {
 			fn()
 		}
 	}()
+	// One buffered reader for the connection's life: a frame that arrived
+	// whole is one read, not one for its length and one for its body.
+	r := bufio.NewReader(conn)
 	for {
-		m, err := ReadFrame(conn)
+		m, err := ReadFrame(r)
 		if err != nil {
-			if !errors.Is(err, net.ErrClosed) && err.Error() != "EOF" {
+			// A peer hanging up between frames is routine; one that hangs
+			// up inside a frame (io.ErrUnexpectedEOF) or sends what cannot
+			// be decoded is worth the line.
+			if !errors.Is(err, net.ErrClosed) && !errors.Is(err, io.EOF) {
 				s.logf("wire: read from %s: %v", conn.RemoteAddr(), err)
 			}
 			return
 		}
+		budget := ForwardTimeout
+		if m.BudgetMillis > 0 {
+			budget = time.Duration(m.BudgetMillis) * time.Millisecond
+		}
+		m.replyBy = time.Now().Add(budget)
 		func() {
 			defer func() {
 				if r := recover(); r != nil {

@@ -55,21 +55,24 @@ func TestFrameTruncated(t *testing.T) {
 	}
 }
 
-func TestFrameGarbageJSON(t *testing.T) {
-	var buf bytes.Buffer
-	body := []byte("{not json")
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], uint32(len(body)))
-	buf.Write(hdr[:])
-	buf.Write(body)
-	if _, err := ReadFrame(&buf); err == nil {
-		t.Error("garbage JSON accepted")
+// A body is refused by its first byte: '{' is a peer built before the
+// binary frame, anything else that is not this build's version is named as
+// such.
+func TestFrameVersionRefusals(t *testing.T) {
+	if _, err := ReadFrame(bytes.NewReader(rawFrame([]byte(`{"type":"resolve","id":7}`)...))); !errors.Is(err, ErrLegacyFrame) {
+		t.Errorf("JSON body: err = %v, want ErrLegacyFrame", err)
+	}
+	if _, err := ReadFrame(bytes.NewReader(rawFrame(2, 7, 0, 0, 0, 0, 0))); !errors.Is(err, ErrFrameVersion) {
+		t.Errorf("version 2: err = %v, want ErrFrameVersion", err)
+	}
+	if _, err := ReadFrame(bytes.NewReader(rawFrame())); err == nil {
+		t.Error("empty body accepted")
 	}
 }
 
 func TestUnmarshalEmpty(t *testing.T) {
 	var v map[string]string
-	if err := Unmarshal(nil, &v); err == nil {
+	if err := Unmarshal(Payload{}, &v); err == nil {
 		t.Error("empty payload accepted")
 	}
 }
