@@ -388,14 +388,53 @@ func (c *Client) getAs(ctx context.Context, path string, reqCtx policy.Context) 
 	return doc, nil
 }
 
-// BatchResolve sends several resolves in one frame; the MDM answers the
-// entries concurrently and positionally (Results[i] ↔ Requests[i]).
+// BatchResolve sends several resolves in one frame per home: a shard
+// answers a batch only when it is home to every owner in it, so the entries
+// are grouped by where the handle routes their owner (an unsharded
+// directory is one home). The homes answer concurrently and the answers are
+// merged positionally (Results[i] ↔ Requests[i]).
 func (c *Client) BatchResolve(ctx context.Context, req *wire.BatchResolveRequest) (*wire.BatchResolveResponse, error) {
-	var resp wire.BatchResolveResponse
-	if err := c.dir.Call(ctx, "", wire.TypeBatchResolve, req, &resp); err != nil {
+	type home struct {
+		owner string
+		at    []int // positions in req.Requests
+	}
+	var homes []home
+	byAddr := map[string]int{}
+	for i, r := range req.Requests {
+		owner := c.ownerOf(r.Path)
+		addr := c.dir.AddrFor(owner)
+		h, ok := byAddr[addr]
+		if !ok {
+			h, byAddr[addr] = len(homes), len(homes)
+			homes = append(homes, home{owner: owner})
+		}
+		homes[h].at = append(homes[h].at, i)
+	}
+	if len(homes) == 0 {
+		homes = append(homes, home{}) // an empty batch is the directory's to refuse
+	}
+	resp := &wire.BatchResolveResponse{Results: make([]wire.BatchResolveEntry, len(req.Requests))}
+	err := flight.ForEach(ctx, len(homes), c.FanOut, func(h int) error {
+		part := wire.BatchResolveRequest{Requests: make([]wire.ResolveRequest, len(homes[h].at))}
+		for j, i := range homes[h].at {
+			part.Requests[j] = req.Requests[i]
+		}
+		var got wire.BatchResolveResponse
+		if err := c.dir.Call(ctx, homes[h].owner, wire.TypeBatchResolve, &part, &got); err != nil {
+			return err
+		}
+		if len(got.Results) != len(part.Requests) {
+			return fmt.Errorf("gupster: batch answered %d of %d entries", len(got.Results), len(part.Requests))
+		}
+		for j, i := range homes[h].at {
+			resp.Results[i] = got.Results[j]
+		}
+		return nil
+	})
+	if err != nil {
 		return nil, err
 	}
-	return &resp, nil
+	return resp, nil
 }
 
 // BatchResult is the outcome of one path of a GetBatch.
@@ -405,7 +444,7 @@ type BatchResult struct {
 }
 
 // GetBatch fetches several profile paths through one batch-resolve frame
-// (amortizing framing and MDM round trips) and follows each entry's
+// per home shard (amortizing framing and MDM round trips) and follows each entry's
 // referrals on the client's bounded fan-out pool. Results are positional
 // and independent — one denied path does not fail its siblings.
 func (c *Client) GetBatch(ctx context.Context, paths []string) ([]BatchResult, error) {
@@ -429,9 +468,6 @@ func (c *Client) getBatch(ctx context.Context, paths []string) ([]BatchResult, e
 	resp, err := c.BatchResolve(ctx, &wire.BatchResolveRequest{Requests: reqs})
 	if err != nil {
 		return nil, err
-	}
-	if len(resp.Results) != len(paths) {
-		return nil, fmt.Errorf("gupster: batch answered %d of %d entries", len(resp.Results), len(paths))
 	}
 	out := make([]BatchResult, len(paths))
 	if len(paths) > 1 {

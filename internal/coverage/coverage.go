@@ -346,24 +346,3 @@ func (r *Registry) Snapshot() []Registration {
 	})
 	return out
 }
-
-// StoresFor returns the distinct stores holding any data for the user, in
-// lexicographic order.
-func (r *Registry) StoresFor(user string) []StoreID {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	set := make(map[StoreID]bool)
-	for _, bucket := range []map[string][]*entry{r.byUser[user], r.byUser[""]} {
-		for _, list := range bucket {
-			for _, e := range list {
-				set[e.store] = true
-			}
-		}
-	}
-	out := make([]StoreID, 0, len(set))
-	for s := range set {
-		out = append(out, s)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}

@@ -235,7 +235,7 @@ func TestIndexedEqualsLinear(t *testing.T) {
 	}
 }
 
-func TestSnapshotAndStoresFor(t *testing.T) {
+func TestSnapshot(t *testing.T) {
 	r := New()
 	r.Register(mp("/user[@id='a']/presence"), "s2")
 	r.Register(mp("/user[@id='a']/calendar"), "s1")
@@ -246,13 +246,6 @@ func TestSnapshotAndStoresFor(t *testing.T) {
 	}
 	if snap[0].Store != "hlr" || snap[1].Store != "s1" || snap[2].Store != "s2" {
 		t.Errorf("Snapshot order: %v", snap)
-	}
-	stores := r.StoresFor("a")
-	if len(stores) != 3 { // s1, s2 and the unpinned hlr
-		t.Errorf("StoresFor = %v", stores)
-	}
-	if stores[0] != "hlr" || stores[1] != "s1" || stores[2] != "s2" {
-		t.Errorf("StoresFor order: %v", stores)
 	}
 }
 

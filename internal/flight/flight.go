@@ -86,14 +86,6 @@ func (g *Group) Do(ctx context.Context, key string, fn func() (any, error)) (v a
 	return c.val, false, c.err
 }
 
-// InFlight reports whether a flight for key is currently up (for tests).
-func (g *Group) InFlight(key string) bool {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	_, ok := g.calls[key]
-	return ok
-}
-
 // DefaultWorkers bounds a fan-out when the caller does not choose a width.
 const DefaultWorkers = 8
 

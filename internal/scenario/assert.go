@@ -33,16 +33,20 @@ func evalOne(a *Assertion, report *Report) AssertionResult {
 		res.Detail = fmt.Sprintf(format, args...)
 		return res
 	}
-	phase := func(name string) *PhaseReport {
-		return report.Phase(name)
+	phase := report.Phase
+
+	// The single-phase kinds look their phase up once.
+	var p *PhaseReport
+	switch a.Kind {
+	case AssertP95Ceiling, AssertGoodputFloor, AssertShedFloor, AssertErrorCeiling,
+		AssertFailoverCeiling, AssertRepairCeiling, AssertMovedOwnersFloor:
+		if p = phase(a.Phase); p == nil {
+			return fail("phase %q not in report", a.Phase)
+		}
 	}
 
 	switch a.Kind {
 	case AssertP95Ceiling:
-		p := phase(a.Phase)
-		if p == nil {
-			return fail("phase %q not in report", a.Phase)
-		}
 		got := time.Duration(p.P95Micros) * time.Microsecond
 		if got > a.Max {
 			return fail("phase %s p95 %s exceeds ceiling %s — the phase got slower; profile it or raise the ceiling deliberately", a.Phase, got, a.Max)
@@ -50,30 +54,18 @@ func evalOne(a *Assertion, report *Report) AssertionResult {
 		return pass("phase %s p95 %s within ceiling %s", a.Phase, got, a.Max)
 
 	case AssertGoodputFloor:
-		p := phase(a.Phase)
-		if p == nil {
-			return fail("phase %q not in report", a.Phase)
-		}
 		if p.GoodputPerSec < a.Min {
 			return fail("phase %s goodput %.1f/s below floor %.1f/s — in-budget completions collapsed", a.Phase, p.GoodputPerSec, a.Min)
 		}
 		return pass("phase %s goodput %.1f/s meets floor %.1f/s", a.Phase, p.GoodputPerSec, a.Min)
 
 	case AssertShedFloor:
-		p := phase(a.Phase)
-		if p == nil {
-			return fail("phase %q not in report", a.Phase)
-		}
 		if float64(p.Shed) < a.Min {
 			return fail("phase %s shed %d requests, floor %.0f — admission control did not engage under the offered load", a.Phase, p.Shed, a.Min)
 		}
 		return pass("phase %s shed %d requests (floor %.0f)", a.Phase, p.Shed, a.Min)
 
 	case AssertErrorCeiling:
-		p := phase(a.Phase)
-		if p == nil {
-			return fail("phase %q not in report", a.Phase)
-		}
 		if p.Errors > a.MaxCount {
 			return fail("phase %s had %d errors, ceiling %d — something broke beyond shedding and expiry", a.Phase, p.Errors, a.MaxCount)
 		}
@@ -125,10 +117,6 @@ func evalOne(a *Assertion, report *Report) AssertionResult {
 		return pass("all %d rigs hold full coverage", len(report.Registrations))
 
 	case AssertFailoverCeiling:
-		p := phase(a.Phase)
-		if p == nil {
-			return fail("phase %q not in report", a.Phase)
-		}
 		if p.FailoverMillis <= 0 {
 			return fail("phase %s recorded no failover — the leader kill did not fire or no replacement was elected", a.Phase)
 		}
@@ -139,10 +127,6 @@ func evalOne(a *Assertion, report *Report) AssertionResult {
 		return pass("phase %s failed over in %s (ceiling %s)", a.Phase, got, a.Max)
 
 	case AssertRepairCeiling:
-		p := phase(a.Phase)
-		if p == nil {
-			return fail("phase %q not in report", a.Phase)
-		}
 		if p.RepairMillis <= 0 {
 			return fail("phase %s recorded no repair — the shard fault did not fire or no auto-repair completed", a.Phase)
 		}
@@ -173,10 +157,6 @@ func evalOne(a *Assertion, report *Report) AssertionResult {
 		return pass("%d rigs converged on a single shard-map view with no split-brain owners", checked)
 
 	case AssertMovedOwnersFloor:
-		p := phase(a.Phase)
-		if p == nil {
-			return fail("phase %q not in report", a.Phase)
-		}
 		if p.RebalanceMillis <= 0 {
 			return fail("phase %s recorded no rebalance — the shard-map expansion did not fire or did not complete", a.Phase)
 		}

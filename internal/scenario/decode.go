@@ -2,6 +2,7 @@ package scenario
 
 import (
 	"fmt"
+	"reflect"
 	"sort"
 	"strconv"
 	"strings"
@@ -188,7 +189,7 @@ func (p *parser) parseList(ind int) (*node, error) {
 		if rest == "" {
 			return nil, errAt(lineNo, "empty list item")
 		}
-		if key, after, kerr := splitKey(rest, lineNo); kerr == nil {
+		if _, _, kerr := splitKey(rest, lineNo); kerr == nil {
 			// Map item: rewrite the dash as indentation so the item's
 			// first key aligns with any continuation keys two columns in.
 			p.lines[p.pos] = strings.Repeat(" ", indent+2) + rest
@@ -196,8 +197,6 @@ func (p *parser) parseList(ind int) (*node, error) {
 			if err != nil {
 				return nil, err
 			}
-			_ = key
-			_ = after
 			l.items = append(l.items, item)
 			continue
 		}
@@ -306,112 +305,6 @@ func parseTree(data []byte) (*node, error) {
 
 // ---- typed mapping -------------------------------------------------------
 
-// fields maps a node's keys through setters, rejecting unknown fields.
-func fields(n *node, where string, set map[string]func(*node) error) error {
-	if n.kind != mapNode {
-		return errAt(n.line, "%s: expected a mapping", where)
-	}
-	for i, k := range n.keys {
-		fn, ok := set[k]
-		if !ok {
-			known := make([]string, 0, len(set))
-			for f := range set {
-				known = append(known, f)
-			}
-			sort.Strings(known)
-			return errAt(n.vals[i].line, "%s: unknown field %q (known: %s)", where, k, strings.Join(known, ", "))
-		}
-		if err := fn(n.vals[i]); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func wantScalar(n *node, where string) (string, error) {
-	if n.kind != scalarNode {
-		return "", errAt(n.line, "%s: expected a scalar", where)
-	}
-	return n.scalar, nil
-}
-
-func setString(dst *string, where string) func(*node) error {
-	return func(n *node) error {
-		s, err := wantScalar(n, where)
-		if err != nil {
-			return err
-		}
-		*dst = s
-		return nil
-	}
-}
-
-func setInt(dst *int, where string) func(*node) error {
-	return func(n *node) error {
-		s, err := wantScalar(n, where)
-		if err != nil {
-			return err
-		}
-		v, err := strconv.Atoi(s)
-		if err != nil {
-			return errAt(n.line, "%s: bad integer %q", where, s)
-		}
-		*dst = v
-		return nil
-	}
-}
-
-func setInt64(dst *int64, where string) func(*node) error {
-	return func(n *node) error {
-		s, err := wantScalar(n, where)
-		if err != nil {
-			return err
-		}
-		v, err := strconv.ParseInt(s, 10, 64)
-		if err != nil {
-			return errAt(n.line, "%s: bad integer %q", where, s)
-		}
-		*dst = v
-		return nil
-	}
-}
-
-func setBool(dst *bool, where string) func(*node) error {
-	return func(n *node) error {
-		s, err := wantScalar(n, where)
-		if err != nil {
-			return err
-		}
-		switch s {
-		case "true":
-			*dst = true
-		case "false":
-			*dst = false
-		default:
-			return errAt(n.line, "%s: bad boolean %q", where, s)
-		}
-		return nil
-	}
-}
-
-func setDuration(dst *time.Duration, where string) func(*node) error {
-	return func(n *node) error {
-		s, err := wantScalar(n, where)
-		if err != nil {
-			return err
-		}
-		d, err := time.ParseDuration(s)
-		if err != nil {
-			return errAt(n.line, "%s: bad duration %q", where, s)
-		}
-		if d < 0 {
-			return errAt(n.line, "%s: negative duration %q", where, s)
-		}
-		*dst = d
-		return nil
-	}
-}
-
 // Decode parses and validates a scenario file.
 func Decode(data []byte) (*Scenario, error) {
 	root, err := parseTree(data)
@@ -419,33 +312,7 @@ func Decode(data []byte) (*Scenario, error) {
 		return nil, err
 	}
 	sc := &Scenario{}
-	err = fields(root, "scenario", map[string]func(*node) error{
-		"name":        setString(&sc.Name, "name"),
-		"description": setString(&sc.Description, "description"),
-		"seed":        setInt64(&sc.Seed, "seed"),
-		"topology":    func(n *node) error { return decodeTopology(n, &sc.Topology) },
-		"phases": func(n *node) error {
-			return eachItem(n, "phases", func(item *node) error {
-				var p Phase
-				if err := decodePhase(item, &p); err != nil {
-					return err
-				}
-				sc.Phases = append(sc.Phases, p)
-				return nil
-			})
-		},
-		"assertions": func(n *node) error {
-			return eachItem(n, "assertions", func(item *node) error {
-				var a Assertion
-				if err := decodeAssertion(item, &a); err != nil {
-					return err
-				}
-				sc.Asserts = append(sc.Asserts, a)
-				return nil
-			})
-		},
-	})
-	if err != nil {
+	if err := decodeValue(root, reflect.ValueOf(sc).Elem(), "scenario"); err != nil {
 		return nil, err
 	}
 	if err := sc.Validate(); err != nil {
@@ -454,276 +321,133 @@ func Decode(data []byte) (*Scenario, error) {
 	return sc, nil
 }
 
-func eachItem(n *node, where string, fn func(*node) error) error {
-	if n.kind != listNode {
-		return errAt(n.line, "%s: expected a list", where)
+// decodeValue is the whole schema: it walks the parse tree and a value of
+// the scenario structs side by side. A mapping fills a struct by its yaml
+// tags (an unknown key is an error), a list appends to a slice, a pointer
+// is allocated when its key is present, and everything else is a scalar.
+// v must be addressable; where names the key being decoded.
+func decodeValue(n *node, v reflect.Value, where string) error {
+	if ok, err := decodeScalar(n, v.Addr().Interface(), where); ok {
+		return err
 	}
-	for _, item := range n.items {
-		if err := fn(item); err != nil {
-			return err
+	switch v.Kind() {
+	case reflect.Pointer:
+		v.Set(reflect.New(v.Type().Elem()))
+		return decodeValue(n, v.Elem(), where)
+	case reflect.Slice:
+		if n.kind != listNode {
+			return errAt(n.line, "%s: expected a list", where)
 		}
-	}
-	return nil
-}
-
-func decodeTopology(n *node, t *Topology) error {
-	return fields(n, "topology", map[string]func(*node) error{
-		"rigs": func(n *node) error {
-			return eachItem(n, "rigs", func(item *node) error {
-				var r RigSpec
-				if err := decodeRig(item, &r); err != nil {
-					return err
-				}
-				t.Rigs = append(t.Rigs, r)
-				return nil
-			})
-		},
-	})
-}
-
-func decodeRig(n *node, r *RigSpec) error {
-	return fields(n, "rig", map[string]func(*node) error{
-		"name":               setString(&r.Name, "rig name"),
-		"layout":             setString(&r.Layout, "layout"),
-		"stores":             setInt(&r.Stores, "stores"),
-		"users":              setInt(&r.Users, "users"),
-		"size-bytes":         setInt(&r.SizeBytes, "size-bytes"),
-		"cache-entries":      setInt(&r.CacheEntries, "cache-entries"),
-		"baseline":           setBool(&r.Baseline, "baseline"),
-		"disable-coalescing": setBool(&r.DisableCoalescing, "disable-coalescing"),
-		"retry-attempts":     setInt(&r.RetryAttempts, "retry-attempts"),
-		"per-attempt":        setDuration(&r.PerAttempt, "per-attempt"),
-		"max-concurrency":    setInt(&r.MaxConcurrency, "max-concurrency"),
-		"queue-depth":        setInt(&r.QueueDepth, "queue-depth"),
-		"lease-ttl":          setDuration(&r.LeaseTTL, "lease-ttl"),
-		"lease-grace":        setDuration(&r.LeaseGrace, "lease-grace"),
-		"heartbeats":         setBool(&r.Heartbeats, "heartbeats"),
-		"replicas":           setInt(&r.Replicas, "replicas"),
-		"quorum":             setInt(&r.Quorum, "quorum"),
-		"election-ttl":       setDuration(&r.ElectionTTL, "election-ttl"),
-		"shards":             setInt(&r.Shards, "shards"),
-		"spare-shards":       setInt(&r.SpareShards, "spare-shards"),
-		"auto-repair":        setBool(&r.AutoRepair, "auto-repair"),
-		"gossip-interval":    setDuration(&r.GossipInterval, "gossip-interval"),
-		"suspect-timeout":    setDuration(&r.SuspectTimeout, "suspect-timeout"),
-		"shard-links": func(n *node) error {
-			spec := &LinkSpec{}
-			if err := decodeLinkSpec(n, spec); err != nil {
+		for _, item := range n.items {
+			elem := reflect.New(v.Type().Elem()).Elem()
+			if err := decodeValue(item, elem, where); err != nil {
 				return err
 			}
-			r.ShardLinks = spec
-			return nil
-		},
-		"profile":            setString(&r.Profile, "profile"),
-		"links":              func(n *node) error { return decodeLinks(n, &r.Links) },
-	})
+			v.Set(reflect.Append(v, elem))
+		}
+		return nil
+	case reflect.Struct:
+		return decodeStruct(n, v, where)
+	}
+	panic("scenario: no decoder for " + v.Type().String()) // a schema bug, not an input
 }
 
-func decodeLinks(n *node, l *LinkSet) error {
+// decodeStruct fills v from a mapping. Tag forms: `yaml:"key"`;
+// `yaml:"key,default=s"`, the scalar s decoded before the mapping's own
+// keys; `yaml:"prefix*"` on a map field, which takes every key with that
+// prefix.
+func decodeStruct(n *node, v reflect.Value, where string) error {
 	if n.kind != mapNode {
-		return errAt(n.line, "links: expected a mapping")
+		return errAt(n.line, "%s: expected a mapping", where)
+	}
+	fields := map[string]reflect.Value{}
+	var known []string
+	var wild reflect.Value
+	var wildPrefix string
+	for i := 0; i < v.NumField(); i++ {
+		tag, ok := v.Type().Field(i).Tag.Lookup("yaml")
+		if !ok {
+			continue
+		}
+		key, def, hasDefault := strings.Cut(tag, ",default=")
+		known = append(known, key)
+		if prefix, ok := strings.CutSuffix(key, "*"); ok {
+			wild, wildPrefix = v.Field(i), prefix
+			continue
+		}
+		fields[key] = v.Field(i)
+		if hasDefault {
+			if err := decodeValue(&node{scalar: def, line: n.line}, v.Field(i), key); err != nil {
+				return err
+			}
+		}
 	}
 	for i, k := range n.keys {
-		spec := &LinkSpec{}
-		if err := decodeLinkSpec(n.vals[i], spec); err != nil {
+		f, ok := fields[k]
+		inWild := !ok && wild.IsValid() && strings.HasPrefix(k, wildPrefix)
+		if inWild {
+			f = reflect.New(wild.Type().Elem()).Elem()
+		} else if !ok {
+			sort.Strings(known)
+			return errAt(n.vals[i].line, "%s: unknown field %q (known: %s)", where, k, strings.Join(known, ", "))
+		}
+		if err := decodeValue(n.vals[i], f, k); err != nil {
 			return err
 		}
-		switch {
-		case k == "mdm":
-			l.MDM = spec
-		case k == "stores":
-			l.Stores = spec
-		case storeIndex(k) >= 0:
-			if l.PerStore == nil {
-				l.PerStore = map[string]*LinkSpec{}
+		if inWild {
+			if wild.IsNil() {
+				wild.Set(reflect.MakeMap(wild.Type()))
 			}
-			l.PerStore[k] = spec
-		default:
-			return errAt(n.vals[i].line, "links: unknown link %q (mdm, stores, or store-N)", k)
+			wild.SetMapIndex(reflect.ValueOf(k), f)
 		}
 	}
 	return nil
 }
 
-func decodeLinkSpec(n *node, l *LinkSpec) error {
-	return fields(n, "link", map[string]func(*node) error{
-		"latency":   setDuration(&l.Latency, "latency"),
-		"jitter":    setDuration(&l.Jitter, "jitter"),
-		"bandwidth": setInt(&l.Bandwidth, "bandwidth"),
-	})
-}
-
-func decodePhase(n *node, p *Phase) error {
-	return fields(n, "phase", map[string]func(*node) error{
-		"name":      setString(&p.Name, "phase name"),
-		"rig":       setString(&p.Rig, "rig"),
-		"calibrate": setInt(&p.Calibrate, "calibrate"),
-		"clients":   setInt(&p.Clients, "clients"),
-		"rounds":    setInt(&p.Rounds, "rounds"),
-		"conns":     setInt(&p.Conns, "conns"),
-		"duration":  setDuration(&p.Duration, "duration"),
-		"kill-leader-after": setDuration(&p.KillLeaderAfter, "kill-leader-after"),
-		"rebalance-after":   setDuration(&p.RebalanceAfter, "rebalance-after"),
-		"kill-shard-after":  setDuration(&p.KillShardAfter, "kill-shard-after"),
-		"kill-shard":        setString(&p.KillShard, "kill-shard"),
-		"partition-after":      setDuration(&p.PartitionAfter, "partition-after"),
-		"partition-shard":      setString(&p.PartitionShard, "partition-shard"),
-		"partition-heal-after": setDuration(&p.PartitionHealAfter, "partition-heal-after"),
-		"rate": func(n *node) error {
-			s, err := wantScalar(n, "rate")
-			if err != nil {
-				return err
-			}
-			r, err := parseRate(s)
-			if err != nil {
-				return errAt(n.line, "rate: %v", err)
-			}
-			p.Rate = r
-			return nil
-		},
-		"budget": func(n *node) error {
-			s, err := wantScalar(n, "budget")
-			if err != nil {
-				return err
-			}
-			b, err := parseBudget(s)
-			if err != nil {
-				return errAt(n.line, "budget: %v", err)
-			}
-			p.Budget = b
-			return nil
-		},
-		"stamped": func(n *node) error {
-			var v bool
-			if err := setBool(&v, "stamped")(n); err != nil {
-				return err
-			}
-			p.Stamped = &v
-			return nil
-		},
-		"trace": func(n *node) error {
-			var v bool
-			if err := setBool(&v, "trace")(n); err != nil {
-				return err
-			}
-			p.Trace = &v
-			return nil
-		},
-		"faults": func(n *node) error {
-			return eachItem(n, "faults", func(item *node) error {
-				var f FaultSpec
-				if err := decodeFault(item, &f); err != nil {
-					return err
-				}
-				p.Faults = append(p.Faults, f)
-				return nil
-			})
-		},
-		"reregister": func(n *node) error {
-			return eachItem(n, "reregister", func(item *node) error {
-				s, err := wantScalar(item, "reregister")
-				if err != nil {
-					return err
-				}
-				p.Reregister = append(p.Reregister, s)
-				return nil
-			})
-		},
-		"mix": func(n *node) error {
-			return eachItem(n, "mix", func(item *node) error {
-				var m MixEntry
-				if err := decodeMix(item, &m); err != nil {
-					return err
-				}
-				p.Mix = append(p.Mix, m)
-				return nil
-			})
-		},
-	})
-}
-
-func decodeMix(n *node, m *MixEntry) error {
-	m.Weight = 1
-	return fields(n, "mix entry", map[string]func(*node) error{
-		"verb":    setString(&m.Verb, "verb"),
-		"pattern": setString(&m.Pattern, "pattern"),
-		"batch":   setBool(&m.Batch, "batch"),
-		"users":   setString(&m.Users, "users"),
-		"weight":  setInt(&m.Weight, "weight"),
-	})
-}
-
-func decodeFault(n *node, f *FaultSpec) error {
-	return fields(n, "fault", map[string]func(*node) error{
-		"link": setString(&f.Link, "link"),
-		"latency": func(n *node) error {
-			var d time.Duration
-			if err := setDuration(&d, "latency")(n); err != nil {
-				return err
-			}
-			f.Latency = &d
-			return nil
-		},
-		"jitter": func(n *node) error {
-			var d time.Duration
-			if err := setDuration(&d, "jitter")(n); err != nil {
-				return err
-			}
-			f.Jitter = &d
-			return nil
-		},
-		"bandwidth": func(n *node) error {
-			var v int
-			if err := setInt(&v, "bandwidth")(n); err != nil {
-				return err
-			}
-			f.Bandwidth = &v
-			return nil
-		},
-		"blackout": func(n *node) error {
-			var v bool
-			if err := setBool(&v, "blackout")(n); err != nil {
-				return err
-			}
-			f.Blackout = &v
-			return nil
-		},
-	})
-}
-
-func decodeAssertion(n *node, a *Assertion) error {
-	return fields(n, "assertion", map[string]func(*node) error{
-		"kind":         setString(&a.Kind, "kind"),
-		"phase":        setString(&a.Phase, "phase"),
-		"num":          setString(&a.Num, "num"),
-		"den":          setString(&a.Den, "den"),
-		"max-duration": setDuration(&a.Max, "max-duration"),
-		"min": func(n *node) error {
-			s, err := wantScalar(n, "min")
-			if err != nil {
-				return err
-			}
-			v, err := strconv.ParseFloat(s, 64)
-			if err != nil {
-				return errAt(n.line, "min: bad number %q", s)
-			}
-			a.Min = v
-			return nil
-		},
-		"max": func(n *node) error {
-			s, err := wantScalar(n, "max")
-			if err != nil {
-				return err
-			}
-			v, err := strconv.ParseFloat(s, 64)
-			if err != nil {
-				return errAt(n.line, "max: bad number %q", s)
-			}
-			a.MaxRatio = v
-			return nil
-		},
-		"max-count": setInt(&a.MaxCount, "max-count"),
-	})
+// decodeScalar is the one scalar hook: dst points at a field of one of the
+// scalar types below, or ok is false and the caller descends.
+func decodeScalar(n *node, dst any, where string) (ok bool, err error) {
+	s := n.scalar
+	switch dst := dst.(type) {
+	case *string:
+		*dst = s
+	case *int:
+		if *dst, err = strconv.Atoi(s); err != nil {
+			err = errAt(n.line, "%s: bad integer %q", where, s)
+		}
+	case *int64:
+		if *dst, err = strconv.ParseInt(s, 10, 64); err != nil {
+			err = errAt(n.line, "%s: bad integer %q", where, s)
+		}
+	case *float64:
+		if *dst, err = strconv.ParseFloat(s, 64); err != nil {
+			err = errAt(n.line, "%s: bad number %q", where, s)
+		}
+	case *bool:
+		if *dst = s == "true"; !*dst && s != "false" {
+			err = errAt(n.line, "%s: bad boolean %q", where, s)
+		}
+	case *time.Duration:
+		if *dst, err = time.ParseDuration(s); err != nil {
+			err = errAt(n.line, "%s: bad duration %q", where, s)
+		} else if *dst < 0 {
+			err = errAt(n.line, "%s: negative duration %q", where, s)
+		}
+	case *Rate:
+		if *dst, err = parseRate(s); err != nil {
+			err = errAt(n.line, "%s: %v", where, err)
+		}
+	case *Budget:
+		if *dst, err = parseBudget(s); err != nil {
+			err = errAt(n.line, "%s: %v", where, err)
+		}
+	default:
+		return false, nil
+	}
+	if n.kind != scalarNode {
+		err = errAt(n.line, "%s: expected a scalar", where)
+	}
+	return true, err
 }
 
 // parseRate parses "0.8x" (capacity factor), "120/s" or "120"

@@ -124,6 +124,35 @@ phases:
         pattern: chaining
 `
 
+// openLoop is minimal with its phase driven open-loop and the given events
+// (flow maps, one per line) on it.
+func openLoop(events ...string) string {
+	phase := "rate: 10\n    duration: 1s\n    events:\n"
+	for _, ev := range events {
+		phase += "      - " + ev + "\n"
+	}
+	return strings.Replace(minimal, "clients: 1\n    rounds: 1\n", phase, 1)
+}
+
+// TestDecodeTwoKillsInOnePhase is the case the per-fault phase fields
+// could not say: two shards killed in one phase, the second while the
+// first repair is still running.
+func TestDecodeTwoKillsInOnePhase(t *testing.T) {
+	in := strings.Replace(openLoop("{at: 200ms, action: kill, target: shard-2}", "{at: 100ms, action: kill, target: shard-1}"),
+		"layout: split\n      stores: 2", "layout: sharded\n      stores: 2\n      users: 4\n      shards: 3\n      spare-shards: 2\n      auto-repair: true", 1)
+	sc, err := Decode([]byte(in))
+	if err != nil {
+		t.Fatalf("two kill events in one phase rejected: %v", err)
+	}
+	want := []Event{
+		{At: 200 * time.Millisecond, Action: ActionKill, Target: "shard-2"},
+		{At: 100 * time.Millisecond, Action: ActionKill, Target: "shard-1"},
+	}
+	if got := sc.Phases[0].Events; !reflect.DeepEqual(got, want) {
+		t.Errorf("decoded events %+v, want %+v", got, want)
+	}
+}
+
 func TestDecodeMinimal(t *testing.T) {
 	if _, err := Decode([]byte(minimal)); err != nil {
 		t.Fatalf("minimal scenario rejected: %v", err)
@@ -152,6 +181,15 @@ func TestDecodeRejections(t *testing.T) {
 		{"unknown assertion kind", minimal + "assertions:\n  - kind: vibes-floor\n", "unknown assertion kind"},
 		{"paired ceiling without a wave pair", minimal + "assertions:\n  - kind: paired-p95-ceiling\n    phase: p\n    max: 1.05\n", "no w<k>-p-off/-on phase pair"},
 		{"phase names unknown rig", strings.Replace(minimal, "rig: r", "rig: ghost", 1), "unknown rig"},
+		{"unknown action", openLoop("{at: 0, action: warp, target: store-0}"), "unknown action \"warp\""},
+		{"unknown event field", openLoop("{at: 0, action: link, target: store-0, after: 1s}"), "unknown field \"after\""},
+		{"event past the phase", openLoop("{at: 1s, action: link, target: store-0, blackout: true}"), "must fall inside the phase duration"},
+		{"timed event on a closed loop", strings.Replace(minimal, "rounds: 1", "rounds: 1\n    events:\n      - {at: 1ms, action: reregister, target: all-dead}", 1), "needs an open-loop phase"},
+		{"leader kill without replicas", openLoop("{at: 100ms, action: kill, target: leader}"), "needs a replicated rig"},
+		{"shard kill without auto-repair", openLoop("{at: 100ms, action: kill, target: shard-1}"), "needs an auto-repair rig"},
+		{"rebalance without spares", openLoop("{at: 100ms, action: rebalance}"), "needs a sharded rig with spare-shards"},
+		{"link setting on a bare link", openLoop("{at: 0, action: link, target: store-0, latency: 5ms}"), "has no proxy"},
+		{"heal-after on a kill", openLoop("{at: 0, action: reregister, target: store-0, heal-after: 1s}"), "takes no heal-after"},
 		{"duplicate phase", minimal + `  - name: p
     rig: r
     clients: 1
@@ -186,6 +224,7 @@ func FuzzScenarioDecode(f *testing.F) {
 		f.Add(raw)
 	}
 	f.Add([]byte(minimal))
+	f.Add([]byte(openLoop("{at: 0, action: link, target: store-0, blackout: true}", "{at: 250ms, action: reregister, target: all-dead}")))
 	f.Add([]byte("name: x\n  dangling: indent\n"))
 	f.Add([]byte("phases:\n  - - -\n"))
 	f.Add([]byte("topology: {rigs: [a, b]}\n"))

@@ -13,11 +13,7 @@ var scenarioFS embed.FS
 // Load decodes a committed scenario by name ("e16_resolve") or file name
 // ("e16_resolve.yaml").
 func Load(name string) (*Scenario, error) {
-	file := name
-	if !strings.HasSuffix(file, ".yaml") {
-		file += ".yaml"
-	}
-	data, err := scenarioFS.ReadFile("scenarios/" + file)
+	data, err := Raw(name)
 	if err != nil {
 		return nil, fmt.Errorf("no committed scenario %q (have %s)", name, strings.Join(List(), ", "))
 	}

@@ -38,18 +38,18 @@ type PhaseReport struct {
 	CoalesceHitRate float64 `json:"coalesce_hit_rate"`
 	FanOutCalls     uint64  `json:"fan_out_calls"`
 	DurationMillis  int64   `json:"duration_ms"`
-	// FailoverMillis is how long a kill-leader-after phase's surviving
-	// members took to elect a replacement (0 = no kill in this phase).
+	// FailoverMillis is how long the surviving members took to elect a
+	// replacement after a kill-leader event (0 = no kill in this phase).
 	FailoverMillis int64 `json:"failover_ms,omitempty"`
-	// RebalanceMillis is how long a rebalance-after phase's live shard-map
+	// RebalanceMillis is how long a rebalance event's live shard-map
 	// expansion took end to end (0 = no rebalance in this phase);
 	// MovedOwners counts the seeded owners whose home shard changed.
 	RebalanceMillis int64 `json:"rebalance_ms,omitempty"`
 	MovedOwners     int   `json:"moved_owners,omitempty"`
-	// RepairMillis is how long a kill-shard-after / partition-after phase
-	// took from imposing the fault to a completed auto-repair (0 = no
-	// shard fault in this phase); RepairEpoch the fencing epoch the repair
-	// installed, PromotedShards the spares it promoted.
+	// RepairMillis is how long a shard kill or partition event took from
+	// imposing the fault to a completed auto-repair (0 = no shard fault in
+	// this phase; the slowest, with several); RepairEpoch the fencing epoch
+	// the repair installed, PromotedShards the spares it promoted.
 	RepairMillis   int64    `json:"repair_ms,omitempty"`
 	RepairEpoch    uint64   `json:"repair_epoch,omitempty"`
 	PromotedShards []string `json:"promoted_shards,omitempty"`

@@ -78,6 +78,9 @@ type StoreNode struct {
 	Addr string
 	// Coverage lists the node's registered paths.
 	Coverage []string
+	// mu orders the events that silence, restore and revive the store: a
+	// timeline may fire them from several goroutines.
+	mu sync.Mutex
 	// Registrar heartbeats the coverage (Heartbeats rigs only).
 	Registrar *store.Registrar
 	// Dead marks a blacked-out store whose registrar has been silenced;
@@ -102,8 +105,8 @@ type DirNode struct {
 	Proxy *faultinject.Proxy
 	// Dir is the temp journal directory of a replicated member.
 	Dir string
-	// Killed marks a node hard-closed mid-run (the leader-kill and
-	// shard-kill faults); pollers and the teardown audit skip it.
+	// Killed marks a node hard-closed mid-run (a kill event); pollers and
+	// the teardown audit skip it.
 	Killed atomic.Bool
 }
 
@@ -467,17 +470,25 @@ func (r *Rig) refreshShardView() {
 	}
 }
 
-// KillShard hard-kills the named shard: the whole node and its fault proxy
-// go down, so peer dials are refused — the in-process analog of a machine
-// loss. Reports whether a live shard was killed.
-func (r *Rig) KillShard(id string) bool {
+// liveShard finds the named shard unless it has been killed.
+func (r *Rig) liveShard(id string) *DirNode {
 	for _, s := range r.Nodes {
 		if s.ID == id && !s.Killed.Load() {
-			s.kill()
-			return true
+			return s
 		}
 	}
-	return false
+	return nil
+}
+
+// Kill hard-kills the named shard: the whole node and its fault proxy go
+// down, so peer dials are refused — the in-process analog of a machine
+// loss. Reports whether a live shard was killed.
+func (r *Rig) Kill(id string) bool {
+	s := r.liveShard(id)
+	if s != nil {
+		s.kill()
+	}
+	return s != nil
 }
 
 // kill hard-closes a node mid-run and marks it so pollers skip it.
@@ -489,17 +500,16 @@ func (n *DirNode) kill() {
 	}
 }
 
-// PartitionShard imposes (on=true) or heals the one-way partition on the
-// named shard's proxy: inbound requests still land, but its replies
-// vanish — the shard can hear and not be heard.
-func (r *Rig) PartitionShard(id string, on bool) bool {
-	for _, s := range r.Nodes {
-		if s.ID == id && s.Proxy != nil && !s.Killed.Load() {
-			s.Proxy.PartitionOneWay(on)
-			return true
-		}
+// Partition imposes (on=true) or heals the one-way partition on the named
+// shard's proxy: inbound requests still land, but its replies vanish — the
+// shard can hear and not be heard. Reports whether a live shard was there
+// to partition (Event.validate has required its proxy).
+func (r *Rig) Partition(id string, on bool) bool {
+	s := r.liveShard(id)
+	if s != nil {
+		s.Proxy.PartitionOneWay(on)
 	}
-	return false
+	return s != nil
 }
 
 // Leader returns the index of the live member currently reporting
@@ -594,15 +604,6 @@ func (r *Rig) newProxy(backend string, l *LinkSpec, linkIdx int) (*faultinject.P
 	return p, nil
 }
 
-// storeLink resolves the link spec for store i: the per-store override,
-// else the default, else nil (bare TCP).
-func (r *Rig) storeLink(i int) *LinkSpec {
-	if l, ok := r.Spec.Links.PerStore[fmt.Sprintf("store-%d", i)]; ok {
-		return l
-	}
-	return r.Spec.Links.Stores
-}
-
 func (r *Rig) buildStore(i int) (*StoreNode, error) {
 	eng := store.NewEngine(fmt.Sprintf("store-%d", i))
 	srv := store.NewServer(eng, r.Signer)
@@ -610,7 +611,7 @@ func (r *Rig) buildStore(i int) (*StoreNode, error) {
 		return nil, err
 	}
 	node := &StoreNode{Index: i, Engine: eng, Server: srv, Addr: srv.Addr()}
-	if l := r.storeLink(i); l != nil {
+	if l := r.Spec.link(eng.ID()); l != nil {
 		p, err := r.newProxy(srv.Addr(), l, i+1)
 		if err != nil {
 			srv.Close()
@@ -706,7 +707,7 @@ func (r *Rig) seedSharded() error {
 // startRegistrar attaches a heartbeating registrar to a node. The
 // registrar talks to the MDM directly (not through the client-facing
 // proxy): store liveness is a control-plane concern, and a blackout
-// silences it explicitly (see SilenceStore).
+// silences it explicitly (see BlackoutStore).
 func (r *Rig) startRegistrar(node *StoreNode) error {
 	reg := store.NewRegistrar(store.RegistrarConfig{
 		Store:    node.Engine.ID(),
@@ -735,34 +736,46 @@ func (r *Rig) Link(name string) *faultinject.Proxy {
 	return nil
 }
 
-// SilenceStore blacks out a store: the link goes dark and the registrar
-// stops, so the store neither serves nor renews its lease — the MDM's
-// lease machinery quarantines it after TTL+grace.
-func (r *Rig) SilenceStore(i int) {
+// BlackoutStore darkens or restores a store's link. Darkening also stops
+// the registrar, so the store neither serves nor renews its lease — the
+// MDM's lease machinery quarantines it after TTL+grace. Restoring the link
+// does not resume heartbeats — that is what a re-registration herd
+// (ReviveStore) is for, mirroring a real store process restarting.
+func (r *Rig) BlackoutStore(i int, on bool) {
 	node := r.Stores[i]
+	node.mu.Lock()
+	defer node.mu.Unlock()
 	if node.Proxy != nil {
-		node.Proxy.Blackout(true)
+		node.Proxy.Blackout(on)
 	}
-	if node.Registrar != nil {
-		node.Registrar.Close()
-		node.Registrar = nil
+	if on {
+		if node.Registrar != nil {
+			node.Registrar.Close()
+			node.Registrar = nil
+		}
+		node.Dead = true
 	}
-	node.Dead = true
 }
 
-// RestoreStore lifts a store's blackout. Heartbeats do not resume —
-// that is what a re-registration herd (ReviveStore) is for, mirroring a
-// real store process restarting.
-func (r *Rig) RestoreStore(i int) {
-	if node := r.Stores[i]; node.Proxy != nil {
-		node.Proxy.Blackout(false)
+// DeadStores lists the silenced stores — the "all-dead" herd.
+func (r *Rig) DeadStores() []int {
+	var dead []int
+	for _, node := range r.Stores {
+		node.mu.Lock()
+		if node.Dead {
+			dead = append(dead, node.Index)
+		}
+		node.mu.Unlock()
 	}
+	return dead
 }
 
 // ReviveStore re-registers a dead store's whole coverage and resumes
 // heartbeats — one member of the thundering herd.
 func (r *Rig) ReviveStore(ctx context.Context, i int) error {
 	node := r.Stores[i]
+	node.mu.Lock()
+	defer node.mu.Unlock()
 	if node.Proxy != nil {
 		node.Proxy.Blackout(false)
 	}

@@ -124,16 +124,11 @@ func (e *engine) runRig(rig *Rig, phaseIdxs []int) error {
 	for _, pi := range phaseIdxs {
 		p := &e.sc.Phases[pi]
 		e.opts.logf("phase %s: starting", p.Name)
-		if err := run.applyFaults(p); err != nil {
-			return fmt.Errorf("phase %s: %w", p.Name, err)
-		}
-		herd := run.startHerd(p)
-		pr, err := run.runPhase(p, pi)
-		herdErrs := herd()
+		tl := &timeline{phase: p, fast: e.opts.Fast, table: run.actions(), log: e.opts.logf}
+		pr, err := tl.run(func() (*PhaseReport, error) { return run.runPhase(p, pi) })
 		if err != nil {
 			return fmt.Errorf("phase %s: %w", p.Name, err)
 		}
-		pr.Errors += herdErrs
 		e.report.Phases = append(e.report.Phases, *pr)
 	}
 	return nil
@@ -225,83 +220,238 @@ func (rr *rigRun) storeFor(user string, i int) int {
 	return s
 }
 
-// applyFaults mutates links at phase start.
-func (rr *rigRun) applyFaults(p *Phase) error {
-	for _, f := range p.Faults {
-		proxy := rr.rig.Link(f.Link)
-		if f.Blackout != nil {
-			idx := storeIndex(f.Link)
-			switch {
-			case *f.Blackout && idx >= 0:
-				rr.engine.opts.logf("phase %s: blackout %s", p.Name, f.Link)
-				rr.rig.SilenceStore(idx)
-			case !*f.Blackout && idx >= 0:
-				rr.engine.opts.logf("phase %s: restore %s", p.Name, f.Link)
-				rr.rig.RestoreStore(idx)
-			case proxy != nil:
-				proxy.Blackout(*f.Blackout)
-			}
-		}
-		if f.Latency != nil || f.Jitter != nil {
-			if proxy == nil {
-				return fmt.Errorf("fault on link %q, but the rig declares no proxy there", f.Link)
-			}
-			var lat, jit time.Duration
-			if f.Latency != nil {
-				lat = *f.Latency
-			}
-			if f.Jitter != nil {
-				jit = *f.Jitter
-			}
-			proxy.SetLatency(lat, jit)
-		}
-		if f.Bandwidth != nil {
-			if proxy == nil {
-				return fmt.Errorf("fault on link %q, but the rig declares no proxy there", f.Link)
-			}
-			proxy.SetBandwidth(*f.Bandwidth)
-		}
+// window is the phase's open-loop send window: its duration, shrunk in
+// fast mode.
+func (p *Phase) window(fast bool) time.Duration {
+	if fast && p.Duration > 500*time.Millisecond {
+		return 500 * time.Millisecond
 	}
-	return nil
+	return p.Duration
 }
 
-// startHerd fires the phase's re-registration storm concurrently with
-// the phase load; the returned wait function reports failures.
-func (rr *rigRun) startHerd(p *Phase) func() int {
-	if len(p.Reregister) == 0 {
-		return func() int { return 0 }
+// action is one row of a timeline's action table: what an event of that
+// kind does to the rig when it fires. It blocks until the fault has played
+// out (a new leader, a landed repair, a healed partition) and records what
+// it measured through tl.report.
+type action func(tl *timeline, ev *Event)
+
+// timeline is the one scheduler of a phase's events.
+type timeline struct {
+	phase *Phase
+	fast  bool
+	table map[string]action
+	log   func(format string, args ...any)
+
+	mu sync.Mutex
+	// out collects what the actions measured — the fault timings and the
+	// herd's failures — and is folded into the phase's report.
+	out PhaseReport
+}
+
+func (tl *timeline) logf(format string, args ...any) {
+	tl.log("phase "+tl.phase.Name+": "+format, args...)
+}
+
+// report lets an action record its outcome.
+func (tl *timeline) report(fn func(out *PhaseReport)) {
+	tl.mu.Lock()
+	fn(&tl.out)
+	tl.mu.Unlock()
+}
+
+// run drives load with the phase's events around it. Link settings at
+// instant 0 are applied first, synchronously, so the first request already
+// sees them. Every other event fires At into the load in its own
+// goroutine — a herd runs beside the load, a second fault may land while
+// the first is still being repaired — and run returns once the load and
+// every action have finished. Fast mode shrinks the send window under the
+// events, so one that would miss it is pulled to its middle.
+func (tl *timeline) run(load func() (*PhaseReport, error)) (*PhaseReport, error) {
+	early := func(ev *Event) bool { return ev.At == 0 && ev.Action == ActionLink }
+	for i := range tl.phase.Events {
+		if ev := &tl.phase.Events[i]; early(ev) {
+			tl.table[ev.Action](tl, ev)
+		}
 	}
-	var targets []int
-	for _, name := range p.Reregister {
-		if name == "all-dead" {
-			for _, node := range rr.rig.Stores {
-				if node.Dead {
-					targets = append(targets, node.Index)
-				}
-			}
+	var wg sync.WaitGroup
+	start := time.Now()
+	for i := range tl.phase.Events {
+		ev := &tl.phase.Events[i]
+		if early(ev) {
 			continue
 		}
-		targets = append(targets, storeIndex(name))
+		at := ev.At
+		if w := tl.phase.window(true); tl.fast && at >= w {
+			at = w / 2
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			time.Sleep(time.Until(start.Add(at)))
+			tl.table[ev.Action](tl, ev)
+		}()
 	}
-	rr.engine.opts.logf("phase %s: re-registration herd of %d stores", p.Name, len(targets))
+	pr, err := load()
+	wg.Wait()
+	if err != nil {
+		return nil, err
+	}
+	out := &tl.out
+	pr.Errors += out.Errors
+	pr.FailoverMillis = out.FailoverMillis
+	pr.RebalanceMillis, pr.MovedOwners = out.RebalanceMillis, out.MovedOwners
+	pr.RepairMillis, pr.RepairEpoch, pr.PromotedShards = out.RepairMillis, out.RepairEpoch, out.PromotedShards
+	return pr, nil
+}
+
+// actions is the rig-backed action table.
+func (rr *rigRun) actions() map[string]action {
+	return map[string]action{
+		ActionLink:       rr.setLink,
+		ActionReregister: rr.reregister,
+		ActionKill:       rr.kill,
+		ActionPartition:  rr.partition,
+		ActionRebalance:  rr.rebalance,
+	}
+}
+
+// setLink applies an event's link settings. The proxy is nil only under a
+// bare store blackout (Event.validate).
+func (rr *rigRun) setLink(tl *timeline, ev *Event) {
+	proxy := rr.rig.Link(ev.Target)
+	if ev.Blackout != nil {
+		if idx := storeIndex(ev.Target); idx >= 0 {
+			tl.logf("blackout %s: %t", ev.Target, *ev.Blackout)
+			rr.rig.BlackoutStore(idx, *ev.Blackout)
+		} else {
+			proxy.Blackout(*ev.Blackout)
+		}
+	}
+	if ev.Latency != nil || ev.Jitter != nil {
+		var lat, jit time.Duration
+		if ev.Latency != nil {
+			lat = *ev.Latency
+		}
+		if ev.Jitter != nil {
+			jit = *ev.Jitter
+		}
+		proxy.SetLatency(lat, jit)
+	}
+	if ev.Bandwidth != nil {
+		proxy.SetBandwidth(*ev.Bandwidth)
+	}
+}
+
+// reregister is the thundering herd: the target store — or every dead
+// one — replays its whole coverage at once, beside the phase's load.
+func (rr *rigRun) reregister(tl *timeline, ev *Event) {
+	targets := []int{storeIndex(ev.Target)}
+	if ev.Target == "all-dead" {
+		targets = rr.rig.DeadStores()
+	}
+	tl.logf("re-registration herd of %d stores", len(targets))
 	var wg sync.WaitGroup
-	var mu sync.Mutex
-	failures := 0
 	for _, idx := range targets {
 		wg.Add(1)
-		go func(idx int) {
+		go func() {
 			defer wg.Done()
 			if err := rr.rig.ReviveStore(context.Background(), idx); err != nil {
-				mu.Lock()
-				failures++
-				mu.Unlock()
+				tl.report(func(out *PhaseReport) { out.Errors++ })
 			}
-		}(idx)
+		}()
 	}
-	return func() int {
-		wg.Wait()
-		return failures
+	wg.Wait()
+}
+
+// millisSince is a measured fault duration; it floors at 1 because 0 in a
+// report means "no such fault in this phase".
+func millisSince(t0 time.Time) int64 {
+	return max(time.Since(t0).Milliseconds(), 1)
+}
+
+// kill assassinates the leader and times the election of its replacement,
+// or hard-kills a shard and times the constellation's repair.
+func (rr *rigRun) kill(tl *timeline, ev *Event) {
+	if ev.Target != "leader" {
+		since := rr.rig.CurrentEpoch()
+		if !rr.rig.Kill(ev.Target) {
+			tl.logf("shard %s not alive to kill", ev.Target)
+			return
+		}
+		tl.logf("killed shard %s", ev.Target)
+		rr.awaitRepair(tl, since, time.Now())
+		return
 	}
+	idx := rr.rig.KillLeader()
+	if idx < 0 {
+		tl.logf("no leader to kill")
+		return
+	}
+	tl.logf("killed leader member %d", idx)
+	t0 := time.Now()
+	if rr.rig.WaitLeader(liveness) >= 0 {
+		ms := millisSince(t0)
+		tl.report(func(out *PhaseReport) { out.FailoverMillis = ms })
+		tl.logf("new leader elected after %dms", ms)
+	}
+}
+
+// awaitRepair is the tail a shard kill and a partition share: wait for
+// gossip detection plus epoch-fenced spare promotion to put the lost
+// keyspace back in service, and record how long that took from t0. With
+// several shard faults in one phase the report keeps the slowest repair and
+// the highest epoch.
+func (rr *rigRun) awaitRepair(tl *timeline, since uint64, t0 time.Time) {
+	ev, ok := rr.rig.WaitRepair(since, liveness)
+	if !ok {
+		tl.logf("no auto-repair within %s", liveness)
+		return
+	}
+	ms := millisSince(t0)
+	tl.report(func(out *PhaseReport) {
+		out.RepairMillis = max(out.RepairMillis, ms)
+		out.RepairEpoch = max(out.RepairEpoch, ev.Epoch)
+		out.PromotedShards = append(out.PromotedShards, ev.Promoted...)
+	})
+	rr.rig.refreshShardView()
+	tl.logf("auto-repair to epoch %d in %dms (dead %v, promoted %v)", ev.Epoch, ms, ev.Dead, ev.Promoted)
+}
+
+// partition severs one shard's replies: the shard still hears the
+// constellation but cannot be heard, so its peers must confirm it dead and
+// promote a spare under a higher epoch, and the partitioned minority must
+// fence itself rather than keep serving its evicted slice. The partition
+// lifts only after the repair completes (heal delay measured from when it
+// was imposed).
+func (rr *rigRun) partition(tl *timeline, ev *Event) {
+	since := rr.rig.CurrentEpoch()
+	if !rr.rig.Partition(ev.Target, true) {
+		tl.logf("shard %s not alive to partition", ev.Target)
+		return
+	}
+	tl.logf("one-way partition on shard %s", ev.Target)
+	t0 := time.Now()
+	rr.awaitRepair(tl, since, t0)
+	if ev.HealAfter > 0 {
+		time.Sleep(ev.HealAfter - time.Since(t0))
+		rr.rig.Partition(ev.Target, false)
+		tl.logf("healed partition on shard %s", ev.Target)
+	}
+}
+
+// rebalance expands the shard map onto the spares mid-storm: the resolve
+// stream must ride through the handoff and drain windows without a single
+// failed request.
+func (rr *rigRun) rebalance(tl *timeline, ev *Event) {
+	t0 := time.Now()
+	moved, err := rr.rig.Rebalance(context.Background())
+	if err != nil {
+		tl.logf("rebalance failed: %v", err)
+		return
+	}
+	ms := millisSince(t0)
+	tl.report(func(out *PhaseReport) { out.RebalanceMillis, out.MovedOwners = ms, moved })
+	tl.logf("rebalanced onto %d shards in %dms (%d owners moved)", len(rr.rig.Nodes), ms, moved)
 }
 
 // resolveRate turns a phase rate into requests/sec.
@@ -500,16 +650,23 @@ func (rr *rigRun) execCore(ctx context.Context, cli *core.Client, req Request, p
 		o.classify(err, time.Since(t0), budget)
 		return 1
 	case VerbReachMe:
-		svc := &reachme.Service{Profile: reachme.GetterFunc(func(ctx context.Context, path string) (*xmltree.Node, error) {
-			return cli.GetAs(ctx, path, probeContext(req.User))
-		})}
 		t0 := time.Now()
-		_, err := svc.Decide(ctx, req.User, reachAt)
+		err := reachMe(ctx, cli, req.User)
 		o.classify(err, time.Since(t0), budget)
 		return 1
 	default:
 		return rr.execStore(ctx, req, reqIdx, o, budget)
 	}
+}
+
+// reachMe runs the reach-me decision for user over their full profile,
+// fetched through cli.
+func reachMe(ctx context.Context, cli *core.Client, user string) error {
+	svc := &reachme.Service{Profile: reachme.GetterFunc(func(ctx context.Context, path string) (*xmltree.Node, error) {
+		return cli.GetAs(ctx, path, probeContext(user))
+	})}
+	_, err := svc.Decide(ctx, user, reachAt)
+	return err
 }
 
 // execRegister issues one fresh coverage registration through a
@@ -677,10 +834,7 @@ func (rr *rigRun) runOpen(p *Phase, phaseIdx int, fast bool) (*PhaseReport, erro
 		rr.engine.report.BudgetMillis = budget.Milliseconds()
 	}
 	stamped := p.Stamped == nil || *p.Stamped
-	duration := p.Duration
-	if fast && duration > 500*time.Millisecond {
-		duration = 500 * time.Millisecond
-	}
+	duration := p.window(fast)
 	conns := p.Conns
 	if conns <= 0 {
 		conns = 1
@@ -714,149 +868,6 @@ func (rr *rigRun) runOpen(p *Phase, phaseIdx int, fast bool) (*PhaseReport, erro
 		}
 	}
 
-	// A kill-leader-after phase assassinates the leader mid-storm and
-	// times how long the survivors take to elect a replacement.
-	var killWG sync.WaitGroup
-	if p.KillLeaderAfter > 0 {
-		killAfter := p.KillLeaderAfter
-		if fast && killAfter >= duration {
-			killAfter = duration / 2
-		}
-		killWG.Add(1)
-		go func() {
-			defer killWG.Done()
-			time.Sleep(killAfter)
-			idx := rr.rig.KillLeader()
-			if idx < 0 {
-				rr.engine.opts.logf("phase %s: no leader to kill", p.Name)
-				return
-			}
-			rr.engine.opts.logf("phase %s: killed leader member %d", p.Name, idx)
-			t0 := time.Now()
-			if rr.rig.WaitLeader(liveness) >= 0 {
-				ms := time.Since(t0).Milliseconds()
-				if ms <= 0 {
-					ms = 1
-				}
-				pr.FailoverMillis = ms
-				rr.engine.opts.logf("phase %s: new leader elected after %dms", p.Name, ms)
-			}
-		}()
-	}
-
-	// A rebalance-after phase expands the shard map onto the spares
-	// mid-storm: the resolve stream must ride through the handoff and
-	// drain windows without a single failed request.
-	if p.RebalanceAfter > 0 {
-		after := p.RebalanceAfter
-		if fast && after >= duration {
-			after = duration / 2
-		}
-		killWG.Add(1)
-		go func() {
-			defer killWG.Done()
-			time.Sleep(after)
-			t0 := time.Now()
-			moved, err := rr.rig.Rebalance(context.Background())
-			if err != nil {
-				rr.engine.opts.logf("phase %s: rebalance failed: %v", p.Name, err)
-				return
-			}
-			ms := time.Since(t0).Milliseconds()
-			if ms <= 0 {
-				ms = 1
-			}
-			pr.RebalanceMillis = ms
-			pr.MovedOwners = moved
-			rr.engine.opts.logf("phase %s: rebalanced onto %d shards in %dms (%d owners moved)",
-				p.Name, len(rr.rig.Nodes), ms, moved)
-		}()
-	}
-
-	// A kill-shard-after phase hard-kills one shard mid-storm and times
-	// how long gossip detection plus epoch-fenced spare promotion take to
-	// put its keyspace back in service.
-	if p.KillShardAfter > 0 {
-		after := p.KillShardAfter
-		if fast && after >= duration {
-			after = duration / 2
-		}
-		killWG.Add(1)
-		go func() {
-			defer killWG.Done()
-			time.Sleep(after)
-			since := rr.rig.CurrentEpoch()
-			if !rr.rig.KillShard(p.KillShard) {
-				rr.engine.opts.logf("phase %s: shard %s not alive to kill", p.Name, p.KillShard)
-				return
-			}
-			rr.engine.opts.logf("phase %s: killed shard %s", p.Name, p.KillShard)
-			t0 := time.Now()
-			ev, ok := rr.rig.WaitRepair(since, liveness)
-			if !ok {
-				rr.engine.opts.logf("phase %s: no auto-repair within %s", p.Name, liveness)
-				return
-			}
-			ms := time.Since(t0).Milliseconds()
-			if ms <= 0 {
-				ms = 1
-			}
-			pr.RepairMillis = ms
-			pr.RepairEpoch = ev.Epoch
-			pr.PromotedShards = ev.Promoted
-			rr.rig.refreshShardView()
-			rr.engine.opts.logf("phase %s: auto-repair to epoch %d in %dms (dead %v, promoted %v)",
-				p.Name, ev.Epoch, ms, ev.Dead, ev.Promoted)
-		}()
-	}
-
-	// A partition-after phase severs one shard's replies mid-storm: the
-	// shard still hears the constellation but cannot be heard, so its
-	// peers must confirm it dead, promote a spare under a higher epoch,
-	// and the partitioned minority must fence itself rather than keep
-	// serving its evicted slice. The partition lifts only after the repair
-	// completes (heal delay measured from when it was imposed).
-	if p.PartitionAfter > 0 {
-		after := p.PartitionAfter
-		if fast && after >= duration {
-			after = duration / 2
-		}
-		killWG.Add(1)
-		go func() {
-			defer killWG.Done()
-			time.Sleep(after)
-			since := rr.rig.CurrentEpoch()
-			if !rr.rig.PartitionShard(p.PartitionShard, true) {
-				rr.engine.opts.logf("phase %s: shard %s has no proxy to partition", p.Name, p.PartitionShard)
-				return
-			}
-			rr.engine.opts.logf("phase %s: one-way partition on shard %s", p.Name, p.PartitionShard)
-			t0 := time.Now()
-			ev, ok := rr.rig.WaitRepair(since, liveness)
-			if ok {
-				ms := time.Since(t0).Milliseconds()
-				if ms <= 0 {
-					ms = 1
-				}
-				pr.RepairMillis = ms
-				pr.RepairEpoch = ev.Epoch
-				pr.PromotedShards = ev.Promoted
-				rr.rig.refreshShardView()
-				rr.engine.opts.logf("phase %s: auto-repair to epoch %d in %dms (dead %v, promoted %v)",
-					p.Name, ev.Epoch, ms, ev.Dead, ev.Promoted)
-			} else {
-				rr.engine.opts.logf("phase %s: no auto-repair within %s", p.Name, liveness)
-			}
-			if p.PartitionHealAfter > 0 {
-				if remain := p.PartitionHealAfter - time.Since(t0); remain > 0 {
-					time.Sleep(remain)
-				}
-				rr.rig.PartitionShard(p.PartitionShard, false)
-				rr.engine.opts.logf("phase %s: healed partition on shard %s", p.Name, p.PartitionShard)
-			}
-		}()
-	}
-
 	var wg sync.WaitGroup
 	start := time.Now()
 	for i := 0; i < n; i++ {
@@ -882,7 +893,6 @@ func (rr *rigRun) runOpen(p *Phase, phaseIdx int, fast bool) (*PhaseReport, erro
 		}(i, req)
 	}
 	wg.Wait()
-	killWG.Wait()
 	elapsed := time.Since(start)
 	if pr.InBudget+pr.Shed+pr.Expired == 0 && o.firstErr != nil {
 		return nil, fmt.Errorf("open-loop phase produced only errors: %w", o.firstErr)
@@ -914,11 +924,8 @@ func (rr *rigRun) execOpen(ctx context.Context, req Request, phaseIdx, i int, o 
 			o.classify(err, 0, budget)
 			return
 		}
-		svc := &reachme.Service{Profile: reachme.GetterFunc(func(ctx context.Context, path string) (*xmltree.Node, error) {
-			return cli.GetAs(ctx, path, probeContext(req.User))
-		})}
 		t0 := time.Now()
-		_, err = svc.Decide(ctx, req.User, reachAt)
+		err = reachMe(ctx, cli, req.User)
 		o.classify(err, time.Since(t0), budget)
 	default:
 		rr.execStore(ctx, req, i, o, budget)

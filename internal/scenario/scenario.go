@@ -75,178 +75,189 @@ const (
 	AssertMDMSpansFloor    = "mdm-spans-floor"
 )
 
+// Event actions: what a phase's timeline can do to the rig.
+const (
+	ActionLink       = "link"       // set a link's latency, jitter, bandwidth or blackout
+	ActionReregister = "reregister" // a store (or every dead one) replays its coverage
+	ActionKill       = "kill"       // hard-kill the leader or a shard
+	ActionPartition  = "partition"  // sever a shard's replies one-way
+	ActionRebalance  = "rebalance"  // expand the shard map onto the spares
+)
+
+// The structs below are the scenario file's schema: a field's yaml tag is
+// its key (decode.go walks the tags; a field without one is not settable
+// from a file).
+
 // Scenario is one declarative experiment: a topology, phases on a
 // timeline, and end-of-run assertions.
 type Scenario struct {
-	Name        string
-	Description string
+	Name        string `yaml:"name"`
+	Description string `yaml:"description"`
 	// Seed is the root of every random draw in the run: workload
 	// schedules, Zipf populations and fault-proxy RNGs all derive from it
 	// (see schedule.go), so two runs of the same scenario with the same
 	// seed issue identical request sequences.
-	Seed     int64
-	Topology Topology
-	Phases   []Phase
-	Asserts  []Assertion
+	Seed     int64       `yaml:"seed"`
+	Topology Topology    `yaml:"topology"`
+	Phases   []Phase     `yaml:"phases"`
+	Asserts  []Assertion `yaml:"assertions"`
 }
 
 // Topology is the set of rigs a scenario builds. Rigs are built and torn
 // down sequentially in declaration order; each rig runs the phases that
 // name it, in phase order.
 type Topology struct {
-	Rigs []RigSpec
+	Rigs []RigSpec `yaml:"rigs"`
 }
 
 // RigSpec declares one rig: an MDM fronting a set of stores, with
 // fault-injectable links.
 type RigSpec struct {
-	Name   string
-	Layout string // LayoutSplit or LayoutSharded
+	Name   string `yaml:"name"`
+	Layout string `yaml:"layout"` // LayoutSplit or LayoutSharded
 	// Stores is the store count (the batch width in LayoutSplit).
-	Stores int
+	Stores int `yaml:"stores"`
 	// Users is the owner population (LayoutSharded; LayoutSplit has 1).
-	Users int
+	Users int `yaml:"users"`
 	// SizeBytes sizes each address-book payload.
-	SizeBytes int
+	SizeBytes int `yaml:"size-bytes"`
 	// CacheEntries sizes the MDM component cache (0 = off).
-	CacheEntries int
+	CacheEntries int `yaml:"cache-entries"`
 	// Baseline configures the pre-pipeline MDM and clients: coalescing
 	// off, fan-out 1, client-side coalescing off — the E16 ablation.
-	Baseline bool
+	Baseline bool `yaml:"baseline"`
 	// DisableCoalescing turns off only in-flight coalescing (E19 uses it
 	// so every resolve is one real fetch over the choke link).
-	DisableCoalescing bool
+	DisableCoalescing bool `yaml:"disable-coalescing"`
 	// RetryAttempts and PerAttempt parameterize the MDM's retry policy;
 	// zero keeps the core defaults.
-	RetryAttempts int
-	PerAttempt    time.Duration
+	RetryAttempts int           `yaml:"retry-attempts"`
+	PerAttempt    time.Duration `yaml:"per-attempt"`
 	// MaxConcurrency and QueueDepth enable admission control at the MDM.
-	MaxConcurrency int
-	QueueDepth     int
+	MaxConcurrency int `yaml:"max-concurrency"`
+	QueueDepth     int `yaml:"queue-depth"`
 	// LeaseTTL/LeaseGrace enable store-liveness leases.
-	LeaseTTL   time.Duration
-	LeaseGrace time.Duration
+	LeaseTTL   time.Duration `yaml:"lease-ttl"`
+	LeaseGrace time.Duration `yaml:"lease-grace"`
 	// Heartbeats runs a registrar per store (interval TTL/2) so leases
 	// stay renewed until a fault silences the store.
-	Heartbeats bool
+	Heartbeats bool `yaml:"heartbeats"`
 	// Replicas, when >= 2, makes the rig a quorum-replicated MDM
 	// constellation instead of a single MDM: Replicas members with
 	// temp-dir journals, one elected leader shipping its log, mutations
 	// acked at Quorum (0 = majority). ElectionTTL is the leader lease;
 	// failover after a leader kill completes within one TTL.
-	Replicas    int
-	Quorum      int
-	ElectionTTL time.Duration
+	Replicas    int           `yaml:"replicas"`
+	Quorum      int           `yaml:"quorum"`
+	ElectionTTL time.Duration `yaml:"election-ttl"`
 	// Shards, when >= 2, makes the rig a partitioned directory instead of
 	// a single MDM: Shards independent MDM slices behind a consistent-hash
 	// ring over the owner keyspace, each wrapped in a routing shard node.
 	// Workload resolves ride a shard-aware client that routes by owner and
 	// chases wrong-shard redirects. SpareShards builds that many extra
 	// shards outside the initial map — the expansion targets a mid-phase
-	// rebalance (Phase.RebalanceAfter) grows onto.
-	Shards      int
-	SpareShards int
+	// rebalance event grows onto.
+	Shards      int `yaml:"shards"`
+	SpareShards int `yaml:"spare-shards"`
 	// AutoRepair arms the self-healing constellation on a sharded rig:
 	// every shard runs a gossip failure detector (health.Agent) and the
 	// acting coordinator repairs a confirmed shard death automatically —
 	// promoting spares and bumping the map's repair epoch. GossipInterval
 	// and SuspectTimeout tune the detector (zero keeps package defaults).
-	AutoRepair     bool
-	GossipInterval time.Duration
-	SuspectTimeout time.Duration
-	// ShardLinks fronts every shard with a fault proxy so phases can
-	// partition shards (Phase.PartitionAfter). Gossip, repair traffic and
-	// client resolves all ride the proxies.
-	ShardLinks *LinkSpec
+	AutoRepair     bool          `yaml:"auto-repair"`
+	GossipInterval time.Duration `yaml:"gossip-interval"`
+	SuspectTimeout time.Duration `yaml:"suspect-timeout"`
+	// ShardLinks fronts every shard with a fault proxy so a partition
+	// event has a link to sever. Gossip, repair traffic and client
+	// resolves all ride the proxies.
+	ShardLinks *LinkSpec `yaml:"shard-links"`
 	// Profile is ProfileBook (default) or ProfileFull.
-	Profile string
+	Profile string `yaml:"profile"`
 	// Links declares the fault-injection proxies of the rig.
-	Links LinkSet
+	Links LinkSet `yaml:"links"`
 }
 
 // LinkSet names the injectable links of a rig. A nil spec means a bare
 // TCP connection (no proxy).
 type LinkSet struct {
 	// MDM fronts the MDM for clients.
-	MDM *LinkSpec
+	MDM *LinkSpec `yaml:"mdm"`
 	// Stores is the default spec for every MDM/client→store link.
-	Stores *LinkSpec
+	Stores *LinkSpec `yaml:"stores"`
 	// PerStore overrides the default for named stores ("store-0", …).
-	PerStore map[string]*LinkSpec
+	PerStore map[string]*LinkSpec `yaml:"store-*"`
 }
 
 // LinkSpec is the initial fault configuration of one link.
 type LinkSpec struct {
-	Latency   time.Duration
-	Jitter    time.Duration
-	Bandwidth int // bytes/sec; 0 = unlimited
+	Latency   time.Duration `yaml:"latency"`
+	Jitter    time.Duration `yaml:"jitter"`
+	Bandwidth int           `yaml:"bandwidth"` // bytes/sec; 0 = unlimited
 }
 
 // Phase is one step on the scenario timeline. Exactly one of Calibrate,
 // Rounds (closed loop) or Rate+Duration (open loop) drives it.
 type Phase struct {
-	Name string
-	Rig  string
+	Name string `yaml:"name"`
+	Rig  string `yaml:"rig"`
 	// Calibrate, when > 0, makes this a calibration phase: that many
 	// sequential chaining resolves measure the unloaded service p50; the
 	// first calibration of a run fixes the capacity that "Nx" rates and
 	// budgets resolve against (later calibrations only warm their rig).
-	Calibrate int
+	Calibrate int `yaml:"calibrate"`
 	// Clients is the closed-loop concurrency (goroutines, each on its own
 	// connection); Rounds the per-client iteration count.
-	Clients int
-	Rounds  int
+	Clients int `yaml:"clients"`
+	Rounds  int `yaml:"rounds"`
 	// Rate and Duration drive an open-loop phase: Rate requests/sec are
 	// issued for Duration, spread over Conns connections, regardless of
 	// completions.
-	Rate     Rate
-	Duration time.Duration
-	Conns    int
+	Rate     Rate          `yaml:"rate"`
+	Duration time.Duration `yaml:"duration"`
+	Conns    int           `yaml:"conns"`
 	// Budget is the per-request deadline; zero means none (a liveness
 	// bound still applies). Stamped=false measures the budget by wall
 	// clock only, emulating a pre-budget client.
-	Budget  Budget
-	Stamped *bool
+	Budget  Budget `yaml:"budget"`
+	Stamped *bool  `yaml:"stamped"`
 	// Trace toggles client-side tracing for the phase; nil keeps the
 	// default (on). The tracing-overhead experiment (E17) flips it.
-	Trace *bool
-	// Faults are applied to links at phase start, in order.
-	Faults []FaultSpec
-	// Reregister fires a re-registration storm at phase start: every
-	// named store (or every dead store, with the single entry "all-dead")
-	// replays its whole coverage concurrently — the thundering herd.
-	Reregister []string
-	// KillLeaderAfter, on a replicated rig's open-loop phase, kills the
-	// constellation's leader that long into the phase (mid-storm) and
-	// measures how long the surviving members take to elect a
-	// replacement; the duration lands in PhaseReport.FailoverMillis.
-	KillLeaderAfter time.Duration
-	// RebalanceAfter, on a sharded rig's open-loop phase, expands the
-	// shard map onto the rig's spare shards that long into the phase —
-	// a live rebalance under fire. The wall time lands in
-	// PhaseReport.RebalanceMillis and the count of owners whose home
-	// shard changed in PhaseReport.MovedOwners.
-	RebalanceAfter time.Duration
-	// KillShardAfter, on an auto-repair rig's open-loop phase, hard-kills
-	// the named shard (KillShard) that long into the phase and waits for
-	// the constellation's gossip detector to confirm the death and the
-	// repair to complete; the fault-to-repaired wall time lands in
-	// PhaseReport.RepairMillis and the repaired map's epoch in
-	// PhaseReport.RepairEpoch.
-	KillShardAfter time.Duration
-	KillShard      string
-	// PartitionAfter imposes a one-way partition on the named shard
-	// (PartitionShard): inbound requests still land but its replies
-	// vanish, so the majority confirms it dead while it still believes
-	// everyone else alive — the asymmetric split-brain case. The engine
-	// waits for the repair, then lifts the partition PartitionHealAfter
-	// after it was imposed; the fenced minority must converge onto the
-	// repaired epoch (the convergence assertion).
-	PartitionAfter     time.Duration
-	PartitionShard     string
-	PartitionHealAfter time.Duration
+	Trace *bool `yaml:"trace"`
+	// Events is the phase's fault timeline (see Event); the engine fires
+	// them in At order whatever order the file lists them in.
+	Events []Event `yaml:"events"`
 	// Mix is the phase's workload: each request draws an entry by weight.
-	Mix []MixEntry
+	Mix []MixEntry `yaml:"mix"`
+}
+
+// Event is one entry on a phase's timeline: At into the phase, Action is
+// applied to Target. Link events at 0 land before the phase's first
+// request; every other event runs beside the load. An event past 0 needs
+// an open-loop phase and must fall inside its duration.
+//
+//	link        mdm | store-N      Latency, Jitter, Bandwidth, Blackout
+//	reregister  store-N | all-dead the thundering herd; failures count as Errors
+//	kill        leader             time to a new leader → FailoverMillis
+//	kill        shard-K            time to auto-repair → RepairMillis, RepairEpoch
+//	partition   shard-K            one-way; as kill shard-K, healed HealAfter later
+//	rebalance   —                  onto the spares → RebalanceMillis, MovedOwners
+type Event struct {
+	At     time.Duration `yaml:"at"`
+	Action string        `yaml:"action"`
+	Target string        `yaml:"target"`
+	// Link settings; nil keeps the link's current value. Blackout darkens
+	// the link and silences the store's heartbeats (a dead store neither
+	// serves nor renews its lease). Restoring the link does not resurrect
+	// heartbeats — that is what a reregister event is for.
+	Latency   *time.Duration `yaml:"latency"`
+	Jitter    *time.Duration `yaml:"jitter"`
+	Bandwidth *int           `yaml:"bandwidth"`
+	Blackout  *bool          `yaml:"blackout"`
+	// HealAfter lifts a partition that long after it was imposed, but
+	// never before the repair it provoked has landed: the fenced minority
+	// must converge onto the repaired epoch (the convergence assertion).
+	// Zero leaves the partition in place.
+	HealAfter time.Duration `yaml:"heal-after"`
 }
 
 // Rate is an open-loop request rate: absolute (PerSec) or a multiple of
@@ -271,49 +282,36 @@ func (b Budget) IsZero() bool { return b.Duration == 0 && b.Factor == 0 }
 
 // MixEntry is one weighted workload component.
 type MixEntry struct {
-	Verb string
+	Verb string `yaml:"verb"`
 	// Pattern picks the MDM query plan for VerbResolve: "referral",
 	// "chaining" or "recruiting" (wire.QueryPattern values).
-	Pattern string
+	Pattern string `yaml:"pattern"`
 	// Batch resolves every split path in one batch-resolve frame
 	// (VerbResolve + referral on LayoutSplit).
-	Batch bool
+	Batch bool `yaml:"batch"`
 	// Users is the target-selection mode; default UsersRoundRobin.
-	Users  string
-	Weight int
-}
-
-// FaultSpec is one link mutation at phase start. Nil fields keep the
-// link's current setting.
-type FaultSpec struct {
-	Link      string
-	Latency   *time.Duration
-	Jitter    *time.Duration
-	Bandwidth *int
-	// Blackout darkens the link and silences the store's heartbeats (a
-	// dead store neither serves nor renews its lease). Restoring the link
-	// does not resurrect heartbeats — that is what a Reregister herd is
-	// for.
-	Blackout *bool
+	Users  string `yaml:"users"`
+	Weight int    `yaml:"weight,default=1"`
 }
 
 // Assertion is one end-of-run check against the report.
 type Assertion struct {
-	Kind string
+	Kind string `yaml:"kind"`
 	// Phase targets single-phase kinds; Num/Den the ratio kinds. For
 	// paired-p95-ceiling it is the stem shared by the wave phases
 	// "w<k>-<stem>-off" / "w<k>-<stem>-on".
-	Phase    string
-	Num, Den string
+	Phase string `yaml:"phase"`
+	Num   string `yaml:"num"`
+	Den   string `yaml:"den"`
 	// Max bounds p95-ceiling.
-	Max time.Duration
+	Max time.Duration `yaml:"max-duration"`
 	// Min floors goodput-floor (per-sec), throughput-ratio-floor,
 	// retention-floor, shed-floor, moved-owners-floor and mdm-spans-floor.
-	Min float64
+	Min float64 `yaml:"min"`
 	// MaxRatio caps retention-ceiling and paired-p95-ceiling; MaxCount
 	// caps error-ceiling.
-	MaxRatio float64
-	MaxCount int
+	MaxRatio float64 `yaml:"max"`
+	MaxCount int     `yaml:"max-count"`
 }
 
 // Validate checks cross-references and enumerations, returning the first
@@ -393,16 +391,14 @@ func (r *RigSpec) validate(sc string) error {
 	if r.Replicas == 1 || r.Replicas < 0 {
 		return fmt.Errorf("scenario %s: rig %s: replicas must be 0 (single MDM) or >= 2", sc, r.Name)
 	}
-	if r.Replicas >= 2 {
-		if r.Quorum < 0 || r.Quorum > r.Replicas {
-			return fmt.Errorf("scenario %s: rig %s: quorum must be between 0 (majority) and replicas", sc, r.Name)
-		}
-		if r.Heartbeats {
-			return fmt.Errorf("scenario %s: rig %s: replicated rigs seed coverage through the leader, not store registrars", sc, r.Name)
-		}
-		if r.Links.MDM != nil {
-			return fmt.Errorf("scenario %s: rig %s: replicated rigs have no single mdm link to proxy", sc, r.Name)
-		}
+	if r.Replicas >= 2 && (r.Quorum < 0 || r.Quorum > r.Replicas) {
+		return fmt.Errorf("scenario %s: rig %s: quorum must be between 0 (majority) and replicas", sc, r.Name)
+	}
+	if r.constellation() && r.Heartbeats {
+		return fmt.Errorf("scenario %s: rig %s: replicated and sharded rigs seed coverage in-process, not through store registrars", sc, r.Name)
+	}
+	if r.constellation() && r.Links.MDM != nil {
+		return fmt.Errorf("scenario %s: rig %s: replicated and sharded rigs have no single mdm link to proxy", sc, r.Name)
 	}
 	if r.Shards == 1 || r.Shards < 0 {
 		return fmt.Errorf("scenario %s: rig %s: shards must be 0 (single MDM) or >= 2", sc, r.Name)
@@ -417,12 +413,6 @@ func (r *RigSpec) validate(sc string) error {
 		if r.Replicas >= 2 {
 			return fmt.Errorf("scenario %s: rig %s: shards and replicas are separate rig kinds", sc, r.Name)
 		}
-		if r.Heartbeats {
-			return fmt.Errorf("scenario %s: rig %s: sharded rigs seed coverage in-process, not through store registrars", sc, r.Name)
-		}
-		if r.Links.MDM != nil {
-			return fmt.Errorf("scenario %s: rig %s: sharded rigs have no single mdm link to proxy", sc, r.Name)
-		}
 	}
 	if (r.AutoRepair || r.ShardLinks != nil) && r.Shards < 2 {
 		return fmt.Errorf("scenario %s: rig %s: auto-repair and shard-links need a sharded rig (shards >= 2)", sc, r.Name)
@@ -431,7 +421,7 @@ func (r *RigSpec) validate(sc string) error {
 		return fmt.Errorf("scenario %s: rig %s: gossip-interval and suspect-timeout need auto-repair", sc, r.Name)
 	}
 	for name := range r.Links.PerStore {
-		if storeIndex(name) < 0 || storeIndex(name) >= r.Stores {
+		if !r.hasStore(name) {
 			return fmt.Errorf("scenario %s: rig %s: link %q names no store", sc, r.Name, name)
 		}
 	}
@@ -458,74 +448,8 @@ func (p *Phase) validate(sc string, rig *RigSpec) error {
 	if p.Rounds > 0 && p.Clients <= 0 {
 		return fmt.Errorf("scenario %s: phase %s: closed loop needs clients", sc, p.Name)
 	}
-	if rig.Replicas >= 2 && p.Rounds > 0 {
-		return fmt.Errorf("scenario %s: phase %s: replicated rigs drive open-loop (or calibrate) phases only", sc, p.Name)
-	}
-	if rig.Shards >= 2 && p.Rounds > 0 {
-		return fmt.Errorf("scenario %s: phase %s: sharded rigs drive open-loop (or calibrate) phases only", sc, p.Name)
-	}
-	if p.KillLeaderAfter > 0 {
-		if rig.Replicas < 2 {
-			return fmt.Errorf("scenario %s: phase %s: kill-leader-after needs a replicated rig (replicas >= 2)", sc, p.Name)
-		}
-		if p.Rate.IsZero() {
-			return fmt.Errorf("scenario %s: phase %s: kill-leader-after needs an open-loop phase", sc, p.Name)
-		}
-		if p.KillLeaderAfter >= p.Duration {
-			return fmt.Errorf("scenario %s: phase %s: kill-leader-after must fall inside the phase duration", sc, p.Name)
-		}
-	}
-	if p.RebalanceAfter > 0 {
-		if rig.Shards < 2 || rig.SpareShards < 1 {
-			return fmt.Errorf("scenario %s: phase %s: rebalance-after needs a sharded rig with spare-shards", sc, p.Name)
-		}
-		if p.Rate.IsZero() {
-			return fmt.Errorf("scenario %s: phase %s: rebalance-after needs an open-loop phase", sc, p.Name)
-		}
-		if p.RebalanceAfter >= p.Duration {
-			return fmt.Errorf("scenario %s: phase %s: rebalance-after must fall inside the phase duration", sc, p.Name)
-		}
-	}
-	if (p.KillShardAfter > 0) != (p.KillShard != "") {
-		return fmt.Errorf("scenario %s: phase %s: kill-shard-after and kill-shard go together", sc, p.Name)
-	}
-	if (p.PartitionAfter > 0) != (p.PartitionShard != "") {
-		return fmt.Errorf("scenario %s: phase %s: partition-after and partition-shard go together", sc, p.Name)
-	}
-	if p.PartitionHealAfter > 0 && p.PartitionAfter == 0 {
-		return fmt.Errorf("scenario %s: phase %s: partition-heal-after needs partition-after", sc, p.Name)
-	}
-	checkShardFault := func(what, target string, after time.Duration) error {
-		if !rig.AutoRepair {
-			return fmt.Errorf("scenario %s: phase %s: %s needs an auto-repair rig", sc, p.Name, what)
-		}
-		if p.Rate.IsZero() {
-			return fmt.Errorf("scenario %s: phase %s: %s needs an open-loop phase", sc, p.Name, what)
-		}
-		if after >= p.Duration {
-			return fmt.Errorf("scenario %s: phase %s: %s must fall inside the phase duration", sc, p.Name, what)
-		}
-		idx := shardIndex(target)
-		if idx < 1 || idx >= rig.Shards {
-			// shard-0 is the rig's bootstrap/audit alias and must survive;
-			// spares are not in the initial map, so killing one repairs
-			// nothing.
-			return fmt.Errorf("scenario %s: phase %s: %s targets %q, want an initial-map shard other than shard-0", sc, p.Name, what, target)
-		}
-		return nil
-	}
-	if p.KillShardAfter > 0 {
-		if err := checkShardFault("kill-shard-after", p.KillShard, p.KillShardAfter); err != nil {
-			return err
-		}
-	}
-	if p.PartitionAfter > 0 {
-		if rig.ShardLinks == nil {
-			return fmt.Errorf("scenario %s: phase %s: partition-after needs shard-links on the rig", sc, p.Name)
-		}
-		if err := checkShardFault("partition-after", p.PartitionShard, p.PartitionAfter); err != nil {
-			return err
-		}
+	if rig.constellation() && p.Rounds > 0 {
+		return fmt.Errorf("scenario %s: phase %s: replicated and sharded rigs drive open-loop (or calibrate) phases only", sc, p.Name)
 	}
 	if p.Calibrate == 0 && len(p.Mix) == 0 {
 		return fmt.Errorf("scenario %s: phase %s: no workload mix", sc, p.Name)
@@ -535,17 +459,102 @@ func (p *Phase) validate(sc string, rig *RigSpec) error {
 			return err
 		}
 	}
-	for _, f := range p.Faults {
-		if f.Link != "mdm" && (storeIndex(f.Link) < 0 || storeIndex(f.Link) >= rig.Stores) {
-			return fmt.Errorf("scenario %s: phase %s: fault on unknown link %q", sc, p.Name, f.Link)
-		}
-	}
-	for _, s := range p.Reregister {
-		if s != "all-dead" && (storeIndex(s) < 0 || storeIndex(s) >= rig.Stores) {
-			return fmt.Errorf("scenario %s: phase %s: reregister names unknown store %q", sc, p.Name, s)
+	for i := range p.Events {
+		if err := p.Events[i].validate(p, rig); err != nil {
+			return fmt.Errorf("scenario %s: phase %s: event %d: %w", sc, p.Name, i, err)
 		}
 	}
 	return nil
+}
+
+// validate is the one capability check of the timeline: what each action
+// may target, what it needs of the rig, and when it may fire.
+func (ev *Event) validate(p *Phase, rig *RigSpec) error {
+	// midPhase marks the actions that only make sense under a running
+	// storm; like any event past 0 they need an open-loop phase.
+	midPhase := ev.At > 0
+	switch ev.Action {
+	case ActionLink:
+		if ev.Target != "mdm" && !rig.hasStore(ev.Target) {
+			return fmt.Errorf("link names unknown link %q", ev.Target)
+		}
+		// A store blackout also silences the registrar, so it alone makes
+		// sense on a bare link; every other setting acts on the proxy.
+		bare := ev.Target != "mdm" && ev.Latency == nil && ev.Jitter == nil && ev.Bandwidth == nil
+		if !bare && rig.link(ev.Target) == nil {
+			return fmt.Errorf("link %s has no proxy to set (declare it under the rig's links)", ev.Target)
+		}
+	case ActionReregister:
+		if ev.Target != "all-dead" && !rig.hasStore(ev.Target) {
+			return fmt.Errorf("reregister names unknown store %q", ev.Target)
+		}
+	case ActionKill, ActionPartition:
+		midPhase = true
+		if ev.Action == ActionKill && ev.Target == "leader" {
+			if rig.Replicas < 2 {
+				return fmt.Errorf("kill leader needs a replicated rig (replicas >= 2)")
+			}
+			break
+		}
+		if !rig.AutoRepair {
+			return fmt.Errorf("%s %s needs an auto-repair rig", ev.Action, ev.Target)
+		}
+		if ev.Action == ActionPartition && rig.ShardLinks == nil {
+			return fmt.Errorf("partition needs shard-links on the rig")
+		}
+		if idx := shardIndex(ev.Target); idx < 1 || idx >= rig.Shards {
+			// shard-0 is the rig's bootstrap/audit alias and must survive;
+			// spares are not in the initial map, so killing one repairs
+			// nothing.
+			return fmt.Errorf("%s targets %q, want an initial-map shard other than shard-0", ev.Action, ev.Target)
+		}
+	case ActionRebalance:
+		midPhase = true
+		if rig.Shards < 2 || rig.SpareShards < 1 {
+			return fmt.Errorf("rebalance needs a sharded rig with spare-shards")
+		}
+		if ev.Target != "" {
+			return fmt.Errorf("rebalance takes no target")
+		}
+	default:
+		return fmt.Errorf("unknown action %q (link, reregister, kill, partition, rebalance)", ev.Action)
+	}
+	if midPhase && p.Rate.IsZero() {
+		return fmt.Errorf("%s at %s needs an open-loop phase", ev.Action, ev.At)
+	}
+	if midPhase && ev.At >= p.Duration {
+		return fmt.Errorf("%s at %s must fall inside the phase duration", ev.Action, ev.At)
+	}
+	if ev.Action != ActionLink && (ev.Latency != nil || ev.Jitter != nil || ev.Bandwidth != nil || ev.Blackout != nil) {
+		return fmt.Errorf("%s takes no link settings", ev.Action)
+	}
+	if ev.Action != ActionPartition && ev.HealAfter > 0 {
+		return fmt.Errorf("%s takes no heal-after", ev.Action)
+	}
+	return nil
+}
+
+// constellation reports a directory of more than one node: a replicated
+// or a sharded rig.
+func (r *RigSpec) constellation() bool { return r.Replicas >= 2 || r.Shards >= 2 }
+
+// link is the declared spec of a named link ("mdm" or "store-N"): the
+// per-store override, else the stores' default. Nil means a bare TCP
+// connection, no proxy.
+func (r *RigSpec) link(name string) *LinkSpec {
+	if name == "mdm" {
+		return r.Links.MDM
+	}
+	if l, ok := r.Links.PerStore[name]; ok {
+		return l
+	}
+	return r.Links.Stores
+}
+
+// hasStore reports whether name ("store-N") is one of the rig's stores.
+func (r *RigSpec) hasStore(name string) bool {
+	i := storeIndex(name)
+	return i >= 0 && i < r.Stores
 }
 
 func (m *MixEntry) validate(sc, phase string, rig *RigSpec) error {
@@ -562,16 +571,13 @@ func (m *MixEntry) validate(sc, phase string, rig *RigSpec) error {
 		if m.Batch && rig.Replicas >= 2 {
 			return fmt.Errorf("scenario %s: phase %s: batch resolves are not supported on replicated rigs", sc, phase)
 		}
-	case VerbFetch, VerbRegister:
-	case VerbSync, VerbReachMe:
-		if rig.Profile != ProfileFull && m.Verb == VerbReachMe {
+	case VerbFetch, VerbRegister, VerbSync:
+	case VerbReachMe:
+		if rig.Profile != ProfileFull {
 			return fmt.Errorf("scenario %s: phase %s: reachme needs profile full", sc, phase)
 		}
-		if rig.Replicas >= 2 && m.Verb == VerbReachMe {
-			return fmt.Errorf("scenario %s: phase %s: reachme is not supported on replicated rigs", sc, phase)
-		}
-		if rig.Shards >= 2 && m.Verb == VerbReachMe {
-			return fmt.Errorf("scenario %s: phase %s: reachme is not supported on sharded rigs", sc, phase)
+		if rig.constellation() {
+			return fmt.Errorf("scenario %s: phase %s: reachme is not supported on replicated or sharded rigs", sc, phase)
 		}
 	default:
 		return fmt.Errorf("scenario %s: phase %s: unknown verb %q", sc, phase, m.Verb)

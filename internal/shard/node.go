@@ -281,8 +281,9 @@ func (n *Node) route(c *wire.ServerConn, m *wire.Message) {
 
 	// A multi-owner frame (batch resolve) is served locally only when
 	// every owner routes here; a mixed batch is redirected on the first
-	// foreign owner — the shard-aware client splits batches by owner and
-	// never sends one.
+	// foreign owner. core.Client.BatchResolve sends one frame per home
+	// shard, so a mixed one arrives only from a client whose map is behind
+	// — and the redirect carries the map that lets it regroup.
 	for _, owner := range owners {
 		target := rg.Owner(owner)
 		if target.ID == n.cfg.ShardID {

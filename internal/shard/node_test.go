@@ -438,3 +438,57 @@ func TestHandoffForwardsMutations(t *testing.T) {
 		t.Fatalf("subscribe during handoff: got %v, want a redirect to shard c", err)
 	}
 }
+
+// A batch naming owners homed on different shards must be answered: no
+// single shard can serve it (each redirects on the first foreign owner), so
+// the client sends one frame per home and merges the answers by position —
+// whether it bootstrapped from a shard or from the data-less router.
+func TestMixedOwnerBatchResolve(t *testing.T) {
+	a, b := startShard(t, "a"), startShard(t, "b")
+	m := mapFor(1, a, b)
+	installMap(t, m, "", a, b)
+	byHome := ownersBy(t, m, 64)
+	owners := []string{byHome["a"][0], byHome["b"][0], byHome["a"][1]}
+
+	seed, err := dialMap(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer seed.Close()
+	req := &wire.BatchResolveRequest{}
+	for _, owner := range owners {
+		path := fmt.Sprintf("/user[@id='%s']/presence", owner)
+		err := seed.Call(context.Background(), owner, wire.TypeRegister,
+			&wire.RegisterRequest{Store: "store-" + owner, Address: "127.0.0.1:19999", Path: path}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		req.Requests = append(req.Requests, wire.ResolveRequest{
+			Path: path, Context: policy.Context{Requester: owner}, Verb: token.VerbFetch,
+		})
+	}
+
+	for name, addr := range map[string]string{"via a shard": b.addr(), "via the router": serveRouter(t, m).Addr()} {
+		t.Run(name, func(t *testing.T) {
+			cli, err := core.DialMDM(addr, owners[0], "self")
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer cli.Close()
+			ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+			defer cancel()
+			resp, err := cli.BatchResolve(ctx, req)
+			if err != nil {
+				t.Fatalf("mixed-owner batch: %v", err)
+			}
+			for i, res := range resp.Results {
+				if res.Error != "" || res.Response == nil || len(res.Response.Alternatives) == 0 {
+					t.Fatalf("entry %d (%s): %+v", i, owners[i], res)
+				}
+				if got := res.Response.Alternatives[0].Referrals[0].Query.Store; got != "store-"+owners[i] {
+					t.Errorf("entry %d answers for %s, want store-%s: merged out of position", i, got, owners[i])
+				}
+			}
+		})
+	}
+}

@@ -79,8 +79,10 @@ func (e *NoShardAvailableError) Unwrap() error { return e.LastErr }
 func (r *Router) ServeWire(c *wire.ServerConn, m *wire.Message) { r.mux.ServeWire(c, m) }
 
 // forward is a raw handler: the router relays every frame it does not
-// answer itself, undecoded. Cross-shard batches go to the first owner's
-// shard, which redirects the rest; ownerless traffic (stats, trace reports)
+// answer itself, undecoded. A batch goes to its first owner's shard:
+// core.Client.BatchResolve groups a batch by home shard before sending, and
+// a mixed one (a client that has not learned the map) comes back as that
+// shard's wrong-shard redirect. Ownerless traffic (stats, trace reports)
 // goes wherever the directory last answered such a frame — the map's first
 // shard until it dies.
 func (r *Router) forward(c *wire.ServerConn, m *wire.Message) {

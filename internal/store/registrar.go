@@ -14,9 +14,10 @@ import (
 
 // Registrar keeps a data store's coverage alive at the MDM: it announces
 // the store's registrations at startup, heartbeats them on an interval so
-// the MDM's lease never lapses, and — when a heartbeat comes back
-// Known=false (an MDM that restarted without its journal and forgot the
-// directory) — re-registers every coverage path automatically. Combined
+// the MDM's lease never lapses — one beat per shard its coverage is homed
+// on — and, when a heartbeat comes back Known=false (an MDM that restarted
+// without its journal and forgot the directory), re-registers the coverage
+// paths homed there automatically. Combined
 // with the MDM's own journal this closes the recovery loop from both
 // sides: a durable MDM needs no re-registration, and a forgetful one is
 // healed by its stores within one heartbeat interval.
@@ -25,18 +26,13 @@ type Registrar struct {
 	// dir is the handle on the directory: it follows leader and shard
 	// redirects, learns the shard map, and rotates off a dead address.
 	dir *dirclient.Directory
-	// beatOwner addresses heartbeats. Leases are kept per shard and a
-	// heartbeat frame names no owner, so the beat goes where the last
-	// coverage path was registered: a single-owner store renews the lease
-	// its registrations created.
-	beatOwner string
 
 	stop     chan struct{}
 	stopOnce sync.Once
 	done     sync.WaitGroup
 
-	// Heartbeats and Reregistrations count successful renewals and full
-	// coverage replays (observability, tests).
+	// Heartbeats and Reregistrations count successful renewals and
+	// coverage replays, per home (observability, tests).
 	Heartbeats      atomic.Uint64
 	Reregistrations atomic.Uint64
 }
@@ -61,11 +57,7 @@ type RegistrarConfig struct {
 
 // NewRegistrar creates a registrar; call Start.
 func NewRegistrar(cfg RegistrarConfig) *Registrar {
-	r := &Registrar{cfg: cfg, dir: dirclient.New(cfg.MDM), stop: make(chan struct{})}
-	if n := len(cfg.Coverage); n > 0 {
-		r.beatOwner = pathOwner(cfg.Coverage[n-1])
-	}
-	return r
+	return &Registrar{cfg: cfg, dir: dirclient.New(cfg.MDM), stop: make(chan struct{})}
 }
 
 func (r *Registrar) logf(format string, args ...any) {
@@ -84,7 +76,11 @@ func pathOwner(path string) string {
 
 // Register announces every coverage path (idempotent at the MDM).
 func (r *Registrar) Register(ctx context.Context) error {
-	for _, path := range r.cfg.Coverage {
+	return r.register(ctx, r.cfg.Coverage)
+}
+
+func (r *Registrar) register(ctx context.Context, paths []string) error {
+	for _, path := range paths {
 		err := r.dir.Call(ctx, pathOwner(path), wire.TypeRegister, &wire.RegisterRequest{
 			Store: r.cfg.Store, Address: r.cfg.Addr, Path: path,
 		}, nil)
@@ -139,26 +135,38 @@ func (r *Registrar) loop() {
 	}
 }
 
-// beat sends one heartbeat, re-registering when the MDM does not know us.
+// beat renews the store's lease at every home of its coverage. Leases are
+// kept per shard and a heartbeat frame names no owner, so the coverage is
+// grouped by where the handle routes each path's owner right now (one group
+// on an unsharded directory) and each home gets a beat addressed through
+// one of its owners. A home that does not know us — a directory restarted
+// without its journal, a shard whose slice moved away — gets its own paths
+// re-registered, which the handle routes wherever they live now.
 func (r *Registrar) beat() {
 	ctx, cancel := context.WithTimeout(context.Background(), r.cfg.Interval)
 	defer cancel()
-	var resp wire.HeartbeatResponse
-	err := r.dir.Call(ctx, r.beatOwner, wire.TypeHeartbeat, &wire.HeartbeatRequest{
-		Store: r.cfg.Store, Addr: r.cfg.Addr,
-	}, &resp)
-	if err != nil {
-		r.logf("registrar: heartbeat: %v", err)
-		return
+	homes := map[string][]string{}
+	for _, path := range r.cfg.Coverage {
+		addr := r.dir.AddrFor(pathOwner(path))
+		homes[addr] = append(homes[addr], path)
 	}
-	r.Heartbeats.Add(1)
-	if !resp.Known {
-		// The directory forgot us (restart without a journal): replay the
-		// whole coverage.
-		r.logf("registrar: MDM does not know %s; re-registering %d paths", r.cfg.Store, len(r.cfg.Coverage))
-		if err := r.Register(ctx); err != nil {
+	for _, paths := range homes {
+		var resp wire.HeartbeatResponse
+		err := r.dir.Call(ctx, pathOwner(paths[0]), wire.TypeHeartbeat, &wire.HeartbeatRequest{
+			Store: r.cfg.Store, Addr: r.cfg.Addr,
+		}, &resp)
+		if err != nil {
+			r.logf("registrar: heartbeat: %v", err)
+			continue
+		}
+		r.Heartbeats.Add(1)
+		if resp.Known {
+			continue
+		}
+		r.logf("registrar: MDM does not know %s; re-registering %d paths", r.cfg.Store, len(paths))
+		if err := r.register(ctx, paths); err != nil {
 			r.logf("registrar: re-register: %v", err)
-			return
+			continue
 		}
 		r.Reregistrations.Add(1)
 	}

@@ -133,6 +133,87 @@ func TestRegistrarReregistersAfterMDMAmnesia(t *testing.T) {
 	}
 }
 
+// startLeasedShard runs a lease-keeping MDM behind shard routing on a
+// loopback listener.
+func startLeasedShard(t *testing.T, id string, ttl, grace time.Duration) (*core.MDM, *wire.Server, *shard.Node) {
+	t.Helper()
+	m := core.New(core.Config{
+		Schema:     schema.GUP(),
+		Signer:     token.NewSigner([]byte("registrar-test-key")),
+		LeaseTTL:   ttl,
+		LeaseGrace: grace,
+	})
+	srv := core.NewServer(m)
+	node := shard.NewNode(shard.NodeConfig{ShardID: id, MDM: m, Inner: wire.HandlerFunc(srv.Handle)})
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ws := wire.ServeListener(ln, node)
+	t.Cleanup(func() { ws.Close(); node.Close(); m.Close() })
+	return m, ws, node
+}
+
+// ownerHomedOn finds an owner ID the ring homes on the named shard.
+func ownerHomedOn(t *testing.T, r *ring.Ring, shardID string) string {
+	t.Helper()
+	for i := 0; i < 4096; i++ {
+		if o := fmt.Sprintf("u-%d", i); r.Owner(o).ID == shardID {
+			return o
+		}
+	}
+	t.Fatalf("no owner homed on %s", shardID)
+	return ""
+}
+
+// A store whose coverage spans shards holds a lease on each of them, and
+// must renew each: a heartbeat names no owner, so one beat reaches one
+// shard and every other would quarantine the store after TTL+grace.
+func TestRegistrarRenewsLeaseOnEveryHomeShard(t *testing.T) {
+	const ttl, grace = 60 * time.Millisecond, 30 * time.Millisecond
+	mA, wsA, nodeA := startLeasedShard(t, "sa", ttl, grace)
+	mB, wsB, nodeB := startLeasedShard(t, "sb", ttl, grace)
+	v1 := wire.ShardMap{Version: 1, Shards: []wire.ShardInfo{
+		{ID: "sa", Addr: wsA.Addr()}, {ID: "sb", Addr: wsB.Addr()},
+	}}
+	rg, err := ring.Build(v1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, n := range []*shard.Node{nodeA, nodeB} {
+		if _, err := n.Install(&wire.ShardInstallRequest{Map: v1}); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	r := store.NewRegistrar(store.RegistrarConfig{
+		Store: "st",
+		Addr:  "127.0.0.1:7101",
+		MDM:   wsA.Addr(),
+		Coverage: []string{
+			fmt.Sprintf("/user[@id='%s']/presence", ownerHomedOn(t, rg, "sa")),
+			fmt.Sprintf("/user[@id='%s']/presence", ownerHomedOn(t, rg, "sb")),
+		},
+		Interval: 20 * time.Millisecond,
+		Logf:     t.Logf,
+	})
+	if err := r.Start(context.Background()); err != nil {
+		t.Fatalf("Start: %v", err)
+	}
+	defer r.Close()
+
+	time.Sleep(4 * (ttl + grace))
+	for id, m := range map[string]*core.MDM{"sa": mA, "sb": mB} {
+		leases := m.LeaseTable()
+		if len(leases) != 1 {
+			t.Fatalf("shard %s holds %d leases, want the store's one", id, len(leases))
+		}
+		if leases[0].Quarantined {
+			t.Errorf("shard %s quarantined the store despite heartbeats: %+v", id, leases[0])
+		}
+	}
+}
+
 // When the registrar's home shard dies and a repair re-maps the keyspace,
 // the registrar must find the surviving constellation on its own: it
 // learns every shard address from the directory's map while healthy, and
@@ -140,24 +221,8 @@ func TestRegistrarReregistersAfterMDMAmnesia(t *testing.T) {
 // store configured with a single -mdm address survives that address's
 // death.
 func TestRegistrarRotatesToLearnedSeedsWhenHomeShardDies(t *testing.T) {
-	startShard := func(id string) (*core.MDM, *wire.Server, *shard.Node) {
-		m := core.New(core.Config{
-			Schema:   schema.GUP(),
-			Signer:   token.NewSigner([]byte("registrar-test-key")),
-			LeaseTTL: time.Minute,
-		})
-		srv := core.NewServer(m)
-		node := shard.NewNode(shard.NodeConfig{ShardID: id, MDM: m, Inner: wire.HandlerFunc(srv.Handle)})
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		ws := wire.ServeListener(ln, node)
-		t.Cleanup(func() { ws.Close(); node.Close(); m.Close() })
-		return m, ws, node
-	}
-	_, wsA, nodeA := startShard("sa")
-	mB, wsB, nodeB := startShard("sb")
+	_, wsA, nodeA := startLeasedShard(t, "sa", time.Minute, 0)
+	mB, wsB, nodeB := startLeasedShard(t, "sb", time.Minute, 0)
 
 	v1 := wire.ShardMap{Version: 1, Shards: []wire.ShardInfo{
 		{ID: "sa", Addr: wsA.Addr()}, {ID: "sb", Addr: wsB.Addr()},
@@ -173,16 +238,7 @@ func TestRegistrarRotatesToLearnedSeedsWhenHomeShardDies(t *testing.T) {
 	}
 	// Pick an owner homed on sa so the registrar's traffic stays on its
 	// configured seed until that shard dies.
-	owner := ""
-	for i := 0; i < 4096; i++ {
-		if o := fmt.Sprintf("u-%d", i); ring.Owner(o).ID == "sa" {
-			owner = o
-			break
-		}
-	}
-	if owner == "" {
-		t.Fatal("no owner homed on sa")
-	}
+	owner := ownerHomedOn(t, ring, "sa")
 
 	r := store.NewRegistrar(store.RegistrarConfig{
 		Store:    "st",
