@@ -17,14 +17,17 @@ package gupster_test
 import (
 	"context"
 	"fmt"
+	"net"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"gupster/internal/core"
 	"gupster/internal/coverage"
+	"gupster/internal/dirnode"
 	"gupster/internal/faultinject"
 	"gupster/internal/federation"
 	"gupster/internal/hlr"
@@ -33,6 +36,7 @@ import (
 	"gupster/internal/policy"
 	"gupster/internal/presence"
 	"gupster/internal/reachme"
+	"gupster/internal/replication"
 	"gupster/internal/schema"
 	"gupster/internal/store"
 	"gupster/internal/syncml"
@@ -802,54 +806,101 @@ func hlrWith(b *testing.B, n int) *hlr.HLR {
 
 func presenceStatus(s string) presence.Status { return presence.Status(s) }
 
-// BenchmarkE13Mirrors — mirrored MDM constellation (§4.2, §5.3
-// reliability): mutation-path replication cost vs constellation size, and
-// the (flat) read path.
-func BenchmarkE13Mirrors(b *testing.B) {
+// BenchmarkE13Constellation — the §4.2/§5.3 "family of mirrored servers"
+// as the quorum constellation dirnode.Start assembles (n = 1 is a plain
+// durable node): the mutation path's quorum cost vs constellation size,
+// measured at the leader, and the read path, answered by a follower from
+// its own replica. Journals run NoSync, as the scenario rig's replicated
+// rigs do, so the rows compare replication, not the disk; the election
+// TTL is gupsterd's default, so a saturated runner does not depose the
+// leader mid-row.
+func BenchmarkE13Constellation(b *testing.B) {
 	signer := token.NewSigner(benchKey)
-	for _, n := range []int{1, 2, 4} {
-		mdms := make([]*core.MDM, n)
-		mirrors := make([]*federation.Mirror, n)
+	for _, n := range []int{1, 3, 5} {
+		lns := make([]net.Listener, n)
 		addrs := make([]string, n)
-		for i := 0; i < n; i++ {
-			mdms[i] = core.New(core.Config{Schema: schema.GUP(), Signer: signer, GrantTTL: time.Minute})
-			mirrors[i] = federation.NewMirror(mdms[i])
-			srv, err := mirrors[i].Serve("127.0.0.1:0")
+		for i := range lns {
+			ln, err := net.Listen("tcp", "127.0.0.1:0")
 			if err != nil {
 				b.Fatal(err)
 			}
-			addrs[i] = srv.Addr()
-			i := i
-			b.Cleanup(func() { srv.Close(); mirrors[i].Close(); mdms[i].Close() })
+			lns[i], addrs[i] = ln, ln.Addr().String()
 		}
-		if err := federation.Join(mirrors, addrs); err != nil {
+		nodes := make([]*dirnode.Node, n)
+		for i := range nodes {
+			cfg := dirnode.Config{
+				MDM:     core.Config{Schema: schema.GUP(), Signer: signer, GrantTTL: time.Minute},
+				DataDir: b.TempDir(), Journal: journal.Options{NoSync: true},
+				Listener: lns[i],
+			}
+			if n > 1 {
+				cfg.Replication = &replication.Config{TTL: 2 * time.Second,
+					Peers: slices.Delete(slices.Clone(addrs), i, i+1)}
+			}
+			node, err := dirnode.Start(cfg)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.Cleanup(node.Close)
+			nodes[i] = node
+		}
+		leader, follower := 0, 0
+		if n > 1 {
+			leader = -1
+			for deadline := time.Now().Add(10 * time.Second); leader < 0; time.Sleep(5 * time.Millisecond) {
+				if time.Now().After(deadline) {
+					b.Fatal("no leader elected")
+				}
+				for i, node := range nodes {
+					if node.Repl.Status().Role == "leader" {
+						leader = i
+					}
+				}
+			}
+			follower = (leader + 1) % n
+		}
+		dial := func(i int) *wire.Client {
+			c, err := wire.DialContext(context.Background(), addrs[i])
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.Cleanup(func() { c.Close() })
+			return c
+		}
+		atLeader, atFollower := dial(leader), dial(follower)
+		register := func(owner string) error {
+			return atLeader.Call(context.Background(), wire.TypeRegister, &wire.RegisterRequest{
+				Store: "s1", Address: "127.0.0.1:1", Path: fmt.Sprintf("/user[@id='%s']/presence", owner),
+			}, nil)
+		}
+		// The resolved registration is acknowledged by a quorum; wait until
+		// the follower read from holds it too.
+		seed := fmt.Sprintf("m%d-seed", n)
+		if err := register(seed); err != nil {
 			b.Fatal(err)
 		}
-		cli, err := wire.Dial(addrs[0])
-		if err != nil {
-			b.Fatal(err)
+		for deadline := time.Now().Add(10 * time.Second); nodes[follower].MDM.Registry.StoreCount("s1") == 0; time.Sleep(5 * time.Millisecond) {
+			if time.Now().After(deadline) {
+				b.Fatal("the follower never received the registration")
+			}
 		}
-		b.Cleanup(func() { cli.Close() })
 
-		b.Run(fmt.Sprintf("register/mirrors=%d", n), func(b *testing.B) {
+		b.Run(fmt.Sprintf("register/members=%d", n), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				p := fmt.Sprintf("/user[@id='m%d-%d']/presence", n, i)
-				if err := cli.Call(context.Background(), wire.TypeRegister, &wire.RegisterRequest{
-					Store: "s1", Address: "127.0.0.1:1", Path: p,
-				}, nil); err != nil {
+				if err := register(fmt.Sprintf("m%d-%d", n, i)); err != nil {
 					b.Fatal(err)
 				}
 			}
 		})
-		b.Run(fmt.Sprintf("resolve/mirrors=%d", n), func(b *testing.B) {
+		b.Run(fmt.Sprintf("resolve/members=%d", n), func(b *testing.B) {
 			req := &wire.ResolveRequest{
-				Path:    fmt.Sprintf("/user[@id='m%d-0']/presence", n),
-				Context: policy.Context{Requester: fmt.Sprintf("m%d-0", n)},
+				Path:    fmt.Sprintf("/user[@id='%s']/presence", seed),
+				Context: policy.Context{Requester: seed},
 				Verb:    token.VerbFetch,
 			}
 			for i := 0; i < b.N; i++ {
 				var resp wire.ResolveResponse
-				if err := cli.Call(context.Background(), wire.TypeResolve, req, &resp); err != nil {
+				if err := atFollower.Call(context.Background(), wire.TypeResolve, req, &resp); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -187,68 +187,6 @@ func TestBinariesEndToEnd(t *testing.T) {
 	}
 }
 
-// A two-mirror constellation through the real binaries: register at mirror
-// A, resolve at mirror B; kill A, B keeps serving (§5.3 reliability).
-func TestMirroredConstellation(t *testing.T) {
-	if testing.Short() {
-		t.Skip("builds and launches real processes")
-	}
-	const key = "e2e-mirror-key"
-	addrA := freePort(t)
-	addrB := freePort(t)
-	storeAddr := freePort(t)
-
-	daemonA := startDaemon(t, "gupsterd", "-listen", addrA, "-key", key, "-peer", addrB)
-	startDaemon(t, "gupsterd", "-listen", addrB, "-key", key, "-peer", addrA)
-	waitFor(t, addrA)
-	waitFor(t, addrB)
-	// Give the background peering loops a moment to connect.
-	time.Sleep(300 * time.Millisecond)
-
-	startDaemon(t, "datastored",
-		"-id", "gup.s1.example", "-listen", storeAddr,
-		"-mdm", addrA, "-key", key,
-		"-register", "/user[@id='alice']/presence",
-	)
-	waitFor(t, storeAddr)
-
-	// Seed through gupctl at mirror A.
-	f := filepath.Join(binDir, "p.xml")
-	os.WriteFile(f, []byte(`<presence status="mirrored"/>`), 0o644)
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		if out, err := gupctl(t, addrA, "alice", "self", "update", "/user[@id='alice']/presence", f); err == nil {
-			break
-		} else if time.Now().After(deadline) {
-			t.Fatalf("update never succeeded: %v\n%s", err, out)
-		}
-		time.Sleep(100 * time.Millisecond)
-	}
-
-	// Mirror B can resolve the registration it never saw directly. The
-	// constellation converges asynchronously (peering retries + snapshot
-	// replay), so poll until it does.
-	var out string
-	var err error
-	for {
-		out, err = gupctl(t, addrB, "alice", "self", "get", "/user[@id='alice']/presence")
-		if err == nil && strings.Contains(out, "mirrored") {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("mirror B never converged: %v\n%s", err, out)
-		}
-		time.Sleep(100 * time.Millisecond)
-	}
-	// Kill mirror A; B keeps answering.
-	daemonA.Process.Kill()
-	daemonA.Wait()
-	out, err = gupctl(t, addrB, "alice", "self", "get", "/user[@id='alice']/presence")
-	if err != nil || !strings.Contains(out, "mirrored") {
-		t.Fatalf("mirror B after A's death: %v\n%s", err, out)
-	}
-}
-
 // One traced chaining request through the real binaries: the trace ID that
 // gupctl prints must resolve, at the MDM's trace directory, to a span tree
 // covering all three hops — client (0), MDM (1), store (2).

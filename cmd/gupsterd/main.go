@@ -5,8 +5,8 @@
 // Usage:
 //
 //	gupsterd -listen 127.0.0.1:7000 -key shared-secret [-cache 1024] [-ttl 30s]
-//	         [-provenance 4096] [-peer 127.0.0.1:7001 -peer 127.0.0.1:7002]
-//	         [-data-dir /var/lib/gupster] [-lease-ttl 10s] [-lease-grace 10s]
+//	         [-provenance 4096] [-data-dir /var/lib/gupster]
+//	         [-lease-ttl 10s] [-lease-grace 10s]
 //	         [-max-concurrency 64] [-queue-depth 128] [-brownout-threshold 0.8]
 //	         [-peers 127.0.0.1:7001 -peers 127.0.0.1:7002 -replication-quorum 2
 //	          -advertise 127.0.0.1:7000 -election-ttl 2s]
@@ -18,19 +18,16 @@
 // -brownout-threshold, sustained pressure above the threshold degrades
 // chaining resolves to stale cached answers until pressure recedes.
 //
-// With -peer flags the daemon joins a mirrored constellation (§5.3
-// reliability): coverage registrations and privacy-shield changes replicate
-// to the peers, and any mirror can answer any resolve. Peers are kept with
-// anti-entropy: a peer that dies and restarts is re-peered and receives
-// this mirror's full meta-data snapshot.
-//
-// With -peers (note the plural; requires -data-dir) the daemon instead
-// joins a QUORUM-replicated constellation: one elected leader accepts
-// directory mutations, ships its journal to the followers, and
-// acknowledges only after -replication-quorum members hold the record
-// durably. Followers answer reads and redirect writes to the leader
-// (clients re-home transparently); if the leader dies, a follower takes
-// over within one -election-ttl with no acknowledged mutation lost.
+// With -peers (requires -data-dir) the daemon joins the paper's
+// constellation of mirrored servers (§4.2, §5.3 reliability) as a
+// quorum-replicated member: one elected leader accepts directory
+// mutations and store heartbeats, ships its journal — and, with
+// -lease-ttl, its verdict on which stores are quarantined — to the
+// followers, and acknowledges only after -replication-quorum members hold
+// the record durably. Every member answers resolves from its own replica
+// and redirects writes to the leader (clients and stores re-home
+// transparently); if the leader dies, a follower takes over within one
+// -election-ttl with no acknowledged mutation lost.
 //
 // With -data-dir the meta-data directory is crash-safe: every registration
 // and shield rule is journaled (write-ahead log + periodic snapshot) and
@@ -121,8 +118,6 @@ func main() {
 	maxConc := flag.Int("max-concurrency", 0, "admission control: max concurrently executing requests (0 disables)")
 	queueDepth := flag.Int("queue-depth", 0, "admission control: wait-queue depth (0 = 2x max-concurrency)")
 	brownout := flag.Float64("brownout-threshold", 0, "pressure fraction that triggers degraded (stale-cache) answers (0 disables)")
-	var peers repeated
-	flag.Var(&peers, "peer", "address of a peer mirror (repeatable)")
 	var replPeers repeated
 	flag.Var(&replPeers, "peers", "address of a quorum-replication peer MDM (repeatable; requires -data-dir)")
 	replQuorum := flag.Int("replication-quorum", 0, "members (self included) that must hold a mutation durably before acking (0 = majority)")
@@ -157,13 +152,12 @@ func main() {
 				BrownoutThreshold: *brownout,
 			},
 		},
-		DataDir:     *dataDir,
-		MirrorPeers: peers,
-		ShardID:     *shardOf,
-		Router:      *router,
-		Listen:      *listen,
-		Advertise:   *advertise,
-		Logf:        log.Printf,
+		DataDir:   *dataDir,
+		ShardID:   *shardOf,
+		Router:    *router,
+		Listen:    *listen,
+		Advertise: *advertise,
+		Logf:      log.Printf,
 	}
 	if *key != "" {
 		cfg.MDM.Signer = token.NewSigner([]byte(*key))

@@ -141,9 +141,6 @@ type (
 	WhitePages = federation.WhitePages
 	// FederatedNode is a hierarchical MDM with delegations.
 	FederatedNode = federation.Node
-	// Mirror is one member of a mirrored MDM constellation (§5.3
-	// reliability).
-	Mirror = federation.Mirror
 	// MirrorClient fails over between constellation members.
 	MirrorClient = federation.MirrorClient
 )
@@ -184,8 +181,6 @@ var (
 	NewWhitePages = federation.NewWhitePages
 	// NewFederatedNode wraps an MDM for hierarchical delegation.
 	NewFederatedNode = federation.NewNode
-	// NewMirror fronts an MDM as a constellation member.
-	NewMirror = federation.NewMirror
 	// DialMirrors creates a failover client over constellation addresses.
 	DialMirrors = federation.DialMirrors
 )

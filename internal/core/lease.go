@@ -22,6 +22,13 @@ import (
 // quarantine takes effect the moment the grace period lapses, not at the
 // next sweep; the background sweeper exists only to flip the recorded
 // state for observability (counters, the `gupctl health` table).
+//
+// In a quorum constellation the leader is the one lease authority: store
+// heartbeats are leader-only writes, the leader's quarantined set rides
+// every append it ships, and a follower plans by that set instead of its
+// own clocks (FollowLeases). A node that wins an election restarts every
+// clock (LeadLeases), as boot's first-sight rule does, so no replica ever
+// disagrees with the leader about which stores are reachable.
 
 // lease tracks one store's liveness.
 type lease struct {
@@ -102,10 +109,79 @@ func (m *MDM) storeLive(storeID coverage.StoreID) bool {
 		// First sight (e.g. replayed from the journal at boot): start the
 		// clock now so a recovering constellation gets a full TTL+grace to
 		// re-heartbeat before anything is quarantined.
-		m.leases[storeID] = &lease{expires: now.Add(m.cfg.LeaseTTL)}
-		return true
+		l = &lease{expires: now.Add(m.cfg.LeaseTTL)}
+		m.leases[storeID] = l
 	}
-	return !now.After(l.expires.Add(m.grace()))
+	return !m.quarantinedLocked(storeID, l, now)
+}
+
+// quarantinedLocked is the one liveness verdict: the leader's on a
+// follower that adopted one, this node's clock otherwise. Caller holds
+// leaseMu.
+func (m *MDM) quarantinedLocked(storeID coverage.StoreID, l *lease, now time.Time) bool {
+	if m.verdict != nil {
+		return m.verdict[storeID]
+	}
+	return now.After(l.expires.Add(m.grace()))
+}
+
+// Quarantined lists the stores this node's verdict excludes from plans —
+// what a replication leader ships with every append. Nil when leases are
+// disabled or every store is live.
+func (m *MDM) Quarantined() []string {
+	if !m.leasesEnabled() {
+		return nil
+	}
+	now := time.Now()
+	m.leaseMu.Lock()
+	defer m.leaseMu.Unlock()
+	var out []string
+	for storeID, l := range m.leases {
+		if m.quarantinedLocked(storeID, l, now) {
+			out = append(out, string(storeID))
+		}
+	}
+	return out
+}
+
+// FollowLeases makes this node plan by its replication leader's verdict:
+// the listed stores are quarantined, every other store is live. The clocks
+// of the live ones restart, so the health table's remaining time stays
+// meaningful and a follower that wins the next election starts near where
+// its leader left off.
+func (m *MDM) FollowLeases(quarantined []string) {
+	if !m.leasesEnabled() {
+		return
+	}
+	verdict := make(map[coverage.StoreID]bool, len(quarantined))
+	for _, id := range quarantined {
+		verdict[coverage.StoreID(id)] = true
+	}
+	expires := time.Now().Add(m.cfg.LeaseTTL)
+	m.leaseMu.Lock()
+	defer m.leaseMu.Unlock()
+	m.verdict = verdict
+	for storeID, l := range m.leases {
+		if !verdict[storeID] {
+			l.expires, l.quarantined = expires, false
+		}
+	}
+}
+
+// LeadLeases returns a node that won an election to its own clocks, every
+// one restarted: the stores get a full TTL+grace to find the new leader
+// with their heartbeats, as after a boot.
+func (m *MDM) LeadLeases() {
+	if !m.leasesEnabled() {
+		return
+	}
+	expires := time.Now().Add(m.cfg.LeaseTTL)
+	m.leaseMu.Lock()
+	defer m.leaseMu.Unlock()
+	m.verdict = nil
+	for _, l := range m.leases {
+		l.expires, l.quarantined = expires, false
+	}
 }
 
 // Heartbeat renews a store's lease and, when the heartbeat carries an
@@ -156,11 +232,10 @@ func (m *MDM) leaseSweeper() {
 
 // sweepLeases flips expired leases to quarantined, counting transitions.
 func (m *MDM) sweepLeases(now time.Time) {
-	grace := m.grace()
 	m.leaseMu.Lock()
 	defer m.leaseMu.Unlock()
-	for _, l := range m.leases {
-		if !l.quarantined && now.After(l.expires.Add(grace)) {
+	for storeID, l := range m.leases {
+		if !l.quarantined && m.quarantinedLocked(storeID, l, now) {
 			l.quarantined = true
 			m.Liveness.Quarantines.Add(1)
 		}
@@ -174,7 +249,6 @@ func (m *MDM) LeaseTable() []wire.LeaseInfo {
 		return nil
 	}
 	now := time.Now()
-	grace := m.grace()
 	m.leaseMu.Lock()
 	out := make([]wire.LeaseInfo, 0, len(m.leases))
 	for storeID, l := range m.leases {
@@ -182,7 +256,7 @@ func (m *MDM) LeaseTable() []wire.LeaseInfo {
 			Store:           string(storeID),
 			Addr:            m.AddrOf(storeID),
 			RemainingMillis: l.expires.Sub(now).Milliseconds(),
-			Quarantined:     now.After(l.expires.Add(grace)),
+			Quarantined:     m.quarantinedLocked(storeID, l, now),
 			Registrations:   m.Registry.StoreCount(storeID),
 		})
 	}

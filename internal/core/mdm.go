@@ -182,9 +182,11 @@ type MDM struct {
 
 	// Store-liveness state (leases). leases is keyed by store; entries
 	// exist only while the store holds registrations and leases are
-	// enabled.
+	// enabled. verdict, when non-nil, is the replication leader's
+	// quarantined set a follower plans by instead of its own clocks.
 	leaseMu   sync.Mutex
 	leases    map[coverage.StoreID]*lease
+	verdict   map[coverage.StoreID]bool
 	Liveness  *metrics.LivenessStats
 	sweepStop chan struct{}
 	sweepOnce sync.Once
@@ -806,9 +808,9 @@ func (m *MDM) HandleChanged(n *wire.ChangedNotice) {
 	m.notifySubscribers(n.User, p, n.XML, n.Version)
 }
 
-// CoverageSnapshot exports every live registration in wire form; mirrored
-// MDMs replay it to peers that join (or rejoin) the constellation so
-// late-comers catch up (§5.3 reliability).
+// CoverageSnapshot exports every live registration in wire form: the
+// journal's checkpoint, a shard's coverage dump for gossip repair and
+// rebalance, and the scenario audits read it.
 func (m *MDM) CoverageSnapshot() []wire.RegisterRequest {
 	regs := m.Registry.Snapshot()
 	out := make([]wire.RegisterRequest, 0, len(regs))
@@ -823,7 +825,7 @@ func (m *MDM) CoverageSnapshot() []wire.RegisterRequest {
 }
 
 // ShieldSnapshot exports every provisioned privacy-shield rule in wire
-// form, for the same catch-up purpose. Rules with conditions outside the
+// form, for the same readers. Rules with conditions outside the
 // provisioning syntax serialize as "always" (see policy.Encode); shields
 // are normally provisioned over the wire, so this is lossless in practice.
 func (m *MDM) ShieldSnapshot() []wire.PutRuleRequest {

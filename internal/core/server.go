@@ -18,8 +18,7 @@ type Server struct {
 	// Mux serves the directory's frames: one route per message type, the
 	// MDM's trace join and its admission controller (DESIGN.md §18). A
 	// layer that changes how a directory frame is served — federation's
-	// delegating resolve, the mirror's replicate-after-apply, replication's
-	// leader gate — re-routes or wraps there before the server starts; a
+	// delegating resolve, replication's leader gate — re-routes or wraps there before the server starts; a
 	// layer with frames of its own puts its own Mux in front, with Handle as
 	// the fallback.
 	Mux *wire.Mux
@@ -96,7 +95,7 @@ func (s *Server) Addr() string { return s.ws.Addr() }
 func (s *Server) Close() error { return s.ws.Close() }
 
 // Handle dispatches one message; exported so outer layers (replication,
-// shard routing, mirrors) can embed a core server behind their own listener.
+// shard routing) can embed a core server behind their own listener.
 func (s *Server) Handle(c *wire.ServerConn, m *wire.Message) { s.Mux.ServeWire(c, m) }
 
 // handleTraceReport ingests a client's finished trace. It is a raw handler

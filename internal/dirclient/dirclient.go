@@ -2,7 +2,7 @@
 // directory. The paper's MDM is a single entry point; behind it this
 // repository puts a quorum constellation, a shard ring and a self-healing
 // map, and every consumer — application clients, store registrars, the
-// mirror failover client, shard nodes and routers forwarding to their
+// constellation failover client, shard nodes and routers forwarding to their
 // peers — has to answer "where is the directory now?". A Directory
 // answers it once: it owns the seed list, the adopted shard map, where
 // each constellation last answered, and the address-keyed connection

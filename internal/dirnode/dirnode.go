@@ -12,8 +12,7 @@
 //
 //	core.MDM           the directory; journal recovered before anything serves
 //	core.Server        plain dispatch, or
-//	replication.Node   quorum member (leader-only writes, log shipping), or
-//	federation.Mirror  best-effort mirror (mutations fan out to peers)
+//	replication.Node   quorum member (leader-only writes, log shipping)
 //	shard.Node         routes by owner; holds the map before the first frame
 //	health.Wrap        gossip frames; the agent probes only after the install
 //	wire.Server        the listener
@@ -29,11 +28,9 @@ import (
 	"net"
 	"slices"
 	"sync"
-	"time"
 
 	"gupster/internal/core"
 	"gupster/internal/dirclient/ring"
-	"gupster/internal/federation"
 	"gupster/internal/health"
 	"gupster/internal/journal"
 	"gupster/internal/replication"
@@ -55,9 +52,6 @@ type Config struct {
 	// constellation (needs DataDir: the journal is the replicated log). An
 	// empty ID is filled with the advertised address.
 	Replication *replication.Config
-	// MirrorPeers, when set, makes the node a best-effort mirror kept in
-	// anti-entropy with these peers.
-	MirrorPeers []string
 	// ShardID, when set, fronts the directory with shard routing under
 	// ShardMap, installed before the first frame is served.
 	ShardID  string
@@ -94,10 +88,6 @@ func (c *Config) Validate() error {
 		return errors.New("a referral-signing key is required (-key, shared with data stores)")
 	case c.Replication != nil && c.DataDir == "":
 		return errors.New("quorum replication (-peers) requires a data directory (-data-dir): the journal is the replicated log")
-	case c.Replication != nil && len(c.MirrorPeers) > 0:
-		return errors.New("quorum replication (-peers) and best-effort mirroring (-peer) are mutually exclusive")
-	case c.ShardID != "" && len(c.MirrorPeers) > 0:
-		return errors.New("a shard (-shard-of) cannot be a mirror (-peer): shard a plain or quorum-replicated MDM")
 	case c.Gossip != nil && c.ShardID == "":
 		return errors.New("gossip (-auto-repair/-gossip-interval/-suspect-timeout/-spare) requires a shard ID (-shard-of): it runs between directory shards")
 	}
@@ -111,14 +101,12 @@ func (c *Config) Validate() error {
 
 // Role names the node's layer stack for a log line.
 func (c *Config) Role() string {
-	role := "MDM"
-	switch {
-	case c.Router:
+	if c.Router {
 		return "shard router"
-	case c.Replication != nil:
+	}
+	role := "MDM"
+	if c.Replication != nil {
 		role = "replicated MDM"
-	case len(c.MirrorPeers) > 0:
-		role = "mirror"
 	}
 	if c.ShardID != "" {
 		role += fmt.Sprintf(" shard %q", c.ShardID)
@@ -139,7 +127,6 @@ type Node struct {
 	addr   string
 	agent  *health.Agent
 	srv    *wire.Server
-	mirror *federation.Mirror
 	router *shard.Router
 
 	closeOnce sync.Once
@@ -197,11 +184,6 @@ func Start(cfg Config) (_ *Node, err error) {
 	if n.agent != nil {
 		n.agent.Start()
 	}
-	for _, p := range cfg.MirrorPeers {
-		// Anti-entropy peering: late or restarted peers are (re-)peered and
-		// resynced from this mirror's snapshot.
-		n.mirror.KeepPeer(p, time.Second)
-	}
 	return n, nil
 }
 
@@ -217,8 +199,9 @@ func (n *Node) assemble(cfg *Config, advertise string) (wire.Handler, error) {
 	}
 
 	var h wire.Handler
-	switch {
-	case cfg.Replication != nil:
+	if cfg.Replication == nil {
+		h = core.NewServer(n.MDM).Mux
+	} else {
 		rc := *cfg.Replication
 		if rc.ID == "" {
 			rc.ID = advertise
@@ -229,11 +212,6 @@ func (n *Node) assemble(cfg *Config, advertise string) (wire.Handler, error) {
 		}
 		n.Repl = repl
 		h = wire.HandlerFunc(repl.Handle)
-	case len(cfg.MirrorPeers) > 0:
-		n.mirror = federation.NewMirror(n.MDM)
-		h = n.mirror
-	default:
-		h = core.NewServer(n.MDM).Mux
 	}
 	if cfg.ShardID == "" {
 		return h, nil
@@ -272,9 +250,9 @@ func (n *Node) Addr() string { return n.addr }
 // Close stops the node, outermost layer first: the gossip agent (no repair
 // mid-teardown), the listener and with it every in-flight request, the
 // replication shippers and election loop, the shard node's forwards and
-// drain timer, the mirror's peer links, and only then the directory and
-// its journal — so nothing is mid-append when the journal goes. Idempotent;
-// the in-process analog of the process dying when called mid-run.
+// drain timer, and only then the directory and its journal — so nothing
+// is mid-append when the journal goes. Idempotent; the in-process analog
+// of the process dying when called mid-run.
 func (n *Node) Close() {
 	n.closeOnce.Do(func() {
 		if n.agent != nil {
@@ -291,9 +269,6 @@ func (n *Node) Close() {
 		}
 		if n.router != nil {
 			n.router.Close()
-		}
-		if n.mirror != nil {
-			n.mirror.Close()
 		}
 		if n.MDM != nil {
 			n.MDM.Close()

@@ -18,6 +18,7 @@ import (
 	"gupster/internal/policy"
 	"gupster/internal/replication"
 	"gupster/internal/schema"
+	"gupster/internal/store"
 	"gupster/internal/token"
 	"gupster/internal/wire"
 )
@@ -61,16 +62,11 @@ func TestValidate(t *testing.T) {
 		{"router", Config{Router: true, ShardMap: two}, ""},
 		{"replicated shard with gossip", Config{MDM: mdmConfig(), DataDir: "d", Replication: repl,
 			ShardID: "s1", ShardMap: two, Gossip: &health.Config{}}, ""},
-		{"mirror", Config{MDM: mdmConfig(), MirrorPeers: []string{"a:2"}}, ""},
 
 		{"router without map", Config{Router: true}, "requires a shard map"},
 		{"shard without map", Config{MDM: mdmConfig(), ShardID: "s1"}, "requires a shard map"},
 		{"no key", Config{}, "key is required"},
 		{"replication without data dir", Config{MDM: mdmConfig(), Replication: repl}, "requires a data directory"},
-		{"replication and mirroring", Config{MDM: mdmConfig(), DataDir: "d", Replication: repl,
-			MirrorPeers: []string{"a:3"}}, "mutually exclusive"},
-		{"mirrored shard", Config{MDM: mdmConfig(), ShardID: "s1", ShardMap: two,
-			MirrorPeers: []string{"a:3"}}, "cannot be a mirror"},
 		{"gossip without shard", Config{MDM: mdmConfig(), Gossip: &health.Config{AutoRepair: true}}, "requires a shard ID"},
 		{"unversioned map", Config{MDM: mdmConfig(), ShardID: "s1",
 			ShardMap: wire.ShardMap{Shards: two.Shards}}, "bad shard map"},
@@ -449,4 +445,187 @@ func TestStartReplicatedShards(t *testing.T) {
 		}
 	}
 	t.Fatal("no surviving member of shard A reports itself leader")
+}
+
+func leaderOf(nodes []*Node) int {
+	for i, n := range nodes {
+		if n != nil && n.Repl.Status().Role == "leader" {
+			return i
+		}
+	}
+	return -1
+}
+
+// Leases compose with quorum replication. A store's heartbeat lands on one
+// member — the leader, which the registrar's handle chases like any write —
+// yet every member answers resolves, so every member must agree with the
+// leader about which stores are reachable (Sarker/Khan/Hashem's rule: a
+// replica of the location register may not disagree with the home
+// register). Before the leader's verdict rode its appends, the followers,
+// which renew a lease only when a registration is applied, quarantined
+// every beating store after TTL+grace and planned around it.
+func TestReplicatedLeasesAgreeOnEveryMember(t *testing.T) {
+	const ttl, grace, beat = 200 * time.Millisecond, 200 * time.Millisecond, 100 * time.Millisecond
+	const path = "/user[@id='u']/presence"
+	cfgs := constellation(t, 3)
+	nodes := make([]*Node, len(cfgs))
+	for i, cfg := range cfgs {
+		cfg.MDM.LeaseTTL, cfg.MDM.LeaseGrace = ttl, grace
+		nodes[i] = start(t, cfg)
+	}
+	waitLeader(t, nodes)
+	leader := leaderOf(nodes)
+	// The registrar is pointed at a follower that outlives the leader.
+	r := store.NewRegistrar(store.RegistrarConfig{Store: "s1", Addr: "127.0.0.1:1",
+		MDM: nodes[(leader+1)%3].Addr(), Coverage: []string{path}, Interval: beat, Logf: t.Logf})
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	if err := r.Start(ctx); err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+
+	// excluded reports a member's verdict on s1: its health table's and its
+	// planner's, which must agree.
+	excluded := func(i int) bool {
+		n := nodes[i]
+		var quarantined bool
+		for _, l := range n.MDM.LeaseTable() {
+			quarantined = quarantined || (l.Store == "s1" && l.Quarantined)
+		}
+		_, err := n.MDM.Resolve(context.Background(), &wire.ResolveRequest{Path: path,
+			Context: policy.Context{Requester: "u", Role: "self"}, Verb: token.VerbFetch})
+		if planned := err == nil; planned == quarantined {
+			t.Fatalf("member %d: lease table says quarantined=%v, planner says %v", i, quarantined, err)
+		}
+		return quarantined
+	}
+	live := func() []int {
+		var out []int
+		for i, n := range nodes {
+			if n != nil {
+				out = append(out, i)
+			}
+		}
+		return out
+	}
+	holdLive := func(what string, d time.Duration) {
+		t.Helper()
+		for end := time.Now().Add(d); time.Now().Before(end); time.Sleep(20 * time.Millisecond) {
+			for _, i := range live() {
+				if excluded(i) {
+					t.Fatalf("%s: member %d (%s) quarantined a store that beats every %s",
+						what, i, nodes[i].Repl.Status().Role, beat)
+				}
+			}
+		}
+	}
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(10 * time.Millisecond) {
+		held := 0
+		for _, n := range nodes {
+			held += n.MDM.Registry.StoreCount("s1")
+		}
+		if held == len(nodes) {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("the registration never reached every member")
+		}
+	}
+
+	holdLive("steady", 4*(ttl+grace))
+
+	// The leader dies; the store keeps beating, now at its successor, which
+	// restarts every lease clock as it takes over.
+	nodes[leader].Close()
+	nodes[leader] = nil
+	for deadline := time.Now().Add(20 * testTTL); leaderOf(nodes) < 0; time.Sleep(5 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("no successor elected")
+		}
+	}
+	holdLive("after failover", 3*(ttl+grace))
+
+	// The store goes silent: every member excludes it within TTL+grace of its
+	// last beat plus one replication heartbeat (and scheduling slack).
+	r.Close()
+	stopped := time.Now()
+	within := ttl + grace + testTTL/4 + 150*time.Millisecond
+	for _, i := range live() {
+		for !excluded(i) {
+			if time.Since(stopped) > within {
+				t.Fatalf("member %d (%s) still plans the silent store %s after it stopped beating",
+					i, nodes[i].Repl.Status().Role, time.Since(stopped))
+			}
+			time.Sleep(5 * time.Millisecond)
+		}
+	}
+}
+
+// Gossip's identity is the shard: a replicated shard is alive while any of
+// its members answers, and a replica's death is the election's business.
+// Agents used to probe only ShardInfo.Addr (Members[0]), so closing that one
+// member got a shard with a live leader and follower confirmed dead — and,
+// with auto-repair armed, evicted from the map.
+func TestGossipProbesEveryMemberOfAReplicatedShard(t *testing.T) {
+	const interval, suspect = 50 * time.Millisecond, 200 * time.Millisecond
+	shardIDs := []string{"A", "B"}
+	groups := make([][]Config, len(shardIDs))
+	m := wire.ShardMap{Version: 1}
+	for g, id := range shardIDs {
+		groups[g] = constellation(t, 3)
+		info := wire.ShardInfo{ID: id}
+		for _, cfg := range groups[g] {
+			info.Members = append(info.Members, cfg.Listener.Addr().String())
+		}
+		info.Addr = info.Members[0]
+		m.Shards = append(m.Shards, info)
+	}
+	nodes := make([][]*Node, len(groups))
+	for g, cfgs := range groups {
+		for _, cfg := range cfgs {
+			cfg.ShardID, cfg.ShardMap = shardIDs[g], m
+			cfg.Gossip = &health.Config{Members: m.Shards, Interval: interval, SuspectTimeout: suspect}
+			nodes[g] = append(nodes[g], start(t, cfg))
+		}
+	}
+	for _, group := range nodes {
+		waitLeader(t, group)
+	}
+	stateAtB := func() []string {
+		out := make([]string, len(nodes[1]))
+		for i, n := range nodes[1] {
+			out[i] = n.agent.StateOf("A").String()
+		}
+		return out
+	}
+
+	nodes[0][0].Close() // A's Addr
+	for end := time.Now().Add(3 * suspect); time.Now().Before(end); time.Sleep(10 * time.Millisecond) {
+		for _, st := range stateAtB() {
+			if st != health.StateAlive.String() {
+				t.Fatalf("with two of its three members up, shard A is %v at B's agents", stateAtB())
+			}
+		}
+	}
+
+	nodes[0][1].Close()
+	nodes[0][2].Close()
+	killed := time.Now()
+	for {
+		dead := 0
+		for _, st := range stateAtB() {
+			if st == health.StateDead.String() {
+				dead++
+			}
+		}
+		if dead == len(nodes[1]) {
+			t.Logf("shard A confirmed dead at every B agent %s after its last member closed", time.Since(killed))
+			return
+		}
+		if time.Since(killed) > 2*suspect+2*interval {
+			t.Fatalf("%s after all of shard A closed, B's agents see %v", time.Since(killed), stateAtB())
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
 }

@@ -144,12 +144,8 @@ func (n *Node) Resolve(ctx context.Context, req *wire.ResolveRequest) (*wire.Res
 		return nil, fmt.Errorf("federation: %w", err)
 	}
 	if d, ok := n.delegateFor(p); ok {
-		c, err := n.delegates.Get(ctx, d.Addr)
-		if err != nil {
-			return nil, fmt.Errorf("federation: delegate %s unreachable: %w", d.Addr, err)
-		}
 		var resp wire.ResolveResponse
-		if err := c.Call(ctx, wire.TypeResolve, req, &resp); err != nil {
+		if err := n.delegates.Call(ctx, d.Addr, wire.TypeResolve, req, &resp); err != nil {
 			return nil, err
 		}
 		resp.Hops++

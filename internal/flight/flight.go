@@ -11,7 +11,7 @@
 //
 //   - ForEach — bounded parallel fan-out: run n items on at most `workers`
 //     goroutines, replacing the serial alternative-by-alternative and
-//     peer-by-peer loops in chaining, recruiting, and mirror replication.
+//     peer-by-peer loops in chaining and recruiting.
 //
 // Both are deliberately dependency-free; counters live in
 // internal/metrics.PipelineStats so the pipeline is observable end to end.

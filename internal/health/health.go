@@ -23,6 +23,7 @@ package health
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -109,7 +110,8 @@ type memberView struct {
 	info     wire.ShardInfo
 	state    State
 	since    time.Time
-	probing  bool // a probe for this member is in flight this tick
+	probing  bool   // a probe for this member is in flight this tick
+	answered string // the replica address that last answered
 	snapshot *wire.ShardCoverageResponse
 }
 
@@ -292,7 +294,7 @@ func (a *Agent) tick() {
 // then — on failure — ping-reqs through up to IndirectProbes other alive
 // members. Any delivered ack refutes; a fully failed round is a miss.
 func (a *Agent) probe(target wire.ShardInfo) {
-	if ack, err := a.ping(target.Addr); err == nil {
+	if ack, err := a.ping(target.ID, target.Addr, a.cfg.PingTimeout); err == nil {
 		a.observeAck(target.ID, ack)
 		return
 	}
@@ -327,17 +329,50 @@ func (a *Agent) relaysFor(targetID string) []wire.ShardInfo {
 	return out
 }
 
-// ping sends one direct probe and returns the target's ack.
-func (a *Agent) ping(addr string) (*wire.GossipAck, error) {
+// call sends one request to shard id (at fallback when the agent does not
+// know the shard) and decodes the reply into resp. The gossip identity is
+// the shard, not the replica: a quorum-replicated shard is alive while any
+// member answers, and which member leads is the election's business. So
+// the members are tried in turn — the one that last answered first, then
+// Addr, then the rest — each under a timeout of its own, so a dead replica
+// costs one timeout, not the shard.
+func (a *Agent) call(id, fallback string, timeout time.Duration, msgType string, req, resp any) error {
+	a.mu.Lock()
+	addrs := []string{fallback}
+	if v, ok := a.members[id]; ok {
+		addrs = append([]string{v.answered, v.info.Addr}, v.info.Members...)
+	}
+	a.mu.Unlock()
+	err := fmt.Errorf("health: no address for member %s", id)
+	for i, addr := range addrs {
+		if addr == "" || slices.Contains(addrs[:i], addr) {
+			continue
+		}
+		ctx, cancel := context.WithTimeout(context.Background(), timeout)
+		err = a.conns.Call(ctx, addr, msgType, req, resp)
+		cancel()
+		if err == nil {
+			a.mu.Lock()
+			if v, ok := a.members[id]; ok {
+				v.answered = addr
+			}
+			a.mu.Unlock()
+			return nil
+		}
+	}
+	return err
+}
+
+// ping sends one direct probe to a member (at addr when unknown) and
+// returns its ack.
+func (a *Agent) ping(id, addr string, timeout time.Duration) (*wire.GossipAck, error) {
 	m := a.currentMap()
 	req := wire.GossipPing{
 		FromID: a.cfg.Self.ID, FromAddr: a.cfg.Self.Addr,
 		MapEpoch: m.Epoch, MapVersion: m.Version,
 	}
-	ctx, cancel := context.WithTimeout(context.Background(), a.cfg.PingTimeout)
-	defer cancel()
 	var ack wire.GossipAck
-	if err := a.conns.Call(ctx, addr, wire.TypeGossipPing, &req, &ack); err != nil {
+	if err := a.call(id, addr, timeout, wire.TypeGossipPing, &req, &ack); err != nil {
 		return nil, err
 	}
 	return &ack, nil
@@ -364,17 +399,16 @@ func (a *Agent) pingReq(relay, target wire.ShardInfo) (*wire.GossipAck, error) {
 // coordinates the ack piggybacked.
 func (a *Agent) observeAck(id string, ack *wire.GossipAck) {
 	a.mu.Lock()
-	if v, ok := a.members[id]; ok && v.state != StateAlive {
+	v, known := a.members[id]
+	if known && v.state != StateAlive {
 		a.cfg.Logf("health %s: member %s refuted %s → alive", a.cfg.Self.ID, id, v.state)
 		v.state = StateAlive
 		v.since = time.Now()
 	}
-	var addr string
-	if v, ok := a.members[id]; ok {
-		addr = v.info.Addr
-	}
 	a.mu.Unlock()
-	a.learnMap(ack.MapEpoch, ack.MapVersion, addr)
+	if known {
+		a.learnMap(ack.MapEpoch, ack.MapVersion, id, "")
+	}
 }
 
 // observeMiss advances the member one step down the suspicion machine.
@@ -401,10 +435,10 @@ func (a *Agent) observeMiss(id string) {
 }
 
 // learnMap triggers anti-entropy when a peer advertises newer map
-// coordinates than ours: fetch its map and self-fence onto it. fromAddr
-// is where to fetch; empty means unknown (skip).
-func (a *Agent) learnMap(epoch, version uint64, fromAddr string) {
-	if fromAddr == "" || a.cfg.SelfInstall == nil {
+// coordinates than ours: fetch its map (from fromAddr when the agent does
+// not know fromID) and self-fence onto it.
+func (a *Agent) learnMap(epoch, version uint64, fromID, fromAddr string) {
+	if a.cfg.SelfInstall == nil {
 		return
 	}
 	cur := a.currentMap()
@@ -426,10 +460,8 @@ func (a *Agent) learnMap(epoch, version uint64, fromAddr string) {
 			a.fetching = false
 			a.mu.Unlock()
 		}()
-		ctx, cancel := context.WithTimeout(context.Background(), 2*a.cfg.PingTimeout)
-		defer cancel()
 		var m wire.ShardMap
-		if err := a.conns.Call(ctx, fromAddr, wire.TypeShardMap, wire.Empty{}, &m); err != nil {
+		if err := a.call(fromID, fromAddr, 2*a.cfg.PingTimeout, wire.TypeShardMap, wire.Empty{}, &m); err != nil {
 			return
 		}
 		if ring.Compare(m, a.currentMap()) <= 0 {
@@ -469,15 +501,16 @@ func (a *Agent) learnMap(epoch, version uint64, fromAddr string) {
 // replies, and only its acks witness those.
 func (a *Agent) answerPing(_ context.Context, req *wire.GossipPing) (wire.GossipAck, error) {
 	cur := a.currentMap()
-	a.learnMap(req.MapEpoch, req.MapVersion, req.FromAddr)
+	a.learnMap(req.MapEpoch, req.MapVersion, req.FromID, req.FromAddr)
 	return wire.GossipAck{FromID: a.cfg.Self.ID, MapEpoch: cur.Epoch, MapVersion: cur.Version}, nil
 }
 
-// handlePingReq probes the named target on the requester's behalf and
-// relays the target's ack. It is a raw handler because the answer comes
-// from its own goroutine: handlers are sequential per connection and a
-// relay blocking for a ping timeout must not stall the requester's other
-// gossip frames.
+// handlePingReq probes the named target on the requester's behalf — every
+// member of it the relay knows by ID, TargetAddr otherwise — and relays
+// the target's ack. It is a raw handler because the answer comes from its
+// own goroutine: handlers are sequential per connection and a relay
+// blocking for a ping timeout must not stall the requester's other gossip
+// frames.
 func (a *Agent) handlePingReq(c *wire.ServerConn, m *wire.Message, req *wire.GossipPingReq) {
 	a.mu.Lock()
 	if a.closed {
@@ -493,21 +526,14 @@ func (a *Agent) handlePingReq(c *wire.ServerConn, m *wire.Message, req *wire.Gos
 		if timeout <= 0 {
 			timeout = a.cfg.PingTimeout
 		}
-		cur := a.currentMap()
-		ping := wire.GossipPing{
-			FromID: a.cfg.Self.ID, FromAddr: a.cfg.Self.Addr,
-			MapEpoch: cur.Epoch, MapVersion: cur.Version,
-		}
-		ctx, cancel := context.WithTimeout(context.Background(), timeout)
-		defer cancel()
-		var ack wire.GossipAck
-		if err := a.conns.Call(ctx, req.TargetAddr, wire.TypeGossipPing, &ping, &ack); err != nil {
+		ack, err := a.ping(req.TargetID, req.TargetAddr, timeout)
+		if err != nil {
 			_ = c.ReplyError(m, fmt.Errorf("health: indirect probe of %s failed: %w", req.TargetID, err))
 			return
 		}
 		// The relay witnessed the round trip itself: free refutation.
-		a.observeAck(req.TargetID, &ack)
-		_ = c.Reply(m, ack)
+		a.observeAck(req.TargetID, ack)
+		_ = c.Reply(m, *ack)
 	}()
 }
 
@@ -544,11 +570,8 @@ func (a *Agent) snapshotLoop() {
 			if s.ID == a.cfg.Self.ID || a.StateOf(s.ID) != StateAlive {
 				continue
 			}
-			ctx, cancel := context.WithTimeout(context.Background(), 4*a.cfg.PingTimeout)
 			var snap wire.ShardCoverageResponse
-			err := a.conns.Call(ctx, s.Addr, wire.TypeShardCoverage, wire.Empty{}, &snap)
-			cancel()
-			if err != nil {
+			if err := a.call(s.ID, s.Addr, 4*a.cfg.PingTimeout, wire.TypeShardCoverage, wire.Empty{}, &snap); err != nil {
 				continue
 			}
 			a.mu.Lock()

@@ -472,7 +472,7 @@ func TestAntiEntropyFencesOnlyEvictedNodes(t *testing.T) {
 
 	// The survivor s0 learns v2: adopt, do not fence. Its moved owner's
 	// coverage must survive for the rebalance to replay.
-	ms[0].agent.learnMap(v2.Epoch, v2.Version, ms[2].info.Addr)
+	ms[0].agent.learnMap(v2.Epoch, v2.Version, ms[2].info.ID, ms[2].info.Addr)
 	awaitMap(ms[0])
 	if !holds(ms[0], movedOwner) {
 		t.Fatalf("survivor s0 dropped %s's coverage on anti-entropy adopt — fenced a member the map retains", movedOwner)
@@ -480,7 +480,7 @@ func TestAntiEntropyFencesOnlyEvictedNodes(t *testing.T) {
 
 	// The evicted s1 learns v2: it must fence, dropping the slice the
 	// repair moved away — the split-brain stopper.
-	ms[1].agent.learnMap(v2.Epoch, v2.Version, ms[2].info.Addr)
+	ms[1].agent.learnMap(v2.Epoch, v2.Version, ms[2].info.ID, ms[2].info.Addr)
 	awaitMap(ms[1])
 	deadline := time.Now().Add(3 * time.Second)
 	for holds(ms[1], evictedOwner) {

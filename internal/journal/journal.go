@@ -12,8 +12,8 @@
 //     is durably on disk; concurrent appenders share fsyncs (group
 //     commit), so a registration burst costs one disk flush, not N,
 //   - a periodic snapshot (snapshot.json, written atomically via rename)
-//     captures the whole directory in the same wire shapes the mirror
-//     protocol already replays (RegisterRequest / PutRuleRequest), after
+//     captures the whole directory in the wire shapes a registration and
+//     a shield rule already take (RegisterRequest / PutRuleRequest), after
 //     which the log is compacted to zero,
 //   - recovery loads the snapshot, replays the log over it, and truncates
 //     any torn tail left by a crash mid-append — a partially written
@@ -63,8 +63,9 @@ type Record struct {
 	DeleteRule *wire.DeleteRuleRequest `json:"delete_rule,omitempty"`
 }
 
-// Snapshot is a checkpoint of the whole directory, in the same shapes the
-// mirror protocol replays to late-joining peers. Index and Term locate the
+// Snapshot is a checkpoint of the whole directory, in the wire shapes of
+// a registration and a shield rule; replication ships it to a follower
+// behind the compaction horizon. Index and Term locate the
 // checkpoint in the replicated log: the snapshot covers every record up to
 // and including Index (both 0 on a standalone node).
 type Snapshot struct {

@@ -3,6 +3,7 @@ package replication_test
 import (
 	"encoding/json"
 	"testing"
+	"time"
 
 	"gupster/internal/core"
 	"gupster/internal/journal"
@@ -17,10 +18,11 @@ import (
 
 // newFuzzNode builds a node with a short seeded log (3 records at term
 // 1) so fuzzed appends can hit the match/conflict/truncate paths, not
-// just the empty-log ones.
+// just the empty-log ones, and with leases on so a fuzzed verdict lands
+// on real lease entries.
 func newFuzzNode(t *testing.T) (*replication.Node, *core.MDM) {
 	t.Helper()
-	m := core.New(core.Config{})
+	m := core.New(core.Config{LeaseTTL: time.Minute})
 	if _, err := core.OpenDurable(m, t.TempDir(), journal.Options{NoSync: true, CompactEvery: 4}); err != nil {
 		t.Fatal(err)
 	}
@@ -77,9 +79,13 @@ func FuzzReplAppend(f *testing.F) {
 		Term: 5, LeaderID: "l", PrevIndex: 1, PrevTerm: 1,
 		Entries: []journal.Record{{Term: 5, Op: journal.OpUnregister, Unregister: &wire.UnregisterRequest{Store: "s2", Path: "/user[@id='u']/calendar"}}},
 	})
+	seed4, _ := json.Marshal(&replication.AppendRequest{
+		Term: 2, LeaderID: "l", PrevIndex: 3, PrevTerm: 1, Quarantined: []string{"s2", "ghost", ""},
+	})
 	f.Add(seed1)
 	f.Add(seed2)
 	f.Add(seed3)
+	f.Add(seed4)
 	f.Add([]byte(`{"term":0,"prev_index":18446744073709551615}`))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var req replication.AppendRequest

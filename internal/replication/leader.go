@@ -335,6 +335,7 @@ func (n *Node) startElectionLocked() {
 		p.mu.Unlock()
 	}
 	n.mu.Unlock()
+	n.mdm.LeadLeases()
 	n.logf("election: won term %d, leading at index %d", term, last)
 	n.kickShippers() // first heartbeat asserts the lease immediately
 }
@@ -401,6 +402,7 @@ func (n *Node) shipTo(p *peer) {
 		req := &AppendRequest{
 			Term: term, LeaderID: n.cfg.ID,
 			PrevIndex: prevIndex, PrevTerm: prevTerm, Entries: entries,
+			Quarantined: n.mdm.Quarantined(),
 		}
 		var resp AppendResponse
 		if err := n.peerCall(p, wire.TypeReplAppend, req, &resp, n.callTimeout()); err != nil {

@@ -211,8 +211,9 @@ var errPartitioned = errors.New("replication: peer unreachable (suspended)")
 
 // Handle is the node's wire dispatch: replication traffic is routed here,
 // and everything else falls through to the embedded core server — any
-// member answers reads (resolves, heartbeats, traces, …) from its own
-// replica, and directory mutations pass leaderOnly on their way in.
+// member answers reads (resolves, traces, stats, …) from its own replica,
+// and directory mutations and store heartbeats pass leaderOnly on their
+// way in.
 func (n *Node) Handle(c *wire.ServerConn, m *wire.Message) { n.mux.ServeWire(c, m) }
 
 // newMux builds that dispatch around the embedded server.
@@ -221,7 +222,9 @@ func (n *Node) newMux(inner *core.Server) *wire.Mux {
 	wire.Route(x, wire.TypeReplAppend, withoutCtx(n.HandleAppend))
 	wire.Route(x, wire.TypeReplVote, withoutCtx(n.HandleVote))
 	wire.Route(x, wire.TypeReplSnapshot, withoutCtx(n.HandleSnapshotChunk))
-	for _, typ := range []string{wire.TypeRegister, wire.TypeUnregister, wire.TypePutRule, wire.TypeDeleteRule} {
+	// A heartbeat is leader-only too: the leader is the one lease
+	// authority, and its verdict reaches the followers with every append.
+	for _, typ := range []string{wire.TypeRegister, wire.TypeUnregister, wire.TypePutRule, wire.TypeDeleteRule, wire.TypeHeartbeat} {
 		inner.Mux.Wrap(typ, n.leaderOnly)
 	}
 	return x
@@ -278,6 +281,7 @@ func (n *Node) HandleAppend(req *AppendRequest) (*AppendResponse, error) {
 	n.resetElectionLocked()
 	term := n.term
 	n.mu.Unlock()
+	n.mdm.FollowLeases(req.Quarantined)
 
 	n.applyMu.Lock()
 	defer n.applyMu.Unlock()

@@ -19,13 +19,16 @@ import "gupster/internal/journal"
 // (PrevIndex, PrevTerm) pair is the log-matching check: the follower
 // accepts only if its own record at PrevIndex carries PrevTerm,
 // otherwise it reports where its log actually ends so the leader can
-// rewind.
+// rewind. Quarantined is the leader's store-lease verdict, normally
+// empty: the follower plans by it instead of its own clocks, since store
+// heartbeats reach only the leader.
 type AppendRequest struct {
-	Term       uint64           `json:"term"`
-	LeaderID   string           `json:"leader_id"`
-	PrevIndex  uint64           `json:"prev_index"`
-	PrevTerm   uint64           `json:"prev_term"`
-	Entries    []journal.Record `json:"entries,omitempty"`
+	Term        uint64           `json:"term"`
+	LeaderID    string           `json:"leader_id"`
+	PrevIndex   uint64           `json:"prev_index"`
+	PrevTerm    uint64           `json:"prev_term"`
+	Entries     []journal.Record `json:"entries,omitempty"`
+	Quarantined []string         `json:"quarantined,omitempty"`
 }
 
 // AppendResponse acknowledges an AppendRequest. Ok false with a higher

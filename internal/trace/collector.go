@@ -67,7 +67,7 @@ type Collector struct {
 }
 
 // NewCollector builds a collector for a process role ("client", "mdm",
-// "store", "mirror"). capSpans <= 0 means DefaultSpanCap; slow == 0 means
+// "store"). capSpans <= 0 means DefaultSpanCap; slow == 0 means
 // DefaultSlowThreshold, slow < 0 disables the slow log.
 func NewCollector(site string, capSpans int, slow time.Duration) *Collector {
 	if capSpans <= 0 {

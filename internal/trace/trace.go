@@ -3,10 +3,10 @@
 // span context that rides the wire frame header (see wire.Message.Trace),
 // is propagated in-process via context.Context, and is recorded by a
 // lock-cheap bounded Collector in every participating process (client,
-// MDM, data store, mirror).
+// MDM, data store).
 //
 // The paper's MDM is a Napster-style broker whose every resolve may hop
-// client → MDM → store → mirror (§5.2 referral/chaining/recruiting);
+// client → MDM → store → sibling store (§5.2 referral/chaining/recruiting);
 // aggregate counters cannot say which hop burned a latency budget. Spans
 // can: each hop's work is one Span, children link to parents across
 // process boundaries, and completed spans piggyback on response frames so
@@ -47,7 +47,7 @@ type Span struct {
 	// 2 at a store reached through the MDM, and so on.
 	Hop int `json:"hop"`
 	// Site names the process role that recorded the span: "client",
-	// "mdm", "store", "mirror".
+	// "mdm", "store".
 	Site string `json:"site,omitempty"`
 	// Name identifies the operation, e.g. "client.get", "mdm.resolve",
 	// "store.fetch". Per-hop latency percentiles aggregate by Name.

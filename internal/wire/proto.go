@@ -76,8 +76,8 @@ const (
 	// TypeWrongShard is a reply type from a sharded directory: the node
 	// refused an owner-scoped request because the owner's keyspace slice
 	// belongs to another shard. The payload carries the owning shard's
-	// address (and, when known, the replier's full shard map) so clients,
-	// stores and mirrors re-home transparently instead of failing. Like
+	// address (and, when known, the replier's full shard map) so clients
+	// and stores re-home transparently instead of failing. Like
 	// TypeOverloaded and TypeNotLeader, the reply also sets Error.
 	TypeWrongShard = "wrong-shard"
 	// Shard administration: fetch a node's current shard map, install a
@@ -99,7 +99,9 @@ const (
 
 // ShardInfo locates one shard of a partitioned directory: a stable shard
 // ID, the address clients dial, and (when the shard is itself a quorum
-// constellation) the full member set for mirror-style failover clients.
+// constellation) the full member set, which directory handles fail over
+// through and gossip probes in turn (any member answering keeps the shard
+// alive).
 type ShardInfo struct {
 	ID      string   `json:"id"`
 	Addr    string   `json:"addr"`

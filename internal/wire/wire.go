@@ -82,8 +82,8 @@ func BudgetContext(parent context.Context, m *Message) (context.Context, context
 }
 
 // ForwardTimeout bounds work a node does on another node's behalf — a
-// relayed frame, a mirrored mutation, the write of a reply — when the
-// inbound frame carries no budget of its own.
+// relayed frame, the write of a reply — when the inbound frame carries no
+// budget of its own.
 const ForwardTimeout = 5 * time.Second
 
 // ForwardContext is BudgetContext for a hop that calls onward and must not
