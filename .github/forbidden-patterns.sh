@@ -94,4 +94,14 @@ row "One way to replicate" §21 \
 	"best-effort mirroring: replicate with a quorum constellation (dirnode.Config.Replication, gupsterd -peers)" \
 	'\bfederation\.Mirror\b|\bNewMirror\b|\bKeepPeer\b|\bMirrorPeers\b|peer-hello|flag\.\w+\((&\w+, )?"peer"' "$go ."
 
+# The in-process directory is one shape, S shards × R members, built by
+# scenario.Build; the component benchmarks build their constellations
+# through it, not beside it.
+row "One in-process rig" §10 \
+	"a second rig builder: build the topology with scenario.Build (RigSpec shards × replicas)" \
+	'newSplitRig|func \(r \*Rig\) (replicated|sharded)\(' "$go ."
+row "One in-process rig" §10 \
+	"a hand-built constellation in bench_test.go: build it with scenario.Build" \
+	'dirnode\.Start\(|net\.Listen\(' "bench_test.go"
+
 exit $failed

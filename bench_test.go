@@ -17,17 +17,14 @@ package gupster_test
 import (
 	"context"
 	"fmt"
-	"net"
 	"os"
 	"path/filepath"
-	"slices"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"gupster/internal/core"
 	"gupster/internal/coverage"
-	"gupster/internal/dirnode"
 	"gupster/internal/faultinject"
 	"gupster/internal/federation"
 	"gupster/internal/hlr"
@@ -36,7 +33,7 @@ import (
 	"gupster/internal/policy"
 	"gupster/internal/presence"
 	"gupster/internal/reachme"
-	"gupster/internal/replication"
+	"gupster/internal/scenario"
 	"gupster/internal/schema"
 	"gupster/internal/store"
 	"gupster/internal/syncml"
@@ -49,72 +46,35 @@ import (
 
 var benchKey = []byte("bench-shared-key")
 
-// splitRig builds an MDM plus k stores each holding 1/k of one user's
-// address book (total size ≥ sizeBytes), registered as partial covers (or
-// one full cover when k == 1).
-type splitRig struct {
-	mdm    *core.MDM
-	mdmSrv *core.Server
-	stores []*store.Server
-	client *core.Client
-}
-
-func newSplitRig(b *testing.B, k, sizeBytes, cacheEntries int) *splitRig {
+// buildRig builds a benchmark's topology through the scenario rig — the
+// one in-process constellation builder — and tears it down after.
+func buildRig(b *testing.B, spec scenario.RigSpec) *scenario.Rig {
 	b.Helper()
-	signer := token.NewSigner(benchKey)
-	mdm := core.New(core.Config{
-		Schema: schema.GUP(), Signer: signer,
-		GrantTTL: time.Minute, CacheEntries: cacheEntries,
-	})
-	srv := core.NewServer(mdm)
-	if err := srv.Start("127.0.0.1:0"); err != nil {
-		b.Fatal(err)
-	}
-	r := &splitRig{mdm: mdm, mdmSrv: srv}
-
-	book := workload.AddressBookOfSize(sizeBytes, workload.Rand(1))
-	items := book.ChildrenNamed("item")
-	pieces := make([]*xmltree.Node, k)
-	for i := range pieces {
-		pieces[i] = xmltree.New("address-book")
-	}
-	for i, item := range items {
-		it := item.Clone()
-		it.SetAttr("type", fmt.Sprintf("t%d", i%k))
-		pieces[i%k].Add(it)
-	}
-	for i := 0; i < k; i++ {
-		eng := store.NewEngine(fmt.Sprintf("store-%d", i))
-		ssrv := store.NewServer(eng, signer)
-		if err := ssrv.Start("127.0.0.1:0"); err != nil {
-			b.Fatal(err)
-		}
-		r.stores = append(r.stores, ssrv)
-		if _, err := eng.Put("u", xpath.MustParse("/user[@id='u']/address-book"), pieces[i]); err != nil {
-			b.Fatal(err)
-		}
-		reg := "/user[@id='u']/address-book"
-		if k > 1 {
-			reg = fmt.Sprintf("/user[@id='u']/address-book/item[@type='t%d']", i)
-		}
-		if err := mdm.Register(coverage.StoreID(eng.ID()), ssrv.Addr(), xpath.MustParse(reg)); err != nil {
-			b.Fatal(err)
-		}
-	}
-	cli, err := core.DialMDM(srv.Addr(), "u", "self")
+	rig, err := scenario.Build(spec, 1, 0)
 	if err != nil {
 		b.Fatal(err)
 	}
-	r.client = cli
-	b.Cleanup(func() {
-		cli.Close()
-		mdm.Close()
-		srv.Close()
-		for _, s := range r.stores {
-			s.Close()
-		}
-	})
-	return r
+	b.Cleanup(rig.Close)
+	return rig
+}
+
+// splitRig is E16's split topology: one user "u" whose address book of
+// sizeBytes is spread across k stores by item type, each piece registered
+// as a partial cover; and a client of it acting as u.
+func splitRig(b *testing.B, k, sizeBytes int) (*scenario.Rig, *core.Client) {
+	rig := buildRig(b, scenario.RigSpec{Name: "split", Layout: scenario.LayoutSplit, Stores: k, SizeBytes: sizeBytes})
+	return rig, dialRig(b, rig, "u")
+}
+
+// dialRig connects a client of the rig's directory as identity.
+func dialRig(b *testing.B, rig *scenario.Rig, identity string) *core.Client {
+	b.Helper()
+	cli, err := core.DialMDM(rig.MDMAddr, identity, "self")
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Cleanup(func() { cli.Close() })
+	return cli
 }
 
 // BenchmarkE1QueryPatterns — referral vs chaining vs recruiting across
@@ -130,24 +90,24 @@ func BenchmarkE1QueryPatterns(b *testing.B) {
 			} {
 				name := fmt.Sprintf("pattern=%s/stores=%d/size=%dKiB", pattern, k, size>>10)
 				b.Run(name, func(b *testing.B) {
-					rig := newSplitRig(b, k, size, 0)
+					rig, cli := splitRig(b, k, size)
 					ctx := context.Background()
 					path := "/user[@id='u']/address-book"
-					before := rig.mdm.Stats.BytesProxied.Load()
+					before := rig.MDM.Stats.BytesProxied.Load()
 					b.ResetTimer()
 					for i := 0; i < b.N; i++ {
 						var err error
 						if pattern == wire.PatternReferral {
-							_, err = rig.client.Get(ctx, path)
+							_, err = cli.Get(ctx, path)
 						} else {
-							_, err = rig.client.GetVia(ctx, path, pattern)
+							_, err = cli.GetVia(ctx, path, pattern)
 						}
 						if err != nil {
 							b.Fatal(err)
 						}
 					}
 					b.StopTimer()
-					proxied := rig.mdm.Stats.BytesProxied.Load() - before
+					proxied := rig.MDM.Stats.BytesProxied.Load() - before
 					b.ReportMetric(float64(proxied)/float64(b.N), "mdmB/op")
 				})
 			}
@@ -158,20 +118,19 @@ func BenchmarkE1QueryPatterns(b *testing.B) {
 // BenchmarkE2MDMOverhead — direct store access vs MDM-mediated referral
 // (§5.3: "expect very little overhead because of GUPster"). The referral
 // adds one resolve round trip and the shield decision; data still flows
-// store→client.
+// store→client. Both sides fetch the same piece: the direct one signs
+// store-0's registered cover, the one a referral for the book names.
 func BenchmarkE2MDMOverhead(b *testing.B) {
-	rig := newSplitRig(b, 1, 4<<10, 0)
+	rig, cli := splitRig(b, 1, 4<<10)
 	ctx := context.Background()
-	path := xpath.MustParse("/user[@id='u']/address-book")
-	signer := token.NewSigner(benchKey)
 
 	b.Run("direct", func(b *testing.B) {
-		sc, err := store.DialClient(rig.stores[0].Addr())
+		sc, err := store.DialClient(rig.Stores[0].Addr)
 		if err != nil {
 			b.Fatal(err)
 		}
 		defer sc.Close()
-		q := signer.Sign("store-0", "u", path, token.VerbFetch, "u", time.Hour)
+		q := rig.Signer.Sign("store-0", "u", xpath.MustParse(rig.Paths[0]), token.VerbFetch, "u", time.Hour)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			if _, _, err := sc.Fetch(ctx, q); err != nil {
@@ -181,7 +140,7 @@ func BenchmarkE2MDMOverhead(b *testing.B) {
 	})
 	b.Run("via-mdm-referral", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := rig.client.Get(ctx, "/user[@id='u']/address-book"); err != nil {
+			if _, err := cli.Get(ctx, "/user[@id='u']/address-book"); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -189,7 +148,7 @@ func BenchmarkE2MDMOverhead(b *testing.B) {
 	b.Run("via-mdm-referral-parallel8", func(b *testing.B) {
 		b.SetParallelism(8)
 		b.RunParallel(func(pb *testing.PB) {
-			cli, err := core.DialMDM(rig.mdmSrv.Addr(), "u", "self")
+			cli, err := core.DialMDM(rig.MDMAddr, "u", "self")
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -276,42 +235,11 @@ func BenchmarkE3AccessControlPlacement(b *testing.B) {
 // cache hit ratio.
 func BenchmarkE4Caching(b *testing.B) {
 	const users = 64
-	build := func(b *testing.B, cacheEntries int) (*core.MDM, *core.Client) {
-		signer := token.NewSigner(benchKey)
-		mdm := core.New(core.Config{
-			Schema: schema.GUP(), Signer: signer,
-			GrantTTL: time.Minute, CacheEntries: cacheEntries,
-		})
-		srv := core.NewServer(mdm)
-		if err := srv.Start("127.0.0.1:0"); err != nil {
-			b.Fatal(err)
-		}
-		eng := store.NewEngine("s1")
-		ssrv := store.NewServer(eng, signer)
-		if err := ssrv.Start("127.0.0.1:0"); err != nil {
-			b.Fatal(err)
-		}
-		rng := workload.Rand(2)
-		for i := 0; i < users; i++ {
-			u := workload.UserID(i)
-			p := xpath.MustParse(fmt.Sprintf("/user[@id='%s']/address-book", u))
-			if _, err := eng.Put(u, p, workload.AddressBook(20, rng)); err != nil {
-				b.Fatal(err)
-			}
-		}
-		if err := mdm.Register("s1", ssrv.Addr(), xpath.MustParse("/user/address-book")); err != nil {
-			b.Fatal(err)
-		}
-		cli, err := core.DialMDM(srv.Addr(), "self", "self")
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.Cleanup(func() { cli.Close(); mdm.Close(); srv.Close(); ssrv.Close() })
-		return mdm, cli
-	}
 	for _, cacheEntries := range []int{0, 8, 32, 64} {
 		b.Run(fmt.Sprintf("cache=%d", cacheEntries), func(b *testing.B) {
-			mdm, cli := build(b, cacheEntries)
+			rig := buildRig(b, scenario.RigSpec{Name: "e4", Layout: scenario.LayoutSharded,
+				Stores: 1, Users: users, SizeBytes: 2 << 10, CacheEntries: cacheEntries})
+			cli := dialRig(b, rig, "self")
 			pop := workload.NewPopulation(users, 1.2, 3)
 			ctx := context.Background()
 			b.ResetTimer()
@@ -323,7 +251,7 @@ func BenchmarkE4Caching(b *testing.B) {
 				}
 			}
 			b.StopTimer()
-			hits, misses := mdm.Stats.CacheHits.Load(), mdm.Stats.CacheMisses.Load()
+			hits, misses := rig.MDM.Stats.CacheHits.Load(), rig.MDM.Stats.CacheMisses.Load()
 			if hits+misses > 0 {
 				b.ReportMetric(100*float64(hits)/float64(hits+misses), "hit%")
 			}
@@ -569,6 +497,7 @@ func BenchmarkE8PushVsPull(b *testing.B) {
 // user-level distributed (white pages + per-user MDM), and hierarchical
 // (delegation chains), measured on resolve latency.
 func BenchmarkE9MDMVariants(b *testing.B) {
+	// Hand-built: a federation of separate MDMs, not one directory a rig builds.
 	signer := token.NewSigner(benchKey)
 	mkMDM := func(b *testing.B) (*core.MDM, *core.Server) {
 		m := core.New(core.Config{Schema: schema.GUP(), Signer: signer, GrantTTL: time.Minute})
@@ -773,10 +702,10 @@ func BenchmarkE12Filtering(b *testing.B) {
 		}
 	})
 	// End-to-end: rejection happens before any store work.
-	rig := newSplitRig(b, 1, 1<<10, 0)
+	_, cli := splitRig(b, 1, 1<<10)
 	b.Run("end-to-end-spurious", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := rig.client.Get(context.Background(), "/user[@id='u']/shoe-size"); err == nil {
+			if _, err := cli.Get(context.Background(), "/user[@id='u']/shoe-size"); err == nil {
 				b.Fatal("accepted")
 			}
 		}
@@ -807,60 +736,19 @@ func hlrWith(b *testing.B, n int) *hlr.HLR {
 func presenceStatus(s string) presence.Status { return presence.Status(s) }
 
 // BenchmarkE13Constellation — the §4.2/§5.3 "family of mirrored servers"
-// as the quorum constellation dirnode.Start assembles (n = 1 is a plain
-// durable node): the mutation path's quorum cost vs constellation size,
-// measured at the leader, and the read path, answered by a follower from
-// its own replica. Journals run NoSync, as the scenario rig's replicated
-// rigs do, so the rows compare replication, not the disk; the election
-// TTL is gupsterd's default, so a saturated runner does not depose the
-// leader mid-row.
+// as the scenario rig's quorum constellation (n = 1 is the plain rig node,
+// which keeps no journal): the mutation path's quorum cost vs
+// constellation size, measured at the leader, and the read path, answered
+// by a follower from its own replica. Journals run NoSync, so the rows
+// compare replication, not the disk; the election TTL is gupsterd's
+// default, so a saturated runner does not depose the leader mid-row.
 func BenchmarkE13Constellation(b *testing.B) {
-	signer := token.NewSigner(benchKey)
 	for _, n := range []int{1, 3, 5} {
-		lns := make([]net.Listener, n)
-		addrs := make([]string, n)
-		for i := range lns {
-			ln, err := net.Listen("tcp", "127.0.0.1:0")
-			if err != nil {
-				b.Fatal(err)
-			}
-			lns[i], addrs[i] = ln, ln.Addr().String()
-		}
-		nodes := make([]*dirnode.Node, n)
-		for i := range nodes {
-			cfg := dirnode.Config{
-				MDM:     core.Config{Schema: schema.GUP(), Signer: signer, GrantTTL: time.Minute},
-				DataDir: b.TempDir(), Journal: journal.Options{NoSync: true},
-				Listener: lns[i],
-			}
-			if n > 1 {
-				cfg.Replication = &replication.Config{TTL: 2 * time.Second,
-					Peers: slices.Delete(slices.Clone(addrs), i, i+1)}
-			}
-			node, err := dirnode.Start(cfg)
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.Cleanup(node.Close)
-			nodes[i] = node
-		}
-		leader, follower := 0, 0
-		if n > 1 {
-			leader = -1
-			for deadline := time.Now().Add(10 * time.Second); leader < 0; time.Sleep(5 * time.Millisecond) {
-				if time.Now().After(deadline) {
-					b.Fatal("no leader elected")
-				}
-				for i, node := range nodes {
-					if node.Repl.Status().Role == "leader" {
-						leader = i
-					}
-				}
-			}
-			follower = (leader + 1) % n
-		}
+		rig := buildRig(b, scenario.RigSpec{Name: "e13", Replicas: n, ElectionTTL: 2 * time.Second})
+		leader := max(rig.Leader(0), 0)
+		follower := (leader + 1) % n
 		dial := func(i int) *wire.Client {
-			c, err := wire.DialContext(context.Background(), addrs[i])
+			c, err := wire.DialContext(context.Background(), rig.Nodes[i].Addr)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -879,7 +767,7 @@ func BenchmarkE13Constellation(b *testing.B) {
 		if err := register(seed); err != nil {
 			b.Fatal(err)
 		}
-		for deadline := time.Now().Add(10 * time.Second); nodes[follower].MDM.Registry.StoreCount("s1") == 0; time.Sleep(5 * time.Millisecond) {
+		for deadline := time.Now().Add(10 * time.Second); rig.Nodes[follower].Node.MDM.Registry.StoreCount("s1") == 0; time.Sleep(5 * time.Millisecond) {
 			if time.Now().After(deadline) {
 				b.Fatal("the follower never received the registration")
 			}
@@ -911,18 +799,18 @@ func BenchmarkE13Constellation(b *testing.B) {
 // BenchmarkE14ClosestReplica — closest-replica routing among redundant
 // stores (§5.3): a far replica behind a delaying proxy sorts first, so the
 // naive order pays its delay on every fetch; latency-aware ordering learns
-// to prefer the near one.
+// to prefer the near one. Both hold the whole book; the fetched path is
+// store-0's registered cover, so the two are alternatives for it.
 func BenchmarkE14ClosestReplica(b *testing.B) {
-	build := func(b *testing.B, farDelay time.Duration, disableRouting bool) *core.Client {
-		rig := newSplitRig(b, 1, 2<<10, 0)
-		signer := token.NewSigner(benchKey)
+	build := func(b *testing.B, farDelay time.Duration, disableRouting bool) (*core.Client, string) {
+		rig, cli := splitRig(b, 1, 2<<10)
 		farEng := store.NewEngine("a-far-replica")
-		farSrv := store.NewServer(farEng, signer)
+		farSrv := store.NewServer(farEng, rig.Signer)
 		if err := farSrv.Start("127.0.0.1:0"); err != nil {
 			b.Fatal(err)
 		}
 		b.Cleanup(func() { farSrv.Close() })
-		comp, _, err := rig.stores[0].Engine.GetComponent("u", xpath.MustParse("/user[@id='u']/address-book"))
+		comp, _, err := rig.Stores[0].Engine.GetComponent("u", xpath.MustParse("/user[@id='u']/address-book"))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -935,17 +823,11 @@ func BenchmarkE14ClosestReplica(b *testing.B) {
 		}
 		b.Cleanup(func() { proxy.Close() })
 		proxy.SetLatency(farDelay, 0)
-		if err := rig.mdm.Register("a-far-replica", proxy.Addr(),
-			xpath.MustParse("/user[@id='u']/address-book")); err != nil {
+		if err := rig.MDM.Register("a-far-replica", proxy.Addr(), xpath.MustParse(rig.Paths[0])); err != nil {
 			b.Fatal(err)
 		}
-		cli, err := core.DialMDM(rig.mdmSrv.Addr(), "u", "self")
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.Cleanup(func() { cli.Close() })
 		cli.DisableLatencyRouting = disableRouting
-		return cli
+		return cli, rig.Paths[0]
 	}
 	for _, farDelay := range []time.Duration{10 * time.Millisecond, 50 * time.Millisecond} {
 		for _, disabled := range []bool{true, false} {
@@ -954,10 +836,10 @@ func BenchmarkE14ClosestReplica(b *testing.B) {
 				name = "naive-order"
 			}
 			b.Run(fmt.Sprintf("far=%s/%s", farDelay, name), func(b *testing.B) {
-				cli := build(b, farDelay, disabled)
+				cli, path := build(b, farDelay, disabled)
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					if _, err := cli.Get(context.Background(), "/user[@id='u']/address-book"); err != nil {
+					if _, err := cli.Get(context.Background(), path); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -978,6 +860,7 @@ func BenchmarkE14ClosestReplica(b *testing.B) {
 // a silent store leaves plans within lease TTL + grace — is pinned by
 // TestLeaseQuarantineDegradesAndRecovers and the kill -9 e2e.)
 func BenchmarkE18Recovery(b *testing.B) {
+	// Hand-built: it restarts a bare core.Server on a crashed journal, mid-run.
 	signer := token.NewSigner(benchKey)
 	mkMDM := func() *core.MDM {
 		return core.New(core.Config{Schema: schema.GUP(), Signer: signer, GrantTTL: time.Minute})

@@ -51,13 +51,14 @@ type Client struct {
 	// subscription — path and handler, keyed by a stable client-side
 	// handle — and re-establishes them on reconnect or tombstone through
 	// the directory handle. Callers see the stable handle in every
-	// notification, never the server's per-incarnation ID.
+	// notification, never the server's per-incarnation ID. Notifications
+	// ride dedicated sockets, one per directory address the records are
+	// served at, so owners homed on different shards each keep theirs; a
+	// socket lives while a record rides it.
 	subMu       sync.Mutex
 	subRecs     map[uint64]*subRecord // stable handle → record
-	subByServer map[uint64]uint64     // current server sub ID → stable handle
+	subByServer map[subKey]uint64     // current server-side subscription → stable handle
 	subNextID   uint64
-	subConn     *wire.Client // dedicated notification connection
-	subRehoming bool         // one re-home loop at a time
 	subClosed   bool
 
 	// DisableLatencyRouting turns off closest-replica ordering of
@@ -143,7 +144,7 @@ func DialMDM(addr, identity, role string) (*Client, error) {
 		Role:        role,
 		Keys:        xmltree.DefaultKeys,
 		subRecs:     make(map[uint64]*subRecord),
-		subByServer: make(map[uint64]uint64),
+		subByServer: make(map[subKey]uint64),
 		lat:         make(map[string]time.Duration),
 		Resilience:  resilience.NewGroup(resilience.Policy{}, resilience.BreakerConfig{}, nil),
 		flights:     flight.NewGroup(pipe),
@@ -292,9 +293,10 @@ func (c *Client) Close() error {
 	c.pool.Close()
 	c.subMu.Lock()
 	c.subClosed = true
-	if c.subConn != nil {
-		c.subConn.Close()
-		c.subConn = nil
+	for _, rec := range c.subRecs {
+		if rec.conn != nil {
+			rec.conn.Close()
+		}
 	}
 	c.subMu.Unlock()
 	c.traces.Close()
@@ -635,13 +637,23 @@ func extractForReferral(frag *xmltree.Node, ref wire.Referral, keys xmltree.KeyS
 
 // subRecord is the client's durable record of one push subscription: what
 // was subscribed and where notifications go. id is the stable handle the
-// caller holds; serverID is the serving node's ID for the current
-// incarnation and changes on every re-subscribe.
+// caller holds. addr, conn and serverID name the current server-side
+// subscription — the directory address serving it, the notification socket
+// it rides and the node's ID for it — and change on every re-subscribe.
 type subRecord struct {
 	id       uint64
 	path     string
 	handler  func(wire.Notification)
+	addr     string
+	conn     *wire.Client
 	serverID uint64
+}
+
+// subKey names a server-side subscription: IDs are per node, so two
+// notification sockets can carry the same one.
+type subKey struct {
+	conn *wire.Client
+	id   uint64
 }
 
 // SetReconnectAddrs supplies extra directory addresses (constellation
@@ -662,65 +674,122 @@ func (c *Client) Subscribe(ctx context.Context, path string, handler func(wire.N
 	c.subMu.Lock()
 	c.subNextID++
 	rec := &subRecord{id: c.subNextID, path: path, handler: handler}
-	c.subMu.Unlock()
-	if err := c.subscribeRec(ctx, rec); err != nil {
-		return 0, err
-	}
-	c.subMu.Lock()
 	c.subRecs[rec.id] = rec
 	c.subMu.Unlock()
+	if err := c.subscribeRec(ctx, rec); err != nil {
+		c.subMu.Lock()
+		delete(c.subRecs, rec.id)
+		c.subMu.Unlock()
+		return 0, err
+	}
 	return rec.id, nil
 }
 
-// Unsubscribe cancels a subscription.
+// Unsubscribe cancels a subscription, and closes its socket if no other
+// subscription rides it.
 func (c *Client) Unsubscribe(ctx context.Context, subID uint64) error {
 	c.subMu.Lock()
 	rec, ok := c.subRecs[subID]
 	var conn *wire.Client
+	var serverID uint64
 	if ok {
 		delete(c.subRecs, subID)
-		delete(c.subByServer, rec.serverID)
-		conn = c.subConn
+		conn, serverID = rec.conn, rec.serverID
+		delete(c.subByServer, subKey{conn, serverID})
 	}
 	c.subMu.Unlock()
 	if !ok || conn == nil {
 		return nil
 	}
-	return conn.Call(ctx, wire.TypeUnsubscribe, &wire.UnsubscribeRequest{SubID: rec.serverID}, nil)
+	err := conn.Call(ctx, wire.TypeUnsubscribe, &wire.UnsubscribeRequest{SubID: serverID}, nil)
+	c.subMu.Lock()
+	c.releaseLocked(conn)
+	c.subMu.Unlock()
+	return err
 }
 
-// subscribeRec issues rec's subscribe on the notification connection.
-// Notifications ride a connection of their own so a re-home never
-// disturbs the request connections, and vice versa. When there is no
-// such connection yet, or the one there is refuses (it died, or its node
-// redirects the owner elsewhere), the directory handle opens a fresh
-// socket wherever the owner is served now and that becomes the
-// notification connection. On success rec.serverID holds the new
-// server-side ID and the stream is routed to rec.
+// subscribeRec issues rec's subscribe on the notification socket of the
+// owner's directory address. Notifications ride sockets of their own so a
+// re-home never disturbs the request connections, and vice versa. When no
+// record rides a socket there yet, or the one there refuses (it died, or
+// its node redirects the owner elsewhere), the directory handle opens a
+// fresh socket wherever the owner is served now. On success rec names the
+// new server-side subscription and the stream is routed to it.
 func (c *Client) subscribeRec(ctx context.Context, rec *subRecord) error {
+	owner := c.ownerOf(rec.path)
 	req := &wire.SubscribeRequest{Path: rec.path, Context: c.contextFor(policy.PurposeSubscribe)}
-	var resp wire.SubscribeResponse
-	c.subMu.Lock()
-	conn := c.subConn
-	c.subMu.Unlock()
-	if conn == nil || conn.Call(ctx, wire.TypeSubscribe, req, &resp) != nil {
-		fresh, err := c.dir.Dedicated(ctx, c.ownerOf(rec.path), wire.TypeSubscribe, req, &resp)
-		if err != nil {
-			return err
+	for {
+		var resp wire.SubscribeResponse
+		addr := c.dir.AddrFor(owner)
+		conn := c.subConnAt(addr)
+		if conn == nil || conn.Call(ctx, wire.TypeSubscribe, req, &resp) != nil {
+			fresh, at, err := c.dir.Dedicated(ctx, owner, wire.TypeSubscribe, req, &resp)
+			if err != nil {
+				return err
+			}
+			c.hookSubConn(fresh)
+			conn, addr = fresh, at
 		}
-		c.adoptSubConn(fresh)
+		if c.moveSub(rec, addr, conn, resp.SubID) {
+			return nil
+		}
+		// The socket was released under us, and the subscription with it.
 	}
+}
+
+// subConnAt returns the live notification socket some record rides at
+// addr, or nil.
+func (c *Client) subConnAt(addr string) *wire.Client {
 	c.subMu.Lock()
-	delete(c.subByServer, rec.serverID)
-	rec.serverID = resp.SubID
-	c.subByServer[rec.serverID] = rec.id
-	c.subMu.Unlock()
+	defer c.subMu.Unlock()
+	for _, rec := range c.subRecs {
+		if rec.addr == addr && rec.conn != nil && rec.conn.Alive() {
+			return rec.conn
+		}
+	}
 	return nil
 }
 
-// adoptSubConn installs conn as the notification connection, wiring the
-// dispatch and disconnect hooks, and closes the one it replaces.
-func (c *Client) adoptSubConn(conn *wire.Client) {
+// moveSub points rec at its new server-side subscription and releases the
+// socket it leaves. It reports false when conn died before rec could ride
+// it, so the caller subscribes again. A record cancelled meanwhile (or a
+// closed client) keeps nothing.
+func (c *Client) moveSub(rec *subRecord, addr string, conn *wire.Client, serverID uint64) bool {
+	c.subMu.Lock()
+	defer c.subMu.Unlock()
+	if c.subClosed || c.subRecs[rec.id] != rec {
+		c.releaseLocked(conn)
+		return true
+	}
+	if !conn.Alive() {
+		return false
+	}
+	old := rec.conn
+	delete(c.subByServer, subKey{old, rec.serverID})
+	rec.addr, rec.conn, rec.serverID = addr, conn, serverID
+	c.subByServer[subKey{conn, serverID}] = rec.id
+	if old != conn {
+		c.releaseLocked(old)
+	}
+	return true
+}
+
+// releaseLocked closes conn once no record rides it.
+func (c *Client) releaseLocked(conn *wire.Client) {
+	if conn == nil {
+		return
+	}
+	for _, rec := range c.subRecs {
+		if rec.conn == conn {
+			return
+		}
+	}
+	conn.Close()
+}
+
+// hookSubConn wires a fresh notification socket's dispatch and disconnect
+// hooks.
+func (c *Client) hookSubConn(conn *wire.Client) {
 	conn.OnNotify(func(msgType string, payload []byte) {
 		if msgType != wire.TypeNotify {
 			return
@@ -729,32 +798,22 @@ func (c *Client) adoptSubConn(conn *wire.Client) {
 		if err := json.Unmarshal(payload, &n); err != nil {
 			return
 		}
-		c.dispatchNotification(n)
+		c.dispatchNotification(conn, n)
 	})
 	conn.OnDisconnect(func(error) { c.rehomeSubs(conn) })
-	c.subMu.Lock()
-	old := c.subConn
-	if c.subClosed {
-		old = conn
-	} else {
-		c.subConn = conn
-	}
-	c.subMu.Unlock()
-	if old != nil {
-		old.Close()
-	}
 }
 
-// dispatchNotification routes a server notification to the caller's
-// handler under the stable handle. A tombstone (the serving node reset its
-// directory or handed the owner to another shard) triggers a background
-// re-subscribe instead of reaching the handler.
-func (c *Client) dispatchNotification(n wire.Notification) {
+// dispatchNotification routes a server notification arriving on conn to
+// the caller's handler under the stable handle. A tombstone (the serving
+// node reset its directory or handed the owner to another shard) triggers
+// a background re-subscribe instead of reaching the handler.
+func (c *Client) dispatchNotification(conn *wire.Client, n wire.Notification) {
+	key := subKey{conn, n.SubID}
 	c.subMu.Lock()
-	id, ok := c.subByServer[n.SubID]
+	id, ok := c.subByServer[key]
 	rec := c.subRecs[id]
 	if ok && n.Canceled {
-		delete(c.subByServer, n.SubID)
+		delete(c.subByServer, key)
 	}
 	c.subMu.Unlock()
 	if !ok || rec == nil {
@@ -775,36 +834,24 @@ func (c *Client) dispatchNotification(n wire.Notification) {
 	rec.handler(n)
 }
 
-// rehomeSubs runs when the notification connection dies with live
-// subscriptions outstanding: it re-subscribes every record wherever the
-// directory handle now finds their owners. Without it a leader failover
-// silently orphans every push subscription: the client keeps a dead handle
-// and the next change is never delivered.
+// rehomeSubs runs when a notification socket dies: it re-subscribes the
+// records that rode it wherever the directory handle now finds their
+// owners, and leaves every other socket's records alone. Without it a
+// leader failover silently orphans every push subscription: the client
+// keeps a dead handle and the next change is never delivered.
 func (c *Client) rehomeSubs(dead *wire.Client) {
-	c.subMu.Lock()
-	if c.subClosed || c.subConn != dead || len(c.subRecs) == 0 || c.subRehoming {
-		c.subMu.Unlock()
-		return
-	}
-	c.subRehoming = true
-	c.subConn = nil
-	c.subMu.Unlock()
-	defer func() {
-		c.subMu.Lock()
-		c.subRehoming = false
-		c.subMu.Unlock()
-	}()
-
 	deadline := time.Now().Add(10 * time.Second)
-	for time.Now().Before(deadline) {
+	for {
 		c.subMu.Lock()
-		closed := c.subClosed
-		recs := make([]*subRecord, 0, len(c.subRecs))
+		var recs []*subRecord
 		for _, rec := range c.subRecs {
-			recs = append(recs, rec)
+			if rec.conn == dead {
+				recs = append(recs, rec)
+			}
 		}
+		closed := c.subClosed
 		c.subMu.Unlock()
-		if closed || c.resubscribeAll(recs) {
+		if closed || len(recs) == 0 || c.resubscribeAll(recs) || time.Now().After(deadline) {
 			return
 		}
 		time.Sleep(100 * time.Millisecond)

@@ -629,3 +629,55 @@ func TestGossipProbesEveryMemberOfAReplicatedShard(t *testing.T) {
 		time.Sleep(5 * time.Millisecond)
 	}
 }
+
+// One client subscribing to owners on two shards keeps both subscriptions.
+// Each shard serves its owner's subscription on a socket of its own; when
+// the client kept one notification socket, the second subscribe moved it
+// to shard B and closed shard A's, and A's owner heard nothing again.
+func TestSubscriptionsOnTwoShardsBothDeliver(t *testing.T) {
+	lns := []net.Listener{listen(t), listen(t)}
+	m := wire.ShardMap{Version: 1}
+	for i, ln := range lns {
+		m.Shards = append(m.Shards, wire.ShardInfo{ID: fmt.Sprintf("s%d", i), Addr: ln.Addr().String()})
+	}
+	nodes := make([]*Node, len(lns))
+	for i, ln := range lns {
+		nodes[i] = start(t, Config{MDM: mdmConfig(), Listener: ln, ShardID: m.Shards[i].ID, ShardMap: m})
+	}
+	// owners[i] is homed on shard i.
+	owners := make([]string, len(nodes))
+	rg := nodes[0].Shard.Ring()
+	for i := 0; owners[0] == "" || owners[1] == ""; i++ {
+		o := fmt.Sprintf("owner-%d", i)
+		for k, s := range m.Shards {
+			if rg.Owner(o).ID == s.ID && owners[k] == "" {
+				owners[k] = o
+			}
+		}
+	}
+
+	cli, err := core.DialMDM(m.Shards[0].Addr, owners[0], "self")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cli.Close()
+	got := make([]chan wire.Notification, len(owners))
+	for k, owner := range owners {
+		got[k] = make(chan wire.Notification, 4)
+		cli.Identity = owner
+		path := fmt.Sprintf("/user[@id='%s']/presence", owner)
+		if _, err := cli.Subscribe(context.Background(), path, func(n wire.Notification) { got[k] <- n }); err != nil {
+			t.Fatalf("subscribe %s on shard %d: %v", owner, k, err)
+		}
+	}
+	for k := len(owners) - 1; k >= 0; k-- {
+		owner := owners[k]
+		nodes[k].MDM.HandleChanged(&wire.ChangedNotice{Store: "s1", User: owner,
+			Path: fmt.Sprintf("/user[@id='%s']/presence", owner), XML: `<presence status="on"/>`, Version: 1})
+		select {
+		case <-got[k]:
+		case <-time.After(3 * time.Second):
+			t.Fatalf("change for %s on shard %d never delivered", owner, k)
+		}
+	}
+}

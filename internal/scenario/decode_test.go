@@ -153,6 +153,20 @@ func TestDecodeTwoKillsInOnePhase(t *testing.T) {
 	}
 }
 
+// TestDecodeShardsTimesReplicas: shards and replicas compose — a directory
+// of two shards, each a three-member quorum constellation, is one rig.
+func TestDecodeShardsTimesReplicas(t *testing.T) {
+	in := strings.Replace(openLoop("{at: 100ms, action: kill, target: leader}"),
+		"layout: split\n      stores: 2", "layout: sharded\n      stores: 2\n      users: 4\n      shards: 2\n      replicas: 3", 1)
+	sc, err := Decode([]byte(in))
+	if err != nil {
+		t.Fatalf("shards × replicas rejected: %v", err)
+	}
+	if shards, members := sc.Topology.Rigs[0].shape(); shards != 2 || members != 3 {
+		t.Errorf("rig shape %d×%d, want 2×3", shards, members)
+	}
+}
+
 func TestDecodeMinimal(t *testing.T) {
 	if _, err := Decode([]byte(minimal)); err != nil {
 		t.Fatalf("minimal scenario rejected: %v", err)

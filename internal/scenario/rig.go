@@ -88,15 +88,14 @@ type StoreNode struct {
 	Dead bool
 }
 
-// DirNode is one directory node of a rig — the single MDM, one member of
-// a quorum-replicated constellation, or one shard — as dirnode.Start
-// assembled it, plus what the rig put around it.
+// DirNode is one member of one shard of a rig's directory, as
+// dirnode.Start assembled it, plus what the rig put around it.
 type DirNode struct {
 	// Node is the serving stack: Node.MDM the directory (slice),
-	// Node.Repl the replication layer (replicated rigs), Node.Shard the
-	// routing layer (sharded rigs).
+	// Node.Repl the replication layer (replicated shards), Node.Shard the
+	// routing layer (rigs of two shards or more).
 	Node *dirnode.Node
-	// ID is the shard ID ("" off sharded rigs).
+	// ID is the shard ID ("" on a one-shard rig).
 	ID string
 	// Addr is what clients and peers dial: the proxy when the spec
 	// declares an mdm link or shard-links, else the listener. Partitions
@@ -115,12 +114,12 @@ type DirNode struct {
 // one from a spec; Close tears it down registrars-first so no goroutine
 // outlives it.
 //
-// The directory side is Nodes: one node on a plain rig, Spec.Replicas
-// members of a quorum constellation, or Spec.Shards+Spec.SpareShards
-// shards. MDM aliases one node's directory for in-process counters (the
-// seed-time leader's, or the first shard's) and MDMAddr is where clients
-// bootstrap; workload mutations ride a directory handle so they re-home
-// when leadership or the map moves.
+// The directory side is Nodes: S shards × R members (RigSpec.shape),
+// shard-major, so a plain rig is 1×1, a quorum constellation 1×R and a
+// partitioned directory S×1. MDM aliases shard 0's seed-time head for
+// in-process counters and MDMAddr is where clients bootstrap; workload
+// mutations ride a directory handle so they re-home when leadership or the
+// map moves.
 type Rig struct {
 	Spec   RigSpec
 	Seed   int64
@@ -134,7 +133,7 @@ type Rig struct {
 
 	Nodes []*DirNode
 
-	// shardMap/shardRing track the currently installed map (sharded rigs).
+	// shardMap/shardRing track the currently installed map (S >= 2).
 	shardMu   sync.Mutex
 	shardMap  wire.ShardMap
 	shardRing *ring.Ring
@@ -196,7 +195,7 @@ func (r *Rig) build() error {
 		}
 	}
 
-	if r.replicated() {
+	if _, members := spec.shape(); members >= 2 {
 		if err := r.waitSeedReplicated(20 * r.electionTTL()); err != nil {
 			return err
 		}
@@ -212,52 +211,87 @@ func (r *Rig) build() error {
 	return nil
 }
 
-// waitSeedReplicated waits until every member holds the whole seed. Seeding
-// is acknowledged at quorum, so the member outside it can still be a record
-// behind when the last registration returns — and members answer reads from
-// their own state, so a phase that started now could resolve through that
-// member and be told an owner it was just seeded with has no store.
+// waitSeedReplicated waits until every member of each shard holds that
+// shard's whole seed. Seeding is acknowledged at quorum, so the member
+// outside it can still be a record behind when the last registration
+// returns — and members answer reads from their own state, so a phase that
+// started now could resolve through that member and be told an owner it was
+// just seeded with has no store.
 func (r *Rig) waitSeedReplicated(timeout time.Duration) error {
-	want := r.MDM.Registry.Len()
 	deadline := time.Now().Add(timeout)
-	for _, mem := range r.Nodes {
-		for mem.Node.MDM.Registry.Len() < want {
-			if time.Now().After(deadline) {
-				return fmt.Errorf("replicated rig %s: %s holds %d of %d seeded registrations after %s",
-					r.Spec.Name, mem.Addr, mem.Node.MDM.Registry.Len(), want, timeout)
+	shards, _ := r.Spec.shape()
+	for k := range shards {
+		want := r.head(k).Node.MDM.Registry.Len()
+		for _, mem := range r.members(k) {
+			for mem.Node.MDM.Registry.Len() < want {
+				if time.Now().After(deadline) {
+					return fmt.Errorf("rig %s: %s holds %d of %d seeded registrations after %s",
+						r.Spec.Name, mem.Addr, mem.Node.MDM.Registry.Len(), want, timeout)
+				}
+				time.Sleep(2 * time.Millisecond)
 			}
-			time.Sleep(2 * time.Millisecond)
 		}
 	}
 	return nil
 }
 
-func (r *Rig) replicated() bool { return r.Spec.Replicas >= 2 }
-func (r *Rig) sharded() bool    { return r.Spec.Shards >= 2 }
+// members returns shard k's nodes.
+func (r *Rig) members(k int) []*DirNode {
+	_, n := r.Spec.shape()
+	return r.Nodes[k*n : (k+1)*n]
+}
 
-// buildDirectory assembles the directory side, whatever its kind, in two
-// passes. First every node's listener is bound and, where the spec
-// declares a link, fronted by its fault proxy — constellation members and
-// gossip agents need every peer's dialable address before any of them
-// starts, and addressing peers through the proxies makes a partition sever
+// head is the node of shard k that owner-routed work goes to: its live
+// leader on a replicated shard (any live member mid-election, the first as
+// a last resort), else its one node.
+func (r *Rig) head(k int) *DirNode {
+	if i := r.Leader(k); i >= 0 {
+		return r.Nodes[i]
+	}
+	ms := r.members(k)
+	for _, m := range ms {
+		if !m.Killed.Load() {
+			return m
+		}
+	}
+	return ms[0]
+}
+
+// shardInfo is shard k's map entry: its first member's address and, on a
+// replicated shard, every member's — as dirnode's tests build it.
+func (r *Rig) shardInfo(k int) wire.ShardInfo {
+	ms := r.members(k)
+	info := wire.ShardInfo{ID: ms[0].ID, Addr: ms[0].Addr}
+	if len(ms) >= 2 {
+		for _, m := range ms {
+			info.Members = append(info.Members, m.Addr)
+		}
+	}
+	return info
+}
+
+// buildDirectory assembles the directory side — S shards × R members — in
+// two passes. First every node's listener is bound and, where the spec
+// declares a link, fronted by its fault proxy — replicas and gossip agents
+// need every peer's dialable address before any of them starts, and
+// addressing peers through the proxies makes a partition sever
 // replication, gossip and repair traffic alike. Then dirnode.Start stacks
-// and serves each node. A replicated rig journals to temp directories and
-// waits for its first election; seeding then runs through the leader's
-// directory in-process, which acks only after a quorum holds the record. A
-// sharded rig starts every shard — spares included, so a spare redirects
-// rather than mis-serving — under the version-1 map of the non-spare
-// shards; seeding registers each owner at its home shard, as the ring
-// routes it.
+// and serves each node. The members of a replicated shard peer with each
+// other only and journal to temp directories; each shard then waits for its
+// first election, and seeding runs through the leader's directory
+// in-process, which acks only after a quorum holds the record. With two
+// shards or more every shard starts — spares included, so a spare
+// redirects rather than mis-serving — under the version-1 map of the
+// non-spare shards; seeding registers each owner at its home shard, as the
+// ring routes it.
 func (r *Rig) buildDirectory() error {
 	spec := &r.Spec
-	count, link, linkBase := 1, spec.Links.MDM, 0
-	switch {
-	case r.replicated():
-		count = spec.Replicas
-	case r.sharded():
-		count, link, linkBase = spec.Shards+spec.SpareShards, spec.ShardLinks, 100
+	shards, members := spec.shape()
+	link, linkBase := spec.Links.MDM, 0
+	if shards >= 2 {
+		link, linkBase = spec.ShardLinks, 100
 	}
-	lns := make([]net.Listener, count)
+	lns := make([]net.Listener, shards*members)
 	defer func() {
 		for _, ln := range lns { // whatever no node took ownership of
 			if ln != nil {
@@ -265,7 +299,6 @@ func (r *Rig) buildDirectory() error {
 			}
 		}
 	}()
-	infos := make([]wire.ShardInfo, count)
 	for i := range lns {
 		ln, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
@@ -274,8 +307,8 @@ func (r *Rig) buildDirectory() error {
 		lns[i] = ln
 		node := &DirNode{Addr: ln.Addr().String()}
 		r.Nodes = append(r.Nodes, node)
-		if r.sharded() {
-			node.ID = fmt.Sprintf("shard-%d", i)
+		if shards >= 2 {
+			node.ID = fmt.Sprintf("shard-%d", i/members)
 		}
 		if link != nil {
 			p, err := r.newProxy(node.Addr, link, linkBase+i)
@@ -284,7 +317,10 @@ func (r *Rig) buildDirectory() error {
 			}
 			node.Proxy, node.Addr = p, p.Addr()
 		}
-		infos[i] = wire.ShardInfo{ID: node.ID, Addr: node.Addr}
+	}
+	infos := make([]wire.ShardInfo, shards)
+	for k := range infos {
+		infos[k] = r.shardInfo(k)
 	}
 
 	for i, node := range r.Nodes {
@@ -293,7 +329,7 @@ func (r *Rig) buildDirectory() error {
 			Listener:  lns[i],
 			Advertise: node.Addr,
 		}
-		if r.replicated() {
+		if members >= 2 {
 			dir, err := os.MkdirTemp("", "gupster-scenario-*")
 			if err != nil {
 				return err
@@ -301,13 +337,13 @@ func (r *Rig) buildDirectory() error {
 			node.Dir = dir
 			cfg.DataDir, cfg.Journal = dir, journal.Options{NoSync: true}
 			cfg.Replication = &replication.Config{Quorum: spec.Quorum, TTL: r.electionTTL()}
-			for j, peer := range r.Nodes {
-				if j != i {
+			for _, peer := range r.members(i / members) {
+				if peer != node {
 					cfg.Replication.Peers = append(cfg.Replication.Peers, peer.Addr)
 				}
 			}
 		}
-		if r.sharded() {
+		if shards >= 2 {
 			cfg.ShardID = node.ID
 			cfg.ShardMap = wire.ShardMap{Version: 1, Shards: infos[:spec.Shards]}
 			if spec.AutoRepair {
@@ -331,22 +367,22 @@ func (r *Rig) buildDirectory() error {
 		node.Node = n
 	}
 
-	// One node stands in as "the MDM" for pipeline counters and as the
-	// address clients bootstrap from: the elected leader, else the first.
-	first := r.Nodes[0]
-	if r.replicated() {
+	if members >= 2 {
 		wait := 20 * r.electionTTL()
-		lead := r.WaitLeader(wait)
-		if lead < 0 {
-			return fmt.Errorf("replicated rig %s: no leader elected within %s", spec.Name, wait)
+		for k := range shards {
+			if r.WaitLeader(k, wait) < 0 {
+				return fmt.Errorf("rig %s: shard %d elected no leader within %s", spec.Name, k, wait)
+			}
 		}
-		first = r.Nodes[lead]
 	}
-	r.MDM, r.MDMAddr = first.Node.MDM, first.Addr
-	if r.sharded() {
-		r.shardMap, r.shardRing = first.Node.Shard.Map(), first.Node.Shard.Ring()
+	// Shard 0's head stands in as "the MDM" for pipeline counters and as
+	// the address clients bootstrap from.
+	head := r.head(0)
+	r.MDM, r.MDMAddr = head.Node.MDM, head.Addr
+	if shards >= 2 {
+		r.shardMap, r.shardRing = head.Node.Shard.Map(), head.Node.Shard.Ring()
 	} else {
-		r.MDMProxy = first.Proxy
+		r.MDMProxy = head.Proxy
 	}
 	return nil
 }
@@ -360,22 +396,17 @@ func (r *Rig) electionTTL() time.Duration {
 }
 
 // directoryFor returns the MDM holding an owner's directory slice: the
-// owner's home shard under the current ring, or the audit MDM on
-// unsharded rigs.
+// head of the owner's home shard — by the current ring with two shards or
+// more, else shard 0.
 func (r *Rig) directoryFor(owner string) *core.MDM {
-	if !r.sharded() {
-		return r.auditMDM()
+	k := 0
+	if shards, _ := r.Spec.shape(); shards >= 2 {
+		r.shardMu.Lock()
+		ring := r.shardRing
+		r.shardMu.Unlock()
+		k = shardIndex(ring.Owner(owner).ID)
 	}
-	r.shardMu.Lock()
-	ring := r.shardRing
-	r.shardMu.Unlock()
-	home := ring.Owner(owner)
-	for _, s := range r.Nodes {
-		if s.ID == home.ID {
-			return s.Node.MDM
-		}
-	}
-	return r.MDM
+	return r.head(k).Node.MDM
 }
 
 // Rebalance expands the shard map onto the rig's spare shards and runs
@@ -387,8 +418,9 @@ func (r *Rig) Rebalance(ctx context.Context) (int, error) {
 	old := r.shardMap
 	r.shardMu.Unlock()
 	next := wire.ShardMap{Version: old.Version + 1}
-	for _, s := range r.Nodes {
-		next.Shards = append(next.Shards, wire.ShardInfo{ID: s.ID, Addr: s.Addr})
+	shards, _ := r.Spec.shape()
+	for k := range shards {
+		next.Shards = append(next.Shards, r.shardInfo(k))
 	}
 	oldRing, err := ring.Build(old)
 	if err != nil {
@@ -456,7 +488,7 @@ func (r *Rig) CurrentEpoch() uint64 {
 // than the map the rig installed at build time.
 func (r *Rig) refreshShardView() {
 	for _, s := range r.Nodes {
-		if s.Killed.Load() {
+		if s.Killed.Load() || s.Node.Shard == nil {
 			continue
 		}
 		cur := s.Node.Shard.Ring()
@@ -470,25 +502,30 @@ func (r *Rig) refreshShardView() {
 	}
 }
 
-// liveShard finds the named shard unless it has been killed.
-func (r *Rig) liveShard(id string) *DirNode {
-	for _, s := range r.Nodes {
-		if s.ID == id && !s.Killed.Load() {
-			return s
+// liveShard lists the named shard's members still alive; nil when none is.
+func (r *Rig) liveShard(id string) []*DirNode {
+	k := shardIndex(id)
+	if shards, _ := r.Spec.shape(); k < 0 || k >= shards {
+		return nil
+	}
+	var live []*DirNode
+	for _, m := range r.members(k) {
+		if !m.Killed.Load() {
+			live = append(live, m)
 		}
 	}
-	return nil
+	return live
 }
 
-// Kill hard-kills the named shard: the whole node and its fault proxy go
-// down, so peer dials are refused — the in-process analog of a machine
-// loss. Reports whether a live shard was killed.
+// Kill hard-kills every member of the named shard: the nodes and their
+// fault proxies go down, so peer dials are refused — the in-process analog
+// of losing the shard's machines. Reports whether a live member was killed.
 func (r *Rig) Kill(id string) bool {
-	s := r.liveShard(id)
-	if s != nil {
-		s.kill()
+	live := r.liveShard(id)
+	for _, m := range live {
+		m.kill()
 	}
-	return s != nil
+	return live != nil
 }
 
 // kill hard-closes a node mid-run and marks it so pollers skip it.
@@ -500,35 +537,37 @@ func (n *DirNode) kill() {
 	}
 }
 
-// Partition imposes (on=true) or heals the one-way partition on the named
-// shard's proxy: inbound requests still land, but its replies vanish — the
-// shard can hear and not be heard. Reports whether a live shard was there
-// to partition (Event.validate has required its proxy).
+// Partition imposes (on=true) or heals the one-way partition on the proxies
+// of the named shard's members: inbound requests still land, but their
+// replies vanish — the shard can hear and not be heard. Reports whether a
+// live member was there to partition (Event.validate has required the
+// proxies).
 func (r *Rig) Partition(id string, on bool) bool {
-	s := r.liveShard(id)
-	if s != nil {
-		s.Proxy.PartitionOneWay(on)
+	live := r.liveShard(id)
+	for _, m := range live {
+		m.Proxy.PartitionOneWay(on)
 	}
-	return s != nil
+	return live != nil
 }
 
-// Leader returns the index of the live member currently reporting
-// itself leader, or -1 mid-election.
-func (r *Rig) Leader() int {
-	for i, mem := range r.Nodes {
+// Leader returns the index in Nodes of shard k's live member currently
+// reporting itself leader, or -1 mid-election and on unreplicated shards.
+func (r *Rig) Leader(k int) int {
+	_, n := r.Spec.shape()
+	for i, mem := range r.members(k) {
 		if !mem.Killed.Load() && mem.Node.Repl != nil && mem.Node.Repl.Status().Role == "leader" {
-			return i
+			return k*n + i
 		}
 	}
 	return -1
 }
 
-// WaitLeader polls until some live member is leader, returning its index
-// or -1 on timeout.
-func (r *Rig) WaitLeader(timeout time.Duration) int {
+// WaitLeader polls until shard k has a live leader, returning its index or
+// -1 on timeout.
+func (r *Rig) WaitLeader(k int, timeout time.Duration) int {
 	deadline := time.Now().Add(timeout)
 	for {
-		if i := r.Leader(); i >= 0 {
+		if i := r.Leader(k); i >= 0 {
 			return i
 		}
 		if time.Now().After(deadline) {
@@ -538,23 +577,20 @@ func (r *Rig) WaitLeader(timeout time.Duration) int {
 	}
 }
 
-// KillLeader hard-closes the current leader's node (listener, shippers,
+// KillLeader hard-closes shard k's current leader (listener, shippers,
 // election loop, journal — the in-process analog of kill -9) and returns
 // its index, or -1 when no member holds the lease right now.
-func (r *Rig) KillLeader() int {
-	i := r.Leader()
+func (r *Rig) KillLeader(k int) int {
+	i := r.Leader(k)
 	if i >= 0 {
 		r.Nodes[i].kill()
 	}
 	return i
 }
 
-// MemberAddrs lists every constellation address (single-MDM and sharded
-// rigs: just MDMAddr) — the directory handle's seed list.
+// MemberAddrs lists every member's address, shard-major — the directory
+// handle's seed list.
 func (r *Rig) MemberAddrs() []string {
-	if !r.replicated() {
-		return []string{r.MDMAddr}
-	}
 	addrs := make([]string, len(r.Nodes))
 	for i, mem := range r.Nodes {
 		addrs[i] = mem.Addr
@@ -568,24 +604,6 @@ func (r *Rig) RecordAcked(reg wire.RegisterRequest) {
 	r.ackedMu.Lock()
 	r.acked = append(r.acked, reg)
 	r.ackedMu.Unlock()
-}
-
-// auditMDM is the directory the end-of-run audit reads: the surviving
-// leader of a replicated rig (any live member as a fallback), or the
-// single MDM.
-func (r *Rig) auditMDM() *core.MDM {
-	if !r.replicated() {
-		return r.MDM
-	}
-	if i := r.Leader(); i >= 0 {
-		return r.Nodes[i].Node.MDM
-	}
-	for _, mem := range r.Nodes {
-		if !mem.Killed.Load() {
-			return mem.Node.MDM
-		}
-	}
-	return r.Nodes[0].Node.MDM
 }
 
 // newProxy builds one fault proxy with the spec's initial settings and a
@@ -623,21 +641,11 @@ func (r *Rig) buildStore(i int) (*StoreNode, error) {
 	return node, nil
 }
 
-// register records a coverage path for a node at the MDM — on a sharded
-// rig, at the path owner's home shard, exactly as the ring routes it.
+// register records a coverage path for a node at its owner's directory.
 func (r *Rig) register(node *StoreNode, path string) error {
 	p := xpath.MustParse(path)
-	m := r.MDM
-	if r.sharded() {
-		if owner, ok := coverage.UserOf(p); ok {
-			m = r.directoryFor(owner)
-		}
-	}
-	if err := m.Register(coverage.StoreID(node.Engine.ID()), node.Addr, p); err != nil {
-		return err
-	}
-	node.Coverage = append(node.Coverage, path)
-	return nil
+	owner, _ := coverage.UserOf(p)
+	return r.directoryFor(owner).Register(coverage.StoreID(node.Engine.ID()), node.Addr, p)
 }
 
 // seedSplit builds the E16 topology: one user "u" whose address book is
@@ -664,6 +672,7 @@ func (r *Rig) seedSplit() error {
 		if err := r.register(node, reg); err != nil {
 			return err
 		}
+		node.Coverage = append(node.Coverage, reg)
 		r.Paths = append(r.Paths, reg)
 	}
 	return nil
@@ -684,6 +693,7 @@ func (r *Rig) seedSharded() error {
 			if _, err := node.Engine.Put(user, xpath.MustParse(p), doc); err != nil {
 				return err
 			}
+			node.Coverage = append(node.Coverage, p)
 			return r.register(node, p)
 		}
 		if err := put("address-book", workload.AddressBookOfSize(spec.SizeBytes, rng)); err != nil {
@@ -785,7 +795,7 @@ func (r *Rig) ReviveStore(ctx context.Context, i int) error {
 		}
 	} else {
 		for _, p := range node.Coverage {
-			if err := r.MDM.Register(coverage.StoreID(node.Engine.ID()), node.Addr, xpath.MustParse(p)); err != nil {
+			if err := r.register(node, p); err != nil {
 				return err
 			}
 		}
@@ -804,40 +814,31 @@ func (r *Rig) ExpectedRegistrations() int {
 	return n
 }
 
-// auditCoverage fills the audit's registration counts. A single-MDM rig
-// reports its registry size. A replicated rig instead counts which seed
-// coverage paths the surviving leader still holds (the workload may have
-// legitimately registered more, so a raw registry size proves nothing)
-// and how many quorum-acked workload registrations went missing — the
+// auditCoverage fills the audit's registration counts: which seed
+// coverage paths the directory still holds (the workload may have
+// legitimately registered more, so a raw registry size proves nothing) and
+// how many quorum-acked workload registrations went missing — the
 // zero-lost claim a leader kill must not break.
 func (r *Rig) auditCoverage(audit *RegistrationAudit) {
 	r.ackedMu.Lock()
 	acked := append([]wire.RegisterRequest(nil), r.acked...)
 	r.ackedMu.Unlock()
-	if !r.replicated() && !r.sharded() && len(acked) == 0 {
-		audit.Registered = r.auditMDM().Registry.Len()
-		return
-	}
 	canon := func(store, path string) string {
 		return store + "|" + xpath.MustParse(path).String()
 	}
-	// A sharded rig's directory is the union of its slices (a mid-drain
-	// source may briefly hold a moved owner alongside its new home, so a
-	// raw sum would double-count).
-	// A killed shard's MDM is excluded: its slice is stale by definition,
-	// and counting it could mask a registration the repair failed to move.
+	// The directory is the union of its live shards' slices, each read at
+	// the shard's head (a mid-drain source may briefly hold a moved owner
+	// alongside its new home, so a raw sum would double-count). A dead
+	// shard is excluded: its slice is stale by definition, and counting it
+	// could mask a registration the repair failed to move.
 	present := map[string]bool{}
-	if r.sharded() {
-		for _, s := range r.Nodes {
-			if s.Killed.Load() {
-				continue
-			}
-			for _, reg := range s.Node.MDM.CoverageSnapshot() {
-				present[reg.Store+"|"+reg.Path] = true
-			}
+	shards, _ := r.Spec.shape()
+	for k := range shards {
+		head := r.head(k)
+		if head.Killed.Load() {
+			continue
 		}
-	} else {
-		for _, reg := range r.auditMDM().CoverageSnapshot() {
+		for _, reg := range head.Node.MDM.CoverageSnapshot() {
 			present[reg.Store+"|"+reg.Path] = true
 		}
 	}
@@ -854,7 +855,7 @@ func (r *Rig) auditCoverage(audit *RegistrationAudit) {
 			audit.Lost++
 		}
 	}
-	if r.sharded() && r.Spec.AutoRepair {
+	if r.Spec.AutoRepair {
 		r.auditConstellation(audit)
 	}
 }
@@ -951,14 +952,11 @@ func probeContext(owner string) policy.Context {
 // verifying end-of-run registration integrity (the zero-lost-
 // registrations audit). Returns the number of failed probes.
 func (r *Rig) probeCoverage(ctx context.Context) int {
-	if r.sharded() {
-		r.refreshShardView()
-	}
+	r.refreshShardView()
 	failures := 0
 	probe := func(owner, path string) {
-		// directoryFor routes each probe to the owner's home shard on a
-		// sharded rig (post-rebalance ring included) and to the audit MDM
-		// everywhere else.
+		// directoryFor routes each probe to the owner's home shard
+		// (post-rebalance ring included).
 		_, err := r.directoryFor(owner).Resolve(ctx, &wire.ResolveRequest{
 			Path:    path,
 			Context: probeContext(owner),

@@ -369,8 +369,9 @@ func millisSince(t0 time.Time) int64 {
 	return max(time.Since(t0).Milliseconds(), 1)
 }
 
-// kill assassinates the leader and times the election of its replacement,
-// or hard-kills a shard and times the constellation's repair.
+// kill assassinates shard 0's leader and times the election of its
+// replacement, or hard-kills every member of a shard and times the
+// constellation's repair.
 func (rr *rigRun) kill(tl *timeline, ev *Event) {
 	if ev.Target != "leader" {
 		since := rr.rig.CurrentEpoch()
@@ -382,14 +383,14 @@ func (rr *rigRun) kill(tl *timeline, ev *Event) {
 		rr.awaitRepair(tl, since, time.Now())
 		return
 	}
-	idx := rr.rig.KillLeader()
+	idx := rr.rig.KillLeader(0)
 	if idx < 0 {
 		tl.logf("no leader to kill")
 		return
 	}
 	tl.logf("killed leader member %d", idx)
 	t0 := time.Now()
-	if rr.rig.WaitLeader(liveness) >= 0 {
+	if rr.rig.WaitLeader(0, liveness) >= 0 {
 		ms := millisSince(t0)
 		tl.report(func(out *PhaseReport) { out.FailoverMillis = ms })
 		tl.logf("new leader elected after %dms", ms)

@@ -110,8 +110,9 @@ type Topology struct {
 	Rigs []RigSpec `yaml:"rigs"`
 }
 
-// RigSpec declares one rig: an MDM fronting a set of stores, with
-// fault-injectable links.
+// RigSpec declares one rig: a directory fronting a set of stores, with
+// fault-injectable links. The directory is S shards × R members (see
+// shape): Shards and Replicas compose, and a plain MDM is the 1×1 corner.
 type RigSpec struct {
 	Name   string `yaml:"name"`
 	Layout string `yaml:"layout"` // LayoutSplit or LayoutSharded
@@ -142,19 +143,19 @@ type RigSpec struct {
 	// Heartbeats runs a registrar per store (interval TTL/2) so leases
 	// stay renewed until a fault silences the store.
 	Heartbeats bool `yaml:"heartbeats"`
-	// Replicas, when >= 2, makes the rig a quorum-replicated MDM
-	// constellation instead of a single MDM: Replicas members with
-	// temp-dir journals, one elected leader shipping its log, mutations
-	// acked at Quorum (0 = majority). ElectionTTL is the leader lease;
-	// failover after a leader kill completes within one TTL.
+	// Replicas, when >= 2, makes every shard a quorum-replicated
+	// constellation: Replicas members with temp-dir journals, one elected
+	// leader shipping its log, mutations acked at Quorum (0 = majority).
+	// ElectionTTL is the leader lease; failover after a leader kill
+	// completes within one TTL.
 	Replicas    int           `yaml:"replicas"`
 	Quorum      int           `yaml:"quorum"`
 	ElectionTTL time.Duration `yaml:"election-ttl"`
-	// Shards, when >= 2, makes the rig a partitioned directory instead of
-	// a single MDM: Shards independent MDM slices behind a consistent-hash
-	// ring over the owner keyspace, each wrapped in a routing shard node.
-	// Workload resolves ride a shard-aware client that routes by owner and
-	// chases wrong-shard redirects. SpareShards builds that many extra
+	// Shards, when >= 2, partitions the directory: Shards independent
+	// slices behind a consistent-hash ring over the owner keyspace, each
+	// wrapped in a routing shard node (and each replicated when Replicas
+	// is). Workload resolves ride a shard-aware client that routes by owner
+	// and chases wrong-shard redirects. SpareShards builds that many extra
 	// shards outside the initial map — the expansion targets a mid-phase
 	// rebalance event grows onto.
 	Shards      int `yaml:"shards"`
@@ -410,9 +411,6 @@ func (r *RigSpec) validate(sc string) error {
 		if r.Layout != LayoutSharded {
 			return fmt.Errorf("scenario %s: rig %s: a sharded directory needs the sharded layout", sc, r.Name)
 		}
-		if r.Replicas >= 2 {
-			return fmt.Errorf("scenario %s: rig %s: shards and replicas are separate rig kinds", sc, r.Name)
-		}
 	}
 	if (r.AutoRepair || r.ShardLinks != nil) && r.Shards < 2 {
 		return fmt.Errorf("scenario %s: rig %s: auto-repair and shard-links need a sharded rig (shards >= 2)", sc, r.Name)
@@ -534,8 +532,13 @@ func (ev *Event) validate(p *Phase, rig *RigSpec) error {
 	return nil
 }
 
-// constellation reports a directory of more than one node: a replicated
-// or a sharded rig.
+// shape is the directory's S shards × R members: a plain MDM is 1×1, a
+// quorum constellation 1×R, a partitioned directory S×1 (spares included).
+func (r *RigSpec) shape() (shards, members int) {
+	return max(1, r.Shards+r.SpareShards), max(1, r.Replicas)
+}
+
+// constellation reports a directory of more than one node.
 func (r *RigSpec) constellation() bool { return r.Replicas >= 2 || r.Shards >= 2 }
 
 // link is the declared spec of a named link ("mdm" or "store-N"): the
