@@ -15,6 +15,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -380,7 +381,10 @@ func ownerOf(req *wire.ResolveRequest, p xpath.Path) (string, error) {
 
 // Resolve is the MDM's central operation: filter, decide, rewrite, sign.
 // For the referral pattern the response carries alternatives of signed
-// queries; for chaining and recruiting it carries merged data.
+// queries; for chaining and recruiting it carries merged data. A token is
+// signed only where it is used: every referral, and inside the flight of a
+// chaining miss or a recruit — a chaining resolve the component cache
+// answers signs nothing.
 func (m *MDM) Resolve(ctx context.Context, req *wire.ResolveRequest) (*wire.ResolveResponse, error) {
 	// The span finishes before Resolve returns so the serving layer can
 	// drain it onto the reply frame (a deferred finish would fire after the
@@ -421,27 +425,39 @@ func (m *MDM) resolve(ctx context.Context, sp *trace.Active, req *wire.ResolveRe
 		return nil, fmt.Errorf("%w: %s for %s", ErrDenied, req.Path, req.Context.Requester)
 	}
 
-	alts, degraded, err := m.plan(owner, decision.Grants, verb, req.Context.Requester)
+	routes, degraded, err := m.plan(decision.Grants)
 	if err != nil {
 		return nil, err
 	}
-	m.recordProvenance(owner, req, verb, decision, alts)
+	m.recordProvenance(owner, req, verb, decision, routes)
 	if len(degraded) > 0 {
 		m.Liveness.DegradedResolves.Add(1)
 		sp.Annotate("degraded=" + strings.Join(degraded, ","))
 	}
+	requester := req.Context.Requester
 
 	switch req.Pattern {
 	case "", wire.PatternReferral:
 		// Referral planning is local CPU work (lookup + sign); coalescing
 		// would only serialize it.
 		sp.Annotate("pattern=referral")
-		return &wire.ResolveResponse{Alternatives: alts, Degraded: degraded}, nil
+		return &wire.ResolveResponse{Alternatives: m.sign(routes, owner, verb, requester), Degraded: degraded}, nil
 	case wire.PatternChaining:
 		sp.Annotate("pattern=chaining")
-		key := flightKey(wire.PatternChaining, owner, req.Context.Requester, verb, decision.Grants)
-		return m.coalesce(ctx, key, sp, func() (*wire.ResolveResponse, error) {
-			resp, err := m.chain(ctx, owner, decision.Grants, alts)
+		key := cacheKey(owner, decision.Grants)
+		cacheable := m.cache != nil && m.cacheableGrants(decision.Grants)
+		if cacheable {
+			// A hit has passed the filter, the decision and the routing
+			// above, so it keeps every verdict a miss gets; it only skips
+			// the tokens and the flight, which exist to fetch.
+			if xml, ok := m.cache.get(key); ok {
+				m.Stats.CacheHits.Add(1)
+				sp.Annotate("cache-hit")
+				return &wire.ResolveResponse{Data: xml, Cached: true, Degraded: degraded}, nil
+			}
+		}
+		return m.coalesce(ctx, flightKey(wire.PatternChaining, requester, verb, key), sp, func() (*wire.ResolveResponse, error) {
+			resp, err := m.chain(ctx, owner, key, cacheable, decision.Grants, m.sign(routes, owner, verb, requester))
 			if resp != nil {
 				// Append, not overwrite: chain may have stamped its own
 				// degradation (brownout-stale paths) that must survive.
@@ -451,9 +467,9 @@ func (m *MDM) resolve(ctx context.Context, sp *trace.Active, req *wire.ResolveRe
 		})
 	case wire.PatternRecruiting:
 		sp.Annotate("pattern=recruiting")
-		key := flightKey(wire.PatternRecruiting, owner, req.Context.Requester, verb, decision.Grants)
+		key := flightKey(wire.PatternRecruiting, requester, verb, cacheKey(owner, decision.Grants))
 		return m.coalesce(ctx, key, sp, func() (*wire.ResolveResponse, error) {
-			resp, err := m.recruit(ctx, alts)
+			resp, err := m.recruit(ctx, m.sign(routes, owner, verb, requester))
 			if resp != nil {
 				resp.Degraded = append(resp.Degraded, degraded...)
 			}
@@ -465,12 +481,13 @@ func (m *MDM) resolve(ctx context.Context, sp *trace.Active, req *wire.ResolveRe
 }
 
 // flightKey identifies a coalesceable resolve: same pattern, verb,
-// requester, owner, and grant set means the same upstream work and the
-// same access-control outcome, so concurrent callers may share one
-// flight. The requester is part of the key — two principals never share
-// a flight even when their grants happen to coincide.
-func flightKey(pattern wire.QueryPattern, owner, requester string, verb token.Verb, grants []xpath.Path) string {
-	return string(pattern) + "\x00" + string(verb) + "\x00" + requester + "\x00" + cacheKey(owner, grants)
+// requester, owner, and grant set (the last two are the cacheKey) means
+// the same upstream work and the same access-control outcome, so
+// concurrent callers may share one flight. The requester is part of the
+// key — two principals never share a flight even when their grants happen
+// to coincide.
+func flightKey(pattern wire.QueryPattern, requester string, verb token.Verb, cacheKey string) string {
+	return string(pattern) + "\x00" + string(verb) + "\x00" + requester + "\x00" + cacheKey
 }
 
 // coalesce funnels fn through the MDM's flight group: concurrent
@@ -521,7 +538,23 @@ func (m *MDM) BatchResolve(ctx context.Context, req *wire.BatchResolveRequest) (
 	return &wire.BatchResolveResponse{Results: results}, nil
 }
 
-// plan rewrites granted paths into referral alternatives.
+// route is one referral of a plan before it is signed: the store that
+// holds the piece and the path the grant allows there.
+type route struct {
+	store coverage.StoreID
+	path  xpath.Path
+}
+
+// option is one alternative of a plan: its routes are answered together,
+// deep-unioned when merge says so.
+type option struct {
+	routes []route
+	merge  string
+}
+
+// plan rewrites granted paths into the alternatives a referral will carry,
+// without signing them: sign turns them into signed referrals where a
+// resolve needs tokens.
 //
 // For a single grant: every full-cover registration yields a one-referral
 // alternative (the client's choice, the paper's "||"); if none exists but
@@ -535,16 +568,9 @@ func (m *MDM) BatchResolve(ctx context.Context, req *wire.BatchResolveRequest) (
 // as a partial result. A grant with no coverage at all — quarantine aside
 // — is still a hard ErrNoCoverage, as is the case where quarantine leaves
 // nothing to answer with.
-func (m *MDM) plan(owner string, grants []xpath.Path, verb token.Verb, requester string) ([]wire.Alternative, []string, error) {
-	sign := func(st coverage.StoreID, p xpath.Path) wire.Referral {
-		return wire.Referral{
-			Query:   m.cfg.Signer.Sign(string(st), owner, p, verb, requester, m.cfg.GrantTTL),
-			Address: m.AddrOf(st),
-		}
-	}
-
+func (m *MDM) plan(grants []xpath.Path) ([]option, []string, error) {
 	var degraded []string
-	perGrant := make([][]wire.Alternative, 0, len(grants))
+	perGrant := make([][]option, 0, len(grants))
 	for _, g := range grants {
 		matches := m.Registry.Lookup(g)
 		var full []coverage.Match
@@ -564,14 +590,14 @@ func (m *MDM) plan(owner string, grants []xpath.Path, verb token.Verb, requester
 		if excluded > 0 {
 			m.Liveness.PlanExclusions.Add(uint64(excluded))
 		}
-		var alts []wire.Alternative
+		var opts []option
 		for _, f := range full {
 			// The signed path is the grant itself: the store holds a
 			// superset, the client asks for exactly what was granted.
-			alts = append(alts, wire.Alternative{Referrals: []wire.Referral{sign(f.Store, g)}})
+			opts = append(opts, option{routes: []route{{f.Store, g}}})
 		}
-		if len(alts) == 0 && len(partial) > 0 {
-			var refs []wire.Referral
+		if len(opts) == 0 && len(partial) > 0 {
+			var pieces []route
 			for _, pm := range partial {
 				// The signed path is the intersection of the grant and the
 				// registration: exactly the piece this store holds of what
@@ -580,20 +606,20 @@ func (m *MDM) plan(owner string, grants []xpath.Path, verb token.Verb, requester
 				if !ok {
 					continue
 				}
-				refs = append(refs, sign(pm.Store, piece))
+				pieces = append(pieces, route{pm.Store, piece})
 			}
-			if len(refs) > 0 {
-				alts = append(alts, wire.Alternative{Referrals: refs, Merge: "deep-union"})
+			if len(pieces) > 0 {
+				opts = append(opts, option{routes: pieces, merge: "deep-union"})
 			}
 		}
-		if len(alts) == 0 {
+		if len(opts) == 0 {
 			if excluded > 0 {
 				degraded = append(degraded, g.String())
 				continue
 			}
 			return nil, nil, fmt.Errorf("%w: %s", ErrNoCoverage, g)
 		}
-		perGrant = append(perGrant, alts)
+		perGrant = append(perGrant, opts)
 	}
 
 	if len(perGrant) == 0 {
@@ -604,42 +630,51 @@ func (m *MDM) plan(owner string, grants []xpath.Path, verb token.Verb, requester
 	}
 	// Multiple narrowed grants: all pieces are needed together. Take the
 	// first alternative of each grant and combine.
-	combined := wire.Alternative{Merge: "deep-union"}
-	for _, alts := range perGrant {
-		combined.Referrals = append(combined.Referrals, alts[0].Referrals...)
+	combined := option{merge: "deep-union"}
+	for _, opts := range perGrant {
+		combined.routes = append(combined.routes, opts[0].routes...)
 	}
-	return []wire.Alternative{combined}, degraded, nil
+	return []option{combined}, degraded, nil
 }
 
-// cacheKey derives the cache identity of a grant set.
+// sign turns a plan into referral alternatives: one token per route, for
+// requester to perform verb on owner's data, valid for GrantTTL.
+func (m *MDM) sign(opts []option, owner string, verb token.Verb, requester string) []wire.Alternative {
+	alts := make([]wire.Alternative, len(opts))
+	for i, o := range opts {
+		refs := make([]wire.Referral, len(o.routes))
+		for j, r := range o.routes {
+			refs[j] = wire.Referral{
+				Query:   m.cfg.Signer.Sign(string(r.store), owner, r.path, verb, requester, m.cfg.GrantTTL),
+				Address: m.AddrOf(r.store),
+			}
+		}
+		alts[i] = wire.Alternative{Referrals: refs, Merge: o.merge}
+	}
+	return alts
+}
+
+// cacheKey derives the cache identity of a grant set: the owner and the
+// sorted rendered grants, NUL-separated.
 func cacheKey(owner string, grants []xpath.Path) string {
-	parts := make([]string, len(grants))
+	parts := make([]string, 1+len(grants))
+	parts[0] = owner
 	for i, g := range grants {
-		parts[i] = g.String()
+		parts[1+i] = g.String()
 	}
-	sort.Strings(parts)
-	key := owner
-	for _, p := range parts {
-		key += "\x00" + p
-	}
-	return key
+	sort.Strings(parts[1:])
+	return strings.Join(parts, "\x00")
 }
 
-// chain implements the chaining pattern: the MDM fetches the pieces itself,
-// merges, and returns data — for clients too limited to follow referrals
-// (§5.2). Results are cached when the cache is enabled.
-func (m *MDM) chain(ctx context.Context, owner string, grants []xpath.Path, alts []wire.Alternative) (resp *wire.ResolveResponse, err error) {
+// chain implements the chaining pattern on a cache miss: the MDM fetches
+// the pieces itself, merges, and returns data — for clients too limited to
+// follow referrals (§5.2). When cacheable, the result is cached under key
+// (resolve probed it before the flight).
+func (m *MDM) chain(ctx context.Context, owner, key string, cacheable bool, grants []xpath.Path, alts []wire.Alternative) (resp *wire.ResolveResponse, err error) {
 	ctx, sp := trace.Start(ctx, "mdm.chain")
 	defer func() { sp.Finish(err) }()
-	key := cacheKey(owner, grants)
-	cacheable := m.cache != nil && m.cacheableGrants(grants)
 	var gen uint64
 	if cacheable {
-		if xml, ok := m.cache.get(key); ok {
-			m.Stats.CacheHits.Add(1)
-			sp.Annotate("cache-hit")
-			return &wire.ResolveResponse{Data: xml, Cached: true}, nil
-		}
 		m.Stats.CacheMisses.Add(1)
 		sp.Annotate("cache-miss")
 		// Brownout: under sustained pressure a miss serves the stale
@@ -748,7 +783,9 @@ func (m *MDM) recruit(ctx context.Context, alts []wire.Alternative) (*wire.Resol
 }
 
 // recordProvenance appends a disclosure record when the ledger is enabled.
-func (m *MDM) recordProvenance(owner string, req *wire.ResolveRequest, verb token.Verb, d policy.Decision, alts []wire.Alternative) {
+// A grant's record lists the stores its plan routes to, whether or not the
+// resolve went on to sign for them.
+func (m *MDM) recordProvenance(owner string, req *wire.ResolveRequest, verb token.Verb, d policy.Decision, opts []option) {
 	if m.cfg.Provenance == nil {
 		return
 	}
@@ -767,12 +804,10 @@ func (m *MDM) recordProvenance(owner string, req *wire.ResolveRequest, verb toke
 		for _, g := range d.Grants {
 			rec.Grants = append(rec.Grants, g.String())
 		}
-		seen := map[string]bool{}
-		for _, alt := range alts {
-			for _, ref := range alt.Referrals {
-				if !seen[ref.Query.Store] {
-					seen[ref.Query.Store] = true
-					rec.Stores = append(rec.Stores, ref.Query.Store)
+		for _, o := range opts {
+			for _, r := range o.routes {
+				if !slices.Contains(rec.Stores, string(r.store)) {
+					rec.Stores = append(rec.Stores, string(r.store))
 				}
 			}
 		}

@@ -13,7 +13,8 @@ package coverage
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
+	"strings"
 	"sync"
 
 	"gupster/internal/xpath"
@@ -293,7 +294,7 @@ func (r *Registry) LinearLookup(q xpath.Path) []Match {
 }
 
 func classify(candidates []*entry, q xpath.Path) []Match {
-	var full, partial []Match
+	var full, partial []*entry
 	seen := make(map[string]bool, len(candidates))
 	for _, e := range candidates {
 		dedupeKey := string(e.store) + "\x00" + e.pathStr
@@ -303,23 +304,33 @@ func classify(candidates []*entry, q xpath.Path) []Match {
 		seen[dedupeKey] = true
 		switch xpath.Covers(e.path, q) {
 		case xpath.CoverFull:
-			full = append(full, Match{Store: e.store, Path: e.path, Rel: xpath.CoverFull})
+			full = append(full, e)
 		case xpath.CoverPartial:
-			partial = append(partial, Match{Store: e.store, Path: e.path, Rel: xpath.CoverPartial})
+			partial = append(partial, e)
 		}
 	}
-	orderMatches(full)
-	orderMatches(partial)
-	return append(full, partial...)
+	if len(full)+len(partial) == 0 {
+		return nil
+	}
+	slices.SortFunc(full, compareEntries)
+	slices.SortFunc(partial, compareEntries)
+	out := make([]Match, 0, len(full)+len(partial))
+	for _, e := range full {
+		out = append(out, Match{Store: e.store, Path: e.path, Rel: xpath.CoverFull})
+	}
+	for _, e := range partial {
+		out = append(out, Match{Store: e.store, Path: e.path, Rel: xpath.CoverPartial})
+	}
+	return out
 }
 
-func orderMatches(ms []Match) {
-	sort.Slice(ms, func(i, j int) bool {
-		if ms[i].Store != ms[j].Store {
-			return ms[i].Store < ms[j].Store
-		}
-		return ms[i].Path.String() < ms[j].Path.String()
-	})
+// compareEntries orders registrations by store, then by rendered path —
+// the string each entry rendered once, at registration.
+func compareEntries(a, b *entry) int {
+	if a.store != b.store {
+		return strings.Compare(string(a.store), string(b.store))
+	}
+	return strings.Compare(a.pathStr, b.pathStr)
 }
 
 // Len returns the number of live registrations.
@@ -329,20 +340,17 @@ func (r *Registry) Len() int {
 	return r.count
 }
 
-// Snapshot returns all registrations, ordered by user, store, path; for
-// administration and tests.
+// Snapshot returns all registrations, ordered by store, then by rendered
+// path; the journal's checkpoint and the coverage dumps read it. The order
+// compares the strings each entry rendered at registration.
 func (r *Registry) Snapshot() []Registration {
 	r.mu.RLock()
-	defer r.mu.RUnlock()
-	out := make([]Registration, 0, len(r.all))
-	for _, e := range r.all {
-		out = append(out, Registration{Path: e.path, Store: e.store})
+	sorted := slices.Clone(r.all)
+	r.mu.RUnlock()
+	slices.SortFunc(sorted, compareEntries)
+	out := make([]Registration, len(sorted))
+	for i, e := range sorted {
+		out[i] = Registration{Path: e.path, Store: e.store}
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Store != out[j].Store {
-			return out[i].Store < out[j].Store
-		}
-		return out[i].Path.String() < out[j].Path.String()
-	})
 	return out
 }

@@ -3,6 +3,8 @@ package coverage
 import (
 	"fmt"
 	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -88,6 +90,62 @@ func TestQuickLookupSoundAndComplete(t *testing.T) {
 						seed, query, reg.Path, reg.Store)
 					return false
 				}
+			}
+		}
+		return true
+	}
+	if err := quick.Check(prop, &quick.Config{MaxCount: 300}); err != nil {
+		t.Error(err)
+	}
+}
+
+// Property: Snapshot lists every live registration once, in the order of
+// (store, rendered path) — what sorting by Path.String() gives — although
+// it compares the strings the entries rendered at registration. Paths with
+// several predicates registered in either order render the same, so the
+// registry holds them once.
+func TestQuickSnapshotOrderIsRenderedOrder(t *testing.T) {
+	preds := []string{"[@id='a']", "[@id='b']", "[@id='a'][@v]", "[@v][@id='a']", "[@v]", ""}
+	sections := []string{"presence", "calendar", "address-book/item[@type='x']", "address-book/item[@kind][@type='x']", "*"}
+	prop := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		r := New()
+		live := make(map[string]bool)
+		for i, n := 0, rng.Intn(40); i < n; i++ {
+			p := xpath.MustParse("/user" + preds[rng.Intn(len(preds))] + "/" + sections[rng.Intn(len(sections))])
+			st := StoreID(fmt.Sprintf("s%d", rng.Intn(5)))
+			if rng.Intn(4) == 0 {
+				if r.Unregister(p, st) == nil {
+					delete(live, string(st)+"\x00"+p.String())
+				}
+				continue
+			}
+			if r.Register(p, st) == nil {
+				live[string(st)+"\x00"+p.String()] = true
+			}
+		}
+		snap := r.Snapshot()
+		if len(snap) != len(live) {
+			t.Logf("seed %d: snapshot has %d registrations, %d are live", seed, len(snap), len(live))
+			return false
+		}
+		want := slices.Clone(snap)
+		sort.SliceStable(want, func(i, j int) bool {
+			if want[i].Store != want[j].Store {
+				return want[i].Store < want[j].Store
+			}
+			return want[i].Path.String() < want[j].Path.String()
+		})
+		for i := range snap {
+			key := string(snap[i].Store) + "\x00" + snap[i].Path.String()
+			if !live[key] {
+				t.Logf("seed %d: snapshot lists %q, not live", seed, key)
+				return false
+			}
+			if snap[i].Store != want[i].Store || snap[i].Path.String() != want[i].Path.String() {
+				t.Logf("seed %d: position %d is %s@%s, rendered order has %s@%s",
+					seed, i, snap[i].Path, snap[i].Store, want[i].Path, want[i].Store)
+				return false
 			}
 		}
 		return true

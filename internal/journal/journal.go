@@ -248,6 +248,9 @@ func (j *Journal) Stats() *Stats { return &j.stats }
 // Dir returns the journal directory.
 func (j *Journal) Dir() string { return j.dir }
 
+// NoSync reports whether the journal was opened without fsync.
+func (j *Journal) NoSync() bool { return j.opts.NoSync }
+
 // Append durably logs one record: it returns only after the record (and,
 // thanks to group commit, any records buffered alongside it) has been
 // flushed and fsynced. Append may trigger a compaction once the log

@@ -102,9 +102,11 @@ func FuzzReplAppend(f *testing.F) {
 func FuzzReplVote(f *testing.F) {
 	seed1, _ := json.Marshal(&replication.VoteRequest{Term: 2, CandidateID: "c", LastIndex: 3, LastTerm: 1})
 	seed2, _ := json.Marshal(&replication.VoteRequest{Term: 9, CandidateID: "c", LastIndex: 0, LastTerm: 0})
+	seed3, _ := json.Marshal(&replication.VoteRequest{Term: 2, CandidateID: "c", LastIndex: 3, LastTerm: 1, PreVote: true})
 	f.Add(seed1)
 	f.Add(seed2)
 	f.Add([]byte(`{"term":18446744073709551615,"candidate_id":""}`))
+	f.Add(seed3)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var req replication.VoteRequest
 		if json.Unmarshal(data, &req) != nil {

@@ -17,8 +17,8 @@ import (
 // construction: the leader heartbeats every TTL/4, a follower calls an
 // election after TTL/2 + up to TTL/4 of jitter without hearing one, and
 // a leader that cannot reach a quorum within TTL steps down. Worst-case
-// detection is therefore under one TTL, and the election itself is a
-// single round trip on a healthy quorum.
+// detection is therefore under one TTL, and the election itself is two
+// round trips (pre-vote, vote) on a healthy quorum.
 
 func (n *Node) tickInterval() time.Duration {
 	// The tick must stay much finer than the election jitter spread
@@ -33,10 +33,12 @@ func (n *Node) tickInterval() time.Duration {
 func (n *Node) heartbeatInterval() time.Duration { return clampDur(n.ttl/4, 5*time.Millisecond) }
 func (n *Node) callTimeout() time.Duration       { return clampDur(n.ttl/2, 50*time.Millisecond) }
 
-// voteTimeout is deliberately shorter than callTimeout: a vote round
-// that includes a dead peer should conclude (and retry) well inside the
-// failover budget instead of waiting half a TTL for the corpse.
-func (n *Node) voteTimeout() time.Duration { return clampDur(n.ttl/4, 25*time.Millisecond) }
+// voteTimeout bounds one vote round. A grant costs the voter a durable
+// write of its term and vote, so the round waits as long as any other
+// call: on a busy disk a shorter bound turns every round into a timeout
+// and every retry into one more term to persist. A dead peer does not
+// hold the round up — it ends as soon as a quorum is won or lost.
+func (n *Node) voteTimeout() time.Duration { return n.callTimeout() }
 
 func clampDur(d, min time.Duration) time.Duration {
 	if d < min {
@@ -52,16 +54,18 @@ func (n *Node) resetElectionLocked() {
 	n.electionAt = time.Now().Add(n.ttl/2 + jitter)
 }
 
-// termAdvanceLocked moves to a higher term: step down, forget any vote,
-// persist before acting on it. Caller holds n.mu.
-func (n *Node) termAdvanceLocked(term uint64) error {
-	prevTerm, prevRole := n.term, n.role
+// termAdvanceLocked moves to a higher term: step down, forget the old
+// term's leader, and record vote ("" for none) as this term's vote —
+// persisted in one write before acting on it. Caller holds n.mu.
+func (n *Node) termAdvanceLocked(term uint64, vote string) error {
+	prevTerm, prevVote, prevRole := n.term, n.votedFor, n.role
 	n.term = term
-	n.votedFor = ""
+	n.votedFor = vote
 	if err := n.persistLocked(); err != nil {
-		n.term, n.votedFor = prevTerm, ""
+		n.term, n.votedFor = prevTerm, prevVote
 		return err
 	}
+	n.leaderID = ""
 	n.stepDownLocked()
 	if prevRole == Leader {
 		n.logf("deposed: saw term %d (was leading term %d)", term, prevTerm)
@@ -88,8 +92,7 @@ func (n *Node) stepDown(term uint64) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	if term > n.term {
-		_ = n.termAdvanceLocked(term)
-		n.leaderID = ""
+		_ = n.termAdvanceLocked(term, "")
 	}
 }
 
@@ -254,64 +257,65 @@ func (n *Node) run() {
 	}
 }
 
-// startElectionLocked bumps the term, votes for itself, and fans a vote
-// request to every peer; a quorum of grants makes this node the leader.
-// Caller holds n.mu; it is released before the fan-out.
+// startElectionLocked runs one election: a pre-vote round asks whether a
+// quorum would grant the next term, and only then does the node bump the
+// term, vote for itself and ask for real votes; a quorum of those makes it
+// the leader. The pre-vote costs no one a durable write and moves no term,
+// so a member that cannot win — its log trails, or the leader still
+// answers — keeps its hands off the term instead of deposing the leader or
+// outbidding the member that can win, round after round. Caller holds
+// n.mu; it is released before the fan-out.
 func (n *Node) startElectionLocked() {
-	n.term++
+	next := n.term + 1
+	n.resetElectionLocked()
+	armed := n.electionAt
+	n.mu.Unlock()
+	req := &VoteRequest{
+		Term:        next,
+		CandidateID: n.cfg.ID,
+		LastIndex:   n.jr.LastIndex(),
+		LastTerm:    n.jr.LastTerm(),
+		PreVote:     true,
+	}
+	if !n.tally(n.poll(req)) {
+		return // the re-armed clock retries
+	}
+
+	n.mu.Lock()
+	if n.term >= next || !n.electionAt.Equal(armed) {
+		// Meanwhile a term moved, a leader was heard or a vote was cast.
+		n.mu.Unlock()
+		return
+	}
+	prevVote := n.votedFor
+	n.term = next
 	n.role = Candidate
 	n.votedFor = n.cfg.ID
 	n.leaderID = ""
+	n.resetElectionLocked()
+	vote := *req // the pre-vote round may still be sending req
+	vote.PreVote = false
+	// The requests leave before this node's own vote is durable: the
+	// peers' writes and ours overlap instead of queueing on one disk, and
+	// a member whose clock fires a moment later finds the request waiting
+	// and grants it instead of running a round of its own. Our vote
+	// counts only once written (tally runs after persistLocked).
+	votes := n.poll(&vote)
 	if err := n.persistLocked(); err != nil {
-		n.term--
-		n.votedFor = ""
-		n.role = Follower
+		n.term, n.votedFor, n.role = next-1, prevVote, Follower
 		n.logf("election aborted: %v", err)
 		n.mu.Unlock()
 		return
 	}
-	term := n.term
-	n.resetElectionLocked()
 	n.mu.Unlock()
 
-	req := &VoteRequest{
-		Term:        term,
-		CandidateID: n.cfg.ID,
-		LastIndex:   n.jr.LastIndex(),
-		LastTerm:    n.jr.LastTerm(),
-	}
-	n.logf("election: candidate for term %d (log %d/%d)", term, req.LastIndex, req.LastTerm)
-	votes := make(chan bool, len(n.peers))
-	for _, p := range n.peers {
-		go func(p *peer) {
-			var resp VoteResponse
-			if err := n.peerCall(p, wire.TypeReplVote, req, &resp, n.voteTimeout()); err != nil {
-				votes <- false
-				return
-			}
-			if resp.Term > term {
-				n.stepDown(resp.Term)
-				votes <- false
-				return
-			}
-			votes <- resp.Granted
-		}(p)
-	}
-	granted := 1
-	for range n.peers {
-		if <-votes {
-			granted++
-		}
-		if granted >= n.quorum {
-			break
-		}
-	}
-	if granted < n.quorum {
+	n.logf("election: candidate for term %d (log %d/%d)", next, vote.LastIndex, vote.LastTerm)
+	if !n.tally(votes) {
 		// Lost (split vote or unreachable quorum): retry after a short
 		// randomized backoff rather than a full election timeout, so even
 		// a split vote resolves within the one-TTL failover budget.
 		n.mu.Lock()
-		if n.role == Candidate && n.term == term {
+		if n.role == Candidate && n.term == next {
 			backoff := 5*time.Millisecond + time.Duration(rand.Int63n(int64(n.ttl/8)+1))
 			n.electionAt = time.Now().Add(backoff)
 		}
@@ -319,7 +323,7 @@ func (n *Node) startElectionLocked() {
 		return
 	}
 	n.mu.Lock()
-	if n.role != Candidate || n.term != term {
+	if n.role != Candidate || n.term != next {
 		n.mu.Unlock()
 		return
 	}
@@ -336,8 +340,43 @@ func (n *Node) startElectionLocked() {
 	}
 	n.mu.Unlock()
 	n.mdm.LeadLeases()
-	n.logf("election: won term %d, leading at index %d", term, last)
+	n.logf("election: won term %d, leading at index %d", next, last)
 	n.kickShippers() // first heartbeat asserts the lease immediately
+}
+
+// poll fans req to every peer; each answer arrives on the returned
+// channel as a grant or not. A reply from a later term deposes this node.
+func (n *Node) poll(req *VoteRequest) <-chan bool {
+	votes := make(chan bool, len(n.peers))
+	for _, p := range n.peers {
+		go func(p *peer) {
+			var resp VoteResponse
+			if err := n.peerCall(p, wire.TypeReplVote, req, &resp, n.voteTimeout()); err != nil {
+				votes <- false
+				return
+			}
+			if resp.Term > req.Term {
+				n.stepDown(resp.Term)
+				votes <- false
+				return
+			}
+			votes <- resp.Granted
+		}(p)
+	}
+	return votes
+}
+
+// tally reports whether a quorum, this node included, granted a poll. It
+// returns as soon as a quorum is won or can no longer be.
+func (n *Node) tally(votes <-chan bool) bool {
+	granted, pending := 1, len(n.peers)
+	for granted < n.quorum && granted+pending >= n.quorum {
+		if <-votes {
+			granted++
+		}
+		pending--
+	}
+	return granted >= n.quorum
 }
 
 // shipper drives one peer: woken by new appends, ticking at the

@@ -90,6 +90,7 @@ type Node struct {
 	role       Role
 	term       uint64
 	votedFor   string
+	stateLen   int // bytes of election state on disk
 	leaderID   string
 	electionAt time.Time
 	waiters    []waiter
@@ -267,7 +268,7 @@ func (n *Node) HandleAppend(req *AppendRequest) (*AppendResponse, error) {
 		return resp, nil
 	}
 	if req.Term > n.term {
-		if err := n.termAdvanceLocked(req.Term); err != nil {
+		if err := n.termAdvanceLocked(req.Term, ""); err != nil {
 			n.mu.Unlock()
 			return nil, err
 		}
@@ -336,7 +337,9 @@ func (n *Node) HandleAppend(req *AppendRequest) (*AppendResponse, error) {
 }
 
 // HandleVote applies the election rules: one vote per term, granted only
-// to candidates whose log is at least as complete as ours.
+// to candidates whose log is at least as complete as ours. A vote that
+// also moves the term is persisted with it in one write; a pre-vote moves
+// nothing.
 func (n *Node) HandleVote(req *VoteRequest) (*VoteResponse, error) {
 	if n.suspended.Load() {
 		return nil, errPartitioned
@@ -346,23 +349,30 @@ func (n *Node) HandleVote(req *VoteRequest) (*VoteResponse, error) {
 	if req.Term < n.term {
 		return &VoteResponse{Term: n.term}, nil
 	}
+	lastI, lastT := n.jr.LastIndex(), n.jr.LastTerm()
+	complete := req.LastTerm > lastT || (req.LastTerm == lastT && req.LastIndex >= lastI)
+	if req.PreVote {
+		return &VoteResponse{Term: n.term, Granted: complete && n.role != Leader}, nil
+	}
 	if req.Term > n.term {
-		if err := n.termAdvanceLocked(req.Term); err != nil {
+		vote := ""
+		if complete {
+			vote = req.CandidateID
+		}
+		if err := n.termAdvanceLocked(req.Term, vote); err != nil {
 			return nil, err
 		}
 	}
 	resp := &VoteResponse{Term: n.term}
-	if n.votedFor != "" && n.votedFor != req.CandidateID {
+	if !complete || (n.votedFor != "" && n.votedFor != req.CandidateID) {
 		return resp, nil
 	}
-	lastI, lastT := n.jr.LastIndex(), n.jr.LastTerm()
-	if req.LastTerm < lastT || (req.LastTerm == lastT && req.LastIndex < lastI) {
-		return resp, nil
-	}
-	n.votedFor = req.CandidateID
-	if err := n.persistLocked(); err != nil {
-		n.votedFor = ""
-		return nil, err
+	if n.votedFor != req.CandidateID {
+		n.votedFor = req.CandidateID
+		if err := n.persistLocked(); err != nil {
+			n.votedFor = ""
+			return nil, err
+		}
 	}
 	// Granting a vote concedes the current election round: back off our
 	// own clock so the candidate has a full round to win.
@@ -384,7 +394,7 @@ func (n *Node) HandleSnapshotChunk(req *SnapshotChunk) (*SnapshotResponse, error
 		return resp, nil
 	}
 	if req.Term > n.term {
-		if err := n.termAdvanceLocked(req.Term); err != nil {
+		if err := n.termAdvanceLocked(req.Term, ""); err != nil {
 			n.mu.Unlock()
 			return nil, err
 		}
@@ -504,6 +514,9 @@ func (n *Node) persistLocked() error {
 		return err
 	}
 	path := n.electionPath()
+	if n.jr.NoSync() {
+		return n.overwriteLocked(path, data)
+	}
 	tmp, err := os.CreateTemp(filepath.Dir(path), "election.tmp-")
 	if err != nil {
 		return err
@@ -521,6 +534,30 @@ func (n *Node) persistLocked() error {
 	return os.Rename(tmp.Name(), path)
 }
 
+// overwriteLocked is persistLocked beside a NoSync journal, which promises
+// nothing past a machine crash: the state is written over the old one in
+// place, in one write padded to the old state's length, so a killed process
+// leaves one state or the other. It creates no file and renames none —
+// metadata writes a busy disk queues behind every other fsync, long enough
+// to time out vote rounds. Caller holds n.mu.
+func (n *Node) overwriteLocked(path string, data []byte) error {
+	for len(data) < n.stateLen {
+		data = append(data, ' ')
+	}
+	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE, 0o644)
+	if err != nil {
+		return err
+	}
+	_, err = f.WriteAt(data, 0)
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		n.stateLen = len(data)
+	}
+	return err
+}
+
 func (n *Node) loadElectionState() error {
 	data, err := os.ReadFile(n.electionPath())
 	if errors.Is(err, os.ErrNotExist) {
@@ -533,6 +570,7 @@ func (n *Node) loadElectionState() error {
 	if err := json.Unmarshal(data, &st); err != nil {
 		return fmt.Errorf("replication: corrupt election state: %w", err)
 	}
+	n.stateLen = len(data)
 	n.term = st.Term
 	n.votedFor = st.VotedFor
 	return nil

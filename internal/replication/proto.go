@@ -44,12 +44,15 @@ type AppendResponse struct {
 // (LastIndex, LastTerm) pair enforces the election restriction: a peer
 // grants only to candidates whose log is at least as complete as its
 // own, which is what guarantees quorum-acknowledged records survive
-// failover.
+// failover. A PreVote asks only whether the vote would be granted in Term:
+// the peer answers by the same log rule, refuses while it leads, and
+// changes no state.
 type VoteRequest struct {
 	Term        uint64 `json:"term"`
 	CandidateID string `json:"candidate_id"`
 	LastIndex   uint64 `json:"last_index"`
 	LastTerm    uint64 `json:"last_term"`
+	PreVote     bool   `json:"pre_vote,omitempty"`
 }
 
 // VoteResponse grants or refuses a vote; a higher Term deposes the

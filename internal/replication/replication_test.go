@@ -461,3 +461,88 @@ func TestElectionStatePersists(t *testing.T) {
 		t.Fatalf("re-grant to same candidate: %+v, %v", resp, err)
 	}
 }
+
+// Beside a NoSync journal the election state is overwritten in place; a
+// shorter state written over a longer one must still read back whole.
+func TestElectionStatePersistsWithoutSync(t *testing.T) {
+	dir := t.TempDir()
+	open := func() (*core.MDM, *replication.Node) {
+		m := core.New(core.Config{})
+		if _, err := core.OpenDurable(m, dir, journal.Options{NoSync: true}); err != nil {
+			t.Fatal(err)
+		}
+		n, err := replication.NewNode(m, replication.Config{ID: "127.0.0.1:1", Peers: []string{"127.0.0.1:2"}, TTL: testTTL})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m, n
+	}
+	m, n := open()
+	for _, v := range []replication.VoteRequest{
+		{Term: 7, CandidateID: "candidate-with-a-long-identity:65535"},
+		{Term: 8, CandidateID: "b"},
+	} {
+		if resp, err := n.HandleVote(&v); err != nil || !resp.Granted {
+			t.Fatalf("vote %+v: %+v, %v", v, resp, err)
+		}
+	}
+	m.Close()
+
+	m, n = open()
+	defer m.Close()
+	if term := n.Status().Term; term != 8 {
+		t.Fatalf("term after reopen = %d, want 8", term)
+	}
+	if resp, err := n.HandleVote(&replication.VoteRequest{Term: 8, CandidateID: "c"}); err != nil || resp.Granted {
+		t.Fatalf("double vote in term 8 after reopen: %+v, %v", resp, err)
+	}
+	if resp, err := n.HandleVote(&replication.VoteRequest{Term: 8, CandidateID: "b"}); err != nil || !resp.Granted {
+		t.Fatalf("re-grant to the term's candidate: %+v, %v", resp, err)
+	}
+}
+
+// A pre-vote moves no term and spends no vote: a follower answers it by
+// the log rule alone, and the leader refuses it while it leads.
+func TestPreVoteMovesNothing(t *testing.T) {
+	c := newCluster(t, 3, journal.Options{})
+	lead := c.waitLeader(4 * testTTL)
+	if err := register(t, c.addrs[lead], "s1", "/user[@id='u']/presence"); err != nil {
+		t.Fatal(err)
+	}
+	follower := (lead + 1) % 3
+	if !waitCovered(t, c.mdms[follower], "/user[@id='u']/presence", 2*testTTL) {
+		t.Fatal("the registration never reached the follower")
+	}
+	jr := c.mdms[follower].Journal()
+	st := c.nodes[follower].Status()
+	ask := func(i int, lastIndex, lastTerm uint64) *replication.VoteResponse {
+		t.Helper()
+		resp, err := c.nodes[i].HandleVote(&replication.VoteRequest{
+			Term: st.Term + 1, CandidateID: "pre", LastIndex: lastIndex, LastTerm: lastTerm, PreVote: true,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp
+	}
+
+	if resp := ask(follower, jr.LastIndex(), jr.LastTerm()); !resp.Granted {
+		t.Errorf("follower refused a pre-vote from a complete log: %+v", resp)
+	}
+	if resp := ask(follower, 0, 0); resp.Granted {
+		t.Errorf("follower granted a pre-vote to an empty log: %+v", resp)
+	}
+	if resp := ask(lead, jr.LastIndex(), jr.LastTerm()); resp.Granted {
+		t.Errorf("leader granted a pre-vote: %+v", resp)
+	}
+	if got := c.nodes[follower].Status().Term; got != st.Term {
+		t.Errorf("pre-votes moved the follower's term %d -> %d", st.Term, got)
+	}
+	// The vote of the next term is still unspent.
+	resp, err := c.nodes[follower].HandleVote(&replication.VoteRequest{
+		Term: st.Term + 1, CandidateID: "real", LastIndex: jr.LastIndex(), LastTerm: jr.LastTerm(),
+	})
+	if err != nil || !resp.Granted {
+		t.Errorf("vote after pre-votes: %+v, %v", resp, err)
+	}
+}

@@ -14,11 +14,14 @@ package token
 import (
 	"crypto/hmac"
 	"crypto/sha256"
+	"crypto/subtle"
 	"encoding/hex"
 	"errors"
 	"fmt"
+	"hash"
 	"strconv"
 	"strings"
+	"sync"
 	"time"
 
 	"gupster/internal/xpath"
@@ -76,9 +79,11 @@ var (
 
 // Signer issues and verifies signed queries. The zero value is unusable;
 // construct with NewSigner. Safe for concurrent use (all state is
-// read-only after construction).
+// read-only after construction, and the MAC states come from a pool).
 type Signer struct {
-	key []byte
+	// macs pools keyed HMAC states with their scratch buffers; copies made
+	// by WithClock share it, as they share the key it was built over.
+	macs *sync.Pool
 	// MaxSkew tolerates clock skew between MDM and stores when checking
 	// IssuedAt; default one minute.
 	MaxSkew time.Duration
@@ -86,11 +91,30 @@ type Signer struct {
 	now func() time.Time
 }
 
+// macState is one pooled HMAC with room for the canonical encoding it
+// hashes and the hex signature it produces.
+type macState struct {
+	h   hash.Hash
+	msg []byte
+	sum [sha256.Size]byte
+	hex [2 * sha256.Size]byte
+}
+
+// maxPooledMsg bounds the encoding buffer a pooled state keeps: a query
+// with an outsized path is encoded once, not pinned for the process's life.
+const maxPooledMsg = 4 << 10
+
 // NewSigner returns a signer over the shared key.
 func NewSigner(key []byte) *Signer {
 	k := make([]byte, len(key))
 	copy(k, key)
-	return &Signer{key: k, MaxSkew: time.Minute, now: time.Now}
+	return &Signer{
+		macs: &sync.Pool{New: func() any {
+			return &macState{h: hmac.New(sha256.New, k), msg: make([]byte, 0, 256)}
+		}},
+		MaxSkew: time.Minute,
+		now:     time.Now,
+	}
 }
 
 // WithClock returns a copy of the signer using the given clock; for tests
@@ -113,15 +137,26 @@ func (s *Signer) Sign(store, owner string, path xpath.Path, verb Verb, requester
 		IssuedAt:  s.now().UnixNano(),
 		TTL:       int64(ttl),
 	}
-	q.Sig = s.mac(&q)
+	st := s.macs.Get().(*macState)
+	q.Sig = string(st.mac(&q))
+	s.release(st)
 	return q
 }
 
 // Verify checks the signature, freshness and addressing of a grant as a
 // data store would: the store name must match its own identity and the verb
-// must equal the operation being attempted.
+// must equal the operation being attempted. The signature is compared in
+// constant time against the lowercase hex Sign produces, so a store leaks
+// no timing about how much of a forged signature was right.
 func (s *Signer) Verify(q *SignedQuery, atStore string, verb Verb) error {
-	if q.Sig != s.mac(q) {
+	st := s.macs.Get().(*macState)
+	want := st.mac(q)
+	// The encoding has been hashed; its buffer carries the presented
+	// signature into the compare without a conversion's allocation.
+	st.msg = append(st.msg[:0], q.Sig...)
+	ok := subtle.ConstantTimeCompare(want, st.msg) == 1
+	s.release(st)
+	if !ok {
 		return ErrBadSignature
 	}
 	if q.Store != atStore {
@@ -141,16 +176,38 @@ func (s *Signer) Verify(q *SignedQuery, atStore string, verb Verb) error {
 	return nil
 }
 
-func (s *Signer) mac(q *SignedQuery) string {
-	h := hmac.New(sha256.New, s.key)
-	// Canonical field encoding: length-prefixed to prevent ambiguity.
-	for _, f := range []string{
-		q.Store, q.Owner, q.Path, string(q.Verb), q.Requester,
-		strconv.FormatInt(q.IssuedAt, 10), strconv.FormatInt(q.TTL, 10),
-	} {
-		fmt.Fprintf(h, "%d:%s;", len(f), f)
+func (s *Signer) release(st *macState) {
+	if cap(st.msg) > maxPooledMsg {
+		st.msg = make([]byte, 0, 256)
 	}
-	return hex.EncodeToString(h.Sum(nil))
+	s.macs.Put(st)
+}
+
+// mac returns the hex HMAC of q's canonical encoding: every field as
+// "<decimal length>:<bytes>;", in the order Store, Owner, Path, Verb,
+// Requester, IssuedAt, TTL, the two integers in decimal — length-prefixed to
+// prevent ambiguity. The result aliases st and is valid until st is reused.
+func (st *macState) mac(q *SignedQuery) []byte {
+	b := st.msg[:0]
+	for _, f := range [...]string{q.Store, q.Owner, q.Path, string(q.Verb), q.Requester} {
+		b = strconv.AppendInt(b, int64(len(f)), 10)
+		b = append(b, ':')
+		b = append(b, f...)
+		b = append(b, ';')
+	}
+	for _, n := range [...]int64{q.IssuedAt, q.TTL} {
+		var digits [20]byte
+		d := strconv.AppendInt(digits[:0], n, 10)
+		b = strconv.AppendInt(b, int64(len(d)), 10)
+		b = append(b, ':')
+		b = append(b, d...)
+		b = append(b, ';')
+	}
+	st.msg = b
+	st.h.Reset()
+	st.h.Write(b)
+	hex.Encode(st.hex[:], st.h.Sum(st.sum[:0]))
+	return st.hex[:]
 }
 
 // Fingerprint returns a short stable identifier of a grant for logging.

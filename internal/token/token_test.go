@@ -47,6 +47,12 @@ func TestTamperDetection(t *testing.T) {
 		func(q *SignedQuery) { q.IssuedAt += 1 },
 		func(q *SignedQuery) { q.Verb = VerbUpdate },
 		func(q *SignedQuery) { q.Sig = strings.Repeat("0", len(q.Sig)) },
+		// The right MAC in uppercase hex is not the signature Sign issues.
+		func(q *SignedQuery) { q.Sig = strings.ToUpper(q.Sig) },
+		// A prefix of the right signature, and the right one with a byte
+		// more, are of the wrong length.
+		func(q *SignedQuery) { q.Sig = q.Sig[:len(q.Sig)-2] },
+		func(q *SignedQuery) { q.Sig += "0" },
 	}
 	for i, mutate := range mutations {
 		q := base

@@ -21,7 +21,7 @@ package xpath
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 
 	"gupster/internal/xmltree"
@@ -36,10 +36,44 @@ type Pred struct {
 }
 
 func (p Pred) String() string {
+	var b strings.Builder
+	b.Grow(p.renderedLen())
+	p.writeTo(&b)
+	return b.String()
+}
+
+func (p Pred) renderedLen() int {
 	if p.HasValue {
-		return fmt.Sprintf("[@%s='%s']", p.Attr, p.Value)
+		return len("[@='']") + len(p.Attr) + len(p.Value)
 	}
-	return fmt.Sprintf("[@%s]", p.Attr)
+	return len("[@]") + len(p.Attr)
+}
+
+func (p Pred) writeTo(b *strings.Builder) {
+	b.WriteString("[@")
+	b.WriteString(p.Attr)
+	if p.HasValue {
+		b.WriteString("='")
+		b.WriteString(p.Value)
+		b.WriteByte('\'')
+	}
+	b.WriteByte(']')
+}
+
+// comparePreds is the canonical predicate order: by attribute, an
+// existence test before the equality tests on the same attribute, then by
+// value.
+func comparePreds(a, b Pred) int {
+	if a.Attr != b.Attr {
+		return strings.Compare(a.Attr, b.Attr)
+	}
+	if a.HasValue != b.HasValue {
+		if a.HasValue {
+			return 1
+		}
+		return -1
+	}
+	return strings.Compare(a.Value, b.Value)
 }
 
 // matches reports whether a node satisfies the predicate.
@@ -70,26 +104,33 @@ type Step struct {
 
 func (s Step) String() string {
 	var b strings.Builder
-	b.WriteString(s.Name)
-	for _, p := range sortedPreds(s.Preds) {
-		b.WriteString(p.String())
-	}
+	b.Grow(s.renderedLen())
+	s.writeTo(&b)
 	return b.String()
 }
 
-func sortedPreds(ps []Pred) []Pred {
-	out := make([]Pred, len(ps))
-	copy(out, ps)
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Attr != out[j].Attr {
-			return out[i].Attr < out[j].Attr
-		}
-		if out[i].HasValue != out[j].HasValue {
-			return !out[i].HasValue
-		}
-		return out[i].Value < out[j].Value
-	})
-	return out
+func (s Step) renderedLen() int {
+	n := len(s.Name)
+	for _, p := range s.Preds {
+		n += p.renderedLen()
+	}
+	return n
+}
+
+// writeTo renders the step with its predicates in canonical order. Only a
+// step with several predicates is sorted, on a stack copy when it has a
+// few; equal predicates render identically, so the sort need not be stable.
+func (s Step) writeTo(b *strings.Builder) {
+	b.WriteString(s.Name)
+	preds := s.Preds
+	if len(preds) > 1 {
+		var local [8]Pred
+		preds = append(local[:0], preds...)
+		slices.SortFunc(preds, comparePreds)
+	}
+	for _, p := range preds {
+		p.writeTo(b)
+	}
 }
 
 // Matches reports whether a node satisfies the step's name test and every
@@ -154,12 +195,22 @@ type Path struct {
 }
 
 // String renders the canonical form: predicates within each step are sorted,
-// so two equivalent parses render identically. Parse(p.String()) == p.
+// so two equivalent parses render identically. Parse(p.String()) == p. The
+// rendering is sized first and written into one buffer, which is the
+// string's only allocation.
 func (p Path) String() string {
+	n := 0
+	for _, s := range p.Steps {
+		n += 1 + s.renderedLen()
+	}
+	if p.Attr != "" {
+		n += len("/@") + len(p.Attr)
+	}
 	var b strings.Builder
+	b.Grow(n)
 	for _, s := range p.Steps {
 		b.WriteByte('/')
-		b.WriteString(s.String())
+		s.writeTo(&b)
 	}
 	if p.Attr != "" {
 		b.WriteString("/@")
