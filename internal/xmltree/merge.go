@@ -23,19 +23,38 @@ var DefaultKeys = KeySpec{
 	"event":   "id",
 }
 
-// keyOf returns the merge identity of a node under the spec: element name
-// plus the key attribute's value when the spec defines one. The second
-// result reports whether the node is keyed.
-func (ks KeySpec) keyOf(n *Node) (string, bool) {
+// childKey is a keyed node's merge identity: its element name and the value
+// of its key attribute.
+type childKey struct{ name, val string }
+
+// identity returns the merge identity of a node under the spec and whether
+// the node is keyed: the spec names a key attribute for its element and the
+// node carries it.
+func (ks KeySpec) identity(n *Node) (childKey, bool) {
 	attr, ok := ks[n.Name]
 	if !ok {
-		return "", false
+		return childKey{}, false
 	}
-	v, ok := n.Attr(attr)
+	v, ok := n.Attrs[attr]
+	if !ok {
+		return childKey{}, false
+	}
+	return childKey{n.Name, v}, true
+}
+
+// keyOf is identity spelled as the string Diff reports in Op.Key: element
+// name, a NUL, the key value.
+func (ks KeySpec) keyOf(n *Node) (string, bool) {
+	k, ok := ks.identity(n)
 	if !ok {
 		return "", false
 	}
-	return n.Name + "\x00" + v, true
+	return k.name + "\x00" + k.val, true
+}
+
+func (ks KeySpec) keyed(n *Node) bool {
+	_, ok := ks.identity(n)
+	return ok
 }
 
 // DeepUnion merges two component trees into a new tree, following the
@@ -47,108 +66,144 @@ func (ks KeySpec) keyOf(n *Node) (string, bool) {
 //
 // Neither input is modified.
 func DeepUnion(a, b *Node, keys KeySpec) *Node {
-	if a == nil {
-		return b.Clone()
-	}
-	if b == nil {
-		return a.Clone()
-	}
-	out := &Node{Name: a.Name, Text: a.Text}
-	if out.Text == "" {
-		out.Text = b.Text
-	}
-	for k, v := range b.Attrs {
-		out.SetAttr(k, v)
-	}
-	for k, v := range a.Attrs {
-		out.SetAttr(k, v) // a wins on conflict
-	}
+	return MergeAll(keys, a, b)
+}
 
-	merged := make(map[string]*Node)
-	var order []string
-	var unkeyedA, unkeyedB []*Node
-	for _, c := range a.Children {
-		if k, ok := keys.keyOf(c); ok {
-			if _, seen := merged[k]; !seen {
-				order = append(order, k)
-			}
-			merged[k] = c.Clone()
-		} else {
-			unkeyedA = append(unkeyedA, c)
+// MergeAll deep-unions components in priority order: earlier arguments win
+// conflicts. Nil entries are skipped; the result is nil when all are nil.
+// The result is DeepUnion folded from the left, built without copying any
+// node twice: the first component is copied, and each later one is merged
+// into that copy, which copies from it only the nodes it adopts.
+//
+// No input is modified, and the result shares no node, attribute map or
+// children slice with any input.
+func MergeAll(keys KeySpec, components ...*Node) *Node {
+	nodes, pieces := 0, 0
+	for _, c := range components {
+		if c != nil {
+			nodes += c.Count()
+			pieces++
 		}
 	}
-	for _, c := range b.Children {
-		if k, ok := keys.keyOf(c); ok {
-			if prev, seen := merged[k]; seen {
-				merged[k] = DeepUnion(prev, c, keys)
-			} else {
-				order = append(order, k)
-				merged[k] = c.Clone()
-			}
+	if pieces == 0 {
+		return nil
+	}
+	// Every input node is copied at most once, so one slab holds them all.
+	s := newSlab(nodes, pieces)
+	var out *Node
+	for _, c := range components {
+		switch {
+		case c == nil:
+		case out == nil:
+			out = s.copy(c)
+		default:
+			s.unionInto(out, c, keys)
+		}
+	}
+	return out
+}
+
+// unionInto turns a into DeepUnion(a, b) in place. a belongs to the merge —
+// every node, attribute map and children slice under it — and b is only
+// read; the nodes a adopts from b are copied out of s.
+//
+// A merged node's children come out as its unkeyed children (a's, each
+// merged with its singleton partner from b, then b's that found none) and
+// then its keyed ones in order of first appearance, a's first. A key
+// repeated in a keeps its first position and its last node; a key repeated
+// in b merges into the node already holding it.
+func (s *slab) unionInto(a, b *Node, keys KeySpec) {
+	if a.Text == "" {
+		a.Text = b.Text
+	}
+	for k, v := range b.Attrs {
+		if _, ok := a.Attrs[k]; !ok {
+			a.SetAttr(k, v) // a wins on conflict
+		}
+	}
+	n := len(a.Children) + len(b.Children)
+	if n == 0 {
+		return
+	}
+	out := make([]*Node, 0, n)
+	var keyed []*Node
+	var index map[childKey]int
+	add := func(k childKey, c *Node) {
+		if index == nil {
+			index = make(map[childKey]int, n)
+			keyed = make([]*Node, 0, n)
+		}
+		index[k] = len(keyed)
+		keyed = append(keyed, c)
+	}
+	for _, c := range a.Children {
+		k, ok := keys.identity(c)
+		if !ok {
+			out = append(out, c)
+		} else if i, seen := index[k]; seen {
+			keyed[i] = c
 		} else {
-			unkeyedB = append(unkeyedB, c)
+			add(k, c)
+		}
+	}
+	unkeyedA := out
+	unkeyedB := 0
+	for _, c := range b.Children {
+		k, ok := keys.identity(c)
+		if !ok {
+			unkeyedB++
+		} else if i, seen := index[k]; seen {
+			s.unionInto(keyed[i], c, keys)
+		} else {
+			add(k, s.copy(c))
 		}
 	}
 
 	// Unkeyed children with the same name that appear exactly once on each
 	// side are merged structurally (e.g. a singleton <preferences> section);
 	// everything else concatenates.
-	singlesA := singletonsByName(unkeyedA)
-	singlesB := singletonsByName(unkeyedB)
-	usedB := make(map[*Node]bool)
-	for _, c := range unkeyedA {
-		if m, ok := singlesA[c.Name]; ok && m == c {
-			if bc, ok := singlesB[c.Name]; ok {
-				out.Children = append(out.Children, DeepUnion(c, bc, keys))
-				usedB[bc] = true
+	if unkeyedB > 0 {
+		var counts map[string]section
+		if len(unkeyedA) > 0 {
+			counts = sections(unkeyedA, b.Children, keys)
+		}
+		for _, c := range b.Children {
+			if keys.keyed(c) {
 				continue
 			}
+			if sec := counts[c.Name]; sec.inA == 1 && sec.inB == 1 {
+				s.unionInto(sec.a, c, keys)
+			} else {
+				out = append(out, s.copy(c))
+			}
 		}
-		out.Children = append(out.Children, c.Clone())
 	}
-	for _, c := range unkeyedB {
-		if !usedB[c] {
-			out.Children = append(out.Children, c.Clone())
-		}
-	}
-	for _, k := range order {
-		out.Children = append(out.Children, merged[k])
-	}
-	return out
+	a.Children = append(out, keyed...)
 }
 
-func singletonsByName(nodes []*Node) map[string]*Node {
-	count := make(map[string]int)
-	first := make(map[string]*Node)
-	for _, n := range nodes {
-		count[n.Name]++
-		if count[n.Name] == 1 {
-			first[n.Name] = n
-		}
-	}
-	for name, c := range count {
-		if c != 1 {
-			delete(first, name)
-		}
-	}
-	return first
+// section counts the unkeyed children of one name on each side of a level;
+// a is a's child of that name when it has one only.
+type section struct {
+	a        *Node
+	inA, inB int
 }
 
-// MergeAll deep-unions components in priority order: earlier arguments win
-// conflicts. Nil entries are skipped; the result is nil when all are nil.
-func MergeAll(keys KeySpec, components ...*Node) *Node {
-	var out *Node
-	for _, c := range components {
-		if c == nil {
-			continue
-		}
-		if out == nil {
-			out = c.Clone()
-			continue
-		}
-		out = DeepUnion(out, c, keys)
+// sections counts the names of unkeyedA and of bc's unkeyed children that
+// share one of them.
+func sections(unkeyedA, bc []*Node, keys KeySpec) map[string]section {
+	counts := make(map[string]section, len(unkeyedA))
+	for _, c := range unkeyedA {
+		sec := counts[c.Name]
+		sec.a, sec.inA = c, sec.inA+1
+		counts[c.Name] = sec
 	}
-	return out
+	for _, c := range bc {
+		if sec, ok := counts[c.Name]; ok && !keys.keyed(c) {
+			sec.inB++
+			counts[c.Name] = sec
+		}
+	}
+	return counts
 }
 
 // OpKind classifies a Diff edit.

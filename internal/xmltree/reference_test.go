@@ -4,6 +4,7 @@ import (
 	"encoding/xml"
 	"fmt"
 	"io"
+	"sort"
 	"strings"
 )
 
@@ -67,3 +68,190 @@ func referenceParseElement(dec *xml.Decoder, start xml.StartElement) (*Node, err
 		}
 	}
 }
+
+// What follows is the merge and the writer xmltree shipped until MergeAll
+// unioned into one owned tree and String rendered into a pooled buffer: the
+// recursive DeepUnion that cloned both inputs, MergeAll as its left fold,
+// and the strings.Builder writer with its two Replacers. The bodies are
+// unchanged but for the "reference" prefix on their names. They are the
+// oracles FuzzMergeAllMatchesReference and FuzzStringMatchesReference hold
+// merge.go and xmltree.go to, byte for byte.
+
+func referenceDeepUnion(a, b *Node, keys KeySpec) *Node {
+	if a == nil {
+		return b.Clone()
+	}
+	if b == nil {
+		return a.Clone()
+	}
+	out := &Node{Name: a.Name, Text: a.Text}
+	if out.Text == "" {
+		out.Text = b.Text
+	}
+	for k, v := range b.Attrs {
+		out.SetAttr(k, v)
+	}
+	for k, v := range a.Attrs {
+		out.SetAttr(k, v) // a wins on conflict
+	}
+
+	merged := make(map[string]*Node)
+	var order []string
+	var unkeyedA, unkeyedB []*Node
+	for _, c := range a.Children {
+		if k, ok := keys.keyOf(c); ok {
+			if _, seen := merged[k]; !seen {
+				order = append(order, k)
+			}
+			merged[k] = c.Clone()
+		} else {
+			unkeyedA = append(unkeyedA, c)
+		}
+	}
+	for _, c := range b.Children {
+		if k, ok := keys.keyOf(c); ok {
+			if prev, seen := merged[k]; seen {
+				merged[k] = referenceDeepUnion(prev, c, keys)
+			} else {
+				order = append(order, k)
+				merged[k] = c.Clone()
+			}
+		} else {
+			unkeyedB = append(unkeyedB, c)
+		}
+	}
+
+	// Unkeyed children with the same name that appear exactly once on each
+	// side are merged structurally (e.g. a singleton <preferences> section);
+	// everything else concatenates.
+	singlesA := referenceSingletonsByName(unkeyedA)
+	singlesB := referenceSingletonsByName(unkeyedB)
+	usedB := make(map[*Node]bool)
+	for _, c := range unkeyedA {
+		if m, ok := singlesA[c.Name]; ok && m == c {
+			if bc, ok := singlesB[c.Name]; ok {
+				out.Children = append(out.Children, referenceDeepUnion(c, bc, keys))
+				usedB[bc] = true
+				continue
+			}
+		}
+		out.Children = append(out.Children, c.Clone())
+	}
+	for _, c := range unkeyedB {
+		if !usedB[c] {
+			out.Children = append(out.Children, c.Clone())
+		}
+	}
+	for _, k := range order {
+		out.Children = append(out.Children, merged[k])
+	}
+	return out
+}
+
+func referenceSingletonsByName(nodes []*Node) map[string]*Node {
+	count := make(map[string]int)
+	first := make(map[string]*Node)
+	for _, n := range nodes {
+		count[n.Name]++
+		if count[n.Name] == 1 {
+			first[n.Name] = n
+		}
+	}
+	for name, c := range count {
+		if c != 1 {
+			delete(first, name)
+		}
+	}
+	return first
+}
+
+func referenceMergeAll(keys KeySpec, components ...*Node) *Node {
+	var out *Node
+	for _, c := range components {
+		if c == nil {
+			continue
+		}
+		if out == nil {
+			out = c.Clone()
+			continue
+		}
+		out = referenceDeepUnion(out, c, keys)
+	}
+	return out
+}
+
+// referenceString and referenceIndent are the old String and Indent.
+func referenceString(n *Node) string {
+	var b strings.Builder
+	referenceWrite(n, &b, -1, 0)
+	return b.String()
+}
+
+func referenceIndent(n *Node) string {
+	var b strings.Builder
+	referenceWrite(n, &b, 0, 0)
+	return b.String()
+}
+
+func referenceWrite(n *Node, b *strings.Builder, indent, depth int) {
+	pad := func() {
+		if indent >= 0 {
+			for i := 0; i < depth*2; i++ {
+				b.WriteByte(' ')
+			}
+		}
+	}
+	nl := func() {
+		if indent >= 0 {
+			b.WriteByte('\n')
+		}
+	}
+	pad()
+	b.WriteByte('<')
+	b.WriteString(n.Name)
+	for _, k := range referenceSortedAttrKeys(n) {
+		b.WriteByte(' ')
+		b.WriteString(k)
+		b.WriteString(`="`)
+		b.WriteString(referenceEscapeAttr(n.Attrs[k]))
+		b.WriteByte('"')
+	}
+	if n.Text == "" && len(n.Children) == 0 {
+		b.WriteString("/>")
+		nl()
+		return
+	}
+	b.WriteByte('>')
+	if n.Text != "" {
+		b.WriteString(referenceEscapeText(n.Text))
+	}
+	if len(n.Children) > 0 {
+		nl()
+		for _, c := range n.Children {
+			referenceWrite(c, b, indent, depth+1)
+		}
+		pad()
+	}
+	b.WriteString("</")
+	b.WriteString(n.Name)
+	b.WriteByte('>')
+	nl()
+}
+
+func referenceSortedAttrKeys(n *Node) []string {
+	keys := make([]string, 0, len(n.Attrs))
+	for k := range n.Attrs {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	return keys
+}
+
+var (
+	referenceTextEscaper = strings.NewReplacer("&", "&amp;", "<", "&lt;", ">", "&gt;", "\r", "&#xD;")
+	referenceAttrEscaper = strings.NewReplacer("&", "&amp;", "<", "&lt;", ">", "&gt;", `"`, "&quot;", "\r", "&#xD;")
+)
+
+func referenceEscapeText(s string) string { return referenceTextEscaper.Replace(s) }
+
+func referenceEscapeAttr(s string) string { return referenceAttrEscaper.Replace(s) }

@@ -17,8 +17,9 @@
 package xmltree
 
 import (
-	"sort"
-	"strings"
+	"maps"
+	"slices"
+	"sync"
 )
 
 // Node is one element in a profile component tree. The zero value is an
@@ -110,22 +111,45 @@ func (n *Node) RemoveChild(c *Node) bool {
 	return false
 }
 
-// Clone returns a deep copy of the subtree rooted at n.
+// Clone returns a deep copy of the subtree rooted at n. The copy's nodes
+// share one allocation, so a copied node keeps the whole copy alive.
 func (n *Node) Clone() *Node {
 	if n == nil {
 		return nil
 	}
-	out := &Node{Name: n.Name, Text: n.Text}
+	return newSlab(n.Count(), 1).copy(n)
+}
+
+// slab hands out the nodes and child-pointer slots of copied subtrees from
+// two arrays sized up front: a copy costs two allocations however many
+// nodes it has, plus one map per element with attributes.
+type slab struct {
+	nodes []Node
+	kids  []*Node
+}
+
+// newSlab sizes a slab for copying up to nodes nodes out of roots trees. A
+// root is no copied node's child, so nodes-roots child slots suffice.
+func newSlab(nodes, roots int) *slab {
+	return &slab{nodes: make([]Node, nodes), kids: make([]*Node, nodes-roots)}
+}
+
+// copy deep-copies n out of the slab. Each node's Children is a three-index
+// sub-slice of kids: its capacity ends where its siblings' slots begin, so
+// an append to one node's children reallocates rather than overwriting
+// another's.
+func (s *slab) copy(n *Node) *Node {
+	out := &s.nodes[0]
+	s.nodes = s.nodes[1:]
+	out.Name, out.Text = n.Name, n.Text
 	if len(n.Attrs) > 0 {
-		out.Attrs = make(map[string]string, len(n.Attrs))
-		for k, v := range n.Attrs {
-			out.Attrs[k] = v
-		}
+		out.Attrs = maps.Clone(n.Attrs)
 	}
-	if len(n.Children) > 0 {
-		out.Children = make([]*Node, len(n.Children))
+	if k := len(n.Children); k > 0 {
+		out.Children = s.kids[:k:k]
+		s.kids = s.kids[k:]
 		for i, c := range n.Children {
-			out.Children[i] = c.Clone()
+			out.Children[i] = s.copy(c)
 		}
 	}
 	return out
@@ -169,97 +193,126 @@ func (n *Node) Walk(fn func(*Node) bool) {
 
 // Count returns the number of elements in the subtree rooted at n.
 func (n *Node) Count() int {
-	total := 0
-	n.Walk(func(*Node) bool { total++; return true })
-	return total
-}
-
-// sortedAttrKeys returns attribute names in lexicographic order.
-func (n *Node) sortedAttrKeys() []string {
-	keys := make([]string, 0, len(n.Attrs))
-	for k := range n.Attrs {
-		keys = append(keys, k)
+	if n == nil {
+		return 0
 	}
-	sort.Strings(keys)
-	return keys
+	total := 1
+	for _, c := range n.Children {
+		total += c.Count()
+	}
+	return total
 }
 
 // String renders the subtree as compact XML with lexicographically ordered
 // attributes, suitable for hashing and comparison.
-func (n *Node) String() string {
-	var b strings.Builder
-	n.write(&b, -1, 0)
-	return b.String()
-}
+func (n *Node) String() string { return n.render(false) }
 
 // Indent renders the subtree as indented XML for human consumption.
-func (n *Node) Indent() string {
-	var b strings.Builder
-	n.write(&b, 0, 0)
-	return b.String()
+func (n *Node) Indent() string { return n.render(true) }
+
+// writeBufs recycles the buffers String and Indent render into. Buffers
+// that grew past maxPooledWrite are dropped instead of pinned.
+var writeBufs = sync.Pool{New: func() any { return new([]byte) }}
+
+const maxPooledWrite = 64 << 10
+
+// render writes the subtree into a pooled buffer, so the returned string is
+// the only allocation.
+func (n *Node) render(indent bool) string {
+	bp := writeBufs.Get().(*[]byte)
+	b := n.appendXML((*bp)[:0], indent, 0)
+	s := string(b)
+	if cap(b) <= maxPooledWrite {
+		*bp = b
+		writeBufs.Put(bp)
+	}
+	return s
 }
 
-func (n *Node) write(b *strings.Builder, indent, depth int) {
-	pad := func() {
-		if indent >= 0 {
-			for i := 0; i < depth*2; i++ {
-				b.WriteByte(' ')
-			}
-		}
+func (n *Node) appendXML(b []byte, indent bool, depth int) []byte {
+	if indent {
+		b = appendPad(b, depth)
 	}
-	nl := func() {
-		if indent >= 0 {
-			b.WriteByte('\n')
-		}
+	b = append(b, '<')
+	b = append(b, n.Name...)
+	// Attributes in name order, sorted on the stack up to eight of them.
+	var stack [8]string
+	names := stack[:0]
+	for k := range n.Attrs {
+		names = append(names, k)
 	}
-	pad()
-	b.WriteByte('<')
-	b.WriteString(n.Name)
-	for _, k := range n.sortedAttrKeys() {
-		b.WriteByte(' ')
-		b.WriteString(k)
-		b.WriteString(`="`)
-		b.WriteString(escapeAttr(n.Attrs[k]))
-		b.WriteByte('"')
+	slices.Sort(names)
+	for _, k := range names {
+		b = append(b, ' ')
+		b = append(b, k...)
+		b = append(b, `="`...)
+		b = appendEscaped(b, n.Attrs[k], true)
+		b = append(b, '"')
 	}
 	if n.Text == "" && len(n.Children) == 0 {
-		b.WriteString("/>")
-		nl()
-		return
-	}
-	b.WriteByte('>')
-	if n.Text != "" {
-		b.WriteString(escapeText(n.Text))
-	}
-	if len(n.Children) > 0 {
-		nl()
-		for _, c := range n.Children {
-			c.write(b, indent, depth+1)
+		b = append(b, "/>"...)
+	} else {
+		b = append(b, '>')
+		b = appendEscaped(b, n.Text, false)
+		if len(n.Children) > 0 {
+			if indent {
+				b = append(b, '\n')
+			}
+			for _, c := range n.Children {
+				b = c.appendXML(b, indent, depth+1)
+			}
+			if indent {
+				b = appendPad(b, depth)
+			}
 		}
-		pad()
+		b = append(b, "</"...)
+		b = append(b, n.Name...)
+		b = append(b, '>')
 	}
-	b.WriteString("</")
-	b.WriteString(n.Name)
-	b.WriteByte('>')
-	nl()
+	if indent {
+		b = append(b, '\n')
+	}
+	return b
 }
 
-// The replacers are package-level: a strings.Replacer builds its matching
-// machinery on first use, so constructing one per escape call rebuilt that
-// machinery for every attribute and text node serialized — pure allocation
-// churn on the fetch hot path.
-//
-// CR is escaped because a raw one does not survive any XML parser: line-end
-// normalisation turns it into LF, and the tree read back would differ from
-// the tree written.
-var (
-	textEscaper = strings.NewReplacer("&", "&amp;", "<", "&lt;", ">", "&gt;", "\r", "&#xD;")
-	attrEscaper = strings.NewReplacer("&", "&amp;", "<", "&lt;", ">", "&gt;", `"`, "&quot;", "\r", "&#xD;")
-)
+func appendPad(b []byte, depth int) []byte {
+	for i := 0; i < depth*2; i++ {
+		b = append(b, ' ')
+	}
+	return b
+}
 
-func escapeText(s string) string { return textEscaper.Replace(s) }
-
-func escapeAttr(s string) string { return attrEscaper.Replace(s) }
+// appendEscaped appends s with markup characters replaced by references:
+// & < > always, " inside an attribute value. CR is escaped because a raw
+// one does not survive any XML parser: line-end normalisation turns it into
+// LF, and the tree read back would differ from the tree written.
+func appendEscaped(b []byte, s string, attr bool) []byte {
+	last := 0
+	for i := 0; i < len(s); i++ {
+		var ref string
+		switch s[i] {
+		case '&':
+			ref = "&amp;"
+		case '<':
+			ref = "&lt;"
+		case '>':
+			ref = "&gt;"
+		case '\r':
+			ref = "&#xD;"
+		case '"':
+			if !attr {
+				continue
+			}
+			ref = "&quot;"
+		default:
+			continue
+		}
+		b = append(b, s[last:i]...)
+		b = append(b, ref...)
+		last = i + 1
+	}
+	return append(b, s[last:]...)
+}
 
 // Size returns the length in bytes of the compact serialization. It is the
 // unit used by benchmarks when reporting bytes moved.
