@@ -278,19 +278,40 @@ func applyPreds(n *xmltree.Node, step xpath.Step) {
 // Get returns the pruned profile document (ancestor spine plus the subtrees
 // selected by path) for the user, and the version of the newest write
 // touching the path's section. Merging results from several stores is then
-// a DeepUnion of the returned documents.
+// a DeepUnion of the returned documents. The document is the caller's: it
+// shares nothing with the engine's tree.
 func (e *Engine) Get(user string, path xpath.Path) (*xmltree.Node, uint64, error) {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
+	view, v, err := e.view(user, path)
+	return view.Clone(), v, err
+}
+
+// GetXML is Get rendered as compact XML, for a store answering a fetch. The
+// document is written straight from the engine's tree while the read lock
+// is held, so no node of it is copied.
+func (e *Engine) GetXML(user string, path xpath.Path) (string, uint64, error) {
+	e.mu.RLock()
+	defer e.mu.RUnlock()
+	view, v, err := e.view(user, path)
+	if err != nil {
+		return "", 0, err
+	}
+	return view.String(), v, nil
+}
+
+// view is Get's document as an xpath.View of the engine's tree. The caller
+// holds e.mu and is done with the view before releasing it.
+func (e *Engine) view(user string, path xpath.Path) (*xmltree.Node, uint64, error) {
 	doc := e.docs[user]
 	if doc == nil {
 		return nil, 0, fmt.Errorf("%w: %s", ErrNoUser, user)
 	}
-	out := xpath.Extract(doc, path)
-	if out == nil {
+	view := xpath.View(doc, path)
+	if view == nil {
 		return nil, 0, fmt.Errorf("%w: %s", ErrNoComponent, path)
 	}
-	return out, e.compVer[sectionKey(user, path)], nil
+	return view, e.compVer[sectionKey(user, path)], nil
 }
 
 // GetComponent returns the first element selected by path (the component

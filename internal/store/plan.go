@@ -73,13 +73,15 @@ func (x Executor) Client(ctx context.Context, addr string) (Client, error) {
 }
 
 // Fetch retrieves every referral of one alternative on a bounded worker
-// pool and deep-unions the pieces in referral order.
+// pool and deep-unions the pieces in referral order. Each piece is the tree
+// of its own reply, held by nothing else, so they merge in place: a lone
+// piece is the answer as parsed.
 func (x Executor) Fetch(ctx context.Context, alt wire.Alternative) (*xmltree.Node, error) {
 	pieces, err := x.pieces(ctx, alt.Referrals)
 	if err != nil {
 		return nil, err
 	}
-	return xmltree.MergeAll(x.Keys, pieces...), nil
+	return xmltree.MergeOwned(x.Keys, pieces...), nil
 }
 
 // pieces fetches refs concurrently; pieces[i] answers refs[i], nil where

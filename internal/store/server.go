@@ -127,7 +127,7 @@ func (s *Server) fetch(_ context.Context, req *wire.FetchRequest) (wire.FetchRes
 	if err != nil {
 		return wire.FetchResponse{}, err
 	}
-	doc, v, err := s.Engine.Get(owner, path)
+	xml, v, err := s.Engine.GetXML(owner, path)
 	if err != nil {
 		if errors.Is(err, ErrNoUser) || errors.Is(err, ErrNoComponent) {
 			// Registered but empty: answer with an empty result rather than
@@ -136,7 +136,7 @@ func (s *Server) fetch(_ context.Context, req *wire.FetchRequest) (wire.FetchRes
 		}
 		return wire.FetchResponse{}, err
 	}
-	return wire.FetchResponse{XML: doc.String(), Version: v}, nil
+	return wire.FetchResponse{XML: xml, Version: v}, nil
 }
 
 func (s *Server) update(_ context.Context, req *wire.UpdateRequest) (wire.UpdateResponse, error) {

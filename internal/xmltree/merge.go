@@ -89,13 +89,30 @@ func MergeAll(keys KeySpec, components ...*Node) *Node {
 		return nil
 	}
 	// Every input node is copied at most once, so one slab holds them all.
-	s := newSlab(nodes, pieces)
+	return newSlab(nodes, pieces).merge(keys, components)
+}
+
+// MergeOwned is MergeAll for pieces the caller hands over: it merges them in
+// place and copies nothing. The first non-nil piece becomes the result, and
+// the nodes it adopts from later pieces are those pieces' own, so a lone
+// piece comes back as it is.
+//
+// Precondition: the pieces share no node, attribute map or children slice
+// with each other or with anything the caller still uses — each is, say, the
+// tree of its own ParseString call. Every piece may be modified and must not
+// be read again except through the result.
+func MergeOwned(keys KeySpec, pieces ...*Node) *Node {
+	return (*slab)(nil).merge(keys, pieces)
+}
+
+// merge folds the components into the first non-nil one, adopted from s.
+func (s *slab) merge(keys KeySpec, components []*Node) *Node {
 	var out *Node
 	for _, c := range components {
 		switch {
 		case c == nil:
 		case out == nil:
-			out = s.copy(c)
+			out = s.adopt(c)
 		default:
 			s.unionInto(out, c, keys)
 		}
@@ -103,9 +120,19 @@ func MergeAll(keys KeySpec, components ...*Node) *Node {
 	return out
 }
 
+// adopt returns the node a merge takes over from an input: a copy out of the
+// slab, or, with no slab (MergeOwned), the input node itself.
+func (s *slab) adopt(n *Node) *Node {
+	if s == nil {
+		return n
+	}
+	return s.copy(n)
+}
+
 // unionInto turns a into DeepUnion(a, b) in place. a belongs to the merge —
 // every node, attribute map and children slice under it — and b is only
-// read; the nodes a adopts from b are copied out of s.
+// read; the nodes a adopts from b are copied out of s, or with a nil s
+// taken over as they are.
 //
 // A merged node's children come out as its unkeyed children (a's, each
 // merged with its singleton partner from b, then b's that found none) and
@@ -155,7 +182,7 @@ func (s *slab) unionInto(a, b *Node, keys KeySpec) {
 		} else if i, seen := index[k]; seen {
 			s.unionInto(keyed[i], c, keys)
 		} else {
-			add(k, s.copy(c))
+			add(k, s.adopt(c))
 		}
 	}
 
@@ -174,7 +201,7 @@ func (s *slab) unionInto(a, b *Node, keys KeySpec) {
 			if sec := counts[c.Name]; sec.inA == 1 && sec.inB == 1 {
 				s.unionInto(sec.a, c, keys)
 			} else {
-				out = append(out, s.copy(c))
+				out = append(out, s.adopt(c))
 			}
 		}
 	}

@@ -180,6 +180,71 @@ func TestMergeAllMatchesReference(t *testing.T) {
 	checkMergeAgainstReference(t, splitBook(sizedBook(8<<10), 4))
 }
 
+// parseTwice renders each piece and reads it back twice, so that every
+// piece of each set is the tree of its own ParseString call.
+func parseTwice(t *testing.T, pieces []*Node) (a, b []*Node) {
+	t.Helper()
+	a, b = make([]*Node, len(pieces)), make([]*Node, len(pieces))
+	for i, p := range pieces {
+		if p == nil {
+			continue
+		}
+		var err error
+		if a[i], err = ParseString(p.String()); err != nil {
+			t.Fatal(err)
+		}
+		b[i], _ = ParseString(p.String())
+	}
+	return a, b
+}
+
+// checkOwnedAgainstMergeAll holds MergeOwned over one parsed set of the
+// pieces to MergeAll over the other, byte for byte.
+func checkOwnedAgainstMergeAll(t *testing.T, pieces []*Node) {
+	t.Helper()
+	owned, copied := parseTwice(t, pieces)
+	want := MergeAll(DefaultKeys, copied...)
+	got := MergeOwned(DefaultKeys, owned...)
+	if (got == nil) != (want == nil) || got != nil && got.String() != want.String() {
+		t.Fatalf("MergeOwned of %q\n got %v\nwant %v", renderAll(copied), got, want)
+	}
+}
+
+func FuzzMergeOwnedMatchesMergeAll(f *testing.F) {
+	rng := rand.New(rand.NewSource(3))
+	for i := 0; i < 16; i++ {
+		seed := make([]byte, 64+rng.Intn(512))
+		rng.Read(seed)
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		c := chooser(data)
+		checkOwnedAgainstMergeAll(t, genPieces(&c))
+	})
+}
+
+func TestMergeOwnedMatchesMergeAll(t *testing.T) {
+	rng := rand.New(rand.NewSource(4))
+	for i := 0; i < 2000; i++ {
+		data := make([]byte, 64+rng.Intn(1024))
+		rng.Read(data)
+		c := chooser(data)
+		checkOwnedAgainstMergeAll(t, genPieces(&c))
+	}
+	checkOwnedAgainstMergeAll(t, splitBook(sizedBook(8<<10), 4))
+}
+
+// A lone piece is the answer: MergeOwned hands it back, not a copy.
+func TestMergeOwnedLonePiece(t *testing.T) {
+	p := MustParse(`<user id="u"><address-book><item name="a"/></address-book></user>`)
+	if got := MergeOwned(DefaultKeys, nil, p, nil); got != p {
+		t.Errorf("MergeOwned(nil, p, nil) = %p, want p = %p", got, p)
+	}
+	if got := MergeOwned(DefaultKeys, nil, nil); got != nil {
+		t.Errorf("MergeOwned of nils = %v, want nil", got)
+	}
+}
+
 func FuzzStringMatchesReference(f *testing.F) {
 	f.Add(int64(1), "x & y < z > \"q\" 'a'", "\r\n\t\u00e9\u4e16\U0001f600", 3)
 	f.Add(int64(2), "", "]]>&amp;", 12)
@@ -347,6 +412,22 @@ func TestMergeAllocs(t *testing.T) {
 	if got > 350 {
 		t.Errorf("4-way 8 KiB merge: %.0f allocs, ceiling 350", got)
 	}
+	// MergeOwned consumes its pieces, so each run merges fresh clones; what
+	// the clones cost is taken off. It measures 27: the merged levels'
+	// children slices and key indexes, no node.
+	fresh := func() []*Node {
+		out := make([]*Node, len(pieces))
+		for i, p := range pieces {
+			out[i] = p.Clone()
+		}
+		return out
+	}
+	cloning := testing.AllocsPerRun(50, func() { fresh() })
+	owned := testing.AllocsPerRun(50, func() { MergeOwned(DefaultKeys, fresh()...) }) - cloning
+	t.Logf("4-way 8 KiB owned merge: %.0f allocs", owned)
+	if owned > 40 {
+		t.Errorf("4-way 8 KiB owned merge: %.0f allocs, ceiling 40", owned)
+	}
 }
 
 func TestStringAllocs(t *testing.T) {
@@ -367,6 +448,20 @@ func BenchmarkMergeAll(b *testing.B) {
 		b.ReportAllocs()
 		for b.Loop() {
 			MergeAll(DefaultKeys, pieces...)
+		}
+	})
+	// MergeOwned consumes its pieces: each iteration clones a fresh set
+	// with the timer stopped.
+	b.Run("4x2k/owned", func(b *testing.B) {
+		b.ReportAllocs()
+		owned := make([]*Node, len(pieces))
+		for b.Loop() {
+			b.StopTimer()
+			for i, p := range pieces {
+				owned[i] = p.Clone()
+			}
+			b.StartTimer()
+			MergeOwned(DefaultKeys, owned...)
 		}
 	})
 }

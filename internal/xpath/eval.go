@@ -52,35 +52,45 @@ func SelectAttr(root *xmltree.Node, p Path) []string {
 // ancestors, but none of their other children). This is how a data store
 // materializes "the component at path p" as a standalone GUP XML fragment,
 // and how the MDM rewrites a grant covering only part of a request.
-// It returns nil when p selects nothing.
+// It returns nil when p selects nothing. The copy shares nothing with root.
 func Extract(root *xmltree.Node, p Path) *xmltree.Node {
+	return View(root, p).Clone()
+}
+
+// View returns the document Extract would, without copying it: the spine
+// elements are fresh shells that share their attribute maps with root, and
+// the selected subtrees are root's own nodes. A view is read-only and valid
+// only while root is unchanged, so whoever holds root's lock must be done
+// with it (rendered it, cloned it) before letting go. A path selecting the
+// root element returns root itself. It returns nil when p selects nothing.
+func View(root *xmltree.Node, p Path) *xmltree.Node {
 	if root == nil || len(p.Steps) == 0 || !p.Steps[0].Matches(root) {
 		return nil
 	}
-	return extract(root, p.Steps[1:])
+	return view(root, p.Steps[1:])
 }
 
-func extract(n *xmltree.Node, rest []Step) *xmltree.Node {
+func view(n *xmltree.Node, rest []Step) *xmltree.Node {
 	if len(rest) == 0 {
-		return n.Clone()
+		return n
 	}
-	shell := &xmltree.Node{Name: n.Name, Text: n.Text}
-	for k, v := range n.Attrs {
-		shell.SetAttr(k, v)
-	}
-	matched := false
-	for _, c := range n.Children {
-		if rest[0].Matches(c) {
-			if sub := extract(c, rest[1:]); sub != nil {
-				shell.Children = append(shell.Children, sub)
-				matched = true
+	var kids []*xmltree.Node
+	for i, c := range n.Children {
+		if !rest[0].Matches(c) {
+			continue
+		}
+		if sub := view(c, rest[1:]); sub != nil {
+			if kids == nil {
+				// Sized for every child left, so the slice is allocated once.
+				kids = make([]*xmltree.Node, 0, len(n.Children)-i)
 			}
+			kids = append(kids, sub)
 		}
 	}
-	if !matched {
+	if kids == nil {
 		return nil
 	}
-	return shell
+	return &xmltree.Node{Name: n.Name, Attrs: n.Attrs, Text: n.Text, Children: kids}
 }
 
 // ReplaceAt substitutes repl for every element selected by p inside doc,

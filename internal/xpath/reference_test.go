@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+
+	"gupster/internal/xmltree"
 )
 
 // referenceString is Path.String as first written: a builder per step, a
@@ -45,4 +47,38 @@ func referenceStep(s Step) string {
 		}
 	}
 	return b.String()
+}
+
+// referenceExtract is Extract as first written: a fresh shell per spine
+// element with its attributes set one by one, and a Clone per selected
+// subtree. It is kept only as the oracle Extract and View must match byte
+// for byte.
+func referenceExtract(root *xmltree.Node, p Path) *xmltree.Node {
+	if root == nil || len(p.Steps) == 0 || !p.Steps[0].Matches(root) {
+		return nil
+	}
+	return extract(root, p.Steps[1:])
+}
+
+func extract(n *xmltree.Node, rest []Step) *xmltree.Node {
+	if len(rest) == 0 {
+		return n.Clone()
+	}
+	shell := &xmltree.Node{Name: n.Name, Text: n.Text}
+	for k, v := range n.Attrs {
+		shell.SetAttr(k, v)
+	}
+	matched := false
+	for _, c := range n.Children {
+		if rest[0].Matches(c) {
+			if sub := extract(c, rest[1:]); sub != nil {
+				shell.Children = append(shell.Children, sub)
+				matched = true
+			}
+		}
+	}
+	if !matched {
+		return nil
+	}
+	return shell
 }
