@@ -104,4 +104,12 @@ row "One in-process rig" §10 \
 	"a hand-built constellation in bench_test.go: build it with scenario.Build" \
 	'dirnode\.Start\(|net\.Listen\(' "bench_test.go"
 
+# A push subscription is its socket: unsubscribing is closing it, and a
+# notification belongs to the one record its socket carries. The shared
+# notification socket, its routing by server-side ID and the unsubscribe
+# frame stay deleted, in tests too.
+row "One socket per subscription" §14 \
+	"a subscription shared a socket or had an ID on the wire: give each subscription its own Dedicated socket and close it to unsubscribe" \
+	'subKey|subConnAt|subByServer|releaseLocked|TypeUnsubscribe|UnsubscribeRequest|SubscribeResponse' "-w $go ."
+
 exit $failed

@@ -13,6 +13,7 @@ import (
 	"regexp"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 )
@@ -57,13 +58,35 @@ func freePort(t *testing.T) string {
 	return addr
 }
 
+// output collects a daemon's stdout and stderr; it may be read while the
+// daemon runs.
+type output struct {
+	mu sync.Mutex
+	b  strings.Builder
+}
+
+func (o *output) Write(p []byte) (int, error) {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	return o.b.Write(p)
+}
+
+func (o *output) String() string {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	return o.b.String()
+}
+
+// outputOf is what a daemon started by startDaemon has printed so far.
+func outputOf(cmd *exec.Cmd) string { return cmd.Stdout.(*output).String() }
+
 // startDaemon launches a binary and kills it at cleanup.
 func startDaemon(t *testing.T, name string, args ...string) *exec.Cmd {
 	t.Helper()
 	cmd := exec.Command(filepath.Join(binDir, name), args...)
-	var out strings.Builder
-	cmd.Stdout = &out
-	cmd.Stderr = &out
+	out := &output{}
+	cmd.Stdout = out
+	cmd.Stderr = out
 	if err := cmd.Start(); err != nil {
 		t.Fatalf("start %s: %v", name, err)
 	}

@@ -9,6 +9,7 @@ import (
 	"gupster/internal/overload"
 	"gupster/internal/policy"
 	"gupster/internal/provenance"
+	"gupster/internal/racetag"
 	"gupster/internal/schema"
 	"gupster/internal/token"
 	"gupster/internal/wire"
@@ -20,7 +21,7 @@ import (
 // admission) and the benchmark's book split four ways: a referral signs
 // four tokens, a chaining resolve the cache answers signs none.
 func TestResolveAllocs(t *testing.T) {
-	if raceEnabled {
+	if racetag.Enabled {
 		t.Skip("the race detector's instrumentation allocates")
 	}
 	m := New(Config{

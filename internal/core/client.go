@@ -49,17 +49,13 @@ type Client struct {
 	// directory (snapshot install) or hands the owner to another shard.
 	// The client therefore keeps its own durable record of every
 	// subscription — path and handler, keyed by a stable client-side
-	// handle — and re-establishes them on reconnect or tombstone through
-	// the directory handle. Callers see the stable handle in every
-	// notification, never the server's per-incarnation ID. Notifications
-	// ride dedicated sockets, one per directory address the records are
-	// served at, so owners homed on different shards each keep theirs; a
-	// socket lives while a record rides it.
-	subMu       sync.Mutex
-	subRecs     map[uint64]*subRecord // stable handle → record
-	subByServer map[subKey]uint64     // current server-side subscription → stable handle
-	subNextID   uint64
-	subClosed   bool
+	// handle that callers see in every notification — and each record
+	// rides a socket of its own, re-homed through the directory handle
+	// whenever that socket ends.
+	subMu     sync.Mutex
+	subRecs   map[uint64]*subRecord // stable handle → record
+	subNextID uint64
+	subClosed bool
 
 	// DisableLatencyRouting turns off closest-replica ordering of
 	// alternatives, leaving the MDM's (deterministic) order — the ablation
@@ -139,20 +135,19 @@ func DialMDM(addr, identity, role string) (*Client, error) {
 	}
 	pipe := &metrics.PipelineStats{}
 	c := &Client{
-		dir:         dir,
-		Identity:    identity,
-		Role:        role,
-		Keys:        xmltree.DefaultKeys,
-		subRecs:     make(map[uint64]*subRecord),
-		subByServer: make(map[subKey]uint64),
-		lat:         make(map[string]time.Duration),
-		Resilience:  resilience.NewGroup(resilience.Policy{}, resilience.BreakerConfig{}, nil),
-		flights:     flight.NewGroup(pipe),
-		pipe:        pipe,
-		Tracer:      trace.NewCollector("client", 0, 0),
-		Budgets:     Budgets{TraceReport: 2 * time.Second},
-		traceQ:      make(chan []trace.Span, 64),
-		traceQuit:   make(chan struct{}),
+		dir:        dir,
+		Identity:   identity,
+		Role:       role,
+		Keys:       xmltree.DefaultKeys,
+		subRecs:    make(map[uint64]*subRecord),
+		lat:        make(map[string]time.Duration),
+		Resilience: resilience.NewGroup(resilience.Policy{}, resilience.BreakerConfig{}, nil),
+		flights:    flight.NewGroup(pipe),
+		pipe:       pipe,
+		Tracer:     trace.NewCollector("client", 0, 0),
+		Budgets:    Budgets{TraceReport: 2 * time.Second},
+		traceQ:     make(chan []trace.Span, 64),
+		traceQuit:  make(chan struct{}),
 	}
 	c.observe = c.observeLatency
 	return c, nil
@@ -636,24 +631,14 @@ func extractForReferral(frag *xmltree.Node, ref wire.Referral, keys xmltree.KeyS
 }
 
 // subRecord is the client's durable record of one push subscription: what
-// was subscribed and where notifications go. id is the stable handle the
-// caller holds. addr, conn and serverID name the current server-side
-// subscription — the directory address serving it, the notification socket
-// it rides and the node's ID for it — and change on every re-subscribe.
+// was subscribed and where notifications go, under the stable handle id the
+// caller holds. conn is the socket the subscription rides now, nil while it
+// is being re-homed.
 type subRecord struct {
-	id       uint64
-	path     string
-	handler  func(wire.Notification)
-	addr     string
-	conn     *wire.Client
-	serverID uint64
-}
-
-// subKey names a server-side subscription: IDs are per node, so two
-// notification sockets can carry the same one.
-type subKey struct {
-	conn *wire.Client
-	id   uint64
+	id      uint64
+	path    string
+	handler func(wire.Notification)
+	conn    *wire.Client
 }
 
 // SetReconnectAddrs supplies extra directory addresses (constellation
@@ -664,19 +649,19 @@ func (c *Client) SetReconnectAddrs(addrs []string) {
 	c.dir.AddSeeds(addrs...)
 }
 
-// Subscribe registers a push subscription; handler runs on the client's
-// notification loop and must not block. The returned handle stays valid
-// across leader failovers and shard handoffs: when the serving node dies
-// or cancels the subscription with a tombstone, the client re-subscribes
-// on the constellation transparently and keeps delivering under the same
-// handle.
+// Subscribe registers a push subscription; handler runs on the
+// subscription's notification loop and must not block. The returned handle
+// stays valid across leader failovers and shard handoffs: when the serving
+// node dies or cancels the subscription with a tombstone, the client
+// re-subscribes on the constellation transparently and keeps delivering
+// under the same handle.
 func (c *Client) Subscribe(ctx context.Context, path string, handler func(wire.Notification)) (uint64, error) {
 	c.subMu.Lock()
 	c.subNextID++
 	rec := &subRecord{id: c.subNextID, path: path, handler: handler}
 	c.subRecs[rec.id] = rec
 	c.subMu.Unlock()
-	if err := c.subscribeRec(ctx, rec); err != nil {
+	if err := c.home(ctx, rec); err != nil {
 		c.subMu.Lock()
 		delete(c.subRecs, rec.id)
 		c.subMu.Unlock()
@@ -685,189 +670,79 @@ func (c *Client) Subscribe(ctx context.Context, path string, handler func(wire.N
 	return rec.id, nil
 }
 
-// Unsubscribe cancels a subscription, and closes its socket if no other
-// subscription rides it.
-func (c *Client) Unsubscribe(ctx context.Context, subID uint64) error {
-	c.subMu.Lock()
-	rec, ok := c.subRecs[subID]
-	var conn *wire.Client
-	var serverID uint64
-	if ok {
-		delete(c.subRecs, subID)
-		conn, serverID = rec.conn, rec.serverID
-		delete(c.subByServer, subKey{conn, serverID})
-	}
-	c.subMu.Unlock()
-	if !ok || conn == nil {
-		return nil
-	}
-	err := conn.Call(ctx, wire.TypeUnsubscribe, &wire.UnsubscribeRequest{SubID: serverID}, nil)
-	c.subMu.Lock()
-	c.releaseLocked(conn)
-	c.subMu.Unlock()
-	return err
-}
-
-// subscribeRec issues rec's subscribe on the notification socket of the
-// owner's directory address. Notifications ride sockets of their own so a
-// re-home never disturbs the request connections, and vice versa. When no
-// record rides a socket there yet, or the one there refuses (it died, or
-// its node redirects the owner elsewhere), the directory handle opens a
-// fresh socket wherever the owner is served now. On success rec names the
-// new server-side subscription and the stream is routed to it.
-func (c *Client) subscribeRec(ctx context.Context, rec *subRecord) error {
-	owner := c.ownerOf(rec.path)
-	req := &wire.SubscribeRequest{Path: rec.path, Context: c.contextFor(policy.PurposeSubscribe)}
-	for {
-		var resp wire.SubscribeResponse
-		addr := c.dir.AddrFor(owner)
-		conn := c.subConnAt(addr)
-		if conn == nil || conn.Call(ctx, wire.TypeSubscribe, req, &resp) != nil {
-			fresh, at, err := c.dir.Dedicated(ctx, owner, wire.TypeSubscribe, req, &resp)
-			if err != nil {
-				return err
-			}
-			c.hookSubConn(fresh)
-			conn, addr = fresh, at
-		}
-		if c.moveSub(rec, addr, conn, resp.SubID) {
-			return nil
-		}
-		// The socket was released under us, and the subscription with it.
-	}
-}
-
-// subConnAt returns the live notification socket some record rides at
-// addr, or nil.
-func (c *Client) subConnAt(addr string) *wire.Client {
+// Unsubscribe cancels a subscription by closing its socket: the serving
+// node drops a subscription with its connection.
+func (c *Client) Unsubscribe(_ context.Context, subID uint64) error {
 	c.subMu.Lock()
 	defer c.subMu.Unlock()
-	for _, rec := range c.subRecs {
-		if rec.addr == addr && rec.conn != nil && rec.conn.Alive() {
-			return rec.conn
+	if rec := c.subRecs[subID]; rec != nil && rec.conn != nil {
+		rec.conn.Close()
+	}
+	delete(c.subRecs, subID)
+	return nil
+}
+
+// home subscribes rec on a socket of its own, which the directory handle
+// opens wherever rec's owner is served now; the socket carries rec's
+// notifications alone. A tombstone closes it, and its disconnect, whatever
+// the cause, re-homes rec: leader failover, snapshot reset and shard
+// handoff take the one path.
+func (c *Client) home(ctx context.Context, rec *subRecord) error {
+	req := &wire.SubscribeRequest{Path: rec.path, Context: c.contextFor(policy.PurposeSubscribe)}
+	conn, err := c.dir.Dedicated(ctx, c.ownerOf(rec.path), wire.TypeSubscribe, req, nil)
+	if err != nil {
+		return err
+	}
+	conn.OnNotify(func(msgType string, payload []byte) {
+		var n wire.Notification
+		if msgType != wire.TypeNotify || json.Unmarshal(payload, &n) != nil {
+			return
 		}
+		if n.Canceled {
+			conn.Close()
+			return
+		}
+		n.SubID = rec.id
+		rec.handler(n)
+	})
+	conn.OnDisconnect(func(error) { c.rehome(rec, conn) })
+	c.subMu.Lock()
+	defer c.subMu.Unlock()
+	switch {
+	case c.subClosed || c.subRecs[rec.id] != rec:
+		conn.Close() // cancelled meanwhile
+	case !conn.Alive():
+		return wire.ErrClosed // lost before its hook could see it as rec's
+	default:
+		rec.conn = conn
 	}
 	return nil
 }
 
-// moveSub points rec at its new server-side subscription and releases the
-// socket it leaves. It reports false when conn died before rec could ride
-// it, so the caller subscribes again. A record cancelled meanwhile (or a
-// closed client) keeps nothing.
-func (c *Client) moveSub(rec *subRecord, addr string, conn *wire.Client, serverID uint64) bool {
+// rehome runs when a subscription's socket ends, and subscribes the record
+// again under its handle for up to 10 s. Without it a leader failover
+// silently orphans the subscription: the client keeps a dead handle and the
+// next change is never delivered. A record that moved on, was cancelled, or
+// belongs to a closed client is left alone.
+func (c *Client) rehome(rec *subRecord, dead *wire.Client) {
 	c.subMu.Lock()
-	defer c.subMu.Unlock()
-	if c.subClosed || c.subRecs[rec.id] != rec {
-		c.releaseLocked(conn)
-		return true
-	}
-	if !conn.Alive() {
-		return false
-	}
-	old := rec.conn
-	delete(c.subByServer, subKey{old, rec.serverID})
-	rec.addr, rec.conn, rec.serverID = addr, conn, serverID
-	c.subByServer[subKey{conn, serverID}] = rec.id
-	if old != conn {
-		c.releaseLocked(old)
-	}
-	return true
-}
-
-// releaseLocked closes conn once no record rides it.
-func (c *Client) releaseLocked(conn *wire.Client) {
-	if conn == nil {
-		return
-	}
-	for _, rec := range c.subRecs {
-		if rec.conn == conn {
-			return
-		}
-	}
-	conn.Close()
-}
-
-// hookSubConn wires a fresh notification socket's dispatch and disconnect
-// hooks.
-func (c *Client) hookSubConn(conn *wire.Client) {
-	conn.OnNotify(func(msgType string, payload []byte) {
-		if msgType != wire.TypeNotify {
-			return
-		}
-		var n wire.Notification
-		if err := json.Unmarshal(payload, &n); err != nil {
-			return
-		}
-		c.dispatchNotification(conn, n)
-	})
-	conn.OnDisconnect(func(error) { c.rehomeSubs(conn) })
-}
-
-// dispatchNotification routes a server notification arriving on conn to
-// the caller's handler under the stable handle. A tombstone (the serving
-// node reset its directory or handed the owner to another shard) triggers
-// a background re-subscribe instead of reaching the handler.
-func (c *Client) dispatchNotification(conn *wire.Client, n wire.Notification) {
-	key := subKey{conn, n.SubID}
-	c.subMu.Lock()
-	id, ok := c.subByServer[key]
-	rec := c.subRecs[id]
-	if ok && n.Canceled {
-		delete(c.subByServer, key)
+	mine := rec.conn == dead && !c.subClosed && c.subRecs[rec.id] == rec
+	if mine {
+		rec.conn = nil
 	}
 	c.subMu.Unlock()
-	if !ok || rec == nil {
-		return
-	}
-	if n.Canceled {
-		// Failure is retried by the next disconnect/re-home cycle, not
-		// here: a tombstone arrives on a live connection, so one attempt
-		// is the common case.
-		go func() {
-			ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-			defer cancel()
-			_ = c.subscribeRec(ctx, rec)
-		}()
-		return
-	}
-	n.SubID = rec.id
-	rec.handler(n)
-}
-
-// rehomeSubs runs when a notification socket dies: it re-subscribes the
-// records that rode it wherever the directory handle now finds their
-// owners, and leaves every other socket's records alone. Without it a
-// leader failover silently orphans every push subscription: the client
-// keeps a dead handle and the next change is never delivered.
-func (c *Client) rehomeSubs(dead *wire.Client) {
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		c.subMu.Lock()
-		var recs []*subRecord
-		for _, rec := range c.subRecs {
-			if rec.conn == dead {
-				recs = append(recs, rec)
-			}
-		}
-		closed := c.subClosed
-		c.subMu.Unlock()
-		if closed || len(recs) == 0 || c.resubscribeAll(recs) || time.Now().After(deadline) {
+	for deadline := time.Now().Add(10 * time.Second); mine && time.Now().Before(deadline); {
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		err := c.home(ctx, rec)
+		cancel()
+		if err == nil {
 			return
 		}
 		time.Sleep(100 * time.Millisecond)
+		c.subMu.Lock()
+		mine = !c.subClosed && c.subRecs[rec.id] == rec
+		c.subMu.Unlock()
 	}
-}
-
-// resubscribeAll reports whether every record re-established.
-func (c *Client) resubscribeAll(recs []*subRecord) bool {
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	for _, rec := range recs {
-		if err := c.subscribeRec(ctx, rec); err != nil {
-			return false
-		}
-	}
-	return true
 }
 
 // PutRule provisions a privacy-shield rule for owner (self-provisioning —

@@ -925,7 +925,7 @@ func (m *MDM) ResetDirectory() {
 		m.cache.reset()
 	}
 	for _, sub := range m.subs.reset() {
-		sub.deliver(wire.Notification{SubID: sub.id, Path: sub.path.String(), Canceled: true})
+		sub.deliver(wire.Notification{Path: sub.path.String(), Canceled: true})
 	}
 }
 
@@ -967,7 +967,7 @@ func (m *MDM) RetainOwners(keep func(owner string) bool) int {
 			m.cache.invalidateOwner(owner)
 		}
 		for _, sub := range m.subs.dropOwner(owner) {
-			sub.deliver(wire.Notification{SubID: sub.id, Path: sub.path.String(), Canceled: true})
+			sub.deliver(wire.Notification{Path: sub.path.String(), Canceled: true})
 		}
 	}
 	return dropped

@@ -53,12 +53,6 @@ func NewServer(m *MDM) *Server {
 	wire.Route(s.Mux, wire.TypeHeartbeat, func(_ context.Context, req *wire.HeartbeatRequest) (*wire.HeartbeatResponse, error) {
 		return m.Heartbeat(req), nil
 	})
-	wire.Route(s.Mux, wire.TypeUnsubscribe, func(_ context.Context, req *wire.UnsubscribeRequest) (wire.Empty, error) {
-		if !m.Unsubscribe(req.SubID) {
-			return wire.Empty{}, fmt.Errorf("gupster: no subscription %d", req.SubID)
-		}
-		return wire.Empty{}, nil
-	})
 	wire.Route(s.Mux, wire.TypePutRule, func(_ context.Context, req *wire.PutRuleRequest) (wire.Empty, error) {
 		return wire.Empty{}, m.PutRule(req.Owner, req)
 	})
@@ -108,18 +102,18 @@ func (s *Server) handleTraceReport(c *wire.ServerConn, m *wire.Message, req *wir
 }
 
 // handleSubscribe is a raw handler because a subscription lives on the
-// connection: notifications are pushed down it and it ends with it.
+// connection: notifications are pushed down it and it ends with it, which
+// is how a subscriber unsubscribes.
 func (s *Server) handleSubscribe(c *wire.ServerConn, m *wire.Message, req *wire.SubscribeRequest) {
-	id, err := s.MDM.Subscribe(req, func(n wire.Notification) {
+	cancel, err := s.MDM.Subscribe(req, func(n wire.Notification) {
 		_ = c.Notify(wire.TypeNotify, n)
 	})
 	if err != nil {
 		_ = c.ReplyError(m, err)
 		return
 	}
-	// Tear the subscription down with the connection.
-	c.OnClose(func() { s.MDM.Unsubscribe(id) })
-	_ = c.Reply(m, wire.SubscribeResponse{SubID: id})
+	c.OnClose(cancel)
+	_ = c.Reply(m, wire.Empty{})
 }
 
 func (s *Server) register(_ context.Context, req *wire.RegisterRequest) (wire.Empty, error) {

@@ -15,16 +15,16 @@ import (
 // subscriptions manages the MDM's push service (§5.2: a subscription
 // handled inside GUPster saves the per-poll privacy-shield check — the
 // shield is re-evaluated only when a covered component actually changes).
+// A subscription has no ID: it is named by its own pointer, and a
+// subscriber names it by the connection it rides.
 type subscriptions struct {
-	mu     sync.Mutex
-	nextID uint64
-	subs   map[uint64]*subscription
+	mu sync.Mutex
 	// byOwner indexes subscriptions for fan-out.
-	byOwner map[string]map[uint64]*subscription
+	byOwner map[string]map[*subscription]struct{}
+	n       int
 }
 
 type subscription struct {
-	id      uint64
 	owner   string
 	path    xpath.Path
 	ctx     policy.Context
@@ -32,60 +32,48 @@ type subscription struct {
 }
 
 func newSubscriptions() *subscriptions {
-	return &subscriptions{
-		subs:    make(map[uint64]*subscription),
-		byOwner: make(map[string]map[uint64]*subscription),
-	}
+	return &subscriptions{byOwner: make(map[string]map[*subscription]struct{})}
 }
 
-func (s *subscriptions) add(sub *subscription) uint64 {
+func (s *subscriptions) add(sub *subscription) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.nextID++
-	sub.id = s.nextID
-	s.subs[sub.id] = sub
 	owned := s.byOwner[sub.owner]
 	if owned == nil {
-		owned = make(map[uint64]*subscription)
+		owned = make(map[*subscription]struct{})
 		s.byOwner[sub.owner] = owned
 	}
-	owned[sub.id] = sub
-	return sub.id
+	owned[sub] = struct{}{}
+	s.n++
 }
 
-func (s *subscriptions) remove(id uint64) bool {
+// remove drops sub; removing one already gone (reset, handed off) is a
+// no-op.
+func (s *subscriptions) remove(sub *subscription) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	sub, ok := s.subs[id]
-	if !ok {
-		return false
+	owned := s.byOwner[sub.owner]
+	if _, ok := owned[sub]; !ok {
+		return
 	}
-	delete(s.subs, id)
-	if owned := s.byOwner[sub.owner]; owned != nil {
-		delete(owned, id)
-		if len(owned) == 0 {
-			delete(s.byOwner, sub.owner)
-		}
+	delete(owned, sub)
+	if len(owned) == 0 {
+		delete(s.byOwner, sub.owner)
 	}
-	return true
+	s.n--
 }
 
 // forOwner snapshots an owner's subscriptions for fan-out outside the lock.
 func (s *subscriptions) forOwner(owner string) []*subscription {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	owned := s.byOwner[owner]
-	out := make([]*subscription, 0, len(owned))
-	for _, sub := range owned {
-		out = append(out, sub)
-	}
-	return out
+	return subList(s.byOwner[owner])
 }
 
 func (s *subscriptions) len() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return len(s.subs)
+	return s.n
 }
 
 // reset drops every live subscription and returns them, so the caller
@@ -95,12 +83,12 @@ func (s *subscriptions) len() int {
 func (s *subscriptions) reset() []*subscription {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	out := make([]*subscription, 0, len(s.subs))
-	for _, sub := range s.subs {
-		out = append(out, sub)
+	var out []*subscription
+	for _, owned := range s.byOwner {
+		out = append(out, subList(owned)...)
 	}
-	s.subs = make(map[uint64]*subscription)
-	s.byOwner = make(map[string]map[uint64]*subscription)
+	s.byOwner = make(map[string]map[*subscription]struct{})
+	s.n = 0
 	return out
 }
 
@@ -109,34 +97,39 @@ func (s *subscriptions) reset() []*subscription {
 func (s *subscriptions) dropOwner(owner string) []*subscription {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	owned := s.byOwner[owner]
-	out := make([]*subscription, 0, len(owned))
-	for id, sub := range owned {
-		out = append(out, sub)
-		delete(s.subs, id)
-	}
+	out := subList(s.byOwner[owner])
 	delete(s.byOwner, owner)
+	s.n -= len(out)
+	return out
+}
+
+func subList(set map[*subscription]struct{}) []*subscription {
+	out := make([]*subscription, 0, len(set))
+	for sub := range set {
+		out = append(out, sub)
+	}
 	return out
 }
 
 // Subscribe registers a push subscription after checking the privacy shield
 // with the subscribe purpose. deliver runs on the MDM's notification path
-// and must not block.
-func (m *MDM) Subscribe(req *wire.SubscribeRequest, deliver func(wire.Notification)) (uint64, error) {
+// and must not block. The returned cancel drops the subscription; calling
+// it again, or after a reset or handoff dropped it, does nothing.
+func (m *MDM) Subscribe(req *wire.SubscribeRequest, deliver func(wire.Notification)) (cancel func(), err error) {
 	p, err := xpath.Parse(req.Path)
 	if err != nil {
-		return 0, fmt.Errorf("%w: %v", ErrSpurious, err)
+		return nil, fmt.Errorf("%w: %v", ErrSpurious, err)
 	}
 	if m.cfg.Schema != nil {
 		if err := m.cfg.Schema.ValidatePath(p); err != nil {
-			return 0, fmt.Errorf("%w: %v", ErrSpurious, err)
+			return nil, fmt.Errorf("%w: %v", ErrSpurious, err)
 		}
 	}
 	owner := req.Owner
 	if owner == "" {
 		u, ok := coverage.UserOf(p)
 		if !ok {
-			return 0, ErrNoOwner
+			return nil, ErrNoOwner
 		}
 		owner = u
 	}
@@ -149,15 +142,11 @@ func (m *MDM) Subscribe(req *wire.SubscribeRequest, deliver func(wire.Notificati
 	m.recordProvenance(owner, &wire.ResolveRequest{Path: req.Path, Context: ctx}, token.VerbSubscribe, decision, nil)
 	if !decision.Granted() {
 		m.Stats.Denied.Add(1)
-		return 0, fmt.Errorf("%w: subscribe %s for %s", ErrDenied, req.Path, ctx.Requester)
+		return nil, fmt.Errorf("%w: subscribe %s for %s", ErrDenied, req.Path, ctx.Requester)
 	}
-	id := m.subs.add(&subscription{owner: owner, path: p, ctx: ctx, deliver: deliver})
-	return id, nil
-}
-
-// Unsubscribe cancels a subscription.
-func (m *MDM) Unsubscribe(id uint64) bool {
-	return m.subs.remove(id)
+	sub := &subscription{owner: owner, path: p, ctx: ctx, deliver: deliver}
+	m.subs.add(sub)
+	return func() { m.subs.remove(sub) }, nil
 }
 
 // notifySubscribers pushes a changed component to every subscription whose
@@ -185,7 +174,6 @@ func (m *MDM) notifySubscribers(owner string, changed xpath.Path, xml string, ve
 		}
 		m.Stats.Notifies.Add(1)
 		sub.deliver(wire.Notification{
-			SubID:   sub.id,
 			Path:    changed.String(),
 			XML:     out,
 			Version: version,

@@ -258,19 +258,19 @@ func (d *Directory) AddrFor(owner string) string {
 // scopes it to a profile owner's home shard; "" is for calls no owner
 // scopes (stats, heartbeats, traces).
 func (d *Directory) Call(ctx context.Context, owner, typ string, req, resp any) error {
-	_, _, err := d.call(ctx, owner, typ, req, resp, false)
+	_, err := d.call(ctx, owner, typ, req, resp, false)
 	return err
 }
 
 // Dedicated is Call on a socket the caller will own — a push
 // subscription's notification stream lives on the connection that
 // subscribed. Every attempt dials afresh outside the pool; the socket
-// that answered is returned with its address, abandoned ones are closed.
-func (d *Directory) Dedicated(ctx context.Context, owner, typ string, req, resp any) (*wire.Client, string, error) {
+// that answered is returned, abandoned ones are closed.
+func (d *Directory) Dedicated(ctx context.Context, owner, typ string, req, resp any) (*wire.Client, error) {
 	return d.call(ctx, owner, typ, req, resp, true)
 }
 
-func (d *Directory) call(ctx context.Context, owner, typ string, req, resp any, dedicated bool) (*wire.Client, string, error) {
+func (d *Directory) call(ctx context.Context, owner, typ string, req, resp any, dedicated bool) (*wire.Client, error) {
 	var (
 		failed       []string // addresses that failed at transport level in this call
 		lastFail     error
@@ -285,7 +285,7 @@ func (d *Directory) call(ctx context.Context, owner, typ string, req, resp any, 
 			id, addr = nextID, next
 		}
 		if addr = v.avoid(id, addr, failed); addr == "" {
-			return nil, "", unreachable(lastFail)
+			return nil, unreachable(lastFail)
 		}
 		var err error
 		conn := v.conns[addr]
@@ -297,7 +297,7 @@ func (d *Directory) call(ctx context.Context, owner, typ string, req, resp any, 
 				if addr != routed && id == routedID {
 					d.stick(id, addr)
 				}
-				return conn, addr, nil
+				return conn, nil
 			}
 			if dedicated {
 				conn.Close()
@@ -318,7 +318,7 @@ func (d *Directory) call(ctx context.Context, owner, typ string, req, resp any, 
 		case errors.As(err, &nl):
 			to, toID = nl.LeaderAddr, id
 		case !transport(err):
-			return nil, "", err
+			return nil, err
 		default:
 			if !dedicated && conn != nil {
 				d.drop(addr, conn)
@@ -328,14 +328,14 @@ func (d *Directory) call(ctx context.Context, owner, typ string, req, resp any, 
 			continue
 		}
 		if hops++; hops > maxHops {
-			return nil, "", err
+			return nil, err
 		}
 		if to == "" || to == addr || slices.Contains(failed, to) {
 			t := time.NewTimer(settle)
 			select {
 			case <-ctx.Done():
 				t.Stop()
-				return nil, "", err
+				return nil, err
 			case <-t.C:
 			}
 			continue

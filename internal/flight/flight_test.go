@@ -264,7 +264,7 @@ func TestGroupSharedStats(t *testing.T) {
 	if got := stats.Flights.Load(); got != 2 {
 		t.Fatalf("shared Flights = %d, want 2", got)
 	}
-	if hr := stats.CoalesceHitRate(); hr != 0 {
-		t.Fatalf("hit rate = %v, want 0", hr)
+	if hits := stats.CoalesceHits.Load(); hits != 0 {
+		t.Fatalf("shared CoalesceHits = %d, want 0", hits)
 	}
 }

@@ -1,6 +1,5 @@
 // Package metrics provides the small measurement kit the benchmark harness
-// uses: latency histograms with percentiles, throughput windows, and an
-// aligned table renderer for reproducing the experiment tables in
+// uses: latency histograms with percentiles and an aligned table renderer for reproducing the experiment tables in
 // EXPERIMENTS.md.
 package metrics
 
@@ -190,29 +189,6 @@ func round(d time.Duration) time.Duration {
 	default:
 		return d.Round(time.Nanosecond)
 	}
-}
-
-// Throughput measures operations over a wall-clock window.
-type Throughput struct {
-	start time.Time
-	ops   int
-}
-
-// StartThroughput begins a window.
-func StartThroughput() *Throughput {
-	return &Throughput{start: time.Now()}
-}
-
-// Add counts completed operations.
-func (t *Throughput) Add(n int) { t.ops += n }
-
-// PerSecond reports the rate so far.
-func (t *Throughput) PerSecond() float64 {
-	el := time.Since(t.start).Seconds()
-	if el <= 0 {
-		return 0
-	}
-	return float64(t.ops) / el
 }
 
 // Table renders aligned experiment tables.

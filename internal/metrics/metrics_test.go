@@ -75,16 +75,6 @@ func TestHistogramConcurrent(t *testing.T) {
 	}
 }
 
-func TestThroughput(t *testing.T) {
-	tp := StartThroughput()
-	tp.Add(100)
-	time.Sleep(10 * time.Millisecond)
-	rate := tp.PerSecond()
-	if rate <= 0 || rate > 100/0.01 {
-		t.Errorf("rate = %f", rate)
-	}
-}
-
 func TestTableRendering(t *testing.T) {
 	tb := NewTable("E1: query patterns", "pattern", "latency", "bytes")
 	tb.AddRow("referral", 120*time.Microsecond, 4096)

@@ -27,17 +27,6 @@ type PipelineStats struct {
 	BatchedQueries atomic.Uint64
 }
 
-// CoalesceHitRate reports the fraction of coalesceable calls served by a
-// leader's flight; zero before any traffic.
-func (s *PipelineStats) CoalesceHitRate() float64 {
-	hits := s.CoalesceHits.Load()
-	total := hits + s.Flights.Load()
-	if total == 0 {
-		return 0
-	}
-	return float64(hits) / float64(total)
-}
-
 // PipelineSnapshot is a point-in-time view of PipelineStats.
 type PipelineSnapshot struct {
 	Flights        uint64
@@ -58,16 +47,4 @@ func (s *PipelineStats) Snapshot() PipelineSnapshot {
 		BatchResolves:  s.BatchResolves.Load(),
 		BatchedQueries: s.BatchedQueries.Load(),
 	}
-}
-
-// Table renders the snapshot as an aligned experiment table.
-func (s PipelineSnapshot) Table() *Table {
-	t := NewTable("pipeline", "counter", "value")
-	t.AddRow("flights", s.Flights)
-	t.AddRow("coalesce-hits", s.CoalesceHits)
-	t.AddRow("fan-outs", s.FanOuts)
-	t.AddRow("fan-out-calls", s.FanOutCalls)
-	t.AddRow("batch-resolves", s.BatchResolves)
-	t.AddRow("batched-queries", s.BatchedQueries)
-	return t
 }

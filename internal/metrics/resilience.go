@@ -75,21 +75,3 @@ func (s *ResilienceStats) Snapshot(breakers []BreakerInfo) ResilienceSnapshot {
 		Breakers:         breakers,
 	}
 }
-
-// Table renders the snapshot as an aligned experiment table.
-func (s ResilienceSnapshot) Table() *Table {
-	t := NewTable("resilience", "counter", "value")
-	t.AddRow("attempts", s.Attempts)
-	t.AddRow("retries", s.Retries)
-	t.AddRow("failures", s.Failures)
-	t.AddRow("breaker-trips", s.BreakerTrips)
-	t.AddRow("breaker-probes", s.BreakerProbes)
-	t.AddRow("breaker-resets", s.BreakerResets)
-	t.AddRow("short-circuits", s.ShortCircuits)
-	t.AddRow("fallbacks", s.Fallbacks)
-	t.AddRow("overload-backoffs", s.OverloadBackoffs)
-	for _, b := range s.Breakers {
-		t.AddRow("breaker "+b.Endpoint, b.State)
-	}
-	return t
-}

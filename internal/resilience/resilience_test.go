@@ -251,24 +251,16 @@ func TestGroupConcurrent(t *testing.T) {
 	}
 }
 
-func TestSnapshotTableRenders(t *testing.T) {
+func TestSnapshotReportsBreakers(t *testing.T) {
 	g := fastGroup(nil)
 	_ = g.Do(context.Background(), "store-1:9999", func(context.Context) error { return errBoom })
-	table := g.Snapshot().Table().String()
-	for _, want := range []string{"retries", "breaker store-1:9999", "open"} {
-		if !contains(table, want) {
-			t.Errorf("snapshot table missing %q:\n%s", want, table)
-		}
+	snap := g.Snapshot()
+	if snap.Retries == 0 {
+		t.Error("snapshot reports no retries")
 	}
-}
-
-func contains(s, sub string) bool {
-	for i := 0; i+len(sub) <= len(s); i++ {
-		if s[i:i+len(sub)] == sub {
-			return true
-		}
+	if len(snap.Breakers) != 1 || snap.Breakers[0].Endpoint != "store-1:9999" || snap.Breakers[0].State != "open" {
+		t.Errorf("snapshot breakers = %+v, want store-1:9999 open", snap.Breakers)
 	}
-	return false
 }
 
 // An attempt that dies because the CALLER's context expired says nothing

@@ -428,11 +428,10 @@ func TestHandoffForwardsMutations(t *testing.T) {
 	// mid-handoff so the notification stream is born on the owning shard.
 	ctx, cancel := context.WithTimeout(context.Background(), 3*time.Second)
 	defer cancel()
-	var sresp wire.SubscribeResponse
 	err = conn.Call(ctx, wire.TypeSubscribe, &wire.SubscribeRequest{
 		Path:    fmt.Sprintf("/user[@id='%s']/presence", owner),
 		Context: policy.Context{Requester: owner},
-	}, &sresp)
+	}, nil)
 	var ws *wire.WrongShardError
 	if !errors.As(err, &ws) || ws.ShardID != "c" {
 		t.Fatalf("subscribe during handoff: got %v, want a redirect to shard c", err)

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"gupster/internal/racetag"
 	"gupster/internal/token"
 	"gupster/internal/xmltree"
 )
@@ -92,7 +93,7 @@ func TestFetchDuringPut(t *testing.T) {
 // The allocs/op gate, continued: a store's fetch of a 16-item piece renders
 // the engine's tree through a view, without copying it. It measures 5.
 func TestFetchAllocs(t *testing.T) {
-	if raceEnabled {
+	if racetag.Enabled {
 		t.Skip("the race detector's instrumentation allocates")
 	}
 	e := NewEngine("s1")

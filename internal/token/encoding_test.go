@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"gupster/internal/racetag"
 	"gupster/internal/xpath"
 )
 
@@ -112,7 +113,7 @@ func TestConcurrentSignersShareThePool(t *testing.T) {
 // the signed path and the hex signature are a Sign's only allocations, and
 // a Verify that succeeds allocates nothing of its own.
 func TestSignAllocs(t *testing.T) {
-	if raceEnabled {
+	if racetag.Enabled {
 		t.Skip("the race detector's instrumentation allocates")
 	}
 	s := NewSigner(key)

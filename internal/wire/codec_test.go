@@ -29,8 +29,8 @@ var payloadTypes = []any{
 	new(wire.Referral), new(wire.Alternative), new(wire.ResolveResponse), new(wire.BatchResolveRequest),
 	new(wire.BatchResolveEntry), new(wire.BatchResolveResponse), new(wire.FetchRequest), new(wire.FetchResponse),
 	new(wire.UpdateRequest), new(wire.UpdateResponse), new(wire.RegisterRequest), new(wire.UnregisterRequest),
-	new(wire.Empty), new(wire.SubscribeRequest), new(wire.SubscribeResponse), new(wire.UnsubscribeRequest),
-	new(wire.Notification), new(wire.PutRuleRequest), new(wire.RulePayload), new(wire.DeleteRuleRequest),
+	new(wire.Empty), new(wire.SubscribeRequest), new(wire.Notification), new(wire.PutRuleRequest),
+	new(wire.RulePayload), new(wire.DeleteRuleRequest),
 	new(wire.SyncStartRequest), new(wire.SyncStartResponse), new(wire.SyncOp), new(wire.SyncDeltaRequest),
 	new(wire.SyncDeltaResponse), new(wire.WhoHasRequest), new(wire.WhoHasResponse), new(wire.StatsResponse),
 

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"gupster/internal/policy"
+	"gupster/internal/racetag"
 	"gupster/internal/token"
 )
 
@@ -133,7 +134,7 @@ func BenchmarkRoundtripLarge(b *testing.B) {
 // envelope's 24 (read small) and 18 allocations and 6 × the component's
 // size (read large).
 func TestFrameAllocs(t *testing.T) {
-	if raceEnabled {
+	if racetag.Enabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
 	}
 	small := frameBytes(t, &Message{Type: TypeResolve, ID: 7, Payload: Marshal(benchSmall)})

@@ -11,20 +11,19 @@ import (
 // with Resolve/Subscribe/Provision; to data stores with Fetch/Update/Sync*;
 // stores talk to the MDM with Register/Unregister.
 const (
-	TypeResolve     = "resolve"
-	TypeFetch       = "fetch"
-	TypeUpdate      = "update"
-	TypeRegister    = "register"
-	TypeUnregister  = "unregister"
-	TypeSubscribe   = "subscribe"
-	TypeUnsubscribe = "unsubscribe"
-	TypeNotify      = "notify"
-	TypePutRule     = "put-rule"
-	TypeDeleteRule  = "delete-rule"
-	TypeSyncStart   = "sync-start"
-	TypeSyncDelta   = "sync-delta"
-	TypeWhoHas      = "who-has" // white pages: locate a user's MDM (§5.1.2)
-	TypeStats       = "stats"
+	TypeResolve    = "resolve"
+	TypeFetch      = "fetch"
+	TypeUpdate     = "update"
+	TypeRegister   = "register"
+	TypeUnregister = "unregister"
+	TypeSubscribe  = "subscribe"
+	TypeNotify     = "notify"
+	TypePutRule    = "put-rule"
+	TypeDeleteRule = "delete-rule"
+	TypeSyncStart  = "sync-start"
+	TypeSyncDelta  = "sync-delta"
+	TypeWhoHas     = "who-has" // white pages: locate a user's MDM (§5.1.2)
+	TypeStats      = "stats"
 	// TypeChanged is sent by data stores to the MDM when a component
 	// changes, driving cache invalidation and subscriptions.
 	TypeChanged = "changed"
@@ -527,25 +526,19 @@ type UnregisterRequest struct {
 type Empty struct{}
 
 // SubscribeRequest asks the MDM for push notifications on a path (§5.2).
+// The reply is Empty. A subscription is its connection: notifications are
+// pushed down it, and closing it is how the subscriber unsubscribes.
 type SubscribeRequest struct {
 	Owner   string         `json:"owner,omitempty"`
 	Path    string         `json:"path"`
 	Context policy.Context `json:"context"`
 }
 
-// SubscribeResponse acknowledges a subscription.
-type SubscribeResponse struct {
-	SubID uint64 `json:"sub_id"`
-}
-
-// UnsubscribeRequest cancels a subscription.
-type UnsubscribeRequest struct {
-	SubID uint64 `json:"sub_id"`
-}
-
 // Notification is pushed to subscribers when a covered component changes.
 type Notification struct {
-	SubID uint64 `json:"sub_id"`
+	// SubID is the subscriber's own handle for the subscription, filled in
+	// by the client that receives it; it never travels.
+	SubID uint64 `json:"-"`
 	Path  string `json:"path"`
 	// XML is the new component content (already shield-filtered).
 	XML string `json:"xml"`
@@ -553,8 +546,8 @@ type Notification struct {
 	Version uint64 `json:"version"`
 	// Canceled marks a tombstone: the server dropped the subscription
 	// (directory reset from a leader snapshot, shard handoff) and will
-	// send nothing further under this SubID. Clients re-subscribe against
-	// their current directory target.
+	// send nothing further on this connection. Clients close it and
+	// re-subscribe against their current directory target.
 	Canceled bool `json:"canceled,omitempty"`
 }
 

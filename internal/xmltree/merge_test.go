@@ -6,6 +6,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"gupster/internal/racetag"
 )
 
 // itemKinds are the item types a book is split by, as the benchmark splits
@@ -403,7 +405,7 @@ func TestMergeAllWideLevelIsLinear(t *testing.T) {
 // The allocs/op gate, continued: the benchmark's chaining book, four pieces
 // of 2 KiB, merged; and a compact render.
 func TestMergeAllocs(t *testing.T) {
-	if raceEnabled {
+	if racetag.Enabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
 	}
 	pieces := splitBook(sizedBook(8<<10), 4)
@@ -431,7 +433,7 @@ func TestMergeAllocs(t *testing.T) {
 }
 
 func TestStringAllocs(t *testing.T) {
-	if raceEnabled {
+	if racetag.Enabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
 	}
 	book := sizedBook(8 << 10)

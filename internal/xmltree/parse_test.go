@@ -9,6 +9,8 @@ import (
 	"testing"
 	"time"
 	"unsafe"
+
+	"gupster/internal/racetag"
 )
 
 func TestParseCorners(t *testing.T) {
@@ -138,7 +140,7 @@ func sizedBook(targetBytes int) *Node {
 // are the issue's; the parser sits at about half of each (a Node, its Attrs
 // map's two allocations and its Children slice are what remain).
 func TestParseAllocs(t *testing.T) {
-	if raceEnabled {
+	if racetag.Enabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
 	}
 	for _, c := range []struct {

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"gupster/internal/racetag"
 	"gupster/internal/xmltree"
 )
 
@@ -160,7 +161,7 @@ func storePiece() *xmltree.Node {
 // walk and one slab: 40 allocs measured against the ceiling of 45, where the
 // reference (a Clone per item) takes 74.
 func TestExtractAllocs(t *testing.T) {
-	if raceEnabled {
+	if racetag.Enabled {
 		t.Skip("the race detector's instrumentation allocates")
 	}
 	root, p := storePiece(), MustParse("/user[@id='u00000']/address-book/item[@type='personal']")

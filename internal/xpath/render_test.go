@@ -3,6 +3,8 @@ package xpath
 import (
 	"strings"
 	"testing"
+
+	"gupster/internal/racetag"
 )
 
 // pathFrom builds paths the parser never produces, so the renderer is
@@ -65,7 +67,7 @@ func FuzzPathStringMatchesReference(f *testing.F) {
 // TestPathStringAllocs: rendering a path is one allocation, the string
 // itself — also for a step whose predicates must be sorted.
 func TestPathStringAllocs(t *testing.T) {
-	if raceEnabled {
+	if racetag.Enabled {
 		t.Skip("the race detector's instrumentation allocates")
 	}
 	for _, expr := range []string{
