@@ -112,4 +112,12 @@ row "One socket per subscription" §14 \
 	"a subscription shared a socket or had an ID on the wire: give each subscription its own Dedicated socket and close it to unsubscribe" \
 	'subKey|subConnAt|subByServer|releaseLocked|TypeUnsubscribe|UnsubscribeRequest|SubscribeResponse' "-w $go ."
 
+# A snapshot plus records becomes a directory in one place, MDM.Restore,
+# from the journal's Recovered state; the journal replaces its files
+# through one crash-atomic cut. The reset-then-replay sequences and the
+# in-place log rewrite stay deleted, in tests too.
+row "One way to rebuild the directory" §8.1 \
+	"a second rebuild or log-rewrite path: rebuild with MDM.Restore (from journal.Open or Journal.State) and let the journal replace its own files" \
+	'ResetDirectory|RestoreSnapshot|ReadSnapshot|truncateAndRebuild|rewriteLocked' "-w $go ."
+
 exit $failed

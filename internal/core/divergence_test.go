@@ -162,8 +162,8 @@ func TestRuleRollbackOnFailedAppend(t *testing.T) {
 	}
 }
 
-// ResetDirectory rebuilds the directory from someone else's history (a
-// follower installing a leader snapshot). Live push subscriptions were
+// Restore rebuilds the directory from someone else's history (a follower
+// installing a leader snapshot). Live push subscriptions were
 // admitted against the discarded history: they must be cancelled with a
 // tombstone, not left silently attached to a feed that will never fire.
 func TestResetDirectoryCancelsSubscriptions(t *testing.T) {
@@ -184,7 +184,7 @@ func TestResetDirectoryCancelsSubscriptions(t *testing.T) {
 		t.Fatalf("Subscribe: %v", err)
 	}
 
-	m.ResetDirectory()
+	m.Restore(&journal.Recovered{})
 
 	mu.Lock()
 	defer mu.Unlock()

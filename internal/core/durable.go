@@ -19,9 +19,9 @@ import (
 // itself).
 //
 // The mutation is validated and applied in memory first, then journaled
-// (compaction requires this order: an auto-compacting append snapshots
-// the directory stamped with the post-append index, so the directory
-// must already include the record). If the append fails — a local I/O
+// (compaction requires this order: a compaction's snapshot is stamped with
+// the journal's last index, so the directory must already include every
+// appended record). If the append fails — a local I/O
 // error, or a replicated constellation that could not reach quorum — the
 // in-memory application is rolled back before the caller sees the error:
 // acknowledged state and durable state never diverge. Without the
@@ -63,27 +63,54 @@ func (m *MDM) AttachJournal(j *journal.Journal) {
 // Journal exposes the attached journal (nil when the MDM is not durable).
 func (m *MDM) Journal() *journal.Journal { return m.journal }
 
-// RestoreSnapshot loads a recovered checkpoint into the directory without
-// journaling. Individual entries that fail to parse are skipped — a
-// snapshot is machine-written, so a bad entry is corruption best dropped,
-// not a reason to refuse boot.
-func (m *MDM) RestoreSnapshot(s *journal.Snapshot) {
-	if s == nil {
-		return
+// Restore makes the directory exactly rec — its snapshot, then its records
+// in order — without journaling. It is the one way a snapshot plus
+// records becomes a directory: at boot (OpenDurable), when a follower
+// installs a leader snapshot, and when it truncates a divergent tail.
+//
+// Everything the directory held goes first: registrations, addresses,
+// pooled store connections, leases, shield rules, and the component cache
+// (including the brownout side-buffer — everything in it was merged under
+// the discarded history). Every live push subscription is cancelled with
+// a tombstone, so its client re-subscribes against the rebuilt directory
+// instead of waiting on a feed that will never fire. Entries that fail to
+// apply are skipped: the journal is machine-written, so a bad entry is
+// corruption best dropped, not a reason to refuse boot. Resolves served
+// while Restore runs see a partial directory (ROADMAP item 2).
+func (m *MDM) Restore(rec *journal.Recovered) {
+	for _, reg := range m.Registry.Snapshot() {
+		_ = m.Registry.Unregister(reg.Path, reg.Store)
 	}
-	for _, reg := range s.Coverage {
-		p, err := xpath.Parse(reg.Path)
-		if err != nil {
-			continue
-		}
-		_ = m.applyRegister(coverage.StoreID(reg.Store), reg.Address, p)
+	m.mu.Lock()
+	addrs := m.addrs
+	m.addrs = make(map[coverage.StoreID]string)
+	m.mu.Unlock()
+	for _, addr := range addrs {
+		m.pool.Evict(addr)
 	}
-	for _, pr := range s.Shields {
-		rule, err := decodeRule(pr.Rule)
-		if err != nil {
-			continue
+	m.leaseMu.Lock()
+	clear(m.leases)
+	m.leaseMu.Unlock()
+	for _, pr := range m.ShieldSnapshot() {
+		_ = m.PAP.DeleteRule(pr.Owner, pr.Rule.ID)
+	}
+	if m.cache != nil {
+		m.cache.reset()
+	}
+	for _, sub := range m.subs.reset() {
+		sub.deliver(wire.Notification{Path: sub.path.String(), Canceled: true})
+	}
+
+	if s := rec.Snapshot; s != nil {
+		for i := range s.Coverage {
+			_ = m.ApplyRecord(journal.Record{Op: journal.OpRegister, Register: &s.Coverage[i]})
 		}
-		_ = m.PAP.PutRule(pr.Owner, rule)
+		for i := range s.Shields {
+			_ = m.ApplyRecord(journal.Record{Op: journal.OpPutRule, PutRule: &s.Shields[i]})
+		}
+	}
+	for _, r := range rec.Records {
+		_ = m.ApplyRecord(r)
 	}
 }
 
@@ -144,9 +171,10 @@ func OpenDurable(m *MDM, dir string, opts journal.Options) (*journal.Recovered, 
 	if err != nil {
 		return nil, err
 	}
-	m.RestoreSnapshot(rec.Snapshot)
-	for _, r := range rec.Records {
-		_ = m.ApplyRecord(r)
+	// An empty journal leaves a directory loaded before it alone; the
+	// first compaction checkpoints it.
+	if rec.Snapshot != nil || len(rec.Records) > 0 {
+		m.Restore(rec)
 	}
 	m.AttachJournal(j)
 	return rec, nil

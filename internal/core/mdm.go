@@ -887,48 +887,6 @@ func (m *MDM) SetReplicator(fn func(journal.Record) error) { m.replicate = fn }
 // through Snapshot() (and so through `gupctl replication`).
 func (m *MDM) SetReplStatus(fn func() *wire.ReplStatus) { m.replStatus = fn }
 
-// ResetDirectory clears every coverage registration and shield rule —
-// the rebuild path a replicated follower takes before installing a
-// leader snapshot, when its local history has diverged from the
-// constellation's. Addresses, pooled store connections, and leases go
-// with the registrations; so do the component cache (including the stale
-// brownout side-buffer — everything in it was merged under the diverged
-// history) and every live push subscription, which is cancelled with a
-// tombstone notification so its client re-subscribes against the rebuilt
-// directory instead of waiting forever on a feed that will never fire.
-func (m *MDM) ResetDirectory() {
-	for _, reg := range m.Registry.Snapshot() {
-		_ = m.Registry.Unregister(reg.Path, reg.Store)
-	}
-	m.mu.Lock()
-	addrs := m.addrs
-	m.addrs = make(map[coverage.StoreID]string)
-	m.mu.Unlock()
-	for _, addr := range addrs {
-		m.pool.Evict(addr)
-	}
-	m.leaseMu.Lock()
-	for id := range m.leases {
-		delete(m.leases, id)
-	}
-	m.leaseMu.Unlock()
-	for _, owner := range m.Repo.ChangedSince(0) {
-		shield, err := m.Repo.Get(owner)
-		if err != nil {
-			continue
-		}
-		for _, rule := range shield.Rules {
-			_ = m.PAP.DeleteRule(owner, rule.ID)
-		}
-	}
-	if m.cache != nil {
-		m.cache.reset()
-	}
-	for _, sub := range m.subs.reset() {
-		sub.deliver(wire.Notification{Path: sub.path.String(), Canceled: true})
-	}
-}
-
 // RetainOwners drops every coverage registration and shield rule whose
 // owner fails keep — the cleanup half of a shard handoff, after an owner
 // range has been replayed to its new shard. Removals go through the

@@ -11,18 +11,17 @@
 //     append-only log (wal.log) and is acknowledged only after the record
 //     is durably on disk; concurrent appenders share fsyncs (group
 //     commit), so a registration burst costs one disk flush, not N,
-//   - a periodic snapshot (snapshot.json, written atomically via rename)
-//     captures the whole directory in the wire shapes a registration and
-//     a shield rule already take (RegisterRequest / PutRuleRequest), after
-//     which the log is compacted to zero,
-//   - recovery loads the snapshot, replays the log over it, and truncates
-//     any torn tail left by a crash mid-append — a partially written
-//     record is indistinguishable from one never acknowledged, so
-//     dropping it is correct.
-//
-// Replayed operations are idempotent at the directory layer (registering
-// twice is a no-op, unregistering a missing entry is ignored), which makes
-// the snapshot/log overlap window around compaction harmless.
+//   - a periodic snapshot (snapshot.json) captures the whole directory in
+//     the wire shapes a registration and a shield rule already take
+//     (RegisterRequest / PutRuleRequest); then wal.log is replaced by the
+//     records the snapshot does not cover, behind a head frame naming the
+//     index they follow. Both files are only ever replaced crash-atomically
+//     (temp file, fsync, rename, directory fsync), by one function,
+//   - recovery loads the snapshot, numbers the log's records from its head
+//     frame, drops those the snapshot already covers, and truncates any
+//     torn tail left by a crash mid-append — a partially written record is
+//     indistinguishable from one never acknowledged, so dropping it is
+//     correct.
 package journal
 
 import (
@@ -32,7 +31,6 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
-	"io"
 	"os"
 	"path/filepath"
 	"sync"
@@ -105,8 +103,9 @@ type Stats struct {
 	TornBytes atomic.Uint64
 }
 
-// Recovered is what Open found on disk: apply Snapshot first, then the
-// Records in order.
+// Recovered is a journal's durable state — what Open found on disk, or
+// what State hands out later: apply Snapshot first, then the Records in
+// order.
 type Recovered struct {
 	Snapshot *Snapshot
 	Records  []Record
@@ -138,11 +137,24 @@ const headerSize = 8
 
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
+// walHead is the payload of a log's first frame: the index, and its term,
+// that the log's first record follows. A log without one was written
+// before the frame existed and follows the snapshot.
+type walHead struct {
+	Base uint64 `json:"wal_base"`
+	Term uint64 `json:"wal_term,omitempty"`
+}
+
 // Journal is an open write-ahead log. All methods are safe for concurrent
 // use.
 type Journal struct {
 	dir  string
 	opts Options
+
+	// cutMu serializes the three ways the files are replaced — compaction,
+	// snapshot install, tail truncation — with each other. Appends never
+	// take it.
+	cutMu sync.Mutex
 
 	mu       sync.Mutex
 	work     *sync.Cond // wakes the flusher
@@ -152,21 +164,28 @@ type Journal struct {
 	pending  uint64 // records written to the buffer
 	synced   uint64 // records durably flushed (+synced) to disk
 	appended int    // records since the last compaction
-	// Replicated-log view of the WAL (see replicate.go): base is the
-	// index of the last record folded into the snapshot, baseTerm its
-	// term, and recs the in-memory copy of the live log, so record
-	// base+1+i is recs[i]. Bounded by CompactEvery on durable MDMs.
-	base     uint64
-	baseTerm uint64
-	recs     []Record
-	syncErr  error  // sticky: a failed flush/fsync poisons the journal
-	closed   bool
-	flusherG sync.WaitGroup
-
+	// Replicated-log view (see replicate.go): recs[i] is record
+	// floor+1+i, base is the index the snapshot covers, and the records
+	// floor+1..base are the retained tail — what the last compaction
+	// folded, kept so a follower that far behind still catches up from
+	// entries. floorTerm is the term at floor.
+	floor      uint64
+	floorTerm  uint64
+	base       uint64
+	recs       []Record
+	syncErr    error // sticky: a failed flush/fsync poisons the journal
+	closed     bool
+	compacting bool // a background compaction is running
 	// snapFn supplies the directory state for compaction; nil disables
 	// automatic and manual compaction.
-	snapMu sync.Mutex
 	snapFn func() Snapshot
+
+	flusherG sync.WaitGroup
+	bg       sync.WaitGroup // the background compaction, if any
+
+	// beforeRename, when set, runs just before replace renames its temp
+	// file over name; an error aborts the replace. A test seam.
+	beforeRename func(name string) error
 
 	stats Stats
 }
@@ -181,53 +200,54 @@ func Open(dir string, opts Options) (*Journal, *Recovered, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, nil, fmt.Errorf("journal: %w", err)
 	}
-	j := &Journal{dir: dir, opts: opts}
+	j := &Journal{dir: dir, opts: opts, w: bufio.NewWriter(nil)}
 	j.work = sync.NewCond(&j.mu)
 	j.done = sync.NewCond(&j.mu)
 
-	rec := &Recovered{}
-	if snap, err := readSnapshot(filepath.Join(dir, snapName)); err != nil {
+	snap, err := readSnapshot(filepath.Join(dir, snapName))
+	if err != nil {
 		return nil, nil, err
-	} else if snap != nil {
-		rec.Snapshot = snap
-		j.base = snap.Index
-		j.baseTerm = snap.Term
+	}
+	data, err := os.ReadFile(filepath.Join(dir, walName))
+	if err != nil && !errors.Is(err, os.ErrNotExist) {
+		return nil, nil, fmt.Errorf("journal: %w", err)
+	}
+	head, records, good := scanWAL(data)
+	rec := &Recovered{Snapshot: snap, TornBytes: int64(len(data) - good)}
+	if snap != nil {
+		j.base, j.floorTerm = snap.Index, snap.Term
 		j.stats.RecoveredSnapshot.Store(uint64(len(snap.Coverage) + len(snap.Shields)))
 	}
-
-	f, err := os.OpenFile(filepath.Join(dir, walName), os.O_CREATE|os.O_RDWR, 0o644)
-	if err != nil {
-		return nil, nil, fmt.Errorf("journal: %w", err)
+	j.floor = j.base
+	switch {
+	case head == nil:
+		j.recs = records
+	case head.Base > j.base:
+		return nil, nil, fmt.Errorf("journal: log follows index %d, past the snapshot's %d", head.Base, j.base)
+	case head.Base+uint64(len(records)) >= j.base:
+		// A crash between a compaction's snapshot rename and its log
+		// replace leaves records the snapshot covers at the log's head:
+		// they are the retained tail, not records to replay.
+		j.floor, j.floorTerm, j.recs = head.Base, head.Term, records
 	}
-	records, good, size, err := scanWAL(f)
-	if err != nil {
-		f.Close()
-		return nil, nil, err
-	}
-	if good < size {
-		// Torn tail: a crash interrupted an append that was never
-		// acknowledged. Truncate to the last whole record so the log is
-		// append-clean again.
-		if err := f.Truncate(good); err != nil {
-			f.Close()
-			return nil, nil, fmt.Errorf("journal: truncate torn tail: %w", err)
-		}
-		rec.TornBytes = size - good
-		j.stats.TornBytes.Store(uint64(rec.TornBytes))
-	}
-	if _, err := f.Seek(good, io.SeekStart); err != nil {
-		f.Close()
-		return nil, nil, fmt.Errorf("journal: %w", err)
-	}
-	rec.Records = records
-	j.recs = records
-	j.stats.RecoveredRecords.Store(uint64(len(records)))
+	rec.Records = j.recs[j.base-j.floor:]
+	j.stats.RecoveredRecords.Store(uint64(len(rec.Records)))
+	j.stats.TornBytes.Store(uint64(rec.TornBytes))
 	// Recovered records count against the compaction budget so a crash
 	// loop cannot grow the log without bound.
-	j.appended = len(records)
+	j.appended = len(rec.Records)
 
-	j.f = f
-	j.w = bufio.NewWriter(f)
+	if head == nil || rec.TornBytes > 0 {
+		// First boot, a log from before the head frame, or a torn tail:
+		// replace the log once so every append extends a framed, clean one.
+		err = j.replaceWALLocked(j.base, j.termAtLocked(j.base), rec.Records)
+	} else {
+		j.f, err = os.OpenFile(filepath.Join(dir, walName), os.O_WRONLY|os.O_APPEND, 0)
+		j.w.Reset(j.f)
+	}
+	if err != nil {
+		return nil, nil, err
+	}
 	j.flusherG.Add(1)
 	go j.flusher()
 	return j, rec, nil
@@ -237,9 +257,9 @@ func Open(dir string, opts Options) (*Journal, *Recovered, error) {
 // compaction — typically after recovery has been applied, so the first
 // snapshot is complete. The callback must not append to the journal.
 func (j *Journal) SetSnapshotFunc(fn func() Snapshot) {
-	j.snapMu.Lock()
+	j.mu.Lock()
 	j.snapFn = fn
-	j.snapMu.Unlock()
+	j.mu.Unlock()
 }
 
 // Stats exposes the journal's counters.
@@ -253,8 +273,7 @@ func (j *Journal) NoSync() bool { return j.opts.NoSync }
 
 // Append durably logs one record: it returns only after the record (and,
 // thanks to group commit, any records buffered alongside it) has been
-// flushed and fsynced. Append may trigger a compaction once the log
-// passes the CompactEvery threshold.
+// flushed and fsynced.
 func (j *Journal) Append(r Record) error {
 	_, err := j.AppendBatch([]Record{r})
 	return err
@@ -271,29 +290,21 @@ func (j *Journal) AppendIndexed(r Record) (uint64, error) {
 // and fsync across the whole batch (plus whatever concurrent appenders
 // piled into the same group commit). It returns the global index of the
 // last record appended. Followers use it to land a shipped entry batch
-// at one fsync instead of one per record.
+// at one fsync instead of one per record. The append that crosses
+// CompactEvery starts a compaction on the journal's background goroutine
+// and does not wait for it.
 func (j *Journal) AppendBatch(records []Record) (uint64, error) {
 	if len(records) == 0 {
 		j.mu.Lock()
 		defer j.mu.Unlock()
-		return j.base + uint64(len(j.recs)), nil
+		return j.lastLocked(), nil
 	}
-	type framed struct {
-		hdr     [headerSize]byte
-		payload []byte
-	}
-	frames := make([]framed, len(records))
-	for i, r := range records {
-		payload, err := json.Marshal(r)
-		if err != nil {
-			return 0, fmt.Errorf("journal: marshal: %w", err)
+	var buf []byte
+	for i := range records {
+		var err error
+		if buf, err = appendFrame(buf, &records[i]); err != nil {
+			return 0, err
 		}
-		if len(payload) > maxRecord {
-			return 0, ErrRecordTooLarge
-		}
-		frames[i].payload = payload
-		binary.BigEndian.PutUint32(frames[i].hdr[0:4], uint32(len(payload)))
-		binary.BigEndian.PutUint32(frames[i].hdr[4:8], crc32.Checksum(payload, crcTable))
 	}
 
 	j.mu.Lock()
@@ -301,19 +312,9 @@ func (j *Journal) AppendBatch(records []Record) (uint64, error) {
 		j.mu.Unlock()
 		return 0, ErrClosed
 	}
-	if j.syncErr != nil {
-		err := j.syncErr
-		j.mu.Unlock()
-		return 0, err
-	}
-	for i := range frames {
-		if _, err := j.w.Write(frames[i].hdr[:]); err != nil {
+	if j.syncErr == nil {
+		if _, err := j.w.Write(buf); err != nil {
 			j.syncErr = err
-			break
-		}
-		if _, err := j.w.Write(frames[i].payload); err != nil {
-			j.syncErr = err
-			break
 		}
 	}
 	if j.syncErr != nil {
@@ -325,11 +326,22 @@ func (j *Journal) AppendBatch(records []Record) (uint64, error) {
 	seq := j.pending
 	j.appended += len(records)
 	j.recs = append(j.recs, records...)
-	last := j.base + uint64(len(j.recs))
-	needCompact := j.opts.CompactEvery > 0 && j.appended >= j.opts.CompactEvery
+	last := j.lastLocked()
+	every, running := j.opts.CompactEvery, j.compacting
+	if every > 0 && j.appended >= every && j.snapFn != nil && !running {
+		j.compacting = true
+		j.bg.Add(1)
+		go j.compactInBackground()
+	}
 	j.work.Signal()
 	// Wait for the flusher to carry this batch (and its group) to disk.
 	for j.synced < seq && j.syncErr == nil {
+		j.done.Wait()
+	}
+	// The log may grow to twice CompactEvery while a compaction runs; an
+	// append that finds it there waits for that compaction, which bounds
+	// the log when the disk is slower than the appenders.
+	for running && j.compacting && j.appended >= 2*every && j.syncErr == nil {
 		j.done.Wait()
 	}
 	err := j.syncErr
@@ -338,11 +350,19 @@ func (j *Journal) AppendBatch(records []Record) (uint64, error) {
 		return 0, err
 	}
 	j.stats.Appends.Add(uint64(len(records)))
-	if needCompact {
-		// Best-effort: a failed compaction leaves the log long but valid.
-		_ = j.Compact()
-	}
 	return last, nil
+}
+
+// compactInBackground is the journal's one compaction goroutine; Close
+// waits for it.
+func (j *Journal) compactInBackground() {
+	defer j.bg.Done()
+	// Best-effort: a failed compaction leaves the log long but valid.
+	_ = j.Compact()
+	j.mu.Lock()
+	j.compacting = false
+	j.done.Broadcast()
+	j.mu.Unlock()
 }
 
 // flusher is the single goroutine that moves buffered records to disk.
@@ -377,63 +397,164 @@ func (j *Journal) flusher() {
 	}
 }
 
-// Compact checkpoints the directory and truncates the log: it captures a
-// snapshot via the installed callback, writes it atomically (temp file,
-// fsync, rename, directory fsync), then resets the log to empty. A crash
-// between the rename and the truncate leaves snapshot+old-log on disk,
-// which replays to the same state because directory mutations are
-// idempotent. No-op without a snapshot callback.
-func (j *Journal) Compact() error {
-	j.snapMu.Lock()
-	fn := j.snapFn
-	j.snapMu.Unlock()
-	if fn == nil {
-		return nil
-	}
-
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.closed {
-		return ErrClosed
-	}
-	// Drain in-flight appends so the log and the snapshot agree on "now".
+// drainLocked waits until every buffered record is durable, so the log
+// on disk and j.recs agree. Caller holds j.mu.
+func (j *Journal) drainLocked() error {
 	for j.synced < j.pending && j.syncErr == nil {
 		j.done.Wait()
 	}
-	if j.syncErr != nil {
-		return j.syncErr
-	}
-	// Capture under j.mu: mutations applied to the directory but not yet
-	// journaled are ahead of the log; including them in the snapshot is
-	// safe (their append lands in the fresh log and replays idempotently).
-	snap := fn()
-	snap.Index = j.base + uint64(len(j.recs))
-	snap.Term = j.lastTermLocked()
-	if err := writeSnapshot(j.dir, &snap, j.opts.NoSync); err != nil {
+	return j.syncErr
+}
+
+// Compact checkpoints the directory and truncates the log: it captures a
+// snapshot via the installed callback and cuts the log at it (see cut),
+// returning once both files are replaced. No-op without a snapshot
+// callback.
+func (j *Journal) Compact() error {
+	j.cutMu.Lock()
+	defer j.cutMu.Unlock()
+	snap, err := j.capture()
+	if snap == nil {
 		return err
 	}
-	if err := j.f.Truncate(0); err != nil {
-		return fmt.Errorf("journal: truncate: %w", err)
+	return j.cut(snap, false)
+}
+
+// capture takes the directory checkpoint stamped with the log position
+// it describes, under j.mu with in-flight appends drained. Mutations
+// applied to the directory but not yet appended are ahead of the log;
+// including them is safe (their append lands after the stamp and replays
+// idempotently). nil, nil without a snapshot callback.
+func (j *Journal) capture() (*Snapshot, error) {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	if j.closed {
+		return nil, ErrClosed
 	}
-	if _, err := j.f.Seek(0, io.SeekStart); err != nil {
-		return fmt.Errorf("journal: %w", err)
+	if err := j.drainLocked(); err != nil || j.snapFn == nil {
+		return nil, err
 	}
-	j.w.Reset(j.f)
-	if !j.opts.NoSync {
-		if err := j.f.Sync(); err != nil {
-			return fmt.Errorf("journal: %w", err)
-		}
+	snap := j.snapFn()
+	snap.Index = j.lastLocked()
+	snap.Term = j.termAtLocked(snap.Index)
+	return &snap, nil
+}
+
+// cut makes snap the journal's checkpoint: the one path by which a
+// compaction and a snapshot install land. snapshot.json is written
+// outside j.mu, so appends carry on through its marshal and fsyncs; then,
+// under j.mu, wal.log is replaced by the records after snap.Index. A
+// compaction keeps the records it folded in memory as the retained tail;
+// an install, whose snapshot comes from another history, drops the whole
+// log. Caller holds cutMu; a cut that has begun finishes even if Close
+// comes meanwhile, since Close waits for cutMu before closing the log.
+func (j *Journal) cut(snap *Snapshot, install bool) error {
+	j.mu.Lock()
+	closed := j.closed
+	j.mu.Unlock()
+	if closed {
+		return ErrClosed
 	}
-	j.base = snap.Index
-	j.baseTerm = snap.Term
-	j.recs = nil
-	j.appended = 0
-	j.stats.Compactions.Add(1)
+	data, err := json.Marshal(snap)
+	if err != nil {
+		return fmt.Errorf("journal: marshal snapshot: %w", err)
+	}
+	f, err := j.replace(snapName, data)
+	if err != nil {
+		return err
+	}
+	f.Close()
+
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	if err := j.drainLocked(); err != nil {
+		return err
+	}
+	floor, floorTerm, recs := j.base, j.termAtLocked(j.base), j.recs[j.base-j.floor:]
+	if install {
+		floor, floorTerm, recs = snap.Index, snap.Term, nil
+	}
+	live := recs[snap.Index-floor:]
+	if err := j.replaceWALLocked(snap.Index, snap.Term, live); err != nil {
+		return err
+	}
+	j.floor, j.floorTerm, j.recs, j.base = floor, floorTerm, recs, snap.Index
+	j.appended = len(live)
+	if !install {
+		j.stats.Compactions.Add(1)
+	}
 	return nil
 }
 
-// Close flushes, syncs, and closes the log. Further appends fail with
-// ErrClosed.
+// replaceWALLocked swaps wal.log for a log holding live behind a head
+// frame naming base, and moves appends onto it. A failure poisons the
+// journal like a failed fsync: appends stop until a reopen, which finds
+// the old log or the new one. Caller holds j.mu with the group commit
+// drained.
+func (j *Journal) replaceWALLocked(base, term uint64, live []Record) error {
+	buf, err := appendFrame(nil, walHead{Base: base, Term: term})
+	for i := 0; err == nil && i < len(live); i++ {
+		buf, err = appendFrame(buf, &live[i])
+	}
+	var f *os.File
+	if err == nil {
+		f, err = j.replace(walName, buf)
+	}
+	if err != nil {
+		j.syncErr = err
+		return err
+	}
+	if j.f != nil {
+		j.f.Close()
+	}
+	j.f = f
+	j.w.Reset(f)
+	return nil
+}
+
+// replace is the one way a journal file is replaced: data goes to a temp
+// file in the journal directory, which is fsynced and renamed over name,
+// and the directory is fsynced so the rename itself is durable. A crash
+// leaves the old file or the new one, never a mix. It returns the new
+// file, open and positioned at its end. The temp name starts with a dot,
+// so a file-by-file copy of the directory lists it first.
+func (j *Journal) replace(name string, data []byte) (*os.File, error) {
+	tmp, err := os.CreateTemp(j.dir, "."+name+".tmp-*")
+	if err != nil {
+		return nil, fmt.Errorf("journal: %w", err)
+	}
+	defer os.Remove(tmp.Name()) // no-op after a successful rename
+	_, err = tmp.Write(data)
+	if err == nil && !j.opts.NoSync {
+		err = tmp.Sync()
+	}
+	if err == nil && j.beforeRename != nil {
+		err = j.beforeRename(name)
+	}
+	if err == nil {
+		err = os.Rename(tmp.Name(), filepath.Join(j.dir, name))
+	}
+	if err == nil && !j.opts.NoSync {
+		err = syncDir(j.dir)
+	}
+	if err != nil {
+		tmp.Close()
+		return nil, fmt.Errorf("journal: replace %s: %w", name, err)
+	}
+	return tmp, nil
+}
+
+func syncDir(dir string) error {
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	defer d.Close()
+	return d.Sync()
+}
+
+// Close waits for a running compaction, flushes, syncs, and closes the
+// log. Further appends fail with ErrClosed.
 func (j *Journal) Close() error {
 	j.mu.Lock()
 	if j.closed {
@@ -443,51 +564,71 @@ func (j *Journal) Close() error {
 	j.closed = true
 	j.work.Signal()
 	j.mu.Unlock()
+	j.bg.Wait()
+	j.cutMu.Lock() // a cut in flight lands before the log closes
+	defer j.cutMu.Unlock()
 	j.flusherG.Wait()
 	j.mu.Lock()
-	err := j.syncErr
+	err, f := j.syncErr, j.f
 	j.mu.Unlock()
-	if cerr := j.f.Close(); err == nil {
+	if cerr := f.Close(); err == nil {
 		err = cerr
 	}
 	return err
 }
 
-// scanWAL reads every whole record from the log, returning the records,
-// the offset of the last whole record's end (the "good" prefix), and the
-// file size. Corruption — short header, absurd length, CRC mismatch,
-// undecodable JSON — ends the scan at the last good offset: everything
-// after a torn record is unreachable garbage by construction (appends are
-// sequential), so it is truncated, never skipped.
-func scanWAL(f *os.File) (records []Record, good, size int64, err error) {
-	info, err := f.Stat()
+// appendFrame is the one frame encoder: it appends v's JSON to buf behind
+// its length and CRC.
+func appendFrame(buf []byte, v any) ([]byte, error) {
+	payload, err := json.Marshal(v)
 	if err != nil {
-		return nil, 0, 0, fmt.Errorf("journal: %w", err)
+		return buf, fmt.Errorf("journal: marshal: %w", err)
 	}
-	size = info.Size()
-	r := bufio.NewReader(io.NewSectionReader(f, 0, size))
-	var hdr [headerSize]byte
+	if len(payload) > maxRecord {
+		return buf, ErrRecordTooLarge
+	}
+	buf = binary.BigEndian.AppendUint32(buf, uint32(len(payload)))
+	buf = binary.BigEndian.AppendUint32(buf, crc32.Checksum(payload, crcTable))
+	return append(buf, payload...), nil
+}
+
+// scanWAL reads the log's head frame (nil when it has none) and every
+// whole record after it, returning the length of the good prefix they
+// span. Corruption — short header, absurd length, CRC mismatch,
+// undecodable JSON — ends the scan: everything after a torn record is
+// unreachable garbage by construction (appends are sequential), so it is
+// truncated, never skipped.
+func scanWAL(data []byte) (head *walHead, records []Record, good int) {
 	for {
-		if _, err := io.ReadFull(r, hdr[:]); err != nil {
-			return records, good, size, nil // clean EOF or torn header
+		rest := data[good:]
+		if len(rest) < headerSize {
+			return // clean EOF or torn header
 		}
-		n := binary.BigEndian.Uint32(hdr[0:4])
-		if n == 0 || n > maxRecord {
-			return records, good, size, nil // length corruption
+		n := binary.BigEndian.Uint32(rest[0:4])
+		if n == 0 || n > maxRecord || uint64(n) > uint64(len(rest)-headerSize) {
+			return // length corruption or torn payload
 		}
-		payload := make([]byte, n)
-		if _, err := io.ReadFull(r, payload); err != nil {
-			return records, good, size, nil // torn payload
+		payload := rest[headerSize : headerSize+int(n)]
+		if crc32.Checksum(payload, crcTable) != binary.BigEndian.Uint32(rest[4:8]) {
+			return // bit rot or torn write
 		}
-		if crc32.Checksum(payload, crcTable) != binary.BigEndian.Uint32(hdr[4:8]) {
-			return records, good, size, nil // bit rot or torn write
+		if good == 0 {
+			var h struct {
+				Base *uint64 `json:"wal_base"`
+				Term uint64  `json:"wal_term"`
+			}
+			if json.Unmarshal(payload, &h) == nil && h.Base != nil {
+				head = &walHead{Base: *h.Base, Term: h.Term}
+				good += headerSize + int(n)
+				continue
+			}
 		}
 		var rec Record
 		if err := json.Unmarshal(payload, &rec); err != nil {
-			return records, good, size, nil
+			return
 		}
 		records = append(records, rec)
-		good += int64(headerSize) + int64(n)
+		good += headerSize + int(n)
 	}
 }
 
@@ -505,47 +646,4 @@ func readSnapshot(path string) (*Snapshot, error) {
 		return nil, fmt.Errorf("journal: snapshot corrupt: %w", err)
 	}
 	return &s, nil
-}
-
-// writeSnapshot persists the checkpoint atomically: temp file, fsync,
-// rename over the old snapshot, fsync the directory so the rename itself
-// is durable.
-func writeSnapshot(dir string, s *Snapshot, noSync bool) error {
-	data, err := json.Marshal(s)
-	if err != nil {
-		return fmt.Errorf("journal: marshal snapshot: %w", err)
-	}
-	tmp, err := os.CreateTemp(dir, snapName+".tmp-")
-	if err != nil {
-		return fmt.Errorf("journal: %w", err)
-	}
-	defer os.Remove(tmp.Name()) // no-op after a successful rename
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		return fmt.Errorf("journal: write snapshot: %w", err)
-	}
-	if !noSync {
-		if err := tmp.Sync(); err != nil {
-			tmp.Close()
-			return fmt.Errorf("journal: sync snapshot: %w", err)
-		}
-	}
-	if err := tmp.Close(); err != nil {
-		return fmt.Errorf("journal: %w", err)
-	}
-	if err := os.Rename(tmp.Name(), filepath.Join(dir, snapName)); err != nil {
-		return fmt.Errorf("journal: install snapshot: %w", err)
-	}
-	if noSync {
-		return nil
-	}
-	d, err := os.Open(dir)
-	if err != nil {
-		return fmt.Errorf("journal: %w", err)
-	}
-	defer d.Close()
-	if err := d.Sync(); err != nil {
-		return fmt.Errorf("journal: sync dir: %w", err)
-	}
-	return nil
 }

@@ -4,22 +4,19 @@ package journal
 // replicated MDM: records carry the leader term that produced them, the
 // snapshot records the index it covers, and this file exposes the indexed
 // view replication needs — read a suffix for shipping, truncate a
-// conflicting tail, install a leader snapshot wholesale.
+// conflicting tail, install a leader snapshot wholesale, hand out the
+// durable state to rebuild from.
 //
 // Indexing is global and monotone across compactions: record 1 is the
 // first mutation ever journaled. Compaction folds a prefix into the
-// snapshot and advances base; Entries on a compacted prefix returns
-// ErrCompacted so the shipper falls back to a snapshot instead of
-// silently skipping records — the fix for the single-reader assumption
-// the original compaction made.
+// snapshot and advances base, but keeps the records it folded until the
+// next compaction; Entries below that retained tail returns ErrCompacted
+// so the shipper falls back to a snapshot instead of silently skipping
+// records.
 
 import (
-	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"hash/crc32"
-	"io"
 	"path/filepath"
 )
 
@@ -27,28 +24,33 @@ import (
 // the snapshot; the caller should ship the snapshot instead.
 var ErrCompacted = errors.New("journal: prefix compacted into snapshot")
 
-// lastTermLocked is the term of the newest record, falling back to the
-// snapshot's term when the live log is empty. Caller holds j.mu.
-func (j *Journal) lastTermLocked() uint64 {
-	if n := len(j.recs); n > 0 {
-		return j.recs[n-1].Term
+// lastLocked is the index of the newest record. Caller holds j.mu.
+func (j *Journal) lastLocked() uint64 { return j.floor + uint64(len(j.recs)) }
+
+// termAtLocked is the term of the record at index, which is at most
+// lastLocked; at or below floor it is the term at floor (exact for floor
+// itself, and anything below is committed by definition). Caller holds
+// j.mu.
+func (j *Journal) termAtLocked(index uint64) uint64 {
+	if index <= j.floor {
+		return j.floorTerm
 	}
-	return j.baseTerm
+	return j.recs[index-j.floor-1].Term
 }
 
 // LastIndex is the index of the newest record (0 before any append).
 func (j *Journal) LastIndex() uint64 {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	return j.base + uint64(len(j.recs))
+	return j.lastLocked()
 }
 
 // LastTerm is the term of the newest record (or of the snapshot when the
-// live log is empty).
+// log is empty).
 func (j *Journal) LastTerm() uint64 {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	return j.lastTermLocked()
+	return j.termAtLocked(j.lastLocked())
 }
 
 // Base is the index of the last record folded into the snapshot.
@@ -59,175 +61,107 @@ func (j *Journal) Base() uint64 {
 }
 
 // TermAt returns the term of the record at index. ok is false when the
-// index is ahead of the log; an index at or below base reports the
-// snapshot's term (exact for base itself, a lower bound below it, which
-// is sufficient for log matching — anything at or below base is
-// committed by definition).
+// index is ahead of the log.
 func (j *Journal) TermAt(index uint64) (term uint64, ok bool) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if index <= j.base {
-		return j.baseTerm, true
-	}
-	if index > j.base+uint64(len(j.recs)) {
+	if index > j.lastLocked() {
 		return 0, false
 	}
-	return j.recs[index-j.base-1].Term, true
+	return j.termAtLocked(index), true
 }
 
 // Entries returns a copy of every record with index > after, in order,
-// plus the index of the first returned record. ErrCompacted means the
-// suffix starts inside the snapshot — ship the snapshot instead. Safe
-// against a concurrent Compact: both hold j.mu, so a reader never
-// observes a half-truncated log.
+// plus the index of the first returned record. Any after at or above the
+// previous compaction's index is answered, the retained tail included;
+// ErrCompacted means the suffix starts below it — ship the snapshot
+// instead.
 func (j *Journal) Entries(after uint64) (recs []Record, first uint64, err error) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if j.closed {
 		return nil, 0, ErrClosed
 	}
-	if after < j.base {
+	if after < j.floor {
 		return nil, 0, ErrCompacted
 	}
-	from := after - j.base
+	from := after - j.floor
 	if from >= uint64(len(j.recs)) {
 		return nil, after + 1, nil
 	}
-	out := make([]Record, len(j.recs[from:]))
-	copy(out, j.recs[from:])
-	return out, after + 1, nil
+	return append([]Record(nil), j.recs[from:]...), after + 1, nil
 }
 
-// TruncateTo discards every record with index > index, rewriting the WAL
-// in place — the conflict-resolution path when a follower's tail diverges
-// from the new leader's log. Truncating below base is an error (that
-// prefix lives in the snapshot); truncating at or past the last index is
-// a no-op.
+// TruncateTo discards every record with index > index, replacing the WAL
+// by the records that stay — the conflict-resolution path when a
+// follower's tail diverges from the new leader's log. Truncating below
+// base is an error (that prefix lives in the snapshot); truncating at or
+// past the last index is a no-op.
 func (j *Journal) TruncateTo(index uint64) error {
+	j.cutMu.Lock()
+	defer j.cutMu.Unlock()
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if j.closed {
 		return ErrClosed
 	}
-	for j.synced < j.pending && j.syncErr == nil {
-		j.done.Wait()
-	}
-	if j.syncErr != nil {
-		return j.syncErr
+	if err := j.drainLocked(); err != nil {
+		return err
 	}
 	if index < j.base {
 		return fmt.Errorf("journal: truncate to %d below snapshot base %d", index, j.base)
 	}
-	keep := index - j.base
-	if keep >= uint64(len(j.recs)) {
+	if index >= j.lastLocked() {
 		return nil
 	}
-	kept := make([]Record, keep)
-	copy(kept, j.recs[:keep])
-	if err := j.rewriteLocked(kept); err != nil {
+	keep := j.recs[: index-j.floor : index-j.floor]
+	if err := j.replaceWALLocked(j.base, j.termAtLocked(j.base), keep[j.base-j.floor:]); err != nil {
 		return err
 	}
-	j.recs = kept
-	j.appended = len(kept)
+	j.recs = keep
+	j.appended = int(index - j.base)
 	return nil
 }
 
 // InstallSnapshot replaces the journal's whole state with a leader
-// checkpoint: the snapshot is written atomically, the WAL is reset to
-// empty and base advances to the snapshot's index. The caller rebuilds
-// the in-memory directory from the same snapshot.
+// checkpoint: the snapshot is cut into the journal as a compaction's is,
+// the WAL is left empty and base advances to the snapshot's index. The
+// caller rebuilds the in-memory directory from the same snapshot.
 func (j *Journal) InstallSnapshot(s *Snapshot) error {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.closed {
-		return ErrClosed
-	}
-	for j.synced < j.pending && j.syncErr == nil {
-		j.done.Wait()
-	}
-	if j.syncErr != nil {
-		return j.syncErr
-	}
-	if err := writeSnapshot(j.dir, s, j.opts.NoSync); err != nil {
-		return err
-	}
-	if err := j.rewriteLocked(nil); err != nil {
-		return err
-	}
-	j.base = s.Index
-	j.baseTerm = s.Term
-	j.recs = nil
-	j.appended = 0
-	return nil
+	j.cutMu.Lock()
+	defer j.cutMu.Unlock()
+	return j.cut(s, true)
 }
 
 // SnapshotNow captures the directory checkpoint without compacting the
 // log — the shipping path when a follower is too far behind. The capture
-// runs under j.mu like Compact's, so it is consistent with the log index
-// it is stamped with.
+// is Compact's, so it is consistent with the log index it is stamped
+// with.
 func (j *Journal) SnapshotNow() (*Snapshot, error) {
-	j.snapMu.Lock()
-	fn := j.snapFn
-	j.snapMu.Unlock()
-	if fn == nil {
-		return nil, errors.New("journal: no snapshot callback installed")
+	snap, err := j.capture()
+	if snap == nil && err == nil {
+		err = errors.New("journal: no snapshot callback installed")
+	}
+	return snap, err
+}
+
+// State hands out the journal's durable state in the shape Open recovers
+// it: the on-disk snapshot and the records after it — what a follower
+// rebuilds its directory from after TruncateTo.
+func (j *Journal) State() (*Recovered, error) {
+	j.cutMu.Lock()
+	defer j.cutMu.Unlock()
+	snap, err := readSnapshot(filepath.Join(j.dir, snapName))
+	if err != nil {
+		return nil, err
 	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if j.closed {
-		return nil, ErrClosed
+	// A compaction that failed after its snapshot rename left the
+	// snapshot past base.
+	from := j.base
+	if snap != nil && snap.Index > from && snap.Index <= j.lastLocked() {
+		from = snap.Index
 	}
-	for j.synced < j.pending && j.syncErr == nil {
-		j.done.Wait()
-	}
-	if j.syncErr != nil {
-		return nil, j.syncErr
-	}
-	snap := fn()
-	snap.Index = j.base + uint64(len(j.recs))
-	snap.Term = j.lastTermLocked()
-	return &snap, nil
-}
-
-// ReadSnapshot loads the journal's on-disk checkpoint (nil when none
-// exists) — the base state a follower replays after truncating a
-// divergent tail.
-func (j *Journal) ReadSnapshot() (*Snapshot, error) {
-	return readSnapshot(filepath.Join(j.dir, snapName))
-}
-
-// rewriteLocked replaces the WAL's contents with recs. Caller holds j.mu
-// with all in-flight appends drained.
-func (j *Journal) rewriteLocked(recs []Record) error {
-	if err := j.f.Truncate(0); err != nil {
-		return fmt.Errorf("journal: truncate: %w", err)
-	}
-	if _, err := j.f.Seek(0, io.SeekStart); err != nil {
-		return fmt.Errorf("journal: %w", err)
-	}
-	j.w.Reset(j.f)
-	for _, r := range recs {
-		payload, err := json.Marshal(r)
-		if err != nil {
-			return fmt.Errorf("journal: marshal: %w", err)
-		}
-		var hdr [headerSize]byte
-		binary.BigEndian.PutUint32(hdr[0:4], uint32(len(payload)))
-		binary.BigEndian.PutUint32(hdr[4:8], crc32.Checksum(payload, crcTable))
-		if _, err := j.w.Write(hdr[:]); err != nil {
-			return fmt.Errorf("journal: rewrite: %w", err)
-		}
-		if _, err := j.w.Write(payload); err != nil {
-			return fmt.Errorf("journal: rewrite: %w", err)
-		}
-	}
-	if err := j.w.Flush(); err != nil {
-		return fmt.Errorf("journal: rewrite flush: %w", err)
-	}
-	if !j.opts.NoSync {
-		if err := j.f.Sync(); err != nil {
-			return fmt.Errorf("journal: rewrite sync: %w", err)
-		}
-	}
-	return nil
+	return &Recovered{Snapshot: snap, Records: append([]Record(nil), j.recs[from-j.floor:]...)}, nil
 }

@@ -62,9 +62,10 @@ func TestIndexedAppendAndEntries(t *testing.T) {
 }
 
 // TestEntriesAfterCompaction is the regression test for the catch-up vs
-// compaction race: a reader asking for a prefix the compactor folded into
-// the snapshot must get ErrCompacted (so it ships the snapshot), never a
-// silently truncated record list.
+// compaction race: a reader asking for a prefix below the retained tail
+// must get ErrCompacted (so it ships the snapshot), never a silently
+// truncated record list — while a reader inside the tail the last
+// compaction folded still gets its records.
 func TestEntriesAfterCompaction(t *testing.T) {
 	dir := t.TempDir()
 	j, _ := openRepl(t, dir)
@@ -72,38 +73,53 @@ func TestEntriesAfterCompaction(t *testing.T) {
 
 	var cov []wire.RegisterRequest
 	j.SetSnapshotFunc(func() Snapshot { return Snapshot{Coverage: cov} })
-	for i := 0; i < 4; i++ {
-		if err := j.Append(replRecord(1, i)); err != nil {
-			t.Fatalf("append: %v", err)
+	appendN := func(term uint64, from, to int) {
+		for i := from; i < to; i++ {
+			if err := j.Append(replRecord(term, i)); err != nil {
+				t.Fatalf("append: %v", err)
+			}
+			cov = append(cov, *replRecord(term, i).Register)
 		}
-		cov = append(cov, *replRecord(1, i).Register)
 	}
+	appendN(1, 0, 4)
 	if err := j.Compact(); err != nil {
 		t.Fatalf("Compact: %v", err)
 	}
 	if got := j.Base(); got != 4 {
 		t.Fatalf("Base = %d after compaction, want 4", got)
 	}
+	// Inside the retained tail: the records the compaction folded.
+	if recs, first, err := j.Entries(2); err != nil || first != 3 || len(recs) != 2 || recs[0].Register.Store != "store-2" {
+		t.Fatalf("Entries(2) after one compaction = %d records from %d, err %v; want store-2, store-3 from 3", len(recs), first, err)
+	}
+	appendN(2, 4, 6)
+	if err := j.Compact(); err != nil {
+		t.Fatalf("Compact: %v", err)
+	}
+	// Below the tail the second compaction retained (records 5 and 6).
 	if _, _, err := j.Entries(2); !errors.Is(err, ErrCompacted) {
-		t.Fatalf("Entries(2) after compaction = %v, want ErrCompacted", err)
+		t.Fatalf("Entries(2) after two compactions = %v, want ErrCompacted", err)
+	}
+	if term, ok := j.TermAt(5); !ok || term != 2 {
+		t.Fatalf("TermAt(5) in the retained tail = %d,%v; want 2,true", term, ok)
 	}
 	// The boundary itself is still addressable: everything after base.
-	if recs, _, err := j.Entries(4); err != nil || len(recs) != 0 {
-		t.Fatalf("Entries(4) = %d records, err %v; want empty, nil", len(recs), err)
+	if recs, _, err := j.Entries(6); err != nil || len(recs) != 0 {
+		t.Fatalf("Entries(6) = %d records, err %v; want empty, nil", len(recs), err)
 	}
 	// Appends after compaction keep global indexing.
-	if err := j.Append(replRecord(2, 9)); err != nil {
+	if err := j.Append(replRecord(3, 9)); err != nil {
 		t.Fatalf("append: %v", err)
 	}
-	if got := j.LastIndex(); got != 5 {
-		t.Fatalf("LastIndex = %d after post-compaction append, want 5", got)
+	if got := j.LastIndex(); got != 7 {
+		t.Fatalf("LastIndex = %d after post-compaction append, want 7", got)
 	}
 	snap, err := j.SnapshotNow()
 	if err != nil {
 		t.Fatalf("SnapshotNow: %v", err)
 	}
-	if snap.Index != 5 || snap.Term != 2 {
-		t.Fatalf("SnapshotNow = index %d term %d, want 5/2", snap.Index, snap.Term)
+	if snap.Index != 7 || snap.Term != 3 {
+		t.Fatalf("SnapshotNow = index %d term %d, want 7/3", snap.Index, snap.Term)
 	}
 }
 

@@ -311,9 +311,15 @@ func (n *Node) HandleAppend(req *AppendRequest) (*AppendResponse, error) {
 			// truncate it durably and rebuild the in-memory directory from
 			// snapshot + surviving log, since applied records cannot be
 			// un-applied individually.
-			if err := n.truncateAndRebuild(idx - 1); err != nil {
+			if err := n.jr.TruncateTo(idx - 1); err != nil {
 				return nil, err
 			}
+			state, err := n.jr.State()
+			if err != nil {
+				return nil, err
+			}
+			n.mdm.Restore(state)
+			n.logf("truncated divergent tail to index %d, directory rebuilt", idx-1)
 			last = idx - 1
 		}
 		fresh = append(fresh, e)
@@ -440,34 +446,9 @@ func (n *Node) HandleSnapshotChunk(req *SnapshotChunk) (*SnapshotResponse, error
 	if err := n.jr.InstallSnapshot(&snap); err != nil {
 		return nil, err
 	}
-	n.mdm.ResetDirectory()
-	n.mdm.RestoreSnapshot(&snap)
+	n.mdm.Restore(&journal.Recovered{Snapshot: &snap})
 	n.logf("installed snapshot at index %d (term %d) from %s", snap.Index, snap.Term, req.LeaderID)
 	return &SnapshotResponse{Term: term, Ok: true, LastIndex: snap.Index}, nil
-}
-
-// truncateAndRebuild durably discards every record past index and
-// reconstructs the in-memory directory from snapshot + surviving log.
-// Caller holds applyMu.
-func (n *Node) truncateAndRebuild(index uint64) error {
-	if err := n.jr.TruncateTo(index); err != nil {
-		return err
-	}
-	n.mdm.ResetDirectory()
-	snap, err := n.jr.ReadSnapshot()
-	if err != nil {
-		return err
-	}
-	n.mdm.RestoreSnapshot(snap)
-	recs, _, err := n.jr.Entries(n.jr.Base())
-	if err != nil {
-		return err
-	}
-	for _, r := range recs {
-		_ = n.mdm.ApplyRecord(r)
-	}
-	n.logf("truncated divergent tail to index %d, directory rebuilt", index)
-	return nil
 }
 
 // Status snapshots the node's replication state for gupctl / stats.

@@ -1,6 +1,7 @@
 package replication_test
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"os"
@@ -72,8 +73,16 @@ func copyDir(t *testing.T, src string) string {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// A background compaction may replace snapshot.json, then wal.log,
+	// while this copies: copy the log first, so the snapshot copied is
+	// never older than the log's head frame, and skip a temp file renamed
+	// away after the listing.
+	sort.SliceStable(ents, func(i, j int) bool { return ents[i].Name() == "wal.log" && ents[j].Name() != "wal.log" })
 	for _, e := range ents {
 		data, err := os.ReadFile(filepath.Join(src, e.Name()))
+		if errors.Is(err, os.ErrNotExist) {
+			continue
+		}
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -421,6 +421,53 @@ func TestLateJoinerCatchesUpViaSnapshot(t *testing.T) {
 	}
 }
 
+// A follower cut off across one leader compaction catches up from the
+// records that compaction retained, not by snapshot: only a follower
+// behind the previous compaction needs one.
+func TestFollowerBehindOneCompactionCatchesUpFromEntries(t *testing.T) {
+	c := newCluster(t, 3, journal.Options{CompactEvery: 8})
+	lead := c.waitLeader(4 * testTTL)
+	lag := (lead + 1) % 3
+
+	const before, regs = 2, 12
+	for k := 0; k < regs; k++ {
+		if k == before {
+			waitConverged(t, c, before, 4*testTTL)
+			c.nodes[lag].SuspendHeartbeats(true)
+		}
+		if err := register(t, c.addrs[lead], "s1", fmt.Sprintf("/user[@id='u%d']/presence", k)); err != nil {
+			t.Fatalf("register %d: %v", k, err)
+		}
+	}
+	// The leader compacts on its journal's goroutine; let it land.
+	deadline := time.Now().Add(4 * testTTL)
+	for c.nodes[lead].Status().Base < 8 && time.Now().Before(deadline) {
+		time.Sleep(5 * time.Millisecond)
+	}
+	if base := c.nodes[lead].Status().Base; base < 8 {
+		t.Fatalf("leader base %d, want a compaction past the follower's index %d", base, before)
+	}
+
+	c.nodes[lag].SuspendHeartbeats(false)
+	waitConverged(t, c, regs, 8*testTTL)
+	for k := 0; k < regs; k++ {
+		path := fmt.Sprintf("/user[@id='u%d']/presence", k)
+		if !waitCovered(t, c.mdms[lag], path, 2*testTTL) {
+			t.Fatalf("follower missing %s after catch-up", path)
+		}
+	}
+	for i, n := range c.nodes {
+		if i == lag {
+			continue
+		}
+		for _, p := range n.Status().Peers {
+			if p.Addr == c.addrs[lag] && p.Snapshots != 0 {
+				t.Errorf("node %d shipped %d snapshots to a follower one compaction behind", i, p.Snapshots)
+			}
+		}
+	}
+}
+
 // Election state survives a restart: a node that voted in term T must
 // not vote again in T after reopening its directory.
 func TestElectionStatePersists(t *testing.T) {
