@@ -113,11 +113,13 @@ row "One socket per subscription" §14 \
 	'subKey|subConnAt|subByServer|releaseLocked|TypeUnsubscribe|UnsubscribeRequest|SubscribeResponse' "-w $go ."
 
 # A snapshot plus records becomes a directory in one place, MDM.Restore,
-# from the journal's Recovered state; the journal replaces its files
-# through one crash-atomic cut. The reset-then-replay sequences and the
-# in-place log rewrite stay deleted, in tests too.
+# from the journal's Recovered state, built aside and swapped in whole; the
+# journal replaces its files through one crash-atomic cut. The
+# reset-then-replay sequences, the in-place log rewrite, the registry's
+# second index and bulk drop, and the lease sweeper stay deleted, in tests
+# too.
 row "One way to rebuild the directory" §8.1 \
 	"a second rebuild or log-rewrite path: rebuild with MDM.Restore (from journal.Open or Journal.State) and let the journal replace its own files" \
-	'ResetDirectory|RestoreSnapshot|ReadSnapshot|truncateAndRebuild|rewriteLocked' "-w $go ."
+	'ResetDirectory|RestoreSnapshot|ReadSnapshot|truncateAndRebuild|rewriteLocked|removeFromAll|DropStore|leaseSweeper|sweepLeases' "-w $go ."
 
 exit $failed

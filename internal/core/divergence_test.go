@@ -6,6 +6,7 @@ package core_test
 
 import (
 	"errors"
+	"fmt"
 	"sync"
 	"testing"
 
@@ -159,6 +160,72 @@ func TestRuleRollbackOnFailedAppend(t *testing.T) {
 	}
 	if _, ok := findRule(); !ok {
 		t.Fatal("failed DeleteRule removed the rule anyway")
+	}
+}
+
+// A mutation whose record reached the log stays applied even when the
+// append then fails (journal.ErrUnacknowledged: the leader was deposed or
+// lost its quorum while it waited). The record may survive into the next
+// leader's log, and a member never applies a record it already holds, so
+// undoing it here would lose it for good.
+func TestLoggedMutationIsNeverUndone(t *testing.T) {
+	unacked := fmt.Errorf("%w: %w", journal.ErrUnacknowledged, &wire.NotLeaderError{Term: 2})
+	p := xpath.MustParse("/user[@id='u']/presence")
+	rule := &wire.PutRuleRequest{Owner: "u", Rule: wire.RulePayload{ID: "r1", Path: "/user[@id='u']/presence", Effect: "permit"}}
+	hasRule := func(m *core.MDM) bool {
+		for _, pr := range m.ShieldSnapshot() {
+			if pr.Owner == "u" && pr.Rule.ID == "r1" {
+				return true
+			}
+		}
+		return false
+	}
+	for _, tc := range []struct {
+		name   string
+		before func(m *core.MDM) error // applied while the log accepts
+		mutate func(m *core.MDM) error // applied while the quorum wait fails
+		stays  func(m *core.MDM) bool
+	}{
+		{"register", nil,
+			func(m *core.MDM) error { return m.Register("s1", "127.0.0.1:7001", p) },
+			func(m *core.MDM) bool { return m.Registry.Registered(p, "s1") && m.AddrOf("s1") == "127.0.0.1:7001" }},
+		{"unregister",
+			func(m *core.MDM) error { return m.Register("s1", "127.0.0.1:7001", p) },
+			func(m *core.MDM) error { return m.Unregister("s1", p) },
+			func(m *core.MDM) bool { return m.Registry.Len() == 0 && m.AddrOf("s1") == "" }},
+		{"put rule", nil,
+			func(m *core.MDM) error { return m.PutRule("u", rule) },
+			hasRule},
+		{"delete rule",
+			func(m *core.MDM) error { return m.PutRule("u", rule) },
+			func(m *core.MDM) error { return m.DeleteRule("u", "r1") },
+			func(m *core.MDM) bool { return !hasRule(m) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			m := newBareMDM(core.Config{})
+			defer m.Close()
+			var fail bool
+			m.SetReplicator(func(journal.Record) error {
+				if fail {
+					return unacked
+				}
+				return nil
+			})
+			if tc.before != nil {
+				if err := tc.before(m); err != nil {
+					t.Fatal(err)
+				}
+			}
+			fail = true
+			err := tc.mutate(m)
+			var nl *wire.NotLeaderError
+			if !errors.Is(err, journal.ErrUnacknowledged) || !errors.As(err, &nl) {
+				t.Fatalf("err = %v, want ErrUnacknowledged wrapping a NotLeaderError", err)
+			}
+			if !tc.stays(m) {
+				t.Fatal("a mutation whose record reached the log was rolled back")
+			}
+		})
 	}
 }
 

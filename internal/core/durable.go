@@ -1,7 +1,9 @@
 package core
 
 import (
+	"errors"
 	"fmt"
+	"maps"
 
 	"gupster/internal/coverage"
 	"gupster/internal/journal"
@@ -21,15 +23,18 @@ import (
 // The mutation is validated and applied in memory first, then journaled
 // (compaction requires this order: a compaction's snapshot is stamped with
 // the journal's last index, so the directory must already include every
-// appended record). If the append fails — a local I/O
-// error, or a replicated constellation that could not reach quorum — the
+// appended record). If the append fails before the record reaches the log
+// — a local I/O error, or a follower refusing with a redirect — the
 // in-memory application is rolled back before the caller sees the error:
-// acknowledged state and durable state never diverge. Without the
-// rollback, a leader that lost quorum mid-call would keep serving a
-// registration its followers never accepted, and the divergence would
-// surface as phantom coverage after the next election. The whole
-// apply+append+rollback sequence runs under MDM.mutMu so the rollback is
-// exact.
+// acknowledged state and durable state never diverge. A failure after the
+// record reached the log (journal.ErrUnacknowledged: a leader deposed, or
+// out of quorum, while it waited) keeps the mutation: the record may
+// survive into the next leader's log, and a member that holds a record in
+// its log never applies it again, so undoing it would leave the directory
+// without it for good. If the record does not survive, the member's
+// divergent tail is cut and Restore rebuilds the directory without it.
+// The whole apply+append+rollback sequence runs under MDM.mutMu so the
+// rollback is exact.
 
 // journalAppend durably logs one mutation; a no-op without a journal.
 // With a replicator installed (replicated constellation), the record is
@@ -45,6 +50,16 @@ func (m *MDM) journalAppend(r journal.Record) error {
 		return nil
 	}
 	return m.journal.Append(r)
+}
+
+// commit journals r for a mutation already applied, and runs undo when
+// the append failed before r reached the log. Caller holds mutMu.
+func (m *MDM) commit(r journal.Record, undo func()) error {
+	err := m.journalAppend(r)
+	if err != nil && !errors.Is(err, journal.ErrUnacknowledged) {
+		undo()
+	}
+	return err
 }
 
 // AttachJournal wires a journal into the MDM so subsequent mutations are
@@ -68,49 +83,71 @@ func (m *MDM) Journal() *journal.Journal { return m.journal }
 // records becomes a directory: at boot (OpenDurable), when a follower
 // installs a leader snapshot, and when it truncates a divergent tail.
 //
-// Everything the directory held goes first: registrations, addresses,
-// pooled store connections, leases, shield rules, and the component cache
-// (including the brownout side-buffer — everything in it was merged under
-// the discarded history). Every live push subscription is cancelled with
-// a tombstone, so its client re-subscribes against the rebuilt directory
-// instead of waiting on a feed that will never fire. Entries that fail to
-// apply are skipped: the journal is machine-written, so a bad entry is
-// corruption best dropped, not a reason to refuse boot. Resolves served
-// while Restore runs see a partial directory (ROADMAP item 2).
+// The new directory is built aside, through ApplyRecord, and installed
+// whole under mutMu: its addresses are added, then its shields replace the
+// old ones, then its coverage goes live, and only then are the addresses
+// of stores it dropped evicted with their pooled connections and the
+// leases cleared, to restart by the first-sight rule. Each swap is one
+// step under the structure's own lock, so a resolve served meanwhile
+// decides and plans against the old directory or the new one — stale for
+// a moment, never partial — and no interleaving grants more than one of
+// the two shield sets allows. Once the new coverage is live the component
+// cache (including the brownout side-buffer, merged under the discarded
+// history) is reset, and every live push subscription is cancelled with a
+// tombstone, so its client re-subscribes against the installed directory.
+// Entries that fail to apply are skipped: the journal is machine-written,
+// so a bad entry is corruption best dropped, not a reason to refuse boot.
 func (m *MDM) Restore(rec *journal.Recovered) {
-	for _, reg := range m.Registry.Snapshot() {
-		_ = m.Registry.Unregister(reg.Path, reg.Store)
+	next := m.aside()
+	if s := rec.Snapshot; s != nil {
+		for i := range s.Coverage {
+			_ = next.ApplyRecord(journal.Record{Op: journal.OpRegister, Register: &s.Coverage[i]})
+		}
+		for i := range s.Shields {
+			_ = next.ApplyRecord(journal.Record{Op: journal.OpPutRule, PutRule: &s.Shields[i]})
+		}
 	}
+	for _, r := range rec.Records {
+		_ = next.ApplyRecord(r)
+	}
+
+	m.mutMu.Lock()
 	m.mu.Lock()
-	addrs := m.addrs
-	m.addrs = make(map[coverage.StoreID]string)
+	old := maps.Clone(m.addrs)
+	maps.Copy(m.addrs, next.addrs)
 	m.mu.Unlock()
-	for _, addr := range addrs {
-		m.pool.Evict(addr)
+	m.Repo.Replace(next.Repo)
+	m.Registry.Replace(next.Registry)
+	m.mu.Lock()
+	m.addrs = next.addrs
+	m.mu.Unlock()
+	for id, addr := range old {
+		if next.addrs[id] != addr {
+			m.pool.Evict(addr)
+		}
 	}
 	m.leaseMu.Lock()
 	clear(m.leases)
 	m.leaseMu.Unlock()
-	for _, pr := range m.ShieldSnapshot() {
-		_ = m.PAP.DeleteRule(pr.Owner, pr.Rule.ID)
-	}
+	m.mutMu.Unlock()
 	if m.cache != nil {
 		m.cache.reset()
 	}
 	for _, sub := range m.subs.reset() {
 		sub.deliver(wire.Notification{Path: sub.path.String(), Canceled: true})
 	}
+}
 
-	if s := rec.Snapshot; s != nil {
-		for i := range s.Coverage {
-			_ = m.ApplyRecord(journal.Record{Op: journal.OpRegister, Register: &s.Coverage[i]})
-		}
-		for i := range s.Shields {
-			_ = m.ApplyRecord(journal.Record{Op: journal.OpPutRule, PutRule: &s.Shields[i]})
-		}
-	}
-	for _, r := range rec.Records {
-		_ = m.ApplyRecord(r)
+// aside returns an empty directory holding only what ApplyRecord writes —
+// coverage, shields vetted as m vets them, and addresses — for Restore to
+// build and install.
+func (m *MDM) aside() *MDM {
+	repo := policy.NewRepository()
+	return &MDM{
+		Registry: coverage.New(),
+		Repo:     repo,
+		PAP:      &policy.AdministrationPoint{Repo: repo, ValidatePath: m.PAP.ValidatePath},
+		addrs:    make(map[coverage.StoreID]string),
 	}
 }
 
@@ -181,10 +218,10 @@ func OpenDurable(m *MDM, dir string, opts journal.Options) (*journal.Recovered, 
 }
 
 // PutRule provisions a privacy-shield rule durably: applied to the
-// policy repository, then journaled; a failed append restores the rule
-// (or absence) the owner had before. The serving layer goes through this
-// wrapper (not the PAP directly) so shield rules survive a crash exactly
-// like coverage registrations.
+// policy repository, then journaled; an append that failed before the log
+// restores the rule (or absence) the owner had before. The serving layer
+// goes through this wrapper (not the PAP directly) so shield rules survive
+// a crash exactly like coverage registrations.
 func (m *MDM) PutRule(owner string, req *wire.PutRuleRequest) error {
 	rule, err := decodeRule(req.Rule)
 	if err != nil {
@@ -196,35 +233,29 @@ func (m *MDM) PutRule(owner string, req *wire.PutRuleRequest) error {
 	if err := m.PAP.PutRule(owner, rule); err != nil {
 		return err
 	}
-	err = m.journalAppend(journal.Record{Op: journal.OpPutRule, PutRule: &wire.PutRuleRequest{
+	return m.commit(journal.Record{Op: journal.OpPutRule, PutRule: &wire.PutRuleRequest{
 		Owner: owner, Rule: req.Rule,
-	}})
-	if err != nil {
+	}}, func() {
 		if hadPrev {
 			_ = m.PAP.PutRule(owner, prev)
 		} else {
 			_ = m.PAP.DeleteRule(owner, rule.ID)
 		}
-	}
-	return err
+	})
 }
 
-// DeleteRule withdraws a shield rule durably; a failed append re-provisions
-// the rule it removed.
+// DeleteRule withdraws a shield rule durably; an append that failed before
+// the log re-provisions the rule it removed.
 func (m *MDM) DeleteRule(owner, ruleID string) error {
 	m.mutMu.Lock()
 	defer m.mutMu.Unlock()
-	prev, hadPrev := m.ruleByID(owner, ruleID)
+	prev, _ := m.ruleByID(owner, ruleID) // DeleteRule fails unless it exists
 	if err := m.PAP.DeleteRule(owner, ruleID); err != nil {
 		return err
 	}
-	err := m.journalAppend(journal.Record{Op: journal.OpDeleteRule, DeleteRule: &wire.DeleteRuleRequest{
+	return m.commit(journal.Record{Op: journal.OpDeleteRule, DeleteRule: &wire.DeleteRuleRequest{
 		Owner: owner, RuleID: ruleID,
-	}})
-	if err != nil && hadPrev {
-		_ = m.PAP.PutRule(owner, prev)
-	}
-	return err
+	}}, func() { _ = m.PAP.PutRule(owner, prev) })
 }
 
 // ruleByID snapshots an owner's current rule for rollback.

@@ -6,7 +6,6 @@ import (
 	"testing"
 	"time"
 
-	"gupster/internal/policy"
 	"gupster/internal/store"
 	"gupster/internal/token"
 	"gupster/internal/wire"
@@ -97,33 +96,6 @@ func TestPartialAlternativeWithDeadMemberFails(t *testing.T) {
 	// The surviving piece is still directly reachable.
 	if _, err := cli.Get(context.Background(), "/user[@id='u']/address-book/item[@type='personal']"); err != nil {
 		t.Fatalf("surviving piece unreachable: %v", err)
-	}
-}
-
-func TestDropStoreWithdrawsCoverage(t *testing.T) {
-	r := newRig(t, 0)
-	r.addStore("s1")
-	r.addStore("s2")
-	for _, id := range []string{"s1", "s2"} {
-		r.register(id, "/user[@id='u']/presence")
-		r.seed(id, "u", "/user[@id='u']/presence", `<presence status="on"/>`)
-	}
-	// Operational removal of a failed store: the registry forgets all of
-	// its registrations at once.
-	if n := r.mdm.Registry.DropStore("s1"); n != 1 {
-		t.Fatalf("DropStore removed %d registrations", n)
-	}
-	cli := r.client("u", "self")
-	resp, err := cli.Resolve(context.Background(), &wire.ResolveRequest{
-		Path:    "/user[@id='u']/presence",
-		Context: policy.Context{Requester: "u"},
-		Verb:    token.VerbFetch,
-	})
-	if err != nil {
-		t.Fatalf("Resolve: %v", err)
-	}
-	if len(resp.Alternatives) != 1 || resp.Alternatives[0].Referrals[0].Query.Store != "s2" {
-		t.Fatalf("alternatives after drop: %+v", resp.Alternatives)
 	}
 }
 

@@ -18,10 +18,11 @@ import (
 // instead of burning retries against a corpse. A heartbeat or
 // re-registration lifts the quarantine instantly.
 //
-// Liveness is judged lazily at plan time against the wall clock, so
-// quarantine takes effect the moment the grace period lapses, not at the
-// next sweep; the background sweeper exists only to flip the recorded
-// state for observability (counters, the `gupctl health` table).
+// Liveness is judged lazily against the wall clock wherever it is asked —
+// planning, the leader's shipped verdict, the `gupctl health` table, a
+// renewal — so quarantine takes effect the moment the grace period
+// lapses, and whichever of those first sees a store change state counts
+// the quarantine or the recovery. No background goroutine sweeps leases.
 //
 // In a quorum constellation the leader is the one lease authority: store
 // heartbeats are leader-only writes, the leader's quarantined set rides
@@ -33,8 +34,8 @@ import (
 // lease tracks one store's liveness.
 type lease struct {
 	expires time.Time
-	// quarantined records the sweeper's verdict for observability; the
-	// plan-time check uses expires directly.
+	// quarantined is the verdict last observed, so each transition is
+	// counted once.
 	quarantined bool
 }
 
@@ -49,28 +50,26 @@ func (m *MDM) grace() time.Duration {
 }
 
 // renewLease grants or renews a store's lease (registration, heartbeat).
+// A quarantine nobody had observed yet is counted before the renewal lifts
+// it, so the recovery always follows a counted quarantine.
 func (m *MDM) renewLease(storeID coverage.StoreID) {
 	if !m.leasesEnabled() {
 		return
 	}
-	expires := time.Now().Add(m.cfg.LeaseTTL)
+	now := time.Now()
 	m.leaseMu.Lock()
 	l := m.leases[storeID]
 	if l == nil {
-		l = &lease{}
+		l = &lease{expires: now}
 		m.leases[storeID] = l
 	}
-	recovered := l.quarantined
-	l.expires = expires
-	l.quarantined = false
+	m.quarantinedLocked(storeID, l, now)
+	l.expires = now.Add(m.cfg.LeaseTTL)
+	m.quarantinedLocked(storeID, l, now)
 	m.leaseMu.Unlock()
 	m.Liveness.Renewals.Add(1)
-	if recovered {
-		m.Liveness.Recoveries.Add(1)
-	}
 }
 
-// dropLease forgets a store's lease (last registration gone).
 // hasLease reports whether a store currently holds a lease entry (the
 // mutation rollback uses it to restore what forgetStore dropped).
 func (m *MDM) hasLease(storeID coverage.StoreID) bool {
@@ -83,6 +82,7 @@ func (m *MDM) hasLease(storeID coverage.StoreID) bool {
 	return ok
 }
 
+// dropLease forgets a store's lease (last registration gone).
 func (m *MDM) dropLease(storeID coverage.StoreID) {
 	if !m.leasesEnabled() {
 		return
@@ -116,13 +116,22 @@ func (m *MDM) storeLive(storeID coverage.StoreID) bool {
 }
 
 // quarantinedLocked is the one liveness verdict: the leader's on a
-// follower that adopted one, this node's clock otherwise. Caller holds
-// leaseMu.
+// follower that adopted one, this node's clock otherwise. It counts a
+// transition the first time it sees one. Caller holds leaseMu.
 func (m *MDM) quarantinedLocked(storeID coverage.StoreID, l *lease, now time.Time) bool {
+	q := now.After(l.expires.Add(m.grace()))
 	if m.verdict != nil {
-		return m.verdict[storeID]
+		q = m.verdict[storeID]
 	}
-	return now.After(l.expires.Add(m.grace()))
+	if q != l.quarantined {
+		l.quarantined = q
+		if q {
+			m.Liveness.Quarantines.Add(1)
+		} else {
+			m.Liveness.Recoveries.Add(1)
+		}
+	}
+	return q
 }
 
 // Quarantined lists the stores this node's verdict excludes from plans —
@@ -163,7 +172,7 @@ func (m *MDM) FollowLeases(quarantined []string) {
 	m.verdict = verdict
 	for storeID, l := range m.leases {
 		if !verdict[storeID] {
-			l.expires, l.quarantined = expires, false
+			l.expires = expires
 		}
 	}
 }
@@ -180,7 +189,7 @@ func (m *MDM) LeadLeases() {
 	defer m.leaseMu.Unlock()
 	m.verdict = nil
 	for _, l := range m.leases {
-		l.expires, l.quarantined = expires, false
+		l.expires = expires
 	}
 }
 
@@ -207,38 +216,6 @@ func (m *MDM) Heartbeat(req *wire.HeartbeatRequest) *wire.HeartbeatResponse {
 	return &wire.HeartbeatResponse{
 		Known:     known,
 		TTLMillis: m.cfg.LeaseTTL.Milliseconds(),
-	}
-}
-
-// leaseSweeper periodically records quarantine transitions. Planning does
-// not depend on it (storeLive checks the clock directly); it keeps the
-// Quarantines counter and the health table honest between requests.
-func (m *MDM) leaseSweeper() {
-	interval := m.cfg.LeaseTTL / 2
-	if interval < 10*time.Millisecond {
-		interval = 10 * time.Millisecond
-	}
-	t := time.NewTicker(interval)
-	defer t.Stop()
-	for {
-		select {
-		case <-m.sweepStop:
-			return
-		case <-t.C:
-			m.sweepLeases(time.Now())
-		}
-	}
-}
-
-// sweepLeases flips expired leases to quarantined, counting transitions.
-func (m *MDM) sweepLeases(now time.Time) {
-	m.leaseMu.Lock()
-	defer m.leaseMu.Unlock()
-	for storeID, l := range m.leases {
-		if !l.quarantined && m.quarantinedLocked(storeID, l, now) {
-			l.quarantined = true
-			m.Liveness.Quarantines.Add(1)
-		}
 	}
 }
 

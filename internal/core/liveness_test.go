@@ -328,3 +328,36 @@ func TestLeasesDisabledByDefault(t *testing.T) {
 		t.Errorf("lease table present with leases disabled: %+v", stats.Leases)
 	}
 }
+
+// Each lease transition is counted once, where it is first seen: with no
+// resolve run, the stats snapshot's own lease table observes a silent
+// store's quarantine, and a heartbeat counts the recovery.
+func TestLeaseTransitionsCountedWhereSeen(t *testing.T) {
+	const ttl, grace = 100 * time.Millisecond, 50 * time.Millisecond
+	m := newBareMDM(core.Config{LeaseTTL: ttl, LeaseGrace: grace})
+	defer m.Close()
+	if err := m.Register("s1", "127.0.0.1:7001", xpath.MustParse("/user[@id='u']/presence")); err != nil {
+		t.Fatal(err)
+	}
+	time.Sleep(ttl + grace + 100*time.Millisecond)
+
+	st := m.Snapshot()
+	if st.Quarantines != 1 || st.LeaseRecoveries != 0 {
+		t.Fatalf("after silence: quarantines %d, recoveries %d; want 1, 0", st.Quarantines, st.LeaseRecoveries)
+	}
+	if len(st.Leases) != 1 || !st.Leases[0].Quarantined {
+		t.Fatalf("lease table %+v, want s1 quarantined", st.Leases)
+	}
+	if st := m.Snapshot(); st.Quarantines != 1 {
+		t.Fatalf("a second look counted the quarantine again: %d", st.Quarantines)
+	}
+
+	m.Heartbeat(&wire.HeartbeatRequest{Store: "s1"})
+	st = m.Snapshot()
+	if st.Quarantines != 1 || st.LeaseRecoveries != 1 {
+		t.Fatalf("after heartbeat: quarantines %d, recoveries %d; want 1, 1", st.Quarantines, st.LeaseRecoveries)
+	}
+	if st.Leases[0].Quarantined {
+		t.Fatalf("lease table %+v, want s1 live", st.Leases)
+	}
+}

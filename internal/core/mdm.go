@@ -133,9 +133,9 @@ type MDM struct {
 	addrs map[coverage.StoreID]string // store → dialable address
 
 	// mutMu serialises the durable mutation path (apply + journal append +
-	// rollback-on-failure). Holding it makes the rollback exact: nothing
-	// else can interleave between the pre-mutation snapshot and the
-	// rollback that restores it. Resolves never take it.
+	// rollback-on-failure) and Restore's install. Holding it makes the
+	// rollback exact: nothing else can interleave between the pre-mutation
+	// snapshot and the rollback that restores it. Resolves never take it.
 	mutMu sync.Mutex
 
 	cache *componentCache
@@ -185,12 +185,10 @@ type MDM struct {
 	// exist only while the store holds registrations and leases are
 	// enabled. verdict, when non-nil, is the replication leader's
 	// quarantined set a follower plans by instead of its own clocks.
-	leaseMu   sync.Mutex
-	leases    map[coverage.StoreID]*lease
-	verdict   map[coverage.StoreID]bool
-	Liveness  *metrics.LivenessStats
-	sweepStop chan struct{}
-	sweepOnce sync.Once
+	leaseMu  sync.Mutex
+	leases   map[coverage.StoreID]*lease
+	verdict  map[coverage.StoreID]bool
+	Liveness *metrics.LivenessStats
 }
 
 // New assembles an MDM.
@@ -232,10 +230,6 @@ func New(cfg Config) *MDM {
 	if cfg.CacheEntries > 0 {
 		m.cache = newComponentCache(cfg.CacheEntries)
 	}
-	if cfg.LeaseTTL > 0 {
-		m.sweepStop = make(chan struct{})
-		go m.leaseSweeper()
-	}
 	return m
 }
 
@@ -245,10 +239,10 @@ func New(cfg Config) *MDM {
 // An empty addr means "no address update" — a store adding a second
 // coverage path without repeating its address keeps the address the
 // directory already knows. With a journal attached the registration is
-// durable before Register returns, and a failed append (local I/O error,
-// lost quorum) rolls the in-memory application back so the caller's error
-// is the truth; with leases enabled it also grants/renews the store's
-// lease.
+// durable before Register returns, and an append that failed before the
+// log (local I/O error, a redirect) rolls the in-memory application back
+// so the caller's error is the truth; with leases enabled it also
+// grants/renews the store's lease.
 func (m *MDM) Register(storeID coverage.StoreID, addr string, path xpath.Path) error {
 	m.mutMu.Lock()
 	defer m.mutMu.Unlock()
@@ -259,15 +253,14 @@ func (m *MDM) Register(storeID coverage.StoreID, addr string, path xpath.Path) e
 	if err := m.applyRegister(storeID, addr, path); err != nil {
 		return err
 	}
-	err := m.journalAppend(journal.Record{Op: journal.OpRegister, Register: &wire.RegisterRequest{
+	return m.commit(journal.Record{Op: journal.OpRegister, Register: &wire.RegisterRequest{
 		Store: string(storeID), Address: addr, Path: path.String(),
-	}})
-	if err != nil {
-		// The caller gets an error, so the directory must not keep the
-		// mutation: a leader whose quorum never accepted the record would
-		// otherwise serve registrations its followers do not hold. The
-		// rollback is exact — an idempotent re-registration removes
-		// nothing, and the previous address is restored.
+	}}, func() {
+		// The directory must not keep a mutation its caller was told failed:
+		// a leader whose quorum never accepted the record would otherwise
+		// serve registrations its followers do not hold. The rollback is
+		// exact — an idempotent re-registration removes nothing, and the
+		// previous address is restored.
 		if !existed {
 			_ = m.Registry.Unregister(path, storeID)
 			if m.Registry.StoreCount(storeID) == 0 {
@@ -281,8 +274,7 @@ func (m *MDM) Register(storeID coverage.StoreID, addr string, path xpath.Path) e
 			delete(m.addrs, storeID)
 		}
 		m.mu.Unlock()
-	}
-	return err
+	})
 }
 
 func (m *MDM) applyRegister(storeID coverage.StoreID, addr string, path xpath.Path) error {
@@ -307,8 +299,9 @@ func (m *MDM) applyRegister(storeID coverage.StoreID, addr string, path xpath.Pa
 
 // Unregister withdraws a coverage registration. When the store's last
 // registration goes, its address, pooled connection, and lease go with it
-// — the directory forgets the store completely. Like Register, a failed
-// journal append rolls the removal back before the error is returned.
+// — the directory forgets the store completely. Like Register, an append
+// that failed before the log rolls the removal back before the error is
+// returned.
 func (m *MDM) Unregister(storeID coverage.StoreID, path xpath.Path) error {
 	m.mutMu.Lock()
 	defer m.mutMu.Unlock()
@@ -319,10 +312,9 @@ func (m *MDM) Unregister(storeID coverage.StoreID, path xpath.Path) error {
 	if err := m.applyUnregister(storeID, path); err != nil {
 		return err
 	}
-	err := m.journalAppend(journal.Record{Op: journal.OpUnregister, Unregister: &wire.UnregisterRequest{
+	return m.commit(journal.Record{Op: journal.OpUnregister, Unregister: &wire.UnregisterRequest{
 		Store: string(storeID), Path: path.String(),
-	}})
-	if err != nil {
+	}}, func() {
 		// Re-insert the registration and restore whatever forgetStore may
 		// have dropped with the store's last registration.
 		_ = m.Registry.Register(path, storeID)
@@ -334,8 +326,7 @@ func (m *MDM) Unregister(storeID coverage.StoreID, path xpath.Path) error {
 		if hadLease {
 			m.renewLease(storeID)
 		}
-	}
-	return err
+	})
 }
 
 func (m *MDM) applyUnregister(storeID coverage.StoreID, path xpath.Path) error {
@@ -943,6 +934,9 @@ func (m *MDM) Tracer() *trace.Collector { return m.tracer }
 func (m *MDM) Snapshot() wire.StatsResponse {
 	rs := m.res.Snapshot()
 	ps := m.pipe.Snapshot()
+	// The lease table observes every lease, counting the transitions it is
+	// first to see, so the counters are read after it.
+	leases := m.LeaseTable()
 	ls := m.Liveness.Snapshot()
 	resp := wire.StatsResponse{
 		Resolves:       m.Stats.Resolves.Load(),
@@ -966,7 +960,7 @@ func (m *MDM) Snapshot() wire.StatsResponse {
 		TraceSpans:     m.tracer.SpanCount(),
 		TraceDropped:   m.tracer.Dropped(),
 
-		Leases:           m.LeaseTable(),
+		Leases:           leases,
 		LeaseRenewals:    ls.Renewals,
 		Quarantines:      ls.Quarantines,
 		LeaseRecoveries:  ls.Recoveries,
@@ -1001,12 +995,9 @@ func (m *MDM) Snapshot() wire.StatsResponse {
 	return resp
 }
 
-// Close releases pooled store connections, stops the lease sweeper, and
-// closes the journal (flushing any pending appends).
+// Close releases pooled store connections and closes the journal
+// (flushing any pending appends).
 func (m *MDM) Close() {
-	if m.sweepStop != nil {
-		m.sweepOnce.Do(func() { close(m.sweepStop) })
-	}
 	m.pool.Close()
 	if m.journal != nil {
 		m.journal.Close()

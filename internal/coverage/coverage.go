@@ -5,9 +5,10 @@
 // peers registered music files; client requests are resolved to the set of
 // stores whose registrations fully or partially cover the requested path.
 //
-// The registry keeps a two-level index (user identity, then top-level
+// The registry keeps one two-level index (user identity, then top-level
 // profile section) so that lookup cost is independent of the total number of
-// registrations; a linear scan is retained for the E6 ablation benchmark.
+// registrations; a linear scan over the same buckets is retained for the E6
+// ablation benchmark.
 package coverage
 
 import (
@@ -99,7 +100,6 @@ type Registry struct {
 	// byUser[user][section] → entries; user "" holds registrations that do
 	// not pin a user and is consulted on every lookup.
 	byUser map[string]map[string][]*entry
-	all    []*entry
 	count  int
 	// perStore counts live registrations per store, so callers can tell
 	// when a store's last registration disappears (address and lease
@@ -141,7 +141,6 @@ func (r *Registry) Register(path xpath.Path, store StoreID) error {
 		}
 	}
 	bucket[section] = append(bucket[section], e)
-	r.all = append(r.all, e)
 	r.count++
 	r.perStore[store]++
 	return nil
@@ -164,7 +163,8 @@ func (r *Registry) Registered(path xpath.Path, store StoreID) bool {
 	return false
 }
 
-// Unregister removes a prior registration.
+// Unregister removes a prior registration; it touches only the
+// registration's bucket.
 func (r *Registry) Unregister(path xpath.Path, store StoreID) error {
 	key := path.String()
 	user, _ := UserOf(path)
@@ -180,7 +180,6 @@ func (r *Registry) Unregister(path xpath.Path, store StoreID) error {
 	for i, e := range list {
 		if e.store == store && e.pathStr == key {
 			bucket[section] = append(list[:i], list[i+1:]...)
-			r.removeFromAll(e)
 			r.count--
 			r.decStore(store)
 			return nil
@@ -195,48 +194,6 @@ func (r *Registry) decStore(store StoreID) {
 	} else {
 		r.perStore[store] = n - 1
 	}
-}
-
-func (r *Registry) removeFromAll(e *entry) {
-	for i, x := range r.all {
-		if x == e {
-			r.all = append(r.all[:i], r.all[i+1:]...)
-			return
-		}
-	}
-}
-
-// DropStore removes every registration belonging to a store (store failure
-// or departure) and returns how many were removed.
-func (r *Registry) DropStore(store StoreID) int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	removed := 0
-	for _, bucket := range r.byUser {
-		for section, list := range bucket {
-			kept := list[:0]
-			for _, e := range list {
-				if e.store == store {
-					removed++
-				} else {
-					kept = append(kept, e)
-				}
-			}
-			bucket[section] = kept
-		}
-	}
-	if removed > 0 {
-		keptAll := r.all[:0]
-		for _, e := range r.all {
-			if e.store != store {
-				keptAll = append(keptAll, e)
-			}
-		}
-		r.all = keptAll
-		r.count -= removed
-		delete(r.perStore, store)
-	}
-	return removed
 }
 
 // StoreCount returns the number of live registrations a store holds; 0
@@ -290,7 +247,19 @@ func (r *Registry) Lookup(q xpath.Path) []Match {
 func (r *Registry) LinearLookup(q xpath.Path) []Match {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	return classify(r.all, q)
+	return classify(r.entriesLocked(), q)
+}
+
+// entriesLocked lists every registration, bucket by bucket. Caller holds
+// r.mu.
+func (r *Registry) entriesLocked() []*entry {
+	out := make([]*entry, 0, r.count)
+	for _, bucket := range r.byUser {
+		for _, list := range bucket {
+			out = append(out, list...)
+		}
+	}
+	return out
 }
 
 func classify(candidates []*entry, q xpath.Path) []Match {
@@ -345,7 +314,7 @@ func (r *Registry) Len() int {
 // compares the strings each entry rendered at registration.
 func (r *Registry) Snapshot() []Registration {
 	r.mu.RLock()
-	sorted := slices.Clone(r.all)
+	sorted := r.entriesLocked()
 	r.mu.RUnlock()
 	slices.SortFunc(sorted, compareEntries)
 	out := make([]Registration, len(sorted))
@@ -353,4 +322,14 @@ func (r *Registry) Snapshot() []Registration {
 		out[i] = Registration{Path: e.path, Store: e.store}
 	}
 	return out
+}
+
+// Replace makes the registry hold exactly fresh's registrations, in one
+// step under its lock: a concurrent Lookup sees the old registrations or
+// the new ones, never a mix. The registry takes fresh's index over, so
+// fresh must not be used afterwards.
+func (r *Registry) Replace(fresh *Registry) {
+	r.mu.Lock()
+	r.byUser, r.count, r.perStore = fresh.byUser, fresh.count, fresh.perStore
+	r.mu.Unlock()
 }

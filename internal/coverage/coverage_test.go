@@ -138,25 +138,6 @@ func TestRegisterRejectsBadPaths(t *testing.T) {
 	}
 }
 
-func TestDropStore(t *testing.T) {
-	r := New()
-	r.Register(mp("/user[@id='a']/presence"), "s1")
-	r.Register(mp("/user[@id='a']/calendar"), "s1")
-	r.Register(mp("/user[@id='b']/presence"), "s2")
-	if n := r.DropStore("s1"); n != 2 {
-		t.Errorf("DropStore = %d", n)
-	}
-	if r.Len() != 1 {
-		t.Errorf("Len = %d", r.Len())
-	}
-	if ms := r.Lookup(mp("/user[@id='a']/presence")); len(ms) != 0 {
-		t.Errorf("dropped store still matching: %v", ms)
-	}
-	if n := r.DropStore("s1"); n != 0 {
-		t.Errorf("second DropStore = %d", n)
-	}
-}
-
 func TestUnpinnedRegistrationMatchesAllUsers(t *testing.T) {
 	r := New()
 	// A carrier registering the location of all its subscribers.

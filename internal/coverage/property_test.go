@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"slices"
 	"sort"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -103,17 +104,21 @@ func TestQuickLookupSoundAndComplete(t *testing.T) {
 // (store, rendered path) — what sorting by Path.String() gives — although
 // it compares the strings the entries rendered at registration. Paths with
 // several predicates registered in either order render the same, so the
-// registry holds them once.
+// registry holds them once. Len and StoreCount agree with the same live
+// model across Register and Unregister, and a Replace leaves the registry
+// equal to the one that replaced it.
 func TestQuickSnapshotOrderIsRenderedOrder(t *testing.T) {
 	preds := []string{"[@id='a']", "[@id='b']", "[@id='a'][@v]", "[@v][@id='a']", "[@v]", ""}
 	sections := []string{"presence", "calendar", "address-book/item[@type='x']", "address-book/item[@kind][@type='x']", "*"}
-	prop := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
+	const stores = 5
+	// build runs a random history and returns the registry with its model:
+	// the live (store, rendered path) keys.
+	build := func(rng *rand.Rand) (*Registry, map[string]bool) {
 		r := New()
 		live := make(map[string]bool)
 		for i, n := 0, rng.Intn(40); i < n; i++ {
 			p := xpath.MustParse("/user" + preds[rng.Intn(len(preds))] + "/" + sections[rng.Intn(len(sections))])
-			st := StoreID(fmt.Sprintf("s%d", rng.Intn(5)))
+			st := StoreID(fmt.Sprintf("s%d", rng.Intn(stores)))
 			if rng.Intn(4) == 0 {
 				if r.Unregister(p, st) == nil {
 					delete(live, string(st)+"\x00"+p.String())
@@ -122,6 +127,24 @@ func TestQuickSnapshotOrderIsRenderedOrder(t *testing.T) {
 			}
 			if r.Register(p, st) == nil {
 				live[string(st)+"\x00"+p.String()] = true
+			}
+		}
+		return r, live
+	}
+	check := func(seed int64, r *Registry, live map[string]bool) bool {
+		if r.Len() != len(live) {
+			t.Logf("seed %d: Len %d, %d are live", seed, r.Len(), len(live))
+			return false
+		}
+		perStore := make(map[StoreID]int)
+		for key := range live {
+			perStore[StoreID(key[:strings.IndexByte(key, 0)])]++
+		}
+		for i := 0; i < stores; i++ {
+			st := StoreID(fmt.Sprintf("s%d", i))
+			if got := r.StoreCount(st); got != perStore[st] {
+				t.Logf("seed %d: StoreCount(%s) = %d, model has %d", seed, st, got, perStore[st])
+				return false
 			}
 		}
 		snap := r.Snapshot()
@@ -147,6 +170,26 @@ func TestQuickSnapshotOrderIsRenderedOrder(t *testing.T) {
 					seed, i, snap[i].Path, snap[i].Store, want[i].Path, want[i].Store)
 				return false
 			}
+		}
+		return true
+	}
+	prop := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		r, live := build(rng)
+		if !check(seed, r, live) {
+			return false
+		}
+		fresh, freshLive := build(rng)
+		want := fresh.Snapshot()
+		r.Replace(fresh)
+		if !check(seed, r, freshLive) {
+			return false
+		}
+		if got := r.Snapshot(); !slices.EqualFunc(got, want, func(a, b Registration) bool {
+			return a.Store == b.Store && a.Path.String() == b.Path.String()
+		}) {
+			t.Logf("seed %d: after Replace the snapshot is %v, want %v", seed, got, want)
+			return false
 		}
 		return true
 	}

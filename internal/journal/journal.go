@@ -120,6 +120,10 @@ var (
 	// ErrRecordTooLarge rejects absurd records at append time and marks
 	// in-log length corruption at replay time.
 	ErrRecordTooLarge = errors.New("journal: record exceeds maximum size")
+	// ErrUnacknowledged wraps a failure that came after the record reached
+	// the log (a replicated append whose quorum wait failed): the record
+	// may yet survive, so its mutation must stay applied.
+	ErrUnacknowledged = errors.New("journal: logged, outcome unknown")
 )
 
 // maxRecord bounds one serialized record; directory mutations are tiny,

@@ -428,6 +428,22 @@ func (r *Repository) Get(owner string) (*Shield, error) {
 	return &cp, nil
 }
 
+// Replace makes the repository hold exactly fresh's shields, in one step
+// under its lock: a concurrent Decide sees an owner's old shield or its new
+// one. The version moves past both repositories' and every owner fresh
+// holds is marked changed at it. The repository takes fresh's shields
+// over, so fresh must not be used afterwards.
+func (r *Repository) Replace(fresh *Repository) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.version = max(r.version, fresh.version) + 1
+	r.shields = fresh.shields
+	r.dirty = make(map[string]uint64, len(fresh.shields))
+	for owner := range fresh.shields {
+		r.dirty[owner] = r.version
+	}
+}
+
 // Version returns the repository's monotonically increasing change counter.
 func (r *Repository) Version() uint64 {
 	r.mu.RLock()

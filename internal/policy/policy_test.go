@@ -1,6 +1,8 @@
 package policy
 
 import (
+	"errors"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -333,6 +335,39 @@ func TestReplicaSync(t *testing.T) {
 	repo.Put(&Shield{Owner: "bob"})
 	if n := rep.SyncFrom(repo); n != 1 {
 		t.Errorf("incremental sync transferred %d", n)
+	}
+}
+
+// Replace swaps in another repository's shields whole: owners it lacks are
+// gone, the version only moves forward, and a replica syncing across the
+// swap picks up every replaced shield.
+func TestRepositoryReplace(t *testing.T) {
+	repo := NewRepository()
+	repo.Put(paperShield())
+	repo.Put(&Shield{Owner: "bob"})
+	rep := NewReplica()
+	rep.SyncFrom(repo)
+	before := repo.Version()
+
+	fresh := NewRepository()
+	fresh.Put(&Shield{Owner: "alice"})
+	repo.Replace(fresh)
+
+	if v := repo.Version(); v <= before {
+		t.Errorf("version went %d -> %d, want it to move forward", before, v)
+	}
+	if got := repo.ChangedSince(0); !slices.Equal(got, []string{"alice"}) {
+		t.Errorf("owners after Replace = %v, want [alice]", got)
+	}
+	if _, err := repo.Get("bob"); !errors.Is(err, ErrNoShield) {
+		t.Errorf("an owner the fresh repository lacks survived: %v", err)
+	}
+	if n := rep.SyncFrom(repo); n != 1 {
+		t.Errorf("sync across Replace transferred %d shields, want 1", n)
+	}
+	p := mp("/user[@id='alice']/presence")
+	if d := rep.Decide("alice", p, Context{Requester: "mom", Role: "family"}); d.Granted() {
+		t.Error("replica kept the shield Replace withdrew")
 	}
 }
 

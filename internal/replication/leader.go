@@ -106,7 +106,9 @@ func (n *Node) failWaitersLocked(err error) {
 // replicate is the MDM's journalAppend hook on a constellation member:
 // append locally (group-committed with concurrent callers), then block
 // until a quorum of members holds the record durably. Non-leaders
-// refuse with a redirect before touching the journal.
+// refuse with a redirect before touching the journal. A failure after
+// the local append wraps journal.ErrUnacknowledged: the record is in this
+// member's log, and followers may hold it too.
 func (n *Node) replicate(r journal.Record) error {
 	n.mu.Lock()
 	if n.role != Leader {
@@ -122,6 +124,15 @@ func (n *Node) replicate(r journal.Record) error {
 	if err != nil {
 		return err
 	}
+	if err := n.awaitQuorum(idx, term); err != nil {
+		return fmt.Errorf("%w: %w", journal.ErrUnacknowledged, err)
+	}
+	return nil
+}
+
+// awaitQuorum blocks until a quorum holds the record at idx, appended in
+// term, or fails when this node stops leading or 2×TTL passes.
+func (n *Node) awaitQuorum(idx, term uint64) error {
 	if n.quorum <= 1 {
 		return nil
 	}

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"reflect"
 	"testing"
 	"time"
 
@@ -31,6 +32,12 @@ type cluster struct {
 // in deferred are fully constructed but not started — their listeners
 // stay closed until startDeferred, simulating a member that joins late.
 func newCluster(t *testing.T, n int, opts journal.Options, deferred ...int) *cluster {
+	t.Helper()
+	return newQuorumCluster(t, n, 0, opts, deferred...)
+}
+
+// newQuorumCluster is newCluster with an explicit quorum (0: majority).
+func newQuorumCluster(t *testing.T, n, quorum int, opts journal.Options, deferred ...int) *cluster {
 	t.Helper()
 	c := &cluster{t: t}
 	lns := make([]net.Listener, n)
@@ -64,10 +71,11 @@ func newCluster(t *testing.T, n int, opts journal.Options, deferred ...int) *clu
 			}
 		}
 		node, err := replication.NewNode(m, replication.Config{
-			ID:    c.addrs[i],
-			Peers: peers,
-			TTL:   testTTL,
-			Logf:  t.Logf,
+			ID:     c.addrs[i],
+			Peers:  peers,
+			Quorum: quorum,
+			TTL:    testTTL,
+			Logf:   t.Logf,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -364,6 +372,47 @@ func TestSplitBrainDeposedLeaderRedirects(t *testing.T) {
 	}
 	if !covered(c.mdms[lead], "/user[@id='pre']/presence") {
 		t.Error("pre-partition registration lost on the deposed leader")
+	}
+}
+
+// A record that reached the leader's log stays applied when its quorum
+// wait fails. With Quorum 3 and one follower cut off, a registration is
+// logged by the leader and the other follower, then fails when the
+// leader's lease check steps it down. Whoever leads next holds the record
+// and ships it; a member that had undone it would skip it as already held
+// and keep a directory without it. Every member must end up with the same
+// coverage.
+func TestUnacknowledgedRecordConvergesEverywhere(t *testing.T) {
+	c := newQuorumCluster(t, 3, 3, journal.Options{})
+	lead := c.waitLeader(4 * testTTL)
+	cut := (lead + 1) % 3
+	c.nodes[cut].SuspendHeartbeats(true)
+	err := register(t, c.addrs[lead], "s1", "/user[@id='unacked']/presence")
+	if err == nil {
+		t.Fatal("a registration was acknowledged without its quorum of 3")
+	}
+	t.Logf("register without quorum: %v", err)
+	c.nodes[cut].SuspendHeartbeats(false)
+
+	deadline := time.Now().Add(16 * testTTL)
+	for {
+		want := c.mdms[0].CoverageSnapshot()
+		same := true
+		for _, m := range c.mdms[1:] {
+			if !reflect.DeepEqual(m.CoverageSnapshot(), want) {
+				same = false
+			}
+		}
+		if same && covered(c.mdms[0], "/user[@id='unacked']/presence") {
+			return
+		}
+		if time.Now().After(deadline) {
+			for i, m := range c.mdms {
+				t.Logf("node %d (%s): %v", i, c.nodes[i].Status().Role, m.CoverageSnapshot())
+			}
+			t.Fatal("members' coverage never converged")
+		}
+		time.Sleep(20 * time.Millisecond)
 	}
 }
 
