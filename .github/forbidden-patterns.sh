@@ -122,4 +122,18 @@ row "One way to rebuild the directory" §8.1 \
 	"a second rebuild or log-rewrite path: rebuild with MDM.Restore (from journal.Open or Journal.State) and let the journal replace its own files" \
 	'ResetDirectory|RestoreSnapshot|ReadSnapshot|truncateAndRebuild|rewriteLocked|removeFromAll|DropStore|leaseSweeper|sweepLeases' "-w $go ."
 
+# A setting exists only when two callers need different values. The
+# settings no caller changed are constants, and the paths only they selected
+# are gone: the key spec (xmltree.DefaultKeys; syncml keeps its own), the
+# client's fan-out and budgets, the retry classifier hook, backoff ×2 and
+# jitter 0.5, the probe timeout and relay count, the high-class reserve,
+# the client's read bound, the breaker list, and the scenario keys jitter,
+# links.store-N and users: hot with the prefix* tag form that decoded them.
+# (wire.StatsResponse.TraceSpans, a counter, stays.)
+row "Every option has a caller" §4 \
+	"a setting no caller sets to a second value: use the one value every caller gets" \
+	'\b(withBudget|Budgets|NonRetryable|Multiplier|Jitter|IndirectProbes|PingTimeout|HighReserve|updateReadDeadlineLocked|readGrace|ResilienceSnapshot|BreakerInfo|PerStore|UsersHot)\b|\bc\.(Keys|FanOut)\b|Keys +xmltree\.KeySpec$|TraceSpans +int$|yaml:"[^"]*\*"|\bjitter:|^[ -]*store-[0-9]+:|\busers: *hot\b' \
+	"$go --include=*.yaml ." \
+	'./internal/syncml/'
+
 exit $failed

@@ -23,7 +23,7 @@
 //	trace <trace-id>                   render a request's span tree
 //	slow [n]                           print recent slow-query traces
 //	shard-map                          print the directory's shard map
-//	rebalance <id=addr,...> [fwd-ms]   move the directory onto a new shard map live
+//	rebalance <id=addr|addr|...,...> [fwd-ms]   move the directory onto a new shard map live
 //
 // get, get-via and update run traced: the request's trace ID is printed to
 // stderr ("trace <id>") so it can be fed to `gupctl trace`.
@@ -340,23 +340,13 @@ func main() {
 			fmt.Println()
 		}
 	case "rebalance":
-		need(args, 2, `rebalance <id=addr,id=addr,...> [forward-ms]`)
+		need(args, 2, `rebalance <id=addr,id=addr|addr|addr,...> [forward-ms]`)
 		old := cli.ShardMap()
 		if old.Version == 0 || len(old.Shards) == 0 {
 			log.Fatalf("gupctl: %s holds no shard map — nothing to rebalance", *mdmAddr)
 		}
-		next := wire.ShardMap{Version: old.Version + 1}
-		for _, entry := range strings.Split(args[1], ",") {
-			entry = strings.TrimSpace(entry)
-			if entry == "" {
-				continue
-			}
-			id, addr, ok := strings.Cut(entry, "=")
-			if !ok || id == "" || addr == "" {
-				log.Fatalf(`gupctl: bad shard entry %q (want "id=addr")`, entry)
-			}
-			next.Shards = append(next.Shards, wire.ShardInfo{ID: id, Addr: addr})
-		}
+		next, err := nextMap(old, args[1])
+		fatal(err)
 		var forwardMillis int64
 		if len(args) > 2 {
 			ms, err := strconv.ParseInt(args[2], 10, 64)
@@ -401,4 +391,16 @@ func printDoc(doc *xmltree.Node) {
 		return
 	}
 	fmt.Print(doc.Indent())
+}
+
+// nextMap is the map a rebalance moves the directory onto from old: the
+// shards spec names, one version up in old's epoch. An operator rebalance
+// never bumps the repair epoch, and a map of a lower epoch than old would
+// never supersede it.
+func nextMap(old wire.ShardMap, spec string) (wire.ShardMap, error) {
+	shards, err := wire.ParseShards(spec)
+	if err != nil {
+		return wire.ShardMap{}, err
+	}
+	return wire.ShardMap{Epoch: old.Epoch, Version: old.Version + 1, Shards: shards}, nil
 }

@@ -87,24 +87,6 @@ type repeated []string
 func (r *repeated) String() string     { return strings.Join(*r, ",") }
 func (r *repeated) Set(s string) error { *r = append(*r, s); return nil }
 
-// parseShards decodes "id=addr,id=addr,..." (a -shard-map value, or the
-// -spare entries joined) into shard entries.
-func parseShards(flagName, s string) ([]wire.ShardInfo, error) {
-	var shards []wire.ShardInfo
-	for _, entry := range strings.Split(s, ",") {
-		entry = strings.TrimSpace(entry)
-		if entry == "" {
-			continue
-		}
-		id, addr, ok := strings.Cut(entry, "=")
-		if !ok || id == "" || addr == "" {
-			return nil, fmt.Errorf(`bad %s entry %q (want "id=addr")`, flagName, entry)
-		}
-		shards = append(shards, wire.ShardInfo{ID: id, Addr: addr})
-	}
-	return shards, nil
-}
-
 func main() {
 	listen := flag.String("listen", "127.0.0.1:7000", "address to listen on")
 	key := flag.String("key", "", "shared referral-signing key (required)")
@@ -124,14 +106,14 @@ func main() {
 	advertise := flag.String("advertise", "", "address peers and redirected clients should dial (default: -listen)")
 	electionTTL := flag.Duration("election-ttl", 2*time.Second, "leader lease TTL; failover completes within one TTL")
 	shardOf := flag.String("shard-of", "", "this node's shard ID in -shard-map (enables shard routing)")
-	shardMapFlag := flag.String("shard-map", "", `initial shard map as "id=addr,id=addr,..." (with -shard-of or -router)`)
+	shardMapFlag := flag.String("shard-map", "", `initial shard map as "id=addr,id=addr,..." (a replicated shard as "id=addr|addr|...", every member; with -shard-of or -router)`)
 	shardMapVersion := flag.Uint64("shard-map-version", 1, "version of the -shard-map")
 	router := flag.Bool("router", false, "run a data-less shard router over -shard-map instead of an MDM")
 	gossipInterval := flag.Duration("gossip-interval", 0, "failure-detector probe interval between shards (0 disables gossip; requires -shard-of)")
 	suspectTimeout := flag.Duration("suspect-timeout", 0, "silence after which a suspect shard is confirmed dead (0 = 4x gossip-interval)")
 	autoRepair := flag.Bool("auto-repair", false, "repair the shard map on confirmed shard death: evict the dead, promote spares, bump the epoch")
 	var spareFlags repeated
-	flag.Var(&spareFlags, "spare", `a spare shard outside the map, as "id=addr" (repeatable; the auto-repair promotion pool)`)
+	flag.Var(&spareFlags, "spare", `a spare shard outside the map, as "id=addr" or "id=addr|addr|..." (repeatable; the auto-repair promotion pool)`)
 	flag.Parse()
 
 	// Flags → one dirnode.Config. Which layers run, in what order they
@@ -170,18 +152,18 @@ func main() {
 			Peers: replPeers, Quorum: *replQuorum, TTL: *electionTTL, Logf: log.Printf,
 		}
 	}
-	shards, err := parseShards("-shard-map", *shardMapFlag)
+	shards, err := wire.ParseShards(*shardMapFlag)
 	if err != nil {
-		log.Fatalf("gupsterd: %v", err)
+		log.Fatalf("gupsterd: -shard-map: %v", err)
 	}
 	if len(shards) > 0 {
 		cfg.ShardMap = wire.ShardMap{Version: *shardMapVersion, Shards: shards}
 	}
 	if *autoRepair || *gossipInterval > 0 || *suspectTimeout > 0 || len(spareFlags) > 0 {
 		// The constellation is the shard map plus every -spare entry.
-		spares, err := parseShards("-spare", strings.Join(spareFlags, ","))
+		spares, err := wire.ParseShards(strings.Join(spareFlags, ","))
 		if err != nil {
-			log.Fatalf("gupsterd: %v", err)
+			log.Fatalf("gupsterd: -spare: %v", err)
 		}
 		cfg.Gossip = &health.Config{
 			Members:        slices.Concat(shards, spares),

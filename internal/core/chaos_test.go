@@ -165,22 +165,12 @@ func TestChaosBlackoutFallback(t *testing.T) {
 		t.Error("no fallback to the surviving replica recorded")
 	}
 
-	snap := cli.Resilience.Snapshot()
-	var found bool
-	for _, b := range snap.Breakers {
-		if b.Endpoint == pa.Addr() {
-			found = true
-			if b.State == resilience.Closed.String() {
-				t.Errorf("breaker for blacked-out store reports %s", b.State)
-			}
-		}
-	}
-	if !found {
-		t.Errorf("breaker for %s not in snapshot %+v", pa.Addr(), snap.Breakers)
+	if st := cli.Resilience.State(pa.Addr()); st == resilience.Closed {
+		t.Errorf("breaker for blacked-out store reports %s", st)
 	}
 	t.Logf("blackout run: %d resolves, 0 failed; latency %s", total, hist.Summary())
 	t.Logf("counters: attempts=%d retries=%d trips=%d short_circuits=%d fallbacks=%d",
-		snap.Attempts, snap.Retries, snap.BreakerTrips, snap.ShortCircuits, snap.Fallbacks)
+		stats.Attempts.Load(), stats.Retries.Load(), stats.BreakerTrips.Load(), stats.ShortCircuits.Load(), stats.Fallbacks.Load())
 }
 
 // TestChaosLatencySpikeChaining spikes one replica's latency above the
@@ -378,11 +368,11 @@ func TestChaosConcurrentStress(t *testing.T) {
 	close(stop)
 	flips.Wait()
 
-	snap := cli.Resilience.Snapshot()
 	if failed.Load() != 0 {
 		t.Fatalf("%d of %d resolves failed", failed.Load(), workers*perWorker)
 	}
+	s := cli.Resilience.Stats
 	t.Logf("stress: %d resolves, 0 failed; attempts=%d retries=%d trips=%d probes=%d resets=%d short_circuits=%d fallbacks=%d",
-		workers*perWorker, snap.Attempts, snap.Retries, snap.BreakerTrips,
-		snap.BreakerProbes, snap.BreakerResets, snap.ShortCircuits, snap.Fallbacks)
+		workers*perWorker, s.Attempts.Load(), s.Retries.Load(), s.BreakerTrips.Load(),
+		s.BreakerProbes.Load(), s.BreakerResets.Load(), s.ShortCircuits.Load(), s.Fallbacks.Load())
 }

@@ -36,8 +36,6 @@ type Client struct {
 	Identity string
 	// Role is the asserted relationship to profile owners.
 	Role string
-	// Keys drives client-side merges.
-	Keys xmltree.KeySpec
 
 	// pool holds the connections to data stores that referrals are
 	// followed on.
@@ -76,9 +74,6 @@ type Client struct {
 	// request to tune budgets.
 	Resilience *resilience.Group
 
-	// FanOut bounds the worker pool fetching the referrals of one
-	// alternative; 0 means flight.DefaultWorkers.
-	FanOut int
 	// DisableCoalescing turns off client-side coalescing of identical
 	// concurrent Gets (the benchmark ablation).
 	DisableCoalescing bool
@@ -93,11 +88,6 @@ type Client struct {
 	// (tracing is cheap enough to stay on); set nil to disable.
 	Tracer *trace.Collector
 
-	// Budgets collects the client's deadline knobs; DialMDM installs
-	// defaults. Every timeout the client imposes on its own derives from
-	// here — no hard-coded durations on any call path.
-	Budgets Budgets
-
 	// traces holds the lazily dialed out-of-band connection for trace
 	// reports: telemetry frames must never queue ahead of request frames
 	// on the request connection (on a slow link one report delays the next
@@ -111,22 +101,6 @@ type Client struct {
 	traceStop sync.Once // closes traceQuit
 }
 
-// Budgets configures the client's deadline behavior. Budgets stamp
-// requests with a wire-level budget (Message.BudgetMillis) that every
-// downstream hop decrements and honors.
-type Budgets struct {
-	// TraceReport bounds the fire-and-forget trace-report write; 0 means
-	// the 2s default. Telemetry must never wedge the reporter goroutine
-	// behind a dead connection.
-	TraceReport time.Duration
-	// Op, when positive, is a default end-to-end deadline applied to
-	// high-level operations (GetAs, GetBatch, GetVia, Update) whose
-	// context carries no deadline of its own. A caller-supplied deadline
-	// always wins. Zero leaves undeadlined contexts untimed (the
-	// pre-budget behavior).
-	Op time.Duration
-}
-
 // DialMDM connects a client identity to the MDM.
 func DialMDM(addr, identity, role string) (*Client, error) {
 	dir, err := dirclient.Dial(addr)
@@ -138,28 +112,17 @@ func DialMDM(addr, identity, role string) (*Client, error) {
 		dir:        dir,
 		Identity:   identity,
 		Role:       role,
-		Keys:       xmltree.DefaultKeys,
 		subRecs:    make(map[uint64]*subRecord),
 		lat:        make(map[string]time.Duration),
 		Resilience: resilience.NewGroup(resilience.Policy{}, resilience.BreakerConfig{}, nil),
 		flights:    flight.NewGroup(pipe),
 		pipe:       pipe,
 		Tracer:     trace.NewCollector("client", 0, 0),
-		Budgets:    Budgets{TraceReport: 2 * time.Second},
 		traceQ:     make(chan []trace.Span, 64),
 		traceQuit:  make(chan struct{}),
 	}
 	c.observe = c.observeLatency
 	return c, nil
-}
-
-// withBudget applies the default operation deadline when the caller's
-// context has none.
-func (c *Client) withBudget(ctx context.Context) (context.Context, context.CancelFunc) {
-	if _, ok := ctx.Deadline(); ok || c.Budgets.Op <= 0 {
-		return ctx, func() {}
-	}
-	return context.WithTimeout(ctx, c.Budgets.Op)
 }
 
 // startRoot begins a trace for a client operation: a fresh trace unless
@@ -211,11 +174,9 @@ func (c *Client) reportTrace(spans []trace.Span) {
 	if len(spans) == 0 {
 		return
 	}
-	d := c.Budgets.TraceReport
-	if d <= 0 {
-		d = 2 * time.Second
-	}
-	rctx, cancel := context.WithTimeout(context.Background(), d)
+	// The bound keeps telemetry from wedging the reporter goroutine behind
+	// a dead connection.
+	rctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
 	defer cancel()
 	if conn, err := c.traces.Get(rctx, c.dir.AddrFor("")); err == nil {
 		// A failed send kills the connection; the next report redials.
@@ -325,14 +286,11 @@ func (c *Client) Resolve(ctx context.Context, req *wire.ResolveRequest) (*wire.R
 }
 
 // plans is the executor referrals are followed with, built per call
-// because Resilience, Keys and FanOut may be replaced until the first
-// request.
+// because Resilience may be replaced until the first request.
 func (c *Client) plans() store.Executor {
 	return store.Executor{
 		Pool:       &c.pool,
 		Resilience: c.Resilience,
-		Keys:       c.Keys,
-		FanOut:     c.FanOut,
 		Pipe:       c.pipe,
 		Observe:    c.observe,
 	}
@@ -350,8 +308,6 @@ func (c *Client) Get(ctx context.Context, path string) (*xmltree.Node, error) {
 // followers receive an independent clone of the shared tree, so callers
 // may mutate their result freely.
 func (c *Client) GetAs(ctx context.Context, path string, reqCtx policy.Context) (*xmltree.Node, error) {
-	ctx, cancel := c.withBudget(ctx)
-	defer cancel()
 	ctx, finish := c.startRoot(ctx, "client.get")
 	doc, err := c.getAs(ctx, path, reqCtx)
 	finish(err)
@@ -411,7 +367,7 @@ func (c *Client) BatchResolve(ctx context.Context, req *wire.BatchResolveRequest
 		homes = append(homes, home{}) // an empty batch is the directory's to refuse
 	}
 	resp := &wire.BatchResolveResponse{Results: make([]wire.BatchResolveEntry, len(req.Requests))}
-	err := flight.ForEach(ctx, len(homes), c.FanOut, func(h int) error {
+	err := flight.ForEach(ctx, len(homes), 0, func(h int) error {
 		part := wire.BatchResolveRequest{Requests: make([]wire.ResolveRequest, len(homes[h].at))}
 		for j, i := range homes[h].at {
 			part.Requests[j] = req.Requests[i]
@@ -445,8 +401,6 @@ type BatchResult struct {
 // referrals on the client's bounded fan-out pool. Results are positional
 // and independent — one denied path does not fail its siblings.
 func (c *Client) GetBatch(ctx context.Context, paths []string) ([]BatchResult, error) {
-	ctx, cancel := c.withBudget(ctx)
-	defer cancel()
 	ctx, finish := c.startRoot(ctx, "client.get-batch")
 	out, err := c.getBatch(ctx, paths)
 	finish(err)
@@ -471,7 +425,7 @@ func (c *Client) getBatch(ctx context.Context, paths []string) ([]BatchResult, e
 		c.pipe.FanOuts.Add(1)
 		c.pipe.FanOutCalls.Add(uint64(len(paths)))
 	}
-	_ = flight.ForEach(ctx, len(paths), c.FanOut, func(i int) error {
+	_ = flight.ForEach(ctx, len(paths), 0, func(i int) error {
 		entry := resp.Results[i]
 		if entry.Error != "" {
 			out[i].Err = fmt.Errorf("gupster: %s", entry.Error)
@@ -493,8 +447,6 @@ func (c *Client) getBatch(ctx context.Context, paths []string) ([]BatchResult, e
 // GetVia fetches through a server-side pattern (chaining or recruiting):
 // one round trip, data comes back from the MDM.
 func (c *Client) GetVia(ctx context.Context, path string, pattern wire.QueryPattern) (*xmltree.Node, error) {
-	ctx, cancel := c.withBudget(ctx)
-	defer cancel()
 	ctx, finish := c.startRoot(ctx, "client.resolve")
 	doc, err := c.getVia(ctx, path, pattern)
 	finish(err)
@@ -543,8 +495,6 @@ func (c *Client) FollowReferrals(ctx context.Context, resp *wire.ResolveResponse
 // requirement 4; a write must reach all replicas). It returns the number of
 // stores written.
 func (c *Client) Update(ctx context.Context, path string, frag *xmltree.Node) (int, error) {
-	ctx, cancel := c.withBudget(ctx)
-	defer cancel()
 	ctx, finish := c.startRoot(ctx, "client.update")
 	n, err := c.update(ctx, path, frag)
 	finish(err)
@@ -574,7 +524,7 @@ func (c *Client) update(ctx context.Context, path string, frag *xmltree.Node) (i
 			// the matching piece of the fragment if possible.
 			toWrite := frag
 			if alt.Merge != "" {
-				if sub := extractForReferral(frag, ref, c.Keys); sub != nil {
+				if sub := extractForReferral(frag, ref); sub != nil {
 					toWrite = sub
 				}
 			}
@@ -602,7 +552,7 @@ func (c *Client) update(ctx context.Context, path string, frag *xmltree.Node) (i
 // scoped replace). frag is rooted at the component element; the granted
 // path ends inside it. An empty container (all matching items removed)
 // is a valid result.
-func extractForReferral(frag *xmltree.Node, ref wire.Referral, keys xmltree.KeySpec) *xmltree.Node {
+func extractForReferral(frag *xmltree.Node, ref wire.Referral) *xmltree.Node {
 	p, err := ref.Query.ParsedPath()
 	if err != nil || len(p.Steps) == 0 {
 		return nil

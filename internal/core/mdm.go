@@ -59,8 +59,6 @@ type Config struct {
 	// CacheEntries sizes the component cache used by chaining resolves;
 	// 0 disables caching.
 	CacheEntries int
-	// Keys drives merges.
-	Keys xmltree.KeySpec
 	// Provenance, when non-nil, receives a disclosure record for every
 	// grant and denial the MDM renders (§7's data-provenance challenge).
 	Provenance *provenance.Ledger
@@ -85,9 +83,6 @@ type Config struct {
 	// query log; 0 means trace.DefaultSlowThreshold, negative disables the
 	// log.
 	SlowThreshold time.Duration
-	// TraceSpans bounds the trace collector's retained spans; 0 means
-	// trace.DefaultSpanCap.
-	TraceSpans int
 	// LeaseTTL enables store-liveness leases: every registration and
 	// heartbeat grants the store a lease of this duration, and a store
 	// silent past LeaseTTL+LeaseGrace is quarantined out of query plans
@@ -196,9 +191,6 @@ func New(cfg Config) *MDM {
 	if cfg.GrantTTL == 0 {
 		cfg.GrantTTL = 30 * time.Second
 	}
-	if cfg.Keys == nil {
-		cfg.Keys = xmltree.DefaultKeys
-	}
 	repo := policy.NewRepository()
 	m := &MDM{
 		cfg:      cfg,
@@ -217,12 +209,11 @@ func New(cfg Config) *MDM {
 	m.plans = store.Executor{
 		Pool:       &m.pool,
 		Resilience: m.res,
-		Keys:       cfg.Keys,
 		FanOut:     cfg.FanOut,
 		Pipe:       m.pipe,
 		Span:       "mdm.fetch",
 	}
-	m.tracer = trace.NewCollector("mdm", cfg.TraceSpans, cfg.SlowThreshold)
+	m.tracer = trace.NewCollector("mdm", 0, cfg.SlowThreshold)
 	m.PAP = &policy.AdministrationPoint{Repo: repo}
 	if cfg.Schema != nil {
 		m.PAP.ValidatePath = cfg.Schema.ValidatePath
@@ -932,7 +923,7 @@ func (m *MDM) Tracer() *trace.Collector { return m.tracer }
 
 // Snapshot returns a point-in-time stats view.
 func (m *MDM) Snapshot() wire.StatsResponse {
-	rs := m.res.Snapshot()
+	rs := m.res.Stats
 	ps := m.pipe.Snapshot()
 	// The lease table observes every lease, counting the transitions it is
 	// first to see, so the counters are read after it.
@@ -947,9 +938,9 @@ func (m *MDM) Snapshot() wire.StatsResponse {
 		Registrations:  m.Registry.Len(),
 		Subscriptions:  m.subs.len(),
 		BytesProxied:   m.Stats.BytesProxied.Load(),
-		Retries:        rs.Retries,
-		BreakerTrips:   rs.BreakerTrips,
-		ShortCircuits:  rs.ShortCircuits,
+		Retries:        rs.Retries.Load(),
+		BreakerTrips:   rs.BreakerTrips.Load(),
+		ShortCircuits:  rs.ShortCircuits.Load(),
 		Flights:        ps.Flights,
 		CoalesceHits:   ps.CoalesceHits,
 		FanOuts:        ps.FanOuts,

@@ -66,6 +66,10 @@ func NewServer(m *MDM) *Server {
 	wire.Route(s.Mux, wire.TypeStats, func(context.Context, *wire.Empty) (wire.StatsResponse, error) {
 		return m.Snapshot(), nil
 	})
+	// A shard's coverage dump feeds rebalance replays and gossip repair.
+	wire.Route(s.Mux, wire.TypeShardCoverage, func(context.Context, *wire.Empty) (wire.ShardCoverageResponse, error) {
+		return wire.ShardCoverageResponse{Coverage: m.CoverageSnapshot(), Shields: m.ShieldSnapshot()}, nil
+	})
 	wire.Route(s.Mux, wire.TypeProvenance, s.provenance)
 	wire.Handle(s.Mux, wire.TypeSubscribe, s.handleSubscribe)
 	wire.Handle(s.Mux, wire.TypeTraceReport, s.handleTraceReport)

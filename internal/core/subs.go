@@ -166,7 +166,7 @@ func (m *MDM) notifySubscribers(owner string, changed xpath.Path, xml string, ve
 		out := xml
 		if !decision.Full(sub.path) && xml != "" {
 			// Narrowed grant: filter the component to the granted paths.
-			if filtered := filterToGrants(xml, decision.Grants, m.cfg.Keys); filtered != "" {
+			if filtered := filterToGrants(xml, decision.Grants); filtered != "" {
 				out = filtered
 			} else {
 				continue
@@ -192,7 +192,7 @@ func pathsIntersect(a, b xpath.Path) bool {
 // hook passes the fragment, not the profile spine), so each grant path is
 // first aligned to the fragment's root by dropping the leading steps above
 // it.
-func filterToGrants(xml string, grants []xpath.Path, keys xmltree.KeySpec) string {
+func filterToGrants(xml string, grants []xpath.Path) string {
 	doc, err := xmltree.ParseString(xml)
 	if err != nil {
 		return ""
@@ -207,7 +207,7 @@ func filterToGrants(xml string, grants []xpath.Path, keys xmltree.KeySpec) strin
 			pieces = append(pieces, ext)
 		}
 	}
-	merged := xmltree.MergeAll(keys, pieces...)
+	merged := xmltree.MergeAll(xmltree.DefaultKeys, pieces...)
 	if merged == nil {
 		return ""
 	}

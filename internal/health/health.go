@@ -81,17 +81,12 @@ type Config struct {
 	// works) but could never complete a round trip through its own
 	// published address.
 	SelfInstall func(*wire.ShardInstallRequest) (*wire.ShardInstallResponse, error)
-	// Interval is the probe period; every tick probes every member. 0
-	// means 250ms.
+	// Interval is the probe period; every tick probes every member, and it
+	// bounds one direct or relayed probe. 0 means 250ms.
 	Interval time.Duration
-	// PingTimeout bounds one direct or relayed probe. 0 means Interval.
-	PingTimeout time.Duration
 	// SuspectTimeout is how long a member stays suspect before it is
 	// confirmed dead. 0 means 4×Interval.
 	SuspectTimeout time.Duration
-	// IndirectProbes is how many alive members are asked to ping-req a
-	// directly unreachable target before it is counted missed. 0 means 2.
-	IndirectProbes int
 	// AutoRepair arms the repair planner. Off, the agent only observes.
 	AutoRepair bool
 	// ForwardMillis is the drain window passed to repair rebalances.
@@ -104,6 +99,10 @@ type Config struct {
 	// Logf, when set, receives detector and repair events.
 	Logf func(format string, args ...any)
 }
+
+// relays is how many alive members are asked to ping-req a directly
+// unreachable target before it is counted missed.
+const relays = 2
 
 // memberView is the detector's bookkeeping for one peer.
 type memberView struct {
@@ -139,14 +138,8 @@ func New(cfg Config) *Agent {
 	if cfg.Interval <= 0 {
 		cfg.Interval = 250 * time.Millisecond
 	}
-	if cfg.PingTimeout <= 0 {
-		cfg.PingTimeout = cfg.Interval
-	}
 	if cfg.SuspectTimeout <= 0 {
 		cfg.SuspectTimeout = 4 * cfg.Interval
-	}
-	if cfg.IndirectProbes <= 0 {
-		cfg.IndirectProbes = 2
 	}
 	if cfg.Logf == nil {
 		cfg.Logf = func(string, ...any) {}
@@ -291,10 +284,10 @@ func (a *Agent) tick() {
 }
 
 // probe runs one failure-detection round for a member: a direct ping,
-// then — on failure — ping-reqs through up to IndirectProbes other alive
-// members. Any delivered ack refutes; a fully failed round is a miss.
+// then — on failure — ping-reqs through up to relays other alive members.
+// Any delivered ack refutes; a fully failed round is a miss.
 func (a *Agent) probe(target wire.ShardInfo) {
-	if ack, err := a.ping(target.ID, target.Addr, a.cfg.PingTimeout); err == nil {
+	if ack, err := a.ping(target.ID, target.Addr, a.cfg.Interval); err == nil {
 		a.observeAck(target.ID, ack)
 		return
 	}
@@ -307,7 +300,7 @@ func (a *Agent) probe(target wire.ShardInfo) {
 	a.observeMiss(target.ID)
 }
 
-// relaysFor picks up to IndirectProbes alive members other than the
+// relaysFor picks up to relays alive members other than the
 // target, in sorted ID order so runs are deterministic.
 func (a *Agent) relaysFor(targetID string) []wire.ShardInfo {
 	a.mu.Lock()
@@ -319,8 +312,8 @@ func (a *Agent) relaysFor(targetID string) []wire.ShardInfo {
 		}
 	}
 	sort.Strings(ids)
-	if len(ids) > a.cfg.IndirectProbes {
-		ids = ids[:a.cfg.IndirectProbes]
+	if len(ids) > relays {
+		ids = ids[:relays]
 	}
 	out := make([]wire.ShardInfo, 0, len(ids))
 	for _, id := range ids {
@@ -383,10 +376,10 @@ func (a *Agent) ping(id, addr string, timeout time.Duration) (*wire.GossipAck, e
 func (a *Agent) pingReq(relay, target wire.ShardInfo) (*wire.GossipAck, error) {
 	req := wire.GossipPingReq{
 		FromID: a.cfg.Self.ID, TargetID: target.ID, TargetAddr: target.Addr,
-		TimeoutMillis: a.cfg.PingTimeout.Milliseconds(),
+		TimeoutMillis: a.cfg.Interval.Milliseconds(),
 	}
 	// The relay needs its own probe window on top of ours.
-	ctx, cancel := context.WithTimeout(context.Background(), 2*a.cfg.PingTimeout)
+	ctx, cancel := context.WithTimeout(context.Background(), 2*a.cfg.Interval)
 	defer cancel()
 	var ack wire.GossipAck
 	if err := a.conns.Call(ctx, relay.Addr, wire.TypeGossipPingReq, &req, &ack); err != nil {
@@ -461,7 +454,7 @@ func (a *Agent) learnMap(epoch, version uint64, fromID, fromAddr string) {
 			a.mu.Unlock()
 		}()
 		var m wire.ShardMap
-		if err := a.call(fromID, fromAddr, 2*a.cfg.PingTimeout, wire.TypeShardMap, wire.Empty{}, &m); err != nil {
+		if err := a.call(fromID, fromAddr, 2*a.cfg.Interval, wire.TypeShardMap, wire.Empty{}, &m); err != nil {
 			return
 		}
 		if ring.Compare(m, a.currentMap()) <= 0 {
@@ -524,7 +517,7 @@ func (a *Agent) handlePingReq(c *wire.ServerConn, m *wire.Message, req *wire.Gos
 		defer a.wg.Done()
 		timeout := time.Duration(req.TimeoutMillis) * time.Millisecond
 		if timeout <= 0 {
-			timeout = a.cfg.PingTimeout
+			timeout = a.cfg.Interval
 		}
 		ack, err := a.ping(req.TargetID, req.TargetAddr, timeout)
 		if err != nil {
@@ -571,7 +564,7 @@ func (a *Agent) snapshotLoop() {
 				continue
 			}
 			var snap wire.ShardCoverageResponse
-			if err := a.call(s.ID, s.Addr, 4*a.cfg.PingTimeout, wire.TypeShardCoverage, wire.Empty{}, &snap); err != nil {
+			if err := a.call(s.ID, s.Addr, 4*a.cfg.Interval, wire.TypeShardCoverage, wire.Empty{}, &snap); err != nil {
 				continue
 			}
 			a.mu.Lock()

@@ -34,44 +34,3 @@ type ResilienceStats struct {
 	// stop.
 	OverloadBackoffs atomic.Uint64
 }
-
-// BreakerInfo reports one endpoint's circuit breaker at snapshot time.
-type BreakerInfo struct {
-	Endpoint string
-	// State is "closed", "open", or "half-open".
-	State string
-	// Failures is the endpoint's consecutive transient-failure count.
-	Failures int
-}
-
-// ResilienceSnapshot is a point-in-time view of ResilienceStats plus the
-// per-endpoint breaker states.
-type ResilienceSnapshot struct {
-	Attempts         uint64
-	Retries          uint64
-	Failures         uint64
-	BreakerTrips     uint64
-	BreakerProbes    uint64
-	BreakerResets    uint64
-	ShortCircuits    uint64
-	Fallbacks        uint64
-	OverloadBackoffs uint64
-	Breakers         []BreakerInfo
-}
-
-// Snapshot captures the counters together with the supplied breaker
-// states.
-func (s *ResilienceStats) Snapshot(breakers []BreakerInfo) ResilienceSnapshot {
-	return ResilienceSnapshot{
-		Attempts:         s.Attempts.Load(),
-		Retries:          s.Retries.Load(),
-		Failures:         s.Failures.Load(),
-		BreakerTrips:     s.BreakerTrips.Load(),
-		BreakerProbes:    s.BreakerProbes.Load(),
-		BreakerResets:    s.BreakerResets.Load(),
-		ShortCircuits:    s.ShortCircuits.Load(),
-		Fallbacks:        s.Fallbacks.Load(),
-		OverloadBackoffs: s.OverloadBackoffs.Load(),
-		Breakers:         breakers,
-	}
-}

@@ -98,10 +98,6 @@ type Config struct {
 	// MaxConcurrency bounds concurrently executing requests; <= 0
 	// disables admission control entirely (every Acquire succeeds).
 	MaxConcurrency int
-	// HighReserve is the number of slots only ClassHigh may occupy, so
-	// background sync/notification load can never starve call setup.
-	// Default MaxConcurrency/4 (at least 1 when MaxConcurrency > 1).
-	HighReserve int
 	// QueueDepth bounds the LIFO wait queue; default 2*MaxConcurrency.
 	QueueDepth int
 	// QueueWait bounds how long a request may wait for a slot (further
@@ -120,15 +116,6 @@ type Config struct {
 func (c Config) withDefaults() Config {
 	if c.MaxConcurrency <= 0 {
 		return c
-	}
-	if c.HighReserve <= 0 && c.MaxConcurrency > 1 {
-		c.HighReserve = c.MaxConcurrency / 4
-		if c.HighReserve < 1 {
-			c.HighReserve = 1
-		}
-	}
-	if c.HighReserve >= c.MaxConcurrency {
-		c.HighReserve = c.MaxConcurrency - 1
 	}
 	if c.QueueDepth <= 0 {
 		c.QueueDepth = 2 * c.MaxConcurrency
@@ -183,6 +170,10 @@ type waiter struct {
 // (admission disabled); build a real one with New. Safe for concurrent use.
 type Controller struct {
 	cfg Config
+	// reserve is the number of slots only ClassHigh may occupy, so
+	// background sync/notification load can never starve call setup: a
+	// quarter of the slots, at least one, none when there is only one.
+	reserve int
 	// Stats receives every counter increment.
 	Stats *metrics.OverloadStats
 
@@ -201,7 +192,11 @@ func New(cfg Config, stats *metrics.OverloadStats) *Controller {
 	if stats == nil {
 		stats = &metrics.OverloadStats{}
 	}
-	return &Controller{cfg: cfg.withDefaults(), Stats: stats}
+	c := &Controller{cfg: cfg.withDefaults(), Stats: stats}
+	if c.cfg.MaxConcurrency > 1 {
+		c.reserve = max(c.cfg.MaxConcurrency/4, 1)
+	}
+	return c
 }
 
 // Enabled reports whether the controller actually gates anything.
@@ -335,7 +330,7 @@ func (c *Controller) popWaiterLocked() *waiter {
 	}
 	// Only Normal waiters: one may take the slot unless that would dip
 	// into the High reserve.
-	if len(c.queue) == 0 || c.inUse > c.cfg.MaxConcurrency-c.cfg.HighReserve {
+	if len(c.queue) == 0 || c.inUse > c.cfg.MaxConcurrency-c.reserve {
 		return nil
 	}
 	w := c.queue[len(c.queue)-1]
@@ -395,7 +390,7 @@ func (c *Controller) classLimitLocked(class Class) int {
 	if class == ClassHigh {
 		return c.cfg.MaxConcurrency
 	}
-	return c.cfg.MaxConcurrency - c.cfg.HighReserve
+	return c.cfg.MaxConcurrency - c.reserve
 }
 
 // queueWaitLocked bounds a waiter's patience: the configured queue wait,

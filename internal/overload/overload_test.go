@@ -190,7 +190,7 @@ func TestQueueWaitCappedByContextBudget(t *testing.T) {
 
 func TestNormalCannotUseHighReserve(t *testing.T) {
 	// 4 slots, 1 reserved: Normal saturates at 3 concurrent.
-	c := New(Config{MaxConcurrency: 4, HighReserve: 1, QueueDepth: 1, QueueWait: 20 * time.Millisecond}, nil)
+	c := New(Config{MaxConcurrency: 4, QueueDepth: 1, QueueWait: 20 * time.Millisecond}, nil)
 	var rels []func()
 	for i := 0; i < 3; i++ {
 		r, err := c.Acquire(context.Background(), ClassNormal)
@@ -315,7 +315,7 @@ func TestReleaseIsIdempotent(t *testing.T) {
 func TestChaosOverloadAdmissionChurn(t *testing.T) {
 	stats := &metrics.OverloadStats{}
 	c := New(Config{
-		MaxConcurrency: 3, HighReserve: 1, QueueDepth: 4,
+		MaxConcurrency: 3, QueueDepth: 4,
 		QueueWait:         2 * time.Millisecond,
 		BrownoutThreshold: 0.7, BrownoutWindow: time.Millisecond,
 	}, stats)

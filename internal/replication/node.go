@@ -225,7 +225,9 @@ func (n *Node) newMux(inner *core.Server) *wire.Mux {
 	wire.Route(x, wire.TypeReplSnapshot, withoutCtx(n.HandleSnapshotChunk))
 	// A heartbeat is leader-only too: the leader is the one lease
 	// authority, and its verdict reaches the followers with every append.
-	for _, typ := range []string{wire.TypeRegister, wire.TypeUnregister, wire.TypePutRule, wire.TypeDeleteRule, wire.TypeHeartbeat} {
+	// So is a coverage dump: only the leader's holds every acknowledged
+	// write.
+	for _, typ := range []string{wire.TypeRegister, wire.TypeUnregister, wire.TypePutRule, wire.TypeDeleteRule, wire.TypeHeartbeat, wire.TypeShardCoverage} {
 		inner.Mux.Wrap(typ, n.leaderOnly)
 	}
 	return x
@@ -235,7 +237,7 @@ func withoutCtx[Req, Resp any](fn func(*Req) (Resp, error)) func(context.Context
 	return func(_ context.Context, req *Req) (Resp, error) { return fn(req) }
 }
 
-// leaderOnly wraps the directory's mutation routes: a node that does not
+// leaderOnly wraps the routes only the leader answers: a node that does not
 // lead redirects instead of applying, BEFORE the embedded server touches
 // its in-memory directory (mutations are apply-then-journal, so letting
 // them through would pollute a follower's replica).

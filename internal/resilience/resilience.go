@@ -14,8 +14,9 @@
 //     queries) are final — retrying them cannot help — while connection
 //     and timeout failures are transient.
 //
-// Breaker states and retry counters are exported through
-// internal/metrics so degradation is observable.
+// Retry and breaker counters are exported through internal/metrics, and
+// each endpoint's breaker state through Group.State, so degradation is
+// observable.
 package resilience
 
 import (
@@ -24,7 +25,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
 	"sync"
 	"time"
 
@@ -45,14 +45,9 @@ type Policy struct {
 	PerAttempt time.Duration
 	// BaseDelay is the backoff before the first retry; default 10ms.
 	BaseDelay time.Duration
-	// MaxDelay caps the backoff; default 500ms.
+	// MaxDelay caps the backoff, which doubles from BaseDelay with every
+	// retry; default 500ms.
 	MaxDelay time.Duration
-	// Multiplier grows the delay between retries; default 2.
-	Multiplier float64
-	// Jitter is the fraction of each delay that is randomized away
-	// (0..1); default 0.5. Jitter decorrelates retry storms from clients
-	// that failed together.
-	Jitter float64
 	// Seed makes the jitter sequence deterministic; default 1.
 	Seed int64
 }
@@ -69,12 +64,6 @@ func (p Policy) withDefaults() Policy {
 	}
 	if p.MaxDelay <= 0 {
 		p.MaxDelay = 500 * time.Millisecond
-	}
-	if p.Multiplier < 1 {
-		p.Multiplier = 2
-	}
-	if p.Jitter <= 0 || p.Jitter > 1 {
-		p.Jitter = 0.5
 	}
 	if p.Seed == 0 {
 		p.Seed = 1
@@ -216,12 +205,6 @@ func (b *Breaker) State() State {
 	return b.state
 }
 
-func (b *Breaker) snapshot() (State, int) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.state, b.failures
-}
-
 // Group manages one breaker per endpoint plus the shared retry policy
 // and stats. Safe for concurrent use.
 type Group struct {
@@ -232,9 +215,6 @@ type Group struct {
 	// Stats receives every counter increment; exported through
 	// internal/metrics.
 	Stats *metrics.ResilienceStats
-	// NonRetryable, when set, overrides the default error classifier
-	// (wire remote errors are final, everything else transient).
-	NonRetryable func(error) bool
 
 	rngMu sync.Mutex
 	rng   *rand.Rand
@@ -283,15 +263,16 @@ func (g *Group) State(endpoint string) State {
 
 // Backoff returns the jittered delay before retry number retry (0-based).
 func (g *Group) Backoff(retry int) time.Duration {
-	d := float64(g.Policy.BaseDelay) * math.Pow(g.Policy.Multiplier, float64(retry))
+	d := float64(g.Policy.BaseDelay) * math.Pow(2, float64(retry))
 	if d > float64(g.Policy.MaxDelay) {
 		d = float64(g.Policy.MaxDelay)
 	}
 	g.rngMu.Lock()
 	f := g.rng.Float64()
 	g.rngMu.Unlock()
-	// Randomize away up to Jitter of the delay: [d*(1-Jitter), d].
-	return time.Duration(d * (1 - g.Policy.Jitter*f))
+	// Randomize away up to half the delay, [d/2, d], so clients that failed
+	// together do not retry together.
+	return time.Duration(d * (1 - 0.5*f))
 }
 
 // Sleep waits d, returning the context's error if it ends first.
@@ -310,9 +291,6 @@ func Sleep(ctx context.Context, d time.Duration) error {
 func (g *Group) transient(err error) bool {
 	if errors.Is(err, context.Canceled) {
 		return false // the caller gave up; do not hold the budget
-	}
-	if g.NonRetryable != nil {
-		return !g.NonRetryable(err)
 	}
 	var remote *wire.RemoteError
 	return !errors.As(err, &remote)
@@ -369,21 +347,6 @@ func (g *Group) Do(ctx context.Context, endpoint string, fn func(context.Context
 			}
 			continue
 		}
-		// A not-leader redirect is likewise not an endpoint failure: the
-		// node is alive and mid-failover (or we raced an election). Retry
-		// after backoff — leadership settles within a lease TTL — without
-		// feeding the breaker; callers that can re-home (MirrorClient,
-		// Registrar) follow the redirect themselves before this matters.
-		var nl *wire.NotLeaderError
-		if errors.As(err, &nl) {
-			if attempt < g.Policy.MaxAttempts-1 {
-				g.Stats.Retries.Add(1)
-				if Sleep(ctx, g.Backoff(attempt)) != nil {
-					return lastErr
-				}
-			}
-			continue
-		}
 		if !g.transient(err) {
 			return err
 		}
@@ -404,18 +367,4 @@ func (g *Group) Do(ctx context.Context, endpoint string, fn func(context.Context
 		}
 	}
 	return lastErr
-}
-
-// Snapshot exports the counters and per-endpoint breaker states through
-// the metrics package.
-func (g *Group) Snapshot() metrics.ResilienceSnapshot {
-	g.mu.Lock()
-	infos := make([]metrics.BreakerInfo, 0, len(g.breakers))
-	for ep, b := range g.breakers {
-		st, fails := b.snapshot()
-		infos = append(infos, metrics.BreakerInfo{Endpoint: ep, State: st.String(), Failures: fails})
-	}
-	g.mu.Unlock()
-	sort.Slice(infos, func(i, j int) bool { return infos[i].Endpoint < infos[j].Endpoint })
-	return g.Stats.Snapshot(infos)
 }

@@ -179,7 +179,7 @@ func TestDoPerAttemptTimeout(t *testing.T) {
 }
 
 func TestBackoffCappedAndJittered(t *testing.T) {
-	g := NewGroup(Policy{BaseDelay: 10 * time.Millisecond, MaxDelay: 80 * time.Millisecond, Multiplier: 2, Jitter: 0.5}, BreakerConfig{}, nil)
+	g := NewGroup(Policy{BaseDelay: 10 * time.Millisecond, MaxDelay: 80 * time.Millisecond}, BreakerConfig{}, nil)
 	for retry := 0; retry < 10; retry++ {
 		d := g.Backoff(retry)
 		if d > 80*time.Millisecond {
@@ -242,24 +242,25 @@ func TestGroupConcurrent(t *testing.T) {
 	close(stop)
 	flip.Wait()
 
-	snap := g.Snapshot()
-	if snap.Attempts == 0 {
+	if g.Stats.Attempts.Load() == 0 {
 		t.Error("no attempts recorded")
 	}
-	if len(snap.Breakers) != 2 {
-		t.Errorf("breakers in snapshot = %d, want 2", len(snap.Breakers))
+	g.mu.Lock()
+	breakers := len(g.breakers)
+	g.mu.Unlock()
+	if breakers != 2 {
+		t.Errorf("group holds %d breakers, want 2", breakers)
 	}
 }
 
 func TestSnapshotReportsBreakers(t *testing.T) {
 	g := fastGroup(nil)
 	_ = g.Do(context.Background(), "store-1:9999", func(context.Context) error { return errBoom })
-	snap := g.Snapshot()
-	if snap.Retries == 0 {
-		t.Error("snapshot reports no retries")
+	if g.Stats.Retries.Load() == 0 {
+		t.Error("stats report no retries")
 	}
-	if len(snap.Breakers) != 1 || snap.Breakers[0].Endpoint != "store-1:9999" || snap.Breakers[0].State != "open" {
-		t.Errorf("snapshot breakers = %+v, want store-1:9999 open", snap.Breakers)
+	if st := g.State("store-1:9999"); st != Open {
+		t.Errorf("breaker for store-1:9999 is %s, want open", st)
 	}
 }
 

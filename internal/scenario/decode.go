@@ -354,16 +354,13 @@ func decodeValue(n *node, v reflect.Value, where string) error {
 
 // decodeStruct fills v from a mapping. Tag forms: `yaml:"key"`;
 // `yaml:"key,default=s"`, the scalar s decoded before the mapping's own
-// keys; `yaml:"prefix*"` on a map field, which takes every key with that
-// prefix.
+// keys.
 func decodeStruct(n *node, v reflect.Value, where string) error {
 	if n.kind != mapNode {
 		return errAt(n.line, "%s: expected a mapping", where)
 	}
 	fields := map[string]reflect.Value{}
 	var known []string
-	var wild reflect.Value
-	var wildPrefix string
 	for i := 0; i < v.NumField(); i++ {
 		tag, ok := v.Type().Field(i).Tag.Lookup("yaml")
 		if !ok {
@@ -371,10 +368,6 @@ func decodeStruct(n *node, v reflect.Value, where string) error {
 		}
 		key, def, hasDefault := strings.Cut(tag, ",default=")
 		known = append(known, key)
-		if prefix, ok := strings.CutSuffix(key, "*"); ok {
-			wild, wildPrefix = v.Field(i), prefix
-			continue
-		}
 		fields[key] = v.Field(i)
 		if hasDefault {
 			if err := decodeValue(&node{scalar: def, line: n.line}, v.Field(i), key); err != nil {
@@ -384,21 +377,12 @@ func decodeStruct(n *node, v reflect.Value, where string) error {
 	}
 	for i, k := range n.keys {
 		f, ok := fields[k]
-		inWild := !ok && wild.IsValid() && strings.HasPrefix(k, wildPrefix)
-		if inWild {
-			f = reflect.New(wild.Type().Elem()).Elem()
-		} else if !ok {
+		if !ok {
 			sort.Strings(known)
 			return errAt(n.vals[i].line, "%s: unknown field %q (known: %s)", where, k, strings.Join(known, ", "))
 		}
 		if err := decodeValue(n.vals[i], f, k); err != nil {
 			return err
-		}
-		if inWild {
-			if wild.IsNil() {
-				wild.Set(reflect.MakeMap(wild.Type()))
-			}
-			wild.SetMapIndex(reflect.ValueOf(k), f)
 		}
 	}
 	return nil

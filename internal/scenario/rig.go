@@ -613,8 +613,8 @@ func (r *Rig) newProxy(backend string, l *LinkSpec, linkIdx int) (*faultinject.P
 	if err != nil {
 		return nil, err
 	}
-	if l.Latency > 0 || l.Jitter > 0 {
-		p.SetLatency(l.Latency, l.Jitter)
+	if l.Latency > 0 {
+		p.SetLatency(l.Latency, 0)
 	}
 	if l.Bandwidth > 0 {
 		p.SetBandwidth(l.Bandwidth)

@@ -327,15 +327,8 @@ func (rr *rigRun) setLink(tl *timeline, ev *Event) {
 			proxy.Blackout(*ev.Blackout)
 		}
 	}
-	if ev.Latency != nil || ev.Jitter != nil {
-		var lat, jit time.Duration
-		if ev.Latency != nil {
-			lat = *ev.Latency
-		}
-		if ev.Jitter != nil {
-			jit = *ev.Jitter
-		}
-		proxy.SetLatency(lat, jit)
+	if ev.Latency != nil {
+		proxy.SetLatency(*ev.Latency, 0)
 	}
 	if ev.Bandwidth != nil {
 		proxy.SetBandwidth(*ev.Bandwidth)

@@ -51,7 +51,6 @@ const (
 
 // User-selection modes for workload entries.
 const (
-	UsersHot        = "hot"        // always the first user (cache-hot path)
 	UsersRoundRobin = "roundrobin" // request i targets user i mod n
 	UsersZipf       = "zipf"       // Zipf(1.2)-skewed draw
 	UsersUniform    = "uniform"    // uniform draw
@@ -77,7 +76,7 @@ const (
 
 // Event actions: what a phase's timeline can do to the rig.
 const (
-	ActionLink       = "link"       // set a link's latency, jitter, bandwidth or blackout
+	ActionLink       = "link"       // set a link's latency, bandwidth or blackout
 	ActionReregister = "reregister" // a store (or every dead one) replays its coverage
 	ActionKill       = "kill"       // hard-kill the leader or a shard
 	ActionPartition  = "partition"  // sever a shard's replies one-way
@@ -183,16 +182,13 @@ type RigSpec struct {
 type LinkSet struct {
 	// MDM fronts the MDM for clients.
 	MDM *LinkSpec `yaml:"mdm"`
-	// Stores is the default spec for every MDM/client→store link.
+	// Stores is the spec of every MDM/client→store link.
 	Stores *LinkSpec `yaml:"stores"`
-	// PerStore overrides the default for named stores ("store-0", …).
-	PerStore map[string]*LinkSpec `yaml:"store-*"`
 }
 
 // LinkSpec is the initial fault configuration of one link.
 type LinkSpec struct {
 	Latency   time.Duration `yaml:"latency"`
-	Jitter    time.Duration `yaml:"jitter"`
 	Bandwidth int           `yaml:"bandwidth"` // bytes/sec; 0 = unlimited
 }
 
@@ -236,7 +232,7 @@ type Phase struct {
 // request; every other event runs beside the load. An event past 0 needs
 // an open-loop phase and must fall inside its duration.
 //
-//	link        mdm | store-N      Latency, Jitter, Bandwidth, Blackout
+//	link        mdm | store-N      Latency, Bandwidth, Blackout
 //	reregister  store-N | all-dead the thundering herd; failures count as Errors
 //	kill        leader             time to a new leader → FailoverMillis
 //	kill        shard-K            time to auto-repair → RepairMillis, RepairEpoch
@@ -251,7 +247,6 @@ type Event struct {
 	// serves nor renews its lease). Restoring the link does not resurrect
 	// heartbeats — that is what a reregister event is for.
 	Latency   *time.Duration `yaml:"latency"`
-	Jitter    *time.Duration `yaml:"jitter"`
 	Bandwidth *int           `yaml:"bandwidth"`
 	Blackout  *bool          `yaml:"blackout"`
 	// HealAfter lifts a partition that long after it was imposed, but
@@ -418,11 +413,6 @@ func (r *RigSpec) validate(sc string) error {
 	if (r.GossipInterval > 0 || r.SuspectTimeout > 0) && !r.AutoRepair {
 		return fmt.Errorf("scenario %s: rig %s: gossip-interval and suspect-timeout need auto-repair", sc, r.Name)
 	}
-	for name := range r.Links.PerStore {
-		if !r.hasStore(name) {
-			return fmt.Errorf("scenario %s: rig %s: link %q names no store", sc, r.Name, name)
-		}
-	}
 	return nil
 }
 
@@ -478,7 +468,7 @@ func (ev *Event) validate(p *Phase, rig *RigSpec) error {
 		}
 		// A store blackout also silences the registrar, so it alone makes
 		// sense on a bare link; every other setting acts on the proxy.
-		bare := ev.Target != "mdm" && ev.Latency == nil && ev.Jitter == nil && ev.Bandwidth == nil
+		bare := ev.Target != "mdm" && ev.Latency == nil && ev.Bandwidth == nil
 		if !bare && rig.link(ev.Target) == nil {
 			return fmt.Errorf("link %s has no proxy to set (declare it under the rig's links)", ev.Target)
 		}
@@ -523,7 +513,7 @@ func (ev *Event) validate(p *Phase, rig *RigSpec) error {
 	if midPhase && ev.At >= p.Duration {
 		return fmt.Errorf("%s at %s must fall inside the phase duration", ev.Action, ev.At)
 	}
-	if ev.Action != ActionLink && (ev.Latency != nil || ev.Jitter != nil || ev.Bandwidth != nil || ev.Blackout != nil) {
+	if ev.Action != ActionLink && (ev.Latency != nil || ev.Bandwidth != nil || ev.Blackout != nil) {
 		return fmt.Errorf("%s takes no link settings", ev.Action)
 	}
 	if ev.Action != ActionPartition && ev.HealAfter > 0 {
@@ -541,15 +531,11 @@ func (r *RigSpec) shape() (shards, members int) {
 // constellation reports a directory of more than one node.
 func (r *RigSpec) constellation() bool { return r.Replicas >= 2 || r.Shards >= 2 }
 
-// link is the declared spec of a named link ("mdm" or "store-N"): the
-// per-store override, else the stores' default. Nil means a bare TCP
-// connection, no proxy.
+// link is the declared spec of a named link ("mdm" or "store-N"). Nil
+// means a bare TCP connection, no proxy.
 func (r *RigSpec) link(name string) *LinkSpec {
 	if name == "mdm" {
 		return r.Links.MDM
-	}
-	if l, ok := r.Links.PerStore[name]; ok {
-		return l
 	}
 	return r.Links.Stores
 }
@@ -586,7 +572,7 @@ func (m *MixEntry) validate(sc, phase string, rig *RigSpec) error {
 		return fmt.Errorf("scenario %s: phase %s: unknown verb %q", sc, phase, m.Verb)
 	}
 	switch m.Users {
-	case "", UsersHot, UsersRoundRobin, UsersZipf, UsersUniform:
+	case "", UsersRoundRobin, UsersZipf, UsersUniform:
 	default:
 		return fmt.Errorf("scenario %s: phase %s: unknown users mode %q", sc, phase, m.Users)
 	}

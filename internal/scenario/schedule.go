@@ -7,8 +7,7 @@ import (
 )
 
 // Determinism. Every random draw in a run — which mix entry a request
-// executes, which user it targets, the jitter of every fault proxy —
-// derives from the scenario seed through splitmix64, so two runs of the
+// executes, which user it targets, every fault proxy's — derives from the scenario seed through splitmix64, so two runs of the
 // same scenario with the same seed issue identical request sequences
 // (the reproducibility test asserts exactly this via ScheduleFor).
 //
@@ -121,8 +120,6 @@ func (d *drawer) next() Request {
 	}
 	user := d.users[0]
 	switch entry.Users {
-	case UsersHot:
-		user = d.users[0]
 	case UsersZipf:
 		if d.zipf != nil {
 			user = d.users[int(d.zipf.Uint64())]

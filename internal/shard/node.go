@@ -30,8 +30,9 @@ type NodeConfig struct {
 	// owner exactly when the installed map's ring assigns the owner to
 	// this ID.
 	ShardID string
-	// MDM is the local directory slice (used for coverage dumps and the
-	// post-drain cleanup; the serving path goes through Inner).
+	// MDM is the local directory slice (used for the post-drain cleanup and
+	// fencing; the serving path, coverage dumps included, goes through
+	// Inner).
 	MDM *core.MDM
 	// Inner is the unsharded dispatch the node wraps: a core.Server's Mux
 	// for a plain shard, a replication.Node's Handle when the shard is
@@ -81,12 +82,6 @@ type Node struct {
 func NewNode(cfg NodeConfig) *Node {
 	n := &Node{cfg: cfg, peers: dirclient.New()}
 	n.mux = adminMux(n.Map, n.Install, wire.HandlerFunc(n.route))
-	wire.Route(n.mux, wire.TypeShardCoverage, func(context.Context, *wire.Empty) (wire.ShardCoverageResponse, error) {
-		if cfg.MDM == nil {
-			return wire.ShardCoverageResponse{}, fmt.Errorf("shard: node has no local directory to dump")
-		}
-		return wire.ShardCoverageResponse{Coverage: cfg.MDM.CoverageSnapshot(), Shields: cfg.MDM.ShieldSnapshot()}, nil
-	})
 	return n
 }
 

@@ -3,8 +3,10 @@ package shard
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	"gupster/internal/coverage"
+	"gupster/internal/dirclient"
 	"gupster/internal/dirclient/ring"
 	"gupster/internal/wire"
 )
@@ -34,12 +36,16 @@ type RebalanceOptions struct {
 //     serving reads for owners it just lost (its replica is still the
 //     complete one) while forwarding their mutations to the new owner so
 //     nothing lands in a slice about to be dropped. The coordinator then
-//     replays each moved owner's coverage registrations and shield rules
-//     source-to-destination over the destinations' normal durable
-//     mutation path.
+//     takes each source's coverage dump from its leader, which holds every
+//     write the shard acknowledged, and replays each moved owner's
+//     coverage registrations and shield rules to the owner's new home over
+//     its normal durable mutation path.
 //  3. Every shard in old installs next in "drain" mode: everything for
 //     moved owners forwards for the window, after which the source flips
 //     to wrong-shard redirects and drops the moved state locally.
+//
+// A shard's map is each member's own state, so every install reaches
+// every member of the shard, Addr and Members alike.
 //
 // The guarantee: a resolve for a moved owner succeeds at every moment —
 // before the rebalance (old shard serves), during replay (old shard still
@@ -66,12 +72,21 @@ func Rebalance(ctx context.Context, old, next wire.ShardMap, opts RebalanceOptio
 
 	var conns wire.Pool
 	defer conns.Close()
-	install := func(addr, mode string) error {
-		var resp wire.ShardInstallResponse
-		return conns.Call(ctx, addr, wire.TypeShardInstall, &wire.ShardInstallRequest{
-			Map: next, Mode: mode, ForwardMillis: opts.ForwardMillis,
-		}, &resp)
+	install := func(s wire.ShardInfo, mode string) error {
+		req := &wire.ShardInstallRequest{Map: next, Mode: mode, ForwardMillis: opts.ForwardMillis}
+		for _, addr := range members(s) {
+			var resp wire.ShardInstallResponse
+			if err := conns.Call(ctx, addr, wire.TypeShardInstall, req, &resp); err != nil {
+				return fmt.Errorf("member %s: %w", addr, err)
+			}
+		}
+		return nil
 	}
+	// The replays ride a directory handle on next: it routes each owner to
+	// its new home and follows a not-leader redirect to that shard's leader.
+	dir := dirclient.New()
+	defer dir.Close()
+	_ = dir.Adopt(next) // built into a ring above; cannot fail
 
 	oldIDs := make(map[string]wire.ShardInfo, len(old.Shards))
 	for _, s := range old.Shards {
@@ -88,7 +103,7 @@ func Rebalance(ctx context.Context, old, next wire.ShardMap, opts RebalanceOptio
 		if _, dead := opts.DeadShards[s.ID]; dead {
 			continue // defensive: a dead shard cannot join
 		}
-		if err := install(s.Addr, ""); err != nil {
+		if err := install(s, ""); err != nil {
 			return fmt.Errorf("shard: rebalance: install on joining shard %s: %w", s.ID, err)
 		}
 		logf("rebalance: shard %s adopted map v%d", s.ID, next.Version)
@@ -102,17 +117,16 @@ func Rebalance(ctx context.Context, old, next wire.ShardMap, opts RebalanceOptio
 		if _, dead := opts.DeadShards[s.ID]; dead {
 			continue
 		}
-		if err := install(s.Addr, "handoff"); err != nil {
+		if err := install(s, "handoff"); err != nil {
 			return fmt.Errorf("shard: rebalance: handoff install on shard %s: %w", s.ID, err)
 		}
 	}
 	moved := 0
 	for _, src := range old.Shards {
-		var dump wire.ShardCoverageResponse
-		if snap, dead := opts.DeadShards[src.ID]; dead {
-			dump = snap
-		} else {
-			if err := conns.Call(ctx, src.Addr, wire.TypeShardCoverage, wire.Empty{}, &dump); err != nil {
+		dump, dead := opts.DeadShards[src.ID]
+		if !dead {
+			var err error
+			if dump, err = leaderDump(ctx, &conns, src); err != nil {
 				return fmt.Errorf("shard: rebalance: coverage dump from %s: %w", src.ID, err)
 			}
 		}
@@ -125,7 +139,7 @@ func Rebalance(ctx context.Context, old, next wire.ShardMap, opts RebalanceOptio
 			if dest.ID == src.ID {
 				continue // stays put
 			}
-			if err := conns.Call(ctx, dest.Addr, wire.TypeRegister, &reg, nil); err != nil {
+			if err := dir.Call(ctx, owner, wire.TypeRegister, &reg, nil); err != nil {
 				return fmt.Errorf("shard: rebalance: replay registration %s→%s (%s): %w", src.ID, dest.ID, reg.Path, err)
 			}
 			moved++
@@ -138,7 +152,7 @@ func Rebalance(ctx context.Context, old, next wire.ShardMap, opts RebalanceOptio
 			if dest.ID == src.ID {
 				continue
 			}
-			if err := conns.Call(ctx, dest.Addr, wire.TypePutRule, &pr, nil); err != nil {
+			if err := dir.Call(ctx, pr.Owner, wire.TypePutRule, &pr, nil); err != nil {
 				return fmt.Errorf("shard: rebalance: replay shield rule %s→%s (owner %s): %w", src.ID, dest.ID, pr.Owner, err)
 			}
 			moved++
@@ -152,10 +166,33 @@ func Rebalance(ctx context.Context, old, next wire.ShardMap, opts RebalanceOptio
 		if _, dead := opts.DeadShards[s.ID]; dead {
 			continue
 		}
-		if err := install(s.Addr, "drain"); err != nil {
+		if err := install(s, "drain"); err != nil {
 			return fmt.Errorf("shard: rebalance: drain install on shard %s: %w", s.ID, err)
 		}
 	}
 	logf("rebalance: map v%d@e%d live on all shards", next.Version, next.Epoch)
 	return nil
+}
+
+// members lists every member of shard s, Addr first.
+func members(s wire.ShardInfo) []string {
+	addrs := []string{s.Addr}
+	for _, m := range s.Members {
+		if !slices.Contains(addrs, m) {
+			addrs = append(addrs, m)
+		}
+	}
+	return addrs
+}
+
+// leaderDump reads shard s's coverage dump, asking its members in turn: a
+// replicated shard's followers refuse the dump, so the one that answers is
+// the leader.
+func leaderDump(ctx context.Context, conns *wire.Pool, s wire.ShardInfo) (dump wire.ShardCoverageResponse, err error) {
+	for _, addr := range members(s) {
+		if err = conns.Call(ctx, addr, wire.TypeShardCoverage, wire.Empty{}, &dump); err == nil {
+			return dump, nil
+		}
+	}
+	return dump, err
 }

@@ -45,8 +45,6 @@ type Engine struct {
 	// Adjuncts, when non-nil, supply per-component defaults (reconciliation
 	// policy for syncs; see schema.Adjuncts).
 	Adjuncts *schema.Adjuncts
-	// Keys drives item identity for diffs and merges.
-	Keys xmltree.KeySpec
 
 	mu      sync.RWMutex
 	docs    map[string]*xmltree.Node // user → profile tree rooted at <user>
@@ -65,7 +63,6 @@ type Engine struct {
 func NewEngine(id string) *Engine {
 	return &Engine{
 		id:      id,
-		Keys:    xmltree.DefaultKeys,
 		docs:    make(map[string]*xmltree.Node),
 		compVer: make(map[string]uint64),
 		logs:    make(map[string][]changeRec),
@@ -161,7 +158,7 @@ func (e *Engine) Put(user string, path xpath.Path, frag *xmltree.Node) (uint64, 
 
 	// Append item-level ops to the change log for delta sync.
 	key := compKey(user, logPath)
-	ops := xmltree.Diff(oldComp, newComp, e.Keys)
+	ops := xmltree.Diff(oldComp, newComp, xmltree.DefaultKeys)
 	if len(ops) > 0 {
 		log := append(e.logs[key], changeRec{version: v, ops: ops})
 		if len(log) > maxLogPerComponent {

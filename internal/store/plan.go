@@ -30,7 +30,6 @@ var ErrNoCoverage = errors.New("gupster: no data store covers the request")
 type Executor struct {
 	Pool       *wire.Pool
 	Resilience *resilience.Group
-	Keys       xmltree.KeySpec
 	// FanOut bounds the workers fetching one alternative's referrals; 0
 	// means flight.DefaultWorkers.
 	FanOut int
@@ -81,7 +80,7 @@ func (x Executor) Fetch(ctx context.Context, alt wire.Alternative) (*xmltree.Nod
 	if err != nil {
 		return nil, err
 	}
-	return xmltree.MergeOwned(x.Keys, pieces...), nil
+	return xmltree.MergeOwned(xmltree.DefaultKeys, pieces...), nil
 }
 
 // pieces fetches refs concurrently; pieces[i] answers refs[i], nil where

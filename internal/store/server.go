@@ -43,7 +43,7 @@ func NewServer(e *Engine, signer *token.Signer) *Server {
 	return &Server{
 		Engine: e,
 		Signer: signer,
-		sync:   &syncml.Server{Store: e, Keys: e.Keys, Adjuncts: e.Adjuncts},
+		sync:   &syncml.Server{Store: e, Keys: xmltree.DefaultKeys, Adjuncts: e.Adjuncts},
 		Tracer: trace.NewCollector("store", 0, 0),
 		siblings: Executor{
 			Pool:       &wire.Pool{},
@@ -192,7 +192,7 @@ func (s *Server) exec(ctx context.Context, req *wire.ExecRequest) (wire.ExecResp
 		pieces = append([]*xmltree.Node{doc}, pieces...)
 	}
 	resp := wire.ExecResponse{}
-	if merged := xmltree.MergeAll(s.Engine.Keys, pieces...); merged != nil {
+	if merged := xmltree.MergeAll(xmltree.DefaultKeys, pieces...); merged != nil {
 		resp.XML = merged.String()
 	}
 	return resp, nil

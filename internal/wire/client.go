@@ -15,12 +15,6 @@ import (
 	"gupster/internal/trace"
 )
 
-// readGrace pads the read deadline past the latest pending call's context
-// deadline: the callers give up first (via ctx), and only then — if the
-// peer still has not produced a single byte — is the connection declared
-// half-dead and reaped.
-const readGrace = 250 * time.Millisecond
-
 // Client is a connection to a wire server. It multiplexes concurrent calls
 // over one TCP connection and delivers server-pushed notifications to an
 // optional callback. Safe for concurrent use.
@@ -32,7 +26,6 @@ type Client struct {
 
 	mu       sync.Mutex
 	pending  map[uint64]chan *Message
-	deadline map[uint64]time.Time // per-call ctx deadlines, for the read bound
 	closed   bool
 	closeErr error
 	// dead is closed's lock-free mirror for Alive, set as soon as the
@@ -73,11 +66,7 @@ func DialContext(ctx context.Context, addr string) (*Client, error) {
 }
 
 func newClient(conn net.Conn) *Client {
-	c := &Client{
-		conn:     conn,
-		pending:  make(map[uint64]chan *Message),
-		deadline: make(map[uint64]time.Time),
-	}
+	c := &Client{conn: conn, pending: make(map[uint64]chan *Message)}
 	go c.readLoop()
 	return c
 }
@@ -255,10 +244,6 @@ func (c *Client) Call(ctx context.Context, msgType string, req any, resp any) er
 		return err
 	}
 	c.pending[id] = ch
-	if hasDeadline {
-		c.deadline[id] = deadline
-	}
-	c.updateReadDeadlineLocked()
 	c.mu.Unlock()
 
 	readAtStart := c.read.Load()
@@ -315,9 +300,8 @@ func (c *Client) Call(ctx context.Context, msgType string, req any, resp any) er
 		// Pool) dials afresh instead of letting every later caller pay its
 		// own timeout. Cancellation says nothing about the peer, a peer that
 		// is answering other calls is merely slow, and while other calls are
-		// still inside their own deadlines the verdict is theirs (or
-		// readGrace's) — closing under them would fail calls that may yet
-		// be answered.
+		// still inside their own deadlines the verdict is theirs — closing
+		// under them would fail calls that may yet be answered.
 		if last := c.forget(id); last && errors.Is(ctx.Err(), context.DeadlineExceeded) && c.read.Load() == readAtStart {
 			c.Close()
 		}
@@ -396,30 +380,7 @@ func (c *Client) forget(id uint64) (last bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	delete(c.pending, id)
-	delete(c.deadline, id)
-	c.updateReadDeadlineLocked()
 	return len(c.pending) == 0
-}
-
-// updateReadDeadlineLocked bounds the connection read so a half-dead peer
-// (TCP up, application gone) cannot strand the read loop forever. The
-// bound is the latest pending call's context deadline plus readGrace — but
-// only when every pending call carries a deadline. If any call is
-// deadline-less, or nothing is pending (subscription connections sit idle
-// for hours legitimately), any stale deadline is cleared so it cannot fire
-// under a later long-running call. Callers hold c.mu.
-func (c *Client) updateReadDeadlineLocked() {
-	if len(c.pending) == 0 || len(c.deadline) < len(c.pending) {
-		c.conn.SetReadDeadline(time.Time{})
-		return
-	}
-	var latest time.Time
-	for _, d := range c.deadline {
-		if d.After(latest) {
-			latest = d
-		}
-	}
-	c.conn.SetReadDeadline(latest.Add(readGrace))
 }
 
 // Close tears down the connection; outstanding calls fail with ErrClosed.
@@ -429,8 +390,7 @@ func (c *Client) Close() error {
 }
 
 // Alive reports whether the connection can still carry a call. It turns
-// false for good when the connection itself is lost: a read error
-// (nothing read within readGrace of the last pending deadline is one), a
+// false for good when the connection itself is lost: a read error, a
 // failed write, a lone call that waited out its deadline while nothing at
 // all was read, or Close. A call that merely returned an error — a typed
 // reply, cancellation, a deadline passing while the peer is answering
@@ -474,8 +434,6 @@ func (c *Client) readLoop() {
 		ch, ok := c.pending[m.ID]
 		if ok {
 			delete(c.pending, m.ID)
-			delete(c.deadline, m.ID)
-			c.updateReadDeadlineLocked()
 		}
 		c.mu.Unlock()
 		if ok {

@@ -1,6 +1,10 @@
 package wire
 
 import (
+	"fmt"
+	"slices"
+	"strings"
+
 	"gupster/internal/metrics"
 	"gupster/internal/policy"
 	"gupster/internal/token"
@@ -121,6 +125,31 @@ type ShardMap struct {
 	// and redirects are refused by every up-to-date peer. Maps that predate
 	// the field decode as epoch 0.
 	Epoch uint64 `json:"epoch,omitempty"`
+}
+
+// ParseShards reads the shard-map syntax of the command lines: entries
+// "id=addr" or "id=addr|addr|…", separated by commas. The first address is
+// the shard's Addr; a shard given more than one is a quorum constellation,
+// and all of them are its Members.
+func ParseShards(s string) ([]ShardInfo, error) {
+	var shards []ShardInfo
+	for _, entry := range strings.Split(s, ",") {
+		entry = strings.TrimSpace(entry)
+		if entry == "" {
+			continue
+		}
+		id, list, _ := strings.Cut(entry, "=")
+		addrs := strings.Split(list, "|")
+		if id == "" || slices.Contains(addrs, "") {
+			return nil, fmt.Errorf(`bad shard entry %q (want "id=addr" or "id=addr|addr|...")`, entry)
+		}
+		info := ShardInfo{ID: id, Addr: addrs[0]}
+		if len(addrs) > 1 {
+			info.Members = addrs
+		}
+		shards = append(shards, info)
+	}
+	return shards, nil
 }
 
 // ShardInstallRequest installs a new shard-map version on a node. Mode

@@ -11,11 +11,15 @@ import (
 	"time"
 )
 
+// replyFloor is the least time a reply's write is given, however little of
+// its request's budget is left.
+const replyFloor = 250 * time.Millisecond
+
 // ServerConn is one accepted connection. Handlers reply through it and may
 // push unsolicited notifications at any time; writes are serialized
 // internally, and every write is bounded: a reply by what is left of its
 // request's budget (ForwardTimeout for a request without one) and never by
-// less than readGrace, a notification by ForwardTimeout. A peer that stops
+// less than replyFloor, a notification by ForwardTimeout. A peer that stops
 // reading therefore costs a handler that long and no longer, and a write
 // that fails or times out closes the connection — a partial frame has made
 // its framing unrecoverable.
@@ -61,10 +65,10 @@ func (c *ServerConn) reply(m, out *Message) error {
 	}
 	// The write is bounded by what is left of the request's budget. A reply
 	// that is ready just as the budget ends, or after it, still gets
-	// readGrace: a deadline already past would fail the write at once, and a
-	// failed write costs every other call on the connection its connection.
+	// replyFloor: a deadline already past would fail the write at once, and
+	// a failed write costs every other call on the connection its connection.
 	by := m.replyBy
-	if floor := time.Now().Add(readGrace); by.Before(floor) {
+	if floor := time.Now().Add(replyFloor); by.Before(floor) {
 		by = floor
 	}
 	return c.send(out, by)
