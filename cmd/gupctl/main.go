@@ -23,7 +23,8 @@
 //	trace <trace-id>                   render a request's span tree
 //	slow [n]                           print recent slow-query traces
 //	shard-map                          print the directory's shard map
-//	rebalance <id=addr|addr|...,...> [fwd-ms]   move the directory onto a new shard map live
+//	rebalance <id=addr,...> [fwd-ms]   move the directory onto a new shard map live
+//	                                   (a replicated shard as id=addr|addr|...)
 //
 // get, get-via and update run traced: the request's trace ID is printed to
 // stderr ("trace <id>") so it can be fed to `gupctl trace`.

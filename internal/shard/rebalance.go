@@ -3,7 +3,6 @@ package shard
 import (
 	"context"
 	"fmt"
-	"slices"
 
 	"gupster/internal/coverage"
 	"gupster/internal/dirclient"
@@ -174,15 +173,13 @@ func Rebalance(ctx context.Context, old, next wire.ShardMap, opts RebalanceOptio
 	return nil
 }
 
-// members lists every member of shard s, Addr first.
+// members lists every member of shard s: its Members when it is a quorum
+// constellation (they include Addr), else Addr alone.
 func members(s wire.ShardInfo) []string {
-	addrs := []string{s.Addr}
-	for _, m := range s.Members {
-		if !slices.Contains(addrs, m) {
-			addrs = append(addrs, m)
-		}
+	if len(s.Members) > 0 {
+		return s.Members
 	}
-	return addrs
+	return []string{s.Addr}
 }
 
 // leaderDump reads shard s's coverage dump, asking its members in turn: a
