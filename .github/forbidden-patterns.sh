@@ -63,6 +63,13 @@ row "One envelope" §19 \
 row "One envelope" §19 \
 	"a whole Message through encoding/json: the frame is binary" \
 	'json\.Marshal\(m\)|json\.Unmarshal\(body, &m\)' "internal/wire/wire.go"
+# The bulk is a string over the frame body's own bytes, which is sound only
+# because ReadFrame allocates a body per frame and never pools or reuses it;
+# nothing else reinterprets memory.
+row "One envelope" §19 \
+	"unsafe outside internal/wire/wire.go: only a frame body, fresh per frame and never pooled, may be aliased as a string" \
+	'unsafe\.' "$src ." \
+	'./internal/wire/wire.go:'
 
 # xmltree.ParseString is the only XML reader; encoding/xml survives in one
 # _test.go file as FuzzParse's reference (benchmark/ is its own module).

@@ -20,6 +20,7 @@ import (
 	"math"
 	"sync"
 	"time"
+	"unsafe"
 
 	"gupster/internal/trace"
 )
@@ -241,7 +242,8 @@ func appendField[S ~string | ~[]byte](b []byte, field S) []byte {
 const firstBodyChunk = 64 << 10
 
 // ReadFrame reads one message from r. The message's Payload aliases the
-// buffer the frame was read into.
+// body the frame was read into, its bulk as a string: a body is allocated
+// for its one frame and never pooled or reused, so those bytes never change.
 func ReadFrame(r io.Reader) (*Message, error) {
 	n, err := readLength(r)
 	if err != nil {
@@ -294,6 +296,9 @@ func readLength(r io.Reader) (int, error) {
 	return int(n), nil
 }
 
+// decodeFrame decodes a frame body into a Message that keeps it: the
+// payload's JSON and bulk are body's own bytes, not copies, so body must be
+// this frame's alone and never written again.
 func decodeFrame(body []byte) (*Message, error) {
 	if len(body) == 0 {
 		return nil, errors.New("wire: malformed frame: empty body")
@@ -319,7 +324,7 @@ func decodeFrame(body []byte) (*Message, error) {
 	if d.bad {
 		return nil, errors.New("wire: malformed frame: header runs past the frame")
 	}
-	m.Payload.bulk = string(d.rest)
+	m.Payload.bulk = unsafe.String(unsafe.SliceData(d.rest), len(d.rest))
 	if len(extJSON) > 0 {
 		var x ext
 		if err := json.Unmarshal(extJSON, &x); err != nil {

@@ -245,6 +245,33 @@ func FuzzParse(f *testing.F) {
 	}
 	f.Add([]byte(sizedBook(1 << 10).Indent()))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		checkAgainstReference(t, string(data))
+		in := string(data)
+		if got, want := startTags(in), strings.Count(in, "<")-strings.Count(in, "</"); got != want {
+			t.Fatalf("startTags(%q) = %d, want %d", in, got, want)
+		}
+		checkAgainstReference(t, in)
+		checkReparseAfterMutation(t, in)
 	})
+}
+
+// checkReparseAfterMutation parses in, sets an attribute and appends a child
+// on every node of the tree, and parses in again: the second tree must
+// render as the first did before it was changed. A parse that handed out
+// nodes, children or text another tree still holds would show here.
+func checkReparseAfterMutation(t *testing.T, in string) {
+	t.Helper()
+	first, err := ParseString(in)
+	if err != nil {
+		return
+	}
+	want := first.String()
+	var nodes []*Node
+	first.Walk(func(n *Node) bool { nodes = append(nodes, n); return true })
+	for _, n := range nodes {
+		n.SetAttr("mutated", "1").Add(New("mutated"))
+	}
+	second, err := ParseString(in)
+	if err != nil || second.String() != want {
+		t.Fatalf("ParseString(%q) after changing its first tree = %v, %v; want %s", in, second, err, want)
+	}
 }

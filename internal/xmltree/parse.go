@@ -4,9 +4,9 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"slices"
 	"strconv"
 	"strings"
+	"sync"
 	"unicode"
 	"unicode/utf8"
 )
@@ -31,16 +31,77 @@ var ErrTooDeep = errors.New("xmltree: elements nested deeper than MaxDepth")
 // are flattened to local and xmlns declarations dropped; an element's text
 // runs are concatenated, then trimmed; reading stops at the root's end tag.
 // Nesting beyond MaxDepth and anything else that is not well-formed is an
-// error. Names and entity-free values in the tree are substrings of s, so
-// the tree keeps s alive.
+// error. Names and entity-free values in the tree are substrings of s, and
+// its nodes share a few allocations, so any node of the tree keeps s and
+// every other node alive.
 func ParseString(s string) (*Node, error) {
-	var (
-		frames [16]frame
-		kids   [64]*Node
-		attrs  [8]attr
-	)
-	p := parser{s: s, stack: frames[:0], kids: kids[:0], attrs: attrs[:0]}
-	return p.parse()
+	p := parsers.Get().(*parser)
+	p.s, p.bound = s, startTags(s)
+	root, err := p.parse()
+	p.release()
+	return root, err
+}
+
+// startTags counts the '<' in s that no '/' follows, strings.Count(s, "<")
+// minus strings.Count(s, "</") in one pass: every element starts with one,
+// so that bounds the nodes the slab may need.
+func startTags(s string) int {
+	n := 0
+	for {
+		i := strings.IndexByte(s, '<')
+		if i < 0 {
+			return n
+		}
+		if i+1 == len(s) || s[i+1] != '/' {
+			n++
+		}
+		s = s[i+1:]
+	}
+}
+
+// parsers recycles the parser's scratch: its stacks of open elements, closed
+// children and start-tag attributes, and its text and decoding buffers.
+var parsers = sync.Pool{New: func() any { return new(parser) }}
+
+// maxPooledScratch is the capacity, in elements, past which a scratch slice
+// is dropped instead of pinned in the pool.
+const maxPooledScratch = 4 << 10
+
+// release readies p for its next parse and returns it to the pool. Every
+// pointer its scratch holds is cleared first, so the pool keeps nothing of
+// this parse's input or tree alive.
+func (p *parser) release() {
+	*p = parser{
+		stack: recycle(p.stack),
+		kids:  recycle(p.kids),
+		text:  recycle(p.text),
+		attrs: recycle(p.attrs),
+		buf:   recycle(p.buf),
+	}
+	parsers.Put(p)
+}
+
+// recycle returns s emptied and zeroed to its capacity, or nil if that
+// capacity is past maxPooledScratch.
+func recycle[T any](s []T) []T {
+	if cap(s) > maxPooledScratch {
+		return nil
+	}
+	clear(s[:cap(s)])
+	return s[:0]
+}
+
+// firstChunk is how many nodes, or child slots, the slab allocates on the
+// strength of the input's '<' count alone; past it, the slab grows by at
+// most as many as have been used, so its size follows the elements actually
+// read and not what a hostile input claims.
+const firstChunk = 1 << 10
+
+// chunk is how many nodes or child slots to allocate when the slab has run
+// out: need at least, else as many as the input can still hold (left),
+// capped at firstChunk or at the number used so far, whichever is more.
+func chunk(need, used, left int) int {
+	return max(need, min(left, max(firstChunk, used)))
 }
 
 // MustParse is ParseString that panics on malformed input; it is intended
@@ -95,6 +156,32 @@ type parser struct {
 	text  []byte  // the joined text of every open element that has more than one run, likewise
 	attrs []attr  // the attributes kept from the start tag being read
 	buf   []byte  // scratch for character data that needs decoding
+
+	slab   slab // what is left of the chunks the tree's nodes and children come from
+	bound  int  // the most elements s can hold
+	opened int  // elements read so far
+	placed int  // child slots handed out so far
+}
+
+// node hands out the next node from the slab, allocating a chunk when it is
+// empty.
+func (p *parser) node() *Node {
+	if len(p.slab.nodes) == 0 {
+		p.slab.nodes = make([]Node, chunk(1, p.opened, p.bound-p.opened))
+	}
+	p.opened++
+	return p.slab.node()
+}
+
+// children hands out the Children slice for k closed children, three-index
+// like slab.copy's. The root is no element's child, so bound-1 slots are
+// the most the input can need.
+func (p *parser) children(k int) []*Node {
+	if len(p.slab.kids) < k {
+		p.slab.kids = make([]*Node, chunk(k, p.placed, p.bound-1-p.placed))
+	}
+	p.placed += k
+	return p.slab.children(k)
 }
 
 func (p *parser) parse() (*Node, error) {
@@ -161,7 +248,8 @@ func (p *parser) startTag() (*Node, error) {
 	}
 	// Open before the attributes are read, so an error in one names this
 	// element.
-	n := &Node{Name: local}
+	n := p.node()
+	n.Name = local
 	p.stack = append(p.stack, frame{node: n, raw: raw, more: len(p.text), kids: len(p.kids)})
 	p.attrs = p.attrs[:0]
 	selfClosing := false
@@ -262,7 +350,8 @@ func (p *parser) endTag() (*Node, error) {
 		n.Text = strings.TrimSpace(f.text)
 	}
 	if f.kids < len(p.kids) {
-		n.Children = slices.Clone(p.kids[f.kids:])
+		n.Children = p.children(len(p.kids) - f.kids)
+		copy(n.Children, p.kids[f.kids:])
 		p.kids = p.kids[:f.kids]
 	}
 	p.stack = p.stack[:top]

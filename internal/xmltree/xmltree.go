@@ -134,20 +134,31 @@ func newSlab(nodes, roots int) *slab {
 	return &slab{nodes: make([]Node, nodes), kids: make([]*Node, nodes-roots)}
 }
 
-// copy deep-copies n out of the slab. Each node's Children is a three-index
-// sub-slice of kids: its capacity ends where its siblings' slots begin, so
-// an append to one node's children reallocates rather than overwriting
-// another's.
-func (s *slab) copy(n *Node) *Node {
-	out := &s.nodes[0]
+// node hands out the slab's next node.
+func (s *slab) node() *Node {
+	n := &s.nodes[0]
 	s.nodes = s.nodes[1:]
+	return n
+}
+
+// children hands out the next k child slots as a three-index slice: its
+// capacity ends where the next node's slots begin, so an append to one
+// node's children reallocates rather than overwriting another's.
+func (s *slab) children(k int) []*Node {
+	c := s.kids[:k:k]
+	s.kids = s.kids[k:]
+	return c
+}
+
+// copy deep-copies n out of the slab.
+func (s *slab) copy(n *Node) *Node {
+	out := s.node()
 	out.Name, out.Text = n.Name, n.Text
 	if len(n.Attrs) > 0 {
 		out.Attrs = maps.Clone(n.Attrs)
 	}
 	if k := len(n.Children); k > 0 {
-		out.Children = s.kids[:k:k]
-		s.kids = s.kids[k:]
+		out.Children = s.children(k)
 		for i, c := range n.Children {
 			out.Children[i] = s.copy(c)
 		}
