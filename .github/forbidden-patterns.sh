@@ -53,16 +53,16 @@ row "One way to serve a frame" §18 \
 	"hand-written typed reply: return or ReplyError the wire.XError itself" \
 	'ReplyOverloaded|ReplyNotLeader|ReplyWrongShard|OverloadedPayload|NotLeaderPayload|WrongShardPayload' "$go ."
 
-# A frame is a binary header, the payload's JSON and, beside it, the
-# component's bytes, written and read in internal/wire/wire.go. A relay
-# passes the wire.Payload on.
+# A frame is a binary header, the payload in the positional codec
+# (internal/wire/codec.go) and, beside it, the component's bytes, written
+# and read in internal/wire/wire.go. A relay passes the wire.Payload on.
 row "One envelope" §19 \
 	"raw JSON frame payload outside internal/wire: pass the wire.Payload on" \
 	'json\.RawMessage' "$src ." \
 	'./internal/wire/ ./benchmark/'
 row "One envelope" §19 \
-	"a whole Message through encoding/json: the frame is binary" \
-	'json\.Marshal\(m\)|json\.Unmarshal\(body, &m\)' "internal/wire/wire.go"
+	"encoding/json in internal/wire: payloads and the ext section travel in the payload codec" \
+	'"encoding/json"' "$src internal/wire/"
 # The bulk is a string over the frame body's own bytes, which is sound only
 # because ReadFrame allocates a body per frame and never pools or reuses it;
 # nothing else reinterprets memory.

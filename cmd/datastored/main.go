@@ -29,6 +29,7 @@ import (
 	"syscall"
 	"time"
 
+	"gupster/internal/debugsrv"
 	"gupster/internal/dirclient"
 	"gupster/internal/overload"
 	"gupster/internal/schema"
@@ -56,6 +57,7 @@ func main() {
 	queueDepth := flag.Int("queue-depth", 0, "admission control: wait-queue depth (0 = 2x max-concurrency)")
 	var registers repeated
 	flag.Var(&registers, "register", "coverage path to announce (repeatable)")
+	debugAddr := flag.String("debug-addr", "", "serve pprof (mutex and block profiles on) and /debug/stats over HTTP here (empty disables)")
 	flag.Parse()
 
 	if *id == "" || *mdmAddr == "" || *key == "" {
@@ -76,6 +78,14 @@ func main() {
 		log.Fatalf("datastored: %v", err)
 	}
 	log.Printf("datastored: %s listening on %s", *id, srv.Addr())
+	if *debugAddr != "" {
+		dbg, err := debugsrv.Start(*debugAddr, srv.Stats)
+		if err != nil {
+			log.Fatalf("datastored: %v", err)
+		}
+		defer dbg.Close()
+		log.Printf("datastored: debug endpoint on http://%s/debug/", dbg.Addr())
+	}
 
 	mdm, err := dirclient.Dial(*mdmAddr)
 	if err != nil {

@@ -114,6 +114,7 @@ func main() {
 	autoRepair := flag.Bool("auto-repair", false, "repair the shard map on confirmed shard death: evict the dead, promote spares, bump the epoch")
 	var spareFlags repeated
 	flag.Var(&spareFlags, "spare", `a spare shard outside the map, as "id=addr" or "id=addr|addr|..." (repeatable; the auto-repair promotion pool)`)
+	debugAddr := flag.String("debug-addr", "", "serve pprof (mutex and block profiles on) and /debug/stats over HTTP here (empty disables)")
 	flag.Parse()
 
 	// Flags → one dirnode.Config. Which layers run, in what order they
@@ -140,6 +141,7 @@ func main() {
 		Listen:    *listen,
 		Advertise: *advertise,
 		Logf:      log.Printf,
+		DebugAddr: *debugAddr,
 	}
 	if *key != "" {
 		cfg.MDM.Signer = token.NewSigner([]byte(*key))
@@ -191,6 +193,9 @@ func main() {
 			*dataDir, snapN, len(rec.Records), rec.TornBytes)
 	}
 	log.Printf("gupsterd: %s listening on %s", cfg.Role(), node.Addr())
+	if a := node.DebugAddr(); a != "" {
+		log.Printf("gupsterd: debug endpoint on http://%s/debug/", a)
+	}
 
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)

@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"sort"
 	"sync"
@@ -643,9 +642,9 @@ func (c *Client) home(ctx context.Context, rec *subRecord) error {
 	if err != nil {
 		return err
 	}
-	conn.OnNotify(func(msgType string, payload []byte) {
+	conn.OnNotify(func(msgType string, payload wire.Payload) {
 		var n wire.Notification
-		if msgType != wire.TypeNotify || json.Unmarshal(payload, &n) != nil {
+		if msgType != wire.TypeNotify || wire.Unmarshal(payload, &n) != nil {
 			return
 		}
 		if n.Canceled {

@@ -966,20 +966,7 @@ func (m *MDM) Snapshot() wire.StatsResponse {
 		resp.JournalRecovered = js.RecoveredRecords.Load()
 		resp.JournalTornBytes = js.TornBytes.Load()
 	}
-	if m.adm.Enabled() {
-		os := m.adm.Stats.Snapshot()
-		resp.AdmissionAdmitted = os.Admitted
-		resp.AdmissionQueued = os.Queued
-		resp.ShedHigh = os.ShedHigh
-		resp.ShedNormal = os.ShedNormal
-		resp.QueueTimeouts = os.QueueTimeouts
-		resp.BudgetExpired = os.BudgetExpired
-		resp.BrownoutActive = m.adm.Brownout()
-		resp.BrownoutEnters = os.BrownoutEnters
-		resp.BrownoutExits = os.BrownoutExits
-		resp.BrownoutServed = os.BrownoutServed
-		resp.Pressure = m.adm.Pressure()
-	}
+	m.adm.Report(&resp)
 	if m.replStatus != nil {
 		resp.Repl = m.replStatus()
 	}

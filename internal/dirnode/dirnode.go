@@ -30,6 +30,7 @@ import (
 	"sync"
 
 	"gupster/internal/core"
+	"gupster/internal/debugsrv"
 	"gupster/internal/dirclient/ring"
 	"gupster/internal/health"
 	"gupster/internal/journal"
@@ -72,6 +73,10 @@ type Config struct {
 	Advertise string
 	// Logf, when set, receives recovery, shard-install and routing events.
 	Logf func(format string, args ...any)
+	// DebugAddr, when set, serves the debug endpoint there: pprof, with
+	// mutex and block profiling on, and the directory's counters as text
+	// (internal/debugsrv).
+	DebugAddr string
 }
 
 // Validate refuses the layer combinations that cannot work, before
@@ -128,6 +133,7 @@ type Node struct {
 	agent  *health.Agent
 	srv    *wire.Server
 	router *shard.Router
+	debug  *debugsrv.Server
 
 	closeOnce sync.Once
 }
@@ -180,11 +186,25 @@ func Start(cfg Config) (_ *Node, err error) {
 	} else {
 		n.srv = wire.ServeListener(ln, h)
 	}
+	if cfg.DebugAddr != "" {
+		if n.debug, err = debugsrv.Start(cfg.DebugAddr, n.stats); err != nil {
+			return nil, err
+		}
+	}
 	// Probing starts last, so the first rounds gossip real coordinates.
 	if n.agent != nil {
 		n.agent.Start()
 	}
 	return n, nil
+}
+
+// stats is what the debug endpoint exposes: the directory's counters, none
+// on a router.
+func (n *Node) stats() wire.StatsResponse {
+	if n.MDM == nil {
+		return wire.StatsResponse{}
+	}
+	return n.MDM.Snapshot()
 }
 
 // assemble builds the directory and its handler stack, innermost first.
@@ -247,14 +267,25 @@ func (n *Node) assemble(cfg *Config, advertise string) (wire.Handler, error) {
 // Addr is the address the node listens on (useful with ":0").
 func (n *Node) Addr() string { return n.addr }
 
-// Close stops the node, outermost layer first: the gossip agent (no repair
-// mid-teardown), the listener and with it every in-flight request, the
-// replication shippers and election loop, the shard node's forwards and
-// drain timer, and only then the directory and its journal — so nothing
-// is mid-append when the journal goes. Idempotent; the in-process analog
+// DebugAddr is the debug endpoint's address; empty without one.
+func (n *Node) DebugAddr() string {
+	if n.debug == nil {
+		return ""
+	}
+	return n.debug.Addr()
+}
+
+// Close stops the node, outermost layer first: the debug endpoint, the
+// gossip agent (no repair mid-teardown), the listener and with it every
+// in-flight request, the replication shippers and election loop, the
+// shard node's forwards and drain timer, and only then the directory and
+// its journal — so nothing is mid-append when the journal goes. Idempotent; the in-process analog
 // of the process dying when called mid-run.
 func (n *Node) Close() {
 	n.closeOnce.Do(func() {
+		if n.debug != nil {
+			n.debug.Close()
+		}
 		if n.agent != nil {
 			n.agent.Close()
 		}

@@ -4,7 +4,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"net"
+	"net/http"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -679,5 +681,31 @@ func TestSubscriptionsOnTwoShardsBothDeliver(t *testing.T) {
 		case <-time.After(3 * time.Second):
 			t.Fatalf("change for %s on shard %d never delivered", owner, k)
 		}
+	}
+}
+
+// The debug endpoint serves pprof and the directory's counters while the
+// node runs, and its listener goes with Node.Close.
+func TestDebugEndpoint(t *testing.T) {
+	n, err := Start(Config{MDM: mdmConfig(), Listen: "127.0.0.1:0", DebugAddr: "127.0.0.1:0"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr := n.DebugAddr()
+	for path, want := range map[string]string{"/debug/pprof/": "mutex", "/debug/stats": "resolves 0\n"} {
+		resp, err := http.Get("http://" + addr + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil || resp.StatusCode != http.StatusOK || !strings.Contains(string(body), want) {
+			t.Errorf("GET %s: %d, %v; want 200 and a body with %q:\n%s", path, resp.StatusCode, err, want, body)
+		}
+	}
+	n.Close()
+	if conn, err := net.DialTimeout("tcp", addr, time.Second); err == nil {
+		conn.Close()
+		t.Errorf("the debug endpoint still accepts connections after Close")
 	}
 }

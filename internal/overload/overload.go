@@ -41,10 +41,10 @@ type Class int
 
 // The three admission classes.
 const (
-	// ClassControl traffic (stats, heartbeats, registrations) bypasses
-	// admission entirely: operators must be able to see and heal an
-	// overloaded server, and liveness leases must renew, precisely when
-	// the server is drowning.
+	// ClassControl traffic (stats, heartbeats, registrations, the coverage
+	// dump a rebalance or repair reads) bypasses admission entirely:
+	// operators must be able to see and heal an overloaded server, and
+	// liveness leases must renew, precisely when the server is drowning.
 	ClassControl Class = iota
 	// ClassHigh is the call-setup path — resolves and the store fetches
 	// they referral into. A slow answer here is as bad as no answer
@@ -71,7 +71,7 @@ func (c Class) String() string {
 // Classify maps a wire message type to its admission class.
 func Classify(msgType string) Class {
 	switch msgType {
-	case wire.TypeStats, wire.TypeHeartbeat, wire.TypeRegister, wire.TypeUnregister:
+	case wire.TypeStats, wire.TypeHeartbeat, wire.TypeRegister, wire.TypeUnregister, wire.TypeShardCoverage:
 		return ClassControl
 	case wire.TypeResolve, wire.TypeBatchResolve, wire.TypeWhoHas, wire.TypeFetch, wire.TypeExec:
 		return ClassHigh
@@ -538,6 +538,26 @@ func (c *Controller) noteBrownoutLocked(now time.Time) {
 	} else {
 		c.underSince = time.Time{}
 	}
+}
+
+// Report copies the controller's counters and gauges into resp; a
+// disabled controller reports nothing.
+func (c *Controller) Report(resp *wire.StatsResponse) {
+	if !c.Enabled() {
+		return
+	}
+	st := c.Stats.Snapshot()
+	resp.AdmissionAdmitted = st.Admitted
+	resp.AdmissionQueued = st.Queued
+	resp.ShedHigh = st.ShedHigh
+	resp.ShedNormal = st.ShedNormal
+	resp.QueueTimeouts = st.QueueTimeouts
+	resp.BudgetExpired = st.BudgetExpired
+	resp.BrownoutActive = c.Brownout()
+	resp.BrownoutEnters = st.BrownoutEnters
+	resp.BrownoutExits = st.BrownoutExits
+	resp.BrownoutServed = st.BrownoutServed
+	resp.Pressure = c.Pressure()
 }
 
 // InUse reports the executing and queued request counts (observability).

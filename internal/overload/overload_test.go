@@ -21,6 +21,7 @@ func TestClassify(t *testing.T) {
 		{wire.TypeHeartbeat, ClassControl},
 		{wire.TypeRegister, ClassControl},
 		{wire.TypeUnregister, ClassControl},
+		{wire.TypeShardCoverage, ClassControl},
 		{wire.TypeResolve, ClassHigh},
 		{wire.TypeBatchResolve, ClassHigh},
 		{wire.TypeWhoHas, ClassHigh},

@@ -14,6 +14,10 @@ package replication
 
 import "gupster/internal/journal"
 
+// These payloads, and the journal records they embed, travel in wire's
+// payload codec: their field order is the protocol, so reordering,
+// inserting, removing or retyping a field needs a new frame version byte.
+
 // AppendRequest ships a batch of journal records from the leader to a
 // follower; with no entries it doubles as the leader's heartbeat. The
 // (PrevIndex, PrevTerm) pair is the log-matching check: the follower

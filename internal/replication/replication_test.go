@@ -335,11 +335,14 @@ func TestSplitBrainDeposedLeaderRedirects(t *testing.T) {
 	}
 
 	// Heal the partition. The old leader must learn the higher term,
-	// demote itself, and redirect with the new leader's address.
+	// demote itself, and redirect with the new leader's address. It learns
+	// the term from the first reply to its own heartbeat and the leader
+	// from the new leader's next append; until then it redirects with no
+	// address, which is the mid-election answer.
 	c.nodes[lead].SuspendHeartbeats(false)
 	deadline := time.Now().Add(4 * testTTL)
 	for time.Now().Before(deadline) {
-		if st := c.nodes[lead].Status(); st.Role == "follower" && st.Term >= newTerm {
+		if st := c.nodes[lead].Status(); st.Role == "follower" && st.Term >= newTerm && st.LeaderAddr != "" {
 			break
 		}
 		time.Sleep(10 * time.Millisecond)

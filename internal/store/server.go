@@ -53,6 +53,19 @@ func NewServer(e *Engine, signer *token.Signer) *Server {
 	}
 }
 
+// Stats is the store's share of the counters a StatsResponse carries: its
+// per-hop latencies, its trace collector's counts and its admission
+// control.
+func (s *Server) Stats() wire.StatsResponse {
+	resp := wire.StatsResponse{
+		Hops:         s.Tracer.HopStats(),
+		TraceSpans:   s.Tracer.SpanCount(),
+		TraceDropped: s.Tracer.Dropped(),
+	}
+	s.Admission.Report(&resp)
+	return resp
+}
+
 // Start listens on addr ("127.0.0.1:0" picks a port).
 func (s *Server) Start(addr string) error {
 	ws, err := wire.Serve(addr, s.mux())

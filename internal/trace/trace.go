@@ -34,8 +34,9 @@ type Info struct {
 }
 
 // Span is one recorded unit of work. Spans are immutable once emitted and
-// safe to copy; they serialize to JSON both on the wire (response
-// piggyback, trace reports) and in tooling output.
+// safe to copy; they travel in the wire's payload codec (response
+// piggyback, trace reports), where their field order is the protocol, and
+// serialize to JSON in tooling output.
 type Span struct {
 	TraceID string `json:"trace_id"`
 	SpanID  uint64 `json:"span_id"`

@@ -2,24 +2,16 @@ package wire
 
 import (
 	"bytes"
-	"encoding/json"
 	"testing"
 
 	"gupster/internal/policy"
 )
 
-// viaJSON is s as encoding/json carries it: every byte that is not UTF-8
-// becomes U+FFFD.
-func viaJSON(s string) string {
-	b, _ := json.Marshal(s)
-	_ = json.Unmarshal(b, &s)
-	return s
-}
-
 // FuzzBatchResolveFrame exercises the batch-resolve payload through the
 // frame codec: a batch of requests must survive encode → decode with entry
-// count, order, and per-entry fields intact, and arbitrary JSON fed to the
-// batch decoder must never panic — a malformed entry surfaces as an
+// count, order, and per-entry fields intact — byte for byte, whatever the
+// strings hold — and arbitrary bytes fed to the batch decoder must never
+// panic — a malformed entry surfaces as an
 // unmarshal error or an empty entry, never as a corrupted neighbour (the
 // positional partial-failure contract).
 func FuzzBatchResolveFrame(f *testing.F) {
@@ -41,12 +33,8 @@ func FuzzBatchResolveFrame(f *testing.F) {
 				Context: policy.Context{Requester: requester, Purpose: policy.Purpose(purpose)},
 			})
 		}
-		payload, err := json.Marshal(&req)
-		if err != nil {
-			t.Skip() // strings json cannot encode losslessly
-		}
 		var buf bytes.Buffer
-		if err := WriteFrame(&buf, &Message{Type: TypeBatchResolve, ID: 1, Payload: Payload{json: payload}}); err != nil {
+		if err := WriteFrame(&buf, &Message{Type: TypeBatchResolve, ID: 1, Payload: Marshal(&req)}); err != nil {
 			t.Skip()
 		}
 		m, err := ReadFrame(&buf)
@@ -63,13 +51,9 @@ func FuzzBatchResolveFrame(f *testing.F) {
 		if len(got.Requests) != n {
 			t.Fatalf("entry count %d after round trip, want %d", len(got.Requests), n)
 		}
-		// A batch's entries are plain JSON, and JSON rewrites bytes that are
-		// not UTF-8 to U+FFFD: compare against what the encoder carries.
 		for i, r := range got.Requests {
 			want := req.Requests[i]
-			if r.Path != viaJSON(want.Path) ||
-				r.Context.Requester != viaJSON(want.Context.Requester) ||
-				string(r.Context.Purpose) != viaJSON(string(want.Context.Purpose)) {
+			if r.Path != want.Path || r.Context.Requester != want.Context.Requester || r.Context.Purpose != want.Context.Purpose {
 				t.Fatalf("entry %d mangled: got %+v want %+v", i, r, want)
 			}
 		}
@@ -86,12 +70,8 @@ func FuzzBatchResolveFrame(f *testing.F) {
 				resp.Results = append(resp.Results, BatchResolveEntry{Error: errStr})
 			}
 		}
-		rp, err := json.Marshal(&resp)
-		if err != nil {
-			t.Skip()
-		}
 		var rbuf bytes.Buffer
-		if err := WriteFrame(&rbuf, &Message{Type: TypeBatchResolve, ID: 2, Payload: Payload{json: rp}}); err != nil {
+		if err := WriteFrame(&rbuf, &Message{Type: TypeBatchResolve, ID: 2, Payload: Marshal(&resp)}); err != nil {
 			t.Skip()
 		}
 		rm, err := ReadFrame(&rbuf)
@@ -110,7 +90,7 @@ func FuzzBatchResolveFrame(f *testing.F) {
 				if e.Response == nil {
 					t.Fatalf("entry %d lost its response", i)
 				}
-			} else if e.Response != nil || e.Error != viaJSON(resp.Results[i].Error) {
+			} else if e.Response != nil || e.Error != resp.Results[i].Error {
 				t.Fatalf("error entry %d mangled: %+v", i, e)
 			}
 		}
@@ -119,35 +99,28 @@ func FuzzBatchResolveFrame(f *testing.F) {
 
 // FuzzBatchResolveDecode feeds arbitrary bytes to the batch payload
 // decoder: it must never panic, and whatever it accepts must re-encode to
-// an equivalent batch.
+// the bytes it came from.
 func FuzzBatchResolveDecode(f *testing.F) {
-	f.Add([]byte(`{"requests":[{"path":"/user"}]}`))
-	f.Add([]byte(`{"requests":[]}`))
-	f.Add([]byte(`{"requests":[{"path":"/user","context":{"requester":"r"}},null]}`))
-	f.Add([]byte(`{"results":[{"response":{"pattern":"referral"}},{"error":"x"}]}`))
-	f.Add([]byte(`{`))
-	f.Add([]byte(`[]`))
+	one := fields(BatchResolveRequest{Requests: []ResolveRequest{{Path: "/user"}}})
+	f.Add(one)
+	f.Add(fields(BatchResolveRequest{}))
+	f.Add(fields(BatchResolveRequest{Requests: []ResolveRequest{{Path: "/user", Context: policy.Context{Requester: "r"}}, {}}}))
+	f.Add(fields(BatchResolveResponse{Results: []BatchResolveEntry{{Response: &ResolveResponse{Hops: 1}}, {Error: "x"}}}))
+	f.Add(one[:3])   // cut short
+	f.Add([]byte{0}) // no fields at all
 	f.Add([]byte{0xff, 0xfe})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var req BatchResolveRequest
-		if err := Unmarshal(Payload{json: data}, &req); err == nil {
-			re, merr := json.Marshal(&req)
-			if merr != nil {
-				t.Fatalf("accepted batch request does not re-encode: %v", merr)
-			}
-			var again BatchResolveRequest
-			if err := Unmarshal(Payload{json: re}, &again); err != nil {
-				t.Fatalf("re-decode: %v", err)
-			}
-			if len(again.Requests) != len(req.Requests) {
-				t.Fatalf("entry count changed across re-encode: %d != %d", len(again.Requests), len(req.Requests))
+		if err := Unmarshal(Payload{fields: data}, &req); err == nil {
+			if re := fields(&req); !bytes.Equal(re, data) {
+				t.Fatalf("accepted batch request re-encodes differently:\n in %x\nout %x", data, re)
 			}
 		}
 		var resp BatchResolveResponse
-		if err := Unmarshal(Payload{json: data}, &resp); err == nil {
-			if _, merr := json.Marshal(&resp); merr != nil {
-				t.Fatalf("accepted batch response does not re-encode: %v", merr)
+		if err := Unmarshal(Payload{fields: data}, &resp); err == nil {
+			if re := fields(&resp); !bytes.Equal(re, data) {
+				t.Fatalf("accepted batch response re-encodes differently:\n in %x\nout %x", data, re)
 			}
 		}
 	})

@@ -3,7 +3,6 @@ package wire
 import (
 	"bufio"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -37,7 +36,7 @@ type Client struct {
 	read atomic.Uint64
 
 	notifyMu     sync.RWMutex
-	onNotify     func(msgType string, payload []byte)
+	onNotify     func(msgType string, payload Payload)
 	onDisconnect func(err error)
 }
 
@@ -71,10 +70,11 @@ func newClient(conn net.Conn) *Client {
 	return c
 }
 
-// OnNotify registers the callback for server-pushed messages. It must be
-// set before notifications can arrive (typically right after Dial). The
-// callback runs on the read loop; it must not block.
-func (c *Client) OnNotify(fn func(msgType string, payload []byte)) {
+// OnNotify registers the callback for server-pushed messages; the callback
+// decodes the payload with Unmarshal. It must be set before notifications
+// can arrive (typically right after Dial). The callback runs on the read
+// loop; it must not block.
+func (c *Client) OnNotify(fn func(msgType string, payload Payload)) {
 	c.notifyMu.Lock()
 	c.onNotify = fn
 	c.notifyMu.Unlock()
@@ -101,7 +101,7 @@ func (e *RemoteError) Error() string { return fmt.Sprintf("wire: remote %s: %s",
 
 // typedError is a reply that is more than a failure text: a refusal the
 // caller is expected to act on. Each one is defined once — the error struct
-// is its own payload (its json tags are the wire format), frame supplies
+// is its own payload (its exported fields are the wire format), frame supplies
 // the reply type and the Error text that says the same in words, and
 // typedReplies maps the reply type back to the struct. ReplyError writes
 // any of them, Call reads any of them; nothing else knows the set.
@@ -125,9 +125,8 @@ var typedReplies = map[string]func(op string) typedError{
 // caller to back off RetryAfter and try again; the resilience layer honors
 // the hint instead of counting a breaker failure.
 type OverloadedError struct {
-	Op string
-	// RetryAfter hints when the server expects to have capacity; it
-	// travels as whole milliseconds.
+	Op string `json:"-"`
+	// RetryAfter hints when the server expects to have capacity.
 	RetryAfter time.Duration
 	// Reason says why the request was refused ("admission queue full",
 	// "queue wait exceeded", "budget expired on arrival", …).
@@ -139,28 +138,6 @@ func (e *OverloadedError) Error() string {
 }
 
 func (e *OverloadedError) frame() (string, string) { return TypeOverloaded, "overloaded: " + e.Reason }
-
-// overloadedJSON is OverloadedError's payload: RetryAfter is a Duration in
-// the struct and milliseconds on the wire.
-type overloadedJSON struct {
-	RetryAfterMillis int64  `json:"retry_after_ms,omitempty"`
-	Reason           string `json:"reason,omitempty"`
-}
-
-// MarshalJSON implements json.Marshaler.
-func (e *OverloadedError) MarshalJSON() ([]byte, error) {
-	return json.Marshal(overloadedJSON{e.RetryAfter.Milliseconds(), e.Reason})
-}
-
-// UnmarshalJSON implements json.Unmarshaler.
-func (e *OverloadedError) UnmarshalJSON(b []byte) error {
-	var p overloadedJSON
-	if err := json.Unmarshal(b, &p); err != nil {
-		return err
-	}
-	e.RetryAfter, e.Reason = time.Duration(p.RetryAfterMillis)*time.Millisecond, p.Reason
-	return nil
-}
 
 // NotLeaderError is a replicated MDM refusing a mutation because it is
 // not the constellation's leader (TypeNotLeader reply). Like overload it
@@ -426,7 +403,7 @@ func (c *Client) readLoop() {
 			fn := c.onNotify
 			c.notifyMu.RUnlock()
 			if fn != nil {
-				fn(m.Type, m.Payload.json)
+				fn(m.Type, m.Payload)
 			}
 			continue
 		}

@@ -1,13 +1,18 @@
 package wire_test
 
 import (
+	"bytes"
+	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"go/ast"
 	"go/parser"
 	"go/token"
 	"reflect"
+	"runtime"
 	"sort"
+	"sync"
 	"testing"
 	"time"
 
@@ -189,4 +194,110 @@ func TestPayloadPassesThroughUntouched(t *testing.T) {
 	if err := wire.Unmarshal(p, new(wire.StatsResponse)); err == nil {
 		t.Error("a bulk-carrying payload decoded into a type with no bulk field")
 	}
+}
+
+// FuzzPayloadDecode feeds arbitrary bytes to the decoder of every payload
+// type: it never panics, it refuses with ErrMalformedPayload, and what it
+// accepts re-encodes to exactly the bytes it came from — the encoding is
+// canonical, so no two byte strings decode to the same value.
+func FuzzPayloadDecode(f *testing.F) {
+	for i, proto := range payloadTypes {
+		typ := reflect.TypeOf(proto).Elem()
+		full := reflect.New(typ)
+		n := 0
+		fill(full.Elem(), &n)
+		filled := wire.FieldsOf(wire.Marshal(full.Interface()))
+		f.Add(uint8(i), wire.FieldsOf(wire.Marshal(reflect.New(typ).Interface())))
+		f.Add(uint8(i), filled)
+		f.Add(uint8(i), filled[:len(filled)/2])     // cut short
+		f.Add(uint8(i), append(filled, 0))          // a trailing byte
+		f.Add(uint8(i+1), filled)                   // another type's bytes
+		f.Add(uint8(i), append([]byte{0x80}, 0x00)) // a varint that is not minimal
+	}
+	f.Fuzz(func(t *testing.T, which uint8, data []byte) {
+		typ := reflect.TypeOf(payloadTypes[int(which)%len(payloadTypes)]).Elem()
+		v := reflect.New(typ)
+		if err := wire.Unmarshal(wire.PayloadOf(data), v.Interface()); err != nil {
+			if len(data) > 0 && !errors.Is(err, wire.ErrMalformedPayload) {
+				t.Fatalf("%s: refused with %v, want ErrMalformedPayload", typ, err)
+			}
+			return
+		}
+		if again := wire.FieldsOf(wire.Marshal(v.Interface())); !bytes.Equal(again, data) {
+			t.Fatalf("%s: accepted bytes re-encode differently\n in %x\nout %x", typ, data, again)
+		}
+	})
+}
+
+// A hostile count costs the decoder no more than the bytes behind it can
+// hold. StatsResponse is the largest payload struct: a 1 MiB payload that
+// claims 2^20 of them is refused before anything is allocated for them,
+// and one that claims as many as 1 MiB of minimal elements really holds
+// allocates at most 16 × the frame — the ratio of a struct's size in
+// memory to its smallest encoding, bounded for every type because each
+// field encodes to at least one byte.
+func TestHostileCountAllocatesLittle(t *testing.T) {
+	const frame = 1 << 20
+	zero := wire.FieldsOf(wire.Marshal(wire.StatsResponse{}))
+	claim := func(n int, element []byte) []byte {
+		b := binary.AppendUvarint(nil, uint64(n))
+		for len(b)+len(element) <= frame {
+			b = append(b, element...)
+		}
+		return append(b, make([]byte, frame-len(b))...)
+	}
+	allocated := func(payload []byte) (uint64, error) {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		err := wire.Unmarshal(wire.PayloadOf(payload), new([]wire.StatsResponse))
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc, err
+	}
+
+	got, err := allocated(claim(1<<20, zero))
+	if !errors.Is(err, wire.ErrMalformedPayload) {
+		t.Fatalf("2^20 elements in 1 MiB: err = %v, want ErrMalformedPayload", err)
+	}
+	if got > 64<<10 {
+		t.Errorf("refusing 2^20 elements in 1 MiB allocated %d bytes, more than 64 KiB", got)
+	}
+
+	fits := (frame - 3) / len(zero)
+	got, err = allocated(claim(fits, zero))
+	if !errors.Is(err, wire.ErrMalformedPayload) { // the zero padding after the last element
+		t.Fatalf("%d elements in 1 MiB: err = %v, want the padding refused", fits, err)
+	}
+	t.Logf("%d minimal %d-byte elements in 1 MiB allocated %d bytes, %.1f × the frame", fits, len(zero), got, float64(got)/frame)
+	if got > 16*frame {
+		t.Errorf("%d elements in 1 MiB allocated %d bytes, more than 16 × the frame", fits, got)
+	}
+}
+
+// Codecs compile on first use, and first use may be concurrent: eight
+// goroutines meet a type no other test encodes, at once.
+func TestCodecConcurrentFirstUse(t *testing.T) {
+	type firstUse struct {
+		Name  string
+		Hops  []int32
+		When  *time.Time
+		Inner struct{ OK bool }
+	}
+	when := time.Unix(1_790_000_000, 5).UTC()
+	in := firstUse{Name: hostile(1), Hops: []int32{-1, 2}, When: &when}
+	in.Inner.OK = true
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for i := 0; i < 8; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			var out firstUse
+			if err := wire.Unmarshal(wire.Marshal(&in), &out); err != nil || !reflect.DeepEqual(out, in) {
+				t.Errorf("round trip: %+v, %v; want %+v", out, err, in)
+			}
+		}()
+	}
+	close(start)
+	wg.Wait()
 }

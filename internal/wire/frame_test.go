@@ -69,16 +69,17 @@ func TestLargeFrameOverhead(t *testing.T) {
 	}
 }
 
-// A peer built before the binary frame is refused by name — and by a live
-// server promptly, with no effect on its other connections.
+// A peer built before the binary frame, or before the payload codec, is
+// refused by name — and by a live server promptly, with no effect on its
+// other connections.
 func TestLegacyFramesAreRefused(t *testing.T) {
-	for _, h := range legacyFrames {
-		frame, err := hex.DecodeString(h)
+	for _, lf := range legacyFrames {
+		frame, err := hex.DecodeString(lf.hex)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := ReadFrame(bytes.NewReader(frame)); !errors.Is(err, ErrLegacyFrame) {
-			t.Errorf("legacy frame %s…: err = %v, want ErrLegacyFrame", h[:24], err)
+		if _, err := ReadFrame(bytes.NewReader(frame)); !errors.Is(err, lf.err) {
+			t.Errorf("legacy frame %s…: err = %v, want %v", lf.hex[:24], err, lf.err)
 		}
 	}
 
@@ -106,7 +107,7 @@ func TestLegacyFramesAreRefused(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer old.Close()
-	frame, _ := hex.DecodeString(legacyFrames[0])
+	frame, _ := hex.DecodeString(legacyFrames[0].hex)
 	if _, err := old.Write(frame); err != nil {
 		t.Fatal(err)
 	}
@@ -194,8 +195,14 @@ func TestOneWriteAndOneReadPerFrame(t *testing.T) {
 	cli := newClient(cconn)
 	defer cli.Close()
 	sconn := <-cl.accepted
-	notified := make(chan int, 1)
-	cli.OnNotify(func(_ string, payload []byte) { notified <- len(payload) })
+	notified := make(chan Notification, 1)
+	cli.OnNotify(func(_ string, payload Payload) {
+		var n Notification
+		if err := Unmarshal(payload, &n); err != nil {
+			t.Errorf("notification payload: %v", err)
+		}
+		notified <- n
+	})
 
 	ctx := context.Background()
 	const calls = 20
@@ -219,8 +226,8 @@ func TestOneWriteAndOneReadPerFrame(t *testing.T) {
 	if err := cli.Call(ctx, "push", Empty{}, nil); err != nil {
 		t.Fatal(err)
 	}
-	if n := <-notified; n < len(benchXML) {
-		t.Errorf("the notification's payload is %d bytes, want all of it (> %d)", n, len(benchXML))
+	if n := <-notified; n.XML != benchXML {
+		t.Errorf("the notification's XML is %d bytes, want all %d of it", len(n.XML), len(benchXML))
 	}
 	if err := cli.Send(ctx, "one-way", Empty{}); err != nil {
 		t.Fatal(err)

@@ -33,8 +33,8 @@ func serveMux(t *testing.T, x *wire.Mux) *wire.Client {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { cli.Close() })
-	cli.OnNotify(func(msgType string, payload []byte) {
-		t.Errorf("unsolicited %q frame: %s", msgType, payload)
+	cli.OnNotify(func(msgType string, _ wire.Payload) {
+		t.Errorf("unsolicited %q frame", msgType)
 	})
 	return cli
 }
@@ -67,8 +67,9 @@ func TestMuxRoutesDecodesAndReplies(t *testing.T) {
 		t.Fatalf("unknown type: got %v, want a RemoteError naming it", err)
 	}
 	before := calls.Load()
-	if err := cli.Call(ctx5s(t), "echo", "not an object", nil); !errors.As(err, &re) {
-		t.Fatalf("undecodable payload: got %v, want a RemoteError", err)
+	// A payload of another route's shape: two fields where echoReq has one.
+	if err := cli.Call(ctx5s(t), "echo", wire.HeartbeatResponse{Known: true}, nil); !errors.As(err, &re) || !strings.Contains(re.Msg, "malformed payload") {
+		t.Fatalf("undecodable payload: got %v, want a RemoteError naming it malformed", err)
 	}
 	if err := cli.Call(ctx5s(t), "echo", nil, nil); !errors.As(err, &re) {
 		t.Fatalf("missing payload: got %v, want a RemoteError", err)
@@ -144,7 +145,7 @@ func TestMuxOneWayFramesGetNoAnswer(t *testing.T) {
 		return func() {}, nil
 	}
 	cli := serveMux(t, x) // its OnNotify fails the test on any answer
-	for typ, payload := range map[string]any{"nope": echoReq{}, "echo": "not an object", "fail": nil, "shed": nil} {
+	for typ, payload := range map[string]any{"nope": echoReq{}, "echo": wire.HeartbeatResponse{Known: true}, "fail": nil, "shed": nil} {
 		if err := cli.Send(ctx5s(t), typ, payload); err != nil {
 			t.Fatal(err)
 		}

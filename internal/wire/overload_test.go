@@ -40,8 +40,8 @@ func FuzzOverloadedReply(f *testing.F) {
 		if err := Unmarshal(reply.Payload, &p); err != nil {
 			t.Fatalf("overloaded payload undecodable: %v", err)
 		}
-		if want := (time.Duration(retryMillis) * time.Millisecond).Milliseconds(); p.RetryAfter.Milliseconds() != want {
-			t.Fatalf("retry-after hint %d ms, want %d", p.RetryAfter.Milliseconds(), want)
+		if want := time.Duration(retryMillis) * time.Millisecond; p.RetryAfter != want || p.Reason != reason {
+			t.Fatalf("payload %v %q, want %v %q", p.RetryAfter, p.Reason, want, reason)
 		}
 		// The frame itself must re-frame: a shed reply that cannot be
 		// relayed would poison proxies.

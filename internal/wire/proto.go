@@ -100,6 +100,11 @@ const (
 	TypeMembership    = "membership"
 )
 
+// Every struct below travels in the payload codec (codec.go), which names
+// no field: a struct's field order is the protocol, so reordering,
+// inserting, removing or retyping a field needs a new frame version byte.
+// The json tags serve the journal and gupctl's output, not the wire.
+
 // ShardInfo locates one shard of a partitioned directory: a stable shard
 // ID, the address clients dial, and (when the shard is itself a quorum
 // constellation) the full member set, which directory handles fail over
@@ -373,21 +378,18 @@ type ProvenanceResponse struct {
 }
 
 // ChangedNotice tells the MDM a component changed at a store. XML is its
-// bulk field (see Payload): a frame carries it as raw bytes beside the JSON
-// of the other fields. The same pair of methods declares the bulk field of
-// ExecResponse, ResolveResponse, FetchResponse and UpdateRequest; a type
-// nested in another payload (BatchResolveResponse's entries), Notification
-// and the sync-session payloads travel as plain JSON.
+// bulk field (see Payload): the wire:"bulk" tag makes a frame carry it as
+// raw bytes after the other fields. ExecResponse, ResolveResponse,
+// FetchResponse and UpdateRequest tag theirs the same way. A type nested
+// in another payload (BatchResolveResponse's entries), Notification and the
+// sync-session payloads carry their XML in place.
 type ChangedNotice struct {
 	Store   string `json:"store"`
 	User    string `json:"user"`
 	Path    string `json:"path"`
-	XML     string `json:"xml"`
+	XML     string `json:"xml" wire:"bulk"`
 	Version uint64 `json:"version"`
 }
-
-func (n ChangedNotice) splitBulk() (any, string) { x := n.XML; n.XML = ""; return n, x }
-func (n *ChangedNotice) setBulk(x string)        { n.XML = x }
 
 // ExecRequest migrates a query to a store (recruiting): the primary store
 // fetches the sibling referrals itself and returns the merged result.
@@ -400,11 +402,8 @@ type ExecRequest struct {
 
 // ExecResponse returns the merged component.
 type ExecResponse struct {
-	XML string `json:"xml"`
+	XML string `json:"xml" wire:"bulk"`
 }
-
-func (r ExecResponse) splitBulk() (any, string) { x := r.XML; r.XML = ""; return r, x }
-func (r *ExecResponse) setBulk(x string)        { r.XML = x }
 
 // QueryPattern selects the distributed query pattern (§5.2, after ubQL).
 type QueryPattern string
@@ -464,7 +463,7 @@ type ResolveResponse struct {
 	Alternatives []Alternative `json:"alternatives,omitempty"`
 	// Data carries the merged result directly for chaining/recruiting
 	// resolves, in which case Alternatives is empty.
-	Data string `json:"data,omitempty"`
+	Data string `json:"data,omitempty" wire:"bulk"`
 	// Cached reports that Data was served from the MDM cache.
 	Cached bool `json:"cached,omitempty"`
 	// Hops counts MDM-to-MDM forwards in federated deployments (§5.1):
@@ -482,9 +481,6 @@ type ResolveResponse struct {
 	// on the call-setup path.
 	Stale bool `json:"stale,omitempty"`
 }
-
-func (r ResolveResponse) splitBulk() (any, string) { x := r.Data; r.Data = ""; return r, x }
-func (r *ResolveResponse) setBulk(x string)        { r.Data = x }
 
 // BatchResolveRequest bundles independent resolves into one frame. The
 // MDM resolves the entries concurrently (bounded by its fan-out width)
@@ -515,23 +511,17 @@ type FetchRequest struct {
 // FetchResponse returns the component as GUP XML ("" when the store holds
 // nothing under the granted path).
 type FetchResponse struct {
-	XML string `json:"xml"`
+	XML string `json:"xml" wire:"bulk"`
 	// Version is the store's monotonic version of the component, used for
 	// cache invalidation and sync anchors.
 	Version uint64 `json:"version"`
 }
 
-func (r FetchResponse) splitBulk() (any, string) { x := r.XML; r.XML = ""; return r, x }
-func (r *FetchResponse) setBulk(x string)        { r.XML = x }
-
 // UpdateRequest writes a component at a data store.
 type UpdateRequest struct {
 	Query token.SignedQuery `json:"query"`
-	XML   string            `json:"xml"`
+	XML   string            `json:"xml" wire:"bulk"`
 }
-
-func (r UpdateRequest) splitBulk() (any, string) { x := r.XML; r.XML = ""; return r, x }
-func (r *UpdateRequest) setBulk(x string)        { r.XML = x }
 
 // UpdateResponse acknowledges a write.
 type UpdateResponse struct {

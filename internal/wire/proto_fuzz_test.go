@@ -7,6 +7,7 @@ import (
 	"reflect"
 	"testing"
 
+	"gupster/internal/token"
 	"gupster/internal/trace"
 )
 
@@ -20,6 +21,9 @@ func frameBytes(t testing.TB, m *Message) []byte {
 	return buf.Bytes()
 }
 
+// fields is v's positional bytes, as a frame carries them.
+func fields(v any) []byte { return Marshal(v).framed().fields }
+
 // rawFrame length-prefixes a hand-built body.
 func rawFrame(body ...byte) []byte {
 	return append(binary.BigEndian.AppendUint32(nil, uint32(len(body))), body...)
@@ -28,29 +32,30 @@ func rawFrame(body ...byte) []byte {
 // sameMessage reports whether two messages carry the same frame: every
 // field byte for byte, a nil and an empty payload part alike.
 func sameMessage(a, b *Message) bool {
+	pa, pb := a.Payload.framed(), b.Payload.framed()
 	return a.Type == b.Type && a.ID == b.ID && a.Error == b.Error && a.BudgetMillis == b.BudgetMillis &&
-		bytes.Equal(a.Payload.json, b.Payload.json) && a.Payload.bulk == b.Payload.bulk &&
+		bytes.Equal(pa.fields, pb.fields) && pa.bulk == pb.bulk &&
 		reflect.DeepEqual(a.Trace, b.Trace) && reflect.DeepEqual(a.Spans, b.Spans)
 }
 
 // FuzzFrameRoundTrip checks that every message a node can emit survives
 // encode → decode unchanged. The frame carries every field as bytes, so
 // "unchanged" is exact: invalid UTF-8 in a type, an error text or a bulk
-// field comes back as it went in, and the payload JSON is not re-encoded.
+// field comes back as it went in, and the payload is not re-encoded.
 func FuzzFrameRoundTrip(f *testing.F) {
-	f.Add("resolve", uint64(1), "", `{"path":"/user[@id='u']/presence"}`, "", int64(0), false)
-	f.Add("fetch", uint64(1<<40), "", `{"query":{"store":"s","path":"/user"}}`, "", int64(250), true)
-	f.Add("notify", uint64(0), "", `{"sub_id":7,"xml":"<presence/>"}`, "", int64(0), false)
+	f.Add("resolve", uint64(1), "", string(fields(ResolveRequest{Path: "/user[@id='u']/presence"})), "", int64(0), false)
+	f.Add("fetch", uint64(1<<40), "", string(fields(FetchRequest{Query: token.SignedQuery{Store: "s", Path: "/user"}})), "", int64(250), true)
+	f.Add("notify", uint64(0), "", string(fields(Notification{SubID: 7, XML: "<presence/>"})), "", int64(0), false)
 	f.Add("resolve", uint64(2), "gupster: access denied", "", "", int64(-5), false)
 	f.Add("", uint64(0), "", "", "", int64(0), false)
-	f.Add("stats", uint64(3), "", `{"nested":{"deep":[1,2,3,null,true]}}`, "", int64(1<<62), true)
-	f.Add("x", uint64(9), "unicode ✗ éλ", `"bare string payload"`, "", int64(1), false)
-	f.Add("resolve", uint64(7), "", `{"cached":true}`, `<presence status="available">&amp;</presence>`, int64(0), false)
-	f.Add("fetch", uint64(8), "", `{"xml":"","version":3}`, "\xff\xfe not utf-8 \x00", int64(40), true)
-	f.Add("exec", uint64(9), "", "", "a bulk with no JSON beside it", int64(0), false)
+	f.Add("stats", uint64(3), "", string(fields(map[string][]int{"deep": {1, 2, 3}})), "", int64(1<<62), true)
+	f.Add("x", uint64(9), "unicode ✗ éλ", string(fields("bare string payload")), "", int64(1), false)
+	f.Add("resolve", uint64(7), "", string(fields(ResolveResponse{Cached: true})), `<presence status="available">&amp;</presence>`, int64(0), false)
+	f.Add("fetch", uint64(8), "", string(fields(FetchResponse{Version: 3})), "\xff\xfe not utf-8 \x00", int64(40), true)
+	f.Add("exec", uint64(9), "", "", "a bulk with no fields beside it", int64(0), false)
 
 	f.Fuzz(func(t *testing.T, msgType string, id uint64, errStr, payload, bulk string, budget int64, traced bool) {
-		m := &Message{Type: msgType, ID: id, Error: errStr, BudgetMillis: budget, Payload: Payload{json: []byte(payload), bulk: bulk}}
+		m := &Message{Type: msgType, ID: id, Error: errStr, BudgetMillis: budget, Payload: Payload{fields: []byte(payload), bulk: bulk}}
 		if traced {
 			m.Trace = &trace.Info{TraceID: "t", SpanID: id, Hop: 1}
 			m.Spans = []trace.Span{{TraceID: "t", SpanID: id, Name: "n", Start: budget}}
@@ -79,8 +84,8 @@ func FuzzFrameRoundTrip(f *testing.F) {
 // prefixes, legacy JSON bodies and unknown versions by name, and anything
 // it accepts must re-encode.
 func FuzzReadFrame(f *testing.F) {
-	f.Add(frameBytes(f, &Message{Type: "resolve", ID: 1, Payload: Payload{json: []byte(`{"path":"/user"}`)}}))
-	f.Add(frameBytes(f, &Message{Type: "notify", Payload: Payload{json: []byte(`{"sub_id":1}`)}}))
+	f.Add(frameBytes(f, &Message{Type: "resolve", ID: 1, Payload: Marshal(ResolveRequest{Path: "/user"})}))
+	f.Add(frameBytes(f, &Message{Type: "notify", Payload: Marshal(Notification{Version: 1})}))
 	f.Add(frameBytes(f, &Message{Type: "resolve", ID: 2, Payload: Marshal(ResolveResponse{Data: "<a>bulk</a>", Cached: true})}))
 	f.Add(frameBytes(f, &Message{Type: "fetch", ID: 3, BudgetMillis: 9, Trace: &trace.Info{TraceID: "t", SpanID: 1}}))
 	f.Add([]byte{})                                                                               // immediate EOF
@@ -89,14 +94,14 @@ func FuzzReadFrame(f *testing.F) {
 	f.Add(rawFrame())                                                                             // empty body
 	f.Add(rawFrame('{', '}'))                                                                     // a legacy JSON envelope
 	f.Add(rawFrame('x', 'y', 'z'))                                                                // unknown version
-	f.Add(rawFrame(1))                                                                            // version and nothing else
-	f.Add(rawFrame(1, 7, 0, 1, 'x', 0, 0, 0))                                                     // the smallest whole frame
-	f.Add(rawFrame(1, 7, 0, 200, 'x', 0, 0, 0))                                                   // type length lies: longer than the frame
-	f.Add(rawFrame(1, 7, 0, 1, 'x', 0, 0, 9, '{'))                                                // payload length lies: 9 > the 1 byte left
-	f.Add(rawFrame(1, 7, 0, 1, 'x', 0, 2, '{', 0, 0))                                             // ext is not JSON
-	f.Add(rawFrame(1, 0x80))                                                                      // id varint cut short
-	f.Add(rawFrame(1, 7, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01, 0, 0, 0, 0)) // budget > MaxInt64
-	f.Add(rawFrame(1, 7, 0, 0, 0, 0, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01)) // payload length 2^64-1
+	f.Add(rawFrame(2))                                                                            // version and nothing else
+	f.Add(rawFrame(2, 7, 0, 1, 'x', 0, 0, 0))                                                     // the smallest whole frame
+	f.Add(rawFrame(2, 7, 0, 200, 'x', 0, 0, 0))                                                   // type length lies: longer than the frame
+	f.Add(rawFrame(2, 7, 0, 1, 'x', 0, 0, 9, 1))                                                  // payload length lies: 9 > the 1 byte left
+	f.Add(rawFrame(2, 7, 0, 1, 'x', 0, 2, 5, 0, 0))                                               // ext claims 5 fields, not 2
+	f.Add(rawFrame(2, 0x80))                                                                      // id varint cut short
+	f.Add(rawFrame(2, 7, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01, 0, 0, 0, 0)) // budget > MaxInt64
+	f.Add(rawFrame(2, 7, 0, 0, 0, 0, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01)) // payload length 2^64-1
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r := bytes.NewReader(data)
@@ -130,12 +135,12 @@ func FuzzReadFrame(f *testing.F) {
 // FuzzReadFrameTruncated checks that every prefix of a valid frame fails
 // cleanly (EOF-style errors) rather than yielding a bogus message.
 func FuzzReadFrameTruncated(f *testing.F) {
-	f.Add("resolve", `{"path":"/user[@id='u']/location"}`, "", 5)
-	f.Add("update", `{"query":{}}`, "<devices/>", 1)
-	f.Add("changed", `{"store":"s"}`, "", 0)
-	f.Add("resolve", `{}`, "<book>a bulk longer than the header that precedes it</book>", 30)
+	f.Add("resolve", string(fields(ResolveRequest{Path: "/user[@id='u']/location"})), "", 5)
+	f.Add("update", string(fields(UpdateRequest{})), "<devices/>", 1)
+	f.Add("changed", string(fields(ChangedNotice{Store: "s"})), "", 0)
+	f.Add("resolve", string(fields(ResolveResponse{})), "<book>a bulk longer than the header that precedes it</book>", 30)
 	f.Fuzz(func(t *testing.T, msgType, payload, bulk string, cut int) {
-		frame := frameBytes(t, &Message{Type: msgType, ID: 1, Payload: Payload{json: []byte(payload), bulk: bulk}})
+		frame := frameBytes(t, &Message{Type: msgType, ID: 1, Payload: Payload{fields: []byte(payload), bulk: bulk}})
 		if cut < 0 {
 			cut = -cut
 		}

@@ -74,11 +74,10 @@ func (c *ServerConn) reply(m, out *Message) error {
 	return c.send(out, by)
 }
 
-// Notify pushes a server-initiated message (ID 0). The payload travels as
-// plain JSON whatever its type, so the subscriber's OnNotify callback is
-// handed all of it.
+// Notify pushes a server-initiated message (ID 0); the subscriber's
+// OnNotify callback decodes the payload with Unmarshal.
 func (c *ServerConn) Notify(msgType string, payload any) error {
-	return c.send(&Message{Type: msgType, Payload: Payload{json: marshalJSON(payload)}}, time.Now().Add(ForwardTimeout))
+	return c.send(&Message{Type: msgType, Payload: Marshal(payload)}, time.Now().Add(ForwardTimeout))
 }
 
 func (c *ServerConn) send(m *Message, by time.Time) error {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -43,13 +44,13 @@ func FuzzWrongShardReply(f *testing.F) {
 		if err := Unmarshal(reply.Payload, &p); err != nil {
 			t.Fatalf("wrong-shard payload undecodable: %v", err)
 		}
-		// Strings may be sanitized through JSON, but structure must hold:
-		// a map in means a map out, with the version intact.
-		if (p.Map == nil) != (mp == nil) {
-			t.Fatalf("map presence changed in flight: sent %v, got %v", mp, p.Map)
+		// Every field arrives as it was sent, strings byte for byte, and a
+		// map in means a map out.
+		if p.Owner != owner || p.ShardID != shardID || p.Addr != addr {
+			t.Fatalf("redirect fields %q/%q/%q, want %q/%q/%q", p.Owner, p.ShardID, p.Addr, owner, shardID, addr)
 		}
-		if mp != nil && p.Map.Version != version {
-			t.Fatalf("map version %d, want %d", p.Map.Version, version)
+		if !reflect.DeepEqual(p.Map, mp) {
+			t.Fatalf("map changed in flight: sent %+v, got %+v", mp, p.Map)
 		}
 		var buf bytes.Buffer
 		if err := WriteFrame(&buf, reply); err != nil {

@@ -1,23 +1,30 @@
 // Package wire implements the GUPster transport: length-prefixed binary
-// frames over TCP, each a short header, the operation's payload as JSON,
-// and — beside the JSON, never inside it — the profile component the
-// operation carries, as its own bytes (DESIGN.md §19). The paper leaves
-// the concrete protocol open ("the protocol will probably be SOAP or
-// HTTP", §4.2 footnote 5); any request/response transport with server push
-// is compliant. This one is small, allocation-conscious, and supports the
-// three interaction styles the framework needs: request/response (resolve,
-// fetch, update), server push (subscription notifications, §5.2), and
-// streaming sync sessions.
+// frames over TCP, each a short header, the operation's payload in a
+// positional binary codec, and — beside the payload, never inside it — the
+// profile component the operation carries, as its own bytes (DESIGN.md
+// §19). The paper leaves the concrete protocol open ("the protocol will
+// probably be SOAP or HTTP", §4.2 footnote 5); any request/response
+// transport with server push is compliant. This one is small,
+// allocation-conscious, and supports the three interaction styles the
+// framework needs: request/response (resolve, fetch, update), server push
+// (subscription notifications, §5.2), and streaming sync sessions.
+//
+// A frame is version 2: the version byte, then id, budget, type, error,
+// the ext section (trace context and spans) and the payload, then the
+// bulk. The payload codec (codec.go) writes a struct's exported fields in
+// declaration order with no names, so a payload struct's field order is
+// the protocol: reordering, inserting, removing or retyping a field of any
+// type that travels needs a new frame version byte.
 package wire
 
 import (
 	"context"
 	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"math"
+	"reflect"
 	"sync"
 	"time"
 	"unsafe"
@@ -111,84 +118,132 @@ var (
 )
 
 // frameVersion is the first byte of every frame body. It can never be '{'.
-const frameVersion = 0x01
+// Version 1 carried the payload and ext as JSON; version 2 carries them in
+// the payload codec (codec.go).
+const frameVersion = 0x02
 
 // Payload is a frame's operation-specific body in wire form: the payload
-// value's JSON, and beside it the value's bulk field — the one large string
-// a payload type declares with splitBulk/setBulk in proto.go, a profile
-// component's XML — which travels as its own bytes at the end of the frame
-// and is never passed through encoding/json. Payload is opaque: Marshal
-// makes one, ReadFrame yields one, Unmarshal decodes one, and a Payload
-// that is itself the value passes through Marshal and Unmarshal untouched,
-// which is how a relay forwards what it did not look at.
+// value's positional bytes (codec.go), and beside them the value's bulk
+// field — the one string a payload struct tags wire:"bulk", a profile
+// component's XML — which travels as its own bytes at the end of the frame.
+// Payload is opaque: Marshal makes one, ReadFrame yields one, Unmarshal
+// decodes one, and a Payload that is itself the value passes through
+// Marshal and Unmarshal untouched, which is how a relay forwards what it
+// did not look at.
 type Payload struct {
-	json []byte
-	bulk string
+	fields []byte
+	bulk   string
+	// v, set by Marshal instead of fields and bulk, is the value itself:
+	// WriteFrame encodes it straight into the frame, with c its codec.
+	v any
+	c *payloadCodec
 }
 
-// bulkSplitter is the sending half of a payload type's bulk declaration:
-// rest is a copy of the value with the bulk field emptied, bulk the field.
-type bulkSplitter interface {
-	splitBulk() (rest any, bulk string)
-}
-
-// bulkSetter is the receiving half: it stores the frame's bulk bytes in the
-// field splitBulk took them from.
-type bulkSetter interface {
-	setBulk(bulk string)
-}
-
-// Marshal encodes a payload value, panicking only on unmarshalable Go
-// values (programming error).
+// Marshal makes a payload of v, panicking only when v's type cannot be
+// encoded (programming error). The encoding happens when the frame is
+// written, so v must not change until then; Call, Send, Reply and
+// ReplyError write before they return.
 func Marshal(v any) Payload {
-	switch v := v.(type) {
-	case Payload:
-		return v
-	case bulkSplitter:
-		rest, bulk := v.splitBulk()
-		return Payload{json: marshalJSON(rest), bulk: bulk}
+	if p, ok := v.(Payload); ok {
+		return p
 	}
-	return Payload{json: marshalJSON(v)}
-}
-
-func marshalJSON(v any) []byte {
-	b, err := json.Marshal(v)
+	if v == nil {
+		return Payload{}
+	}
+	c, err := payloadCodecFor(payloadType(reflect.TypeOf(v)))
 	if err != nil {
 		panic(fmt.Sprintf("wire: marshal payload: %v", err))
 	}
-	return b
+	return Payload{v: v, c: c}
 }
 
-// Unmarshal decodes a payload into v.
+// payloadType is the type a value of type t travels as: a pointer
+// travels as what it points to.
+func payloadType(t reflect.Type) reflect.Type {
+	if t.Kind() == reflect.Pointer {
+		return t.Elem()
+	}
+	return t
+}
+
+// appendTo appends the payload's positional bytes, length-prefixed, and
+// returns its bulk.
+func (p *Payload) appendTo(b []byte) ([]byte, string) {
+	if p.c == nil {
+		return appendField(b, p.fields), p.bulk
+	}
+	v := reflect.ValueOf(p.v)
+	if v.Kind() == reflect.Pointer {
+		if v.IsNil() {
+			v = reflect.Zero(v.Type().Elem())
+		} else {
+			v = v.Elem()
+		}
+	}
+	at := len(b)
+	b = patchLength(p.c.enc(append(b, 0), v), at)
+	if p.c.bulk < 0 {
+		return b, ""
+	}
+	return b, v.Field(p.c.bulk).String()
+}
+
+// framed is p as a frame carries it: a value Marshal holds is encoded.
+func (p Payload) framed() Payload {
+	if p.c == nil {
+		return p
+	}
+	b, bulk := p.appendTo(nil)
+	_, n := binary.Uvarint(b)
+	return Payload{fields: b[n:], bulk: bulk}
+}
+
+// Unmarshal decodes a payload into v, a non-nil pointer.
 func Unmarshal(p Payload, v any) error {
 	if out, ok := v.(*Payload); ok {
 		*out = p
 		return nil
 	}
-	if len(p.json) == 0 {
+	p = p.framed()
+	if len(p.fields) == 0 {
 		return errors.New("wire: empty payload")
 	}
-	if err := json.Unmarshal(p.json, v); err != nil {
+	rv := reflect.ValueOf(v)
+	if rv.Kind() != reflect.Pointer || rv.IsNil() {
+		return fmt.Errorf("wire: unmarshal into %T, not a non-nil pointer", v)
+	}
+	rv = rv.Elem()
+	c, err := payloadCodecFor(rv.Type())
+	if err != nil {
+		return err
+	}
+	if err := decodeValue(c.codec, p.fields, rv); err != nil {
 		return err
 	}
 	if p.bulk == "" {
 		return nil
 	}
-	b, ok := v.(bulkSetter)
-	if !ok {
+	if c.bulk < 0 {
 		return fmt.Errorf("wire: payload carries %d bulk bytes and %T has no bulk field", len(p.bulk), v)
 	}
-	b.setBulk(p.bulk)
+	rv.Field(c.bulk).SetString(p.bulk)
 	return nil
 }
 
-// ext is the frame's optional-fields section: JSON, so that a later
-// optional envelope field is one more key here and not a new frame version.
-// The section is empty on untraced traffic.
+// ext is the frame's optional-fields section, in the payload codec. It is
+// empty on untraced traffic.
 type ext struct {
-	Trace *trace.Info  `json:"trace,omitempty"`
-	Spans []trace.Span `json:"spans,omitempty"`
+	Trace *trace.Info
+	Spans []trace.Span
 }
+
+var extCodec = func() *codec {
+	c, err := payloadCodecFor(reflect.TypeFor[ext]())
+	if err != nil {
+		panic(err)
+	}
+	return c.codec
+}()
 
 // frameBufs recycles the buffers frames are assembled in. Buffers that grew
 // past maxPooledFrame are dropped instead of pinned.
@@ -199,25 +254,25 @@ const maxPooledFrame = 64 << 10
 // WriteFrame writes one message to w in a single Write:
 //
 //	len:u32be | version:u8 | id:uvarint | budget_ms:uvarint |
-//	type | error | ext | payload JSON  (each uvarint length, then bytes) |
+//	type | error | ext | payload  (each uvarint length, then bytes) |
 //	bulk (the rest of the frame)
+//
+// ext and the payload are encoded straight into the pooled frame buffer.
 func WriteFrame(w io.Writer, m *Message) error {
-	var extJSON []byte
-	if m.Trace != nil || len(m.Spans) > 0 {
-		var err error
-		if extJSON, err = json.Marshal(ext{m.Trace, m.Spans}); err != nil {
-			return fmt.Errorf("wire: marshal: %w", err)
-		}
-	}
 	bp := frameBufs.Get().(*[]byte)
 	b := append((*bp)[:0], 0, 0, 0, 0, frameVersion)
 	b = binary.AppendUvarint(b, m.ID)
 	b = binary.AppendUvarint(b, uint64(max(m.BudgetMillis, 0)))
 	b = appendField(b, m.Type)
 	b = appendField(b, m.Error)
-	b = appendField(b, extJSON)
-	b = appendField(b, m.Payload.json)
-	b = append(b, m.Payload.bulk...)
+	if m.Trace != nil || len(m.Spans) > 0 {
+		at := len(b)
+		b = patchLength(extCodec.enc(append(b, 0), reflect.ValueOf(&ext{m.Trace, m.Spans}).Elem()), at)
+	} else {
+		b = append(b, 0)
+	}
+	b, bulk := m.Payload.appendTo(b)
+	b = append(b, bulk...)
 	var err error
 	if n := len(b) - 4; n > MaxFrame {
 		err = ErrFrameTooLarge
@@ -230,6 +285,22 @@ func WriteFrame(w io.Writer, m *Message) error {
 		frameBufs.Put(bp)
 	}
 	return err
+}
+
+// patchLength turns the one byte reserved at b[at] into the uvarint length
+// of what follows it, moving that up when the length needs more bytes.
+func patchLength(b []byte, at int) []byte {
+	n := len(b) - at - 1
+	if n < 0x80 {
+		b[at] = byte(n)
+		return b
+	}
+	var l [binary.MaxVarintLen64]byte
+	k := binary.PutUvarint(l[:], uint64(n))
+	b = append(b, l[:k-1]...)
+	copy(b[at+k:], b[at+1:at+1+n])
+	copy(b[at:], l[:k])
+	return b
 }
 
 func appendField[S ~string | ~[]byte](b []byte, field S) []byte {
@@ -297,8 +368,10 @@ func readLength(r io.Reader) (int, error) {
 }
 
 // decodeFrame decodes a frame body into a Message that keeps it: the
-// payload's JSON and bulk are body's own bytes, not copies, so body must be
-// this frame's alone and never written again.
+// payload's positional bytes and its bulk are body's own bytes, not
+// copies, so body must be this frame's alone and never written again.
+// Strings decoded from either are copies (codec.go); only the bulk
+// aliases the body.
 func decodeFrame(body []byte) (*Message, error) {
 	if len(body) == 0 {
 		return nil, errors.New("wire: malformed frame: empty body")
@@ -319,15 +392,15 @@ func decodeFrame(body []byte) (*Message, error) {
 	}
 	m.Type = string(d.field())
 	m.Error = string(d.field())
-	extJSON := d.field()
-	m.Payload.json = d.field()
+	extBytes := d.field()
+	m.Payload.fields = d.field()
 	if d.bad {
 		return nil, errors.New("wire: malformed frame: header runs past the frame")
 	}
 	m.Payload.bulk = unsafe.String(unsafe.SliceData(d.rest), len(d.rest))
-	if len(extJSON) > 0 {
+	if len(extBytes) > 0 {
 		var x ext
-		if err := json.Unmarshal(extJSON, &x); err != nil {
+		if err := decodeValue(extCodec, extBytes, reflect.ValueOf(&x).Elem()); err != nil {
 			return nil, fmt.Errorf("wire: malformed frame: ext: %w", err)
 		}
 		m.Trace, m.Spans = x.Trace, x.Spans

@@ -62,8 +62,10 @@ func TestFrameVersionRefusals(t *testing.T) {
 	if _, err := ReadFrame(bytes.NewReader(rawFrame([]byte(`{"type":"resolve","id":7}`)...))); !errors.Is(err, ErrLegacyFrame) {
 		t.Errorf("JSON body: err = %v, want ErrLegacyFrame", err)
 	}
-	if _, err := ReadFrame(bytes.NewReader(rawFrame(2, 7, 0, 0, 0, 0, 0))); !errors.Is(err, ErrFrameVersion) {
-		t.Errorf("version 2: err = %v, want ErrFrameVersion", err)
+	for _, version := range []byte{1, 3} {
+		if _, err := ReadFrame(bytes.NewReader(rawFrame(version, 7, 0, 0, 0, 0, 0))); !errors.Is(err, ErrFrameVersion) {
+			t.Errorf("version %d: err = %v, want ErrFrameVersion", version, err)
+		}
 	}
 	if _, err := ReadFrame(bytes.NewReader(rawFrame())); err == nil {
 		t.Error("empty body accepted")
@@ -183,7 +185,11 @@ func TestNotification(t *testing.T) {
 	defer cli.Close()
 
 	got := make(chan string, 1)
-	cli.OnNotify(func(msgType string, payload []byte) {
+	cli.OnNotify(func(msgType string, payload Payload) {
+		var hello map[string]string
+		if err := Unmarshal(payload, &hello); err != nil || hello["hello"] != "world" {
+			t.Errorf("notification payload %v, %v", hello, err)
+		}
 		got <- msgType
 	})
 	if err := cli.Call(context.Background(), "push", Empty{}, nil); err != nil {
