@@ -199,3 +199,57 @@ func TestFramelessLogFromBeforeTheHeadFrame(t *testing.T) {
 		}
 	}
 }
+
+// A crash between an install's snapshot rename and its log replace leaves
+// a snapshot beside a log that ends below it. Reopening must replace that
+// log, so the records acknowledged after the reopen are numbered past the
+// snapshot by the next reopen too, not from the stale log's head frame.
+func TestCrashBetweenInstallAndLogReplace(t *testing.T) {
+	dir := t.TempDir()
+	j, _ := openRepl(t, dir)
+	for i := 0; i < 5; i++ {
+		if err := j.Append(replRecord(1, i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	crash := errors.New("crash before the log replace")
+	j.beforeRename = func(name string) error {
+		if name == walName {
+			return crash
+		}
+		return nil
+	}
+	if err := j.InstallSnapshot(&Snapshot{Index: 100, Term: 2}); !errors.Is(err, crash) {
+		t.Fatalf("InstallSnapshot = %v, want the injected crash", err)
+	}
+	_ = j.Close() // poisoned by the failed replace
+
+	j2, rec := openRepl(t, dir)
+	if j2.Base() != 100 || j2.LastIndex() != 100 || len(rec.Records) != 0 {
+		t.Fatalf("first reopen: base %d last %d, %d records; want 100/100/0", j2.Base(), j2.LastIndex(), len(rec.Records))
+	}
+	var want []Record
+	for i := 0; i < 3; i++ {
+		r := replRecord(3, 10+i)
+		idx, err := j2.AppendIndexed(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if idx != uint64(101+i) {
+			t.Fatalf("append %d acked as index %d, want %d", i, idx, 101+i)
+		}
+		want = append(want, r)
+	}
+	if err := j2.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	j3, rec := openRepl(t, dir)
+	defer j3.Close()
+	if j3.Base() != 100 || j3.LastIndex() != 103 {
+		t.Fatalf("second reopen: base %d last %d, want 100/103", j3.Base(), j3.LastIndex())
+	}
+	if !reflect.DeepEqual(rec.Records, want) {
+		t.Fatalf("second reopen recovered %d of the 3 acknowledged records: %+v", len(rec.Records), rec.Records)
+	}
+}

@@ -79,14 +79,18 @@ type Options struct {
 	// still reach the OS page cache, so an orderly process exit loses
 	// nothing — only a machine crash does.
 	NoSync bool
-	// CompactEvery triggers a snapshot-and-truncate after this many
-	// appended records; 0 means DefaultCompactEvery, negative disables
-	// automatic compaction.
+	// CompactEvery is the floor of the compaction threshold: a
+	// snapshot-and-truncate starts once the records appended since the last
+	// cut reach max(CompactEvery, entries in the current snapshot). 0 means
+	// DefaultCompactEvery, negative disables automatic compaction.
 	CompactEvery int
 }
 
-// DefaultCompactEvery bounds log growth: directories mutate rarely, so a
-// thousand records is hours of churn yet replays in microseconds.
+// DefaultCompactEvery is the threshold's floor, what bounds the log of a
+// small directory. A large one compacts less often: its threshold is its
+// snapshot's entry count, so a compaction encodes at most one snapshot
+// entry per record appended since the last, and a restart replays at most
+// about twice the records a snapshot load decodes.
 const DefaultCompactEvery = 1024
 
 // Stats counts journal activity, exported through the MDM's stats surface.
@@ -167,7 +171,8 @@ type Journal struct {
 	w        *bufio.Writer
 	pending  uint64 // records written to the buffer
 	synced   uint64 // records durably flushed (+synced) to disk
-	appended int    // records since the last compaction
+	appended int    // records since the last cut
+	entries  int    // entries in the current snapshot (coverage + shields)
 	// Replicated-log view (see replicate.go): recs[i] is record
 	// floor+1+i, base is the index the snapshot covers, and the records
 	// floor+1..base are the retained tail — what the last compaction
@@ -220,7 +225,8 @@ func Open(dir string, opts Options) (*Journal, *Recovered, error) {
 	rec := &Recovered{Snapshot: snap, TornBytes: int64(len(data) - good)}
 	if snap != nil {
 		j.base, j.floorTerm = snap.Index, snap.Term
-		j.stats.RecoveredSnapshot.Store(uint64(len(snap.Coverage) + len(snap.Shields)))
+		j.entries = len(snap.Coverage) + len(snap.Shields)
+		j.stats.RecoveredSnapshot.Store(uint64(j.entries))
 	}
 	j.floor = j.base
 	switch {
@@ -241,9 +247,12 @@ func Open(dir string, opts Options) (*Journal, *Recovered, error) {
 	// loop cannot grow the log without bound.
 	j.appended = len(rec.Records)
 
-	if head == nil || rec.TornBytes > 0 {
-		// First boot, a log from before the head frame, or a torn tail:
-		// replace the log once so every append extends a framed, clean one.
+	if head == nil || head.Base != j.floor || rec.TornBytes > 0 {
+		// First boot, a log from before the head frame, a log the snapshot
+		// has overtaken (a crash between an install's snapshot rename and
+		// its log replace), or a torn tail: replace the log once so every
+		// append extends a framed, clean one that numbers its records from
+		// the journal's floor.
 		err = j.replaceWALLocked(j.base, j.termAtLocked(j.base), rec.Records)
 	} else {
 		j.f, err = os.OpenFile(filepath.Join(dir, walName), os.O_WRONLY|os.O_APPEND, 0)
@@ -294,9 +303,9 @@ func (j *Journal) AppendIndexed(r Record) (uint64, error) {
 // and fsync across the whole batch (plus whatever concurrent appenders
 // piled into the same group commit). It returns the global index of the
 // last record appended. Followers use it to land a shipped entry batch
-// at one fsync instead of one per record. The append that crosses
-// CompactEvery starts a compaction on the journal's background goroutine
-// and does not wait for it.
+// at one fsync instead of one per record. The append that crosses the
+// compaction threshold starts a compaction on the journal's background
+// goroutine and does not wait for it.
 func (j *Journal) AppendBatch(records []Record) (uint64, error) {
 	if len(records) == 0 {
 		j.mu.Lock()
@@ -332,7 +341,8 @@ func (j *Journal) AppendBatch(records []Record) (uint64, error) {
 	j.recs = append(j.recs, records...)
 	last := j.lastLocked()
 	every, running := j.opts.CompactEvery, j.compacting
-	if every > 0 && j.appended >= every && j.snapFn != nil && !running {
+	threshold := max(every, j.entries)
+	if every > 0 && j.appended >= threshold && j.snapFn != nil && !running {
 		j.compacting = true
 		j.bg.Add(1)
 		go j.compactInBackground()
@@ -342,10 +352,10 @@ func (j *Journal) AppendBatch(records []Record) (uint64, error) {
 	for j.synced < seq && j.syncErr == nil {
 		j.done.Wait()
 	}
-	// The log may grow to twice CompactEvery while a compaction runs; an
+	// The log may grow to twice the threshold while a compaction runs; an
 	// append that finds it there waits for that compaction, which bounds
 	// the log when the disk is slower than the appenders.
-	for running && j.compacting && j.appended >= 2*every && j.syncErr == nil {
+	for running && j.compacting && j.appended >= 2*threshold && j.syncErr == nil {
 		j.done.Wait()
 	}
 	err := j.syncErr
@@ -483,7 +493,7 @@ func (j *Journal) cut(snap *Snapshot, install bool) error {
 		return err
 	}
 	j.floor, j.floorTerm, j.recs, j.base = floor, floorTerm, recs, snap.Index
-	j.appended = len(live)
+	j.appended, j.entries = len(live), len(snap.Coverage)+len(snap.Shields)
 	if !install {
 		j.stats.Compactions.Add(1)
 	}

@@ -308,3 +308,43 @@ func TestAppendAfterCloseFails(t *testing.T) {
 		t.Fatalf("Append after Close: %v", err)
 	}
 }
+
+// A large directory compacts once per snapshot's worth of records, not
+// once per CompactEvery: with E snapshot entries and CompactEvery well
+// below E, N appends cost at most N/E + 1 compactions, and a reopen
+// replays at most 2·E records.
+func TestCompactionWorkFollowsTheLog(t *testing.T) {
+	const (
+		entries = 5000
+		every   = 64
+		n       = 20000
+	)
+	dir := t.TempDir()
+	j, _ := openClean(t, dir, Options{NoSync: true, CompactEvery: every})
+	var snap Snapshot
+	for i := 0; i < entries; i++ {
+		snap.Coverage = append(snap.Coverage, *regRecord(i).Register)
+	}
+	j.SetSnapshotFunc(func() Snapshot { return snap })
+	for i := 0; i < n; i++ {
+		if err := j.Append(regRecord(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	threshold := max(every, entries)
+	if got, limit := j.Stats().Compactions.Load(), uint64(n/threshold+1); got > limit {
+		t.Fatalf("%d compactions over %d appends, want at most %d", got, n, limit)
+	}
+
+	j2, rec := openClean(t, dir, Options{NoSync: true, CompactEvery: every})
+	defer j2.Close()
+	if rec.Snapshot == nil || len(rec.Snapshot.Coverage) != entries {
+		t.Fatal("reopen: no snapshot of the directory")
+	}
+	if got := len(rec.Records); got > 2*threshold {
+		t.Fatalf("reopen replays %d records, want at most %d", got, 2*threshold)
+	}
+}

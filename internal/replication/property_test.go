@@ -112,6 +112,7 @@ func replayState(t *testing.T, dir string) string {
 // tail appended to the WAL copy: recovery truncates it back to exactly
 // the shipped prefix.
 func TestPropertyShippedPrefixEqualsReplay(t *testing.T) {
+	var compactions uint64
 	for seed := int64(1); seed <= 6; seed++ {
 		seed := seed
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
@@ -122,7 +123,7 @@ func TestPropertyShippedPrefixEqualsReplay(t *testing.T) {
 			m := core.New(core.Config{})
 			defer m.Close()
 			// Small CompactEvery so some runs exercise follower-side
-			// auto-compaction mid-stream too.
+			// auto-compaction mid-stream too; the test fails if none does.
 			if _, err := core.OpenDurable(m, dir, journal.Options{CompactEvery: 16}); err != nil {
 				t.Fatal(err)
 			}
@@ -184,7 +185,11 @@ func TestPropertyShippedPrefixEqualsReplay(t *testing.T) {
 			if got := replayState(t, torn); got != want {
 				t.Fatalf("torn-tail replay diverged\nwant:\n%s\ngot:\n%s", want, got)
 			}
+			compactions += m.Journal().Stats().Compactions.Load()
 		})
+	}
+	if compactions == 0 {
+		t.Fatal("no run compacted its follower's journal: the auto-compaction path went unexercised")
 	}
 }
 

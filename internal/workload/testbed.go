@@ -8,8 +8,8 @@ import (
 	"gupster/internal/adapter"
 	"gupster/internal/calendarsvc"
 	"gupster/internal/core"
-	"gupster/internal/faultinject"
 	"gupster/internal/coverage"
+	"gupster/internal/faultinject"
 	"gupster/internal/hlr"
 	"gupster/internal/policy"
 	"gupster/internal/presence"
