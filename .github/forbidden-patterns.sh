@@ -143,4 +143,14 @@ row "Every option has a caller" §4 \
 	"$go --include=*.yaml ." \
 	'./internal/syncml/'
 
+# Events go to log/slog's default logger: no layer takes a logging
+# callback, and nothing under internal/ prints through the log package.
+# (cmd/ keeps log.Fatalf for command-line errors.)
+row "One event log" §15 \
+	"a logging callback field: emit a log/slog event on the default logger instead" \
+	'Logf +func\(' "$src ."
+row "One event log" §15 \
+	"the log package under internal/: emit a log/slog event instead" \
+	'"log"' "$src internal/"
+
 exit $failed

@@ -23,6 +23,7 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"log/slog"
 	"os"
 	"os/signal"
 	"strings"
@@ -77,14 +78,14 @@ func main() {
 	if err := srv.Start(*listen); err != nil {
 		log.Fatalf("datastored: %v", err)
 	}
-	log.Printf("datastored: %s listening on %s", *id, srv.Addr())
+	slog.Info("listening", "store", *id, "addr", srv.Addr())
 	if *debugAddr != "" {
 		dbg, err := debugsrv.Start(*debugAddr, srv.Stats)
 		if err != nil {
 			log.Fatalf("datastored: %v", err)
 		}
 		defer dbg.Close()
-		log.Printf("datastored: debug endpoint on http://%s/debug/", dbg.Addr())
+		slog.Info("debug endpoint", "url", "http://"+dbg.Addr()+"/debug/")
 	}
 
 	mdm, err := dirclient.Dial(*mdmAddr)
@@ -99,7 +100,7 @@ func main() {
 			Store: *id, User: u, Path: path.String(), XML: frag.String(), Version: version,
 		}, nil)
 		if err != nil {
-			log.Printf("datastored: change notice: %v", err)
+			slog.Warn("change notice failed", "store", *id, "err", err)
 		}
 	})
 
@@ -119,7 +120,7 @@ func main() {
 		if _, err := eng.Put(*user, p, doc); err != nil {
 			log.Fatalf("datastored: seed: %v", err)
 		}
-		log.Printf("datastored: seeded %s from %s", *user, *load)
+		slog.Info("profile seeded", "user", *user, "file", *load)
 	}
 
 	for _, reg := range registers {
@@ -133,13 +134,12 @@ func main() {
 		MDM:      *mdmAddr,
 		Coverage: registers,
 		Interval: *heartbeat,
-		Logf:     log.Printf,
 	})
 	if err := registrar.Start(context.Background()); err != nil {
 		log.Fatalf("datastored: %v", err)
 	}
 	for _, reg := range registers {
-		log.Printf("datastored: registered coverage %s", reg)
+		slog.Info("coverage registered", "store", *id, "path", reg)
 	}
 
 	sig := make(chan os.Signal, 1)
@@ -147,6 +147,6 @@ func main() {
 	<-sig
 	_ = registrar.Deregister(context.Background())
 	registrar.Close()
-	log.Printf("datastored: shutting down")
+	slog.Info("shutting down")
 	srv.Close()
 }

@@ -22,6 +22,7 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"log/slog"
 	"os"
 	"strings"
 
@@ -41,7 +42,7 @@ func main() {
 	jsonOut := fs.String("json", "", "write the machine-readable report here")
 	check := fs.String("check", "", "gate against this committed baseline report")
 	list := fs.Bool("list", false, "list the committed scenarios and exit")
-	verbose := fs.Bool("v", false, "narrate phases to stderr")
+	verbose := fs.Bool("v", false, "print the run's events to stderr: the phase narration and the nodes' elections, map changes and repairs")
 	// Accept "scenario <name> -flags" as well as "scenario -flags <name>".
 	var target string
 	if len(args) > 0 && !strings.HasPrefix(args[0], "-") {
@@ -90,10 +91,8 @@ func main() {
 	if *seed >= 0 {
 		opts.Seed = seed
 	}
-	if *verbose {
-		opts.Logf = func(format string, args ...any) {
-			fmt.Fprintf(os.Stderr, "scenario: "+format+"\n", args...)
-		}
+	if !*verbose {
+		slog.SetLogLoggerLevel(slog.LevelWarn)
 	}
 	// run executes the scenario once, prints and saves its report.
 	run := func() *scenario.Report {

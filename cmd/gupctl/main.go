@@ -354,12 +354,7 @@ func main() {
 			fatal(err)
 			forwardMillis = ms
 		}
-		fatal(shard.Rebalance(ctx, old, next, shard.RebalanceOptions{
-			ForwardMillis: forwardMillis,
-			Logf: func(format string, a ...any) {
-				fmt.Printf(format+"\n", a...)
-			},
-		}))
+		fatal(shard.Rebalance(ctx, old, next, shard.RebalanceOptions{ForwardMillis: forwardMillis}))
 		fmt.Printf("directory live on shard map v%d (%d shards)\n", next.Version, len(next.Shards))
 	default:
 		log.Fatalf("gupctl: unknown command %q", cmd)

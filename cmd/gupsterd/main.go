@@ -64,6 +64,7 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"log/slog"
 	"os"
 	"os/signal"
 	"slices"
@@ -140,7 +141,6 @@ func main() {
 		Router:    *router,
 		Listen:    *listen,
 		Advertise: *advertise,
-		Logf:      log.Printf,
 		DebugAddr: *debugAddr,
 	}
 	if *key != "" {
@@ -151,7 +151,7 @@ func main() {
 	}
 	if len(replPeers) > 0 {
 		cfg.Replication = &replication.Config{
-			Peers: replPeers, Quorum: *replQuorum, TTL: *electionTTL, Logf: log.Printf,
+			Peers: replPeers, Quorum: *replQuorum, TTL: *electionTTL,
 		}
 	}
 	shards, err := wire.ParseShards(*shardMapFlag)
@@ -172,7 +172,6 @@ func main() {
 			Interval:       *gossipInterval,
 			SuspectTimeout: *suspectTimeout,
 			AutoRepair:     *autoRepair,
-			Logf:           log.Printf,
 		}
 	}
 	if err := cfg.Validate(); err != nil {
@@ -189,17 +188,16 @@ func main() {
 		if rec.Snapshot != nil {
 			snapN = len(rec.Snapshot.Coverage) + len(rec.Snapshot.Shields)
 		}
-		log.Printf("gupsterd: recovered directory from %s (%d snapshot entries, %d log records, %d torn bytes dropped)",
-			*dataDir, snapN, len(rec.Records), rec.TornBytes)
+		slog.Info("directory recovered", "dir", *dataDir, "entries", snapN, "records", len(rec.Records), "torn_bytes", rec.TornBytes)
 	}
-	log.Printf("gupsterd: %s listening on %s", cfg.Role(), node.Addr())
+	slog.Info("listening", "role", cfg.Role(), "addr", node.Addr())
 	if a := node.DebugAddr(); a != "" {
-		log.Printf("gupsterd: debug endpoint on http://%s/debug/", a)
+		slog.Info("debug endpoint", "url", "http://"+a+"/debug/")
 	}
 
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	<-sig
-	log.Printf("gupsterd: shutting down")
+	slog.Info("shutting down")
 	node.Close()
 }

@@ -71,8 +71,6 @@ type Config struct {
 	// Advertise is the address peers and redirected clients dial: a proxy
 	// or NAT address in front of the listener. Empty means the listener's.
 	Advertise string
-	// Logf, when set, receives recovery, shard-install and routing events.
-	Logf func(format string, args ...any)
 	// DebugAddr, when set, serves the debug endpoint there: pprof, with
 	// mutex and block profiling on, and the directory's counters as text
 	// (internal/debugsrv).
@@ -165,7 +163,7 @@ func Start(cfg Config) (_ *Node, err error) {
 
 	var h wire.Handler
 	if cfg.Router {
-		if n.router, err = shard.NewRouter(cfg.ShardMap, shard.RouterConfig{Logf: cfg.Logf}); err != nil {
+		if n.router, err = shard.NewRouter(cfg.ShardMap); err != nil {
 			return nil, err
 		}
 		h = n.router
@@ -240,7 +238,7 @@ func (n *Node) assemble(cfg *Config, advertise string) (wire.Handler, error) {
 	// Shard routing fronts whatever serves the slice: the shard node
 	// answers map/install/coverage frames and routes owner-scoped traffic
 	// before the inner layer sees it.
-	n.Shard = shard.NewNode(shard.NodeConfig{ShardID: cfg.ShardID, MDM: n.MDM, Inner: h, Logf: cfg.Logf})
+	n.Shard = shard.NewNode(shard.NodeConfig{ShardID: cfg.ShardID, MDM: n.MDM, Inner: h})
 	if _, err := n.Shard.Install(&wire.ShardInstallRequest{Map: cfg.ShardMap}); err != nil {
 		return nil, err
 	}

@@ -479,7 +479,7 @@ func TestReplicatedLeasesAgreeOnEveryMember(t *testing.T) {
 	leader := leaderOf(nodes)
 	// The registrar is pointed at a follower that outlives the leader.
 	r := store.NewRegistrar(store.RegistrarConfig{Store: "s1", Addr: "127.0.0.1:1",
-		MDM: nodes[(leader+1)%3].Addr(), Coverage: []string{path}, Interval: beat, Logf: t.Logf})
+		MDM: nodes[(leader+1)%3].Addr(), Coverage: []string{path}, Interval: beat})
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
 	if err := r.Start(ctx); err != nil {

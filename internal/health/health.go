@@ -23,6 +23,7 @@ package health
 import (
 	"context"
 	"fmt"
+	"log/slog"
 	"slices"
 	"sort"
 	"sync"
@@ -96,8 +97,6 @@ type Config struct {
 	// Dial overrides the connection factory (tests simulate partial
 	// partitions with it). Nil means wire.DialContext.
 	Dial func(ctx context.Context, addr string) (*wire.Client, error)
-	// Logf, when set, receives detector and repair events.
-	Logf func(format string, args ...any)
 }
 
 // relays is how many alive members are asked to ping-req a directly
@@ -140,9 +139,6 @@ func New(cfg Config) *Agent {
 	}
 	if cfg.SuspectTimeout <= 0 {
 		cfg.SuspectTimeout = 4 * cfg.Interval
-	}
-	if cfg.Logf == nil {
-		cfg.Logf = func(string, ...any) {}
 	}
 	a := &Agent{
 		cfg:     cfg,
@@ -394,7 +390,7 @@ func (a *Agent) observeAck(id string, ack *wire.GossipAck) {
 	a.mu.Lock()
 	v, known := a.members[id]
 	if known && v.state != StateAlive {
-		a.cfg.Logf("health %s: member %s refuted %s → alive", a.cfg.Self.ID, id, v.state)
+		slog.Info("peer alive", "shard", a.cfg.Self.ID, "peer", id, "was", v.state.String())
 		v.state = StateAlive
 		v.since = time.Now()
 	}
@@ -417,12 +413,12 @@ func (a *Agent) observeMiss(id string) {
 	case StateAlive:
 		v.state = StateSuspect
 		v.since = now
-		a.cfg.Logf("health %s: member %s alive → suspect", a.cfg.Self.ID, id)
+		slog.Info("peer suspect", "shard", a.cfg.Self.ID, "peer", id)
 	case StateSuspect:
 		if now.Sub(v.since) >= a.cfg.SuspectTimeout {
 			v.state = StateDead
 			v.since = now
-			a.cfg.Logf("health %s: member %s suspect → dead (confirm timeout)", a.cfg.Self.ID, id)
+			slog.Info("peer dead", "shard", a.cfg.Self.ID, "peer", id)
 		}
 	}
 }
@@ -477,14 +473,10 @@ func (a *Agent) learnMap(epoch, version uint64, fromID, fromAddr string) {
 			}
 		}
 		if _, err := a.cfg.SelfInstall(&wire.ShardInstallRequest{Map: m, Mode: mode}); err != nil {
-			a.cfg.Logf("health %s: self-install of v%d@e%d refused: %v", a.cfg.Self.ID, m.Version, m.Epoch, err)
+			slog.Warn("self-install refused", "shard", a.cfg.Self.ID, "version", m.Version, "epoch", m.Epoch, "mode", mode, "err", err)
 			return
 		}
-		if mode == "fence" {
-			a.cfg.Logf("health %s: self-fenced to map v%d@e%d", a.cfg.Self.ID, m.Version, m.Epoch)
-		} else {
-			a.cfg.Logf("health %s: adopted map v%d@e%d via anti-entropy", a.cfg.Self.ID, m.Version, m.Epoch)
-		}
+		slog.Info("map learned", "shard", a.cfg.Self.ID, "version", m.Version, "epoch", m.Epoch, "mode", mode)
 	}()
 }
 

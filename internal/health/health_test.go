@@ -57,7 +57,7 @@ func startConstellation(t *testing.T, n int, mut func(i int, cfg *Config)) []*me
 		mdm := core.New(core.Config{Signer: token.NewSigner(testKey), Schema: schema.GUP()})
 		srv := core.NewServer(mdm)
 		node := shard.NewNode(shard.NodeConfig{
-			ShardID: m.info.ID, MDM: mdm, Inner: wire.HandlerFunc(srv.Handle), Logf: t.Logf,
+			ShardID: m.info.ID, MDM: mdm, Inner: wire.HandlerFunc(srv.Handle),
 		})
 		cfg := Config{
 			Self:           m.info,
@@ -66,7 +66,6 @@ func startConstellation(t *testing.T, n int, mut func(i int, cfg *Config)) []*me
 			SelfInstall:    node.Install,
 			Interval:       25 * time.Millisecond,
 			SuspectTimeout: 100 * time.Millisecond,
-			Logf:           t.Logf,
 		}
 		if mut != nil {
 			mut(i, &cfg)

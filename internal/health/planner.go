@@ -2,6 +2,7 @@ package health
 
 import (
 	"context"
+	"log/slog"
 	"sort"
 	"time"
 
@@ -163,23 +164,21 @@ func (a *Agent) runRepair(cur, next wire.ShardMap, dead []string, snaps map[stri
 			promoted = append(promoted, s.ID)
 		}
 	}
-	a.cfg.Logf("health %s: repairing to map v%d@e%d (dead %v, promoting %v)",
-		a.cfg.Self.ID, next.Version, next.Epoch, dead, promoted)
+	slog.Info("repair planned", "shard", a.cfg.Self.ID, "version", next.Version, "epoch", next.Epoch, "dead", dead, "promoted", promoted)
 
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 	err := shard.Rebalance(ctx, cur, next, shard.RebalanceOptions{
 		ForwardMillis: a.cfg.ForwardMillis,
 		DeadShards:    snaps,
-		Logf:          a.cfg.Logf,
 	})
 	if err != nil {
 		// A racing coordinator may have won the epoch mid-sweep; the next
 		// tick re-reads the installed map and re-plans on top of the winner.
-		a.cfg.Logf("health %s: repair to v%d@e%d failed: %v", a.cfg.Self.ID, next.Version, next.Epoch, err)
+		slog.Warn("repair failed", "shard", a.cfg.Self.ID, "version", next.Version, "epoch", next.Epoch, "err", err)
 		return
 	}
-	a.cfg.Logf("health %s: repair to map v%d@e%d complete", a.cfg.Self.ID, next.Version, next.Epoch)
+	slog.Info("repair complete", "shard", a.cfg.Self.ID, "version", next.Version, "epoch", next.Epoch)
 	if a.cfg.OnRepair != nil {
 		a.cfg.OnRepair(RepairEvent{Epoch: next.Epoch, Version: next.Version, Dead: dead, Promoted: promoted})
 	}

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"log/slog"
 	"math/rand"
 	"sort"
 	"time"
@@ -68,7 +69,7 @@ func (n *Node) termAdvanceLocked(term uint64, vote string) error {
 	n.leaderID = ""
 	n.stepDownLocked()
 	if prevRole == Leader {
-		n.logf("deposed: saw term %d (was leading term %d)", term, prevTerm)
+		slog.Info("deposed", "member", n.cfg.ID, "term", term, "led_term", prevTerm)
 	}
 	return nil
 }
@@ -253,7 +254,7 @@ func (n *Node) run() {
 				p.mu.Unlock()
 			}
 			if heard < n.quorum {
-				n.logf("lease lost: only %d/%d members reachable, stepping down", heard, n.quorum)
+				slog.Info("lease lost", "member", n.cfg.ID, "term", n.term, "reachable", heard, "quorum", n.quorum)
 				n.leaderID = ""
 				n.stepDownLocked()
 			}
@@ -314,13 +315,13 @@ func (n *Node) startElectionLocked() {
 	votes := n.poll(&vote)
 	if err := n.persistLocked(); err != nil {
 		n.term, n.votedFor, n.role = next-1, prevVote, Follower
-		n.logf("election aborted: %v", err)
+		slog.Warn("election aborted", "member", n.cfg.ID, "term", next, "err", err)
 		n.mu.Unlock()
 		return
 	}
 	n.mu.Unlock()
 
-	n.logf("election: candidate for term %d (log %d/%d)", next, vote.LastIndex, vote.LastTerm)
+	slog.Info("election started", "member", n.cfg.ID, "term", next, "index", vote.LastIndex, "log_term", vote.LastTerm)
 	if !n.tally(votes) {
 		// Lost (split vote or unreachable quorum): retry after a short
 		// randomized backoff rather than a full election timeout, so even
@@ -351,7 +352,7 @@ func (n *Node) startElectionLocked() {
 	}
 	n.mu.Unlock()
 	n.mdm.LeadLeases()
-	n.logf("election: won term %d, leading at index %d", next, last)
+	slog.Info("election won", "member", n.cfg.ID, "term", next, "index", last)
 	n.kickShippers() // first heartbeat asserts the lease immediately
 }
 
@@ -503,7 +504,7 @@ func (n *Node) shipTo(p *peer) {
 func (n *Node) shipSnapshot(p *peer, term uint64) bool {
 	snap, err := n.jr.SnapshotNow()
 	if err != nil {
-		n.logf("snapshot capture failed: %v", err)
+		slog.Warn("snapshot capture failed", "member", n.cfg.ID, "err", err)
 		return false
 	}
 	data, err := json.Marshal(snap)
@@ -545,7 +546,7 @@ func (n *Node) shipSnapshot(p *peer, term uint64) bool {
 	p.snapshots++
 	p.mu.Unlock()
 	n.advanceCommit()
-	n.logf("shipped snapshot at index %d to %s", snap.Index, p.addr)
+	slog.Info("snapshot shipped", "member", n.cfg.ID, "index", snap.Index, "peer", p.addr)
 	return true
 }
 

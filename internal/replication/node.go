@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"log/slog"
 	"net"
 	"os"
 	"path/filepath"
@@ -60,8 +61,6 @@ type Config struct {
 	// have not heard an append for roughly TTL/2–3TTL/4, and a leader
 	// that cannot reach a quorum within TTL steps down. 0 means 2s.
 	TTL time.Duration
-	// Logf, when set, receives election and failover events.
-	Logf func(format string, args ...any)
 }
 
 // Node is one replicated MDM: it serves the full MDM protocol (resolve,
@@ -321,7 +320,7 @@ func (n *Node) HandleAppend(req *AppendRequest) (*AppendResponse, error) {
 				return nil, err
 			}
 			n.mdm.Restore(state)
-			n.logf("truncated divergent tail to index %d, directory rebuilt", idx-1)
+			slog.Info("divergent tail truncated", "member", n.cfg.ID, "index", idx-1)
 			last = idx - 1
 		}
 		fresh = append(fresh, e)
@@ -449,7 +448,7 @@ func (n *Node) HandleSnapshotChunk(req *SnapshotChunk) (*SnapshotResponse, error
 		return nil, err
 	}
 	n.mdm.Restore(&journal.Recovered{Snapshot: &snap})
-	n.logf("installed snapshot at index %d (term %d) from %s", snap.Index, snap.Term, req.LeaderID)
+	slog.Info("snapshot installed", "member", n.cfg.ID, "index", snap.Index, "term", snap.Term, "peer", req.LeaderID)
 	return &SnapshotResponse{Term: term, Ok: true, LastIndex: snap.Index}, nil
 }
 
@@ -489,8 +488,9 @@ func (n *Node) electionPath() string {
 	return filepath.Join(n.jr.Dir(), "election.json")
 }
 
-// persistLocked records term+votedFor atomically (temp + fsync +
-// rename) before the decision leaves this node. Caller holds n.mu.
+// persistLocked records term+votedFor atomically (temp + fsync + rename
+// + directory fsync) before the decision leaves this node. Caller holds
+// n.mu.
 func (n *Node) persistLocked() error {
 	data, err := json.Marshal(electionState{Term: n.term, VotedFor: n.votedFor})
 	if err != nil {
@@ -514,7 +514,18 @@ func (n *Node) persistLocked() error {
 		_ = os.Remove(tmp.Name())
 		return err
 	}
-	return os.Rename(tmp.Name(), path)
+	if err := os.Rename(tmp.Name(), path); err != nil {
+		return err
+	}
+	// The rename is durable only once the directory is: until then a power
+	// loss can bring back the previous term and vote, and this member could
+	// vote twice in a term.
+	dir, err := os.Open(filepath.Dir(path))
+	if err != nil {
+		return err
+	}
+	defer dir.Close()
+	return dir.Sync()
 }
 
 // overwriteLocked is persistLocked beside a NoSync journal, which promises
@@ -557,10 +568,4 @@ func (n *Node) loadElectionState() error {
 	n.term = st.Term
 	n.votedFor = st.VotedFor
 	return nil
-}
-
-func (n *Node) logf(format string, args ...any) {
-	if n.cfg.Logf != nil {
-		n.cfg.Logf("[repl %s] "+format, append([]any{n.cfg.ID}, args...)...)
-	}
 }

@@ -63,7 +63,6 @@ func TestRegistrarFollowsRedirect(t *testing.T) {
 	r := store.NewRegistrar(store.RegistrarConfig{
 		Store: "sX", Addr: "127.0.0.1:9998", MDM: c.addrs[follower],
 		Coverage: []string{"/user[@id='reg']/presence", "/user[@id='reg']/calendar"},
-		Logf:     t.Logf,
 	})
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()

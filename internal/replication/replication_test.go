@@ -75,7 +75,6 @@ func newQuorumCluster(t *testing.T, n, quorum int, opts journal.Options, deferre
 			Peers:  peers,
 			Quorum: quorum,
 			TTL:    testTTL,
-			Logf:   t.Logf,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -238,6 +237,22 @@ func TestElectAndReplicate(t *testing.T) {
 				t.Errorf("node %d missing replicated coverage %s", i, path)
 			}
 		}
+	}
+}
+
+// The winner of an election says so in an event that names it and its
+// term, the two fields its Status reports.
+func TestElectionWonEvent(t *testing.T) {
+	events := captureEvents(t)
+	c := newCluster(t, 3, journal.Options{})
+	st := c.nodes[c.waitLeader(4*testTTL)].Status()
+	want := map[string]string{"member": st.ID, "term": fmt.Sprint(st.Term)}
+	ev, ok := events.await("election won", want)
+	if !ok {
+		t.Fatalf("no election won event with %v", want)
+	}
+	if _, ok := ev["index"]; !ok {
+		t.Errorf("election won event %v lacks the index", ev)
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"log/slog"
 	"runtime"
 	"sort"
 	"strings"
@@ -30,18 +31,10 @@ type RunOptions struct {
 	Fast bool
 	// Seed overrides the scenario's seed.
 	Seed *int64
-	// Logf narrates phase progress; nil discards.
-	Logf func(format string, args ...any)
 	// OnRequest observes every scheduled request as it is drawn —
 	// (phase, client stream, request) — the reproducibility test's hook.
 	// Closed-loop streams are the client indices; open-loop is -1.
 	OnRequest func(phase string, client int, req Request)
-}
-
-func (o *RunOptions) logf(format string, args ...any) {
-	if o.Logf != nil {
-		o.Logf(format, args...)
-	}
 }
 
 // reachAt is the fixed instant reach-me decisions evaluate at — a
@@ -69,7 +62,8 @@ type engine struct {
 
 // Run executes a scenario: rigs are built and torn down in declaration
 // order, each running the phases that name it in file order; assertions
-// evaluate against the assembled report at the end.
+// evaluate against the assembled report at the end. Progress is narrated
+// as Info events on slog's default logger, beside the rig nodes' own.
 func Run(sc *Scenario, opts RunOptions) (*Report, error) {
 	if err := sc.Validate(); err != nil {
 		return nil, err
@@ -91,7 +85,7 @@ func Run(sc *Scenario, opts RunOptions) (*Report, error) {
 		if len(phaseIdxs) == 0 {
 			continue
 		}
-		opts.logf("rig %s: building (%s, %d stores)", spec.Name, spec.Layout, spec.Stores)
+		slog.Info("rig building", "rig", spec.Name, "layout", spec.Layout, "stores", spec.Stores)
 		rig, err := Build(*spec, e.seed, rigIdx)
 		if err != nil {
 			return nil, fmt.Errorf("scenario %s: rig %s: %w", sc.Name, spec.Name, err)
@@ -123,8 +117,8 @@ func (e *engine) runRig(rig *Rig, phaseIdxs []int) error {
 	defer run.close()
 	for _, pi := range phaseIdxs {
 		p := &e.sc.Phases[pi]
-		e.opts.logf("phase %s: starting", p.Name)
-		tl := &timeline{phase: p, fast: e.opts.Fast, table: run.actions(), log: e.opts.logf}
+		slog.Info("phase starting", "phase", p.Name)
+		tl := &timeline{phase: p, fast: e.opts.Fast, table: run.actions()}
 		pr, err := tl.run(func() (*PhaseReport, error) { return run.runPhase(p, pi) })
 		if err != nil {
 			return fmt.Errorf("phase %s: %w", p.Name, err)
@@ -240,16 +234,11 @@ type timeline struct {
 	phase *Phase
 	fast  bool
 	table map[string]action
-	log   func(format string, args ...any)
 
 	mu sync.Mutex
 	// out collects what the actions measured — the fault timings and the
 	// herd's failures — and is folded into the phase's report.
 	out PhaseReport
-}
-
-func (tl *timeline) logf(format string, args ...any) {
-	tl.log("phase "+tl.phase.Name+": "+format, args...)
 }
 
 // report lets an action record its outcome.
@@ -321,7 +310,7 @@ func (rr *rigRun) setLink(tl *timeline, ev *Event) {
 	proxy := rr.rig.Link(ev.Target)
 	if ev.Blackout != nil {
 		if idx := storeIndex(ev.Target); idx >= 0 {
-			tl.logf("blackout %s: %t", ev.Target, *ev.Blackout)
+			slog.Info("store blackout", "phase", tl.phase.Name, "store", ev.Target, "on", *ev.Blackout)
 			rr.rig.BlackoutStore(idx, *ev.Blackout)
 		} else {
 			proxy.Blackout(*ev.Blackout)
@@ -342,7 +331,7 @@ func (rr *rigRun) reregister(tl *timeline, ev *Event) {
 	if ev.Target == "all-dead" {
 		targets = rr.rig.DeadStores()
 	}
-	tl.logf("re-registration herd of %d stores", len(targets))
+	slog.Info("re-registration herd", "phase", tl.phase.Name, "stores", len(targets))
 	var wg sync.WaitGroup
 	for _, idx := range targets {
 		wg.Add(1)
@@ -369,24 +358,24 @@ func (rr *rigRun) kill(tl *timeline, ev *Event) {
 	if ev.Target != "leader" {
 		since := rr.rig.CurrentEpoch()
 		if !rr.rig.Kill(ev.Target) {
-			tl.logf("shard %s not alive to kill", ev.Target)
+			slog.Warn("kill skipped: shard not alive", "phase", tl.phase.Name, "shard", ev.Target)
 			return
 		}
-		tl.logf("killed shard %s", ev.Target)
+		slog.Info("shard killed", "phase", tl.phase.Name, "shard", ev.Target)
 		rr.awaitRepair(tl, since, time.Now())
 		return
 	}
 	idx := rr.rig.KillLeader(0)
 	if idx < 0 {
-		tl.logf("no leader to kill")
+		slog.Warn("kill skipped: no leader", "phase", tl.phase.Name)
 		return
 	}
-	tl.logf("killed leader member %d", idx)
+	slog.Info("leader killed", "phase", tl.phase.Name, "member", idx)
 	t0 := time.Now()
 	if rr.rig.WaitLeader(0, liveness) >= 0 {
 		ms := millisSince(t0)
 		tl.report(func(out *PhaseReport) { out.FailoverMillis = ms })
-		tl.logf("new leader elected after %dms", ms)
+		slog.Info("failover observed", "phase", tl.phase.Name, "elapsed_ms", ms)
 	}
 }
 
@@ -398,7 +387,7 @@ func (rr *rigRun) kill(tl *timeline, ev *Event) {
 func (rr *rigRun) awaitRepair(tl *timeline, since uint64, t0 time.Time) {
 	ev, ok := rr.rig.WaitRepair(since, liveness)
 	if !ok {
-		tl.logf("no auto-repair within %s", liveness)
+		slog.Warn("no auto-repair", "phase", tl.phase.Name, "within", liveness)
 		return
 	}
 	ms := millisSince(t0)
@@ -408,7 +397,7 @@ func (rr *rigRun) awaitRepair(tl *timeline, since uint64, t0 time.Time) {
 		out.PromotedShards = append(out.PromotedShards, ev.Promoted...)
 	})
 	rr.rig.refreshShardView()
-	tl.logf("auto-repair to epoch %d in %dms (dead %v, promoted %v)", ev.Epoch, ms, ev.Dead, ev.Promoted)
+	slog.Info("auto-repair observed", "phase", tl.phase.Name, "epoch", ev.Epoch, "elapsed_ms", ms, "dead", ev.Dead, "promoted", ev.Promoted)
 }
 
 // partition severs one shard's replies: the shard still hears the
@@ -420,16 +409,16 @@ func (rr *rigRun) awaitRepair(tl *timeline, since uint64, t0 time.Time) {
 func (rr *rigRun) partition(tl *timeline, ev *Event) {
 	since := rr.rig.CurrentEpoch()
 	if !rr.rig.Partition(ev.Target, true) {
-		tl.logf("shard %s not alive to partition", ev.Target)
+		slog.Warn("partition skipped: shard not alive", "phase", tl.phase.Name, "shard", ev.Target)
 		return
 	}
-	tl.logf("one-way partition on shard %s", ev.Target)
+	slog.Info("partition imposed", "phase", tl.phase.Name, "shard", ev.Target)
 	t0 := time.Now()
 	rr.awaitRepair(tl, since, t0)
 	if ev.HealAfter > 0 {
 		time.Sleep(ev.HealAfter - time.Since(t0))
 		rr.rig.Partition(ev.Target, false)
-		tl.logf("healed partition on shard %s", ev.Target)
+		slog.Info("partition healed", "phase", tl.phase.Name, "shard", ev.Target)
 	}
 }
 
@@ -440,12 +429,12 @@ func (rr *rigRun) rebalance(tl *timeline, ev *Event) {
 	t0 := time.Now()
 	moved, err := rr.rig.Rebalance(context.Background())
 	if err != nil {
-		tl.logf("rebalance failed: %v", err)
+		slog.Warn("rebalance failed", "phase", tl.phase.Name, "err", err)
 		return
 	}
 	ms := millisSince(t0)
 	tl.report(func(out *PhaseReport) { out.RebalanceMillis, out.MovedOwners = ms, moved })
-	tl.logf("rebalanced onto %d shards in %dms (%d owners moved)", len(rr.rig.Nodes), ms, moved)
+	slog.Info("rebalance observed", "phase", tl.phase.Name, "shards", len(rr.rig.Nodes), "elapsed_ms", ms, "moved", moved)
 }
 
 // resolveRate turns a phase rate into requests/sec.
@@ -598,7 +587,7 @@ func (rr *rigRun) runCalibrate(p *Phase, fast bool) (*PhaseReport, error) {
 		e.serviceP50 = p50
 		e.capacity = 1 / p50.Seconds()
 		e.report.ServiceP50Micros = p50.Microseconds()
-		e.opts.logf("calibrated: service p50 %s, capacity %.1f/s", p50, e.capacity)
+		slog.Info("calibrated", "p50", p50, "capacity_per_s", e.capacity)
 	}
 	pr.InBudget = iters
 	pr.P50Micros = p50.Microseconds()

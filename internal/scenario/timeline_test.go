@@ -48,7 +48,7 @@ func TestTimelineFiresInAtOrder(t *testing.T) {
 		{At: 30 * time.Millisecond, Action: ActionRebalance},
 		{At: 0, Action: ActionLink, Target: "store-0"},
 	}}
-	tl := &timeline{phase: p, log: t.Logf, table: rec.table(map[string]action{
+	tl := &timeline{phase: p, table: rec.table(map[string]action{
 		ActionKill: func(tl *timeline, ev *Event) {
 			rec.note("kill leader")
 			tl.report(func(out *PhaseReport) { out.FailoverMillis = 7 })
@@ -89,7 +89,7 @@ func TestTimelineLinksLandBeforeFirstRequest(t *testing.T) {
 			{Action: ActionLink, Target: "store-1", Blackout: &blackout},
 		}}
 	herd := make(chan struct{})
-	tl := &timeline{phase: p, log: t.Logf, table: rec.table(map[string]action{
+	tl := &timeline{phase: p, table: rec.table(map[string]action{
 		ActionReregister: func(tl *timeline, ev *Event) { <-herd; rec.note("reregister") },
 	})}
 	_, err := tl.run(func() (*PhaseReport, error) {
@@ -115,7 +115,7 @@ func TestTimelineFastModeClampsLateEvents(t *testing.T) {
 	}}
 	start := time.Now()
 	var firedAt time.Duration
-	tl := &timeline{phase: p, fast: true, log: t.Logf, table: map[string]action{
+	tl := &timeline{phase: p, fast: true, table: map[string]action{
 		ActionKill: func(tl *timeline, ev *Event) { firedAt = time.Since(start) },
 	}}
 	_, err := tl.run(func() (*PhaseReport, error) {

@@ -103,7 +103,7 @@ func TestForwardersKeepPeerLinkOnTypedReplies(t *testing.T) {
 				t.Fatal(err)
 			}
 			node := shard.NewNode(shard.NodeConfig{
-				ShardID: "self", Logf: t.Logf,
+				ShardID: "self",
 				Inner: wire.HandlerFunc(func(c *wire.ServerConn, m *wire.Message) {
 					_ = c.ReplyError(m, errors.New("served locally"))
 				}),

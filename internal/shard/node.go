@@ -11,9 +11,10 @@ package shard
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
+	"log/slog"
+	"slices"
 	"sync"
 	"time"
 
@@ -38,8 +39,6 @@ type NodeConfig struct {
 	// for a plain shard, a replication.Node's Handle when the shard is
 	// itself a quorum constellation.
 	Inner wire.Handler
-	// Logf, when set, receives install/rebalance events.
-	Logf func(format string, args ...any)
 }
 
 // handoffState tracks a live rebalance on the losing side. While present,
@@ -119,7 +118,7 @@ func (n *Node) Install(req *wire.ShardInstallRequest) (*wire.ShardInstallRespons
 		dropped := n.cfg.MDM.RetainOwners(func(owner string) bool {
 			return rg.Owner(owner).ID == n.cfg.ShardID
 		})
-		n.logf("shard %s: fenced to map v%d@e%d, dropped %d stale registrations", n.cfg.ShardID, rg.Version(), rg.Epoch(), dropped)
+		slog.Info("map fenced", "shard", n.cfg.ShardID, "version", rg.Version(), "epoch", rg.Epoch(), "dropped", dropped)
 	}
 	return resp, nil
 }
@@ -177,7 +176,7 @@ func (n *Node) install(rg *ring.Ring, req *wire.ShardInstallRequest) (*wire.Shar
 	default:
 		return nil, errUnknownMode(req.Mode)
 	}
-	n.logf("shard %s: installed map v%d@e%d (%d shards, mode=%q)", n.cfg.ShardID, rg.Version(), rg.Epoch(), len(rg.Shards()), req.Mode)
+	slog.Info("map installed", "shard", n.cfg.ShardID, "version", rg.Version(), "epoch", rg.Epoch(), "mode", req.Mode, "shards", len(rg.Shards()))
 	return &wire.ShardInstallResponse{Version: rg.Version()}, nil
 }
 
@@ -190,12 +189,13 @@ func errDivergentMap(got wire.ShardMap) error {
 }
 
 // sameMapContent reports whether two maps name the same shards in the same
-// order. JSON field order is deterministic, so byte equality of the
-// marshaled forms is content equality.
+// order, each with the same address and member list. A nil and an empty
+// member list are the same list, as they are on the wire.
 func sameMapContent(a, b wire.ShardMap) bool {
-	ab, err1 := json.Marshal(a)
-	bb, err2 := json.Marshal(b)
-	return err1 == nil && err2 == nil && string(ab) == string(bb)
+	return a.Version == b.Version && a.Epoch == b.Epoch &&
+		slices.EqualFunc(a.Shards, b.Shards, func(x, y wire.ShardInfo) bool {
+			return x.ID == y.ID && x.Addr == y.Addr && slices.Equal(x.Members, y.Members)
+		})
 }
 
 func errUnknownMode(mode string) error {
@@ -220,7 +220,7 @@ func (n *Node) finishDrain() {
 		dropped := n.cfg.MDM.RetainOwners(func(owner string) bool {
 			return rg.Owner(owner).ID == n.cfg.ShardID
 		})
-		n.logf("shard %s: drain complete, dropped %d moved registrations", n.cfg.ShardID, dropped)
+		slog.Info("drain complete", "shard", n.cfg.ShardID, "version", rg.Version(), "epoch", rg.Epoch(), "dropped", dropped)
 	}
 }
 
@@ -238,12 +238,6 @@ func (n *Node) Map() wire.ShardMap {
 		return r.Map()
 	}
 	return wire.ShardMap{}
-}
-
-func (n *Node) logf(format string, args ...any) {
-	if n.cfg.Logf != nil {
-		n.cfg.Logf(format, args...)
-	}
 }
 
 // ServeWire implements wire.Handler: shard administration is answered by

@@ -38,7 +38,6 @@ func startShard(t *testing.T, id string) *testShard {
 	srv := core.NewServer(m)
 	node := shard.NewNode(shard.NodeConfig{
 		ShardID: id, MDM: m, Inner: wire.HandlerFunc(srv.Handle),
-		Logf: t.Logf,
 	})
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -68,6 +67,21 @@ func mapFor(version uint64, shards ...*testShard) wire.ShardMap {
 		m.Shards = append(m.Shards, wire.ShardInfo{ID: s.id, Addr: s.addr()})
 	}
 	return m
+}
+
+// Every install is an event naming the shard, the map's coordinates and
+// the install mode.
+func TestMapInstalledEvent(t *testing.T) {
+	events := captureEvents(t)
+	a, b := startShard(t, "a"), startShard(t, "b")
+	installMap(t, mapFor(1, a, b), "", a, b)
+	next := mapFor(2, a, b)
+	next.Epoch = 3
+	installMap(t, next, "handoff", a)
+	want := map[string]string{"shard": "a", "version": "2", "epoch": "3", "mode": "handoff"}
+	if _, ok := events.await("map installed", want); !ok {
+		t.Fatalf("no map installed event with %v", want)
+	}
 }
 
 // ownersBy buckets generated owner IDs by their home shard under a map.
@@ -319,7 +333,7 @@ func TestRebalanceNoResolveGap(t *testing.T) {
 	time.Sleep(50 * time.Millisecond) // let the pre-rebalance baseline run
 	ctx, cancel := context.WithTimeout(context.Background(), 15*time.Second)
 	defer cancel()
-	if err := shard.Rebalance(ctx, v1, v2, shard.RebalanceOptions{ForwardMillis: 300, Logf: t.Logf}); err != nil {
+	if err := shard.Rebalance(ctx, v1, v2, shard.RebalanceOptions{ForwardMillis: 300}); err != nil {
 		t.Fatalf("Rebalance: %v", err)
 	}
 	time.Sleep(900 * time.Millisecond) // ride through the drain flip

@@ -3,6 +3,7 @@ package shard
 import (
 	"context"
 	"fmt"
+	"log/slog"
 
 	"gupster/internal/coverage"
 	"gupster/internal/dirclient"
@@ -22,8 +23,6 @@ type RebalanceOptions struct {
 	// This is the auto-repair entry point — the rebalance machinery is
 	// identical, only the source of truth for the dead slice changes.
 	DeadShards map[string]wire.ShardCoverageResponse
-	// Logf, when set, receives progress events.
-	Logf func(format string, args ...any)
 }
 
 // Rebalance moves the directory from shard map old to shard map next
@@ -64,11 +63,6 @@ func Rebalance(ctx context.Context, old, next wire.ShardMap, opts RebalanceOptio
 	if ring.Compare(next, old) <= 0 {
 		return fmt.Errorf("shard: rebalance: new map v%d@e%d must supersede v%d@e%d", next.Version, next.Epoch, old.Version, old.Epoch)
 	}
-	logf := opts.Logf
-	if logf == nil {
-		logf = func(string, ...any) {}
-	}
-
 	var conns wire.Pool
 	defer conns.Close()
 	install := func(s wire.ShardInfo, mode string) error {
@@ -105,7 +99,7 @@ func Rebalance(ctx context.Context, old, next wire.ShardMap, opts RebalanceOptio
 		if err := install(s, ""); err != nil {
 			return fmt.Errorf("shard: rebalance: install on joining shard %s: %w", s.ID, err)
 		}
-		logf("rebalance: shard %s adopted map v%d", s.ID, next.Version)
+		slog.Info("rebalance shard joined", "shard", s.ID, "version", next.Version, "epoch", next.Epoch)
 	}
 
 	// Phase 2: sources enter the handoff window, then the moved owners'
@@ -157,7 +151,7 @@ func Rebalance(ctx context.Context, old, next wire.ShardMap, opts RebalanceOptio
 			moved++
 		}
 	}
-	logf("rebalance: replayed %d moved records to map v%d homes", moved, next.Version)
+	slog.Info("rebalance replayed", "version", next.Version, "epoch", next.Epoch, "moved", moved)
 
 	// Phase 3: sources drain — forward for the window, then flip to
 	// redirects and drop the moved slice.
@@ -169,7 +163,7 @@ func Rebalance(ctx context.Context, old, next wire.ShardMap, opts RebalanceOptio
 			return fmt.Errorf("shard: rebalance: drain install on shard %s: %w", s.ID, err)
 		}
 	}
-	logf("rebalance: map v%d@e%d live on all shards", next.Version, next.Epoch)
+	slog.Info("rebalance complete", "version", next.Version, "epoch", next.Epoch)
 	return nil
 }
 

@@ -2,6 +2,7 @@ package shard
 
 import (
 	"fmt"
+	"log/slog"
 
 	"gupster/internal/dirclient"
 	"gupster/internal/dirclient/ring"
@@ -13,29 +14,19 @@ import (
 // owning shard. It gives callers that cannot reach the shards themselves a
 // single endpoint, at the cost of one extra network hop per call.
 type Router struct {
-	cfg RouterConfig
 	// dir is the router's whole state: its shard map is the one the router
 	// serves and installs into, its pool the forwarding connections.
 	dir *dirclient.Directory
 	mux *wire.Mux
 }
 
-// RouterConfig parameterizes a Router.
-type RouterConfig struct {
-	// Logf, when set, receives routing events.
-	Logf func(format string, args ...any)
-}
-
 // NewRouter builds a router over an initial shard map.
-func NewRouter(m wire.ShardMap, cfg RouterConfig) (*Router, error) {
+func NewRouter(m wire.ShardMap) (*Router, error) {
 	dir := dirclient.New()
 	if err := dir.Adopt(m); err != nil {
 		return nil, err
 	}
-	if cfg.Logf == nil {
-		cfg.Logf = func(string, ...any) {}
-	}
-	r := &Router{cfg: cfg, dir: dir}
+	r := &Router{dir: dir}
 	r.mux = adminMux(dir.Map, r.Install, wire.HandlerFunc(r.forward))
 	return r, nil
 }
@@ -55,7 +46,7 @@ func (r *Router) Install(req *wire.ShardInstallRequest) (*wire.ShardInstallRespo
 			return nil, errDivergentMap(req.Map)
 		}
 	}
-	r.cfg.Logf("router: shard map v%d@e%d installed (%d shards)", req.Map.Version, req.Map.Epoch, len(req.Map.Shards))
+	slog.Info("router map installed", "version", req.Map.Version, "epoch", req.Map.Epoch, "mode", req.Mode, "shards", len(req.Map.Shards))
 	return &wire.ShardInstallResponse{Version: req.Map.Version}, nil
 }
 

@@ -3,6 +3,7 @@ package store
 import (
 	"context"
 	"fmt"
+	"log/slog"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -51,19 +52,11 @@ type RegistrarConfig struct {
 	// registrar then only registers once). Keep it under the MDM's lease
 	// TTL — half the TTL is a good default.
 	Interval time.Duration
-	// Logf, when non-nil, receives registrar events (re-registrations).
-	Logf func(format string, args ...any)
 }
 
 // NewRegistrar creates a registrar; call Start.
 func NewRegistrar(cfg RegistrarConfig) *Registrar {
 	return &Registrar{cfg: cfg, dir: dirclient.New(cfg.MDM), stop: make(chan struct{})}
-}
-
-func (r *Registrar) logf(format string, args ...any) {
-	if r.cfg.Logf != nil {
-		r.cfg.Logf(format, args...)
-	}
 }
 
 // pathOwner names the profile owner a coverage path belongs to, so the
@@ -156,16 +149,17 @@ func (r *Registrar) beat() {
 			Store: r.cfg.Store, Addr: r.cfg.Addr,
 		}, &resp)
 		if err != nil {
-			r.logf("registrar: heartbeat: %v", err)
+			slog.Debug("heartbeat failed", "store", r.cfg.Store, "err", err)
 			continue
 		}
 		r.Heartbeats.Add(1)
 		if resp.Known {
 			continue
 		}
-		r.logf("registrar: MDM does not know %s; re-registering %d paths", r.cfg.Store, len(paths))
+		slog.Info("coverage re-registering", "store", r.cfg.Store, "paths", len(paths))
 		if err := r.register(ctx, paths); err != nil {
-			r.logf("registrar: re-register: %v", err)
+			// The next beat finds the store still unknown and retries.
+			slog.Debug("re-registration failed", "store", r.cfg.Store, "err", err)
 			continue
 		}
 		r.Reregistrations.Add(1)

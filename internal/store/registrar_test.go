@@ -87,7 +87,6 @@ func TestRegistrarReregistersAfterMDMAmnesia(t *testing.T) {
 		MDM:      addr,
 		Coverage: []string{"/user[@id='u']/presence"},
 		Interval: 20 * time.Millisecond,
-		Logf:     t.Logf,
 	})
 	if err := r.Start(context.Background()); err != nil {
 		t.Fatalf("Start: %v", err)
@@ -195,7 +194,6 @@ func TestRegistrarRenewsLeaseOnEveryHomeShard(t *testing.T) {
 			fmt.Sprintf("/user[@id='%s']/presence", ownerHomedOn(t, rg, "sb")),
 		},
 		Interval: 20 * time.Millisecond,
-		Logf:     t.Logf,
 	})
 	if err := r.Start(context.Background()); err != nil {
 		t.Fatalf("Start: %v", err)
@@ -246,7 +244,6 @@ func TestRegistrarRotatesToLearnedSeedsWhenHomeShardDies(t *testing.T) {
 		MDM:      wsA.Addr(),
 		Coverage: []string{fmt.Sprintf("/user[@id='%s']/presence", owner)},
 		Interval: 25 * time.Millisecond,
-		Logf:     t.Logf,
 	})
 	if err := r.Start(context.Background()); err != nil {
 		t.Fatalf("Start: %v", err)

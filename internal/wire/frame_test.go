@@ -83,17 +83,10 @@ func TestLegacyFramesAreRefused(t *testing.T) {
 		}
 	}
 
-	logged := make(chan string, 4)
+	events := captureEvents(t)
 	srv, err := Serve("127.0.0.1:0", echoHandler{})
 	if err != nil {
 		t.Fatal(err)
-	}
-	srv.Logf = func(format string, args ...any) {
-		if len(args) == 2 {
-			if err, ok := args[1].(error); ok {
-				logged <- err.Error()
-			}
-		}
 	}
 	defer srv.Close()
 	good, err := Dial(srv.Addr())
@@ -115,13 +108,10 @@ func TestLegacyFramesAreRefused(t *testing.T) {
 	if n, err := old.Read(make([]byte, 1)); n != 0 || !errors.Is(err, io.EOF) {
 		t.Errorf("the legacy peer's connection: read %d bytes, %v; want it closed", n, err)
 	}
-	select {
-	case line := <-logged:
-		if line != ErrLegacyFrame.Error() {
-			t.Errorf("server logged %q, want the legacy refusal", line)
-		}
-	case <-time.After(2 * time.Second):
+	if ev, ok := events.await("connection read failed", nil); !ok {
 		t.Error("the refusal was not logged")
+	} else if got := ev["err"].String(); got != ErrLegacyFrame.Error() {
+		t.Errorf("server logged %q, want the legacy refusal", got)
 	}
 	var resp map[string]int
 	if err := good.Call(context.Background(), "echo", map[string]int{"n": 1}, &resp); err != nil || resp["n"] != 1 {

@@ -4,7 +4,7 @@ import (
 	"bufio"
 	"errors"
 	"io"
-	"log"
+	"log/slog"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -130,10 +130,6 @@ type Server struct {
 
 	connMu sync.Mutex
 	conns  map[net.Conn]bool
-
-	// Logf, when set, receives connection-level errors; defaults to
-	// discarding them (they are routine at shutdown).
-	Logf func(format string, args ...any)
 }
 
 // Serve starts a server on addr ("127.0.0.1:0" picks a free port).
@@ -174,12 +170,6 @@ func (s *Server) Close() error {
 	return err
 }
 
-func (s *Server) logf(format string, args ...any) {
-	if s.Logf != nil {
-		s.Logf(format, args...)
-	}
-}
-
 func (s *Server) acceptLoop() {
 	defer s.wg.Done()
 	var backoff time.Duration
@@ -198,7 +188,7 @@ func (s *Server) acceptLoop() {
 			} else if backoff *= 2; backoff > time.Second {
 				backoff = time.Second
 			}
-			s.logf("wire: accept: %v (retrying in %s)", err, backoff)
+			slog.Debug("accept failed", "err", err, "backoff", backoff)
 			select {
 			case <-s.quit:
 				return
@@ -244,9 +234,9 @@ func (s *Server) serveConn(conn net.Conn) {
 		if err != nil {
 			// A peer hanging up between frames is routine; one that hangs
 			// up inside a frame (io.ErrUnexpectedEOF) or sends what cannot
-			// be decoded is worth the line.
+			// be decoded is worth a (Debug) event.
 			if !errors.Is(err, net.ErrClosed) && !errors.Is(err, io.EOF) {
-				s.logf("wire: read from %s: %v", conn.RemoteAddr(), err)
+				slog.Debug("connection read failed", "peer", conn.RemoteAddr().String(), "err", err)
 			}
 			return
 		}
@@ -258,7 +248,7 @@ func (s *Server) serveConn(conn net.Conn) {
 		func() {
 			defer func() {
 				if r := recover(); r != nil {
-					log.Printf("wire: handler panic: %v", r)
+					slog.Error("handler panic", "peer", conn.RemoteAddr().String(), "err", r)
 					_ = sc.ReplyError(m, errors.New("internal error"))
 				}
 			}()

@@ -46,9 +46,6 @@ type TestbedOptions struct {
 	// AllowRole, when non-empty, provisions a permit-all shield rule for
 	// requesters asserting this role (e.g. the reach-me service account).
 	AllowRole string
-	// ExtraRulesPerUser pads each user's shield with inert rules to sweep
-	// policy-set sizes (benchmark E3).
-	ExtraRulesPerUser int
 	// GrantTTL overrides the MDM's referral TTL.
 	GrantTTL time.Duration
 	// FaultInjection fronts every store with a faultinject.Proxy and
@@ -375,16 +372,6 @@ func (tb *Testbed) seed(opts TestbedOptions, rng *rand.Rand) error {
 				ID:     "allow-" + opts.AllowRole,
 				Path:   xpath.MustParse(fmt.Sprintf("/user[@id='%s']", user)),
 				Cond:   policy.RoleIs(opts.AllowRole),
-				Effect: policy.Permit,
-			}); err != nil {
-				return err
-			}
-		}
-		for r := 0; r < opts.ExtraRulesPerUser; r++ {
-			if err := tb.MDM.PAP.PutRule(user, policy.Rule{
-				ID:     fmt.Sprintf("pad-%03d", r),
-				Path:   xpath.MustParse(fmt.Sprintf("/user[@id='%s']/buddy-list", user)),
-				Cond:   policy.RequesterIs(fmt.Sprintf("nobody-%d", r)),
 				Effect: policy.Permit,
 			}); err != nil {
 				return err
