@@ -78,6 +78,16 @@ row "One parser" §17 \
 	'"encoding/xml"' "$src ." \
 	'./benchmark/'
 
+# A server-side role — the MDM chaining or relaying a recruit, a recruited
+# store gathering its siblings — moves the component as bytes: it merges the
+# stores' replies with xmltree.MergeXML and builds no tree. The client's
+# Executor.Fetch, whose API returns trees, is the one tree merge left in
+# internal/store (its return line in plan.go).
+row "Server roles move bytes" §23 \
+	"a tree merge in a server-side role: merge the replies as XML with xmltree.MergeXML" \
+	'xmltree\.(MergeAll|MergeOwned|DeepUnion)\(' "$src internal/core/mdm.go internal/store/" \
+	'internal/store/plan.go:[0-9]*:.return.xmltree\.MergeOwned('
+
 # A phase's faults are its events list, and the scenario schema is the
 # yaml tags on the structs in internal/scenario/scenario.go — in tests and
 # scenario files too.

@@ -486,7 +486,7 @@ func (c *Client) FollowReferrals(ctx context.Context, resp *wire.ResolveResponse
 		})
 	}
 	x := c.plans()
-	return x.Run(ctx, alts, x.Fetch)
+	return store.Run(ctx, x, alts, x.Fetch)
 }
 
 // Update resolves an update grant and writes the fragment to every store

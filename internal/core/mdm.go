@@ -684,13 +684,9 @@ func (m *MDM) chain(ctx context.Context, owner, key string, cacheable bool, gran
 		defer m.cache.endFill(owner)
 	}
 
-	merged, err := m.plans.Run(ctx, alts, m.plans.Fetch)
+	xml, err := store.Run(ctx, m.plans, alts, m.plans.FetchXML)
 	if err != nil {
 		return nil, err
-	}
-	xml := ""
-	if merged != nil {
-		xml = merged.String()
 	}
 	m.Stats.BytesProxied.Add(uint64(len(xml)))
 	if cacheable && xml != "" {
@@ -724,9 +720,9 @@ func (m *MDM) recruit(ctx context.Context, alts []wire.Alternative) (*wire.Resol
 	// cut when the fabric is drowning.
 	brown := m.adm.Brownout()
 	var skipped []string // of the alternative that answered
-	merged, err := m.plans.Run(ctx, alts, func(ctx context.Context, alt wire.Alternative) (doc *xmltree.Node, err error) {
+	xml, err := store.Run(ctx, m.plans, alts, func(ctx context.Context, alt wire.Alternative) (xml string, err error) {
 		if len(alt.Referrals) == 0 {
-			return nil, ErrNoCoverage
+			return "", ErrNoCoverage
 		}
 		primary, siblings := alt.Referrals[0], alt.Referrals[1:]
 		skipped = nil
@@ -742,18 +738,19 @@ func (m *MDM) recruit(ctx context.Context, alts []wire.Alternative) (*wire.Resol
 			rsp.Annotate("brownout-skip-siblings")
 		}
 		err = m.plans.Call(rctx, primary.Address, func(actx context.Context, c store.Client) error {
-			doc, err = c.Exec(actx, wire.FetchRequest{Query: primary.Query}, siblings)
+			xml, err = c.Exec(actx, wire.FetchRequest{Query: primary.Query}, siblings)
 			return err
 		})
+		if err == nil {
+			// The store's answer is relayed as the union of one piece:
+			// checked, and as String writes it.
+			xml, err = xmltree.MergeXML(xmltree.DefaultKeys, xml)
+		}
 		rsp.Finish(err)
-		return doc, err
+		return xml, err
 	})
 	if err != nil {
 		return nil, err
-	}
-	xml := ""
-	if merged != nil {
-		xml = merged.String()
 	}
 	// Recruiting moves only the final result through neither the MDM
 	// nor extra client round trips; the MDM just relays the response.

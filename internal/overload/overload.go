@@ -27,6 +27,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"log/slog"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -216,10 +217,13 @@ func (c *Controller) Acquire(ctx context.Context, class Class) (release func(), 
 	}
 	c.mu.Lock()
 	now := time.Now()
-	c.noteBrownoutLocked(now)
+	move, pressure := c.noteBrownoutLocked(now)
 	if c.inUse < c.classLimitLocked(class) {
 		c.inUse++
 		c.mu.Unlock()
+		if move != "" {
+			c.logBrownout(move, pressure)
+		}
 		c.Stats.Admitted.Add(1)
 		return c.releaseFunc(class, now), nil
 	}
@@ -227,6 +231,9 @@ func (c *Controller) Acquire(ctx context.Context, class Class) (release func(), 
 		if !c.evictForLocked(class) {
 			ra := c.retryAfterLocked(class)
 			c.mu.Unlock()
+			if move != "" {
+				c.logBrownout(move, pressure)
+			}
 			c.countShed(class)
 			return nil, &ShedError{Class: class, RetryAfter: ra, Reason: "admission queue full"}
 		}
@@ -235,6 +242,9 @@ func (c *Controller) Acquire(ctx context.Context, class Class) (release func(), 
 	c.queue = append(c.queue, w)
 	wait := c.queueWaitLocked(ctx, now)
 	c.mu.Unlock()
+	if move != "" {
+		c.logBrownout(move, pressure)
+	}
 	c.Stats.Queued.Add(1)
 
 	timer := time.NewTimer(wait)
@@ -313,8 +323,11 @@ func (c *Controller) release(class Class, d time.Duration) {
 	} else {
 		c.inUse--
 	}
-	c.noteBrownoutLocked(time.Now())
+	move, pressure := c.noteBrownoutLocked(time.Now())
 	c.mu.Unlock()
+	if move != "" {
+		c.logBrownout(move, pressure)
+	}
 }
 
 // popWaiterLocked picks the waiter to hand a freed slot to: the newest
@@ -496,19 +509,25 @@ func (c *Controller) Brownout() bool {
 		return false
 	}
 	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.noteBrownoutLocked(time.Now())
-	return c.brown
+	move, pressure := c.noteBrownoutLocked(time.Now())
+	brown := c.brown
+	c.mu.Unlock()
+	if move != "" {
+		c.logBrownout(move, pressure)
+	}
+	return brown
 }
 
 // noteBrownoutLocked advances the hysteretic detector: enter when
 // pressure holds at or above the threshold for a full window, leave when
 // it holds below half the threshold for a full window. Caller holds the
-// lock.
-func (c *Controller) noteBrownoutLocked(now time.Time) {
+// lock. It returns the move it made — "brownout entered", "brownout
+// exited" or "" — and the pressure that made it, for the caller to hand to
+// logBrownout once the lock is released.
+func (c *Controller) noteBrownoutLocked(now time.Time) (move string, pressure float64) {
 	th := c.cfg.BrownoutThreshold
 	if th <= 0 {
-		return
+		return "", 0
 	}
 	p := c.pressureLocked()
 	if !c.brown {
@@ -520,11 +539,12 @@ func (c *Controller) noteBrownoutLocked(now time.Time) {
 				c.brown = true
 				c.underSince = time.Time{}
 				c.Stats.BrownoutEnters.Add(1)
+				return "brownout entered", p
 			}
 		} else {
 			c.overSince = time.Time{}
 		}
-		return
+		return "", 0
 	}
 	if p < th/2 {
 		if c.underSince.IsZero() {
@@ -534,10 +554,17 @@ func (c *Controller) noteBrownoutLocked(now time.Time) {
 			c.brown = false
 			c.overSince = time.Time{}
 			c.Stats.BrownoutExits.Add(1)
+			return "brownout exited", p
 		}
 	} else {
 		c.underSince = time.Time{}
 	}
+	return "", 0
+}
+
+// logBrownout is the Info event of a move noteBrownoutLocked made.
+func (c *Controller) logBrownout(move string, pressure float64) {
+	slog.Info(move, "pressure", pressure, "threshold", c.cfg.BrownoutThreshold)
 }
 
 // Report copies the controller's counters and gauges into resp; a

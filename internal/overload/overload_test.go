@@ -397,3 +397,57 @@ func waitForQueued(t *testing.T, c *Controller, n int) {
 		time.Sleep(time.Millisecond)
 	}
 }
+
+// Entering and leaving brownout are Info events carrying the pressure that
+// moved the detector and its threshold.
+func TestBrownoutEnteredEvent(t *testing.T) {
+	events := captureEvents(t)
+	c := brownedOut(t)
+	defer c.release(ClassHigh, 0)
+	ev, ok := events.await("brownout entered", map[string]string{"threshold": "0.5"})
+	if !ok {
+		t.Fatal("no brownout entered event")
+	}
+	if p := ev["pressure"].Float64(); p < 0.5 {
+		t.Errorf("brownout entered at pressure %v, below the threshold", p)
+	}
+}
+
+func TestBrownoutExitedEvent(t *testing.T) {
+	events := captureEvents(t)
+	c := brownedOut(t)
+	c.release(ClassHigh, 0)
+	c.release(ClassHigh, 0)
+	time.Sleep(30 * time.Millisecond)
+	if c.Brownout() {
+		t.Fatal("brownout persisted after sustained recovery")
+	}
+	ev, ok := events.await("brownout exited", map[string]string{"threshold": "0.5"})
+	if !ok {
+		t.Fatal("no brownout exited event")
+	}
+	if p := ev["pressure"].Float64(); p >= 0.25 {
+		t.Errorf("brownout exited at pressure %v, not below half the threshold", p)
+	}
+}
+
+// brownedOut returns a controller in brownout, both its slots held by
+// ClassHigh acquisitions whose release the caller owns.
+func brownedOut(t *testing.T) *Controller {
+	t.Helper()
+	c := New(Config{
+		MaxConcurrency: 2, QueueDepth: 2, QueueWait: 10 * time.Millisecond,
+		BrownoutThreshold: 0.5, BrownoutWindow: 20 * time.Millisecond,
+	}, nil)
+	for i := 0; i < 2; i++ {
+		if _, err := c.Acquire(context.Background(), ClassHigh); err != nil {
+			t.Fatal(err)
+		}
+	}
+	c.Brownout() // the detector is lazy: this starts the window
+	time.Sleep(30 * time.Millisecond)
+	if !c.Brownout() {
+		t.Fatal("no brownout after sustained pressure past the window")
+	}
+	return c
+}

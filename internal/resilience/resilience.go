@@ -23,6 +23,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"log/slog"
 	"math"
 	"math/rand"
 	"sync"
@@ -119,14 +120,16 @@ type Breaker struct {
 	cfg   BreakerConfig
 	stats *metrics.ResilienceStats
 
+	peer string // the endpoint, for its events
+
 	mu       sync.Mutex
 	state    State
 	failures int
 	openedAt time.Time
 }
 
-func newBreaker(cfg BreakerConfig, stats *metrics.ResilienceStats) *Breaker {
-	return &Breaker{cfg: cfg, stats: stats}
+func newBreaker(cfg BreakerConfig, stats *metrics.ResilienceStats, peer string) *Breaker {
+	return &Breaker{cfg: cfg, stats: stats, peer: peer}
 }
 
 // Allow reports whether a call may proceed. An open breaker past its
@@ -166,36 +169,38 @@ func (b *Breaker) Available() bool {
 	}
 }
 
-// Success reports a completed call, closing the breaker.
+// Success reports a completed call, closing the breaker. Closing an open
+// or half-open one is an Info event, logged once the lock is released.
 func (b *Breaker) Success() {
 	b.mu.Lock()
-	defer b.mu.Unlock()
-	if b.state != Closed {
-		b.stats.BreakerResets.Add(1)
-	}
+	was, failures := b.state, b.failures
 	b.state = Closed
 	b.failures = 0
+	b.mu.Unlock()
+	if was != Closed {
+		b.stats.BreakerResets.Add(1)
+		slog.Info("breaker closed", "peer", b.peer, "failures", failures)
+	}
 }
 
 // Failure reports a transient failure: it trips a closed breaker at the
-// threshold and re-opens a half-open one whose probe failed.
+// threshold and re-opens a half-open one whose probe failed. (Open: nothing
+// to do — refusals are not new evidence.) Opening is an Info event, logged
+// once the lock is released.
 func (b *Breaker) Failure() {
 	b.mu.Lock()
-	defer b.mu.Unlock()
 	b.failures++
-	switch b.state {
-	case HalfOpen:
+	failures := b.failures
+	opened := b.state == HalfOpen || b.state == Closed && failures >= b.cfg.Threshold
+	if opened {
 		b.state = Open
 		b.openedAt = time.Now()
-		b.stats.BreakerTrips.Add(1)
-	case Closed:
-		if b.failures >= b.cfg.Threshold {
-			b.state = Open
-			b.openedAt = time.Now()
-			b.stats.BreakerTrips.Add(1)
-		}
 	}
-	// Open: nothing to do — refusals are not new evidence.
+	b.mu.Unlock()
+	if opened {
+		b.stats.BreakerTrips.Add(1)
+		slog.Info("breaker opened", "peer", b.peer, "failures", failures)
+	}
 }
 
 // State reports the breaker's current state.
@@ -244,7 +249,7 @@ func (g *Group) breaker(endpoint string) *Breaker {
 	defer g.mu.Unlock()
 	b, ok := g.breakers[endpoint]
 	if !ok {
-		b = newBreaker(g.Breaker, g.Stats)
+		b = newBreaker(g.Breaker, g.Stats, endpoint)
 		g.breakers[endpoint] = b
 	}
 	return b

@@ -117,7 +117,7 @@ func TestBreakerTripShortCircuitAndRecover(t *testing.T) {
 }
 
 func TestHalfOpenAdmitsSingleProbe(t *testing.T) {
-	b := newBreaker(BreakerConfig{Threshold: 1, Cooldown: 10 * time.Millisecond}, &metrics.ResilienceStats{})
+	b := newBreaker(BreakerConfig{Threshold: 1, Cooldown: 10 * time.Millisecond}, &metrics.ResilienceStats{}, "test-peer")
 	b.Failure()
 	if b.State() != Open {
 		t.Fatalf("state = %v, want open", b.State())
@@ -295,5 +295,29 @@ func TestCallerExpiryDoesNotFeedBreaker(t *testing.T) {
 	}
 	if st := g.State("ep"); st != Open {
 		t.Fatalf("breaker state after real failures = %v, want open", st)
+	}
+}
+
+// A breaker opening and closing are Info events naming the peer and the
+// failures counted.
+func TestBreakerOpenedEvent(t *testing.T) {
+	events := captureEvents(t)
+	g := fastGroup(nil)
+	_ = g.Do(context.Background(), "store-1:9999", func(context.Context) error { return errBoom })
+	if _, ok := events.await("breaker opened", map[string]string{"peer": "store-1:9999", "failures": "3"}); !ok {
+		t.Fatal("no breaker opened event for store-1:9999 after 3 failures")
+	}
+}
+
+func TestBreakerClosedEvent(t *testing.T) {
+	events := captureEvents(t)
+	g := fastGroup(nil)
+	_ = g.Do(context.Background(), "store-1:9999", func(context.Context) error { return errBoom })
+	time.Sleep(60 * time.Millisecond) // the cooldown: the next call is the probe
+	if err := g.Do(context.Background(), "store-1:9999", func(context.Context) error { return nil }); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := events.await("breaker closed", map[string]string{"peer": "store-1:9999", "failures": "3"}); !ok {
+		t.Fatal("no breaker closed event for store-1:9999")
 	}
 }

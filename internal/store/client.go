@@ -38,18 +38,23 @@ func orBackground(ctx context.Context) context.Context {
 // Fetch retrieves the component granted by q. A nil document with nil error
 // means the store holds nothing under the granted path.
 func (c Client) Fetch(ctx context.Context, q token.SignedQuery) (*xmltree.Node, uint64, error) {
-	var resp wire.FetchResponse
-	if err := c.c.Call(orBackground(ctx), wire.TypeFetch, wire.FetchRequest{Query: q}, &resp); err != nil {
-		return nil, 0, err
-	}
-	if resp.XML == "" {
-		return nil, resp.Version, nil
+	resp, err := c.fetch(ctx, q)
+	if err != nil || resp.XML == "" {
+		return nil, resp.Version, err
 	}
 	doc, err := xmltree.ParseString(resp.XML)
 	if err != nil {
 		return nil, 0, err
 	}
 	return doc, resp.Version, nil
+}
+
+// fetch is Fetch's reply as the store sent it: the component's XML, ""
+// when the store holds nothing under the granted path.
+func (c Client) fetch(ctx context.Context, q token.SignedQuery) (wire.FetchResponse, error) {
+	var resp wire.FetchResponse
+	err := c.c.Call(orBackground(ctx), wire.TypeFetch, wire.FetchRequest{Query: q}, &resp)
+	return resp, err
 }
 
 // Update writes a component under the grant q.
@@ -59,16 +64,12 @@ func (c Client) Update(ctx context.Context, q token.SignedQuery, frag *xmltree.N
 	return resp.Version, err
 }
 
-// Exec migrates a merged fetch to the store (recruiting pattern).
-func (c Client) Exec(ctx context.Context, primary wire.FetchRequest, siblings []wire.Referral) (*xmltree.Node, error) {
+// Exec migrates a merged fetch to the store (recruiting pattern) and
+// returns the merged component's XML as the store sent it, "" for nothing.
+func (c Client) Exec(ctx context.Context, primary wire.FetchRequest, siblings []wire.Referral) (string, error) {
 	var resp wire.ExecResponse
-	if err := c.c.Call(orBackground(ctx), wire.TypeExec, wire.ExecRequest{Primary: primary, Siblings: siblings}, &resp); err != nil {
-		return nil, err
-	}
-	if resp.XML == "" {
-		return nil, nil
-	}
-	return xmltree.ParseString(resp.XML)
+	err := c.c.Call(orBackground(ctx), wire.TypeExec, wire.ExecRequest{Primary: primary, Siblings: siblings}, &resp)
+	return resp.XML, err
 }
 
 // SyncTransport adapts the connection into a syncml.Transport for the

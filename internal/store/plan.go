@@ -22,8 +22,8 @@ var ErrNoCoverage = errors.New("gupster: no data store covers the request")
 // client following referrals, the MDM chaining or recruiting, a recruited
 // store gathering its siblings — executes plans through one of these, so
 // connection reuse, retry, breaker and merge semantics are the same on
-// every path. It has three responsibilities, one method each: Call, Fetch
-// and Run.
+// every path. It has three responsibilities: Call, Fetch (FetchXML for a
+// server-side role) and, as the function Run, trying the alternatives.
 //
 // The roles differ observably in Span and Observe only; the other fields
 // are what the role already owns.
@@ -72,21 +72,42 @@ func (x Executor) Client(ctx context.Context, addr string) (Client, error) {
 }
 
 // Fetch retrieves every referral of one alternative on a bounded worker
-// pool and deep-unions the pieces in referral order. Each piece is the tree
-// of its own reply, held by nothing else, so they merge in place: a lone
-// piece is the answer as parsed.
+// pool and deep-unions the pieces in referral order, for the client, whose
+// API returns trees. Each piece is the tree of its own reply, held by
+// nothing else, so they merge in place: a lone piece is the answer as
+// parsed.
 func (x Executor) Fetch(ctx context.Context, alt wire.Alternative) (*xmltree.Node, error) {
-	pieces, err := x.pieces(ctx, alt.Referrals)
-	if err != nil {
+	replies := make([]string, len(alt.Referrals))
+	if err := x.pieces(ctx, alt.Referrals, replies); err != nil {
 		return nil, err
+	}
+	pieces := make([]*xmltree.Node, len(replies))
+	for i, r := range replies {
+		if r == "" {
+			continue
+		}
+		var err error
+		if pieces[i], err = xmltree.ParseString(r); err != nil {
+			return nil, err
+		}
 	}
 	return xmltree.MergeOwned(xmltree.DefaultKeys, pieces...), nil
 }
 
-// pieces fetches refs concurrently; pieces[i] answers refs[i], nil where
-// the store holds nothing under the granted path.
-func (x Executor) pieces(ctx context.Context, refs []wire.Referral) ([]*xmltree.Node, error) {
-	pieces := make([]*xmltree.Node, len(refs))
+// FetchXML is Fetch for a server-side role, which passes the component on
+// as XML: the stores' replies are merged as they came, into the XML of the
+// union, "" when no store holds anything.
+func (x Executor) FetchXML(ctx context.Context, alt wire.Alternative) (string, error) {
+	replies := make([]string, len(alt.Referrals))
+	if err := x.pieces(ctx, alt.Referrals, replies); err != nil {
+		return "", err
+	}
+	return xmltree.MergeXML(xmltree.DefaultKeys, replies...)
+}
+
+// pieces fetches refs concurrently into out: out[i] is the XML refs[i]
+// answered, "" where the store holds nothing under the granted path.
+func (x Executor) pieces(ctx context.Context, refs []wire.Referral, out []string) error {
 	if len(refs) > 1 {
 		x.Pipe.FanOuts.Add(1)
 		x.Pipe.FanOutCalls.Add(uint64(len(refs)))
@@ -105,28 +126,29 @@ func (x Executor) pieces(ctx context.Context, refs []wire.Referral) ([]*xmltree.
 				return err
 			}
 			start := time.Now()
-			d, _, err := c.Fetch(actx, ref.Query)
+			resp, err := c.fetch(actx, ref.Query)
 			if err != nil {
 				return err
 			}
 			if x.Observe != nil {
 				x.Observe(ref.Address, time.Since(start))
 			}
-			pieces[i] = d
+			out[i] = resp.XML
 			return nil
 		})
 		sp.Finish(err)
 		return err
 	})
-	return pieces, err
+	return err
 }
 
-// Run executes a plan: alternatives whose every store's breaker admits
-// traffic are tried first, in the order given, then the rest as a last
-// resort; the first one try answers is the result. An answer from any but
-// the first tried counts as a fallback; a plan nobody answers fails with
-// the last error, ErrNoCoverage when there was nothing to try.
-func (x Executor) Run(ctx context.Context, alts []wire.Alternative, try func(context.Context, wire.Alternative) (*xmltree.Node, error)) (*xmltree.Node, error) {
+// Run executes a plan through x: alternatives whose every store's breaker
+// admits traffic are tried first, in the order given, then the rest as a
+// last resort; the first one try answers is the result. An answer from any
+// but the first tried counts as a fallback; a plan nobody answers fails
+// with the last error, ErrNoCoverage when there was nothing to try. T is
+// what the role's try returns: the client's tree, or a server role's XML.
+func Run[T any](ctx context.Context, x Executor, alts []wire.Alternative, try func(context.Context, wire.Alternative) (T, error)) (T, error) {
 	// Breakers move while alternatives are tried, so the order is fixed
 	// first — and costs nothing while every breaker is closed.
 	order := alts
@@ -142,6 +164,7 @@ func (x Executor) Run(ctx context.Context, alts []wire.Alternative, try func(con
 		}
 		order = append(order, tripped...)
 	}
+	var zero T
 	lastErr := ErrNoCoverage
 	for i, alt := range order {
 		doc, err := try(ctx, alt)
@@ -154,7 +177,7 @@ func (x Executor) Run(ctx context.Context, alts []wire.Alternative, try func(con
 		}
 		return doc, nil
 	}
-	return nil, lastErr
+	return zero, lastErr
 }
 
 // available reports whether every store of the alternatives currently

@@ -172,7 +172,7 @@ func TestServerCloseReleasesSiblingConnections(t *testing.T) {
 	srv, cli, signer := startServer(t)
 	primary := wire.FetchRequest{Query: signer.Sign(srv.Engine.ID(), "u", mp("/user[@id='u']/calendar"), token.VerbFetch, "r", time.Minute)}
 	doc, err := cli.Exec(context.Background(), primary, []wire.Referral{{Address: sibling.Addr()}})
-	if err != nil || doc == nil {
+	if err != nil || doc == "" {
 		t.Fatalf("exec: %v, %v", doc, err)
 	}
 	select {

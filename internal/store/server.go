@@ -197,16 +197,15 @@ func (s *Server) exec(ctx context.Context, req *wire.ExecRequest) (wire.ExecResp
 	// The primary piece merges first, then the siblings in referral order.
 	// The traced ctx rides into the sibling fetches so their stores' spans
 	// join the trace one hop deeper.
-	pieces, err := s.siblings.pieces(ctx, req.Siblings)
+	pieces := make([]string, 1+len(req.Siblings))
+	if err := s.siblings.pieces(ctx, req.Siblings, pieces[1:]); err != nil {
+		return wire.ExecResponse{}, fmt.Errorf("store: recruit: %w", err)
+	}
+	// A store holding nothing under the path has no piece of its own.
+	pieces[0], _, _ = s.Engine.GetXML(owner, path)
+	xml, err := xmltree.MergeXML(xmltree.DefaultKeys, pieces...)
 	if err != nil {
 		return wire.ExecResponse{}, fmt.Errorf("store: recruit: %w", err)
 	}
-	if doc, _, gerr := s.Engine.Get(owner, path); gerr == nil {
-		pieces = append([]*xmltree.Node{doc}, pieces...)
-	}
-	resp := wire.ExecResponse{}
-	if merged := xmltree.MergeAll(xmltree.DefaultKeys, pieces...); merged != nil {
-		resp.XML = merged.String()
-	}
-	return resp, nil
+	return wire.ExecResponse{XML: xml}, nil
 }

@@ -199,10 +199,11 @@ func TestExecRecruiting(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cli.Close()
-	merged, err := cli.Exec(context.Background(), primary, []wire.Referral{sibling})
+	xml, err := cli.Exec(context.Background(), primary, []wire.Referral{sibling})
 	if err != nil {
 		t.Fatalf("Exec: %v", err)
 	}
+	merged := xmltree.MustParse(xml)
 	items := merged.Child("address-book").ChildrenNamed("item")
 	if len(items) != 2 {
 		t.Fatalf("merged items = %d\n%s", len(items), merged.Indent())

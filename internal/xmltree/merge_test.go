@@ -467,3 +467,28 @@ func BenchmarkMergeAll(b *testing.B) {
 		}
 	})
 }
+
+// BenchmarkMergeXML is BenchmarkMergeAll's merge from the stores' replies
+// to the merged reply: ParseString of each piece, MergeOwned and String,
+// against MergeXML.
+func BenchmarkMergeXML(b *testing.B) {
+	pieces := renderAll(splitBook(sizedBook(8<<10), 4))
+	b.Run("4x2k/trees", func(b *testing.B) {
+		b.ReportAllocs()
+		trees := make([]*Node, len(pieces))
+		for b.Loop() {
+			for i, p := range pieces {
+				trees[i], _ = ParseString(p)
+			}
+			_ = MergeOwned(DefaultKeys, trees...).String()
+		}
+	})
+	b.Run("4x2k", func(b *testing.B) {
+		b.ReportAllocs()
+		for b.Loop() {
+			if _, err := MergeXML(DefaultKeys, pieces...); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}

@@ -37,7 +37,8 @@ var ErrTooDeep = errors.New("xmltree: elements nested deeper than MaxDepth")
 func ParseString(s string) (*Node, error) {
 	p := parsers.Get().(*parser)
 	p.s, p.bound = s, startTags(s)
-	root, err := p.parse()
+	err := p.parse()
+	root := p.root
 	p.release()
 	return root, err
 }
@@ -142,8 +143,17 @@ type frame struct {
 	node *Node
 	raw  string // the name as written, prefix included: what the end tag must repeat
 	text string // the first run of character data, leading whitespace dropped
-	more int    // where this element's text starts in parser.text, once a second run has come
-	kids int    // where this element's closed children start in parser.kids
+	more int32  // where this element's text starts in parser.text, once a second run has come
+	kids int32  // where this element's closed children start in parser.kids
+
+	// For an index (p.ix set): the element's entry, where text starts in
+	// the input, whether anything was read inside it yet, and whether its
+	// bytes so far are what appendXML would write for it. (Frames are kept
+	// to 64 bytes: pushing a larger one costs ParseString a block copy.)
+	elem    int32
+	textAt  int32
+	content bool
+	canon   bool
 }
 
 type attr struct{ name, value string }
@@ -157,10 +167,21 @@ type parser struct {
 	attrs []attr  // the attributes kept from the start tag being read
 	buf   []byte  // scratch for character data that needs decoding
 
-	slab   slab // what is left of the chunks the tree's nodes and children come from
-	bound  int  // the most elements s can hold
-	opened int  // elements read so far
-	placed int  // child slots handed out so far
+	slab   slab  // what is left of the chunks the tree's nodes and children come from
+	bound  int   // the most elements s can hold
+	opened int   // elements read so far
+	placed int   // child slots handed out so far
+	root   *Node // the tree, once its root has closed
+	done   bool  // the root has closed
+
+	// What chars last read: whether it needed decoding, and whether
+	// appendEscaped writes it back as it was read.
+	decoded, canon bool
+
+	// ix, when set, receives the elements instead of a tree: MergeXML's
+	// index, filled from piece number piece.
+	ix    *merger
+	piece int32
 }
 
 // node hands out the next node from the slab, allocating a chunk when it is
@@ -184,38 +205,37 @@ func (p *parser) children(k int) []*Node {
 	return p.slab.children(k)
 }
 
-func (p *parser) parse() (*Node, error) {
+// parse reads p.s up to the root's end tag, into p.root or p.ix.
+func (p *parser) parse() error {
 	s := p.s
 	for {
 		if p.i < len(s) && s[p.i] != '<' {
+			at := p.i
 			text, err := p.chars(len(s), 0, false)
 			if err != nil {
-				return nil, err
+				return err
 			}
-			p.addText(text)
+			p.addText(text, at)
 		}
 		if p.i+1 >= len(s) {
 			if p.i == len(s) && len(p.stack) == 0 {
-				return nil, ErrEmpty
+				return ErrEmpty
 			}
-			return nil, p.fail(len(s), "unexpected end of input")
+			return p.fail(len(s), "unexpected end of input")
 		}
-		var (
-			root *Node
-			err  error
-		)
+		var err error
 		switch s[p.i+1] {
 		case '/':
-			root, err = p.endTag()
+			err = p.endTag()
 		case '?':
 			err = p.procInst()
 		case '!':
 			err = p.bang()
 		default:
-			root, err = p.startTag()
+			err = p.startTag()
 		}
-		if root != nil || err != nil {
-			return root, err
+		if p.done || err != nil {
+			return err
 		}
 	}
 }
@@ -229,34 +249,44 @@ func (p *parser) fail(off int, msg string) error {
 	return fmt.Errorf("xmltree: %s in <%s> at offset %d", msg, p.stack[len(p.stack)-1].raw, off)
 }
 
-// startTag reads "<name attr='v' …>" or "<name …/>" at p.i. It returns the
-// element only when it is self-closing and the root.
-func (p *parser) startTag() (*Node, error) {
+// startTag reads "<name attr='v' …>" or "<name …/>" at p.i.
+func (p *parser) startTag() error {
 	s := p.s
 	open := p.i
 	p.i++
 	raw, err := p.name()
 	if err != nil {
-		return nil, err
+		return err
 	}
 	_, local, ok := splitName(raw)
 	if !ok {
-		return nil, p.fail(open, "invalid qualified name "+raw)
+		return p.fail(open, "invalid qualified name "+raw)
 	}
 	if len(p.stack) == MaxDepth {
-		return nil, fmt.Errorf("%w: <%s> at offset %d", ErrTooDeep, raw, open)
+		return fmt.Errorf("%w: <%s> at offset %d", ErrTooDeep, raw, open)
 	}
 	// Open before the attributes are read, so an error in one names this
 	// element.
-	n := p.node()
-	n.Name = local
-	p.stack = append(p.stack, frame{node: n, raw: raw, more: len(p.text), kids: len(p.kids)})
+	p.stack = append(p.stack, frame{raw: raw, more: int32(len(p.text)), kids: int32(len(p.kids))})
+	if p.ix != nil {
+		if top := len(p.stack) - 2; top >= 0 {
+			p.stack[top].content = true
+		}
+		f := &p.stack[len(p.stack)-1]
+		f.elem = p.ix.open(p.piece, p.i-len(local), p.i, open)
+		f.canon = len(local) == len(raw) // local is a suffix of raw
+	} else {
+		n := p.node()
+		n.Name = local
+		p.stack[len(p.stack)-1].node = n
+	}
 	p.attrs = p.attrs[:0]
 	selfClosing := false
 	for {
+		gap := p.i
 		p.space()
 		if p.i == len(s) {
-			return nil, p.fail(p.i, "unexpected end of input")
+			return p.fail(p.i, "unexpected end of input")
 		}
 		if s[p.i] == '>' {
 			p.i++
@@ -264,31 +294,45 @@ func (p *parser) startTag() (*Node, error) {
 		}
 		if s[p.i] == '/' {
 			if !strings.HasPrefix(s[p.i:], "/>") {
-				return nil, p.fail(p.i, "expected />")
+				return p.fail(p.i, "expected />")
 			}
 			p.i += 2
 			selfClosing = true
 			break
 		}
+		if p.ix != nil && (p.i != gap+1 || s[gap] != ' ') {
+			// Written back, an attribute has one space before it.
+			p.stack[len(p.stack)-1].canon = false
+		}
 		if err := p.attribute(); err != nil {
-			return nil, err
+			return err
 		}
 	}
-	if len(p.attrs) > 0 {
+	top := &p.stack[len(p.stack)-1]
+	if p.ix != nil {
+		// ... and the tag none before its end.
+		end := p.i - 1
+		if selfClosing {
+			end--
+		}
+		top.canon = p.ix.attrsRead(top.elem, s) && top.canon && !isSpace(s[end-1])
+	} else if len(p.attrs) > 0 {
+		n := top.node
 		n.Attrs = make(map[string]string, len(p.attrs))
 		for _, a := range p.attrs {
 			n.Attrs[a.name] = a.value // a repeated attribute: the last one wins
 		}
 	}
 	if selfClosing {
-		p.stack = p.stack[:len(p.stack)-1]
-		return p.closed(n), nil
+		// <a/> is written as it is read: no content to check.
+		top.content = true
+		p.closed()
 	}
-	return nil, nil
+	return nil
 }
 
-// attribute reads one name="value" pair of a start tag into p.attrs, unless
-// it is a namespace declaration.
+// attribute reads one name="value" pair of a start tag into p.attrs, or the
+// index, unless it is a namespace declaration.
 func (p *parser) attribute() error {
 	s := p.s
 	at := p.i
@@ -300,6 +344,7 @@ func (p *parser) attribute() error {
 	if !ok {
 		return p.fail(at, "invalid qualified name "+raw)
 	}
+	eq := p.i
 	p.space()
 	if p.i == len(s) || s[p.i] != '=' {
 		return p.fail(p.i, "attribute "+raw+" has no =")
@@ -311,71 +356,101 @@ func (p *parser) attribute() error {
 	}
 	quote := s[p.i]
 	p.i++
+	from := p.i
 	value, err := p.chars(len(s), quote, false)
 	if err != nil {
 		return err
 	}
 	p.i++ // the closing quote chars stopped at
-	if prefix != "xmlns" && local != "xmlns" {
+	xmlns := prefix == "xmlns" || local == "xmlns"
+	switch {
+	case p.ix != nil:
+		// Written back as read: name="value", no prefix, no space around
+		// the =, and a value appendEscaped writes as it is.
+		if xmlns || from != eq+2 || quote != '"' || len(local) != len(raw) || !p.canon {
+			p.stack[len(p.stack)-1].canon = false
+		}
+		if !xmlns {
+			p.ix.attr(at+len(raw)-len(local), at+len(raw), from, p.i-1, p.decoded, p.buf)
+		}
+	case !xmlns:
 		p.attrs = append(p.attrs, attr{local, value})
 	}
 	return nil
 }
 
-// endTag reads "</name>" at p.i and closes the innermost element. It returns
-// the element only when it is the root.
-func (p *parser) endTag() (*Node, error) {
+// isSpace reports whether c is XML white space.
+func isSpace(c byte) bool { return c == ' ' || c == '\n' || c == '\t' || c == '\r' }
+
+// endTag reads "</name>" at p.i and closes the innermost element.
+func (p *parser) endTag() error {
 	s := p.s
 	at := p.i
 	p.i += 2
 	raw, err := p.name()
 	if err != nil {
-		return nil, err
+		return err
 	}
 	top := len(p.stack) - 1
 	if top < 0 || raw != p.stack[top].raw {
-		return nil, p.fail(at, "unexpected end tag </"+raw+">")
+		return p.fail(at, "unexpected end tag </"+raw+">")
 	}
 	f := &p.stack[top]
 	p.space()
 	if p.i == len(s) || s[p.i] != '>' {
-		return nil, p.fail(p.i, "end tag is not closed by >")
+		return p.fail(p.i, "end tag is not closed by >")
 	}
 	p.i++
-	n := f.node
-	if f.more < len(p.text) {
-		n.Text = string(bytes.TrimSpace(p.text[f.more:]))
-		p.text = p.text[:f.more]
+	if p.ix != nil {
+		f.canon = f.canon && !isSpace(s[p.i-2]) // "</name>", not "</name >"
+		p.ix.text(p, f)
 	} else {
-		n.Text = strings.TrimSpace(f.text)
+		n := f.node
+		if int(f.more) < len(p.text) {
+			n.Text = string(bytes.TrimSpace(p.text[f.more:]))
+		} else {
+			n.Text = strings.TrimSpace(f.text)
+		}
+		if int(f.kids) < len(p.kids) {
+			n.Children = p.children(len(p.kids) - int(f.kids))
+			copy(n.Children, p.kids[f.kids:])
+			p.kids = p.kids[:f.kids]
+		}
 	}
-	if f.kids < len(p.kids) {
-		n.Children = p.children(len(p.kids) - f.kids)
-		copy(n.Children, p.kids[f.kids:])
-		p.kids = p.kids[:f.kids]
-	}
-	p.stack = p.stack[:top]
-	return p.closed(n), nil
-}
-
-// closed hands a finished element to its parent, or returns it if it has
-// none.
-func (p *parser) closed(n *Node) *Node {
-	if len(p.stack) == 0 {
-		return n
-	}
-	p.kids = append(p.kids, n)
+	p.text = p.text[:f.more]
+	p.closed()
 	return nil
 }
 
-// addText appends one run of character data to the innermost open element;
-// outside the root it is dropped. The element's text is trimmed when it
-// closes, so whitespace ahead of the first visible character can go now,
-// which keeps the indentation between children from ever being concatenated.
-// An element with one run keeps it as the substring it is; from the second
-// run on its text is joined in p.text, which grows like any slice: a frame
-// of n runs must cost O(n), and text += run would cost O(n²).
-func (p *parser) addText(run string) {
+// closed pops the innermost element, now complete, and hands it to its
+// parent; with none, it is the root and reading is done.
+func (p *parser) closed() {
+	top := len(p.stack) - 1
+	switch {
+	case p.ix != nil:
+		p.ix.closed(p, top)
+	case top > 0:
+		p.kids = append(p.kids, p.stack[top].node)
+	default:
+		p.root = p.stack[top].node
+	}
+	p.stack = p.stack[:top]
+	p.done = top == 0
+}
+
+// addText appends one run of character data, read at offset at, to the
+// innermost open element; outside the root it is dropped. The element's
+// text is trimmed when it closes, so whitespace ahead of the first visible
+// character can go now, which keeps the indentation between children from
+// ever being concatenated. An element with one run keeps it as the
+// substring it is; from the second run on its text is joined in p.text,
+// which grows like any slice: a frame of n runs must cost O(n), and text +=
+// run would cost O(n²). An index takes the run itself (merger.addText).
+func (p *parser) addText(run string, at int) {
+	if p.ix != nil {
+		p.ix.addText(p, run, at)
+		return
+	}
 	if len(p.stack) == 0 || run == "" {
 		return
 	}
@@ -384,10 +459,18 @@ func (p *parser) addText(run string) {
 		f.text = strings.TrimLeftFunc(run, unicode.IsSpace)
 		return
 	}
-	if f.more == len(p.text) {
+	if int(f.more) == len(p.text) {
 		p.text = append(p.text, f.text...)
 	}
 	p.text = append(p.text, run...)
+}
+
+// rewritten marks the innermost open element as not written back as read:
+// it holds a comment, a processing instruction, a directive or CDATA.
+func (p *parser) rewritten() {
+	if len(p.stack) > 0 {
+		p.stack[len(p.stack)-1].canon = false
+	}
 }
 
 // procInst skips "<?target …?>" at p.i. An XML declaration must say version
@@ -405,6 +488,7 @@ func (p *parser) procInst() error {
 	if end < 0 {
 		return p.fail(at, "unterminated processing instruction <?"+target)
 	}
+	p.rewritten()
 	if target == "xml" {
 		decl := s[p.i : p.i+end]
 		if v := declValue(decl, "version"); v != "" && v != "1.0" {
@@ -454,6 +538,7 @@ func (p *parser) bang() error {
 			return p.fail(at, `comment is unterminated or contains "--"`)
 		}
 		p.i = at + 4 + end + 3
+		p.rewritten()
 		return nil
 
 	case strings.HasPrefix(s[at:], "<![CDATA["):
@@ -463,11 +548,13 @@ func (p *parser) bang() error {
 			return p.fail(at, "unterminated CDATA section")
 		}
 		end += p.i
+		from := p.i
 		text, err := p.chars(end, 0, true)
 		if err != nil {
 			return err
 		}
-		p.addText(text)
+		p.addText(text, from)
+		p.rewritten()
 		p.i = end + 3
 		return nil
 
@@ -493,6 +580,7 @@ func (p *parser) bang() error {
 		case c == '>':
 			if depth == 0 {
 				p.i = i
+				p.rewritten()
 				return nil
 			}
 			depth--
@@ -576,7 +664,10 @@ func splitName(raw string) (prefix, local string, ok bool) {
 // value, stops at the closing quote, and reaching limit is an error. In a
 // CDATA section (limit is then where "]]>" starts) markup characters are
 // literal. Data that needs no decoding is returned as a substring of the
-// input.
+// input. For an index, data is always returned as read: p.decoded says
+// whether it needed decoding, the decoded bytes then in p.buf until the
+// next call. p.canon says whether appendEscaped writes the decoded value
+// back as it was read.
 func (p *parser) chars(limit int, quote byte, cdata bool) (string, error) {
 	s := p.s[:limit]
 	start, i := p.i, p.i
@@ -586,6 +677,7 @@ func (p *parser) chars(limit int, quote byte, cdata bool) (string, error) {
 		from    = i // s[from:i] is read but not yet in buf
 		run     = i // where the current stretch without a reference began: "]]>" must fit in one
 	)
+	p.canon = !cdata
 scan:
 	for {
 		for i < len(s) && class[s[i]]&plain != 0 {
@@ -609,10 +701,12 @@ scan:
 			break scan
 		case c == '&':
 			buf = append(buf, s[from:i]...)
+			ref := i
 			var err error
 			if buf, i, err = p.reference(buf, i); err != nil {
 				return "", err
 			}
+			p.canon = p.canon && isEscape(s[ref:i], quote != 0)
 			decoded, from, run = true, i, i
 		case c == '\r':
 			buf = append(append(buf, s[from:i]...), '\n')
@@ -620,12 +714,13 @@ scan:
 			if i < len(s) && s[i] == '\n' {
 				i++
 			}
-			decoded, from = true, i
+			decoded, from, p.canon = true, i, false
 		case c == '>':
 			if quote == 0 && i-run >= 2 && s[i-1] == ']' && s[i-2] == ']' {
 				return "", p.fail(i-2, "]]> outside a CDATA section")
 			}
 			i++
+			p.canon = false
 		case c == '"' || c == '\'':
 			i++
 		default:
@@ -639,13 +734,28 @@ scan:
 			i += size
 		}
 	}
-	p.i = i
+	p.i, p.decoded = i, decoded
 	if !decoded {
 		return s[start:i], nil
 	}
 	buf = append(buf, s[from:i]...)
 	p.buf = buf
+	if p.ix != nil {
+		return s[start:i], nil
+	}
 	return string(buf), nil
+}
+
+// isEscape reports whether ref is the reference appendEscaped writes for
+// the character it stands for.
+func isEscape(ref string, attr bool) bool {
+	switch ref {
+	case "&amp;", "&lt;", "&gt;", "&#xD;":
+		return true
+	case "&quot;":
+		return attr
+	}
+	return false
 }
 
 // reference decodes the entity or character reference whose '&' is s[i],
