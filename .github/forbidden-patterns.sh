@@ -155,12 +155,31 @@ row "Every option has a caller" §4 \
 
 # Events go to log/slog's default logger: no layer takes a logging
 # callback, and nothing under internal/ prints through the log package.
-# (cmd/ keeps log.Fatalf for command-line errors.)
+# (cmd/ keeps log.Fatalf for command-line errors; internal/eventlog puts
+# back the log package's writer, which slog.SetDefault redirects.)
 row "One event log" §15 \
 	"a logging callback field: emit a log/slog event on the default logger instead" \
 	'Logf +func\(' "$src ."
 row "One event log" §15 \
 	"the log package under internal/: emit a log/slog event instead" \
-	'"log"' "$src internal/"
+	'"log"' "$src internal/" \
+	'internal/eventlog/eventlog.go:'
+# Code waits for a state transition by its event, through the one capture
+# in internal/eventlog, in tests too: no layer calls back on a transition,
+# no package keeps its own capturing handler, and nothing polls for a
+# leader or a repair. The capture itself is woken by each event it records.
+row "One event log" §15 \
+	"a state-transition callback: await the transition's event on an eventlog.Capture" \
+	'\b(OnRepair|RepairEvent)\b' "$go ."
+row "One event log" §15 \
+	"a private capturing handler: install an eventlog.Capture" \
+	'\b(capturedEvents|captureEvents)\b|slog\.SetDefault\(' "$go ." \
+	'./internal/eventlog/'
+row "One event log" §15 \
+	"a poll for a leader or a repair: await its \"election won\" or \"repair complete\" event" \
+	'\b(WaitRepair|WaitLeader|CurrentEpoch)\b' "$go ."
+row "One event log" §15 \
+	"a sleep in the capture: Await is woken by Handle" \
+	'time\.Sleep' "$src internal/eventlog/"
 
 exit $failed

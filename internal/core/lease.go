@@ -1,6 +1,7 @@
 package core
 
 import (
+	"log/slog"
 	"sort"
 	"time"
 
@@ -116,8 +117,10 @@ func (m *MDM) storeLive(storeID coverage.StoreID) bool {
 }
 
 // quarantinedLocked is the one liveness verdict: the leader's on a
-// follower that adopted one, this node's clock otherwise. It counts a
-// transition the first time it sees one. Caller holds leaseMu.
+// follower that adopted one, this node's clock otherwise. It counts and
+// logs a transition the first time it sees one; a store makes one per
+// silence, so the event is not deferred past leaseMu. Caller holds
+// leaseMu.
 func (m *MDM) quarantinedLocked(storeID coverage.StoreID, l *lease, now time.Time) bool {
 	q := now.After(l.expires.Add(m.grace()))
 	if m.verdict != nil {
@@ -127,8 +130,10 @@ func (m *MDM) quarantinedLocked(storeID coverage.StoreID, l *lease, now time.Tim
 		l.quarantined = q
 		if q {
 			m.Liveness.Quarantines.Add(1)
+			slog.Info("store quarantined", "store", string(storeID))
 		} else {
 			m.Liveness.Recoveries.Add(1)
+			slog.Info("store recovered", "store", string(storeID))
 		}
 	}
 	return q

@@ -3,12 +3,14 @@ package core_test
 import (
 	"context"
 	"errors"
+	"log/slog"
 	"reflect"
 	"testing"
 	"time"
 
 	"gupster/internal/core"
 	"gupster/internal/coverage"
+	"gupster/internal/eventlog"
 	"gupster/internal/journal"
 	"gupster/internal/policy"
 	"gupster/internal/schema"
@@ -329,10 +331,13 @@ func TestLeasesDisabledByDefault(t *testing.T) {
 	}
 }
 
-// Each lease transition is counted once, where it is first seen: with no
-// resolve run, the stats snapshot's own lease table observes a silent
-// store's quarantine, and a heartbeat counts the recovery.
+// Each lease transition is counted once, and logged once as an event
+// naming the store, where it is first seen: with no resolve run, the stats
+// snapshot's own lease table observes a silent store's quarantine, and a
+// heartbeat counts the recovery.
 func TestLeaseTransitionsCountedWhereSeen(t *testing.T) {
+	events := eventlog.Install(slog.LevelInfo)
+	defer events.Remove()
 	const ttl, grace = 100 * time.Millisecond, 50 * time.Millisecond
 	m := newBareMDM(core.Config{LeaseTTL: ttl, LeaseGrace: grace})
 	defer m.Close()
@@ -359,5 +364,17 @@ func TestLeaseTransitionsCountedWhereSeen(t *testing.T) {
 	}
 	if st.Leases[0].Quarantined {
 		t.Fatalf("lease table %+v, want s1 live", st.Leases)
+	}
+	if _, ok := events.Await(0, time.Now().Add(2*time.Second), eventlog.Is("store recovered", "store", "s1")); !ok {
+		t.Fatal("no store recovered event for s1")
+	}
+	var seen []string
+	for _, ev := range events.Since(0) {
+		if ev.Attrs["store"].String() == "s1" {
+			seen = append(seen, ev.Message)
+		}
+	}
+	if want := []string{"store quarantined", "store recovered"}; !reflect.DeepEqual(seen, want) {
+		t.Errorf("s1's events %q, want %q", seen, want)
 	}
 }

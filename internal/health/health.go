@@ -54,17 +54,6 @@ func (s State) String() string {
 	return fmt.Sprintf("state(%d)", int(s))
 }
 
-// RepairEvent describes one completed auto-repair.
-type RepairEvent struct {
-	// Epoch/Version are the installed map's new coordinates.
-	Epoch   uint64
-	Version uint64
-	// Dead lists the shard IDs the repair removed; Promoted the spares it
-	// pulled into the map (empty on a survivor re-partition).
-	Dead     []string
-	Promoted []string
-}
-
 // Config parameterizes an Agent.
 type Config struct {
 	// Self is this node's identity and dialable address.
@@ -92,8 +81,6 @@ type Config struct {
 	AutoRepair bool
 	// ForwardMillis is the drain window passed to repair rebalances.
 	ForwardMillis int64
-	// OnRepair, when set, is called after each completed repair.
-	OnRepair func(RepairEvent)
 	// Dial overrides the connection factory (tests simulate partial
 	// partitions with it). Nil means wire.DialContext.
 	Dial func(ctx context.Context, addr string) (*wire.Client, error)

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"log/slog"
 	"net"
 	"sync"
 	"testing"
@@ -13,6 +14,7 @@ import (
 	"gupster/internal/coverage"
 	"gupster/internal/dirclient"
 	"gupster/internal/dirclient/ring"
+	"gupster/internal/eventlog"
 	"gupster/internal/policy"
 	"gupster/internal/schema"
 	"gupster/internal/shard"
@@ -224,11 +226,11 @@ func TestRefutationAfterPartitionHeals(t *testing.T) {
 // through the broken node's intact inbound path, keeps it alive and does
 // not repair either.
 func TestMinorityViewDoesNotRepair(t *testing.T) {
-	repairs := make(chan RepairEvent, 8)
+	events := eventlog.Install(slog.LevelInfo)
+	defer events.Remove()
 	dead := &blockSet{blocked: map[string]bool{}}
 	ms := startConstellation(t, 3, func(i int, cfg *Config) {
 		cfg.AutoRepair = true
-		cfg.OnRepair = func(ev RepairEvent) { repairs <- ev }
 		if i == 1 {
 			cfg.Dial = dead.dial // s1's outbound is fully broken…
 		}
@@ -249,12 +251,10 @@ func TestMinorityViewDoesNotRepair(t *testing.T) {
 	// its server still answers the probes it can hear.
 	awaitState(t, ms[1].agent, "s0", StateDead, 3*time.Second)
 	awaitState(t, ms[1].agent, "s2", StateDead, 3*time.Second)
-	time.Sleep(500 * time.Millisecond) // many armed ticks on all three
-	select {
-	case ev := <-repairs:
-		t.Fatalf("repair fired to v%d@e%d (dead %v) — a minority view repaired, or a false positive killed a live node",
-			ev.Version, ev.Epoch, ev.Dead)
-	default:
+	// Many armed ticks on all three.
+	if ev, ok := events.Await(0, time.Now().Add(500*time.Millisecond), eventlog.Is("repair complete")); ok {
+		t.Fatalf("%s repaired to v%s@e%s (dead %s, promoted %s) — a minority view repaired, or a false positive killed a live node",
+			ev.Attrs["shard"], ev.Attrs["version"], ev.Attrs["epoch"], ev.Attrs["dead"], ev.Attrs["promoted"])
 	}
 	if got := ms[0].agent.StateOf("s1"); got != StateAlive {
 		t.Fatalf("majority sees the inbound-intact node as %s, want alive", got)
@@ -270,11 +270,11 @@ func TestMinorityViewDoesNotRepair(t *testing.T) {
 // coverage snapshot, and leave every owner resolvable — including through
 // a client still holding the pre-repair map.
 func TestAutoRepairPromotesSpare(t *testing.T) {
-	repairs := make(chan RepairEvent, 8)
+	events := eventlog.Install(slog.LevelInfo)
+	defer events.Remove()
 	ms := startConstellation(t, 4, func(i int, cfg *Config) {
 		cfg.AutoRepair = true
 		cfg.ForwardMillis = 50
-		cfg.OnRepair = func(ev RepairEvent) { repairs <- ev }
 	})
 	v1 := wire.ShardMap{Version: 1, Shards: infosOf(ms[:3])} // s3 is the spare
 	for _, mm := range ms[:3] {
@@ -339,20 +339,18 @@ func TestAutoRepairPromotesSpare(t *testing.T) {
 	ms[1].agent.Close()
 	ms[1].ws.Close()
 
-	var ev RepairEvent
-	select {
-	case ev = <-repairs:
-	case <-time.After(10 * time.Second):
+	ev, ok := events.Await(0, time.Now().Add(10*time.Second), eventlog.Is("repair complete"))
+	if !ok {
 		t.Fatal("no repair within 10s of the shard death")
 	}
-	if len(ev.Dead) != 1 || ev.Dead[0] != "s1" {
-		t.Fatalf("repair removed %v, want [s1]", ev.Dead)
+	if got := ev.Attrs["dead"].String(); got != "[s1]" {
+		t.Fatalf("repair removed %s, want [s1]", got)
 	}
-	if len(ev.Promoted) != 1 || ev.Promoted[0] != "s3" {
-		t.Fatalf("repair promoted %v, want the spare [s3]", ev.Promoted)
+	if got := ev.Attrs["promoted"].String(); got != "[s3]" {
+		t.Fatalf("repair promoted %s, want the spare [s3]", got)
 	}
-	if ev.Epoch != 1 || ev.Version != 2 {
-		t.Fatalf("repair installed v%d@e%d, want v2@e1", ev.Version, ev.Epoch)
+	if ev.Attrs["epoch"].Uint64() != 1 || ev.Attrs["version"].Uint64() != 2 {
+		t.Fatalf("repair installed v%s@e%s, want v2@e1", ev.Attrs["version"], ev.Attrs["epoch"])
 	}
 	got := ms[0].node.Ring().Map()
 	if got.Epoch != 1 {

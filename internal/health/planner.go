@@ -178,8 +178,5 @@ func (a *Agent) runRepair(cur, next wire.ShardMap, dead []string, snaps map[stri
 		slog.Warn("repair failed", "shard", a.cfg.Self.ID, "version", next.Version, "epoch", next.Epoch, "err", err)
 		return
 	}
-	slog.Info("repair complete", "shard", a.cfg.Self.ID, "version", next.Version, "epoch", next.Epoch)
-	if a.cfg.OnRepair != nil {
-		a.cfg.OnRepair(RepairEvent{Epoch: next.Epoch, Version: next.Version, Dead: dead, Promoted: promoted})
-	}
+	slog.Info("repair complete", "shard", a.cfg.Self.ID, "version", next.Version, "epoch", next.Epoch, "dead", dead, "promoted", promoted)
 }

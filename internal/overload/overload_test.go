@@ -3,11 +3,13 @@ package overload
 import (
 	"context"
 	"errors"
+	"log/slog"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"gupster/internal/eventlog"
 	"gupster/internal/metrics"
 	"gupster/internal/wire"
 )
@@ -401,20 +403,22 @@ func waitForQueued(t *testing.T, c *Controller, n int) {
 // Entering and leaving brownout are Info events carrying the pressure that
 // moved the detector and its threshold.
 func TestBrownoutEnteredEvent(t *testing.T) {
-	events := captureEvents(t)
+	events := eventlog.Install(slog.LevelInfo)
+	defer events.Remove()
 	c := brownedOut(t)
 	defer c.release(ClassHigh, 0)
-	ev, ok := events.await("brownout entered", map[string]string{"threshold": "0.5"})
+	ev, ok := events.Await(0, time.Now().Add(2*time.Second), eventlog.Is("brownout entered", "threshold", "0.5"))
 	if !ok {
 		t.Fatal("no brownout entered event")
 	}
-	if p := ev["pressure"].Float64(); p < 0.5 {
+	if p := ev.Attrs["pressure"].Float64(); p < 0.5 {
 		t.Errorf("brownout entered at pressure %v, below the threshold", p)
 	}
 }
 
 func TestBrownoutExitedEvent(t *testing.T) {
-	events := captureEvents(t)
+	events := eventlog.Install(slog.LevelInfo)
+	defer events.Remove()
 	c := brownedOut(t)
 	c.release(ClassHigh, 0)
 	c.release(ClassHigh, 0)
@@ -422,11 +426,11 @@ func TestBrownoutExitedEvent(t *testing.T) {
 	if c.Brownout() {
 		t.Fatal("brownout persisted after sustained recovery")
 	}
-	ev, ok := events.await("brownout exited", map[string]string{"threshold": "0.5"})
+	ev, ok := events.Await(0, time.Now().Add(2*time.Second), eventlog.Is("brownout exited", "threshold", "0.5"))
 	if !ok {
 		t.Fatal("no brownout exited event")
 	}
-	if p := ev["pressure"].Float64(); p >= 0.25 {
+	if p := ev.Attrs["pressure"].Float64(); p >= 0.25 {
 		t.Errorf("brownout exited at pressure %v, not below half the threshold", p)
 	}
 }

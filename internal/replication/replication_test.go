@@ -4,12 +4,14 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"log/slog"
 	"net"
 	"reflect"
 	"testing"
 	"time"
 
 	"gupster/internal/core"
+	"gupster/internal/eventlog"
 	"gupster/internal/journal"
 	"gupster/internal/replication"
 	"gupster/internal/wire"
@@ -243,15 +245,15 @@ func TestElectAndReplicate(t *testing.T) {
 // The winner of an election says so in an event that names it and its
 // term, the two fields its Status reports.
 func TestElectionWonEvent(t *testing.T) {
-	events := captureEvents(t)
+	events := eventlog.Install(slog.LevelInfo)
+	defer events.Remove()
 	c := newCluster(t, 3, journal.Options{})
 	st := c.nodes[c.waitLeader(4*testTTL)].Status()
-	want := map[string]string{"member": st.ID, "term": fmt.Sprint(st.Term)}
-	ev, ok := events.await("election won", want)
+	ev, ok := events.Await(0, time.Now().Add(2*time.Second), eventlog.Is("election won", "member", st.ID, "term", fmt.Sprint(st.Term)))
 	if !ok {
-		t.Fatalf("no election won event with %v", want)
+		t.Fatalf("no election won event for %s in term %d", st.ID, st.Term)
 	}
-	if _, ok := ev["index"]; !ok {
+	if _, ok := ev.Attrs["index"]; !ok {
 		t.Errorf("election won event %v lacks the index", ev)
 	}
 }

@@ -3,11 +3,13 @@ package resilience
 import (
 	"context"
 	"errors"
+	"log/slog"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"gupster/internal/eventlog"
 	"gupster/internal/metrics"
 	"gupster/internal/wire"
 )
@@ -301,23 +303,25 @@ func TestCallerExpiryDoesNotFeedBreaker(t *testing.T) {
 // A breaker opening and closing are Info events naming the peer and the
 // failures counted.
 func TestBreakerOpenedEvent(t *testing.T) {
-	events := captureEvents(t)
+	events := eventlog.Install(slog.LevelInfo)
+	defer events.Remove()
 	g := fastGroup(nil)
 	_ = g.Do(context.Background(), "store-1:9999", func(context.Context) error { return errBoom })
-	if _, ok := events.await("breaker opened", map[string]string{"peer": "store-1:9999", "failures": "3"}); !ok {
+	if _, ok := events.Await(0, time.Now().Add(2*time.Second), eventlog.Is("breaker opened", "peer", "store-1:9999", "failures", "3")); !ok {
 		t.Fatal("no breaker opened event for store-1:9999 after 3 failures")
 	}
 }
 
 func TestBreakerClosedEvent(t *testing.T) {
-	events := captureEvents(t)
+	events := eventlog.Install(slog.LevelInfo)
+	defer events.Remove()
 	g := fastGroup(nil)
 	_ = g.Do(context.Background(), "store-1:9999", func(context.Context) error { return errBoom })
 	time.Sleep(60 * time.Millisecond) // the cooldown: the next call is the probe
 	if err := g.Do(context.Background(), "store-1:9999", func(context.Context) error { return nil }); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := events.await("breaker closed", map[string]string{"peer": "store-1:9999", "failures": "3"}); !ok {
+	if _, ok := events.Await(0, time.Now().Add(2*time.Second), eventlog.Is("breaker closed", "peer", "store-1:9999", "failures", "3")); !ok {
 		t.Fatal("no breaker closed event for store-1:9999")
 	}
 }

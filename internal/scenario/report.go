@@ -55,6 +55,16 @@ type PhaseReport struct {
 	PromotedShards []string `json:"promoted_shards,omitempty"`
 	// Resources samples the host across the phase (CPU as a delta).
 	Resources Resources `json:"resources"`
+	// Events are the events captured while the phase ran — the rig nodes'
+	// elections, map changes and repairs beside the harness's narration.
+	Events []PhaseEvent `json:"events,omitempty"`
+}
+
+// PhaseEvent is one captured event, at its offset from the phase's start.
+type PhaseEvent struct {
+	AtMillis int64             `json:"at_ms"`
+	Message  string            `json:"msg"`
+	Attrs    map[string]string `json:"attrs,omitempty"`
 }
 
 // RegistrationAudit is the end-of-rig durability check feeding the

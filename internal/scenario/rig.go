@@ -3,8 +3,10 @@ package scenario
 import (
 	"context"
 	"fmt"
+	"log/slog"
 	"net"
 	"os"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -13,6 +15,7 @@ import (
 	"gupster/internal/coverage"
 	"gupster/internal/dirclient/ring"
 	"gupster/internal/dirnode"
+	"gupster/internal/eventlog"
 	"gupster/internal/faultinject"
 	"gupster/internal/health"
 	"gupster/internal/journal"
@@ -112,7 +115,8 @@ type DirNode struct {
 // Rig is a built topology instance: one MDM fronting a set of stores,
 // with fault-injectable links, seeded users and a shared signer. Build
 // one from a spec; Close tears it down registrars-first so no goroutine
-// outlives it.
+// outlives it. From Build to Close the rig captures the process's events:
+// it waits for its elections and repairs by them.
 //
 // The directory side is Nodes: S shards × R members (RigSpec.shape),
 // shard-major, so a plain rig is 1×1, a quorum constellation 1×R and a
@@ -138,10 +142,8 @@ type Rig struct {
 	shardMap  wire.ShardMap
 	shardRing *ring.Ring
 
-	// repairs collects completed auto-repairs from every shard's gossip
-	// agent (auto-repair rigs); WaitRepair polls it.
-	repairMu sync.Mutex
-	repairs  []health.RepairEvent
+	// events is the capture the rig waits on; nil once closed.
+	events *eventlog.Capture
 
 	Stores []*StoreNode
 	// Users is the owner population; Paths the registered coverage paths
@@ -162,7 +164,8 @@ type Rig struct {
 // and every fault proxy's RNG; rigIdx salts the derivation so multi-rig
 // scenarios draw independent streams.
 func Build(spec RigSpec, seed int64, rigIdx int) (*Rig, error) {
-	r := &Rig{Spec: spec, Seed: seed, Signer: token.NewSigner(signerKey), rigIdx: rigIdx}
+	r := &Rig{Spec: spec, Seed: seed, Signer: token.NewSigner(signerKey), rigIdx: rigIdx,
+		events: eventlog.Install(slog.LevelInfo)}
 	if err := r.build(); err != nil {
 		r.Close()
 		return nil, err
@@ -355,7 +358,6 @@ func (r *Rig) buildDirectory() error {
 					SuspectTimeout: spec.SuspectTimeout,
 					AutoRepair:     true,
 					ForwardMillis:  300,
-					OnRepair:       r.recordRepair,
 				}
 			}
 		}
@@ -369,8 +371,9 @@ func (r *Rig) buildDirectory() error {
 
 	if members >= 2 {
 		wait := 20 * r.electionTTL()
+		deadline := time.Now().Add(wait)
 		for k := range shards {
-			if r.WaitLeader(k, wait) < 0 {
+			if _, ok := r.awaitElection(k, 0, 0, deadline); !ok {
 				return fmt.Errorf("rig %s: shard %d elected no leader within %s", spec.Name, k, wait)
 			}
 		}
@@ -445,42 +448,17 @@ func (r *Rig) Rebalance(ctx context.Context) (int, error) {
 	return moved, nil
 }
 
-// recordRepair is the OnRepair hook every shard agent shares.
-func (r *Rig) recordRepair(ev health.RepairEvent) {
-	r.repairMu.Lock()
-	r.repairs = append(r.repairs, ev)
-	r.repairMu.Unlock()
-}
-
-// WaitRepair blocks until some agent completes a repair to an epoch above
-// sinceEpoch, returning its event; ok=false on timeout.
-func (r *Rig) WaitRepair(sinceEpoch uint64, timeout time.Duration) (health.RepairEvent, bool) {
-	deadline := time.Now().Add(timeout)
-	for {
-		r.repairMu.Lock()
-		for _, ev := range r.repairs {
-			if ev.Epoch > sinceEpoch {
-				r.repairMu.Unlock()
-				return ev, true
-			}
+// awaitElection waits for the first "election won" by a member of shard k
+// in a term above term, from event index from on.
+func (r *Rig) awaitElection(k, from int, term uint64, deadline time.Time) (eventlog.Event, bool) {
+	ms := r.members(k)
+	return r.events.Await(from, deadline, func(ev eventlog.Event) bool {
+		if ev.Message != "election won" || ev.Attrs["term"].Uint64() <= term {
+			return false
 		}
-		r.repairMu.Unlock()
-		if time.Now().After(deadline) {
-			return health.RepairEvent{}, false
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-}
-
-// CurrentEpoch reads the repair epoch a live shard currently serves — the
-// baseline a WaitRepair measures progress against.
-func (r *Rig) CurrentEpoch() uint64 {
-	for _, s := range r.Nodes {
-		if !s.Killed.Load() && s.Node.Shard != nil {
-			return s.Node.Shard.Map().Epoch
-		}
-	}
-	return 0
+		member := ev.Attrs["member"].String()
+		return slices.ContainsFunc(ms, func(m *DirNode) bool { return m.Addr == member })
+	})
 }
 
 // refreshShardView re-reads the installed map from a live shard, so
@@ -562,30 +540,18 @@ func (r *Rig) Leader(k int) int {
 	return -1
 }
 
-// WaitLeader polls until shard k has a live leader, returning its index or
-// -1 on timeout.
-func (r *Rig) WaitLeader(k int, timeout time.Duration) int {
-	deadline := time.Now().Add(timeout)
-	for {
-		if i := r.Leader(k); i >= 0 {
-			return i
-		}
-		if time.Now().After(deadline) {
-			return -1
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
-}
-
 // KillLeader hard-closes shard k's current leader (listener, shippers,
 // election loop, journal — the in-process analog of kill -9) and returns
-// its index, or -1 when no member holds the lease right now.
-func (r *Rig) KillLeader(k int) int {
+// its index and the term it led, or -1 when no member holds the lease
+// right now.
+func (r *Rig) KillLeader(k int) (int, uint64) {
 	i := r.Leader(k)
-	if i >= 0 {
-		r.Nodes[i].kill()
+	if i < 0 {
+		return -1, 0
 	}
-	return i
+	term := r.Nodes[i].Node.Repl.Status().Term
+	r.Nodes[i].kill()
+	return i, term
 }
 
 // MemberAddrs lists every member's address, shard-major — the directory
@@ -911,9 +877,9 @@ func (r *Rig) auditConstellation(audit *RegistrationAudit) {
 // Close tears the rig down in dependency order: registrars first (stop
 // heartbeat traffic), then the directory nodes — each in dirnode's order,
 // which ends with its MDM and journal — and their proxies, then the store
-// proxies and servers. Every component's Close blocks until its goroutines
-// exit, so a closed rig leaks nothing. Idempotent, and safe on a rig whose
-// build failed half-way.
+// proxies and servers, and last the event capture. Every component's Close
+// blocks until its goroutines exit, so a closed rig leaks nothing.
+// Idempotent, and safe on a rig whose build failed half-way.
 func (r *Rig) Close() {
 	for _, node := range r.Stores {
 		if node.Registrar != nil {
@@ -939,6 +905,10 @@ func (r *Rig) Close() {
 		if node.Server != nil {
 			node.Server.Close()
 		}
+	}
+	if r.events != nil {
+		r.events.Remove()
+		r.events = nil
 	}
 }
 

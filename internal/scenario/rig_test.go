@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"runtime"
 	"runtime/pprof"
+	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -144,12 +146,13 @@ func TestRigBuild(t *testing.T) {
 			}
 			resolveAll(t, rig, d)
 			if tc.killLeader {
-				k := shards - 1
-				if rig.KillLeader(k) < 0 {
+				k, from := shards-1, rig.events.Len()
+				i, term := rig.KillLeader(k)
+				if i < 0 {
 					t.Fatalf("shard %d has no leader to kill", k)
 				}
-				if rig.WaitLeader(k, 20*rig.electionTTL()) < 0 {
-					t.Fatalf("shard %d elected no new leader", k)
+				if _, ok := rig.awaitElection(k, from, term, time.Now().Add(20*rig.electionTTL())); !ok {
+					t.Fatalf("shard %d elected no leader after term %d", k, term)
 				}
 				resolveAll(t, rig, d)
 			}
@@ -177,6 +180,64 @@ func TestRigBuild(t *testing.T) {
 			rig.Close()
 			waitNoExtraGoroutines(t, baseline)
 		})
+	}
+}
+
+// TestOverlappingShardKillsEachCredited kills two shards of five in one
+// phase, less than the suspect timeout apart, so the constellation repairs
+// them together: each kill must be credited with a repair whose dead list
+// names its own shard, and each promoted spare must be reported once.
+func TestOverlappingShardKillsEachCredited(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs a live rig")
+	}
+	sc, err := Decode([]byte(`
+name: overlap
+seed: 5
+topology:
+  rigs:
+    - name: heal
+      layout: sharded
+      stores: 2
+      users: 16
+      size-bytes: 512
+      shards: 5
+      spare-shards: 2
+      auto-repair: true
+      gossip-interval: 40ms
+      suspect-timeout: 350ms
+phases:
+  - name: storm
+    rig: heal
+    rate: 20
+    duration: 1500ms
+    events:
+      - {at: 200ms, action: kill, target: shard-1}
+      - {at: 300ms, action: kill, target: shard-3}
+    mix:
+      - verb: resolve
+        pattern: chaining
+        users: uniform
+`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := Run(sc, RunOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pr := rep.Phase("storm")
+	for _, id := range []string{"shard-1", "shard-3"} {
+		credited := slices.ContainsFunc(pr.Events, func(ev PhaseEvent) bool {
+			return ev.Message == "auto-repair observed" && ev.Attrs["shard"] == id &&
+				slices.Contains(strings.Fields(strings.Trim(ev.Attrs["dead"], "[]")), id)
+		})
+		if !credited {
+			t.Errorf("the kill of %s was credited with no repair naming it dead; the phase's events: %+v", id, pr.Events)
+		}
+	}
+	if got := slices.Sorted(slices.Values(pr.PromotedShards)); !slices.Equal(got, []string{"shard-5", "shard-6"}) {
+		t.Errorf("promoted shards %v, want the spares shard-5 and shard-6 once each", pr.PromotedShards)
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"log/slog"
 	"runtime"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -13,6 +14,7 @@ import (
 
 	"gupster/internal/core"
 	"gupster/internal/dirclient"
+	"gupster/internal/eventlog"
 	"gupster/internal/metrics"
 	"gupster/internal/policy"
 	"gupster/internal/reachme"
@@ -117,11 +119,19 @@ func (e *engine) runRig(rig *Rig, phaseIdxs []int) error {
 	defer run.close()
 	for _, pi := range phaseIdxs {
 		p := &e.sc.Phases[pi]
+		from, start := rig.events.Len(), time.Now()
 		slog.Info("phase starting", "phase", p.Name)
 		tl := &timeline{phase: p, fast: e.opts.Fast, table: run.actions()}
 		pr, err := tl.run(func() (*PhaseReport, error) { return run.runPhase(p, pi) })
 		if err != nil {
 			return fmt.Errorf("phase %s: %w", p.Name, err)
+		}
+		for _, ev := range rig.events.Since(from) {
+			pe := PhaseEvent{AtMillis: ev.Time.Sub(start).Milliseconds(), Message: ev.Message, Attrs: map[string]string{}}
+			for k, v := range ev.Attrs {
+				pe.Attrs[k] = v.String()
+			}
+			pr.Events = append(pr.Events, pe)
 		}
 		e.report.Phases = append(e.report.Phases, *pr)
 	}
@@ -345,59 +355,73 @@ func (rr *rigRun) reregister(tl *timeline, ev *Event) {
 	wg.Wait()
 }
 
-// millisSince is a measured fault duration; it floors at 1 because 0 in a
-// report means "no such fault in this phase".
-func millisSince(t0 time.Time) int64 {
-	return max(time.Since(t0).Milliseconds(), 1)
+// millisBetween is a measured fault duration, from imposing the fault at t0
+// to the event that ended it at t; it floors at 1 because 0 in a report
+// means "no such fault in this phase".
+func millisBetween(t0, t time.Time) int64 {
+	return max(t.Sub(t0).Milliseconds(), 1)
 }
 
 // kill assassinates shard 0's leader and times the election of its
 // replacement, or hard-kills every member of a shard and times the
 // constellation's repair.
 func (rr *rigRun) kill(tl *timeline, ev *Event) {
+	from := rr.rig.events.Len()
 	if ev.Target != "leader" {
-		since := rr.rig.CurrentEpoch()
 		if !rr.rig.Kill(ev.Target) {
 			slog.Warn("kill skipped: shard not alive", "phase", tl.phase.Name, "shard", ev.Target)
 			return
 		}
+		t0 := time.Now()
 		slog.Info("shard killed", "phase", tl.phase.Name, "shard", ev.Target)
-		rr.awaitRepair(tl, since, time.Now())
+		rr.awaitRepair(tl, ev.Target, from, t0)
 		return
 	}
-	idx := rr.rig.KillLeader(0)
+	idx, term := rr.rig.KillLeader(0)
 	if idx < 0 {
 		slog.Warn("kill skipped: no leader", "phase", tl.phase.Name)
 		return
 	}
-	slog.Info("leader killed", "phase", tl.phase.Name, "member", idx)
 	t0 := time.Now()
-	if rr.rig.WaitLeader(0, liveness) >= 0 {
-		ms := millisSince(t0)
+	slog.Info("leader killed", "phase", tl.phase.Name, "member", idx, "term", term)
+	if won, ok := rr.rig.awaitElection(0, from, term, t0.Add(liveness)); ok {
+		ms := millisBetween(t0, won.Time)
 		tl.report(func(out *PhaseReport) { out.FailoverMillis = ms })
-		slog.Info("failover observed", "phase", tl.phase.Name, "elapsed_ms", ms)
+		slog.Info("failover observed", "phase", tl.phase.Name, "elapsed_ms", ms, "term", won.Attrs["term"])
 	}
 }
 
-// awaitRepair is the tail a shard kill and a partition share: wait for
-// gossip detection plus epoch-fenced spare promotion to put the lost
-// keyspace back in service, and record how long that took from t0. With
-// several shard faults in one phase the report keeps the slowest repair and
-// the highest epoch.
-func (rr *rigRun) awaitRepair(tl *timeline, since uint64, t0 time.Time) {
-	ev, ok := rr.rig.WaitRepair(since, liveness)
+// awaitRepair is the tail a shard kill and a partition share: wait, from
+// event index from on, for the repair that names shard id dead — gossip
+// detection plus epoch-fenced spare promotion putting the lost keyspace
+// back in service — and record how long that took from t0. Faults close
+// enough to be repaired together are each credited with that one repair;
+// with several in one phase the report keeps the slowest repair, the
+// highest epoch and every promoted spare once.
+func (rr *rigRun) awaitRepair(tl *timeline, id string, from int, t0 time.Time) {
+	ev, ok := rr.rig.events.Await(from, t0.Add(liveness), func(ev eventlog.Event) bool {
+		dead, _ := ev.Attrs["dead"].Any().([]string)
+		return ev.Message == "repair complete" && slices.Contains(dead, id)
+	})
 	if !ok {
-		slog.Warn("no auto-repair", "phase", tl.phase.Name, "within", liveness)
+		slog.Warn("no auto-repair", "phase", tl.phase.Name, "shard", id, "within", liveness)
 		return
 	}
-	ms := millisSince(t0)
+	ms := millisBetween(t0, ev.Time)
+	epoch := ev.Attrs["epoch"].Uint64()
+	promoted, _ := ev.Attrs["promoted"].Any().([]string)
 	tl.report(func(out *PhaseReport) {
 		out.RepairMillis = max(out.RepairMillis, ms)
-		out.RepairEpoch = max(out.RepairEpoch, ev.Epoch)
-		out.PromotedShards = append(out.PromotedShards, ev.Promoted...)
+		out.RepairEpoch = max(out.RepairEpoch, epoch)
+		for _, s := range promoted {
+			if !slices.Contains(out.PromotedShards, s) {
+				out.PromotedShards = append(out.PromotedShards, s)
+			}
+		}
 	})
 	rr.rig.refreshShardView()
-	slog.Info("auto-repair observed", "phase", tl.phase.Name, "epoch", ev.Epoch, "elapsed_ms", ms, "dead", ev.Dead, "promoted", ev.Promoted)
+	slog.Info("auto-repair observed", "phase", tl.phase.Name, "shard", id, "epoch", epoch, "elapsed_ms", ms,
+		"dead", ev.Attrs["dead"], "promoted", ev.Attrs["promoted"])
 }
 
 // partition severs one shard's replies: the shard still hears the
@@ -407,14 +431,14 @@ func (rr *rigRun) awaitRepair(tl *timeline, since uint64, t0 time.Time) {
 // lifts only after the repair completes (heal delay measured from when it
 // was imposed).
 func (rr *rigRun) partition(tl *timeline, ev *Event) {
-	since := rr.rig.CurrentEpoch()
+	from := rr.rig.events.Len()
 	if !rr.rig.Partition(ev.Target, true) {
 		slog.Warn("partition skipped: shard not alive", "phase", tl.phase.Name, "shard", ev.Target)
 		return
 	}
-	slog.Info("partition imposed", "phase", tl.phase.Name, "shard", ev.Target)
 	t0 := time.Now()
-	rr.awaitRepair(tl, since, t0)
+	slog.Info("partition imposed", "phase", tl.phase.Name, "shard", ev.Target)
+	rr.awaitRepair(tl, ev.Target, from, t0)
 	if ev.HealAfter > 0 {
 		time.Sleep(ev.HealAfter - time.Since(t0))
 		rr.rig.Partition(ev.Target, false)
@@ -432,7 +456,7 @@ func (rr *rigRun) rebalance(tl *timeline, ev *Event) {
 		slog.Warn("rebalance failed", "phase", tl.phase.Name, "err", err)
 		return
 	}
-	ms := millisSince(t0)
+	ms := millisBetween(t0, time.Now())
 	tl.report(func(out *PhaseReport) { out.RebalanceMillis, out.MovedOwners = ms, moved })
 	slog.Info("rebalance observed", "phase", tl.phase.Name, "shards", len(rr.rig.Nodes), "elapsed_ms", ms, "moved", moved)
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"log/slog"
 	"net"
 	"strings"
 	"sync/atomic"
@@ -13,6 +14,7 @@ import (
 	"gupster/internal/core"
 	"gupster/internal/dirclient"
 	"gupster/internal/dirclient/ring"
+	"gupster/internal/eventlog"
 	"gupster/internal/policy"
 	"gupster/internal/schema"
 	"gupster/internal/shard"
@@ -72,15 +74,15 @@ func mapFor(version uint64, shards ...*testShard) wire.ShardMap {
 // Every install is an event naming the shard, the map's coordinates and
 // the install mode.
 func TestMapInstalledEvent(t *testing.T) {
-	events := captureEvents(t)
+	events := eventlog.Install(slog.LevelInfo)
+	defer events.Remove()
 	a, b := startShard(t, "a"), startShard(t, "b")
 	installMap(t, mapFor(1, a, b), "", a, b)
 	next := mapFor(2, a, b)
 	next.Epoch = 3
 	installMap(t, next, "handoff", a)
-	want := map[string]string{"shard": "a", "version": "2", "epoch": "3", "mode": "handoff"}
-	if _, ok := events.await("map installed", want); !ok {
-		t.Fatalf("no map installed event with %v", want)
+	if _, ok := events.Await(0, time.Now().Add(2*time.Second), eventlog.Is("map installed", "shard", "a", "version", "2", "epoch", "3", "mode", "handoff")); !ok {
+		t.Fatal("no map installed event for shard a at version 2, epoch 3, mode handoff")
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"encoding/hex"
 	"errors"
 	"io"
+	"log/slog"
 	"net"
 	"runtime"
 	"strings"
@@ -14,6 +15,8 @@ import (
 	"testing"
 	"testing/iotest"
 	"time"
+
+	"gupster/internal/eventlog"
 )
 
 // headerThenEOF yields a length prefix and nothing after it.
@@ -83,7 +86,8 @@ func TestLegacyFramesAreRefused(t *testing.T) {
 		}
 	}
 
-	events := captureEvents(t)
+	events := eventlog.Install(slog.LevelDebug)
+	defer events.Remove()
 	srv, err := Serve("127.0.0.1:0", echoHandler{})
 	if err != nil {
 		t.Fatal(err)
@@ -108,9 +112,9 @@ func TestLegacyFramesAreRefused(t *testing.T) {
 	if n, err := old.Read(make([]byte, 1)); n != 0 || !errors.Is(err, io.EOF) {
 		t.Errorf("the legacy peer's connection: read %d bytes, %v; want it closed", n, err)
 	}
-	if ev, ok := events.await("connection read failed", nil); !ok {
+	if ev, ok := events.Await(0, time.Now().Add(2*time.Second), eventlog.Is("connection read failed")); !ok {
 		t.Error("the refusal was not logged")
-	} else if got := ev["err"].String(); got != ErrLegacyFrame.Error() {
+	} else if got := ev.Attrs["err"].String(); got != ErrLegacyFrame.Error() {
 		t.Errorf("server logged %q, want the legacy refusal", got)
 	}
 	var resp map[string]int
