@@ -367,12 +367,14 @@ func millisBetween(t0, t time.Time) int64 {
 // constellation's repair.
 func (rr *rigRun) kill(tl *timeline, ev *Event) {
 	from := rr.rig.events.Len()
+	// The fault starts before the kill returns: closing a shard's nodes
+	// takes tens of milliseconds, and its peers suspect it meanwhile.
+	t0 := time.Now()
 	if ev.Target != "leader" {
 		if !rr.rig.Kill(ev.Target) {
 			slog.Warn("kill skipped: shard not alive", "phase", tl.phase.Name, "shard", ev.Target)
 			return
 		}
-		t0 := time.Now()
 		slog.Info("shard killed", "phase", tl.phase.Name, "shard", ev.Target)
 		rr.awaitRepair(tl, ev.Target, from, t0)
 		return
@@ -382,7 +384,6 @@ func (rr *rigRun) kill(tl *timeline, ev *Event) {
 		slog.Warn("kill skipped: no leader", "phase", tl.phase.Name)
 		return
 	}
-	t0 := time.Now()
 	slog.Info("leader killed", "phase", tl.phase.Name, "member", idx, "term", term)
 	if won, ok := rr.rig.awaitElection(0, from, term, t0.Add(liveness)); ok {
 		ms := millisBetween(t0, won.Time)
@@ -432,11 +433,11 @@ func (rr *rigRun) awaitRepair(tl *timeline, id string, from int, t0 time.Time) {
 // was imposed).
 func (rr *rigRun) partition(tl *timeline, ev *Event) {
 	from := rr.rig.events.Len()
+	t0 := time.Now()
 	if !rr.rig.Partition(ev.Target, true) {
 		slog.Warn("partition skipped: shard not alive", "phase", tl.phase.Name, "shard", ev.Target)
 		return
 	}
-	t0 := time.Now()
 	slog.Info("partition imposed", "phase", tl.phase.Name, "shard", ev.Target)
 	rr.awaitRepair(tl, ev.Target, from, t0)
 	if ev.HealAfter > 0 {

@@ -13,6 +13,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"gupster/internal/schema"
 	"gupster/internal/xmltree"
@@ -47,8 +48,8 @@ type Engine struct {
 	Adjuncts *schema.Adjuncts
 
 	mu      sync.RWMutex
-	docs    map[string]*xmltree.Node // user → profile tree rooted at <user>
-	version uint64                   // global monotonic write counter
+	docs    map[string]*userDoc // user → profile tree rooted at <user>
+	version uint64              // global monotonic write counter
 	// compVer tracks the version of the last write touching (user, section).
 	compVer map[string]uint64
 	// logs holds per-(user, component-path) change logs.
@@ -59,11 +60,28 @@ type Engine struct {
 	onChange func(user string, path xpath.Path, frag *xmltree.Node, version uint64)
 }
 
+// userDoc is one user's profile tree and the last fetch answer rendered
+// from it. fetched is published only under the engine's read lock and
+// cleared under its write lock by every write to tree, so it never holds a
+// render of a tree a write has since changed.
+type userDoc struct {
+	tree    *xmltree.Node
+	fetched atomic.Pointer[rendered]
+}
+
+// rendered is one GetXML answer: the compact XML for the path whose
+// canonical String() is path, and the version it carried. It is immutable.
+type rendered struct {
+	path    string
+	xml     string
+	version uint64
+}
+
 // NewEngine returns an empty engine for the named store.
 func NewEngine(id string) *Engine {
 	return &Engine{
 		id:      id,
-		docs:    make(map[string]*xmltree.Node),
+		docs:    make(map[string]*userDoc),
 		compVer: make(map[string]uint64),
 		logs:    make(map[string][]changeRec),
 	}
@@ -135,11 +153,13 @@ func (e *Engine) Put(user string, path xpath.Path, frag *xmltree.Node) (uint64, 
 	}
 
 	e.mu.Lock()
-	doc := e.docs[user]
-	if doc == nil {
-		doc = xmltree.New("user").SetAttr("id", user)
-		e.docs[user] = doc
+	ud := e.docs[user]
+	if ud == nil {
+		ud = &userDoc{tree: xmltree.New("user").SetAttr("id", user)}
+		e.docs[user] = ud
 	}
+	ud.fetched.Store(nil)
+	doc := ud.tree
 	var oldComp, newComp *xmltree.Node
 	if sel := xpath.Select(doc, logPath); len(sel) > 0 {
 		oldComp = sel[0].Clone()
@@ -284,27 +304,39 @@ func (e *Engine) Get(user string, path xpath.Path) (*xmltree.Node, uint64, error
 	return view.Clone(), v, err
 }
 
-// GetXML is Get rendered as compact XML, for a store answering a fetch. The
-// document is written straight from the engine's tree while the read lock
-// is held, so no node of it is copied.
+// GetXML is Get rendered as compact XML, for a store answering a fetch. A
+// user's document is rendered once per write: a fetch of the path the last
+// one rendered returns those bytes again. A render is written straight from
+// the engine's tree and published while the read lock is held, so no node
+// of it is copied and no render of a tree a write has changed outlives the
+// write.
 func (e *Engine) GetXML(user string, path xpath.Path) (string, uint64, error) {
+	key := path.String()
 	e.mu.RLock()
 	defer e.mu.RUnlock()
+	ud := e.docs[user]
+	if ud != nil {
+		if r := ud.fetched.Load(); r != nil && r.path == key {
+			return r.xml, r.version, nil
+		}
+	}
 	view, v, err := e.view(user, path)
 	if err != nil {
 		return "", 0, err
 	}
-	return view.String(), v, nil
+	xml := view.String()
+	ud.fetched.Store(&rendered{path: key, xml: xml, version: v})
+	return xml, v, nil
 }
 
 // view is Get's document as an xpath.View of the engine's tree. The caller
 // holds e.mu and is done with the view before releasing it.
 func (e *Engine) view(user string, path xpath.Path) (*xmltree.Node, uint64, error) {
-	doc := e.docs[user]
-	if doc == nil {
+	ud := e.docs[user]
+	if ud == nil {
 		return nil, 0, fmt.Errorf("%w: %s", ErrNoUser, user)
 	}
-	view := xpath.View(doc, path)
+	view := xpath.View(ud.tree, path)
 	if view == nil {
 		return nil, 0, fmt.Errorf("%w: %s", ErrNoComponent, path)
 	}
@@ -316,11 +348,11 @@ func (e *Engine) view(user string, path xpath.Path) (*xmltree.Node, uint64, erro
 func (e *Engine) GetComponent(user string, path xpath.Path) (*xmltree.Node, uint64, error) {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
-	doc := e.docs[user]
-	if doc == nil {
+	ud := e.docs[user]
+	if ud == nil {
 		return nil, 0, fmt.Errorf("%w: %s", ErrNoUser, user)
 	}
-	sel := xpath.Select(doc, path)
+	sel := xpath.Select(ud.tree, path)
 	if len(sel) == 0 {
 		return nil, 0, fmt.Errorf("%w: %s", ErrNoComponent, path)
 	}
@@ -332,12 +364,13 @@ func (e *Engine) GetComponent(user string, path xpath.Path) (*xmltree.Node, uint
 func (e *Engine) Delete(user string, path xpath.Path) (int, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	doc := e.docs[user]
-	if doc == nil {
+	ud := e.docs[user]
+	if ud == nil {
 		return 0, fmt.Errorf("%w: %s", ErrNoUser, user)
 	}
-	n := xpath.ReplaceAt(doc, path, nil)
+	n := xpath.ReplaceAt(ud.tree, path, nil)
 	if n > 0 {
+		ud.fetched.Store(nil)
 		e.version++
 		e.compVer[sectionKey(user, path)] = e.version
 		// Deletes are not recorded item-by-item; drop the user's change

@@ -9,8 +9,11 @@ import (
 	"time"
 
 	"gupster/internal/racetag"
+	"gupster/internal/syncml"
 	"gupster/internal/token"
+	"gupster/internal/wire"
 	"gupster/internal/xmltree"
+	"gupster/internal/xpath"
 )
 
 // bookOf is an address book of four personal items whose notes say tag.
@@ -24,13 +27,16 @@ func bookOf(tag string) string {
 	return b.String()
 }
 
-// A fetch renders the engine's own tree, so it must be done before a Put may
-// change that tree. Writers alternate whole-component and scoped Puts of one
-// user's book while readers fetch it over the wire; every reply must be one
-// of the written books whole. Run it under -race.
+// A fetch renders the engine's own tree, so the render must be done and
+// published before a Put may change that tree. Each round, writers alternate
+// whole-component and scoped Puts of one user's book while readers fetch it
+// over the wire, so the remembered answer is cleared under them: every reply
+// must be one of the written books whole. Then the writers stop and the
+// readers fetch from the warm answer: every reply must be the book the last
+// write left, at its version. Run it under -race.
 func TestFetchDuringPut(t *testing.T) {
 	srv, cli, signer := startServer(t)
-	const user, versions = "u", 8
+	const user, versions, rounds = "u", 8, 4
 	book := mp("/user[@id='u']/address-book")
 	scoped := mp("/user[@id='u']/address-book/item[@type='personal']")
 	want := map[string]bool{}
@@ -43,60 +49,132 @@ func TestFetchDuringPut(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	var wg sync.WaitGroup
-	stop := make(chan struct{})
-	for w := 0; w < 2; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for k := 0; ; k = (k + 1) % versions {
-				select {
-				case <-stop:
-					return
-				default:
+	// fetch runs four readers of n fetches each and checks every reply.
+	fetch := func(phase string, n int, ok func(xml string, v uint64) bool) {
+		var readers sync.WaitGroup
+		for r := 0; r < 4; r++ {
+			readers.Add(1)
+			go func() {
+				defer readers.Done()
+				q := signer.Sign(srv.Engine.ID(), user, book, token.VerbFetch, user, time.Minute)
+				for i := 0; i < n; i++ {
+					doc, v, err := cli.Fetch(context.Background(), q)
+					if err != nil {
+						t.Errorf("%s fetch %d: %v", phase, i, err)
+						return
+					}
+					if got := doc.String(); !ok(got, v) {
+						t.Errorf("%s fetch %d returned a book the engine does not hold (version %d): %s", phase, i, v, got)
+						return
+					}
 				}
-				if _, err := srv.Engine.Put(user, book, xmltree.MustParse(bookOf(fmt.Sprintf("whole %d", k)))); err != nil {
-					t.Error(err)
-					return
-				}
-				if _, err := srv.Engine.Put(user, scoped, xmltree.MustParse(bookOf(fmt.Sprintf("scoped %d", k)))); err != nil {
-					t.Error(err)
-					return
-				}
-			}
-		}()
+			}()
+		}
+		readers.Wait()
 	}
-	var readers sync.WaitGroup
-	for r := 0; r < 4; r++ {
-		readers.Add(1)
-		go func() {
-			defer readers.Done()
-			q := signer.Sign(srv.Engine.ID(), user, book, token.VerbFetch, user, time.Minute)
-			for i := 0; i < 200; i++ {
-				doc, _, err := cli.Fetch(context.Background(), q)
-				if err != nil {
-					t.Errorf("fetch %d: %v", i, err)
-					return
+	for round := 0; round < rounds; round++ {
+		var wg sync.WaitGroup
+		stop := make(chan struct{})
+		for w := 0; w < 2; w++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for k := 0; ; k = (k + 1) % versions {
+					select {
+					case <-stop:
+						return
+					default:
+					}
+					if _, err := srv.Engine.Put(user, book, xmltree.MustParse(bookOf(fmt.Sprintf("whole %d", k)))); err != nil {
+						t.Error(err)
+						return
+					}
+					if _, err := srv.Engine.Put(user, scoped, xmltree.MustParse(bookOf(fmt.Sprintf("scoped %d", k)))); err != nil {
+						t.Error(err)
+						return
+					}
 				}
-				if got := doc.String(); !want[got] {
-					t.Errorf("fetch %d returned a book nobody wrote: %s", i, got)
-					return
-				}
-			}
-		}()
+			}()
+		}
+		fetch("clearing", 40, func(xml string, _ uint64) bool { return want[xml] })
+		close(stop)
+		wg.Wait()
+
+		doc, lastV, err := srv.Engine.Get(user, book)
+		if err != nil {
+			t.Fatal(err)
+		}
+		last := doc.String()
+		fetch("warm", 40, func(xml string, v uint64) bool { return xml == last && v == lastV })
 	}
-	readers.Wait()
-	close(stop)
-	wg.Wait()
 }
 
-// The allocs/op gate, continued: a store's fetch of a 16-item piece renders
-// the engine's tree through a view, without copying it. It measures 5.
-func TestFetchAllocs(t *testing.T) {
-	if racetag.Enabled {
-		t.Skip("the race detector's instrumentation allocates")
+// fetchAsGet fetches path and checks the answer against Get's document,
+// rendered afresh, and its version.
+func fetchAsGet(t *testing.T, e *Engine, user string, path xpath.Path) (string, uint64) {
+	t.Helper()
+	got, v, err := e.GetXML(user, path)
+	if err != nil {
+		t.Fatal(err)
 	}
-	e := NewEngine("s1")
+	doc, wantV, err := e.Get(user, path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := doc.String(); got != want || v != wantV {
+		t.Errorf("fetch of %s = version %d %s, want version %d %s", path, v, got, wantV, want)
+	}
+	return got, v
+}
+
+// GetXML remembers one answer per user, for one path: after each kind of
+// write, a fetch of the path already rendered returns the new bytes at the
+// new version, and a fetch of another path renders its own piece.
+func TestGetXMLAfterWrite(t *testing.T) {
+	const user = "u"
+	book := mp("/user[@id='u']/address-book")
+	for _, tc := range []struct {
+		name  string
+		write func(e *Engine) error
+	}{
+		{"whole put", func(e *Engine) error {
+			_, err := e.Put(user, book, xmltree.MustParse(bookOf("after")))
+			return err
+		}},
+		{"scoped put", func(e *Engine) error {
+			_, err := e.Put(user, mp("/user[@id='u']/address-book/item[@type='personal']"), xmltree.MustParse(bookOf("after")))
+			return err
+		}},
+		{"delete", func(e *Engine) error {
+			_, err := e.Delete(user, mp("/user[@id='u']/address-book/item[@name='c1']"))
+			return err
+		}},
+		{"sync delta", func(e *Engine) error {
+			srv := &syncml.Server{Store: e, Keys: xmltree.DefaultKeys}
+			_, err := srv.HandleDelta(user, book, &wire.SyncDeltaRequest{XML: bookOf("after"), Policy: string(syncml.ClientWins)})
+			return err
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			e := NewEngine("s1")
+			if _, err := e.Put(user, book, xmltree.MustParse(bookOf("before"))); err != nil {
+				t.Fatal(err)
+			}
+			fetchAsGet(t, e, user, mp("/user[@id='u']/address-book/item[@name='c2']"))
+			before, oldV := fetchAsGet(t, e, user, book)
+			if err := tc.write(e); err != nil {
+				t.Fatal(err)
+			}
+			if got, v := fetchAsGet(t, e, user, book); got == before || v == oldV {
+				t.Errorf("the write changed neither the book nor its version %d: %s", v, got)
+			}
+		})
+	}
+}
+
+// bigBook stores a 16-item, 2 KiB address book for u00000 and returns the
+// path of its personal items, the piece a store's fetch renders.
+func bigBook(tb testing.TB, e *Engine) xpath.Path {
 	var b strings.Builder
 	b.WriteString("<address-book>")
 	for i := 0; i < 16; i++ {
@@ -104,16 +182,70 @@ func TestFetchAllocs(t *testing.T) {
 	}
 	b.WriteString("</address-book>")
 	if _, err := e.Put("u00000", mp("/user[@id='u00000']/address-book"), xmltree.MustParse(b.String())); err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
-	p := mp("/user[@id='u00000']/address-book/item[@type='personal']")
+	return mp("/user[@id='u00000']/address-book/item[@type='personal']")
+}
+
+// The allocs/op gate, continued: a store's fetch of a 16-item piece renders
+// the engine's tree through a view, without copying it, once per write. A
+// miss measures 7; a hit allocates only the path's key.
+func TestFetchAllocs(t *testing.T) {
+	if racetag.Enabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	e := NewEngine("s1")
+	p := bigBook(t, e)
 	xml, _, err := e.GetXML("u00000", p)
 	if err != nil || len(xml) < 1800 {
 		t.Fatalf("GetXML: %d bytes, %v", len(xml), err)
 	}
-	got := testing.AllocsPerRun(100, func() { _, _, _ = e.GetXML("u00000", p) })
-	t.Logf("16-item fetch render (%d bytes): %.0f allocs", len(xml), got)
-	if got > 12 {
-		t.Errorf("16-item fetch render: %.0f allocs, ceiling 12", got)
+	ud := e.docs["u00000"]
+	for _, row := range []struct {
+		name    string
+		warm    bool
+		ceiling float64
+	}{
+		{"miss", false, 12},
+		{"hit", true, 1},
+	} {
+		got := testing.AllocsPerRun(100, func() {
+			if !row.warm {
+				ud.fetched.Store(nil)
+			}
+			_, _, _ = e.GetXML("u00000", p)
+		})
+		t.Logf("16-item fetch render, %s (%d bytes): %.0f allocs", row.name, len(xml), got)
+		if got > row.ceiling {
+			t.Errorf("16-item fetch render, %s: %.0f allocs, ceiling %.0f", row.name, got, row.ceiling)
+		}
+	}
+}
+
+var getXMLSink string
+
+// BenchmarkGetXML is the store's fetch render of a 16-item piece: hit
+// answers from the render the last fetch left, miss renders the view as a
+// fetch after a write does.
+func BenchmarkGetXML(b *testing.B) {
+	e := NewEngine("s1")
+	p := bigBook(b, e)
+	ud := e.docs["u00000"]
+	for _, row := range []struct {
+		name string
+		warm bool
+	}{
+		{"hit", true},
+		{"miss", false},
+	} {
+		b.Run(row.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for b.Loop() {
+				if !row.warm {
+					ud.fetched.Store(nil)
+				}
+				getXMLSink, _, _ = e.GetXML("u00000", p)
+			}
+		})
 	}
 }
