@@ -136,8 +136,16 @@ row "One socket per subscription" §14 \
 # second index and bulk drop, and the lease sweeper stay deleted, in tests
 # too.
 row "One way to rebuild the directory" §8.1 \
-	"a second rebuild or log-rewrite path: rebuild with MDM.Restore (from journal.Open or Journal.State) and let the journal replace its own files" \
+	"a second rebuild or log-rewrite path: rebuild with MDM.Restore (at boot or from a leader snapshot) and let the journal replace its own files" \
 	'ResetDirectory|RestoreSnapshot|ReadSnapshot|truncateAndRebuild|rewriteLocked|removeFromAll|DropStore|leaseSweeper|sweepLeases' "-w $go ."
+
+# The log is the directory's only writer: a record changes the directory
+# when the publish step (or Restore, building aside) applies it, and
+# nowhere else — no apply before the append, no apply on receipt.
+row "One way to change the directory" §8 \
+	"an apply outside the publish step: append the record and let MDM.Publish apply it at commit" \
+	'\.ApplyRecord\(' "$src ." \
+	'./internal/core/durable.go:'
 
 # A setting exists only when two callers need different values. The
 # settings no caller changed are constants, and the paths only they selected

@@ -1,10 +1,11 @@
 package core_test
 
 // Regression tests for the directory-mutation divergence bugs the shard
-// work exposed: acknowledged state and durable state must never disagree.
-// Each test fails on the pre-fix code.
+// work exposed: acknowledged state, durable state and the state a resolve
+// reads must never disagree.
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"sync"
@@ -17,23 +18,30 @@ import (
 	"gupster/internal/xpath"
 )
 
-// flakyReplicator stands in for a replicated constellation's quorum append:
-// while failing, every durable append is refused — exactly what a leader
-// that lost its quorum mid-call sees.
+// flakyReplicator stands in for a replicated constellation's quorum append
+// on a journaled MDM: while failing, every append is refused before the
+// log — what a leader that lost its quorum mid-call sees; otherwise the
+// record is appended and published, as a quorum of one commits it.
 type flakyReplicator struct {
+	m       *core.MDM
 	mu      sync.Mutex
 	failing bool
 }
 
 var errNoQuorum = errors.New("replication: no quorum")
 
-func (f *flakyReplicator) append(journal.Record) error {
+func (f *flakyReplicator) append(r journal.Record) error {
 	f.mu.Lock()
-	defer f.mu.Unlock()
-	if f.failing {
+	failing := f.failing
+	f.mu.Unlock()
+	if failing {
 		return errNoQuorum
 	}
-	return nil
+	idx, err := f.m.Journal().AppendIndexed(r)
+	if err == nil {
+		f.m.Publish(idx)
+	}
+	return err
 }
 
 func (f *flakyReplicator) setFailing(v bool) {
@@ -42,15 +50,33 @@ func (f *flakyReplicator) setFailing(v bool) {
 	f.mu.Unlock()
 }
 
-// A Register refused by the durable layer must leave no trace: without the
-// rollback the leader kept serving a registration its followers never
-// accepted, and the divergence surfaced as phantom coverage after the next
-// election.
-func TestRegisterRollbackOnFailedAppend(t *testing.T) {
+// newJournaledMDM opens a bare MDM on the journal in dir.
+func newJournaledMDM(t *testing.T, dir string) *core.MDM {
+	t.Helper()
 	m := newBareMDM(core.Config{})
-	defer m.Close()
-	rep := &flakyReplicator{failing: true}
+	if _, err := core.OpenDurable(m, dir, journal.Options{NoSync: true}); err != nil {
+		t.Fatal(err)
+	}
+	return m
+}
+
+// newFlakyMDM is a journaled MDM whose appends go through a flakyReplicator.
+func newFlakyMDM(t *testing.T) (*core.MDM, *flakyReplicator) {
+	t.Helper()
+	m := newJournaledMDM(t, t.TempDir())
+	rep := &flakyReplicator{m: m}
 	m.SetReplicator(rep.append)
+	return m, rep
+}
+
+// A Register refused by the durable layer must leave no trace: the leader
+// once kept serving a registration its followers never accepted, and the
+// divergence surfaced as phantom coverage after the next election. Nothing
+// is applied before the append, so nothing is left to undo.
+func TestRegisterRollbackOnFailedAppend(t *testing.T) {
+	m, rep := newFlakyMDM(t)
+	defer m.Close()
+	rep.setFailing(true)
 
 	p := xpath.MustParse("/user[@id='u']/presence")
 	if err := m.Register("s1", "127.0.0.1:7001", p); !errors.Is(err, errNoQuorum) {
@@ -74,10 +100,10 @@ func TestRegisterRollbackOnFailedAppend(t *testing.T) {
 		t.Fatalf("re-Register with failing append: err = %v", err)
 	}
 	if !m.Registry.Registered(p, "s1") {
-		t.Fatal("failed re-Register rolled back a registration that predated it")
+		t.Fatal("failed re-Register removed a registration that predated it")
 	}
 	if got := m.AddrOf("s1"); got != "127.0.0.1:7001" {
-		t.Fatalf("failed re-Register did not restore the old address: %q", got)
+		t.Fatalf("failed re-Register changed the old address: %q", got)
 	}
 }
 
@@ -85,10 +111,8 @@ func TestRegisterRollbackOnFailedAppend(t *testing.T) {
 // the store was told its withdrawal failed, so the directory must still
 // route to it.
 func TestUnregisterRollbackOnFailedAppend(t *testing.T) {
-	m := newBareMDM(core.Config{})
+	m, rep := newFlakyMDM(t)
 	defer m.Close()
-	rep := &flakyReplicator{}
-	m.SetReplicator(rep.append)
 
 	p := xpath.MustParse("/user[@id='u']/presence")
 	if err := m.Register("s1", "127.0.0.1:7001", p); err != nil {
@@ -107,12 +131,10 @@ func TestUnregisterRollbackOnFailedAppend(t *testing.T) {
 }
 
 // Shield-rule provisioning takes the same durable path: a failed append
-// restores the rule (or absence) the owner had before.
+// leaves the rule (or absence) the owner had before.
 func TestRuleRollbackOnFailedAppend(t *testing.T) {
-	m := newBareMDM(core.Config{})
+	m, rep := newFlakyMDM(t)
 	defer m.Close()
-	rep := &flakyReplicator{}
-	m.SetReplicator(rep.append)
 
 	rule := func(effect string, prio int) *wire.PutRuleRequest {
 		return &wire.PutRuleRequest{Owner: "u", Rule: wire.RulePayload{
@@ -128,7 +150,7 @@ func TestRuleRollbackOnFailedAppend(t *testing.T) {
 		return wire.RulePayload{}, false
 	}
 
-	// A brand-new rule whose append fails must vanish.
+	// A brand-new rule whose append fails must not appear.
 	rep.setFailing(true)
 	if err := m.PutRule("u", rule("permit", 1)); !errors.Is(err, errNoQuorum) {
 		t.Fatalf("PutRule with failing append: err = %v", err)
@@ -137,7 +159,7 @@ func TestRuleRollbackOnFailedAppend(t *testing.T) {
 		t.Fatal("failed PutRule left the rule provisioned")
 	}
 
-	// A replacement whose append fails must restore the previous rule.
+	// A replacement whose append fails must leave the previous rule.
 	rep.setFailing(false)
 	if err := m.PutRule("u", rule("permit", 1)); err != nil {
 		t.Fatalf("PutRule: %v", err)
@@ -154,7 +176,7 @@ func TestRuleRollbackOnFailedAppend(t *testing.T) {
 		t.Fatalf("failed replacement left rule %+v, want the original permit/1", got)
 	}
 
-	// A deletion whose append fails must re-provision the rule.
+	// A deletion whose append fails must leave the rule.
 	if err := m.DeleteRule("u", "r1"); !errors.Is(err, errNoQuorum) {
 		t.Fatalf("DeleteRule with failing append: err = %v", err)
 	}
@@ -163,11 +185,51 @@ func TestRuleRollbackOnFailedAppend(t *testing.T) {
 	}
 }
 
-// A mutation whose record reached the log stays applied even when the
-// append then fails (journal.ErrUnacknowledged: the leader was deposed or
-// lost its quorum while it waited). The record may survive into the next
-// leader's log, and a member never applies a record it already holds, so
-// undoing it here would lose it for good.
+// A shield rule is served only once its record commits: an owner's permit
+// whose append waits, then fails, grants a stranger nothing — not while the
+// append waits, and not after it failed.
+func TestResolveNeverSeesAFailedRule(t *testing.T) {
+	m := newBareMDM(core.Config{})
+	defer m.Close()
+	p := xpath.MustParse("/user[@id='u']/presence")
+	if err := m.Register("s1", "127.0.0.1:7001", p); err != nil {
+		t.Fatal(err)
+	}
+	entered, release := make(chan struct{}), make(chan struct{})
+	m.SetReplicator(func(journal.Record) error {
+		close(entered)
+		<-release
+		return errNoQuorum
+	})
+	done := make(chan error, 1)
+	go func() {
+		done <- m.PutRule("u", &wire.PutRuleRequest{Owner: "u", Rule: wire.RulePayload{
+			ID: "r1", Path: "/user[@id='u']/presence", Effect: "permit",
+		}})
+	}()
+	stranger := func(when string) {
+		t.Helper()
+		_, err := m.Resolve(context.Background(), &wire.ResolveRequest{
+			Path: p.String(), Context: policy.Context{Requester: "mallory", Role: "stranger"},
+		})
+		if !errors.Is(err, core.ErrDenied) {
+			t.Errorf("a stranger's resolve %s the permit's append: err = %v, want ErrDenied", when, err)
+		}
+	}
+	<-entered
+	stranger("during")
+	close(release)
+	if err := <-done; !errors.Is(err, errNoQuorum) {
+		t.Fatalf("PutRule = %v, want errNoQuorum", err)
+	}
+	stranger("after")
+}
+
+// A mutation whose record reached the log but whose commit is unknown
+// (journal.ErrUnacknowledged: the leader was deposed or lost its quorum
+// while it waited) is in the log, not in the directory: it is not served.
+// Once a later commit covers it, it is served, and a reopen of the journal
+// keeps it — a logged record is never undone.
 func TestLoggedMutationIsNeverUndone(t *testing.T) {
 	unacked := fmt.Errorf("%w: %w", journal.ErrUnacknowledged, &wire.NotLeaderError{Term: 2})
 	p := xpath.MustParse("/user[@id='u']/presence")
@@ -181,10 +243,10 @@ func TestLoggedMutationIsNeverUndone(t *testing.T) {
 		return false
 	}
 	for _, tc := range []struct {
-		name   string
-		before func(m *core.MDM) error // applied while the log accepts
-		mutate func(m *core.MDM) error // applied while the quorum wait fails
-		stays  func(m *core.MDM) bool
+		name    string
+		before  func(m *core.MDM) error // committed while the quorum answers
+		mutate  func(m *core.MDM) error // logged while the quorum wait fails
+		applied func(m *core.MDM) bool
 	}{
 		{"register", nil,
 			func(m *core.MDM) error { return m.Register("s1", "127.0.0.1:7001", p) },
@@ -202,13 +264,18 @@ func TestLoggedMutationIsNeverUndone(t *testing.T) {
 			func(m *core.MDM) bool { return !hasRule(m) }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			m := newBareMDM(core.Config{})
-			defer m.Close()
+			dir := t.TempDir()
+			m := newJournaledMDM(t, dir)
 			var fail bool
-			m.SetReplicator(func(journal.Record) error {
+			m.SetReplicator(func(r journal.Record) error {
+				idx, err := m.Journal().AppendIndexed(r)
+				if err != nil {
+					return err
+				}
 				if fail {
 					return unacked
 				}
+				m.Publish(idx)
 				return nil
 			})
 			if tc.before != nil {
@@ -222,8 +289,18 @@ func TestLoggedMutationIsNeverUndone(t *testing.T) {
 			if !errors.Is(err, journal.ErrUnacknowledged) || !errors.As(err, &nl) {
 				t.Fatalf("err = %v, want ErrUnacknowledged wrapping a NotLeaderError", err)
 			}
-			if !tc.stays(m) {
-				t.Fatal("a mutation whose record reached the log was rolled back")
+			if tc.applied(m) {
+				t.Fatal("a mutation no commit covers was served")
+			}
+			m.Publish(m.Journal().LastIndex())
+			if !tc.applied(m) {
+				t.Fatal("a commit covering the logged mutation did not publish it")
+			}
+			m.Close()
+			m = newJournaledMDM(t, dir)
+			defer m.Close()
+			if !tc.applied(m) {
+				t.Fatal("the published mutation was lost across a reopen")
 			}
 		})
 	}
@@ -260,5 +337,39 @@ func TestResetDirectoryCancelsSubscriptions(t *testing.T) {
 	}
 	if n := m.Snapshot().Subscriptions; n != 0 {
 		t.Fatalf("reset left %d live subscriptions", n)
+	}
+}
+
+// A compaction that lands between an append and its publish snapshots the
+// published directory at the published index and keeps the record in the
+// log, so a reopen still publishes it.
+func TestCompactionBeforePublishKeepsTheRecord(t *testing.T) {
+	dir := t.TempDir()
+	m := newJournaledMDM(t, dir)
+	alice, bob := xpath.MustParse("/user[@id='alice']/presence"), xpath.MustParse("/user[@id='bob']/presence")
+	if err := m.Register("s1", "127.0.0.1:7001", alice); err != nil {
+		t.Fatal(err)
+	}
+	m.SetReplicator(func(r journal.Record) error {
+		if _, err := m.Journal().AppendIndexed(r); err != nil {
+			return err
+		}
+		return m.Journal().Compact()
+	})
+	if err := m.Register("s2", "127.0.0.1:7002", bob); err != nil {
+		t.Fatal(err)
+	}
+	if m.Registry.Registered(bob, "s2") {
+		t.Fatal("the registration was served before its publish")
+	}
+	if base, last := m.Journal().Base(), m.Journal().LastIndex(); base != 1 || last != 2 {
+		t.Fatalf("compaction at base %d with last %d, want the published index 1 and last 2", base, last)
+	}
+	m.Close()
+
+	m = newJournaledMDM(t, dir)
+	defer m.Close()
+	if !m.Registry.Registered(alice, "s1") || !m.Registry.Registered(bob, "s2") {
+		t.Fatalf("reopen holds %v, want both registrations", m.CoverageSnapshot())
 	}
 }

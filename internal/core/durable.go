@@ -1,8 +1,8 @@
 package core
 
 import (
-	"errors"
 	"fmt"
+	"log/slog"
 	"maps"
 
 	"gupster/internal/coverage"
@@ -20,47 +20,57 @@ import (
 // re-provision shields (the ISSUE's "enter once" applied to meta-data
 // itself).
 //
-// The mutation is validated and applied in memory first, then journaled
-// (compaction requires this order: a compaction's snapshot is stamped with
-// the journal's last index, so the directory must already include every
-// appended record). If the append fails before the record reaches the log
-// — a local I/O error, or a follower refusing with a redirect — the
-// in-memory application is rolled back before the caller sees the error:
-// acknowledged state and durable state never diverge. A failure after the
-// record reached the log (journal.ErrUnacknowledged: a leader deposed, or
-// out of quorum, while it waited) keeps the mutation: the record may
-// survive into the next leader's log, and a member that holds a record in
-// its log never applies it again, so undoing it would leave the directory
-// without it for good. If the record does not survive, the member's
-// divergent tail is cut and Restore rebuilds the directory without it.
-// The whole apply+append+rollback sequence runs under MDM.mutMu so the
-// rollback is exact.
+// The log is the directory's only writer. A mutation is checked for
+// anything its apply would refuse, appended, and published once its record
+// commits: at once on a standalone MDM, when a quorum holds it on a
+// replicated one. Publishing applies the committed records after the
+// published index in index order, so the directory a resolve reads is
+// exactly a prefix of the log, and a failed append leaves nothing to undo.
 
-// journalAppend durably logs one mutation; a no-op without a journal.
-// With a replicator installed (replicated constellation), the record is
-// handed to the replication layer instead, which appends locally AND
-// waits for a quorum of followers to hold it durably before returning —
-// a mutation acknowledged to a client survives the loss of any minority
-// of the constellation, the leader included.
-func (m *MDM) journalAppend(r journal.Record) error {
-	if m.replicate != nil {
+// write is the one way a checked mutation reaches the directory: appended
+// and published at its index on a standalone MDM, handed to the replicator
+// on a replicated one (which publishes at commit), applied directly without
+// a journal. Caller holds mutMu, so the check it made still holds when a
+// standalone MDM publishes.
+func (m *MDM) write(r journal.Record) error {
+	switch {
+	case m.replicate != nil:
 		return m.replicate(r)
+	case m.journal != nil:
+		idx, err := m.journal.AppendIndexed(r)
+		if err == nil {
+			m.Publish(idx)
+		}
+		return err
+	default:
+		return m.ApplyRecord(r)
 	}
-	if m.journal == nil {
-		return nil
-	}
-	return m.journal.Append(r)
 }
 
-// commit journals r for a mutation already applied, and runs undo when
-// the append failed before r reached the log. Caller holds mutMu.
-func (m *MDM) commit(r journal.Record, undo func()) error {
-	err := m.journalAppend(r)
-	if err != nil && !errors.Is(err, journal.ErrUnacknowledged) {
-		undo()
+// Publish is the one step that changes a journaled directory while it
+// serves: it applies the journal's committed records after the published
+// index, up to commit, in index order.
+func (m *MDM) Publish(commit uint64) {
+	m.pubMu.Lock()
+	defer m.pubMu.Unlock()
+	from := m.published.Load()
+	if commit <= from {
+		return
 	}
-	return err
+	recs, _, err := m.journal.Entries(from)
+	if err != nil {
+		slog.Error("publish failed", "from", from, "commit", commit, "err", err)
+		return
+	}
+	recs = recs[:min(commit-from, uint64(len(recs)))]
+	for _, r := range recs {
+		_ = m.ApplyRecord(r)
+	}
+	m.published.Store(from + uint64(len(recs)))
 }
+
+// Published is the index of the last journal record the directory holds.
+func (m *MDM) Published() uint64 { return m.published.Load() }
 
 // AttachJournal wires a journal into the MDM so subsequent mutations are
 // durable, and installs the compaction snapshot callback. Call once,
@@ -68,9 +78,13 @@ func (m *MDM) commit(r journal.Record, undo func()) error {
 func (m *MDM) AttachJournal(j *journal.Journal) {
 	m.journal = j
 	j.SetSnapshotFunc(func() journal.Snapshot {
+		// The index is read first: a record published while the directory
+		// is read replays over the snapshot idempotently.
+		idx := m.published.Load()
 		return journal.Snapshot{
 			Coverage: m.CoverageSnapshot(),
 			Shields:  m.ShieldSnapshot(),
+			Index:    idx,
 		}
 	})
 }
@@ -79,12 +93,13 @@ func (m *MDM) AttachJournal(j *journal.Journal) {
 func (m *MDM) Journal() *journal.Journal { return m.journal }
 
 // Restore makes the directory exactly rec — its snapshot, then its records
-// in order — without journaling. It is the one way a snapshot plus
-// records becomes a directory: at boot (OpenDurable), when a follower
-// installs a leader snapshot, and when it truncates a divergent tail.
+// in order — without journaling, and publishes up to rec's last index. It
+// is the one way a snapshot plus records becomes a directory: at boot
+// (OpenDurable, OpenMember) and when a follower installs a leader
+// snapshot.
 //
 // The new directory is built aside, through ApplyRecord, and installed
-// whole under mutMu: its addresses are added, then its shields replace the
+// whole under pubMu: its addresses are added, then its shields replace the
 // old ones, then its coverage goes live, and only then are the addresses
 // of stores it dropped evicted with their pooled connections and the
 // leases cleared, to restart by the first-sight rule. Each swap is one
@@ -99,7 +114,9 @@ func (m *MDM) Journal() *journal.Journal { return m.journal }
 // so a bad entry is corruption best dropped, not a reason to refuse boot.
 func (m *MDM) Restore(rec *journal.Recovered) {
 	next := m.aside()
+	last := uint64(len(rec.Records))
 	if s := rec.Snapshot; s != nil {
+		last += s.Index
 		for i := range s.Coverage {
 			_ = next.ApplyRecord(journal.Record{Op: journal.OpRegister, Register: &s.Coverage[i]})
 		}
@@ -111,7 +128,7 @@ func (m *MDM) Restore(rec *journal.Recovered) {
 		_ = next.ApplyRecord(r)
 	}
 
-	m.mutMu.Lock()
+	m.pubMu.Lock()
 	m.mu.Lock()
 	old := maps.Clone(m.addrs)
 	maps.Copy(m.addrs, next.addrs)
@@ -129,7 +146,8 @@ func (m *MDM) Restore(rec *journal.Recovered) {
 	m.leaseMu.Lock()
 	clear(m.leases)
 	m.leaseMu.Unlock()
-	m.mutMu.Unlock()
+	m.published.Store(last)
+	m.pubMu.Unlock()
 	if m.cache != nil {
 		m.cache.reset()
 	}
@@ -193,17 +211,31 @@ func (m *MDM) ApplyRecord(r journal.Record) error {
 		}
 		_ = m.PAP.DeleteRule(r.DeleteRule.Owner, r.DeleteRule.RuleID)
 		return nil
+	case journal.OpTermStart:
+		return nil
 	default:
 		return fmt.Errorf("gupster: unknown journal op %q", r.Op)
 	}
 }
 
-// OpenDurable opens (or recovers) the journal in dir, replays whatever it
-// holds into the MDM, and attaches it so new mutations are durable.
+// OpenDurable opens (or recovers) the journal in dir, publishes whatever
+// it holds into the MDM, and attaches it so new mutations are durable.
 // Replay errors on individual records are tolerated (see ApplyRecord);
 // only journal-level failures — unreadable files, corrupt snapshot —
 // refuse boot.
 func OpenDurable(m *MDM, dir string, opts journal.Options) (*journal.Recovered, error) {
+	return openJournal(m, dir, opts, true)
+}
+
+// OpenMember is OpenDurable for a member of a replicated constellation: it
+// publishes only the snapshot, which holds committed records alone. The
+// rest of the log may hold a deposed leader's uncommitted tail, so it
+// waits for a leader's commit (replication.Node publishes it).
+func OpenMember(m *MDM, dir string, opts journal.Options) (*journal.Recovered, error) {
+	return openJournal(m, dir, opts, false)
+}
+
+func openJournal(m *MDM, dir string, opts journal.Options, all bool) (*journal.Recovered, error) {
 	j, rec, err := journal.Open(dir, opts)
 	if err != nil {
 		return nil, err
@@ -211,15 +243,17 @@ func OpenDurable(m *MDM, dir string, opts journal.Options) (*journal.Recovered, 
 	// An empty journal leaves a directory loaded before it alone; the
 	// first compaction checkpoints it.
 	if rec.Snapshot != nil || len(rec.Records) > 0 {
-		m.Restore(rec)
+		if all {
+			m.Restore(rec)
+		} else {
+			m.Restore(&journal.Recovered{Snapshot: rec.Snapshot})
+		}
 	}
 	m.AttachJournal(j)
 	return rec, nil
 }
 
-// PutRule provisions a privacy-shield rule durably: applied to the
-// policy repository, then journaled; an append that failed before the log
-// restores the rule (or absence) the owner had before. The serving layer
+// PutRule provisions a privacy-shield rule durably. The serving layer
 // goes through this wrapper (not the PAP directly) so shield rules survive
 // a crash exactly like coverage registrations.
 func (m *MDM) PutRule(owner string, req *wire.PutRuleRequest) error {
@@ -227,47 +261,24 @@ func (m *MDM) PutRule(owner string, req *wire.PutRuleRequest) error {
 	if err != nil {
 		return err
 	}
-	m.mutMu.Lock()
-	defer m.mutMu.Unlock()
-	prev, hadPrev := m.ruleByID(owner, rule.ID)
-	if err := m.PAP.PutRule(owner, rule); err != nil {
+	if err := m.PAP.CheckRule(rule); err != nil {
 		return err
 	}
-	return m.commit(journal.Record{Op: journal.OpPutRule, PutRule: &wire.PutRuleRequest{
+	m.mutMu.Lock()
+	defer m.mutMu.Unlock()
+	return m.write(journal.Record{Op: journal.OpPutRule, PutRule: &wire.PutRuleRequest{
 		Owner: owner, Rule: req.Rule,
-	}}, func() {
-		if hadPrev {
-			_ = m.PAP.PutRule(owner, prev)
-		} else {
-			_ = m.PAP.DeleteRule(owner, rule.ID)
-		}
-	})
+	}})
 }
 
-// DeleteRule withdraws a shield rule durably; an append that failed before
-// the log re-provisions the rule it removed.
+// DeleteRule withdraws a shield rule durably.
 func (m *MDM) DeleteRule(owner, ruleID string) error {
 	m.mutMu.Lock()
 	defer m.mutMu.Unlock()
-	prev, _ := m.ruleByID(owner, ruleID) // DeleteRule fails unless it exists
-	if err := m.PAP.DeleteRule(owner, ruleID); err != nil {
+	if err := m.PAP.CheckDelete(owner, ruleID); err != nil {
 		return err
 	}
-	return m.commit(journal.Record{Op: journal.OpDeleteRule, DeleteRule: &wire.DeleteRuleRequest{
+	return m.write(journal.Record{Op: journal.OpDeleteRule, DeleteRule: &wire.DeleteRuleRequest{
 		Owner: owner, RuleID: ruleID,
-	}}, func() { _ = m.PAP.PutRule(owner, prev) })
-}
-
-// ruleByID snapshots an owner's current rule for rollback.
-func (m *MDM) ruleByID(owner, id string) (policy.Rule, bool) {
-	shield, err := m.Repo.Get(owner)
-	if err != nil {
-		return policy.Rule{}, false
-	}
-	for _, r := range shield.Rules {
-		if r.ID == id {
-			return r, true
-		}
-	}
-	return policy.Rule{}, false
+	}})
 }

@@ -71,18 +71,6 @@ func (m *MDM) renewLease(storeID coverage.StoreID) {
 	m.Liveness.Renewals.Add(1)
 }
 
-// hasLease reports whether a store currently holds a lease entry (the
-// mutation rollback uses it to restore what forgetStore dropped).
-func (m *MDM) hasLease(storeID coverage.StoreID) bool {
-	if !m.leasesEnabled() {
-		return false
-	}
-	m.leaseMu.Lock()
-	defer m.leaseMu.Unlock()
-	_, ok := m.leases[storeID]
-	return ok
-}
-
 // dropLease forgets a store's lease (last registration gone).
 func (m *MDM) dropLease(storeID coverage.StoreID) {
 	if !m.leasesEnabled() {

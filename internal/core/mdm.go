@@ -127,11 +127,15 @@ type MDM struct {
 	mu    sync.RWMutex
 	addrs map[coverage.StoreID]string // store → dialable address
 
-	// mutMu serialises the durable mutation path (apply + journal append +
-	// rollback-on-failure) and Restore's install. Holding it makes the
-	// rollback exact: nothing else can interleave between the pre-mutation
-	// snapshot and the rollback that restores it. Resolves never take it.
+	// mutMu serialises the mutation path (check + append, and on a
+	// standalone MDM the publish), so a check still holds when its record
+	// is applied. Resolves never take it.
 	mutMu sync.Mutex
+
+	// pubMu serialises the publish step and Restore's install; published
+	// is the index of the last journal record the directory holds.
+	pubMu     sync.Mutex
+	published atomic.Uint64
 
 	cache *componentCache
 	subs  *subscriptions
@@ -160,15 +164,16 @@ type MDM struct {
 
 	// journal, when attached, makes the meta-data directory crash-safe:
 	// every Register/Unregister/PutRule/DeleteRule appends a durable
-	// record before the caller is acknowledged. Set once via
-	// AttachJournal before the MDM starts serving.
+	// record before the caller is acknowledged, and the directory is the
+	// log's published prefix. Set once via AttachJournal before the MDM
+	// starts serving.
 	journal *journal.Journal
 
 	// replicate, when set, owns the durable append path: instead of
-	// appending to the local journal directly, journalAppend hands the
-	// record to the replication layer, which acknowledges only after a
-	// quorum of the constellation has it durably. Set once via
-	// SetReplicator before serving.
+	// appending to the local journal directly, write hands the record to
+	// the replication layer, which acknowledges only after a quorum of the
+	// constellation has it durably. Set once via SetReplicator before
+	// serving.
 	replicate func(journal.Record) error
 
 	// replStatus, when set, feeds the node's replication/election view
@@ -230,42 +235,17 @@ func New(cfg Config) *MDM {
 // An empty addr means "no address update" — a store adding a second
 // coverage path without repeating its address keeps the address the
 // directory already knows. With a journal attached the registration is
-// durable before Register returns, and an append that failed before the
-// log (local I/O error, a redirect) rolls the in-memory application back
-// so the caller's error is the truth; with leases enabled it also
+// durable before Register returns; with leases enabled it also
 // grants/renews the store's lease.
 func (m *MDM) Register(storeID coverage.StoreID, addr string, path xpath.Path) error {
-	m.mutMu.Lock()
-	defer m.mutMu.Unlock()
-	existed := m.Registry.Registered(path, storeID)
-	m.mu.RLock()
-	prevAddr, hadAddr := m.addrs[storeID]
-	m.mu.RUnlock()
-	if err := m.applyRegister(storeID, addr, path); err != nil {
+	if err := coverage.CheckPath(path); err != nil {
 		return err
 	}
-	return m.commit(journal.Record{Op: journal.OpRegister, Register: &wire.RegisterRequest{
+	m.mutMu.Lock()
+	defer m.mutMu.Unlock()
+	return m.write(journal.Record{Op: journal.OpRegister, Register: &wire.RegisterRequest{
 		Store: string(storeID), Address: addr, Path: path.String(),
-	}}, func() {
-		// The directory must not keep a mutation its caller was told failed:
-		// a leader whose quorum never accepted the record would otherwise
-		// serve registrations its followers do not hold. The rollback is
-		// exact — an idempotent re-registration removes nothing, and the
-		// previous address is restored.
-		if !existed {
-			_ = m.Registry.Unregister(path, storeID)
-			if m.Registry.StoreCount(storeID) == 0 {
-				m.forgetStore(storeID)
-			}
-		}
-		m.mu.Lock()
-		if hadAddr {
-			m.addrs[storeID] = prevAddr
-		} else {
-			delete(m.addrs, storeID)
-		}
-		m.mu.Unlock()
-	})
+	}})
 }
 
 func (m *MDM) applyRegister(storeID coverage.StoreID, addr string, path xpath.Path) error {
@@ -290,34 +270,16 @@ func (m *MDM) applyRegister(storeID coverage.StoreID, addr string, path xpath.Pa
 
 // Unregister withdraws a coverage registration. When the store's last
 // registration goes, its address, pooled connection, and lease go with it
-// — the directory forgets the store completely. Like Register, an append
-// that failed before the log rolls the removal back before the error is
-// returned.
+// — the directory forgets the store completely.
 func (m *MDM) Unregister(storeID coverage.StoreID, path xpath.Path) error {
 	m.mutMu.Lock()
 	defer m.mutMu.Unlock()
-	m.mu.RLock()
-	prevAddr, hadAddr := m.addrs[storeID]
-	m.mu.RUnlock()
-	hadLease := m.hasLease(storeID)
-	if err := m.applyUnregister(storeID, path); err != nil {
-		return err
+	if !m.Registry.Registered(path, storeID) {
+		return coverage.ErrNotRegistered
 	}
-	return m.commit(journal.Record{Op: journal.OpUnregister, Unregister: &wire.UnregisterRequest{
+	return m.write(journal.Record{Op: journal.OpUnregister, Unregister: &wire.UnregisterRequest{
 		Store: string(storeID), Path: path.String(),
-	}}, func() {
-		// Re-insert the registration and restore whatever forgetStore may
-		// have dropped with the store's last registration.
-		_ = m.Registry.Register(path, storeID)
-		if hadAddr {
-			m.mu.Lock()
-			m.addrs[storeID] = prevAddr
-			m.mu.Unlock()
-		}
-		if hadLease {
-			m.renewLease(storeID)
-		}
-	})
+	}})
 }
 
 func (m *MDM) applyUnregister(storeID coverage.StoreID, path xpath.Path) error {
@@ -857,9 +819,11 @@ func (m *MDM) ShieldSnapshot() []wire.PutRuleRequest {
 }
 
 // SetReplicator installs the replication layer's append hook: every
-// durable mutation goes through fn instead of the local journal, and the
+// checked mutation goes through fn instead of the local journal, and the
 // caller is acknowledged only when fn returns nil (quorum-durable in a
-// replicated constellation). Install once, before the MDM starts serving.
+// replicated constellation). fn publishes nothing itself: the directory
+// changes only when the replication layer calls Publish at commit. Install
+// once, before the MDM starts serving.
 func (m *MDM) SetReplicator(fn func(journal.Record) error) { m.replicate = fn }
 
 // SetReplStatus installs the callback that surfaces replication status

@@ -115,14 +115,22 @@ func New() *Registry {
 	}
 }
 
-// Register records that store holds the subtree at path. Registering the
-// same (path, store) pair twice is idempotent.
-func (r *Registry) Register(path xpath.Path, store StoreID) error {
+// CheckPath reports whether Register would refuse path.
+func CheckPath(path xpath.Path) error {
 	if len(path.Steps) == 0 {
 		return fmt.Errorf("%w: empty path", ErrBadPath)
 	}
 	if path.Empty() {
 		return fmt.Errorf("%w: %s matches nothing", ErrBadPath, path)
+	}
+	return nil
+}
+
+// Register records that store holds the subtree at path. Registering the
+// same (path, store) pair twice is idempotent.
+func (r *Registry) Register(path xpath.Path, store StoreID) error {
+	if err := CheckPath(path); err != nil {
+		return err
 	}
 	user, _ := UserOf(path)
 	section := sectionOf(path)
@@ -146,9 +154,8 @@ func (r *Registry) Register(path xpath.Path, store StoreID) error {
 	return nil
 }
 
-// Registered reports whether the exact (path, store) registration exists.
-// The mutation path uses it to decide whether a failed journal append
-// must roll back an insert or leave a pre-existing registration alone.
+// Registered reports whether the exact (path, store) registration exists,
+// that is, whether Unregister would remove one.
 func (r *Registry) Registered(path xpath.Path, store StoreID) bool {
 	key := path.String()
 	user, _ := UserOf(path)

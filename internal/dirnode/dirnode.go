@@ -209,7 +209,11 @@ func (n *Node) stats() wire.StatsResponse {
 func (n *Node) assemble(cfg *Config, advertise string) (wire.Handler, error) {
 	n.MDM = core.New(cfg.MDM)
 	if cfg.DataDir != "" {
-		rec, err := core.OpenDurable(n.MDM, cfg.DataDir, cfg.Journal)
+		open := core.OpenDurable
+		if cfg.Replication != nil {
+			open = core.OpenMember
+		}
+		rec, err := open(n.MDM, cfg.DataDir, cfg.Journal)
 		if err != nil {
 			return nil, fmt.Errorf("recover %s: %w", cfg.DataDir, err)
 		}

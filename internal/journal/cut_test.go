@@ -43,7 +43,7 @@ func TestCrashBetweenSnapshotAndLogReplace(t *testing.T) {
 		}
 		cov = append(cov, *replRecord(1, i).Register)
 	}
-	j.SetSnapshotFunc(func() Snapshot { return Snapshot{Coverage: cov} })
+	j.SetSnapshotFunc(func() Snapshot { return Snapshot{Coverage: cov, Index: j.LastIndex()} })
 	crash := errors.New("crash before the log replace")
 	entered, release := stallSnapshot(j, crash)
 	done := make(chan error, 1)
@@ -94,7 +94,7 @@ func TestAppendDuringSnapshotWriteDoesNotWait(t *testing.T) {
 	if err := j.Append(regRecord(0)); err != nil {
 		t.Fatal(err)
 	}
-	j.SetSnapshotFunc(func() Snapshot { return Snapshot{} })
+	j.SetSnapshotFunc(func() Snapshot { return Snapshot{Index: j.LastIndex()} })
 	entered, release := stallSnapshot(j, nil)
 	done := make(chan error, 1)
 	go func() { done <- j.Compact() }()
@@ -126,7 +126,7 @@ func TestAppendDuringSnapshotWriteDoesNotWait(t *testing.T) {
 func TestCrossingAppendDoesNotWaitForCompaction(t *testing.T) {
 	dir := t.TempDir()
 	j, _ := openClean(t, dir, Options{CompactEvery: 4})
-	j.SetSnapshotFunc(func() Snapshot { return Snapshot{} })
+	j.SetSnapshotFunc(func() Snapshot { return Snapshot{Index: j.LastIndex()} })
 	entered, release := stallSnapshot(j, nil)
 
 	returned := make(chan error, 1)

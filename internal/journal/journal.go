@@ -46,6 +46,10 @@ const (
 	OpUnregister = "unregister"
 	OpPutRule    = "put-rule"
 	OpDeleteRule = "delete-rule"
+	// OpTermStart is the record a newly elected leader appends: it changes
+	// nothing, but once a quorum holds it the entries of earlier terms
+	// before it are committed too.
+	OpTermStart = "term-start"
 )
 
 // Record is one journaled mutation. Exactly one of the payload fields is
@@ -125,8 +129,9 @@ var (
 	// in-log length corruption at replay time.
 	ErrRecordTooLarge = errors.New("journal: record exceeds maximum size")
 	// ErrUnacknowledged wraps a failure that came after the record reached
-	// the log (a replicated append whose quorum wait failed): the record
-	// may yet survive, so its mutation must stay applied.
+	// the log (a replicated append whose quorum wait failed): the record is
+	// in the log but not published, and the next commit decides whether it
+	// ever is.
 	ErrUnacknowledged = errors.New("journal: logged, outcome unknown")
 )
 
@@ -195,6 +200,9 @@ type Journal struct {
 	// beforeRename, when set, runs just before replace renames its temp
 	// file over name; an error aborts the replace. A test seam.
 	beforeRename func(name string) error
+	// beforeSync runs on the flusher just before each fsync, outside j.mu:
+	// a no-op unless a test sets it.
+	beforeSync func()
 
 	stats Stats
 }
@@ -209,7 +217,7 @@ func Open(dir string, opts Options) (*Journal, *Recovered, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, nil, fmt.Errorf("journal: %w", err)
 	}
-	j := &Journal{dir: dir, opts: opts, w: bufio.NewWriter(nil)}
+	j := &Journal{dir: dir, opts: opts, w: bufio.NewWriter(nil), beforeSync: func() {}}
 	j.work = sync.NewCond(&j.mu)
 	j.done = sync.NewCond(&j.mu)
 
@@ -268,7 +276,9 @@ func Open(dir string, opts Options) (*Journal, *Recovered, error) {
 
 // SetSnapshotFunc installs the callback that captures the directory for
 // compaction — typically after recovery has been applied, so the first
-// snapshot is complete. The callback must not append to the journal.
+// snapshot is complete. The callback sets the snapshot's Index to the last
+// record its directory holds (see capture); the log keeps every record
+// after it. It must not append to the journal.
 func (j *Journal) SetSnapshotFunc(fn func() Snapshot) {
 	j.mu.Lock()
 	j.snapFn = fn
@@ -387,24 +397,28 @@ func (j *Journal) flusher() {
 	defer j.flusherG.Done()
 	j.mu.Lock()
 	for {
-		for j.pending == j.synced && !j.closed {
+		for (j.pending == j.synced || j.syncErr != nil) && !j.closed {
 			j.work.Wait()
 		}
-		if j.pending == j.synced && j.closed {
+		if (j.pending == j.synced || j.syncErr != nil) && j.closed {
 			j.mu.Unlock()
 			return
 		}
 		target := j.pending
 		err := j.w.Flush()
 		if err == nil && !j.opts.NoSync {
-			f := j.f
+			f, hook := j.f, j.beforeSync
 			j.mu.Unlock()
+			hook()
 			err = f.Sync()
 			j.mu.Lock()
 			j.stats.Syncs.Add(1)
 		}
-		j.synced = target
-		if err != nil && j.syncErr == nil {
+		// A failed flush counts nothing as synced: the batch may not be on
+		// disk, and the poisoned journal takes no further appends.
+		if err == nil {
+			j.synced = target
+		} else if j.syncErr == nil {
 			j.syncErr = err
 		}
 		j.done.Broadcast()
@@ -434,28 +448,36 @@ func (j *Journal) Compact() error {
 	return j.cut(snap, false)
 }
 
-// capture takes the directory checkpoint stamped with the log position
-// it describes, under j.mu with in-flight appends drained. Mutations
-// applied to the directory but not yet appended are ahead of the log;
-// including them is safe (their append lands after the stamp and replays
-// idempotently). nil, nil without a snapshot callback.
+// capture takes the directory checkpoint through the installed callback,
+// which stamps it with the index of the last record its directory holds,
+// and looks up that index's term. The callback runs outside j.mu, so a
+// directory that is being published meanwhile can be read; it must read the
+// index before the directory, so whatever it holds past the index replays
+// over it idempotently. nil, nil without a callback, or when a cut has
+// moved the journal past the index meanwhile.
 func (j *Journal) capture() (*Snapshot, error) {
 	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.closed {
+	fn, closed := j.snapFn, j.closed
+	j.mu.Unlock()
+	if closed {
 		return nil, ErrClosed
 	}
-	if err := j.drainLocked(); err != nil || j.snapFn == nil {
-		return nil, err
+	if fn == nil {
+		return nil, nil
 	}
-	snap := j.snapFn()
-	snap.Index = j.lastLocked()
+	snap := fn()
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	if snap.Index < j.base || snap.Index > j.lastLocked() {
+		return nil, nil
+	}
 	snap.Term = j.termAtLocked(snap.Index)
 	return &snap, nil
 }
 
 // cut makes snap the journal's checkpoint: the one path by which a
-// compaction and a snapshot install land. snapshot.json is written
+// compaction and a snapshot install land. The log keeps every record after
+// snap.Index, published or not. snapshot.json is written
 // outside j.mu, so appends carry on through its marshal and fsyncs; then,
 // under j.mu, wal.log is replaced by the records after snap.Index. A
 // compaction keeps the records it folded in memory as the retained tail;
@@ -493,7 +515,10 @@ func (j *Journal) cut(snap *Snapshot, install bool) error {
 		return err
 	}
 	j.floor, j.floorTerm, j.recs, j.base = floor, floorTerm, recs, snap.Index
-	j.appended, j.entries = len(live), len(snap.Coverage)+len(snap.Shields)
+	// The count restarts: the live records are the directory's unpublished
+	// tail and whatever landed during the snapshot write, and counting them
+	// would start the next compaction before there was more to fold.
+	j.appended, j.entries = 0, len(snap.Coverage)+len(snap.Shields)
 	if !install {
 		j.stats.Compactions.Add(1)
 	}

@@ -218,7 +218,7 @@ func TestCompactionSnapshotsAndTruncates(t *testing.T) {
 	j.SetSnapshotFunc(func() Snapshot {
 		mu.Lock()
 		defer mu.Unlock()
-		var s Snapshot
+		s := Snapshot{Index: j.LastIndex()}
 		for _, r := range state {
 			s.Coverage = append(s.Coverage, r)
 		}
@@ -325,7 +325,11 @@ func TestCompactionWorkFollowsTheLog(t *testing.T) {
 	for i := 0; i < entries; i++ {
 		snap.Coverage = append(snap.Coverage, *regRecord(i).Register)
 	}
-	j.SetSnapshotFunc(func() Snapshot { return snap })
+	j.SetSnapshotFunc(func() Snapshot {
+		s := snap
+		s.Index = j.LastIndex()
+		return s
+	})
 	for i := 0; i < n; i++ {
 		if err := j.Append(regRecord(i)); err != nil {
 			t.Fatal(err)

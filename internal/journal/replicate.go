@@ -3,9 +3,8 @@ package journal
 // Replicated-log surface. A journal doubles as the persistent log of a
 // replicated MDM: records carry the leader term that produced them, the
 // snapshot records the index it covers, and this file exposes the indexed
-// view replication needs — read a suffix for shipping, truncate a
-// conflicting tail, install a leader snapshot wholesale, hand out the
-// durable state to rebuild from.
+// view replication needs — read a suffix for shipping or publishing,
+// truncate a conflicting tail, install a leader snapshot wholesale.
 //
 // Indexing is global and monotone across compactions: record 1 is the
 // first mutation ever journaled. Compaction folds a prefix into the
@@ -17,7 +16,6 @@ package journal
 import (
 	"errors"
 	"fmt"
-	"path/filepath"
 )
 
 // ErrCompacted reports that the requested log prefix has been folded into
@@ -43,6 +41,15 @@ func (j *Journal) LastIndex() uint64 {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	return j.lastLocked()
+}
+
+// SyncedIndex is the index of the newest record on disk. Records past it
+// are in the log, and Entries ships them, but their fsync has not returned:
+// a leader counts its own copy of the log only up to here.
+func (j *Journal) SyncedIndex() uint64 {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	return j.lastLocked() - (j.pending - j.synced)
 }
 
 // LastTerm is the term of the newest record (or of the snapshot when the
@@ -94,9 +101,9 @@ func (j *Journal) Entries(after uint64) (recs []Record, first uint64, err error)
 
 // TruncateTo discards every record with index > index, replacing the WAL
 // by the records that stay — the conflict-resolution path when a
-// follower's tail diverges from the new leader's log. Truncating below
-// base is an error (that prefix lives in the snapshot); truncating at or
-// past the last index is a no-op.
+// follower's unpublished tail diverges from the new leader's log.
+// Truncating below base is an error (that prefix lives in the snapshot);
+// truncating at or past the last index is a no-op.
 func (j *Journal) TruncateTo(index uint64) error {
 	j.cutMu.Lock()
 	defer j.cutMu.Unlock()
@@ -135,33 +142,11 @@ func (j *Journal) InstallSnapshot(s *Snapshot) error {
 
 // SnapshotNow captures the directory checkpoint without compacting the
 // log — the shipping path when a follower is too far behind. The capture
-// is Compact's, so it is consistent with the log index it is stamped
-// with.
+// is Compact's: the published directory at its published index.
 func (j *Journal) SnapshotNow() (*Snapshot, error) {
 	snap, err := j.capture()
 	if snap == nil && err == nil {
 		err = errors.New("journal: no snapshot callback installed")
 	}
 	return snap, err
-}
-
-// State hands out the journal's durable state in the shape Open recovers
-// it: the on-disk snapshot and the records after it — what a follower
-// rebuilds its directory from after TruncateTo.
-func (j *Journal) State() (*Recovered, error) {
-	j.cutMu.Lock()
-	defer j.cutMu.Unlock()
-	snap, err := readSnapshot(filepath.Join(j.dir, snapName))
-	if err != nil {
-		return nil, err
-	}
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	// A compaction that failed after its snapshot rename left the
-	// snapshot past base.
-	from := j.base
-	if snap != nil && snap.Index > from && snap.Index <= j.lastLocked() {
-		from = snap.Index
-	}
-	return &Recovered{Snapshot: snap, Records: append([]Record(nil), j.recs[from-j.floor:]...)}, nil
 }

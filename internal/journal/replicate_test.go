@@ -72,7 +72,7 @@ func TestEntriesAfterCompaction(t *testing.T) {
 	defer j.Close()
 
 	var cov []wire.RegisterRequest
-	j.SetSnapshotFunc(func() Snapshot { return Snapshot{Coverage: cov} })
+	j.SetSnapshotFunc(func() Snapshot { return Snapshot{Coverage: cov, Index: j.LastIndex()} })
 	appendN := func(term uint64, from, to int) {
 		for i := from; i < to; i++ {
 			if err := j.Append(replRecord(term, i)); err != nil {
@@ -127,7 +127,7 @@ func TestIndexSurvivesReopen(t *testing.T) {
 	dir := t.TempDir()
 	j, _ := openRepl(t, dir)
 	var cov []wire.RegisterRequest
-	j.SetSnapshotFunc(func() Snapshot { return Snapshot{Coverage: cov} })
+	j.SetSnapshotFunc(func() Snapshot { return Snapshot{Coverage: cov, Index: j.LastIndex()} })
 	for i := 0; i < 3; i++ {
 		if err := j.Append(replRecord(1, i)); err != nil {
 			t.Fatalf("append: %v", err)
@@ -216,5 +216,34 @@ func TestInstallSnapshot(t *testing.T) {
 	}
 	if len(rec.Records) != 0 || j2.LastIndex() != 10 {
 		t.Fatalf("reopen after install: %d records, last %d; want 0/10", len(rec.Records), j2.LastIndex())
+	}
+}
+
+// A record whose fsync has not returned is in the log, and Entries ships
+// it, but SyncedIndex stays at the newest record on disk until the fsync
+// returns.
+func TestSyncedIndexLagsAStalledFsync(t *testing.T) {
+	j, _, err := Open(t.TempDir(), Options{CompactEvery: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j.Close()
+	if err := j.Append(replRecord(1, 0)); err != nil {
+		t.Fatal(err)
+	}
+	stalled, release := StallSync(j)
+	defer release()
+	done := make(chan error, 1)
+	go func() { done <- j.Append(replRecord(1, 1)) }()
+	<-stalled
+	if last, synced := j.LastIndex(), j.SyncedIndex(); last != 2 || synced != 1 {
+		t.Fatalf("during the fsync: LastIndex %d, SyncedIndex %d; want 2, 1", last, synced)
+	}
+	release()
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	if got := j.SyncedIndex(); got != 2 {
+		t.Fatalf("after the fsync: SyncedIndex %d, want 2", got)
 	}
 }

@@ -16,6 +16,7 @@ package policy
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -477,8 +478,8 @@ type AdministrationPoint struct {
 	ValidatePath func(xpath.Path) error
 }
 
-// PutRule inserts or replaces one rule in the owner's shield.
-func (a *AdministrationPoint) PutRule(owner string, rule Rule) error {
+// CheckRule reports whether PutRule would refuse rule.
+func (a *AdministrationPoint) CheckRule(rule Rule) error {
 	if rule.ID == "" {
 		return errors.New("policy: rule must have an ID")
 	}
@@ -489,6 +490,14 @@ func (a *AdministrationPoint) PutRule(owner string, rule Rule) error {
 		if err := a.ValidatePath(rule.Path); err != nil {
 			return fmt.Errorf("policy: rule %s scope: %w", rule.ID, err)
 		}
+	}
+	return nil
+}
+
+// PutRule inserts or replaces one rule in the owner's shield.
+func (a *AdministrationPoint) PutRule(owner string, rule Rule) error {
+	if err := a.CheckRule(rule); err != nil {
+		return err
 	}
 	s, err := a.Repo.Get(owner)
 	if err != nil {
@@ -509,20 +518,30 @@ func (a *AdministrationPoint) PutRule(owner string, rule Rule) error {
 	return nil
 }
 
-// DeleteRule removes a rule by ID.
-func (a *AdministrationPoint) DeleteRule(owner, ruleID string) error {
+// CheckDelete reports whether DeleteRule would refuse to delete ruleID.
+func (a *AdministrationPoint) CheckDelete(owner, ruleID string) error {
 	s, err := a.Repo.Get(owner)
 	if err != nil {
 		return err
 	}
-	for i := range s.Rules {
-		if s.Rules[i].ID == ruleID {
-			s.Rules = append(s.Rules[:i], s.Rules[i+1:]...)
-			a.Repo.Put(s)
-			return nil
-		}
+	if !slices.ContainsFunc(s.Rules, func(r Rule) bool { return r.ID == ruleID }) {
+		return fmt.Errorf("%w: %s/%s", ErrNoRule, owner, ruleID)
 	}
-	return fmt.Errorf("%w: %s/%s", ErrNoRule, owner, ruleID)
+	return nil
+}
+
+// DeleteRule removes a rule by ID.
+func (a *AdministrationPoint) DeleteRule(owner, ruleID string) error {
+	if err := a.CheckDelete(owner, ruleID); err != nil {
+		return err
+	}
+	s, err := a.Repo.Get(owner)
+	if err != nil {
+		return err
+	}
+	s.Rules = slices.DeleteFunc(s.Rules, func(r Rule) bool { return r.ID == ruleID })
+	a.Repo.Put(s)
+	return nil
 }
 
 // DecisionPoint renders decisions from a repository — the "policy decision

@@ -23,7 +23,7 @@ import (
 func newFuzzNode(t *testing.T) (*replication.Node, *core.MDM) {
 	t.Helper()
 	m := core.New(core.Config{LeaseTTL: time.Minute})
-	if _, err := core.OpenDurable(m, t.TempDir(), journal.Options{NoSync: true, CompactEvery: 4}); err != nil {
+	if _, err := core.OpenMember(m, t.TempDir(), journal.Options{NoSync: true, CompactEvery: 4}); err != nil {
 		t.Fatal(err)
 	}
 	n, err := replication.NewNode(m, replication.Config{ID: "127.0.0.1:1", TTL: testTTL})
@@ -82,10 +82,19 @@ func FuzzReplAppend(f *testing.F) {
 	seed4, _ := json.Marshal(&replication.AppendRequest{
 		Term: 2, LeaderID: "l", PrevIndex: 3, PrevTerm: 1, Quarantined: []string{"s2", "ghost", ""},
 	})
+	// A commit index past the log, and a term-start that replaces a seeded
+	// entry under a commit index past it.
+	seed5, _ := json.Marshal(&replication.AppendRequest{Term: 2, LeaderID: "l", PrevIndex: 3, PrevTerm: 1, LeaderCommit: 9})
+	seed6, _ := json.Marshal(&replication.AppendRequest{
+		Term: 3, LeaderID: "l", PrevIndex: 1, PrevTerm: 1, LeaderCommit: 3,
+		Entries: []journal.Record{{Term: 3, Op: journal.OpTermStart}},
+	})
 	f.Add(seed1)
 	f.Add(seed2)
 	f.Add(seed3)
 	f.Add(seed4)
+	f.Add(seed5)
+	f.Add(seed6)
 	f.Add([]byte(`{"term":0,"prev_index":18446744073709551615}`))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var req replication.AppendRequest

@@ -104,12 +104,13 @@ func (n *Node) failWaitersLocked(err error) {
 	n.waiters = nil
 }
 
-// replicate is the MDM's journalAppend hook on a constellation member:
-// append locally (group-committed with concurrent callers), then block
-// until a quorum of members holds the record durably. Non-leaders
+// replicate is the MDM's append hook on a constellation member: append
+// locally (group-committed with concurrent callers), then block until a
+// quorum of members holds the record durably and it is published. Non-leaders
 // refuse with a redirect before touching the journal. A failure after
 // the local append wraps journal.ErrUnacknowledged: the record is in this
-// member's log, and followers may hold it too.
+// member's log, unpublished, and the next commit decides whether it is
+// ever published.
 func (n *Node) replicate(r journal.Record) error {
 	n.mu.Lock()
 	if n.role != Leader {
@@ -125,44 +126,41 @@ func (n *Node) replicate(r journal.Record) error {
 	if err != nil {
 		return err
 	}
-	if err := n.awaitQuorum(idx, term); err != nil {
+	if err := n.awaitQuorum(context.Background(), idx, term); err != nil {
 		return fmt.Errorf("%w: %w", journal.ErrUnacknowledged, err)
 	}
 	return nil
 }
 
-// awaitQuorum blocks until a quorum holds the record at idx, appended in
-// term, or fails when this node stops leading or 2×TTL passes.
-func (n *Node) awaitQuorum(idx, term uint64) error {
-	if n.quorum <= 1 {
-		return nil
-	}
+// awaitQuorum blocks until the record at idx, appended in term, is
+// committed and published, or fails when this node stops leading, closes,
+// ctx ends or 2×TTL passes.
+func (n *Node) awaitQuorum(ctx context.Context, idx, term uint64) error {
 	ch := make(chan error, 1)
 	n.mu.Lock()
-	if n.role != Leader || n.term != term {
-		// Deposed between append and registration: the record sits in our
-		// log unacknowledged; the new leader's shipping will keep or
-		// truncate it. Either way the client must retry.
+	if n.role != Leader || n.term != term || n.closed {
+		// Deposed (or closed) between append and registration: the record
+		// sits in our log unpublished; the new leader's shipping will keep
+		// or truncate it. Either way the client must retry.
 		err := n.notLeaderErrLocked()
 		n.mu.Unlock()
 		return err
 	}
 	n.waiters = append(n.waiters, waiter{index: idx, ch: ch})
 	n.mu.Unlock()
+	n.advanceCommit() // a quorum of one commits at once
 	n.kickShippers()
 
+	// A waiter left behind by ctx or the timeout is answered into its
+	// buffer by the next commit or step-down.
 	timeout := time.NewTimer(2 * n.ttl)
 	defer timeout.Stop()
 	select {
 	case err := <-ch:
 		return err
+	case <-ctx.Done():
+		return ctx.Err()
 	case <-timeout.C:
-		n.dropWaiter(ch)
-		select {
-		case err := <-ch: // satisfied in the race window
-			return err
-		default:
-		}
 		return fmt.Errorf("replication: no quorum for index %d within %v", idx, 2*n.ttl)
 	}
 }
@@ -175,28 +173,22 @@ func (n *Node) notLeaderErrLocked() *wire.NotLeaderError {
 	return &wire.NotLeaderError{Op: "replicate", LeaderAddr: leader, LeaderID: leader, Term: n.term}
 }
 
-func (n *Node) dropWaiter(ch chan error) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	keep := n.waiters[:0]
-	for _, w := range n.waiters {
-		if w.ch != ch {
-			keep = append(keep, w)
-		}
-	}
-	n.waiters = keep
-}
-
-// advanceCommit wakes every waiter whose record a quorum now holds: the
-// quorum-th highest of (own last index, each peer's match index).
+// advanceCommit moves the commit index to the quorum-th highest of (own
+// synced index, each peer's match index) — but only onto an entry of the
+// current term, which commits every entry before it too (Raft §5.4.2) —
+// publishes up to it, and wakes every waiter it covers. The leader's own
+// copy counts only once its fsync has returned: the shippers send records
+// before that, and a follower's ack alone is not a quorum's. On a leader
+// the commit index is the MDM's published index. A move kicks the
+// shippers, so the followers publish within one round trip.
 func (n *Node) advanceCommit() {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	if n.role != Leader || len(n.waiters) == 0 {
+	if n.role != Leader {
 		return
 	}
 	matches := make([]uint64, 0, len(n.peers)+1)
-	matches = append(matches, n.jr.LastIndex())
+	matches = append(matches, n.jr.SyncedIndex())
 	for _, p := range n.peers {
 		p.mu.Lock()
 		matches = append(matches, p.match)
@@ -204,15 +196,24 @@ func (n *Node) advanceCommit() {
 	}
 	sort.Slice(matches, func(i, j int) bool { return matches[i] > matches[j] })
 	commit := matches[n.quorum-1]
+	moved := false
+	if t, ok := n.jr.TermAt(commit); ok && t == n.term && commit > n.mdm.Published() {
+		n.mdm.Publish(commit)
+		moved = true
+	}
+	published := n.mdm.Published()
 	keep := n.waiters[:0]
 	for _, w := range n.waiters {
-		if w.index <= commit {
+		if w.index <= published {
 			w.ch <- nil
 		} else {
 			keep = append(keep, w)
 		}
 	}
 	n.waiters = keep
+	if moved {
+		n.kickShippers()
+	}
 }
 
 func (n *Node) kickShippers() {
@@ -342,6 +343,7 @@ func (n *Node) startElectionLocked() {
 	n.role = Leader
 	n.leaderID = n.cfg.ID
 	last := n.jr.LastIndex()
+	n.termStart = last + 1
 	now := time.Now()
 	for _, p := range n.peers {
 		p.mu.Lock()
@@ -352,8 +354,18 @@ func (n *Node) startElectionLocked() {
 	}
 	n.mu.Unlock()
 	n.mdm.LeadLeases()
-	slog.Info("election won", "member", n.cfg.ID, "term", next, "index", last)
 	n.kickShippers() // first heartbeat asserts the lease immediately
+	// The term-start record is an entry of this term, so its commit commits
+	// and publishes every earlier entry without waiting for a client write.
+	n.wg.Add(1)
+	go func() {
+		defer n.wg.Done()
+		if err := n.replicate(journal.Record{Op: journal.OpTermStart}); err != nil {
+			slog.Info("term start failed", "member", n.cfg.ID, "term", next, "err", err)
+			return
+		}
+		slog.Info("election won", "member", n.cfg.ID, "term", next, "index", last)
+	}()
 }
 
 // poll fans req to every peer; each answer arrives on the returned
@@ -453,7 +465,7 @@ func (n *Node) shipTo(p *peer) {
 		req := &AppendRequest{
 			Term: term, LeaderID: n.cfg.ID,
 			PrevIndex: prevIndex, PrevTerm: prevTerm, Entries: entries,
-			Quarantined: n.mdm.Quarantined(),
+			Quarantined: n.mdm.Quarantined(), LeaderCommit: n.mdm.Published(),
 		}
 		var resp AppendResponse
 		if err := n.peerCall(p, wire.TypeReplAppend, req, &resp, n.callTimeout()); err != nil {

@@ -78,7 +78,7 @@ type Node struct {
 	ws     *wire.Server
 
 	// applyMu serialises everything that rewrites follower state: batch
-	// appends, conflict truncation + rebuild, snapshot install.
+	// appends and their publish, conflict truncation, snapshot install.
 	applyMu sync.Mutex
 	snapBuf []byte
 	snapSrc string
@@ -93,6 +93,10 @@ type Node struct {
 	leaderID   string
 	electionAt time.Time
 	waiters    []waiter
+	closed     bool
+	// termStart is the first index of the term this node leads: once it is
+	// published, so is every entry an earlier leader committed.
+	termStart uint64
 
 	peers []*peer
 	// conns carries the repl-* traffic to the peers.
@@ -122,14 +126,14 @@ type peer struct {
 }
 
 // NewNode wraps a durable MDM (journal already attached via
-// core.OpenDurable) as a constellation member. It installs the
+// core.OpenMember) as a constellation member. It installs the
 // replication hook so every mutation the embedded server applies is
 // quorum-acknowledged, but does not open the listener or start
 // elections — call Start.
 func NewNode(m *core.MDM, cfg Config) (*Node, error) {
 	jr := m.Journal()
-	if jr == nil {
-		return nil, errors.New("replication: MDM has no journal attached (open it with core.OpenDurable first)")
+	if jr == nil || m.Published() > jr.Base() {
+		return nil, errors.New("replication: MDM must publish only its snapshot (open it with core.OpenMember first)")
 	}
 	if cfg.ID == "" {
 		return nil, errors.New("replication: config needs an advertised ID address")
@@ -189,10 +193,14 @@ func (n *Node) Close() error {
 	if n.ws != nil {
 		err = n.ws.Close()
 	}
-	n.wg.Wait()
+	// The waiters fail after the listener is down, so no client is answered
+	// for them, and before the loops are waited for: the term-start
+	// goroutine may be one of them.
 	n.mu.Lock()
+	n.closed = true
 	n.failWaitersLocked(errors.New("replication: node closed"))
 	n.mu.Unlock()
+	n.wg.Wait()
 	n.conns.Close()
 	return err
 }
@@ -237,20 +245,23 @@ func withoutCtx[Req, Resp any](fn func(*Req) (Resp, error)) func(context.Context
 }
 
 // leaderOnly wraps the routes only the leader answers: a node that does not
-// lead redirects instead of applying, BEFORE the embedded server touches
-// its in-memory directory (mutations are apply-then-journal, so letting
-// them through would pollute a follower's replica).
+// lead redirects instead of appending to its own log. A new leader holds
+// them until its term-start record commits: until then its directory may
+// lack entries an earlier leader acknowledged, so its checks could refuse
+// them and its dump would leave them out.
 func (n *Node) leaderOnly(ctx context.Context, _ *wire.ServerConn, _ *wire.Message, next func(context.Context) (any, error)) (any, error) {
 	n.mu.Lock()
-	isLeader := n.role == Leader
-	leader := n.leaderID
-	term := n.term
+	if n.role != Leader {
+		err := n.notLeaderErrLocked()
+		n.mu.Unlock()
+		return nil, err
+	}
+	term, start := n.term, n.termStart
 	n.mu.Unlock()
-	if !isLeader {
-		if leader == n.cfg.ID {
-			leader = ""
+	if n.mdm.Published() < start {
+		if err := n.awaitQuorum(ctx, start, term); err != nil {
+			return nil, err
 		}
-		return nil, &wire.NotLeaderError{LeaderAddr: leader, LeaderID: leader, Term: term}
 	}
 	return next(ctx)
 }
@@ -308,38 +319,27 @@ func (n *Node) HandleAppend(req *AppendRequest) (*AppendResponse, error) {
 			if et, ok := n.jr.TermAt(idx); ok && et == e.Term {
 				continue // already have it
 			}
-			// Divergent tail (a deposed leader's unacknowledged records):
-			// truncate it durably and rebuild the in-memory directory from
-			// snapshot + surviving log, since applied records cannot be
-			// un-applied individually.
+			// Divergent tail: a deposed leader's records no quorum held.
+			// They were never published, so cutting them undoes nothing.
+			if p := n.mdm.Published(); idx-1 < p {
+				slog.Error("refused to cut published entries", "member", n.cfg.ID, "index", idx-1, "published", p, "leader", req.LeaderID)
+				return nil, fmt.Errorf("replication: cut to %d below published index %d", idx-1, p)
+			}
 			if err := n.jr.TruncateTo(idx - 1); err != nil {
 				return nil, err
 			}
-			state, err := n.jr.State()
-			if err != nil {
-				return nil, err
-			}
-			n.mdm.Restore(state)
 			slog.Info("divergent tail truncated", "member", n.cfg.ID, "index", idx-1)
 			last = idx - 1
 		}
 		fresh = append(fresh, e)
 	}
 	if len(fresh) > 0 {
-		// Apply BEFORE journaling, matching the leader's apply-then-append
-		// convention: the append can trigger auto-compaction, whose
-		// snapshot is stamped with the post-batch index — so the directory
-		// it captures must already include the batch, or compaction would
-		// silently drop the tail from replay. Applies go through the same
-		// idempotent path crash recovery uses; one durable append covers
-		// the whole batch (single fsync).
-		for _, e := range fresh {
-			_ = n.mdm.ApplyRecord(e)
-		}
+		// One durable append covers the whole batch (single fsync).
 		if _, err := n.jr.AppendBatch(fresh); err != nil {
 			return nil, err
 		}
 	}
+	n.mdm.Publish(min(req.LeaderCommit, idx))
 	return &AppendResponse{Term: term, Ok: true, LastIndex: n.jr.LastIndex()}, nil
 }
 
@@ -440,7 +440,7 @@ func (n *Node) HandleSnapshotChunk(req *SnapshotChunk) (*SnapshotResponse, error
 	}
 	snap.Index = req.Index
 	snap.Term = req.SnapTerm
-	if snap.Index <= n.jr.Base() {
+	if snap.Index <= n.mdm.Published() {
 		// Already at or past this checkpoint; report where we are.
 		return &SnapshotResponse{Term: term, Ok: true, LastIndex: n.jr.LastIndex()}, nil
 	}

@@ -105,8 +105,8 @@ func replayState(t *testing.T, dir string) string {
 	return stateKey(m)
 }
 
-// The shipping invariant: after any shipped record prefix, the
-// follower's live directory equals a fresh crash-recovery replay of its
+// The shipping invariant: after any shipped and committed record prefix,
+// the follower's live directory equals a fresh crash-recovery replay of its
 // journal directory — the two paths into MDM state (streamed apply and
 // snapshot+log replay) can never disagree. Also checked with a torn
 // tail appended to the WAL copy: recovery truncates it back to exactly
@@ -149,7 +149,7 @@ func TestPropertyShippedPrefixEqualsReplay(t *testing.T) {
 				resp, err := node.HandleAppend(&replication.AppendRequest{
 					Term: 1, LeaderID: "127.0.0.1:9",
 					PrevIndex: prev, PrevTerm: termAt(prev),
-					Entries: batch,
+					Entries: batch, LeaderCommit: prev + uint64(k),
 				})
 				if err != nil {
 					t.Fatalf("append at %d: %v", prev, err)

@@ -1,8 +1,8 @@
 // Package replication turns a durable MDM into one member of a
 // quorum-replicated constellation. The leader ships its journal to
 // followers over the same wire protocol stores and clients speak
-// (TypeReplAppend / TypeReplVote / TypeReplSnapshot), followers apply
-// records through the idempotent replay path, and a lease-based
+// (TypeReplAppend / TypeReplVote / TypeReplSnapshot), every member
+// publishes its log only up to the leader's commit index, and a lease-based
 // election promotes a follower when the leader's lease lapses — so a
 // kill -9 of the leader fails over in under one lease TTL with zero
 // acknowledged registrations lost.
@@ -25,14 +25,17 @@ import "gupster/internal/journal"
 // otherwise it reports where its log actually ends so the leader can
 // rewind. Quarantined is the leader's store-lease verdict, normally
 // empty: the follower plans by it instead of its own clocks, since store
-// heartbeats reach only the leader.
+// heartbeats reach only the leader. LeaderCommit is the leader's commit
+// index: the follower publishes its log up to it, and no further than
+// the last entry this request vouches for.
 type AppendRequest struct {
-	Term        uint64           `json:"term"`
-	LeaderID    string           `json:"leader_id"`
-	PrevIndex   uint64           `json:"prev_index"`
-	PrevTerm    uint64           `json:"prev_term"`
-	Entries     []journal.Record `json:"entries,omitempty"`
-	Quarantined []string         `json:"quarantined,omitempty"`
+	Term         uint64           `json:"term"`
+	LeaderID     string           `json:"leader_id"`
+	PrevIndex    uint64           `json:"prev_index"`
+	PrevTerm     uint64           `json:"prev_term"`
+	Entries      []journal.Record `json:"entries,omitempty"`
+	Quarantined  []string         `json:"quarantined,omitempty"`
+	LeaderCommit uint64           `json:"leader_commit,omitempty"`
 }
 
 // AppendResponse acknowledges an AppendRequest. Ok false with a higher

@@ -156,6 +156,7 @@ func TestCoreClientRemembersLeaderAndLeavesDeadMember(t *testing.T) {
 	c := newCluster(t, 3, journal.Options{})
 	lead := c.waitLeader(4 * testTTL)
 	follower := (lead + 1) % 3
+	c.waitFollows(follower, lead, 4*testTTL)
 
 	member, err := wire.Dial(c.addrs[follower])
 	if err != nil {

@@ -156,6 +156,18 @@ func (c *cluster) waitNewLeader(exclude int, timeout time.Duration) (int, time.D
 	return -1, 0
 }
 
+// waitFollows polls until member i names lead as its leader: a member
+// learns the leader from its first append, a moment after the election,
+// and until then it redirects to nobody.
+func (c *cluster) waitFollows(i, lead int, timeout time.Duration) {
+	c.t.Helper()
+	for deadline := time.Now().Add(timeout); c.nodes[i].Status().LeaderAddr != c.addrs[lead]; time.Sleep(5 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			c.t.Fatalf("member %d never named leader %d within %v", i, lead, timeout)
+		}
+	}
+}
+
 func register(t *testing.T, addr, store, path string) error {
 	t.Helper()
 	cli, err := wire.Dial(addr)
@@ -180,8 +192,8 @@ func covered(m *core.MDM, path string) bool {
 }
 
 // waitCovered polls for a registration to appear in a replica's
-// directory: a follower journals a shipped batch before applying it, so
-// its log index can lead its directory by a moment.
+// directory: a follower publishes a shipped batch only once a LeaderCommit
+// covers it, so its log index can lead its directory by a round trip.
 func waitCovered(t *testing.T, m *core.MDM, path string, timeout time.Duration) bool {
 	t.Helper()
 	deadline := time.Now().Add(timeout)
@@ -263,6 +275,7 @@ func TestFollowerRedirectsMutations(t *testing.T) {
 	c := newCluster(t, 3, journal.Options{})
 	lead := c.waitLeader(4 * testTTL)
 	follower := (lead + 1) % 3
+	c.waitFollows(follower, lead, 4*testTTL)
 
 	err := register(t, c.addrs[follower], "s1", "/user[@id='u']/presence")
 	var nl *wire.NotLeaderError
@@ -395,13 +408,12 @@ func TestSplitBrainDeposedLeaderRedirects(t *testing.T) {
 	}
 }
 
-// A record that reached the leader's log stays applied when its quorum
-// wait fails. With Quorum 3 and one follower cut off, a registration is
-// logged by the leader and the other follower, then fails when the
-// leader's lease check steps it down. Whoever leads next holds the record
-// and ships it; a member that had undone it would skip it as already held
-// and keep a directory without it. Every member must end up with the same
-// coverage.
+// A record that reached the leader's log survives its failed quorum wait.
+// With Quorum 3 and one follower cut off, a registration is logged by the
+// leader and the other follower, then fails when the leader's lease check
+// steps it down. It is in those logs, unpublished; whoever leads next holds
+// it, commits it with its term-start record and ships it. Every member
+// must end up with the same coverage, the record included.
 func TestUnacknowledgedRecordConvergesEverywhere(t *testing.T) {
 	c := newQuorumCluster(t, 3, 3, journal.Options{})
 	lead := c.waitLeader(4 * testTTL)
@@ -499,10 +511,12 @@ func TestFollowerBehindOneCompactionCatchesUpFromEntries(t *testing.T) {
 	lag := (lead + 1) % 3
 
 	const before, regs = 2, 12
+	var lagIndex uint64
 	for k := 0; k < regs; k++ {
 		if k == before {
-			waitConverged(t, c, before, 4*testTTL)
+			waitConverged(t, c, c.nodes[lead].Status().LastIndex, 4*testTTL)
 			c.nodes[lag].SuspendHeartbeats(true)
+			lagIndex = c.nodes[lag].Status().LastIndex
 		}
 		if err := register(t, c.addrs[lead], "s1", fmt.Sprintf("/user[@id='u%d']/presence", k)); err != nil {
 			t.Fatalf("register %d: %v", k, err)
@@ -510,11 +524,11 @@ func TestFollowerBehindOneCompactionCatchesUpFromEntries(t *testing.T) {
 	}
 	// The leader compacts on its journal's goroutine; let it land.
 	deadline := time.Now().Add(4 * testTTL)
-	for c.nodes[lead].Status().Base < 8 && time.Now().Before(deadline) {
+	for c.nodes[lead].Status().Base <= lagIndex && time.Now().Before(deadline) {
 		time.Sleep(5 * time.Millisecond)
 	}
-	if base := c.nodes[lead].Status().Base; base < 8 {
-		t.Fatalf("leader base %d, want a compaction past the follower's index %d", base, before)
+	if base := c.nodes[lead].Status().Base; base <= lagIndex {
+		t.Fatalf("leader base %d, want a compaction past the follower's index %d", base, lagIndex)
 	}
 
 	c.nodes[lag].SuspendHeartbeats(false)

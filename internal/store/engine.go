@@ -61,20 +61,23 @@ type Engine struct {
 }
 
 // userDoc is one user's profile tree and the last fetch answer rendered
-// from it. fetched is published only under the engine's read lock and
-// cleared under its write lock by every write to tree, so it never holds a
-// render of a tree a write has since changed.
+// from it. gen counts the writes to tree; every write bumps it under the
+// engine's write lock, and a render is an answer only while it carries the
+// gen of the tree it was rendered from, whenever it was published.
 type userDoc struct {
 	tree    *xmltree.Node
+	gen     uint64
 	fetched atomic.Pointer[rendered]
 }
 
 // rendered is one GetXML answer: the compact XML for the path whose
-// canonical String() is path, and the version it carried. It is immutable.
+// canonical String() is path, the version it carried, and the gen of the
+// tree it was rendered from. It is immutable.
 type rendered struct {
 	path    string
 	xml     string
 	version uint64
+	gen     uint64
 }
 
 // NewEngine returns an empty engine for the named store.
@@ -158,7 +161,7 @@ func (e *Engine) Put(user string, path xpath.Path, frag *xmltree.Node) (uint64, 
 		ud = &userDoc{tree: xmltree.New("user").SetAttr("id", user)}
 		e.docs[user] = ud
 	}
-	ud.fetched.Store(nil)
+	ud.gen++
 	doc := ud.tree
 	var oldComp, newComp *xmltree.Node
 	if sel := xpath.Select(doc, logPath); len(sel) > 0 {
@@ -306,17 +309,17 @@ func (e *Engine) Get(user string, path xpath.Path) (*xmltree.Node, uint64, error
 
 // GetXML is Get rendered as compact XML, for a store answering a fetch. A
 // user's document is rendered once per write: a fetch of the path the last
-// one rendered returns those bytes again. A render is written straight from
-// the engine's tree and published while the read lock is held, so no node
-// of it is copied and no render of a tree a write has changed outlives the
-// write.
+// one rendered returns those bytes again while no write has bumped the
+// tree's gen since. A render is written straight from the engine's tree
+// under the read lock, so no node of it is copied; its gen, not the time
+// it is published, keeps it from answering for a tree a write has changed.
 func (e *Engine) GetXML(user string, path xpath.Path) (string, uint64, error) {
 	key := path.String()
 	e.mu.RLock()
 	defer e.mu.RUnlock()
 	ud := e.docs[user]
 	if ud != nil {
-		if r := ud.fetched.Load(); r != nil && r.path == key {
+		if r := ud.fetched.Load(); r != nil && r.path == key && r.gen == ud.gen {
 			return r.xml, r.version, nil
 		}
 	}
@@ -325,7 +328,7 @@ func (e *Engine) GetXML(user string, path xpath.Path) (string, uint64, error) {
 		return "", 0, err
 	}
 	xml := view.String()
-	ud.fetched.Store(&rendered{path: key, xml: xml, version: v})
+	ud.fetched.Store(&rendered{path: key, xml: xml, version: v, gen: ud.gen})
 	return xml, v, nil
 }
 
@@ -370,7 +373,7 @@ func (e *Engine) Delete(user string, path xpath.Path) (int, error) {
 	}
 	n := xpath.ReplaceAt(ud.tree, path, nil)
 	if n > 0 {
-		ud.fetched.Store(nil)
+		ud.gen++
 		e.version++
 		e.compVer[sectionKey(user, path)] = e.version
 		// Deletes are not recorded item-by-item; drop the user's change

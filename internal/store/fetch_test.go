@@ -172,6 +172,26 @@ func TestGetXMLAfterWrite(t *testing.T) {
 	}
 }
 
+// A render published late — after a write it did not see — is not an
+// answer: its gen is the tree's before the write.
+func TestGetXMLIgnoresALatePublish(t *testing.T) {
+	const user = "u"
+	book := mp("/user[@id='u']/address-book")
+	e := NewEngine("s1")
+	if _, err := e.Put(user, book, xmltree.MustParse(bookOf("before"))); err != nil {
+		t.Fatal(err)
+	}
+	before, _ := fetchAsGet(t, e, user, book)
+	stale := e.docs[user].fetched.Load()
+	if _, err := e.Put(user, book, xmltree.MustParse(bookOf("after"))); err != nil {
+		t.Fatal(err)
+	}
+	e.docs[user].fetched.Store(stale)
+	if got, _ := fetchAsGet(t, e, user, book); got == before || !strings.Contains(got, "after") {
+		t.Errorf("fetch after a late publish = %s, want the book the write left", got)
+	}
+}
+
 // bigBook stores a 16-item, 2 KiB address book for u00000 and returns the
 // path of its personal items, the piece a store's fetch renders.
 func bigBook(tb testing.TB, e *Engine) xpath.Path {
