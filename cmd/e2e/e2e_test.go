@@ -46,16 +46,20 @@ func repoRoot() string {
 	return filepath.Dir(filepath.Dir(wd)) // cmd/e2e → repo root
 }
 
-// freePort reserves a port by briefly listening on it.
-func freePort(t *testing.T) string {
+// freePorts picks n distinct loopback ports by listening on all of them at
+// once, then frees them for the daemons to take.
+func freePorts(t *testing.T, n int) []string {
 	t.Helper()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
+	addrs := make([]string, n)
+	for i := range addrs {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer ln.Close()
+		addrs[i] = ln.Addr().String()
 	}
-	addr := ln.Addr().String()
-	ln.Close()
-	return addr
+	return addrs
 }
 
 // output collects a daemon's stdout and stderr; it may be read while the
@@ -126,8 +130,8 @@ func TestBinariesEndToEnd(t *testing.T) {
 		t.Skip("builds and launches real processes")
 	}
 	const key = "e2e-shared-key"
-	mdmAddr := freePort(t)
-	storeAddr := freePort(t)
+	ports := freePorts(t, 2)
+	mdmAddr, storeAddr := ports[0], ports[1]
 
 	startDaemon(t, "gupsterd", "-listen", mdmAddr, "-key", key)
 	waitFor(t, mdmAddr)
@@ -218,8 +222,8 @@ func TestTracedChainingThroughBinaries(t *testing.T) {
 		t.Skip("builds and launches real processes")
 	}
 	const key = "e2e-trace-key"
-	mdmAddr := freePort(t)
-	storeAddr := freePort(t)
+	ports := freePorts(t, 2)
+	mdmAddr, storeAddr := ports[0], ports[1]
 
 	startDaemon(t, "gupsterd", "-listen", mdmAddr, "-key", key)
 	waitFor(t, mdmAddr)
@@ -293,8 +297,8 @@ func TestChaosKillRecovery(t *testing.T) {
 		t.Skip("builds and launches real processes")
 	}
 	const key = "e2e-chaos-key"
-	mdmAddr := freePort(t)
-	storeAddr := freePort(t)
+	ports := freePorts(t, 2)
+	mdmAddr, storeAddr := ports[0], ports[1]
 	dataDir := t.TempDir()
 
 	mdmArgs := []string{"-listen", mdmAddr, "-key", key, "-data-dir", dataDir, "-lease-ttl", "1h"}
@@ -388,9 +392,8 @@ func TestShardedConstellationThroughBinaries(t *testing.T) {
 		t.Skip("builds and launches real processes")
 	}
 	const key = "e2e-shard-key"
-	shards := []string{freePort(t), freePort(t)}
-	routerAddr := freePort(t)
-	storeAddr := freePort(t)
+	ports := freePorts(t, 4)
+	shards, routerAddr, storeAddr := ports[:2:2], ports[2], ports[3]
 	shardMap := "s1=" + shards[0] + ",s2=" + shards[1]
 
 	for i, addr := range shards {

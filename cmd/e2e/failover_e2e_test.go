@@ -64,7 +64,8 @@ func TestChaosLeaderFailover(t *testing.T) {
 	const key = "e2e-failover-key"
 	const electionTTL = time.Second
 
-	addrs := []string{freePort(t), freePort(t), freePort(t)}
+	ports := freePorts(t, 4)
+	addrs, storeAddr := ports[:3:3], ports[3]
 	daemons := make([]*exec.Cmd, 3)
 	for i := range addrs {
 		args := []string{
@@ -90,7 +91,6 @@ func TestChaosLeaderFailover(t *testing.T) {
 
 	// The store registers via a FOLLOWER: its registrar must chase the
 	// not-leader redirect to the real leader transparently.
-	storeAddr := freePort(t)
 	profile := filepath.Join(binDir, "gail.xml")
 	if err := os.WriteFile(profile, []byte(
 		`<user id="gail"><presence status="available"/></user>`,

@@ -26,8 +26,8 @@ func TestOverloadShedVisibleInStats(t *testing.T) {
 		t.Skip("builds and launches real processes")
 	}
 	const key = "e2e-overload-key"
-	mdmAddr := freePort(t)
-	storeAddr := freePort(t)
+	ports := freePorts(t, 2)
+	mdmAddr, storeAddr := ports[0], ports[1]
 
 	startDaemon(t, "gupsterd", "-listen", mdmAddr, "-key", key,
 		"-max-concurrency", "1", "-queue-depth", "1")

@@ -18,8 +18,8 @@ func TestSubscribeThroughBinaries(t *testing.T) {
 	}
 	const key = "e2e-subscribe-key"
 	const path = "/user[@id='dave']/presence"
-	mdmAddr := freePort(t)
-	storeAddr := freePort(t)
+	ports := freePorts(t, 2)
+	mdmAddr, storeAddr := ports[0], ports[1]
 
 	startDaemon(t, "gupsterd", "-listen", mdmAddr, "-key", key)
 	waitFor(t, mdmAddr)

@@ -186,24 +186,16 @@ func (m *MDM) LeadLeases() {
 	}
 }
 
-// Heartbeat renews a store's lease and, when the heartbeat carries an
-// address, updates the directory's dialable address for the store. The
-// response tells the store whether the MDM actually knows it — Known
-// false means the directory has no registrations for the store (an MDM
-// restart without a journal) and the store must re-register.
+// Heartbeat renews a store's lease. The response tells the store whether
+// the MDM knows it as it is — Known false means the directory has no
+// registrations for the store (an MDM restart without a journal) or names
+// another address than the heartbeat's, and the store must re-register.
+// A heartbeat changes no directory state: the re-registration carries the
+// new address through the log like any other write.
 func (m *MDM) Heartbeat(req *wire.HeartbeatRequest) *wire.HeartbeatResponse {
 	storeID := coverage.StoreID(req.Store)
-	known := m.Registry.StoreCount(storeID) > 0
+	known := m.Registry.StoreCount(storeID) > 0 && (req.Addr == "" || req.Addr == m.AddrOf(storeID))
 	if known {
-		if req.Addr != "" {
-			m.mu.Lock()
-			old := m.addrs[storeID]
-			m.addrs[storeID] = req.Addr
-			m.mu.Unlock()
-			if old != "" && old != req.Addr {
-				m.pool.Evict(old)
-			}
-		}
 		m.renewLease(storeID)
 	}
 	return &wire.HeartbeatResponse{

@@ -160,6 +160,34 @@ func TestDurableRecoveryRoundTrip(t *testing.T) {
 	}
 }
 
+// A heartbeat writes nothing a reopen would not see: one naming another
+// address than the directory's is told to re-register, so the address the
+// journal brings back is the one the live directory names.
+func TestHeartbeatLeavesTheAddressToTheLog(t *testing.T) {
+	dir := t.TempDir()
+	m1 := newBareMDM(core.Config{})
+	if _, err := core.OpenDurable(m1, dir, journal.Options{}); err != nil {
+		t.Fatalf("OpenDurable: %v", err)
+	}
+	if err := m1.Register("s1", "127.0.0.1:7001", xpath.MustParse("/user[@id='u']/presence")); err != nil {
+		t.Fatal(err)
+	}
+	if hb := m1.Heartbeat(&wire.HeartbeatRequest{Store: "s1", Addr: "127.0.0.1:7002"}); hb.Known {
+		t.Error("heartbeat naming a new address answered Known=true")
+	}
+	live := m1.AddrOf("s1")
+	m1.Close()
+
+	m2 := newBareMDM(core.Config{})
+	defer m2.Close()
+	if _, err := core.OpenDurable(m2, dir, journal.Options{}); err != nil {
+		t.Fatalf("OpenDurable after restart: %v", err)
+	}
+	if got := m2.AddrOf("s1"); got != live {
+		t.Errorf("reopened directory names %q, the live one named %q", got, live)
+	}
+}
+
 // Recovery through a compaction boundary: snapshot + log tail replay to
 // the same directory.
 func TestDurableRecoveryAfterCompaction(t *testing.T) {
@@ -268,17 +296,28 @@ func TestLeaseQuarantineDegradesAndRecovers(t *testing.T) {
 		t.Error("no degraded resolves counted")
 	}
 
-	// The store restarts at a new address and heartbeats: instantly back,
-	// with the address updated.
+	// The store restarts at a new address and heartbeats: it is told to
+	// re-register, and its re-registration brings it straight back at the
+	// new address.
 	hb := m.Heartbeat(&wire.HeartbeatRequest{Store: "sB", Addr: "127.0.0.1:7099"})
+	if hb.Known {
+		t.Fatal("heartbeat naming a new address answered Known=true")
+	}
+	if got := m.AddrOf("sB"); got != "127.0.0.1:7002" {
+		t.Errorf("a heartbeat changed the address to %q", got)
+	}
+	if err := m.Register("sB", "127.0.0.1:7099", xpath.MustParse("/user[@id='u']/calendar")); err != nil {
+		t.Fatal(err)
+	}
+	if got := m.AddrOf("sB"); got != "127.0.0.1:7099" {
+		t.Errorf("re-registration address not authoritative: %q", got)
+	}
+	hb = m.Heartbeat(&wire.HeartbeatRequest{Store: "sB", Addr: "127.0.0.1:7099"})
 	if !hb.Known {
 		t.Fatal("heartbeat from a registered store answered Known=false")
 	}
 	if hb.TTLMillis != ttl.Milliseconds() {
 		t.Errorf("TTLMillis = %d", hb.TTLMillis)
-	}
-	if got := m.AddrOf("sB"); got != "127.0.0.1:7099" {
-		t.Errorf("heartbeat address not authoritative: %q", got)
 	}
 	resp, err = m.Resolve(context.Background(), req)
 	if err != nil {

@@ -10,6 +10,7 @@ package schema
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 
 	"gupster/internal/xmltree"
@@ -80,7 +81,8 @@ func (s *Schema) Validate(doc *xmltree.Node) error {
 	if doc == nil {
 		return fmt.Errorf("%w: nil document", ErrInvalid)
 	}
-	return s.validateAt(s.Root, doc, "/"+doc.Name)
+	var names [16]string
+	return validateAt(s.Root, doc, names[:0])
 }
 
 // ValidateComponent checks a document fragment whose root corresponds to the
@@ -94,52 +96,64 @@ func (s *Schema) ValidateComponent(path xpath.Path, frag *xmltree.Node) error {
 	if frag == nil {
 		return fmt.Errorf("%w: nil fragment", ErrInvalid)
 	}
-	return s.validateAt(el, frag, "/"+frag.Name)
+	var names [16]string
+	return validateAt(el, frag, names[:0])
 }
 
-func (s *Schema) validateAt(el *Element, n *xmltree.Node, loc string) error {
+// validateAt checks n against el. names holds the element names from the
+// checked root down to n's parent; they become a location only in an error.
+// Callers start it on a stack array deep enough for the schema, so the walk
+// does not allocate.
+func validateAt(el *Element, n *xmltree.Node, names []string) error {
+	names = append(names, n.Name)
 	if el.Name != n.Name {
-		return fmt.Errorf("%w: element <%s> at %s, schema expects <%s>", ErrInvalid, n.Name, loc, el.Name)
+		return fmt.Errorf("%w: element <%s> at %s, schema expects <%s>", ErrInvalid, n.Name, loc(names), el.Name)
 	}
 	for _, a := range el.Attrs {
 		if _, ok := n.Attr(a.Name); a.Required && !ok {
-			return fmt.Errorf("%w: missing required attribute %q on %s", ErrInvalid, a.Name, loc)
+			return fmt.Errorf("%w: missing required attribute %q on %s", ErrInvalid, a.Name, loc(names))
 		}
 	}
 	if !el.Open {
 		for name := range n.Attrs {
 			if el.attr(name) == nil {
-				return fmt.Errorf("%w: undeclared attribute %q on %s", ErrInvalid, name, loc)
+				return fmt.Errorf("%w: undeclared attribute %q on %s", ErrInvalid, name, loc(names))
 			}
 		}
 		if n.Text != "" && !el.TextAllowed {
-			return fmt.Errorf("%w: unexpected text content in %s", ErrInvalid, loc)
+			return fmt.Errorf("%w: unexpected text content in %s", ErrInvalid, loc(names))
 		}
 	}
-	seen := make(map[string]int)
+	// seen counts n's children per declared child type, by schema index.
+	var counts [16]int
+	seen := append(counts[:0], make([]int, len(el.Children))...)
 	for _, c := range n.Children {
-		ce := el.child(c.Name)
-		if ce == nil {
+		j := slices.IndexFunc(el.Children, func(ce *Element) bool { return ce.Name == c.Name })
+		if j < 0 {
 			if el.Open {
 				continue
 			}
-			return fmt.Errorf("%w: undeclared element <%s> in %s", ErrInvalid, c.Name, loc)
+			return fmt.Errorf("%w: undeclared element <%s> in %s", ErrInvalid, c.Name, loc(names))
 		}
-		seen[c.Name]++
-		if seen[c.Name] > 1 && !ce.Repeatable {
-			return fmt.Errorf("%w: element <%s> repeated in %s", ErrInvalid, c.Name, loc)
+		ce := el.Children[j]
+		seen[j]++
+		if seen[j] > 1 && !ce.Repeatable {
+			return fmt.Errorf("%w: element <%s> repeated in %s", ErrInvalid, c.Name, loc(names))
 		}
-		if err := s.validateAt(ce, c, loc+"/"+c.Name); err != nil {
+		if err := validateAt(ce, c, names); err != nil {
 			return err
 		}
 	}
-	for _, ce := range el.Children {
-		if ce.Required && seen[ce.Name] == 0 {
-			return fmt.Errorf("%w: missing required element <%s> in %s", ErrInvalid, ce.Name, loc)
+	for j, ce := range el.Children {
+		if ce.Required && seen[j] == 0 {
+			return fmt.Errorf("%w: missing required element <%s> in %s", ErrInvalid, ce.Name, loc(names))
 		}
 	}
 	return nil
 }
+
+// loc renders a path of element names as validation errors show it.
+func loc(names []string) string { return "/" + strings.Join(names, "/") }
 
 // ValidatePath checks that a request path can possibly select something in
 // an instance of the schema: each step names a declared element (wildcards

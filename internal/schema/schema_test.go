@@ -2,6 +2,7 @@ package schema
 
 import (
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -243,5 +244,54 @@ func TestValidatePathWildcardAttrAxis(t *testing.T) {
 	err := s.ValidatePath(xpath.MustParse("/user/*/@id"))
 	if err == nil {
 		t.Skip("sections carry no id attribute; acceptable if a future schema adds one")
+	}
+}
+
+// A failure below the checked root names the element it is on by its path
+// from that root, in the same words at every depth.
+func TestValidateErrorTexts(t *testing.T) {
+	s := GUP()
+	book := xpath.MustParse("/user/address-book")
+	required := &Schema{Root: &Element{Name: "user", Children: []*Element{{Name: "self", Required: true}}}}
+	for _, c := range []struct {
+		err  error
+		want string
+	}{
+		{s.ValidateComponent(book, xmltree.MustParse(`<address-book><item name="m"><phone x="1">908</phone></item></address-book>`)),
+			`schema: invalid: undeclared attribute "x" on /address-book/item/phone`},
+		{s.ValidateComponent(xpath.MustParse("/user/presence"), xmltree.MustParse(`<location/>`)),
+			`schema: invalid: element <location> at /location, schema expects <presence>`},
+		{s.Validate(xmltree.MustParse(`<user id="a"><presence><note/><note/></presence></user>`)),
+			`schema: invalid: element <note> repeated in /user/presence`},
+		{s.Validate(xmltree.MustParse(`<user id="a"><devices><device id="d"><capability>x</capability></device></devices></user>`)),
+			`schema: invalid: missing required attribute "name" on /user/devices/device/capability`},
+		{s.Validate(xmltree.MustParse(`<user id="a"><address-book><item name="m"><junk/></item></address-book></user>`)),
+			`schema: invalid: undeclared element <junk> in /user/address-book/item`},
+		{s.Validate(xmltree.MustParse(`<user id="a"><buddy-list><buddy name="b">hi</buddy></buddy-list></user>`)),
+			`schema: invalid: unexpected text content in /user/buddy-list/buddy`},
+		{required.Validate(xmltree.MustParse(`<user/>`)),
+			`schema: invalid: missing required element <self> in /user`},
+	} {
+		if c.err == nil || c.err.Error() != c.want || !errors.Is(c.err, ErrInvalid) {
+			t.Errorf("error = %v, want %s", c.err, c.want)
+		}
+	}
+}
+
+// BenchmarkValidateComponent checks a 16-item, 2 KiB address book against
+// the GUP schema, as a store does before every write of one.
+func BenchmarkValidateComponent(b *testing.B) {
+	var sb strings.Builder
+	sb.WriteString("<address-book>")
+	for i := 0; i < 16; i++ {
+		fmt.Fprintf(&sb, `<item name="contact-%06d" type="personal"><phone>908-%03d-%04d</phone><note>synthetic entry %d for size sweeps</note></item>`, 4*i, i, 7*i, 4*i)
+	}
+	sb.WriteString("</address-book>")
+	s, frag, p := GUP(), xmltree.MustParse(sb.String()), xpath.MustParse("/user/address-book")
+	b.ReportAllocs()
+	for b.Loop() {
+		if err := s.ValidateComponent(p, frag); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

@@ -12,6 +12,7 @@ package store
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -61,9 +62,10 @@ type Engine struct {
 }
 
 // userDoc is one user's profile tree and the last fetch answer rendered
-// from it. gen counts the writes to tree; every write bumps it under the
-// engine's write lock, and a render is an answer only while it carries the
-// gen of the tree it was rendered from, whenever it was published.
+// from it. A published tree never changes: a write path-copies it and
+// assigns the copy under the engine's write lock. gen counts those writes,
+// and a render is an answer only while it carries the gen of the tree it
+// was rendered from, whenever it was published.
 type userDoc struct {
 	tree    *xmltree.Node
 	gen     uint64
@@ -94,7 +96,8 @@ func NewEngine(id string) *Engine {
 func (e *Engine) ID() string { return e.id }
 
 // OnChange registers the write hook. Must be called before the engine is
-// shared across goroutines.
+// shared across goroutines. The hook's frag is the written component as it
+// stands in the engine's tree: shared, and read-only.
 func (e *Engine) OnChange(fn func(user string, path xpath.Path, frag *xmltree.Node, version uint64)) {
 	e.onChange = fn
 }
@@ -126,6 +129,9 @@ func sectionKey(user string, p xpath.Path) string {
 //     parent's children matching the last step are replaced by frag's
 //     matching children. This is how partial-coverage updates (Figure 9
 //     splits) write just their piece.
+//
+// Put copies frag once; the tree it publishes shares every subtree off the
+// written path with the tree before it.
 func (e *Engine) Put(user string, path xpath.Path, frag *xmltree.Node) (uint64, error) {
 	if len(path.Steps) == 0 {
 		return 0, fmt.Errorf("store: empty path")
@@ -155,6 +161,8 @@ func (e *Engine) Put(user string, path xpath.Path, frag *xmltree.Node) (uint64, 
 		}
 	}
 
+	frag = frag.Clone()
+
 	e.mu.Lock()
 	ud := e.docs[user]
 	if ud == nil {
@@ -162,19 +170,15 @@ func (e *Engine) Put(user string, path xpath.Path, frag *xmltree.Node) (uint64, 
 		e.docs[user] = ud
 	}
 	ud.gen++
-	doc := ud.tree
-	var oldComp, newComp *xmltree.Node
-	if sel := xpath.Select(doc, logPath); len(sel) > 0 {
-		oldComp = sel[0].Clone()
-	}
+	old := ud.tree
 	if scoped {
-		scopedReplace(doc, path, frag)
+		ud.tree = scopedReplace(old, path, frag)
 	} else {
-		graft(doc, path, frag.Clone())
+		ud.tree = graft(old, path.Steps[1:], frag)
 	}
-	if sel := xpath.Select(doc, logPath); len(sel) > 0 {
-		newComp = sel[0].Clone()
-	}
+	// Neither tree changes once published, so the component before and
+	// after the write are the two trees' own nodes.
+	oldComp, newComp := first(old, logPath), first(ud.tree, logPath)
 	e.version++
 	v := e.version
 	e.compVer[sectionKey(user, path)] = v
@@ -198,37 +202,35 @@ func (e *Engine) Put(user string, path xpath.Path, frag *xmltree.Node) (uint64, 
 	return v, nil
 }
 
-// scopedReplace swaps the children of the last step's parent that match the
-// last step for frag's matching children, creating the parent spine as
-// needed.
-func scopedReplace(doc *xmltree.Node, path xpath.Path, frag *xmltree.Node) {
+// scopedReplace returns a copy of doc in which the children of the last
+// step's parent that match the last step are swapped for frag's matching
+// children, creating the parent spine as needed.
+func scopedReplace(doc *xmltree.Node, path xpath.Path, frag *xmltree.Node) *xmltree.Node {
 	parentPath := path.Prefix(len(path.Steps) - 1)
 	last := path.Steps[len(path.Steps)-1]
-	parents := xpath.Select(doc, parentPath)
-	if len(parents) == 0 {
-		shell := &xmltree.Node{Name: frag.Name, Text: frag.Text}
-		for k, val := range frag.Attrs {
-			shell.SetAttr(k, val)
+	swap := func(parent *xmltree.Node) *xmltree.Node {
+		out := *parent
+		out.Children = make([]*xmltree.Node, 0, len(parent.Children)+len(frag.Children))
+		for _, c := range parent.Children {
+			if !last.Matches(c) {
+				out.Children = append(out.Children, c)
+			}
 		}
-		graft(doc, parentPath, shell)
-		parents = xpath.Select(doc, parentPath)
-		if len(parents) == 0 {
-			return
+		for _, c := range frag.Children {
+			if last.Matches(c) {
+				out.Children = append(out.Children, c)
+			}
 		}
+		return &out
 	}
-	parent := parents[0]
-	kept := parent.Children[:0]
-	for _, c := range parent.Children {
-		if !last.Matches(c) {
-			kept = append(kept, c)
-		}
+	if next := edit(doc, parentPath.Steps, swap); next != nil {
+		return next
 	}
-	parent.Children = kept
-	for _, c := range frag.Children {
-		if last.Matches(c) {
-			parent.Children = append(parent.Children, c.Clone())
-		}
+	doc = graft(doc, parentPath.Steps[1:], &xmltree.Node{Name: frag.Name, Attrs: frag.Attrs, Text: frag.Text})
+	if next := edit(doc, parentPath.Steps, swap); next != nil {
+		return next
 	}
+	return doc
 }
 
 // barePath strips predicates off the first step so component validation
@@ -240,45 +242,103 @@ func barePath(p xpath.Path) xpath.Path {
 	return xpath.Path{Steps: steps, Attr: p.Attr}
 }
 
-// graft places frag at path inside doc, creating missing spine elements.
-// Existing elements matching the final step are replaced; otherwise the
-// fragment is appended under the deepest existing ancestor.
-func graft(doc *xmltree.Node, path xpath.Path, frag *xmltree.Node) {
-	if len(path.Steps) == 1 {
-		// Whole-profile write: replace content but keep identity attrs.
-		id, hasID := doc.Attr("id")
-		*doc = *frag
-		if hasID {
-			if _, ok := doc.Attr("id"); !ok {
-				doc.SetAttr("id", id)
+// graft returns a copy of n with frag placed at rest below it, creating
+// missing spine elements: the first element matching the final step is
+// replaced, or else frag is appended under the deepest ancestor. An empty
+// rest is a whole-profile write: frag replaces n but keeps n's id.
+func graft(n *xmltree.Node, rest []xpath.Step, frag *xmltree.Node) *xmltree.Node {
+	if len(rest) == 0 {
+		if id, ok := n.Attr("id"); ok {
+			if _, has := frag.Attr("id"); !has {
+				frag.SetAttr("id", id)
 			}
 		}
-		return
+		return frag
 	}
-	parent := doc
-	for _, step := range path.Steps[1 : len(path.Steps)-1] {
-		next := firstMatch(parent, step)
-		if next == nil {
-			next = xmltree.New(step.Name)
-			applyPreds(next, step)
-			parent.Add(next)
+	step := rest[0]
+	i := firstMatch(n, step)
+	if len(rest) == 1 {
+		if i < 0 {
+			applyPreds(frag, step)
 		}
-		parent = next
+		return withChild(n, i, frag)
 	}
-	last := path.Steps[len(path.Steps)-1]
-	if existing := firstMatch(parent, last); existing != nil {
-		*existing = *frag
-		return
+	var next *xmltree.Node
+	if i >= 0 {
+		next = n.Children[i]
+	} else {
+		next = xmltree.New(step.Name)
+		applyPreds(next, step)
 	}
-	applyPreds(frag, last)
-	parent.Add(frag)
+	return withChild(n, i, graft(next, rest[1:], frag))
 }
 
-func firstMatch(n *xmltree.Node, step xpath.Step) *xmltree.Node {
-	for _, c := range n.Children {
-		if step.Matches(c) {
-			return c
+// edit returns a copy of n in which fn has replaced the first element, in
+// document order, that steps select from n; nil when they select nothing.
+func edit(n *xmltree.Node, steps []xpath.Step, fn func(*xmltree.Node) *xmltree.Node) *xmltree.Node {
+	if !steps[0].Matches(n) {
+		return nil
+	}
+	if len(steps) == 1 {
+		return fn(n)
+	}
+	for i, c := range n.Children {
+		if next := edit(c, steps[1:], fn); next != nil {
+			return withChild(n, i, next)
 		}
+	}
+	return nil
+}
+
+// prune returns a copy of n without the elements rest selects below it,
+// and how many those were; n itself when there were none.
+func prune(n *xmltree.Node, rest []xpath.Step) (*xmltree.Node, int) {
+	kids := make([]*xmltree.Node, 0, len(n.Children))
+	dropped := 0
+	for _, c := range n.Children {
+		if rest[0].Matches(c) {
+			if len(rest) == 1 {
+				dropped++
+				continue
+			}
+			var k int
+			c, k = prune(c, rest[1:])
+			dropped += k
+		}
+		kids = append(kids, c)
+	}
+	if dropped == 0 {
+		return n, 0
+	}
+	out := *n
+	out.Children = kids
+	return &out, dropped
+}
+
+// withChild returns a copy of n whose child i is c, or with c appended when
+// i < 0. The copy has a children slice of its own and shares every other
+// child, and n's attributes, with n. The copies along a written path are
+// the only new nodes a write makes besides its fragment.
+func withChild(n *xmltree.Node, i int, c *xmltree.Node) *xmltree.Node {
+	out := *n
+	if i < 0 {
+		out.Children = append(n.Children[:len(n.Children):len(n.Children)], c)
+	} else {
+		out.Children = slices.Clone(n.Children)
+		out.Children[i] = c
+	}
+	return &out
+}
+
+// firstMatch is the index of n's first child matching step, or -1.
+func firstMatch(n *xmltree.Node, step xpath.Step) int {
+	return slices.IndexFunc(n.Children, step.Matches)
+}
+
+// first is the first element p selects in doc, or nil.
+func first(doc *xmltree.Node, p xpath.Path) *xmltree.Node {
+	if sel := xpath.Select(doc, p); len(sel) > 0 {
+		return sel[0]
 	}
 	return nil
 }
@@ -312,7 +372,7 @@ func (e *Engine) Get(user string, path xpath.Path) (*xmltree.Node, uint64, error
 // one rendered returns those bytes again while no write has bumped the
 // tree's gen since. A render is written straight from the engine's tree
 // under the read lock, so no node of it is copied; its gen, not the time
-// it is published, keeps it from answering for a tree a write has changed.
+// it is published, keeps it from answering for a tree a write has replaced.
 func (e *Engine) GetXML(user string, path xpath.Path) (string, uint64, error) {
 	key := path.String()
 	e.mu.RLock()
@@ -355,11 +415,11 @@ func (e *Engine) GetComponent(user string, path xpath.Path) (*xmltree.Node, uint
 	if ud == nil {
 		return nil, 0, fmt.Errorf("%w: %s", ErrNoUser, user)
 	}
-	sel := xpath.Select(ud.tree, path)
-	if len(sel) == 0 {
+	comp := first(ud.tree, path)
+	if comp == nil {
 		return nil, 0, fmt.Errorf("%w: %s", ErrNoComponent, path)
 	}
-	return sel[0].Clone(), e.compVer[sectionKey(user, path)], nil
+	return comp.Clone(), e.compVer[sectionKey(user, path)], nil
 }
 
 // Delete removes the elements selected by path and returns how many were
@@ -371,7 +431,10 @@ func (e *Engine) Delete(user string, path xpath.Path) (int, error) {
 	if ud == nil {
 		return 0, fmt.Errorf("%w: %s", ErrNoUser, user)
 	}
-	n := xpath.ReplaceAt(ud.tree, path, nil)
+	n := 0
+	if len(path.Steps) > 1 && path.Steps[0].Matches(ud.tree) {
+		ud.tree, n = prune(ud.tree, path.Steps[1:])
+	}
 	if n > 0 {
 		ud.gen++
 		e.version++
@@ -387,13 +450,6 @@ func (e *Engine) Delete(user string, path xpath.Path) (int, error) {
 		}
 	}
 	return n, nil
-}
-
-// Version returns the engine's global write counter.
-func (e *Engine) Version() uint64 {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	return e.version
 }
 
 // ComponentVersion returns the version of the last write touching the
@@ -437,15 +493,4 @@ func (e *Engine) ChangesSince(user string, path xpath.Path, since uint64) (ops [
 		ops = append(ops, rec.ops...)
 	}
 	return ops, true
-}
-
-// Users returns the identities this store holds data for.
-func (e *Engine) Users() []string {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	out := make([]string, 0, len(e.docs))
-	for u := range e.docs {
-		out = append(out, u)
-	}
-	return out
 }

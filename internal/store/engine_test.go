@@ -160,6 +160,18 @@ func TestDelete(t *testing.T) {
 	if n, _ := e.Delete("u", mp("/user[@id='u']/zzz")); n != 0 {
 		t.Errorf("deleting nothing = %d", n)
 	}
+	// A path selecting several elements deletes them all; the root stays.
+	e.Put("u", mp("/user[@id='u']/address-book"), xmltree.MustParse(
+		`<address-book><item name="a" type="c"/><item name="b"/><item name="c" type="c"/></address-book>`))
+	if n, _ := e.Delete("u", mp("/user[@id='u']/address-book/item[@type='c']")); n != 2 {
+		t.Errorf("deleting two items = %d", n)
+	}
+	if n, _ := e.Delete("u", mp("/user[@id='u']")); n != 0 {
+		t.Errorf("deleting the root = %d", n)
+	}
+	if comp, _, _ := e.GetComponent("u", mp("/user[@id='u']/address-book")); comp.String() != `<address-book><item name="b"/></address-book>` {
+		t.Errorf("after deleting two items: %s", comp)
+	}
 }
 
 func TestChangesSince(t *testing.T) {
@@ -256,8 +268,10 @@ func TestUsersAndID(t *testing.T) {
 	}
 	e.Put("a", mp("/user[@id='a']/presence"), xmltree.MustParse(`<presence/>`))
 	e.Put("b", mp("/user[@id='b']/presence"), xmltree.MustParse(`<presence/>`))
-	if len(e.Users()) != 2 {
-		t.Errorf("Users = %v", e.Users())
+	for _, u := range []string{"a", "b"} {
+		if _, _, err := e.Get(u, mp("/user[@id='"+u+"']/presence")); err != nil {
+			t.Errorf("user %s: %v", u, err)
+		}
 	}
 }
 
@@ -294,5 +308,77 @@ func TestPutDoesNotAliasCallerFragment(t *testing.T) {
 	comp2, _, _ := e.GetComponent("u", mp("/user[@id='u']/presence"))
 	if s, _ := comp2.Attr("status"); s != "on" {
 		t.Error("engine shares memory with readers")
+	}
+}
+
+// A published tree never changes: every kind of write builds a new tree and
+// leaves the one before it as it was, so a render of the engine's tree, a
+// hook's frag and the ops ChangesSince returned stay what they were when
+// taken, whatever is written after.
+func TestWritesLeavePublishedTreesAlone(t *testing.T) {
+	e := NewEngine("s1")
+	e.Schema = schema.GUP()
+	type kept struct {
+		what string
+		node *xmltree.Node
+		xml  string
+	}
+	var held []kept
+	e.OnChange(func(_ string, path xpath.Path, frag *xmltree.Node, v uint64) {
+		held = append(held, kept{fmt.Sprintf("hook frag of %s at v%d", path, v), frag, frag.String()})
+	})
+	book := mp("/user[@id='u']/address-book")
+	put := func(path, xml string) func() error {
+		return func() error { _, err := e.Put("u", mp(path), xmltree.MustParse(xml)); return err }
+	}
+	if err := put("/user[@id='u']/presence", `<presence status="off"/>`)(); err != nil {
+		t.Fatal(err)
+	}
+	var v1 uint64
+	for _, w := range []struct {
+		name  string
+		write func() error
+	}{
+		{"whole-component put", func() (err error) {
+			v1, err = e.Put("u", book, xmltree.MustParse(bookOf("one")))
+			return err
+		}},
+		{"scoped put", put("/user[@id='u']/address-book/item[@type='personal']",
+			`<address-book><item name="s0" type="personal"><note>scoped</note></item></address-book>`)},
+		{"deep-path put", put("/user[@id='u']/address-book/item[@name='s0']",
+			`<item name="s0" type="personal"><note>deep</note></item>`)},
+		{"whole-profile put", put("/user[@id='u']",
+			`<user id="u"><presence status="on"/><address-book><item name="p" type="personal"/></address-book></user>`)},
+		{"delete", func() error {
+			n, err := e.Delete("u", mp("/user[@id='u']/presence"))
+			if err == nil && n != 1 {
+				err = fmt.Errorf("deleted %d elements, want 1", n)
+			}
+			return err
+		}},
+	} {
+		before := e.docs["u"].tree
+		was := before.String()
+		held = append(held, kept{"tree before the " + w.name, before, was})
+		if err := w.write(); err != nil {
+			t.Fatalf("%s: %v", w.name, err)
+		}
+		if e.docs["u"].tree.String() == was {
+			t.Fatalf("%s left the tree as it was", w.name)
+		}
+		if w.name == "scoped put" {
+			ops, ok := e.ChangesSince("u", book, v1)
+			if !ok || len(ops) == 0 {
+				t.Fatalf("ChangesSince after the scoped put = %v, %v", ops, ok)
+			}
+			for i, op := range ops {
+				held = append(held, kept{fmt.Sprintf("op %d since v%d", i, v1), op.Node, op.Node.String()})
+			}
+		}
+	}
+	for _, k := range held {
+		if got := k.node.String(); got != k.xml {
+			t.Errorf("%s changed:\n was %s\n now %s", k.what, k.xml, got)
+		}
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"gupster/internal/racetag"
+	"gupster/internal/schema"
 	"gupster/internal/syncml"
 	"gupster/internal/token"
 	"gupster/internal/wire"
@@ -192,16 +193,21 @@ func TestGetXMLIgnoresALatePublish(t *testing.T) {
 	}
 }
 
-// bigBook stores a 16-item, 2 KiB address book for u00000 and returns the
-// path of its personal items, the piece a store's fetch renders.
-func bigBook(tb testing.TB, e *Engine) xpath.Path {
+// bigBookXML is a 16-item, 2 KiB address book.
+func bigBookXML() string {
 	var b strings.Builder
 	b.WriteString("<address-book>")
 	for i := 0; i < 16; i++ {
 		fmt.Fprintf(&b, `<item name="contact-%06d" type="personal"><phone>908-%03d-%04d</phone><note>synthetic entry %d for size sweeps</note></item>`, 4*i, i, 7*i, 4*i)
 	}
 	b.WriteString("</address-book>")
-	if _, err := e.Put("u00000", mp("/user[@id='u00000']/address-book"), xmltree.MustParse(b.String())); err != nil {
+	return b.String()
+}
+
+// bigBook stores bigBookXML for u00000 and returns the path of its personal
+// items, the piece a store's fetch renders.
+func bigBook(tb testing.TB, e *Engine) xpath.Path {
+	if _, err := e.Put("u00000", mp("/user[@id='u00000']/address-book"), xmltree.MustParse(bigBookXML())); err != nil {
 		tb.Fatal(err)
 	}
 	return mp("/user[@id='u00000']/address-book/item[@type='personal']")
@@ -265,6 +271,37 @@ func BenchmarkGetXML(b *testing.B) {
 					ud.fetched.Store(nil)
 				}
 				getXMLSink, _, _ = e.GetXML("u00000", p)
+			}
+		})
+	}
+}
+
+var putSink uint64
+
+// BenchmarkPut is a store's write of a 16-item, 2 KiB address book checked
+// against the GUP schema: first is the user's first write, rewrite writes
+// the same book over itself.
+func BenchmarkPut(b *testing.B) {
+	e := NewEngine("s1")
+	e.Schema = schema.GUP()
+	book, piece := mp("/user[@id='u00000']/address-book"), xmltree.MustParse(bigBookXML())
+	for _, row := range []struct {
+		name  string
+		first bool
+	}{
+		{"first", true},
+		{"rewrite", false},
+	} {
+		b.Run(row.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for b.Loop() {
+				if row.first {
+					delete(e.docs, "u00000")
+				}
+				var err error
+				if putSink, err = e.Put("u00000", book, piece); err != nil {
+					b.Fatal(err)
+				}
 			}
 		})
 	}

@@ -93,50 +93,6 @@ func view(n *xmltree.Node, rest []Step) *xmltree.Node {
 	return &xmltree.Node{Name: n.Name, Attrs: n.Attrs, Text: n.Text, Children: kids}
 }
 
-// ReplaceAt substitutes repl for every element selected by p inside doc,
-// in place, and returns the number of replacements. A nil repl deletes the
-// selected elements. Replacing the document root returns 0 replacements if
-// repl is nil would orphan the document; instead the root's content is
-// overwritten.
-func ReplaceAt(doc *xmltree.Node, p Path, repl *xmltree.Node) int {
-	if doc == nil || len(p.Steps) == 0 || !p.Steps[0].Matches(doc) {
-		return 0
-	}
-	if len(p.Steps) == 1 {
-		if repl == nil {
-			return 0
-		}
-		*doc = *repl.Clone()
-		return 1
-	}
-	return replaceAt(doc, p.Steps[1:], repl)
-}
-
-func replaceAt(n *xmltree.Node, rest []Step, repl *xmltree.Node) int {
-	count := 0
-	if len(rest) == 1 {
-		kept := n.Children[:0]
-		for _, c := range n.Children {
-			if rest[0].Matches(c) {
-				count++
-				if repl != nil {
-					kept = append(kept, repl.Clone())
-				}
-			} else {
-				kept = append(kept, c)
-			}
-		}
-		n.Children = kept
-		return count
-	}
-	for _, c := range n.Children {
-		if rest[0].Matches(c) {
-			count += replaceAt(c, rest[1:], repl)
-		}
-	}
-	return count
-}
-
 // Contains reports whether p contains q: every node selected by q in any
 // document is also selected by p. For this fragment the test is exact: the
 // paths must have equal depth, each step of p must contain the corresponding

@@ -142,34 +142,6 @@ func TestExtract(t *testing.T) {
 	}
 }
 
-func TestReplaceAt(t *testing.T) {
-	d := doc.Clone()
-	repl := xmltree.MustParse(`<presence status="busy"/>`)
-	n := ReplaceAt(d, MustParse("/user/presence"), repl)
-	if n != 1 {
-		t.Fatalf("replacements = %d", n)
-	}
-	if v, _ := d.Child("presence").Attr("status"); v != "busy" {
-		t.Errorf("replace did not apply: %s", d.Child("presence"))
-	}
-	// Delete with nil.
-	n = ReplaceAt(d, MustParse("/user/address-book/item[@type='corporate']"), nil)
-	if n != 2 {
-		t.Fatalf("deletions = %d, want 2", n)
-	}
-	if got := len(d.Child("address-book").ChildrenNamed("item")); got != 1 {
-		t.Errorf("items after delete = %d", got)
-	}
-	// Replace root.
-	root := xmltree.MustParse(`<user id="x"/>`)
-	if n := ReplaceAt(d, MustParse("/user"), root); n != 1 {
-		t.Fatalf("root replace = %d", n)
-	}
-	if v, _ := d.Attr("id"); v != "x" {
-		t.Errorf("root replace did not apply")
-	}
-}
-
 func TestContains(t *testing.T) {
 	cases := []struct {
 		p, q string
