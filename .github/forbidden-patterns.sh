@@ -78,6 +78,14 @@ row "One parser" §17 \
 	'"encoding/xml"' "$src ." \
 	'./benchmark/'
 
+# An element's attributes are one sorted []Attr, carved from the slab the
+# tree's nodes come from; no per-element map grows back in xmltree. The key
+# spec, one map per merge, is the one map[string]string there.
+row "Attributes are a sorted slice" §17 \
+	"a map[string]string in xmltree: keep attributes in the node's sorted []Attr" \
+	'map\[string\]string' "$src internal/xmltree/" \
+	'internal/xmltree/merge.go:[0-9]*:type KeySpec map'
+
 # A server-side role — the MDM chaining or relaying a recruit, a recruited
 # store gathering its siblings — moves the component as bytes: it merges the
 # stores' replies with xmltree.MergeXML and builds no tree. The client's

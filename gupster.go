@@ -61,6 +61,8 @@ type (
 type (
 	// Node is an XML profile component tree.
 	Node = xmltree.Node
+	// Attr is one attribute of a Node; Node.Attrs yields them in name order.
+	Attr = xmltree.Attr
 	// KeySpec names the identity attributes used in merges and diffs.
 	KeySpec = xmltree.KeySpec
 	// Path is an expression of the coverage XPath fragment.

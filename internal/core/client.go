@@ -569,11 +569,7 @@ func extractForReferral(frag *xmltree.Node, ref wire.Referral) *xmltree.Node {
 			}
 			// No children match: send the bare container so the store
 			// clears its piece.
-			shell := &xmltree.Node{Name: frag.Name, Text: frag.Text}
-			for k, v := range frag.Attrs {
-				shell.SetAttr(k, v)
-			}
-			return shell
+			return frag.Bare()
 		}
 	}
 	return nil

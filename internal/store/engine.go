@@ -226,7 +226,7 @@ func scopedReplace(doc *xmltree.Node, path xpath.Path, frag *xmltree.Node) *xmlt
 	if next := edit(doc, parentPath.Steps, swap); next != nil {
 		return next
 	}
-	doc = graft(doc, parentPath.Steps[1:], &xmltree.Node{Name: frag.Name, Attrs: frag.Attrs, Text: frag.Text})
+	doc = graft(doc, parentPath.Steps[1:], frag.Bare())
 	if next := edit(doc, parentPath.Steps, swap); next != nil {
 		return next
 	}

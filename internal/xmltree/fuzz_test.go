@@ -35,6 +35,10 @@ var corners = []struct{ in, want string }{
 	{`<a b:c:d="v"/>`, ``},
 	// Attributes.
 	{`<a k='v' k="w"/>`, `<a k="w"/>`},
+	{`<a z="1" m="2" b="3" Z="4" _="5"/>`, `<a Z="4" _="5" b="3" m="2" z="1"/>`},
+	{`<a k="1" j="2" k="3" i="4" k="5"/>`, `<a i="4" j="2" k="5"/>`},
+	{`<a b="1" a="2" b="3"><c y="1" x="2" y="3" x="4"/></a>`, `<a a="2" b="3"><c x="4" y="3"/></a>`},
+	{`<a p:k="1" k="2" q:k="3"/>`, `<a k="3"/>`},
 	{`<a k="it's" j='say "hi"'/>`, `<a j="say &quot;hi&quot;" k="it's"/>`},
 	{`<a k="v"j="w"/>`, `<a j="w" k="v"/>`},
 	{"<a\n k = \"v\" />", `<a k="v"/>`},
@@ -193,7 +197,7 @@ func equalButForLostAttrs(got, want *Node) bool {
 		return false
 	}
 	for k := range want.Attrs {
-		if _, ok := got.Attrs[k]; !ok {
+		if _, ok := got.Attr(k); !ok {
 			return false
 		}
 	}
@@ -254,10 +258,13 @@ func FuzzParse(f *testing.F) {
 	})
 }
 
-// checkReparseAfterMutation parses in, sets an attribute and appends a child
-// on every node of the tree, and parses in again: the second tree must
-// render as the first did before it was changed. A parse that handed out
-// nodes, children or text another tree still holds would show here.
+// checkReparseAfterMutation parses in, overwrites the first attribute, sets
+// another and appends a child on every node of the tree, and parses in
+// again: the second tree must render as the first did before it was
+// changed, and the first as it did after. A parse that handed out nodes,
+// children, attributes or text another tree still holds would show here.
+// Each node's Bare shell, taken before the change, shares its attribute
+// array, so a write into that array shows too.
 func checkReparseAfterMutation(t *testing.T, in string) {
 	t.Helper()
 	first, err := ParseString(in)
@@ -265,13 +272,32 @@ func checkReparseAfterMutation(t *testing.T, in string) {
 		return
 	}
 	want := first.String()
-	var nodes []*Node
-	first.Walk(func(n *Node) bool { nodes = append(nodes, n); return true })
+	var nodes, shells []*Node
+	var bare []string
+	first.Walk(func(n *Node) bool {
+		nodes = append(nodes, n)
+		shells = append(shells, n.Bare())
+		bare = append(bare, shells[len(shells)-1].String())
+		return true
+	})
 	for _, n := range nodes {
+		for k := range n.Attrs {
+			n.SetAttr(k, "overwritten")
+			break
+		}
 		n.SetAttr("mutated", "1").Add(New("mutated"))
 	}
+	for i, sh := range shells {
+		if sh.String() != bare[i] {
+			t.Fatalf("ParseString(%q): changing <%s> changed its Bare shell to %s; want %s", in, nodes[i].Name, sh, bare[i])
+		}
+	}
+	changed := first.String()
 	second, err := ParseString(in)
 	if err != nil || second.String() != want {
 		t.Fatalf("ParseString(%q) after changing its first tree = %v, %v; want %s", in, second, err, want)
+	}
+	if first.String() != changed {
+		t.Fatalf("ParseString(%q) again changed the first tree to %s; want %s", in, first, changed)
 	}
 }

@@ -1,6 +1,9 @@
 package xmltree
 
-import "sort"
+import (
+	"slices"
+	"sort"
+)
 
 // KeySpec names, per element name, the attribute that identifies an element
 // instance for merging and diffing. This realizes the "Keys for XML" idea
@@ -35,7 +38,7 @@ func (ks KeySpec) identity(n *Node) (childKey, bool) {
 	if !ok {
 		return childKey{}, false
 	}
-	v, ok := n.Attrs[attr]
+	v, ok := n.Attr(attr)
 	if !ok {
 		return childKey{}, false
 	}
@@ -75,21 +78,11 @@ func DeepUnion(a, b *Node, keys KeySpec) *Node {
 // node twice: the first component is copied, and each later one is merged
 // into that copy, which copies from it only the nodes it adopts.
 //
-// No input is modified, and the result shares no node, attribute map or
+// No input is modified, and the result shares no node, attribute array or
 // children slice with any input.
 func MergeAll(keys KeySpec, components ...*Node) *Node {
-	nodes, pieces := 0, 0
-	for _, c := range components {
-		if c != nil {
-			nodes += c.Count()
-			pieces++
-		}
-	}
-	if pieces == 0 {
-		return nil
-	}
 	// Every input node is copied at most once, so one slab holds them all.
-	return newSlab(nodes, pieces).merge(keys, components)
+	return newSlab(components...).merge(keys, components)
 }
 
 // MergeOwned is MergeAll for pieces the caller hands over: it merges them in
@@ -97,10 +90,10 @@ func MergeAll(keys KeySpec, components ...*Node) *Node {
 // the nodes it adopts from later pieces are those pieces' own, so a lone
 // piece comes back as it is.
 //
-// Precondition: the pieces share no node, attribute map or children slice
-// with each other or with anything the caller still uses — each is, say, the
-// tree of its own ParseString call. Every piece may be modified and must not
-// be read again except through the result.
+// Precondition: the pieces share no node or children slice with each other
+// or with anything the caller still uses — each is, say, the tree of its own
+// ParseString call. Every piece may be modified and must not be read again
+// except through the result.
 func MergeOwned(keys KeySpec, pieces ...*Node) *Node {
 	return (*slab)(nil).merge(keys, pieces)
 }
@@ -130,9 +123,8 @@ func (s *slab) adopt(n *Node) *Node {
 }
 
 // unionInto turns a into DeepUnion(a, b) in place. a belongs to the merge —
-// every node, attribute map and children slice under it — and b is only
-// read; the nodes a adopts from b are copied out of s, or with a nil s
-// taken over as they are.
+// every node and children slice under it — and b is only read; the nodes a
+// adopts from b are copied out of s, or with a nil s taken over as they are.
 //
 // A merged node's children come out as its unkeyed children (a's, each
 // merged with its singleton partner from b, then b's that found none) and
@@ -143,11 +135,7 @@ func (s *slab) unionInto(a, b *Node, keys KeySpec) {
 	if a.Text == "" {
 		a.Text = b.Text
 	}
-	for k, v := range b.Attrs {
-		if _, ok := a.Attrs[k]; !ok {
-			a.SetAttr(k, v) // a wins on conflict
-		}
-	}
+	a.attrs = unionAttrs(a.attrs, b.attrs)
 	n := len(a.Children) + len(b.Children)
 	if n == 0 {
 		return
@@ -206,6 +194,23 @@ func (s *slab) unionInto(a, b *Node, keys KeySpec) {
 		}
 	}
 	a.Children = append(out, keyed...)
+}
+
+// unionAttrs returns a's attributes and those of b whose name a lacks, in
+// name order: a wins on conflict. It returns a itself when b adds none, and
+// otherwise a new array, so neither input is written.
+func unionAttrs(a, b []Attr) []Attr {
+	var added []Attr
+	for _, x := range b {
+		if _, ok := slices.BinarySearchFunc(a, x.Name, byName); !ok {
+			added = append(added, x)
+		}
+	}
+	if added == nil {
+		return a
+	}
+	out, _ := sortAttrs(append(added, a...), attrName)
+	return out
 }
 
 // section counts the unkeyed children of one name on each side of a level;
@@ -367,15 +372,7 @@ func splitKeyed(n *Node, keys KeySpec) (map[string]*Node, []*Node) {
 }
 
 func shellEqual(a, b *Node) bool {
-	if a.Name != b.Name || a.Text != b.Text || len(a.Attrs) != len(b.Attrs) {
-		return false
-	}
-	for k, v := range a.Attrs {
-		if bv, ok := b.Attrs[k]; !ok || bv != v {
-			return false
-		}
-	}
-	return true
+	return a.Name == b.Name && a.Text == b.Text && slices.Equal(a.attrs, b.attrs)
 }
 
 func unkeyedEqual(a, b []*Node) bool {

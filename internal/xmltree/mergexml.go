@@ -184,29 +184,12 @@ func (m *merger) keep(b []byte) span {
 }
 
 // attrsRead ends element e's start tag in s. Its attributes are put in name
-// order with the last of a repeated name kept, as the map ParseString
-// builds and appendXML's sort would have them; it reports whether they were
-// in that order already.
+// order with the last of a repeated name kept, as ParseString keeps them; it
+// reports whether they were in that order already.
 func (m *merger) attrsRead(e int32, s string) bool {
 	el := &m.elems[e]
-	as := m.attrs[el.attrs:]
-	name := func(a xattr) string { return s[a.name.from:a.name.to] }
-	sorted := true
-	for i := 1; i < len(as) && sorted; i++ {
-		sorted = name(as[i-1]) < name(as[i])
-	}
-	if !sorted {
-		slices.SortStableFunc(as, func(a, b xattr) int { return strings.Compare(name(a), name(b)) })
-		w := 0
-		for i := range as {
-			if i+1 < len(as) && name(as[i]) == name(as[i+1]) {
-				continue
-			}
-			as[w] = as[i]
-			w++
-		}
-		m.attrs = m.attrs[:int(el.attrs)+w]
-	}
+	as, sorted := sortAttrs(m.attrs[el.attrs:], func(a xattr) string { return s[a.name.from:a.name.to] })
+	m.attrs = m.attrs[:int(el.attrs)+len(as)]
 	el.attrN = int32(len(m.attrs))
 	return sorted
 }

@@ -90,10 +90,11 @@ func dressTo(b *strings.Builder, c *chooser, n *Node) {
 			b.WriteString(` ` + k + `="overwritten"`) // a repeated attribute: the last wins
 		}
 		sp := c.of(" ", " ", " ", "\n  ", "  ", "\n", "\t")
+		v, _ := n.Attr(k)
 		if c.pick(8) == 1 {
-			b.WriteString(sp + k + ` = '` + dressValue(c, n.Attrs[k], '\'') + `'`)
+			b.WriteString(sp + k + ` = '` + dressValue(c, v, '\'') + `'`)
 		} else {
-			b.WriteString(sp + k + `="` + dressValue(c, n.Attrs[k], '"') + `"`)
+			b.WriteString(sp + k + `="` + dressValue(c, v, '"') + `"`)
 		}
 	}
 	if n.Text == "" && len(n.Children) == 0 && c.pick(4) != 1 {
@@ -169,7 +170,7 @@ func spice(c *chooser, n *Node) {
 	}
 	for k := range n.Attrs {
 		if c.pick(6) == 1 {
-			n.Attrs[k] = c.of(`a&b`, `"`, `'`, `<>`, "\n", "x\ry", "")
+			n.SetAttr(k, c.of(`a&b`, `"`, `'`, `<>`, "\n", "x\ry", ""))
 		}
 	}
 	for _, k := range n.Children {

@@ -36,7 +36,7 @@ var ErrTooDeep = errors.New("xmltree: elements nested deeper than MaxDepth")
 // every other node alive.
 func ParseString(s string) (*Node, error) {
 	p := parsers.Get().(*parser)
-	p.s, p.bound = s, startTags(s)
+	p.s, p.bound, p.valued = s, startTags(s), strings.Count(s, "=")
 	err := p.parse()
 	root := p.root
 	p.release()
@@ -92,17 +92,22 @@ func recycle[T any](s []T) []T {
 	return s[:0]
 }
 
-// firstChunk is how many nodes, or child slots, the slab allocates on the
-// strength of the input's '<' count alone; past it, the slab grows by at
-// most as many as have been used, so its size follows the elements actually
-// read and not what a hostile input claims.
+// firstChunk is how many nodes, child slots or attributes the slab
+// allocates on the strength of the input's count alone; past it, the slab
+// grows by at most as many as have been used, so its size follows what is
+// actually read and not what a hostile input claims.
 const firstChunk = 1 << 10
 
-// chunk is how many nodes or child slots to allocate when the slab has run
-// out: need at least, else as many as the input can still hold (left),
-// capped at firstChunk or at the number used so far, whichever is more.
-func chunk(need, used, left int) int {
-	return max(need, min(left, max(firstChunk, used)))
+// carve hands out k elements of *chunk, first allocating a new chunk when it
+// holds fewer: k at least, else as many as the input can still hold (bound
+// less used), capped at firstChunk or at used, whichever is more. used
+// counts the elements handed out.
+func carve[T any](chunk *[]T, k int, used *int, bound int) []T {
+	if len(*chunk) < k {
+		*chunk = make([]T, max(k, min(bound-*used, max(firstChunk, *used))))
+	}
+	*used += k
+	return take(chunk, k)
 }
 
 // MustParse is ParseString that panics on malformed input; it is intended
@@ -156,21 +161,21 @@ type frame struct {
 	canon   bool
 }
 
-type attr struct{ name, value string }
-
 type parser struct {
 	s     string
 	i     int     // next unread byte
 	stack []frame // open elements, root first
 	kids  []*Node // closed children of every open element, innermost element's last
 	text  []byte  // the joined text of every open element that has more than one run, likewise
-	attrs []attr  // the attributes kept from the start tag being read
+	attrs []Attr  // the attributes kept from the start tag being read
 	buf   []byte  // scratch for character data that needs decoding
 
-	slab   slab  // what is left of the chunks the tree's nodes and children come from
+	slab   slab  // what is left of the chunks the tree's nodes, children and attributes come from
 	bound  int   // the most elements s can hold
 	opened int   // elements read so far
 	placed int   // child slots handed out so far
+	valued int   // the most attributes s can hold: each has its '='
+	named  int   // attributes handed out so far
 	root   *Node // the tree, once its root has closed
 	done   bool  // the root has closed
 
@@ -182,27 +187,6 @@ type parser struct {
 	// index, filled from piece number piece.
 	ix    *merger
 	piece int32
-}
-
-// node hands out the next node from the slab, allocating a chunk when it is
-// empty.
-func (p *parser) node() *Node {
-	if len(p.slab.nodes) == 0 {
-		p.slab.nodes = make([]Node, chunk(1, p.opened, p.bound-p.opened))
-	}
-	p.opened++
-	return p.slab.node()
-}
-
-// children hands out the Children slice for k closed children, three-index
-// like slab.copy's. The root is no element's child, so bound-1 slots are
-// the most the input can need.
-func (p *parser) children(k int) []*Node {
-	if len(p.slab.kids) < k {
-		p.slab.kids = make([]*Node, chunk(k, p.placed, p.bound-1-p.placed))
-	}
-	p.placed += k
-	return p.slab.children(k)
 }
 
 // parse reads p.s up to the root's end tag, into p.root or p.ix.
@@ -276,7 +260,7 @@ func (p *parser) startTag() error {
 		f.elem = p.ix.open(p.piece, p.i-len(local), p.i, open)
 		f.canon = len(local) == len(raw) // local is a suffix of raw
 	} else {
-		n := p.node()
+		n := &carve(&p.slab.nodes, 1, &p.opened, p.bound)[0]
 		n.Name = local
 		p.stack[len(p.stack)-1].node = n
 	}
@@ -317,11 +301,9 @@ func (p *parser) startTag() error {
 		}
 		top.canon = p.ix.attrsRead(top.elem, s) && top.canon && !isSpace(s[end-1])
 	} else if len(p.attrs) > 0 {
-		n := top.node
-		n.Attrs = make(map[string]string, len(p.attrs))
-		for _, a := range p.attrs {
-			n.Attrs[a.name] = a.value // a repeated attribute: the last one wins
-		}
+		as, _ := sortAttrs(p.attrs, attrName) // a repeated attribute: the last one wins
+		top.node.attrs = carve(&p.slab.attrs, len(as), &p.named, p.valued)
+		copy(top.node.attrs, as)
 	}
 	if selfClosing {
 		// <a/> is written as it is read: no content to check.
@@ -374,10 +356,12 @@ func (p *parser) attribute() error {
 			p.ix.attr(at+len(raw)-len(local), at+len(raw), from, p.i-1, p.decoded, p.buf)
 		}
 	case !xmlns:
-		p.attrs = append(p.attrs, attr{local, value})
+		p.attrs = append(p.attrs, Attr{local, value})
 	}
 	return nil
 }
+
+func attrName(a Attr) string { return a.Name }
 
 // isSpace reports whether c is XML white space.
 func isSpace(c byte) bool { return c == ' ' || c == '\n' || c == '\t' || c == '\r' }
@@ -412,7 +396,8 @@ func (p *parser) endTag() error {
 			n.Text = strings.TrimSpace(f.text)
 		}
 		if int(f.kids) < len(p.kids) {
-			n.Children = p.children(len(p.kids) - int(f.kids))
+			// The root is no element's child: bound-1 slots at most.
+			n.Children = carve(&p.slab.kids, len(p.kids)-int(f.kids), &p.placed, p.bound-1)
 			copy(n.Children, p.kids[f.kids:])
 			p.kids = p.kids[:f.kids]
 		}

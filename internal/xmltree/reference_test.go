@@ -14,6 +14,11 @@ import (
 // prefix. It stays as the oracle FuzzParse holds the scanner to, so it must
 // not be "fixed" — a behaviour worth changing is changed in parse.go and
 // named in FuzzParse's divergence table.
+//
+// Node kept its attributes in a map[string]string then. The reference code
+// still does, through referenceAttrs and referenceSetAttrs, so the fuzzers
+// hold the sorted slice to an independent representation: a map's last
+// write wins a repeated name, and its keys are sorted here, not in Node.
 
 // referenceParse reads one XML element tree from r. Namespaces are flattened
 // to local names, comments and processing instructions are skipped, and text
@@ -41,12 +46,14 @@ func referenceParseString(s string) (*Node, error) {
 
 func referenceParseElement(dec *xml.Decoder, start xml.StartElement) (*Node, error) {
 	n := &Node{Name: start.Name.Local}
+	attrs := map[string]string{}
 	for _, a := range start.Attr {
 		if a.Name.Space == "xmlns" || a.Name.Local == "xmlns" {
 			continue
 		}
-		n.SetAttr(a.Name.Local, a.Value)
+		attrs[a.Name.Local] = a.Value
 	}
+	referenceSetAttrs(n, attrs)
 	var text strings.Builder
 	for {
 		tok, err := dec.Token()
@@ -88,12 +95,11 @@ func referenceDeepUnion(a, b *Node, keys KeySpec) *Node {
 	if out.Text == "" {
 		out.Text = b.Text
 	}
-	for k, v := range b.Attrs {
-		out.SetAttr(k, v)
+	attrs := referenceAttrs(b)
+	for k, v := range referenceAttrs(a) {
+		attrs[k] = v // a wins on conflict
 	}
-	for k, v := range a.Attrs {
-		out.SetAttr(k, v) // a wins on conflict
-	}
+	referenceSetAttrs(out, attrs)
 
 	merged := make(map[string]*Node)
 	var order []string
@@ -209,11 +215,12 @@ func referenceWrite(n *Node, b *strings.Builder, indent, depth int) {
 	pad()
 	b.WriteByte('<')
 	b.WriteString(n.Name)
+	attrs := referenceAttrs(n)
 	for _, k := range referenceSortedAttrKeys(n) {
 		b.WriteByte(' ')
 		b.WriteString(k)
 		b.WriteString(`="`)
-		b.WriteString(referenceEscapeAttr(n.Attrs[k]))
+		b.WriteString(referenceEscapeAttr(attrs[k]))
 		b.WriteByte('"')
 	}
 	if n.Text == "" && len(n.Children) == 0 {
@@ -239,12 +246,29 @@ func referenceWrite(n *Node, b *strings.Builder, indent, depth int) {
 }
 
 func referenceSortedAttrKeys(n *Node) []string {
-	keys := make([]string, 0, len(n.Attrs))
-	for k := range n.Attrs {
+	attrs := referenceAttrs(n)
+	keys := make([]string, 0, len(attrs))
+	for k := range attrs {
 		keys = append(keys, k)
 	}
 	sort.Strings(keys)
 	return keys
+}
+
+// referenceAttrs returns n's attributes as the map Node used to hold.
+func referenceAttrs(n *Node) map[string]string {
+	attrs := map[string]string{}
+	for k, v := range n.Attrs {
+		attrs[k] = v
+	}
+	return attrs
+}
+
+// referenceSetAttrs gives n the attributes of the map.
+func referenceSetAttrs(n *Node, attrs map[string]string) {
+	for k, v := range attrs {
+		n.SetAttr(k, v)
+	}
 }
 
 var (

@@ -17,8 +17,8 @@
 package xmltree
 
 import (
-	"maps"
 	"slices"
+	"strings"
 	"sync"
 )
 
@@ -28,9 +28,10 @@ import (
 type Node struct {
 	// Name is the element name, e.g. "address-book".
 	Name string
-	// Attrs holds the element's attributes. Serialization orders keys
-	// lexicographically so canonical output is deterministic.
-	Attrs map[string]string
+	// attrs are the element's attributes, sorted by name in byte order,
+	// one per name: the order String writes them in. The array may be
+	// shared with other trees, so nothing writes into it; SetAttr copies.
+	attrs []Attr
 	// Text is the element's text content. Elements with children normally
 	// have empty Text; if both are present, Text serializes first.
 	Text string
@@ -48,20 +49,77 @@ func NewText(name, text string) *Node {
 	return &Node{Name: name, Text: text}
 }
 
-// Attr returns the value of the named attribute and whether it is present.
-func (n *Node) Attr(name string) (string, bool) {
-	v, ok := n.Attrs[name]
-	return v, ok
+// Attr is one attribute of an element.
+type Attr struct {
+	Name, Value string
 }
 
-// SetAttr sets an attribute, allocating the map on first use, and returns n
-// for chaining.
-func (n *Node) SetAttr(name, value string) *Node {
-	if n.Attrs == nil {
-		n.Attrs = make(map[string]string)
+// Attrs yields the element's attributes in byte order of name, so that
+// `for name, value := range n.Attrs` walks them.
+func (n *Node) Attrs(yield func(name, value string) bool) {
+	for _, a := range n.attrs {
+		if !yield(a.Name, a.Value) {
+			return
+		}
 	}
-	n.Attrs[name] = value
+}
+
+// Attr returns the value of the named attribute and whether it is present.
+func (n *Node) Attr(name string) (string, bool) {
+	if i, ok := n.attrAt(name); ok {
+		return n.attrs[i].Value, true
+	}
+	return "", false
+}
+
+// attrAt returns where the named attribute is in n.attrs, or where it would
+// go, and whether it is there.
+func (n *Node) attrAt(name string) (int, bool) {
+	return slices.BinarySearchFunc(n.attrs, name, byName)
+}
+
+func byName(a Attr, name string) int { return strings.Compare(a.Name, name) }
+
+// SetAttr sets an attribute and returns n for chaining. It writes a new
+// array, never into the one n has: that one may be shared (see Bare).
+func (n *Node) SetAttr(name, value string) *Node {
+	i, found := n.attrAt(name)
+	j := i
+	if found {
+		j++
+	}
+	n.attrs = slices.Concat(n.attrs[:i], []Attr{{name, value}}, n.attrs[j:])
 	return n
+}
+
+// Bare returns a new element with n's name, attributes and text but no
+// children. It shares n's attribute array, which SetAttr on either never
+// writes into.
+func (n *Node) Bare() *Node {
+	return &Node{Name: n.Name, attrs: n.attrs, Text: n.Text}
+}
+
+// sortAttrs puts as in name order, keeping the last of a repeated name, and
+// returns what is kept and whether as was in that order already. name reads
+// an attribute's name.
+func sortAttrs[A any](as []A, name func(A) string) ([]A, bool) {
+	sorted := true
+	for i := 1; i < len(as) && sorted; i++ {
+		sorted = name(as[i-1]) < name(as[i])
+	}
+	if sorted {
+		return as, true
+	}
+	slices.SortStableFunc(as, func(a, b A) int { return strings.Compare(name(a), name(b)) })
+	w := 0
+	for i := range as {
+		if i+1 < len(as) && name(as[i]) == name(as[i+1]) {
+			continue
+		}
+		as[w] = as[i]
+		w++
+	}
+	return as[:w], false
 }
 
 // Add appends children and returns n for chaining.
@@ -112,53 +170,55 @@ func (n *Node) RemoveChild(c *Node) bool {
 }
 
 // Clone returns a deep copy of the subtree rooted at n. The copy's nodes
-// share one allocation, so a copied node keeps the whole copy alive.
+// share a few allocations, so a copied node keeps the whole copy alive.
 func (n *Node) Clone() *Node {
 	if n == nil {
 		return nil
 	}
-	return newSlab(n.Count(), 1).copy(n)
+	return newSlab(n).copy(n)
 }
 
-// slab hands out the nodes and child-pointer slots of copied subtrees from
-// two arrays sized up front: a copy costs two allocations however many
-// nodes it has, plus one map per element with attributes.
+// slab hands out the nodes, child-pointer slots and attributes of copied
+// subtrees from three arrays sized up front: a copy costs three allocations
+// however many nodes it has.
 type slab struct {
 	nodes []Node
 	kids  []*Node
+	attrs []Attr
 }
 
-// newSlab sizes a slab for copying up to nodes nodes out of roots trees. A
-// root is no copied node's child, so nodes-roots child slots suffice.
-func newSlab(nodes, roots int) *slab {
-	return &slab{nodes: make([]Node, nodes), kids: make([]*Node, nodes-roots)}
+// newSlab sizes a slab for copying every node of the trees once; nil trees
+// are skipped.
+func newSlab(trees ...*Node) *slab {
+	var nodes, kids, attrs int
+	for _, t := range trees {
+		t.Walk(func(n *Node) bool {
+			nodes, kids, attrs = nodes+1, kids+len(n.Children), attrs+len(n.attrs)
+			return true
+		})
+	}
+	return &slab{nodes: make([]Node, nodes), kids: make([]*Node, kids), attrs: make([]Attr, attrs)}
 }
 
-// node hands out the slab's next node.
-func (s *slab) node() *Node {
-	n := &s.nodes[0]
-	s.nodes = s.nodes[1:]
-	return n
-}
-
-// children hands out the next k child slots as a three-index slice: its
-// capacity ends where the next node's slots begin, so an append to one
-// node's children reallocates rather than overwriting another's.
-func (s *slab) children(k int) []*Node {
-	c := s.kids[:k:k]
-	s.kids = s.kids[k:]
+// take hands out the next k elements of *s as a three-index slice: its
+// capacity ends where the next hand-out begins, so an append to one node's
+// children reallocates rather than overwriting another's.
+func take[T any](s *[]T, k int) []T {
+	c := (*s)[:k:k]
+	*s = (*s)[k:]
 	return c
 }
 
 // copy deep-copies n out of the slab.
 func (s *slab) copy(n *Node) *Node {
-	out := s.node()
+	out := &take(&s.nodes, 1)[0]
 	out.Name, out.Text = n.Name, n.Text
-	if len(n.Attrs) > 0 {
-		out.Attrs = maps.Clone(n.Attrs)
+	if len(n.attrs) > 0 {
+		out.attrs = take(&s.attrs, len(n.attrs))
+		copy(out.attrs, n.attrs)
 	}
 	if k := len(n.Children); k > 0 {
-		out.Children = s.children(k)
+		out.Children = take(&s.kids, k)
 		for i, c := range n.Children {
 			out.Children[i] = s.copy(c)
 		}
@@ -172,13 +232,8 @@ func (n *Node) Equal(m *Node) bool {
 	if n == nil || m == nil {
 		return n == m
 	}
-	if n.Name != m.Name || n.Text != m.Text || len(n.Attrs) != len(m.Attrs) || len(n.Children) != len(m.Children) {
+	if n.Name != m.Name || n.Text != m.Text || len(n.Children) != len(m.Children) || !slices.Equal(n.attrs, m.attrs) {
 		return false
-	}
-	for k, v := range n.Attrs {
-		if mv, ok := m.Attrs[k]; !ok || mv != v {
-			return false
-		}
 	}
 	for i := range n.Children {
 		if !n.Children[i].Equal(m.Children[i]) {
@@ -246,18 +301,11 @@ func (n *Node) appendXML(b []byte, indent bool, depth int) []byte {
 	}
 	b = append(b, '<')
 	b = append(b, n.Name...)
-	// Attributes in name order, sorted on the stack up to eight of them.
-	var stack [8]string
-	names := stack[:0]
-	for k := range n.Attrs {
-		names = append(names, k)
-	}
-	slices.Sort(names)
-	for _, k := range names {
+	for _, a := range n.attrs {
 		b = append(b, ' ')
-		b = append(b, k...)
+		b = append(b, a.Name...)
 		b = append(b, `="`...)
-		b = appendEscaped(b, n.Attrs[k], true)
+		b = appendEscaped(b, a.Value, true)
 		b = append(b, '"')
 	}
 	if n.Text == "" && len(n.Children) == 0 {

@@ -58,7 +58,7 @@ func Extract(root *xmltree.Node, p Path) *xmltree.Node {
 }
 
 // View returns the document Extract would, without copying it: the spine
-// elements are fresh shells that share their attribute maps with root, and
+// elements are fresh shells that share their attribute arrays with root, and
 // the selected subtrees are root's own nodes. A view is read-only and valid
 // only while root is unchanged, so whoever holds root's lock must be done
 // with it (rendered it, cloned it) before letting go. A path selecting the
@@ -90,7 +90,9 @@ func view(n *xmltree.Node, rest []Step) *xmltree.Node {
 	if kids == nil {
 		return nil
 	}
-	return &xmltree.Node{Name: n.Name, Attrs: n.Attrs, Text: n.Text, Children: kids}
+	shell := n.Bare()
+	shell.Children = kids
+	return shell
 }
 
 // Contains reports whether p contains q: every node selected by q in any
