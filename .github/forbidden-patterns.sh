@@ -198,4 +198,17 @@ row "One event log" §15 \
 	"a sleep in the capture: Await is woken by Handle" \
 	'time\.Sleep' "$src internal/eventlog/"
 
+# A rebalance ends in a fence: a ceding shard serves a moved owner from
+# its own replica and holds the owner's mutations until the fence, which
+# redirects them to the new home after the copy. No shard node forwards to
+# a peer, and there is no drain window to size, in tests too; the router is
+# relay's one caller.
+row "A rebalance ends in a fence" §12.3 \
+	"a drain window: hold the moved owner's mutation until the fence and redirect it" \
+	'ForwardMillis|"drain"' "$go ."
+row "A rebalance ends in a fence" §12.3 \
+	"a shard node relaying to a peer: redirect, and let the caller's directory handle follow" \
+	'\brelay\(' "$go internal/shard/" \
+	'internal/shard/router.go:'
+
 exit $failed

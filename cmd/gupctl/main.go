@@ -23,7 +23,7 @@
 //	trace <trace-id>                   render a request's span tree
 //	slow [n]                           print recent slow-query traces
 //	shard-map                          print the directory's shard map
-//	rebalance <id=addr,...> [fwd-ms]   move the directory onto a new shard map live
+//	rebalance <id=addr,...>            move the directory onto a new shard map live
 //	                                   (a replicated shard as id=addr|addr|...)
 //
 // get, get-via and update run traced: the request's trace ID is printed to
@@ -37,7 +37,6 @@ import (
 	"io"
 	"log"
 	"os"
-	"strconv"
 	"strings"
 	"time"
 
@@ -341,20 +340,14 @@ func main() {
 			fmt.Println()
 		}
 	case "rebalance":
-		need(args, 2, `rebalance <id=addr,id=addr|addr|addr,...> [forward-ms]`)
+		need(args, 2, `rebalance <id=addr,id=addr|addr|addr,...>`)
 		old := cli.ShardMap()
 		if old.Version == 0 || len(old.Shards) == 0 {
 			log.Fatalf("gupctl: %s holds no shard map — nothing to rebalance", *mdmAddr)
 		}
 		next, err := nextMap(old, args[1])
 		fatal(err)
-		var forwardMillis int64
-		if len(args) > 2 {
-			ms, err := strconv.ParseInt(args[2], 10, 64)
-			fatal(err)
-			forwardMillis = ms
-		}
-		fatal(shard.Rebalance(ctx, old, next, shard.RebalanceOptions{ForwardMillis: forwardMillis}))
+		fatal(shard.Rebalance(ctx, old, next, shard.RebalanceOptions{}))
 		fmt.Printf("directory live on shard map v%d (%d shards)\n", next.Version, len(next.Shards))
 	default:
 		log.Fatalf("gupctl: unknown command %q", cmd)

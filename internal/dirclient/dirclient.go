@@ -2,15 +2,17 @@
 // directory. The paper's MDM is a single entry point; behind it this
 // repository puts a quorum constellation, a shard ring and a self-healing
 // map, and every consumer — application clients, store registrars, the
-// constellation failover client, shard nodes and routers forwarding to their
-// peers — has to answer "where is the directory now?". A Directory
-// answers it once: it owns the seed list, the adopted shard map, where
-// each constellation last answered, and the address-keyed connection
-// pool, and it applies one rule set to every call:
+// constellation failover client, the rebalance coordinator and routers
+// forwarding to the shards — has to answer "where is the directory now?".
+// A Directory answers it once: it owns the seed list, the adopted shard
+// map, where each constellation last answered, and the address-keyed
+// connection pool, and it applies one rule set to every call:
 //
 //   - A typed redirect (not-leader, wrong-shard) adopts any map it carries
 //     that is newer by (epoch, version) and retries at the address it
-//     names. At most maxHops redirects are followed per call.
+//     names. At most maxHops redirects are followed per call. Adopting a
+//     newer map, from a redirect or a probe, is one Info "map adopted"
+//     event naming the address that supplied it.
 //   - A redirect that leads nowhere new — no leader elected yet, the
 //     replier names itself or an address that just failed, or the replier's
 //     map is older than ours — waits settle once and asks again.
@@ -28,6 +30,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"log/slog"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -206,13 +209,15 @@ func (d *Directory) Adopt(m wire.ShardMap) error {
 	if err != nil {
 		return err
 	}
-	d.adopt(r)
+	d.adopt(r, "caller")
 	return nil
 }
 
 // adopt reports how r compared to the held ring: positive and installed,
-// zero (same coordinates) or negative (older) and ignored.
-func (d *Directory) adopt(r *ring.Ring) int {
+// zero (same coordinates) or negative (older) and ignored. An installed
+// map is an event naming from, the address that supplied it ("caller"
+// for Adopt's).
+func (d *Directory) adopt(r *ring.Ring, from string) int {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	v := d.view.Load()
@@ -221,6 +226,7 @@ func (d *Directory) adopt(r *ring.Ring) int {
 			return c
 		}
 	}
+	slog.Info("map adopted", "version", r.Version(), "epoch", r.Epoch(), "from", from)
 	nv := v.clone()
 	nv.ring = r
 	// Shard hints were learnt under the old map; only the ownerless home
@@ -311,7 +317,7 @@ func (d *Directory) call(ctx context.Context, owner, typ string, req, resp any, 
 		case errors.As(err, &ws):
 			to, toID = ws.Addr, ws.ShardID
 			if ws.Map != nil {
-				if r, berr := ring.Build(*ws.Map); berr == nil && d.adopt(r) < 0 {
+				if r, berr := ring.Build(*ws.Map); berr == nil && d.adopt(r, addr) < 0 {
 					to = "" // the replier is behind us: our ring knows better
 				}
 			}
@@ -411,7 +417,9 @@ func (d *Directory) open(ctx context.Context, addr string, dedicated bool) (*wir
 	// builds no ring.
 	var m wire.ShardMap
 	if conn.Call(ctx, wire.TypeShardMap, wire.Empty{}, &m) == nil {
-		_ = d.Adopt(m)
+		if r, err := ring.Build(m); err == nil {
+			d.adopt(r, addr)
+		}
 	}
 	return conn, nil
 }

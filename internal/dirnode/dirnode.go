@@ -280,7 +280,7 @@ func (n *Node) DebugAddr() string {
 // Close stops the node, outermost layer first: the debug endpoint, the
 // gossip agent (no repair mid-teardown), the listener and with it every
 // in-flight request, the replication shippers and election loop, the
-// shard node's forwards and drain timer, and only then the directory and
+// shard node's held mutations, and only then the directory and
 // its journal — so nothing is mid-append when the journal goes. Idempotent; the in-process analog
 // of the process dying when called mid-run.
 func (n *Node) Close() {

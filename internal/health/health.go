@@ -79,8 +79,6 @@ type Config struct {
 	SuspectTimeout time.Duration
 	// AutoRepair arms the repair planner. Off, the agent only observes.
 	AutoRepair bool
-	// ForwardMillis is the drain window passed to repair rebalances.
-	ForwardMillis int64
 	// Dial overrides the connection factory (tests simulate partial
 	// partitions with it). Nil means wire.DialContext.
 	Dial func(ctx context.Context, addr string) (*wire.Client, error)
@@ -448,7 +446,7 @@ func (a *Agent) learnMap(epoch, version uint64, fromID, fromAddr string) {
 		// may be a partitioned minority still serving a slice the majority
 		// repaired away. A member the new map retains adopts outright
 		// instead; its moved owners are the repair rebalance's to dump,
-		// replay and drain, and fencing them here would destroy coverage
+		// replay and fence, and fencing them here would destroy coverage
 		// before the rebalance could copy it out. The install bypasses the
 		// wire — a node behind an asymmetric partition could never answer
 		// itself.

@@ -274,7 +274,6 @@ func TestAutoRepairPromotesSpare(t *testing.T) {
 	defer events.Remove()
 	ms := startConstellation(t, 4, func(i int, cfg *Config) {
 		cfg.AutoRepair = true
-		cfg.ForwardMillis = 50
 	})
 	v1 := wire.ShardMap{Version: 1, Shards: infosOf(ms[:3])} // s3 is the spare
 	for _, mm := range ms[:3] {

@@ -168,10 +168,7 @@ func (a *Agent) runRepair(cur, next wire.ShardMap, dead []string, snaps map[stri
 
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
-	err := shard.Rebalance(ctx, cur, next, shard.RebalanceOptions{
-		ForwardMillis: a.cfg.ForwardMillis,
-		DeadShards:    snaps,
-	})
+	err := shard.Rebalance(ctx, cur, next, shard.RebalanceOptions{DeadShards: snaps})
 	if err != nil {
 		// A racing coordinator may have won the epoch mid-sweep; the next
 		// tick re-reads the installed map and re-plans on top of the winner.

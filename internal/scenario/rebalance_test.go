@@ -53,7 +53,7 @@ func waitOwnersGone(t *testing.T, rig *Rig, movedFrom map[string]int, timeout ti
 			return
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("after the drain: %s", left)
+			t.Fatalf("after the fence: %s", left)
 		}
 		time.Sleep(20 * time.Millisecond)
 	}
@@ -82,8 +82,9 @@ func movedOwners(t *testing.T, users []string, old, next wire.ShardMap) map[stri
 
 // TestChaosRebalanceReplicatedShards grows a directory of replicated shards
 // onto a replicated spare under open-loop resolves: no resolve may fail,
-// every member of every shard must end on the new map, and once the drain
-// is over no member of an old shard may still hold a moved owner.
+// every member of every shard must end on the new map, and once the fence
+// has reached every member no member of an old shard may still hold a moved
+// owner.
 func TestChaosRebalanceReplicatedShards(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds a live rig")
@@ -105,7 +106,7 @@ func TestChaosRebalanceReplicatedShards(t *testing.T) {
 	defer d.Close()
 
 	// Open loop: one resolve every 2 ms, each on its own goroutine, until
-	// the drain has ended and the moved owners are gone.
+	// the fence has dropped the moved owners everywhere.
 	var sent, failed atomic.Int64
 	stop := make(chan struct{})
 	var load sync.WaitGroup

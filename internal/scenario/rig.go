@@ -357,7 +357,6 @@ func (r *Rig) buildDirectory() error {
 					Interval:       spec.GossipInterval,
 					SuspectTimeout: spec.SuspectTimeout,
 					AutoRepair:     true,
-					ForwardMillis:  300,
 				}
 			}
 		}
@@ -439,7 +438,7 @@ func (r *Rig) Rebalance(ctx context.Context) (int, error) {
 			moved++
 		}
 	}
-	if err := shard.Rebalance(ctx, old, next, shard.RebalanceOptions{ForwardMillis: 300}); err != nil {
+	if err := shard.Rebalance(ctx, old, next, shard.RebalanceOptions{}); err != nil {
 		return moved, err
 	}
 	r.shardMu.Lock()
@@ -793,8 +792,9 @@ func (r *Rig) auditCoverage(audit *RegistrationAudit) {
 		return store + "|" + xpath.MustParse(path).String()
 	}
 	// The directory is the union of its live shards' slices, each read at
-	// the shard's head (a mid-drain source may briefly hold a moved owner
-	// alongside its new home, so a raw sum would double-count). A dead
+	// the shard's head (a source mid-rebalance holds a moved owner
+	// alongside its new home until the fence, so a raw sum would
+	// double-count). A dead
 	// shard is excluded: its slice is stale by definition, and counting it
 	// could mask a registration the repair failed to move.
 	present := map[string]bool{}
@@ -829,8 +829,8 @@ func (r *Rig) auditCoverage(audit *RegistrationAudit) {
 // constellationView summarizes the live shards' state: how many distinct
 // (epoch, version) map coordinates they serve, and how many owners more
 // than one live shard claims to own (coverage held on two slices at
-// once — the split-brain signature, transient only while a handoff
-// drains).
+// once — the split-brain signature, transient only until a rebalance's
+// fence).
 func (r *Rig) constellationView() (views, splitBrain int) {
 	coords := map[[2]uint64]bool{}
 	ownersAt := map[string]map[string]bool{}
@@ -861,8 +861,9 @@ func (r *Rig) constellationView() (views, splitBrain int) {
 
 // auditConstellation records post-run convergence for an auto-repair
 // rig: every live shard on one map coordinate, no owner held by two
-// slices. Handoff drains and anti-entropy fencing both run on timers, so
-// the audit polls briefly before recording what it sees.
+// slices. Anti-entropy fencing runs on gossip ticks, and a replicated
+// shard's followers apply a fence's drops at commit, so the audit polls
+// briefly before recording what it sees.
 func (r *Rig) auditConstellation(audit *RegistrationAudit) {
 	deadline := time.Now().Add(5 * time.Second)
 	views, splitBrain := r.constellationView()

@@ -124,8 +124,8 @@ func TestRigBuild(t *testing.T) {
 			}
 			checkShape(t, rig)
 			// The directory must hold exactly the declared coverage at birth:
-			// nothing missing, nothing stray. No drain runs at build time, so
-			// the shards' registries sum to it.
+			// nothing missing, nothing stray. No rebalance runs at build time,
+			// so the shards' registries sum to it.
 			shards, _ := tc.spec.shape()
 			held := 0
 			for k := range shards {

@@ -448,8 +448,8 @@ func (rr *rigRun) partition(tl *timeline, ev *Event) {
 }
 
 // rebalance expands the shard map onto the spares mid-storm: the resolve
-// stream must ride through the handoff and drain windows without a single
-// failed request.
+// stream must ride through the handoff window and the fence without a
+// single failed request.
 func (rr *rigRun) rebalance(tl *timeline, ev *Event) {
 	t0 := time.Now()
 	moved, err := rr.rig.Rebalance(context.Background())

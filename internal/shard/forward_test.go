@@ -4,16 +4,13 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"net"
 	"reflect"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
-	"gupster/internal/dirclient/ring"
 	"gupster/internal/policy"
-	"gupster/internal/shard"
 	"gupster/internal/token"
 	"gupster/internal/wire"
 )
@@ -70,13 +67,12 @@ func resolveFor(ctx context.Context, conn *wire.Client, owner string) error {
 	}, &resp)
 }
 
-// Regression: shard.Node and shard.Router used to close the pooled,
-// multiplexed connection to a peer shard whenever a forward came back with
-// anything but a RemoteError — a wrong-shard redirect (which the node's
-// own install-sweep loop retries five times), an overload shed, the
-// caller's deadline. Closing it failed every other forward in flight on
-// it. A typed reply or an expired caller says nothing about the link: the
-// others must complete, on the same connection.
+// Regression: relay used to close the pooled, multiplexed connection to a
+// peer shard whenever a forward came back with anything but a RemoteError
+// — a wrong-shard redirect, an overload shed, the caller's deadline.
+// Closing it failed every other forward in flight on it. A typed reply or
+// an expired caller says nothing about the link: the others must complete,
+// on the same connection. The router is relay's one caller.
 func TestForwardersKeepPeerLinkOnTypedReplies(t *testing.T) {
 	const inflight = 4
 	replies := map[string]func(peer *peerShard) func(*wire.ServerConn, *wire.Message){
@@ -94,120 +90,74 @@ func TestForwardersKeepPeerLinkOnTypedReplies(t *testing.T) {
 			return func(*wire.ServerConn, *wire.Message) {} // never answers
 		},
 	}
-	// Each forwarder is served on a listener of its own and forwards every
-	// owner in moved to the peer.
-	forwarders := map[string]func(t *testing.T, peer *peerShard) (addr string, moved []string){
-		"node": func(t *testing.T, peer *peerShard) (string, []string) {
-			ln, err := net.Listen("tcp", "127.0.0.1:0")
+	for rname, reply := range replies {
+		t.Run("router/"+rname, func(t *testing.T) {
+			peer := &peerShard{release: make(chan struct{}), conns: map[*wire.ServerConn]bool{}}
+			srv, err := wire.Serve("127.0.0.1:0", peer)
 			if err != nil {
 				t.Fatal(err)
 			}
-			node := shard.NewNode(shard.NodeConfig{
-				ShardID: "self",
-				Inner: wire.HandlerFunc(func(c *wire.ServerConn, m *wire.Message) {
-					_ = c.ReplyError(m, errors.New("served locally"))
-				}),
-			})
-			ws := wire.ServeListener(ln, node)
-			t.Cleanup(func() { ws.Close(); node.Close() })
-			self := wire.ShardInfo{ID: "self", Addr: ws.Addr()}
-			v1 := wire.ShardMap{Version: 1, Shards: []wire.ShardInfo{self}}
-			v2 := wire.ShardMap{Version: 2, Shards: []wire.ShardInfo{self, {ID: "peer", Addr: peer.srv.Addr()}}}
-			if _, err := node.Install(&wire.ShardInstallRequest{Map: v1}); err != nil {
-				t.Fatal(err)
-			}
-			// A long drain window: everything v2 moved to the peer forwards.
-			if _, err := node.Install(&wire.ShardInstallRequest{Map: v2, Mode: "drain", ForwardMillis: 60_000}); err != nil {
-				t.Fatal(err)
-			}
-			r, err := ring.Build(v2)
-			if err != nil {
-				t.Fatal(err)
-			}
-			var moved []string
-			for i := 0; len(moved) < inflight+1; i++ {
-				if o := fmt.Sprintf("user-%d", i); r.Owner(o).ID == "peer" {
-					moved = append(moved, o)
-				}
-			}
-			return ws.Addr(), moved
-		},
-		"router": func(t *testing.T, peer *peerShard) (string, []string) {
-			ws := serveRouter(t, wire.ShardMap{Version: 1, Shards: []wire.ShardInfo{{ID: "peer", Addr: peer.srv.Addr()}}})
-			var moved []string
+			peer.srv = srv
+			t.Cleanup(func() { srv.Close() })
+			addr := serveRouter(t, wire.ShardMap{Version: 1, Shards: []wire.ShardInfo{{ID: "peer", Addr: srv.Addr()}}}).Addr()
+			var owners []string
 			for i := 0; i < inflight+1; i++ {
-				moved = append(moved, fmt.Sprintf("user-%d", i))
+				owners = append(owners, fmt.Sprintf("user-%d", i))
 			}
-			return ws.Addr(), moved
-		},
-	}
+			peer.mu.Lock()
+			peer.special, peer.typed = owners[inflight], reply(peer)
+			peer.mu.Unlock()
 
-	for fname, start := range forwarders {
-		for rname, reply := range replies {
-			t.Run(fname+"/"+rname, func(t *testing.T) {
-				peer := &peerShard{release: make(chan struct{}), conns: map[*wire.ServerConn]bool{}}
-				srv, err := wire.Serve("127.0.0.1:0", peer)
+			// The router serves one frame at a time per inbound
+			// connection, so each concurrent forward gets its own.
+			dial := func() *wire.Client {
+				c, err := wire.Dial(addr)
 				if err != nil {
 					t.Fatal(err)
 				}
-				peer.srv = srv
-				t.Cleanup(func() { srv.Close() })
-				addr, moved := start(t, peer)
-				peer.mu.Lock()
-				peer.special, peer.typed = moved[inflight], reply(peer)
-				peer.mu.Unlock()
+				t.Cleanup(func() { c.Close() })
+				return c
+			}
+			ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+			defer cancel()
+			results := make(chan error, inflight)
+			for i := 0; i < inflight; i++ {
+				conn, owner := dial(), owners[i]
+				go func() { results <- resolveFor(ctx, conn, owner) }()
+			}
+			for deadline := time.Now().Add(5 * time.Second); peer.held.Load() < inflight; {
+				if time.Now().After(deadline) {
+					t.Fatalf("peer holds %d of %d forwards", peer.held.Load(), inflight)
+				}
+				time.Sleep(time.Millisecond)
+			}
 
-				// The forwarder serves one frame at a time per inbound
-				// connection, so each concurrent forward gets its own.
-				dial := func() *wire.Client {
-					c, err := wire.Dial(addr)
-					if err != nil {
-						t.Fatal(err)
-					}
-					t.Cleanup(func() { c.Close() })
-					return c
-				}
-				ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-				defer cancel()
-				results := make(chan error, inflight)
-				for i := 0; i < inflight; i++ {
-					conn, owner := dial(), moved[i]
-					go func() { results <- resolveFor(ctx, conn, owner) }()
-				}
-				for deadline := time.Now().Add(5 * time.Second); peer.held.Load() < inflight; {
-					if time.Now().After(deadline) {
-						t.Fatalf("peer holds %d of %d forwards", peer.held.Load(), inflight)
-					}
-					time.Sleep(time.Millisecond)
-				}
+			// The odd one out is answered typed (or not at all) while
+			// the others are still in flight on the same peer link.
+			odd := dial()
+			octx, ocancel := context.WithTimeout(ctx, 300*time.Millisecond)
+			err = resolveFor(octx, odd, peer.special)
+			ocancel()
+			if err == nil {
+				t.Fatal("the odd forward succeeded")
+			}
+			// Frames on one inbound connection are served in order: when
+			// this one is answered the router is done with the odd one.
+			_ = odd.Call(ctx, wire.TypeShardMap, wire.Empty{}, nil)
 
-				// The odd one out is answered typed (or not at all) while
-				// the others are still in flight on the same peer link.
-				odd := dial()
-				octx, ocancel := context.WithTimeout(ctx, 300*time.Millisecond)
-				err = resolveFor(octx, odd, peer.special)
-				ocancel()
-				if err == nil {
-					t.Fatal("the odd forward succeeded")
+			close(peer.release)
+			for i := 0; i < inflight; i++ {
+				if err := <-results; err != nil {
+					t.Errorf("a forward in flight beside the %s reply failed: %v", rname, err)
 				}
-				// Frames on one inbound connection are served in order: when
-				// this one is answered the forwarder is done with the odd one.
-				_ = odd.Call(ctx, wire.TypeShardMap, wire.Empty{}, nil)
-
-				close(peer.release)
-				for i := 0; i < inflight; i++ {
-					if err := <-results; err != nil {
-						t.Errorf("a forward in flight beside the %s reply failed: %v", rname, err)
-					}
-				}
-				if err := resolveFor(ctx, dial(), moved[0]); err != nil {
-					t.Fatalf("forward after the %s reply: %v", rname, err)
-				}
-				if n := peer.connections(); n != 1 {
-					t.Fatalf("forwarder spoke to the peer on %d connections, want the one pooled link kept", n)
-				}
-			})
-		}
+			}
+			if err := resolveFor(ctx, dial(), owners[0]); err != nil {
+				t.Fatalf("forward after the %s reply: %v", rname, err)
+			}
+			if n := peer.connections(); n != 1 {
+				t.Fatalf("router spoke to the peer on %d connections, want the one pooled link kept", n)
+			}
+		})
 	}
 }
 

@@ -2,25 +2,22 @@
 // constellation of MDM shards, routed by the consistent-hash ring of
 // package ring. It supplies the server side: the Node (a shard-aware
 // wrapper around an MDM's wire dispatch that serves its own slice,
-// forwards or redirects the rest, and runs the live-rebalance handoff
-// state machine), the Router (a data-less front-end that lets clients
-// address "the directory" as one endpoint) and Rebalance (the three-phase
-// live map change). Clients reach a sharded directory through package
-// dirclient like any other.
+// redirects the rest, and holds a moved owner's writes through a
+// rebalance's handoff window), the Router (a data-less front-end that lets
+// clients address "the directory" as one endpoint) and Rebalance (the live
+// map change: handoff, copy, fence). Clients reach a sharded directory
+// through package dirclient like any other.
 package shard
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"log/slog"
 	"slices"
 	"sync"
-	"time"
 
 	"gupster/internal/core"
 	"gupster/internal/coverage"
-	"gupster/internal/dirclient"
 	"gupster/internal/dirclient/ring"
 	"gupster/internal/wire"
 )
@@ -31,9 +28,9 @@ type NodeConfig struct {
 	// owner exactly when the installed map's ring assigns the owner to
 	// this ID.
 	ShardID string
-	// MDM is the local directory slice (used for the post-drain cleanup and
-	// fencing; the serving path, coverage dumps included, goes through
-	// Inner).
+	// MDM is the local directory slice, used only by a fence to drop the
+	// owners the new map places elsewhere; the serving path, coverage dumps
+	// included, goes through Inner.
 	MDM *core.MDM
 	// Inner is the unsharded dispatch the node wraps: a core.Server's Mux
 	// for a plain shard, a replication.Node's Handle when the shard is
@@ -41,25 +38,24 @@ type NodeConfig struct {
 	Inner wire.Handler
 }
 
-// handoffState tracks a live rebalance on the losing side. While present,
-// owners this node held under prev but lost under the current ring are
-// not redirected outright: in "handoff" mode their reads are still served
-// locally (the replay to the new shard is in flight) while their
-// mutations forward to the new owner so nothing lands in a directory
-// slice about to be dropped; in "drain" mode everything forwards until
-// the window closes, after which the node flips to wrong-shard redirects
-// and drops the moved owners' local state.
+// handoffState is a live rebalance on the ceding side. Owners this node
+// held under prev but the current ring places elsewhere are still served
+// from the local replica, which stays complete while the coordinator
+// copies it to the new homes; only their mutations wait, on closed, for the
+// next install on the node, which ends the window.
 type handoffState struct {
-	mode  string // "handoff" | "drain"
-	until time.Time
-	prev  *ring.Ring
-	timer *time.Timer
+	prev   *ring.Ring
+	closed chan struct{}
+	// serving counts the frames routed to Inner inside the window, so a
+	// fence drops the moved owners only after the reads it raced are
+	// answered.
+	serving sync.WaitGroup
 }
 
 // Node wraps an MDM's wire dispatch with shard routing. Requests for
 // owners this shard holds fall through to Inner untouched; requests for
 // owners held elsewhere are redirected (TypeWrongShard, carrying the full
-// map) or — during a rebalance window — transparently forwarded.
+// map), or — inside a rebalance's handoff window — served or held here.
 type Node struct {
 	cfg NodeConfig
 
@@ -69,17 +65,12 @@ type Node struct {
 	mu      sync.Mutex
 	ring    *ring.Ring
 	handoff *handoffState
-
-	// peers forwards to the other shards. It holds every map this node
-	// installs (and any newer one a peer's redirect carries), so a forward
-	// routes by owner exactly as this node's own ring would.
-	peers *dirclient.Directory
 }
 
 // NewNode wraps inner with shard routing. With no map installed the node
 // serves everything locally — a one-shard directory needs no map.
 func NewNode(cfg NodeConfig) *Node {
-	n := &Node{cfg: cfg, peers: dirclient.New()}
+	n := &Node{cfg: cfg}
 	n.mux = adminMux(n.Map, n.Install, wire.HandlerFunc(n.route))
 	return n
 }
@@ -105,12 +96,14 @@ func (n *Node) Install(req *wire.ShardInstallRequest) (*wire.ShardInstallRespons
 	if err != nil {
 		return nil, err
 	}
-	resp, err := n.install(rg, req)
+	resp, ended, err := n.install(rg, req)
 	if err != nil {
 		return nil, err
 	}
-	_ = n.peers.Adopt(req.Map) // built into a ring above; cannot fail
 	if req.Mode == "fence" && n.cfg.MDM != nil {
+		if ended != nil {
+			ended.serving.Wait()
+		}
 		// The fencing drop runs outside n.mu: RetainOwners walks the whole
 		// directory and must not stall dispatch. The ring captured above is
 		// the one just installed, so a racing newer install only makes the
@@ -123,61 +116,45 @@ func (n *Node) Install(req *wire.ShardInstallRequest) (*wire.ShardInstallRespons
 	return resp, nil
 }
 
-// install is Install's locked core: fencing checks, handoff-state
-// bookkeeping, and the ring swap.
-func (n *Node) install(rg *ring.Ring, req *wire.ShardInstallRequest) (*wire.ShardInstallResponse, error) {
+// install is Install's locked core: fencing checks, the ring swap, and
+// the handoff window — it ends any open one, returning it, and opens a new
+// one on a "handoff" install.
+func (n *Node) install(rg *ring.Ring, req *wire.ShardInstallRequest) (*wire.ShardInstallResponse, *handoffState, error) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	if n.ring != nil {
 		switch ring.Compare(rg.Map(), n.ring.Map()) {
 		case -1:
-			return nil, errStaleMap(req.Map, n.ring.Map())
+			return nil, nil, errStaleMap(req.Map, n.ring.Map())
 		case 0:
-			// Same coordinates re-arrive legitimately (handoff→drain chains
-			// reinstall the same map), but only with identical content: two
-			// different maps at one (epoch, version) mean a split-brain
-			// repair and neither side may silently win.
+			// Same coordinates re-arrive legitimately (a rebalance installs
+			// next in handoff, then fences with it), but only with identical
+			// content: two different maps at one (epoch, version) mean a
+			// split-brain repair and neither side may silently win.
 			if !sameMapContent(rg.Map(), n.ring.Map()) {
-				return nil, errDivergentMap(req.Map)
+				return nil, nil, errDivergentMap(req.Map)
 			}
 		}
 	}
-	// The outgoing state machine: the previous ring (against which this
-	// node may still hold moved owners) survives a handoff→drain install
-	// chain; a plain install ends any window.
-	prev := n.ring
-	if n.handoff != nil {
-		prev = n.handoff.prev
-		if n.handoff.timer != nil {
-			n.handoff.timer.Stop()
-		}
+	switch req.Mode {
+	case "", "fence", "handoff":
+	default:
+		return nil, nil, errUnknownMode(req.Mode)
+	}
+	// The previous ring, against which this node may still hold moved
+	// owners, survives a handoff reinstalled on top of a handoff.
+	prev, ended := n.ring, n.handoff
+	if ended != nil {
+		prev = ended.prev
+		close(ended.closed) // held mutations route again, on rg
 		n.handoff = nil
 	}
 	n.ring = rg
-	switch req.Mode {
-	case "":
-		// Adopted outright.
-	case "fence":
-		// Adopted outright; the caller drops stale slices after unlock.
-	case "handoff":
-		if prev != nil {
-			n.handoff = &handoffState{mode: "handoff", prev: prev}
-		}
-	case "drain":
-		if prev != nil {
-			window := time.Duration(req.ForwardMillis) * time.Millisecond
-			if window <= 0 {
-				window = 500 * time.Millisecond
-			}
-			h := &handoffState{mode: "drain", prev: prev, until: time.Now().Add(window)}
-			h.timer = time.AfterFunc(window, n.finishDrain)
-			n.handoff = h
-		}
-	default:
-		return nil, errUnknownMode(req.Mode)
+	if req.Mode == "handoff" && prev != nil {
+		n.handoff = &handoffState{prev: prev, closed: make(chan struct{})}
 	}
 	slog.Info("map installed", "shard", n.cfg.ShardID, "version", rg.Version(), "epoch", rg.Epoch(), "mode", req.Mode, "shards", len(rg.Shards()))
-	return &wire.ShardInstallResponse{Version: rg.Version()}, nil
+	return &wire.ShardInstallResponse{Version: rg.Version()}, ended, nil
 }
 
 func errStaleMap(got, have wire.ShardMap) error {
@@ -202,28 +179,6 @@ func errUnknownMode(mode string) error {
 	return fmt.Errorf("shard: unknown install mode %q", mode)
 }
 
-// finishDrain ends the drain window: the node stops forwarding, answers
-// moved owners with wrong-shard redirects, and drops their registrations,
-// shield rules, cached components and subscriptions locally (tombstoned
-// subscribers re-home to the owning shard).
-func (n *Node) finishDrain() {
-	n.mu.Lock()
-	h := n.handoff
-	rg := n.ring
-	if h == nil || h.mode != "drain" {
-		n.mu.Unlock()
-		return
-	}
-	n.handoff = nil
-	n.mu.Unlock()
-	if n.cfg.MDM != nil {
-		dropped := n.cfg.MDM.RetainOwners(func(owner string) bool {
-			return rg.Owner(owner).ID == n.cfg.ShardID
-		})
-		slog.Info("drain complete", "shard", n.cfg.ShardID, "version", rg.Version(), "epoch", rg.Epoch(), "dropped", dropped)
-	}
-}
-
 // Ring returns the node's current routing table (nil before any install).
 func (n *Node) Ring() *ring.Ring {
 	n.mu.Lock()
@@ -246,7 +201,8 @@ func (n *Node) ServeWire(c *wire.ServerConn, m *wire.Message) { n.mux.ServeWire(
 
 // route is a raw handler because it never decodes what it passes on: it
 // peeks at the frame's owner, and the frame then falls through to Inner
-// untouched, is redirected, or — inside a rebalance window — is relayed.
+// untouched, is redirected, or — a moved owner's mutation inside a
+// handoff window — is held until the window ends.
 func (n *Node) route(c *wire.ServerConn, m *wire.Message) {
 	owners, scoped := ownersOfMessage(m.Type, m.Payload)
 	if !scoped || len(owners) == 0 {
@@ -255,12 +211,10 @@ func (n *Node) route(c *wire.ServerConn, m *wire.Message) {
 	}
 
 	n.mu.Lock()
-	rg := n.ring
-	h := n.handoff
-	if h != nil && h.mode == "drain" && time.Now().After(h.until) {
-		// The timer callback flips the state; don't serve a stale window
-		// if dispatch races it.
-		h = nil
+	rg, h := n.ring, n.handoff
+	if h != nil {
+		h.serving.Add(1)
+		defer h.serving.Done()
 	}
 	n.mu.Unlock()
 	if rg == nil {
@@ -278,40 +232,35 @@ func (n *Node) route(c *wire.ServerConn, m *wire.Message) {
 		if target.ID == n.cfg.ShardID {
 			continue
 		}
-		movedAway := h != nil && h.prev.Owner(owner).ID == n.cfg.ShardID
-		switch {
-		case movedAway && h.mode == "drain":
-			relay(n.peers, c, m, owner)
-			return
-		case movedAway && h.mode == "handoff":
-			if m.Type == wire.TypeSubscribe {
-				// Subscriptions are never forwarded (the notification
-				// stream would need relaying); the new shard already has
-				// the map and serves them directly.
-				n.redirect(c, m, owner, target, rg)
-				return
-			}
-			if isMutation(m.Type) {
-				relay(n.peers, c, m, owner)
-				return
-			}
-			if m.Type == wire.TypeChanged {
-				// The new shard notifies its subscribers; this node still
-				// serves reads for the owner, so its cache must hear the
-				// change too.
-				n.applyChangedLocally(m)
-				relay(n.peers, c, m, owner)
-				return
-			}
-			// Reads stay local until the drain: the replay to the new
-			// shard is still in flight and this replica is complete.
-			continue
-		default:
+		if h == nil || h.prev.Owner(owner).ID != n.cfg.ShardID {
 			n.redirect(c, m, owner, target, rg)
+			return
+		}
+		// The owner is moving away and its copy is in flight. Reads,
+		// subscribes and change notices are served from this replica,
+		// which is complete until the fence; a mutation waits for the
+		// window to end and is then redirected, so it lands on the new
+		// home after the copy and nothing the copy writes overwrites it.
+		if isMutation(m.Type) {
+			go n.hold(c, m, h.closed)
 			return
 		}
 	}
 	n.cfg.Inner.ServeWire(c, m)
+}
+
+// hold parks a moved owner's mutation off the connection's serving
+// goroutine until the install that ends the handoff window, then routes it
+// again on the new ring. The frame's budget bounds the wait.
+func (n *Node) hold(c *wire.ServerConn, m *wire.Message, closed <-chan struct{}) {
+	ctx, cancel := wire.ForwardContext(context.Background(), m)
+	defer cancel()
+	select {
+	case <-closed:
+		n.route(c, m)
+	case <-ctx.Done():
+		_ = c.ReplyError(m, fmt.Errorf("shard: %s held for a rebalance handoff: %w", m.Type, ctx.Err()))
+	}
 }
 
 func (n *Node) redirect(c *wire.ServerConn, m *wire.Message, owner string, target wire.ShardInfo, rg *ring.Ring) {
@@ -322,60 +271,14 @@ func (n *Node) redirect(c *wire.ServerConn, m *wire.Message, owner string, targe
 	})
 }
 
-// applyChangedLocally feeds a change notice into the local MDM (cache
-// invalidation and local subscribers) without replying.
-func (n *Node) applyChangedLocally(m *wire.Message) {
-	if n.cfg.MDM == nil {
-		return
-	}
-	var cn wire.ChangedNotice
-	if err := wire.Unmarshal(m.Payload, &cn); err != nil {
-		return
-	}
-	n.cfg.MDM.HandleChanged(&cn)
-}
-
-// relay passes a frame through undecoded to the shard dir routes owner to
-// and passes the raw reply back, under the frame's budget or, without one,
-// wire.ForwardTimeout. dir rides out an install sweep (a destination that
-// does not hold the new map yet bounces the frame with an older map) and
-// chases a not-leader hop inside the target constellation; a typed verdict
-// that outlasts its chase — the target knows better (a newer map, a leader,
-// its own load) — reaches the caller typed, and a dead constellation is
-// named as one. A Node relays only inside rebalance windows: steady-state
-// cross-shard traffic is redirected so clients learn the map instead of
-// taxing two shards per call.
-func relay(dir *dirclient.Directory, c *wire.ServerConn, m *wire.Message, owner string) {
-	ctx, cancel := wire.ForwardContext(context.Background(), m)
-	defer cancel()
-	if m.ID == 0 {
-		_ = dir.Send(ctx, owner, m.Type, m.Payload)
-		return
-	}
-	var reply wire.Payload
-	err := dir.Call(ctx, owner, m.Type, m.Payload, &reply)
-	if errors.Is(err, dirclient.ErrUnreachable) {
-		// Every member is down: answer with the typed verdict instead of
-		// letting the caller burn its deadline on a dead constellation.
-		mp := dir.Map()
-		err = &NoShardAvailableError{MapVersion: mp.Version, MapEpoch: mp.Epoch, LastErr: err}
-	}
-	if err != nil {
-		_ = c.ReplyError(m, err)
-		return
-	}
-	_ = c.Reply(m, reply)
-}
-
-// Close releases forwarding connections and stops any drain timer.
+// Close ends any handoff window: a held mutation is redirected at once.
 func (n *Node) Close() {
 	n.mu.Lock()
-	if n.handoff != nil && n.handoff.timer != nil {
-		n.handoff.timer.Stop()
+	if n.handoff != nil {
+		close(n.handoff.closed)
+		n.handoff = nil
 	}
-	n.handoff = nil
 	n.mu.Unlock()
-	n.peers.Close()
 }
 
 // isMutation reports whether a message type mutates the directory.

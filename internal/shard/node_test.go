@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"gupster/internal/core"
+	"gupster/internal/coverage"
 	"gupster/internal/dirclient"
 	"gupster/internal/dirclient/ring"
 	"gupster/internal/eventlog"
@@ -242,7 +243,8 @@ func TestNodeRefusesStaleMap(t *testing.T) {
 	if _, err := a.node.Install(&wire.ShardInstallRequest{Map: mapFor(2, a)}); err == nil {
 		t.Fatal("node accepted a map older than the one it holds")
 	}
-	// Same-version reinstall is allowed (handoff→drain chains reuse it).
+	// Same-version reinstall is allowed (a rebalance's handoff and fence
+	// install one map twice).
 	if _, err := a.node.Install(&wire.ShardInstallRequest{Map: mapFor(3, a)}); err != nil {
 		t.Fatalf("same-version reinstall refused: %v", err)
 	}
@@ -252,6 +254,8 @@ func TestNodeRefusesStaleMap(t *testing.T) {
 // moved owner fails to resolve. Resolves run continuously before, during
 // and after Rebalance(); every one must succeed.
 func TestRebalanceNoResolveGap(t *testing.T) {
+	events := eventlog.Install(slog.LevelInfo)
+	defer events.Remove()
 	a, b := startShard(t, "a"), startShard(t, "b")
 	v1 := mapFor(1, a, b)
 	installMap(t, v1, "", a, b)
@@ -300,7 +304,7 @@ func TestRebalanceNoResolveGap(t *testing.T) {
 	t.Logf("%d of %d owners move to shard c", len(moved), ownerCount)
 
 	// Hammer the moved owners from a client that starts on the old map and
-	// must ride redirects/forwards across the whole transition.
+	// must ride the handoff and the fence's redirects.
 	cli, err := dialMap(v1)
 	if err != nil {
 		t.Fatal(err)
@@ -335,12 +339,20 @@ func TestRebalanceNoResolveGap(t *testing.T) {
 	time.Sleep(50 * time.Millisecond) // let the pre-rebalance baseline run
 	ctx, cancel := context.WithTimeout(context.Background(), 15*time.Second)
 	defer cancel()
-	if err := shard.Rebalance(ctx, v1, v2, shard.RebalanceOptions{ForwardMillis: 300}); err != nil {
+	if err := shard.Rebalance(ctx, v1, v2, shard.RebalanceOptions{}); err != nil {
 		t.Fatalf("Rebalance: %v", err)
 	}
-	time.Sleep(900 * time.Millisecond) // ride through the drain flip
+	// The client learns v2 from a source's redirect: the fence is visible
+	// from the client side as one event naming the shard that taught it.
+	_, adopted := events.Await(0, time.Now().Add(5*time.Second), func(ev eventlog.Event) bool {
+		from := ev.Attrs["from"].String()
+		return eventlog.Is("map adopted", "version", "2")(ev) && (from == a.addr() || from == b.addr())
+	})
 	close(stop)
 	<-done
+	if !adopted {
+		t.Fatal("the client never logged adopting v2 from a fenced source")
+	}
 
 	if got := failures.Load(); got != 0 {
 		t.Fatalf("%d of %d resolves for moved owners failed across the rebalance", got, attempts.Load())
@@ -349,7 +361,8 @@ func TestRebalanceNoResolveGap(t *testing.T) {
 		t.Fatal("resolver made no attempts")
 	}
 
-	// The drain completed: sources dropped the moved slice and redirect.
+	// The fence completed before Rebalance returned: sources dropped the
+	// moved slice and redirect.
 	for _, owner := range moved {
 		src := oldRing.Owner(owner)
 		ctx, cancel := context.WithTimeout(context.Background(), 3*time.Second)
@@ -362,17 +375,17 @@ func TestRebalanceNoResolveGap(t *testing.T) {
 		cancel()
 		var ws *wire.WrongShardError
 		if !errors.As(err, &ws) {
-			t.Fatalf("post-drain resolve for %s at old home %s: got %v, want a wrong-shard redirect", owner, src.ID, err)
+			t.Fatalf("post-fence resolve for %s at old home %s: got %v, want a wrong-shard redirect", owner, src.ID, err)
 		}
 		if ws.ShardID != "c" {
-			t.Fatalf("post-drain redirect for %s points at %s, want c", owner, ws.ShardID)
+			t.Fatalf("post-fence redirect for %s points at %s, want c", owner, ws.ShardID)
 		}
 	}
 	for _, s := range []*testShard{a, b} {
 		for _, reg := range s.mdm.CoverageSnapshot() {
 			for _, owner := range moved {
 				if strings.Contains(reg.Path, "'"+owner+"'") {
-					t.Fatalf("shard %s still holds moved owner %s after the drain: %s", s.id, owner, reg.Path)
+					t.Fatalf("shard %s still holds moved owner %s after the fence: %s", s.id, owner, reg.Path)
 				}
 			}
 		}
@@ -391,66 +404,200 @@ func TestRebalanceNoResolveGap(t *testing.T) {
 	}
 }
 
-// Mutations issued during the handoff window must land on the new owner,
-// not evaporate with the source's dropped slice.
-func TestHandoffForwardsMutations(t *testing.T) {
-	a, b := startShard(t, "a"), startShard(t, "b")
-	v1 := mapFor(1, a, b)
-	installMap(t, v1, "", a, b)
+// handoffRig is shards a and b on v1 and c joining on v2, with one owner
+// v2 moves from its source to c.
+type handoffRig struct {
+	a, b, c *testShard
+	src     *testShard
+	v1, v2  wire.ShardMap
+	owner   string
+}
 
-	c := startShard(t, "c")
-	v2 := mapFor(2, a, b, c)
-	oldRing, _ := ring.Build(v1)
-	newRing, _ := ring.Build(v2)
-	var owner string
-	for i := 0; ; i++ {
+func startHandoffRig(t *testing.T) *handoffRig {
+	t.Helper()
+	r := &handoffRig{a: startShard(t, "a"), b: startShard(t, "b"), c: startShard(t, "c")}
+	r.v1, r.v2 = mapFor(1, r.a, r.b), mapFor(2, r.a, r.b, r.c)
+	installMap(t, r.v1, "", r.a, r.b)
+	oldRing, _ := ring.Build(r.v1)
+	newRing, _ := ring.Build(r.v2)
+	for i := 0; r.owner == ""; i++ {
 		cand := fmt.Sprintf("user-%d", i)
 		if oldRing.Owner(cand).ID != newRing.Owner(cand).ID {
-			owner = cand
-			break
-		}
-		if i > 10000 {
-			t.Fatal("no moving owner found")
+			r.owner = cand
 		}
 	}
-	src := oldRing.Owner(owner).ID
-	shards := map[string]*testShard{"a": a, "b": b}
-	installMap(t, v2, "", c)
-	installMap(t, v2, "handoff", a, b)
+	r.src = map[string]*testShard{"a": r.a, "b": r.b}[oldRing.Owner(r.owner).ID]
+	return r
+}
 
-	// A registration sent to the source mid-handoff must reach shard c.
-	conn, err := wire.Dial(shards[src].addr())
+func (r *handoffRig) presence() string { return fmt.Sprintf("/user[@id='%s']/presence", r.owner) }
+
+// call sends one directory call for the rig's owner through cli.
+func (r *handoffRig) call(cli *dirclient.Directory, typ string, req any) error {
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	return cli.Call(ctx, r.owner, typ, req, nil)
+}
+
+// writeDuringRebalance seeds the owner at its source on v1, opens the
+// handoff on the sources, and sends write through a client on v1 while
+// shard.Rebalance(v1, v2) runs. A write the source answers at once is
+// answered before the copy starts; one it holds rides the copy and the
+// fence. It returns the write's answer.
+func (r *handoffRig) writeDuringRebalance(t *testing.T, seed func(cli *dirclient.Directory), typ string, write any) error {
+	t.Helper()
+	cli, err := dialMap(r.v1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cli.Close()
+	seed(cli)
+	installMap(t, r.v2, "", r.c)
+	installMap(t, r.v2, "handoff", r.a, r.b)
+
+	answered := make(chan error, 1)
+	go func() { answered <- r.call(cli, typ, write) }()
+	var werr error
+	held := true
+	select {
+	case werr = <-answered:
+		held = false
+	case <-time.After(200 * time.Millisecond):
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if err := shard.Rebalance(ctx, r.v1, r.v2, shard.RebalanceOptions{}); err != nil {
+		t.Fatalf("Rebalance: %v", err)
+	}
+	if held {
+		werr = <-answered
+	}
+	return werr
+}
+
+func (r *handoffRig) register(cli *dirclient.Directory, addr string) error {
+	return r.call(cli, wire.TypeRegister, &wire.RegisterRequest{Store: "store-" + r.owner, Address: addr, Path: r.presence()})
+}
+
+func (r *handoffRig) putRule(cli *dirclient.Directory, effect string) error {
+	return r.call(cli, wire.TypePutRule, &wire.PutRuleRequest{Owner: r.owner, Rule: wire.RulePayload{ID: "r1", Path: r.presence(), Effect: effect}})
+}
+
+// rule returns the owner's rule r1 as shard s holds it.
+func (r *handoffRig) rule(s *testShard) (wire.RulePayload, bool) {
+	for _, pr := range s.mdm.ShieldSnapshot() {
+		if pr.Owner == r.owner && pr.Rule.ID == "r1" {
+			return pr.Rule, true
+		}
+	}
+	return wire.RulePayload{}, false
+}
+
+// A rule replaced permit → deny inside the handoff window stays deny at
+// the new home: the copy of the source's older permit must not land on
+// top of it, or the shield discloses what its owner just withdrew.
+func TestHandoffRuleReplacedStaysReplaced(t *testing.T) {
+	r := startHandoffRig(t)
+	err := r.writeDuringRebalance(t, func(cli *dirclient.Directory) {
+		if err := r.register(cli, "127.0.0.1:19999"); err != nil {
+			t.Fatal(err)
+		}
+		if err := r.putRule(cli, "permit"); err != nil {
+			t.Fatal(err)
+		}
+	}, wire.TypePutRule, &wire.PutRuleRequest{Owner: r.owner, Rule: wire.RulePayload{ID: "r1", Path: r.presence(), Effect: "deny"}})
+	if err != nil {
+		t.Fatalf("put-rule deny during the handoff: %v", err)
+	}
+	if rule, ok := r.rule(r.c); !ok || rule.Effect != "deny" {
+		t.Fatalf("the new home holds rule r1 as %+v (present %v), want deny", rule, ok)
+	}
+}
+
+// A store that re-registers at a new address inside the handoff window
+// keeps the new address at the new home.
+func TestHandoffReregistrationKeepsNewAddress(t *testing.T) {
+	r := startHandoffRig(t)
+	const moved = "127.0.0.1:29999"
+	err := r.writeDuringRebalance(t, func(cli *dirclient.Directory) {
+		if err := r.register(cli, "127.0.0.1:19999"); err != nil {
+			t.Fatal(err)
+		}
+	}, wire.TypeRegister, &wire.RegisterRequest{Store: "store-" + r.owner, Address: moved, Path: r.presence()})
+	if err != nil {
+		t.Fatalf("re-register during the handoff: %v", err)
+	}
+	if got := r.c.mdm.AddrOf(coverage.StoreID("store-" + r.owner)); got != moved {
+		t.Fatalf("the new home dials store-%s at %q, want %q", r.owner, got, moved)
+	}
+}
+
+// A rule deleted inside the handoff window is deleted at the new home,
+// and the delete succeeds: it must not arrive before the shield it
+// deletes from.
+func TestHandoffDeleteRuleLands(t *testing.T) {
+	r := startHandoffRig(t)
+	err := r.writeDuringRebalance(t, func(cli *dirclient.Directory) {
+		if err := r.register(cli, "127.0.0.1:19999"); err != nil {
+			t.Fatal(err)
+		}
+		if err := r.putRule(cli, "permit"); err != nil {
+			t.Fatal(err)
+		}
+	}, wire.TypeDeleteRule, &wire.DeleteRuleRequest{Owner: r.owner, RuleID: "r1"})
+	if err != nil {
+		t.Fatalf("delete-rule during the handoff: %v", err)
+	}
+	if rule, ok := r.rule(r.c); ok {
+		t.Fatalf("the new home still holds deleted rule r1: %+v", rule)
+	}
+}
+
+// Inside the handoff window a moved owner's write waits for the fence and
+// then lands on the new home, never on the source; a subscribe is served
+// by the source, whose replica is complete until the fence.
+func TestHandoffForwardsMutations(t *testing.T) {
+	r := startHandoffRig(t)
+	cli, err := dialMap(r.v1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cli.Close()
+	installMap(t, r.v2, "", r.c)
+	installMap(t, r.v2, "handoff", r.a, r.b)
+
+	registered := make(chan error, 1)
+	go func() { registered <- r.register(cli, "127.0.0.1:19999") }()
+
+	conn, err := wire.Dial(r.src.addr())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	if err := registerOwner(t, conn, owner); err != nil {
-		t.Fatalf("register during handoff: %v", err)
-	}
-	found := false
-	for _, reg := range c.mdm.CoverageSnapshot() {
-		if strings.Contains(reg.Path, "'"+owner+"'") {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatalf("registration for %s forwarded during handoff never reached shard c", owner)
-	}
-	if len(shards[src].mdm.CoverageSnapshot()) != 0 {
-		t.Fatalf("forwarded registration also landed on the source")
-	}
-
-	// Subscriptions are never forwarded: the source redirects them even
-	// mid-handoff so the notification stream is born on the owning shard.
 	ctx, cancel := context.WithTimeout(context.Background(), 3*time.Second)
 	defer cancel()
 	err = conn.Call(ctx, wire.TypeSubscribe, &wire.SubscribeRequest{
-		Path:    fmt.Sprintf("/user[@id='%s']/presence", owner),
-		Context: policy.Context{Requester: owner},
+		Path:    r.presence(),
+		Context: policy.Context{Requester: r.owner},
 	}, nil)
-	var ws *wire.WrongShardError
-	if !errors.As(err, &ws) || ws.ShardID != "c" {
-		t.Fatalf("subscribe during handoff: got %v, want a redirect to shard c", err)
+	if err != nil {
+		t.Fatalf("subscribe at the source during the handoff: %v", err)
+	}
+
+	select {
+	case err := <-registered:
+		t.Fatalf("a moved owner's register was answered inside the handoff window: %v", err)
+	case <-time.After(100 * time.Millisecond):
+	}
+	installMap(t, r.v2, "fence", r.a, r.b)
+	if err := <-registered; err != nil {
+		t.Fatalf("register held through the fence: %v", err)
+	}
+	if got := r.c.mdm.AddrOf(coverage.StoreID("store-" + r.owner)); got != "127.0.0.1:19999" {
+		t.Fatalf("the held register never reached shard c (address %q)", got)
+	}
+	if n := len(r.src.mdm.CoverageSnapshot()); n != 0 {
+		t.Fatalf("the source holds %d registrations after the fence", n)
 	}
 }
 

@@ -13,9 +13,6 @@ import (
 
 // RebalanceOptions parameterizes a live rebalance.
 type RebalanceOptions struct {
-	// ForwardMillis is the drain window length installed on losing shards;
-	// 0 means the node-side default (500ms).
-	ForwardMillis int64
 	// DeadShards names source shards that are confirmed dead, keyed by
 	// shard ID, each with the coordinator's last cached coverage snapshot.
 	// A dead source is never dialed: its installs are skipped and its
@@ -26,31 +23,31 @@ type RebalanceOptions struct {
 }
 
 // Rebalance moves the directory from shard map old to shard map next
-// without dropping in-flight resolves, in three phases:
+// without dropping in-flight resolves: handoff, copy, fence.
 //
 //  1. Every shard in next that is not in old adopts the map outright (it
 //     holds no owners yet, so there is nothing to hand off).
 //  2. Every shard in old installs next in "handoff" mode: it keeps
-//     serving reads for owners it just lost (its replica is still the
-//     complete one) while forwarding their mutations to the new owner so
-//     nothing lands in a slice about to be dropped. The coordinator then
-//     takes each source's coverage dump from its leader, which holds every
-//     write the shard acknowledged, and replays each moved owner's
-//     coverage registrations and shield rules to the owner's new home over
-//     its normal durable mutation path.
-//  3. Every shard in old installs next in "drain" mode: everything for
-//     moved owners forwards for the window, after which the source flips
-//     to wrong-shard redirects and drops the moved state locally.
+//     serving reads, subscribes and change notices for owners it just lost
+//     (its replica is still the complete one) and holds their mutations.
+//     The coordinator then takes each source's coverage dump from its
+//     leader, which holds every write the shard acknowledged, and replays
+//     each moved owner's coverage registrations and shield rules to the
+//     owner's new home over its normal durable mutation path.
+//  3. Every shard in old installs next in "fence" mode: it answers moved
+//     owners with wrong-shard redirects from then on — the mutations it
+//     held included, which their callers' directory handles then land on
+//     the new home — and drops the moved state locally.
 //
 // A shard's map is each member's own state, so every install reaches
 // every member of the shard, Addr and Members alike.
 //
 // The guarantee: a resolve for a moved owner succeeds at every moment —
-// before the rebalance (old shard serves), during replay (old shard still
-// serves reads), during drain (old shard forwards), and after (new shard
-// serves, stragglers are redirected). Mutations are never lost: they
-// either land on the source before handoff (and are replayed) or are
-// forwarded to the destination from the moment the handoff installs.
+// before the rebalance and during the copy the old shard serves it, after
+// the fence the new shard does and stragglers are redirected. A mutation
+// is never lost or overwritten: it lands on the source before the handoff
+// (and is copied), or waits out the copy, bounded by its budget, and lands
+// on the new home after it.
 func Rebalance(ctx context.Context, old, next wire.ShardMap, opts RebalanceOptions) error {
 	oldRing, err := ring.Build(old)
 	if err != nil {
@@ -66,7 +63,7 @@ func Rebalance(ctx context.Context, old, next wire.ShardMap, opts RebalanceOptio
 	var conns wire.Pool
 	defer conns.Close()
 	install := func(s wire.ShardInfo, mode string) error {
-		req := &wire.ShardInstallRequest{Map: next, Mode: mode, ForwardMillis: opts.ForwardMillis}
+		req := &wire.ShardInstallRequest{Map: next, Mode: mode}
 		for _, addr := range members(s) {
 			var resp wire.ShardInstallResponse
 			if err := conns.Call(ctx, addr, wire.TypeShardInstall, req, &resp); err != nil {
@@ -86,9 +83,8 @@ func Rebalance(ctx context.Context, old, next wire.ShardMap, opts RebalanceOptio
 		oldIDs[s.ID] = s
 	}
 
-	// Phase 1: joining shards adopt the map first, so from the instant a
-	// source starts forwarding there is a destination that routes
-	// correctly.
+	// Phase 1: joining shards adopt the map first, so the copy and every
+	// redirect a source answers find a destination that routes correctly.
 	for _, s := range next.Shards {
 		if _, existed := oldIDs[s.ID]; existed {
 			continue
@@ -153,14 +149,14 @@ func Rebalance(ctx context.Context, old, next wire.ShardMap, opts RebalanceOptio
 	}
 	slog.Info("rebalance replayed", "version", next.Version, "epoch", next.Epoch, "moved", moved)
 
-	// Phase 3: sources drain — forward for the window, then flip to
-	// redirects and drop the moved slice.
+	// Phase 3: sources fence — redirect the moved owners, their held
+	// mutations included, and drop the moved slice.
 	for _, s := range old.Shards {
 		if _, dead := opts.DeadShards[s.ID]; dead {
 			continue
 		}
-		if err := install(s, "drain"); err != nil {
-			return fmt.Errorf("shard: rebalance: drain install on shard %s: %w", s.ID, err)
+		if err := install(s, "fence"); err != nil {
+			return fmt.Errorf("shard: rebalance: fence install on shard %s: %w", s.ID, err)
 		}
 	}
 	slog.Info("rebalance complete", "version", next.Version, "epoch", next.Epoch)

@@ -25,7 +25,7 @@ func FuzzRepairEpoch(f *testing.F) {
 		rng := rand.New(rand.NewSource(seed))
 		n := NewNode(NodeConfig{ShardID: "s0"})
 		defer n.Close()
-		modes := []string{"", "fence", "handoff", "drain"}
+		modes := []string{"", "fence", "handoff"}
 		var prev wire.ShardMap
 		havePrev := false
 		for i := 0; i < int(steps%64); i++ {
@@ -38,7 +38,7 @@ func FuzzRepairEpoch(f *testing.F) {
 				id := fmt.Sprintf("s%d", j)
 				m.Shards = append(m.Shards, wire.ShardInfo{ID: id, Addr: "addr:" + id})
 			}
-			_, err := n.Install(&wire.ShardInstallRequest{Map: m, Mode: modes[rng.Intn(len(modes))], ForwardMillis: 1})
+			_, err := n.Install(&wire.ShardInstallRequest{Map: m, Mode: modes[rng.Intn(len(modes))]})
 			held := n.Ring()
 			if held == nil {
 				t.Fatalf("step %d: no ring after an install attempt (first install must succeed)", i)
@@ -62,8 +62,8 @@ func FuzzRepairEpoch(f *testing.F) {
 
 // The divergent-equal rule: a map with the same (epoch, version) but
 // different content is a split-brain artifact and must be refused, while
-// identical content re-installs freely (handoff→drain chains depend on
-// it).
+// identical content re-installs freely (a rebalance installs one map in
+// handoff, then fences with it).
 func TestInstallRejectsDivergentEqualMap(t *testing.T) {
 	n := NewNode(NodeConfig{ShardID: "a"})
 	defer n.Close()

@@ -1,6 +1,8 @@
 package shard
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"log/slog"
 
@@ -82,6 +84,36 @@ func (r *Router) forward(c *wire.ServerConn, m *wire.Message) {
 		owner = owners[0]
 	}
 	relay(r.dir, c, m, owner)
+}
+
+// relay passes a frame through undecoded to the shard dir routes owner to
+// and passes the raw reply back, under the frame's budget or, without one,
+// wire.ForwardTimeout. dir rides out an install sweep (a destination that
+// does not hold the new map yet bounces the frame with an older map) and
+// chases a not-leader hop inside the target constellation; a typed verdict
+// that outlasts its chase — the target knows better (a newer map, a leader,
+// its own load) — reaches the caller typed, and a dead constellation is
+// named as one.
+func relay(dir *dirclient.Directory, c *wire.ServerConn, m *wire.Message, owner string) {
+	ctx, cancel := wire.ForwardContext(context.Background(), m)
+	defer cancel()
+	if m.ID == 0 {
+		_ = dir.Send(ctx, owner, m.Type, m.Payload)
+		return
+	}
+	var reply wire.Payload
+	err := dir.Call(ctx, owner, m.Type, m.Payload, &reply)
+	if errors.Is(err, dirclient.ErrUnreachable) {
+		// Every member is down: answer with the typed verdict instead of
+		// letting the caller burn its deadline on a dead constellation.
+		mp := dir.Map()
+		err = &NoShardAvailableError{MapVersion: mp.Version, MapEpoch: mp.Epoch, LastErr: err}
+	}
+	if err != nil {
+		_ = c.ReplyError(m, err)
+		return
+	}
+	_ = c.Reply(m, reply)
 }
 
 // Close releases the router's shard connections.

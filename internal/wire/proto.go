@@ -159,18 +159,15 @@ func ParseShards(s string) ([]ShardInfo, error) {
 
 // ShardInstallRequest installs a new shard-map version on a node. Mode
 // sequences a live rebalance (see internal/shard): "" adopts the map
-// outright (the receiving side of a move), "handoff" keeps serving reads
-// for owners this node just lost while forwarding their mutations to the
-// new owner (the replay window), "drain" forwards everything for
-// ForwardMillis before flipping to wrong-shard redirects and dropping the
-// moved owners' registrations locally, and "fence" adopts the map and
-// immediately drops every owner the new map assigns elsewhere — the
-// rejoin path for a node that missed a repair epoch and must not serve
-// stale slices.
+// outright (the receiving side of a move), "handoff" keeps serving reads,
+// subscribes and change notices for owners this node just lost from its
+// still-complete replica while holding their mutations until the next
+// install (the copy window), and "fence" adopts the map and drops every
+// owner it assigns elsewhere — the end of a rebalance, and the rejoin path
+// for a node that missed a repair epoch and must not serve stale slices.
 type ShardInstallRequest struct {
-	Map           ShardMap `json:"map"`
-	Mode          string   `json:"mode,omitempty"` // "" | "handoff" | "drain" | "fence"
-	ForwardMillis int64    `json:"forward_ms,omitempty"`
+	Map  ShardMap `json:"map"`
+	Mode string   `json:"mode,omitempty"` // "" | "handoff" | "fence"
 }
 
 // ShardInstallResponse acknowledges an install with the adopted version.

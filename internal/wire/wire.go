@@ -9,7 +9,7 @@
 // framework needs: request/response (resolve, fetch, update), server push
 // (subscription notifications, §5.2), and streaming sync sessions.
 //
-// A frame is version 3: the version byte, then id, budget, type, error,
+// A frame is version 4: the version byte, then id, budget, type, error,
 // the ext section (trace context and spans) and the payload, then the
 // bulk. The payload codec (codec.go) writes a struct's exported fields in
 // declaration order with no names, so a payload struct's field order is
@@ -120,8 +120,9 @@ var (
 // frameVersion is the first byte of every frame body. It can never be '{'.
 // Version 1 carried the payload and ext as JSON; version 2 carries them in
 // the payload codec (codec.go); version 3 added the leader's commit index
-// to the replication append.
-const frameVersion = 0x03
+// to the replication append; version 4 dropped the drain window from the
+// shard install.
+const frameVersion = 0x04
 
 // Payload is a frame's operation-specific body in wire form: the payload
 // value's positional bytes (codec.go), and beside them the value's bulk

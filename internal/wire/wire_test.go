@@ -62,7 +62,7 @@ func TestFrameVersionRefusals(t *testing.T) {
 	if _, err := ReadFrame(bytes.NewReader(rawFrame([]byte(`{"type":"resolve","id":7}`)...))); !errors.Is(err, ErrLegacyFrame) {
 		t.Errorf("JSON body: err = %v, want ErrLegacyFrame", err)
 	}
-	for _, version := range []byte{1, 2, 4} {
+	for _, version := range []byte{1, 2, 3, 5} {
 		if _, err := ReadFrame(bytes.NewReader(rawFrame(version, 7, 0, 0, 0, 0, 0))); !errors.Is(err, ErrFrameVersion) {
 			t.Errorf("version %d: err = %v, want ErrFrameVersion", version, err)
 		}
