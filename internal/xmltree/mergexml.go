@@ -1,12 +1,10 @@
 package xmltree
 
 import (
-	"bytes"
 	"hash/maphash"
 	"slices"
 	"strings"
 	"sync"
-	"unicode"
 )
 
 // MergeXML deep-unions components given as XML, earlier pieces winning
@@ -15,8 +13,8 @@ import (
 // "" when there are none. A piece ParseString refuses is refused with the
 // same error.
 //
-// No tree is built. The pieces are scanned by ParseString's scanner into a
-// flat index — offsets into the pieces, plus one buffer for the values
+// No tree is built. The pieces are scanned by ParseString's scanner into
+// its flat index — offsets into the pieces, plus one buffer for the values
 // that needed decoding — unioned by unionInto's rules and written by
 // appendXML's. An element the merge leaves as it was, and whose bytes the
 // scan proved to be what appendXML writes for it (every String output
@@ -27,21 +25,15 @@ func MergeXML(keys KeySpec, pieces ...string) (string, error) {
 	defer m.release()
 	m.keys, m.pieces = keys, pieces
 
-	p := parsers.Get().(*parser)
 	for i, s := range pieces {
 		if s == "" {
 			continue
 		}
 		m.roots = append(m.roots, int32(len(m.elems)))
-		p.s, p.piece, p.ix = s, int32(i), m
-		err := p.parse()
-		*p = parser{stack: p.stack[:0], kids: p.kids, text: p.text[:0], attrs: p.attrs, buf: p.buf}
-		if err != nil {
-			p.release()
+		if err := (&scanner{m: m, s: s, piece: int32(i)}).parse(); err != nil {
 			return "", err
 		}
 	}
-	p.release()
 	if len(m.roots) == 0 {
 		return "", nil
 	}
@@ -54,7 +46,7 @@ func MergeXML(keys KeySpec, pieces ...string) (string, error) {
 		m.union(out, r)
 	}
 	if e := m.elems[m.roots[0]]; len(m.roots) == 1 && e.canon {
-		return pieces[e.piece][e.open:e.close], nil
+		return m.raw(&e), nil
 	}
 	bp := writeBufs.Get().(*[]byte)
 	b := m.render((*bp)[:0], out)
@@ -66,15 +58,28 @@ func MergeXML(keys KeySpec, pieces ...string) (string, error) {
 	return s, nil
 }
 
-// mergers recycles MergeXML's index. Everything in it is an offset, so a
-// pooled index holds nothing of the pieces or the result.
+// mergers recycles the index ParseString and MergeXML scan into.
+// Everything in it is an offset, so a pooled index holds nothing of the
+// pieces, the tree or the result.
 var mergers = sync.Pool{New: func() any { return new(merger) }}
+
+// maxPooledScratch is the capacity, in elements, past which a slice of the
+// index is dropped instead of pinned in the pool.
+const maxPooledScratch = 4 << 10
 
 // span locates a value: pieces[piece][from:to] of its element's piece, or
 // dec[from:to] when it needed decoding.
 type span struct {
 	from, to int32
 	dec      bool
+}
+
+// of returns the value the span locates in piece or dec.
+func (sp span) of(piece, dec string) string {
+	if sp.dec {
+		return dec[sp.from:sp.to]
+	}
+	return piece[sp.from:sp.to]
 }
 
 // xelem is one element of a piece, in document order: its children are the
@@ -85,10 +90,14 @@ type xelem struct {
 	text         span
 	attrs, attrN int32 // its attributes, m.attrs[attrs:attrN], sorted by name, one per name
 	end          int32 // the index after its subtree
-	open, close  int32 // its bytes in the piece
+	close        int32 // where its bytes in the piece end
 	piece        int32
-	canon        bool // pieces[piece][open:close] is what appendXML writes for it
+	canon        bool // its bytes, raw(), are what appendXML writes for it; its name then has no prefix
 }
+
+// raw returns the element as it is written in its piece, from the '<'
+// right before its name, which must have no prefix.
+func (m *merger) raw(e *xelem) string { return m.pieces[e.piece][e.name.from-1 : e.close] }
 
 type xattr struct{ name, value span }
 
@@ -117,6 +126,13 @@ type merger struct {
 	buf   []byte // decoded values and joined text
 	roots []int32
 
+	// The scanner's: its open elements, root first; the joined text of
+	// every open element that has more than one run, innermost last; and
+	// the bytes of the last value decoded.
+	stack   []frame
+	text    []byte
+	scratch []byte
+
 	nodes []mnode
 	links []link
 	kids  []int32
@@ -138,6 +154,7 @@ type merger struct {
 func (m *merger) release() {
 	*m = merger{
 		elems: reuse(m.elems), attrs: reuse(m.attrs), buf: reuse(m.buf), roots: reuse(m.roots),
+		stack: reuse(m.stack), text: reuse(m.text), scratch: reuse(m.scratch),
 		nodes: reuse(m.nodes), links: reuse(m.links), kids: reuse(m.kids),
 		slots: reuse(m.slots), secs: reuse(m.secs), contrib: reuse(m.contrib), refs: reuse(m.refs),
 	}
@@ -152,30 +169,6 @@ func reuse[T any](s []T) []T {
 	return s[:0]
 }
 
-// The scanner's side: open, attr, attrsRead, addText, text and closed fill
-// the index
-// as startTag, attribute and endTag read a piece.
-
-// open adds the element whose local name is s[from:to] and whose start
-// tag begins at at.
-func (m *merger) open(piece int32, from, to, at int) int32 {
-	m.elems = append(m.elems, xelem{
-		name:  span{from: int32(from), to: int32(to)},
-		attrs: int32(len(m.attrs)), open: int32(at), piece: piece,
-	})
-	return int32(len(m.elems) - 1)
-}
-
-// attr adds an attribute to the element being opened: its local name is
-// s[from:to], its value s[vfrom:vto] or, when it was decoded, dec.
-func (m *merger) attr(from, to, vfrom, vto int, decoded bool, dec []byte) {
-	a := xattr{name: span{from: int32(from), to: int32(to)}, value: span{from: int32(vfrom), to: int32(vto)}}
-	if decoded {
-		a.value = m.keep(dec)
-	}
-	m.attrs = append(m.attrs, a)
-}
-
 // keep copies decoded bytes into the index.
 func (m *merger) keep(b []byte) span {
 	from := len(m.buf)
@@ -183,87 +176,18 @@ func (m *merger) keep(b []byte) span {
 	return span{from: int32(from), to: int32(len(m.buf)), dec: true}
 }
 
-// attrsRead ends element e's start tag in s. Its attributes are put in name
-// order with the last of a repeated name kept, as ParseString keeps them; it
-// reports whether they were in that order already.
-func (m *merger) attrsRead(e int32, s string) bool {
+// attrsRead ends element e's start tag in s: its attributes are put in name
+// order, the last of a repeated name kept, as ParseString keeps them.
+func (m *merger) attrsRead(e int32, s string) {
 	el := &m.elems[e]
-	as, sorted := sortAttrs(m.attrs[el.attrs:], func(a xattr) string { return s[a.name.from:a.name.to] })
+	as, _ := sortAttrs(m.attrs[el.attrs:], func(a xattr) string { return s[a.name.from:a.name.to] })
 	m.attrs = m.attrs[:int(el.attrs)+len(as)]
 	el.attrN = int32(len(m.attrs))
-	return sorted
-}
-
-// addText is parser.addText for the index: one run of character data,
-// read at offset at, for the innermost open element. Its text is the runs
-// joined, then trimmed, as ParseString has it; a decoded run is joined at
-// once, so that its bytes need no string. The element is written back as
-// read only if the run is its one run, ahead of any child, and trimming
-// takes nothing off it: the leading side is checked here, the trailing
-// side when it closes.
-func (m *merger) addText(p *parser, run string, at int) {
-	if len(p.stack) == 0 {
-		return
-	}
-	f := &p.stack[len(p.stack)-1]
-	f.canon = f.canon && p.canon && !f.content
-	f.content = true
-	joined := int(f.more) < len(p.text)
-	switch {
-	case p.decoded:
-		if !joined {
-			p.text = append(p.text, f.text...)
-		}
-		p.text = append(p.text, p.buf...)
-	case run == "":
-	case f.text == "" && !joined:
-		f.text = strings.TrimLeftFunc(run, unicode.IsSpace)
-		f.textAt = int32(at + len(run) - len(f.text))
-		f.canon = f.canon && int(f.textAt) == at
-	default:
-		if !joined {
-			p.text = append(p.text, f.text...)
-		}
-		p.text = append(p.text, run...)
-	}
-}
-
-// text sets the text of f's element as endTag closes it: the runs joined
-// and trimmed, which is written back as read only if trimming took nothing.
-func (m *merger) text(p *parser, f *frame) {
-	el := &m.elems[f.elem]
-	if j := p.text[f.more:]; len(j) > 0 {
-		t := bytes.TrimSpace(j)
-		f.canon = f.canon && len(t) == len(j)
-		el.text = m.keep(t)
-		return
-	}
-	t := strings.TrimSpace(f.text)
-	f.canon = f.canon && len(t) == len(f.text)
-	el.text = span{from: f.textAt, to: f.textAt + int32(len(t))}
-}
-
-// closed ends the element of frame top of p's stack at p.i. Its bytes are
-// written back as read only if it held something (<a></a> is written <a/>)
-// and everything in it is; if not, neither are its parent's.
-func (m *merger) closed(p *parser, top int) {
-	f := &p.stack[top]
-	canon := f.canon && f.content
-	el := &m.elems[f.elem]
-	el.end, el.close, el.canon = int32(len(m.elems)), int32(p.i), canon
-	if top > 0 && !canon {
-		p.stack[top-1].canon = false
-	}
 }
 
 // The merge's side.
 
-func (m *merger) str(e *xelem, sp span) string {
-	if sp.dec {
-		return m.dec[sp.from:sp.to]
-	}
-	return m.pieces[e.piece][sp.from:sp.to]
-}
+func (m *merger) str(e *xelem, sp span) string { return sp.of(m.pieces[e.piece], m.dec) }
 
 func (m *merger) name(e int32) string { return m.str(&m.elems[e], m.elems[e].name) }
 
@@ -562,7 +486,7 @@ func (m *merger) mergedAttrs(b []byte) []byte {
 func (m *merger) renderElem(b []byte, e int32) []byte {
 	el := &m.elems[e]
 	if el.canon {
-		return append(b, m.pieces[el.piece][el.open:el.close]...)
+		return append(b, m.raw(el)...)
 	}
 	name := m.str(el, el.name)
 	b = append(b, '<')

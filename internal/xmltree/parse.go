@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
-	"sync"
 	"unicode"
 	"unicode/utf8"
 )
@@ -34,80 +33,48 @@ var ErrTooDeep = errors.New("xmltree: elements nested deeper than MaxDepth")
 // error. Names and entity-free values in the tree are substrings of s, and
 // its nodes share a few allocations, so any node of the tree keeps s and
 // every other node alive.
+//
+// s is scanned into the index MergeXML merges from, and the tree is built
+// from that index: its nodes, child slots and attributes come from one
+// array each, sized by the scan's counts, and every value that needed
+// decoding from one string.
 func ParseString(s string) (*Node, error) {
-	p := parsers.Get().(*parser)
-	p.s, p.bound, p.valued = s, startTags(s), strings.Count(s, "=")
-	err := p.parse()
-	root := p.root
-	p.release()
-	return root, err
+	m := mergers.Get().(*merger)
+	defer m.release()
+	if err := (&scanner{m: m, s: s}).parse(); err != nil {
+		return nil, err
+	}
+	return m.tree(s), nil
 }
 
-// startTags counts the '<' in s that no '/' follows, strings.Count(s, "<")
-// minus strings.Count(s, "</") in one pass: every element starts with one,
-// so that bounds the nodes the slab may need.
-func startTags(s string) int {
-	n := 0
-	for {
-		i := strings.IndexByte(s, '<')
-		if i < 0 {
-			return n
+// tree builds the tree of s, the one piece m has indexed.
+func (m *merger) tree(s string) *Node {
+	dec := ""
+	if len(m.buf) > 0 {
+		dec = string(m.buf)
+	}
+	nodes := make([]Node, len(m.elems))
+	kids := make([]*Node, len(m.elems)-1) // the root is no element's child
+	attrs := make([]Attr, len(m.attrs))
+	for e := range m.elems {
+		el, n := &m.elems[e], &nodes[e]
+		n.Name, n.Text = el.name.of(s, dec), el.text.of(s, dec)
+		if el.attrN > el.attrs {
+			n.attrs = attrs[el.attrs:el.attrN:el.attrN]
+			for k, a := range m.attrs[el.attrs:el.attrN] {
+				n.attrs[k] = Attr{a.name.of(s, dec), a.value.of(s, dec)}
+			}
 		}
-		if i+1 == len(s) || s[i+1] != '/' {
-			n++
+		k := 0
+		for c := int32(e) + 1; c < el.end; c = m.elems[c].end {
+			kids[k] = &nodes[c]
+			k++
 		}
-		s = s[i+1:]
+		if k > 0 {
+			n.Children = take(&kids, k)
+		}
 	}
-}
-
-// parsers recycles the parser's scratch: its stacks of open elements, closed
-// children and start-tag attributes, and its text and decoding buffers.
-var parsers = sync.Pool{New: func() any { return new(parser) }}
-
-// maxPooledScratch is the capacity, in elements, past which a scratch slice
-// is dropped instead of pinned in the pool.
-const maxPooledScratch = 4 << 10
-
-// release readies p for its next parse and returns it to the pool. Every
-// pointer its scratch holds is cleared first, so the pool keeps nothing of
-// this parse's input or tree alive.
-func (p *parser) release() {
-	*p = parser{
-		stack: recycle(p.stack),
-		kids:  recycle(p.kids),
-		text:  recycle(p.text),
-		attrs: recycle(p.attrs),
-		buf:   recycle(p.buf),
-	}
-	parsers.Put(p)
-}
-
-// recycle returns s emptied and zeroed to its capacity, or nil if that
-// capacity is past maxPooledScratch.
-func recycle[T any](s []T) []T {
-	if cap(s) > maxPooledScratch {
-		return nil
-	}
-	clear(s[:cap(s)])
-	return s[:0]
-}
-
-// firstChunk is how many nodes, child slots or attributes the slab
-// allocates on the strength of the input's count alone; past it, the slab
-// grows by at most as many as have been used, so its size follows what is
-// actually read and not what a hostile input claims.
-const firstChunk = 1 << 10
-
-// carve hands out k elements of *chunk, first allocating a new chunk when it
-// holds fewer: k at least, else as many as the input can still hold (bound
-// less used), capped at firstChunk or at used, whichever is more. used
-// counts the elements handed out.
-func carve[T any](chunk *[]T, k int, used *int, bound int) []T {
-	if len(*chunk) < k {
-		*chunk = make([]T, max(k, min(bound-*used, max(firstChunk, *used))))
-	}
-	*used += k
-	return take(chunk, k)
+	return &nodes[0]
 }
 
 // MustParse is ParseString that panics on malformed input; it is intended
@@ -126,15 +93,26 @@ const (
 	nameByte  = 1 << iota // [A-Za-z0-9_:.-] or non-ASCII
 	nameStart             // [A-Za-z_:] or non-ASCII
 	plain                 // character data that is itself: no markup, quote, CR, control or non-ASCII byte
+	word                  // a name byte that needs no more checks: [A-Za-z0-9_.-], no colon, ASCII
+	space                 // ASCII white space as unicode.IsSpace has it
+	xmlSpace              // XML white space: tab, LF, CR, space
 )
 
 var class = func() (t [256]uint8) {
 	for c := 0; c < 256; c++ {
 		switch {
-		case c >= utf8.RuneSelf, 'a' <= c && c <= 'z', 'A' <= c && c <= 'Z', c == '_', c == ':':
+		case c >= utf8.RuneSelf, c == ':':
 			t[c] = nameByte | nameStart
+		case 'a' <= c && c <= 'z', 'A' <= c && c <= 'Z', c == '_':
+			t[c] = nameByte | nameStart | word
 		case '0' <= c && c <= '9', c == '.', c == '-':
-			t[c] = nameByte
+			t[c] = nameByte | word
+		}
+		if '\t' <= c && c <= '\r' || c == ' ' {
+			t[c] |= space
+		}
+		if c == '\t' || c == '\n' || c == '\r' || c == ' ' {
+			t[c] |= xmlSpace
 		}
 		if c == '\t' || c == '\n' || ' ' <= c && c < utf8.RuneSelf && !strings.ContainsRune(`<&>"'`, rune(c)) {
 			t[c] |= plain
@@ -143,66 +121,53 @@ var class = func() (t [256]uint8) {
 	return t
 }()
 
-// frame is one open element on the parser's stack.
+// frame is one open element on the scanner's stack. Like everything the
+// scan writes it holds offsets, no pointer.
 type frame struct {
-	node *Node
-	raw  string // the name as written, prefix included: what the end tag must repeat
-	text string // the first run of character data, leading whitespace dropped
-	more int32  // where this element's text starts in parser.text, once a second run has come
-	kids int32  // where this element's closed children start in parser.kids
-
-	// For an index (p.ix set): the element's entry, where text starts in
-	// the input, whether anything was read inside it yet, and whether its
-	// bytes so far are what appendXML would write for it. (Frames are kept
-	// to 64 bytes: pushing a larger one costs ParseString a block copy.)
-	elem    int32
-	textAt  int32
-	content bool
-	canon   bool
+	elem           int32 // its entry in the index
+	rawFrom, rawTo int32 // its name as written, prefix included: what the end tag must repeat
+	textAt, textTo int32 // its first run of character data, leading whitespace dropped
+	more           int32 // where its text starts in merger.text, once a second run has come
+	content        bool  // anything was read inside it yet
+	canon          bool  // its bytes so far are what appendXML writes for it
 }
 
-type parser struct {
+// scanner reads one piece into a merger's index. Its stack of open
+// elements and its text and decoding buffers are the merger's.
+type scanner struct {
+	m     *merger
 	s     string
-	i     int     // next unread byte
-	stack []frame // open elements, root first
-	kids  []*Node // closed children of every open element, innermost element's last
-	text  []byte  // the joined text of every open element that has more than one run, likewise
-	attrs []Attr  // the attributes kept from the start tag being read
-	buf   []byte  // scratch for character data that needs decoding
-
-	slab   slab  // what is left of the chunks the tree's nodes, children and attributes come from
-	bound  int   // the most elements s can hold
-	opened int   // elements read so far
-	placed int   // child slots handed out so far
-	valued int   // the most attributes s can hold: each has its '='
-	named  int   // attributes handed out so far
-	root   *Node // the tree, once its root has closed
-	done   bool  // the root has closed
-
-	// What chars last read: whether it needed decoding, and whether
-	// appendEscaped writes it back as it was read.
-	decoded, canon bool
-
-	// ix, when set, receives the elements instead of a tree: MergeXML's
-	// index, filled from piece number piece.
-	ix    *merger
+	i     int // next unread byte
 	piece int32
+	done  bool // the root has closed
+
+	// What chars last read: whether it needed decoding (the decoded bytes
+	// are then in m.scratch), and whether appendEscaped writes it back as
+	// it was read.
+	decoded, canon bool
 }
 
-// parse reads p.s up to the root's end tag, into p.root or p.ix.
-func (p *parser) parse() error {
-	s := p.s
-	for {
-		if p.i < len(s) && s[p.i] != '<' {
-			at := p.i
-			text, err := p.chars(len(s), 0, false)
-			if err != nil {
-				return err
+// parse is the scan's one loop, from p.i to the root's end tag. A run of
+// plain text is taken here; one that holds anything else is read on from
+// its first such byte by chars.
+func (p *scanner) parse() error {
+	m, s := p.m, p.s
+	for !p.done {
+		if at := p.i; at < len(s) && s[at] != '<' {
+			i := skipPlain(s, at)
+			decoded, canon := false, true
+			if i == len(s) || s[i] != '<' {
+				var err error
+				if i, err = p.chars(at, i, len(s), 0, false); err != nil {
+					return err
+				}
+				decoded, canon = p.decoded, p.canon
 			}
-			p.addText(text, at)
+			p.i = i
+			p.addText(s[at:i], at, decoded, canon)
 		}
 		if p.i+1 >= len(s) {
-			if p.i == len(s) && len(p.stack) == 0 {
+			if p.i == len(s) && len(m.stack) == 0 {
 				return ErrEmpty
 			}
 			return p.fail(len(s), "unexpected end of input")
@@ -218,264 +183,326 @@ func (p *parser) parse() error {
 		default:
 			err = p.startTag()
 		}
-		if p.done || err != nil {
+		if err != nil {
 			return err
 		}
 	}
+	return nil
+}
+
+// skip returns the index of the first byte from s[i] on whose class lacks
+// c, or len(s).
+func skip(s string, i int, c uint8) int {
+	for i < len(s) && class[s[i]]&c != 0 {
+		i++
+	}
+	return i
+}
+
+// skipPlain is skip(s, i, plain) for runs of text and values, four bytes a
+// turn: they are most of a piece's bytes.
+func skipPlain(s string, i int) int {
+	for ; i+4 <= len(s); i += 4 {
+		if class[s[i]]&plain == 0 {
+			return i
+		}
+		if class[s[i+1]]&plain == 0 {
+			return i + 1
+		}
+		if class[s[i+2]]&plain == 0 {
+			return i + 2
+		}
+		if class[s[i+3]]&plain == 0 {
+			return i + 3
+		}
+	}
+	return skip(s, i, plain)
 }
 
 // fail reports a syntax error at byte offset off, naming the innermost open
 // element.
-func (p *parser) fail(off int, msg string) error {
-	if len(p.stack) == 0 {
+func (p *scanner) fail(off int, msg string) error {
+	if len(p.m.stack) == 0 {
 		return fmt.Errorf("xmltree: %s at offset %d", msg, off)
 	}
-	return fmt.Errorf("xmltree: %s in <%s> at offset %d", msg, p.stack[len(p.stack)-1].raw, off)
+	f := &p.m.stack[len(p.m.stack)-1]
+	return fmt.Errorf("xmltree: %s in <%s> at offset %d", msg, p.s[f.rawFrom:f.rawTo], off)
 }
 
-// startTag reads "<name attr='v' …>" or "<name …/>" at p.i.
-func (p *parser) startTag() error {
-	s := p.s
+// grow appends a zero element to *s and returns it. The scan fills its
+// records field by field in place: a record built whole and appended goes
+// through the stack in pieces and is read back in one, which stalls.
+//
+// It doubles a full slice: a slice that grows by append's quarter at a time
+// is copied so often that its copies outweigh it several times over, and a
+// hostile piece of a million empty elements would be read at that price.
+func grow[T any](s *[]T) *T {
+	if len(*s) == cap(*s) {
+		*s = append(make([]T, 0, max(2*len(*s), 16)), *s...)
+	}
+	*s = (*s)[:len(*s)+1]
+	p := &(*s)[len(*s)-1]
+	*p = *new(T)
+	return p
+}
+
+// startTag reads "<name attr='v' …>" or "<name …/>" at p.i. It keeps its
+// position in a local and reads the bytes String writes (bare names, one
+// space before each name="value", values that need no decoding) itself;
+// anything else is read on from where that stopped by name, splitName and
+// chars, so no byte is read twice.
+func (p *scanner) startTag() error {
+	m, s := p.m, p.s
 	open := p.i
-	p.i++
-	raw, err := p.name()
-	if err != nil {
-		return err
-	}
-	_, local, ok := splitName(raw)
+	i, ok := bare(s, open+1)
+	raw, local := s[open+1:i], s[open+1:i]
+	var err error
 	if !ok {
-		return p.fail(open, "invalid qualified name "+raw)
-	}
-	if len(p.stack) == MaxDepth {
-		return fmt.Errorf("%w: <%s> at offset %d", ErrTooDeep, raw, open)
-	}
-	// Open before the attributes are read, so an error in one names this
-	// element.
-	p.stack = append(p.stack, frame{raw: raw, more: int32(len(p.text)), kids: int32(len(p.kids))})
-	if p.ix != nil {
-		if top := len(p.stack) - 2; top >= 0 {
-			p.stack[top].content = true
-		}
-		f := &p.stack[len(p.stack)-1]
-		f.elem = p.ix.open(p.piece, p.i-len(local), p.i, open)
-		f.canon = len(local) == len(raw) // local is a suffix of raw
-	} else {
-		n := &carve(&p.slab.nodes, 1, &p.opened, p.bound)[0]
-		n.Name = local
-		p.stack[len(p.stack)-1].node = n
-	}
-	p.attrs = p.attrs[:0]
-	selfClosing := false
-	for {
-		gap := p.i
-		p.space()
-		if p.i == len(s) {
-			return p.fail(p.i, "unexpected end of input")
-		}
-		if s[p.i] == '>' {
-			p.i++
-			break
-		}
-		if s[p.i] == '/' {
-			if !strings.HasPrefix(s[p.i:], "/>") {
-				return p.fail(p.i, "expected />")
-			}
-			p.i += 2
-			selfClosing = true
-			break
-		}
-		if p.ix != nil && (p.i != gap+1 || s[gap] != ' ') {
-			// Written back, an attribute has one space before it.
-			p.stack[len(p.stack)-1].canon = false
-		}
-		if err := p.attribute(); err != nil {
+		if raw, local, err = p.qname(open+1, i, open); err != nil {
 			return err
 		}
+		i = open + 1 + len(raw)
 	}
-	top := &p.stack[len(p.stack)-1]
-	if p.ix != nil {
-		// ... and the tag none before its end.
-		end := p.i - 1
-		if selfClosing {
-			end--
+	if len(m.stack) == MaxDepth {
+		return fmt.Errorf("%w: <%s> at offset %d", ErrTooDeep, raw, open)
+	}
+	// Open the element before its attributes are read, so an error in one
+	// names it: its entry in the index, and its frame.
+	if top := len(m.stack) - 1; top >= 0 {
+		m.stack[top].content = true
+	}
+	e := int32(len(m.elems))
+	el := grow(&m.elems)
+	el.name = span{from: int32(i - len(local)), to: int32(i)}
+	el.attrs, el.piece = int32(len(m.attrs)), p.piece
+	f := grow(&m.stack)
+	f.elem, f.rawFrom, f.rawTo, f.more = e, int32(open+1), int32(i), int32(len(m.text))
+	f.canon = len(local) == len(raw) // no prefix
+	// Written back as read, each attribute is name="value" after one space,
+	// with no prefix and a value appendEscaped writes as it is, the
+	// attributes are in name order, and nothing is between the last and
+	// the tag's end.
+	canon, prev := true, ""
+	for {
+		gap := i
+		i = skip(s, i, xmlSpace)
+		if i == len(s) {
+			return p.fail(i, "unexpected end of input")
 		}
-		top.canon = p.ix.attrsRead(top.elem, s) && top.canon && !isSpace(s[end-1])
-	} else if len(p.attrs) > 0 {
-		as, _ := sortAttrs(p.attrs, attrName) // a repeated attribute: the last one wins
-		top.node.attrs = carve(&p.slab.attrs, len(as), &p.named, p.valued)
-		copy(top.node.attrs, as)
-	}
-	if selfClosing {
-		// <a/> is written as it is read: no content to check.
-		top.content = true
-		p.closed()
-	}
-	return nil
-}
-
-// attribute reads one name="value" pair of a start tag into p.attrs, or the
-// index, unless it is a namespace declaration.
-func (p *parser) attribute() error {
-	s := p.s
-	at := p.i
-	raw, err := p.name()
-	if err != nil {
-		return err
-	}
-	prefix, local, ok := splitName(raw)
-	if !ok {
-		return p.fail(at, "invalid qualified name "+raw)
-	}
-	eq := p.i
-	p.space()
-	if p.i == len(s) || s[p.i] != '=' {
-		return p.fail(p.i, "attribute "+raw+" has no =")
-	}
-	p.i++
-	p.space()
-	if p.i == len(s) || s[p.i] != '"' && s[p.i] != '\'' {
-		return p.fail(p.i, "attribute "+raw+" has no quoted value")
-	}
-	quote := s[p.i]
-	p.i++
-	from := p.i
-	value, err := p.chars(len(s), quote, false)
-	if err != nil {
-		return err
-	}
-	p.i++ // the closing quote chars stopped at
-	xmlns := prefix == "xmlns" || local == "xmlns"
-	switch {
-	case p.ix != nil:
-		// Written back as read: name="value", no prefix, no space around
-		// the =, and a value appendEscaped writes as it is.
-		if xmlns || from != eq+2 || quote != '"' || len(local) != len(raw) || !p.canon {
-			p.stack[len(p.stack)-1].canon = false
+		if s[i] == '>' || s[i] == '/' {
+			canon = canon && i == gap
+			break
 		}
-		if !xmlns {
-			p.ix.attr(at+len(raw)-len(local), at+len(raw), from, p.i-1, p.decoded, p.buf)
-		}
-	case !xmlns:
-		p.attrs = append(p.attrs, Attr{local, value})
-	}
-	return nil
-}
-
-func attrName(a Attr) string { return a.Name }
-
-// isSpace reports whether c is XML white space.
-func isSpace(c byte) bool { return c == ' ' || c == '\n' || c == '\t' || c == '\r' }
-
-// endTag reads "</name>" at p.i and closes the innermost element.
-func (p *parser) endTag() error {
-	s := p.s
-	at := p.i
-	p.i += 2
-	raw, err := p.name()
-	if err != nil {
-		return err
-	}
-	top := len(p.stack) - 1
-	if top < 0 || raw != p.stack[top].raw {
-		return p.fail(at, "unexpected end tag </"+raw+">")
-	}
-	f := &p.stack[top]
-	p.space()
-	if p.i == len(s) || s[p.i] != '>' {
-		return p.fail(p.i, "end tag is not closed by >")
-	}
-	p.i++
-	if p.ix != nil {
-		f.canon = f.canon && !isSpace(s[p.i-2]) // "</name>", not "</name >"
-		p.ix.text(p, f)
-	} else {
-		n := f.node
-		if int(f.more) < len(p.text) {
-			n.Text = string(bytes.TrimSpace(p.text[f.more:]))
+		at := i
+		canon = canon && i == gap+1 && s[gap] == ' '
+		if i, ok = bare(s, at); !ok {
+			if raw, local, err = p.qname(at, i, at); err != nil {
+				return err
+			}
+			i = at + len(raw)
 		} else {
-			n.Text = strings.TrimSpace(f.text)
+			raw, local = s[at:i], s[at:i]
 		}
-		if int(f.kids) < len(p.kids) {
-			// The root is no element's child: bound-1 slots at most.
-			n.Children = carve(&p.slab.kids, len(p.kids)-int(f.kids), &p.placed, p.bound-1)
-			copy(n.Children, p.kids[f.kids:])
-			p.kids = p.kids[:f.kids]
+		eq := i
+		i = skip(s, i, xmlSpace)
+		if i == len(s) || s[i] != '=' {
+			return p.fail(i, "attribute "+raw+" has no =")
 		}
+		i = skip(s, i+1, xmlSpace)
+		if i == len(s) || s[i] != '"' && s[i] != '\'' {
+			return p.fail(i, "attribute "+raw+" has no quoted value")
+		}
+		quote, from := s[i], i+1
+		i = skipPlain(s, from)
+		decoded := false
+		if i == len(s) || s[i] != quote {
+			if i, err = p.chars(from, i, len(s), quote, false); err != nil {
+				return err
+			}
+			decoded, canon = p.decoded, canon && p.canon
+		}
+		i++ // the closing quote
+		canon = canon && from == eq+2 && quote == '"' && len(local) == len(raw)
+		if local == "xmlns" || len(local) < len(raw) && raw[:len(raw)-len(local)] == "xmlns:" {
+			canon = false // a namespace declaration, dropped
+			continue
+		}
+		a := grow(&m.attrs)
+		a.name = span{from: int32(eq - len(local)), to: int32(eq)}
+		a.value = span{from: int32(from), to: int32(i - 1)}
+		if decoded {
+			a.value = m.keep(m.scratch)
+		}
+		canon, prev = canon && prev < local, local
 	}
-	p.text = p.text[:f.more]
-	p.closed()
+	if s[i] == '/' && !strings.HasPrefix(s[i:], "/>") {
+		return p.fail(i, "expected />")
+	}
+	if canon {
+		el.attrN = int32(len(m.attrs))
+	} else {
+		m.attrsRead(e, s)
+		f.canon = false
+	}
+	if s[i] == '>' {
+		p.i = i + 1
+		return nil
+	}
+	// <a/> is written as it is read: no content to check.
+	p.i = i + 2
+	f.content = true
+	p.closed(p.i)
 	return nil
 }
 
-// closed pops the innermost element, now complete, and hands it to its
-// parent; with none, it is the root and reading is done.
-func (p *parser) closed() {
-	top := len(p.stack) - 1
-	switch {
-	case p.ix != nil:
-		p.ix.closed(p, top)
-	case top > 0:
-		p.kids = append(p.kids, p.stack[top].node)
-	default:
-		p.root = p.stack[top].node
+// qname reads the name at at of an element or attribute that is not bare,
+// the bytes up to i already passed, as written and without its prefix. A
+// name that is not a qualified name is refused at offset tag.
+func (p *scanner) qname(at, i, tag int) (raw, local string, err error) {
+	if i, err = p.name(at, i); err != nil {
+		return "", "", err
 	}
-	p.stack = p.stack[:top]
-	p.done = top == 0
+	raw = p.s[at:i]
+	_, local, ok := splitName(raw)
+	if !ok {
+		return "", "", p.fail(tag, "invalid qualified name "+raw)
+	}
+	return raw, local, nil
+}
+
+// endTag reads "</name>" at p.i and closes the innermost element. The
+// name must be the open element's as written, so it is compared with that,
+// and read only to say what it is instead.
+func (p *scanner) endTag() error {
+	m, s := p.m, p.s
+	at, i := p.i, p.i+2
+	top := len(m.stack) - 1
+	raw := ""
+	if top >= 0 {
+		raw = s[m.stack[top].rawFrom:m.stack[top].rawTo]
+	}
+	if j := i + len(raw); top < 0 || j >= len(s) || class[s[j]]&nameByte != 0 || s[i:j] != raw {
+		end, err := p.name(i, i)
+		if err != nil {
+			return err
+		}
+		return p.fail(at, "unexpected end tag </"+s[i:end]+">")
+	}
+	i += len(raw)
+	j := skip(s, i, xmlSpace)
+	if j == len(s) || s[j] != '>' {
+		return p.fail(j, "end tag is not closed by >")
+	}
+	if j > i {
+		m.stack[top].canon = false // "</name >" is not how String writes it
+	}
+	p.i = j + 1
+	p.closed(p.i)
+	return nil
 }
 
 // addText appends one run of character data, read at offset at, to the
-// innermost open element; outside the root it is dropped. The element's
-// text is trimmed when it closes, so whitespace ahead of the first visible
-// character can go now, which keeps the indentation between children from
-// ever being concatenated. An element with one run keeps it as the
-// substring it is; from the second run on its text is joined in p.text,
-// which grows like any slice: a frame of n runs must cost O(n), and text +=
-// run would cost O(n²). An index takes the run itself (merger.addText).
-func (p *parser) addText(run string, at int) {
-	if p.ix != nil {
-		p.ix.addText(p, run, at)
+// innermost open element; outside the root it is dropped. decoded and canon
+// are what chars said of it. The element's text is trimmed when it closes,
+// so whitespace ahead of the first visible character can go now, which keeps
+// the indentation between children from ever being concatenated. An
+// element with one run keeps it as offsets into the piece; from the second
+// run on, or a decoded one, its text is joined in m.text, which grows like
+// any slice: a frame of n runs must cost O(n), and text += run would cost
+// O(n²). The element is written back as read only if the run is its one
+// run, ahead of any child, and trimming takes nothing off it: the leading
+// side is checked here, the trailing side when it closes.
+func (p *scanner) addText(run string, at int, decoded, canon bool) {
+	m := p.m
+	if len(m.stack) == 0 {
 		return
 	}
-	if len(p.stack) == 0 || run == "" {
-		return
+	f := &m.stack[len(m.stack)-1]
+	f.canon = f.canon && canon && !f.content
+	f.content = true
+	joined := int(f.more) < len(m.text)
+	switch {
+	case decoded:
+		if !joined {
+			m.text = append(m.text, p.s[f.textAt:f.textTo]...)
+		}
+		m.text = append(m.text, m.scratch...)
+	case run == "":
+	case f.textAt == f.textTo && !joined:
+		t := run[skip(run, 0, space):]
+		if t != "" && t[0] >= utf8.RuneSelf {
+			t = strings.TrimLeftFunc(t, unicode.IsSpace)
+		}
+		f.textAt, f.textTo = int32(at+len(run)-len(t)), int32(at+len(run))
+		f.canon = f.canon && len(t) == len(run)
+	default:
+		if !joined {
+			m.text = append(m.text, p.s[f.textAt:f.textTo]...)
+		}
+		m.text = append(m.text, run...)
 	}
-	f := &p.stack[len(p.stack)-1]
-	if f.text == "" {
-		f.text = strings.TrimLeftFunc(run, unicode.IsSpace)
-		return
+}
+
+// closed pops the innermost element, whose tag ends at end; the root's
+// ends the scan. Its text is its runs joined and trimmed. Its bytes are
+// written back as read only if trimming took nothing, it held something
+// (<a></a> is written <a/>) and everything in it is; if not, neither are
+// its parent's.
+func (p *scanner) closed(end int) {
+	m := p.m
+	top := len(m.stack) - 1
+	f := &m.stack[top]
+	el := &m.elems[f.elem]
+	if j := m.text[f.more:]; len(j) > 0 {
+		t := bytes.TrimSpace(j)
+		f.canon = f.canon && len(t) == len(j)
+		el.text = m.keep(t)
+		m.text = m.text[:f.more]
+	} else {
+		// addText dropped its leading white space.
+		t := p.s[f.textAt:f.textTo]
+		if n := len(t); n > 0 && (t[n-1] >= utf8.RuneSelf || class[t[n-1]]&space != 0) {
+			u := strings.TrimRightFunc(t, unicode.IsSpace)
+			f.canon = f.canon && len(u) == n
+			t = u
+		}
+		el.text = span{from: f.textAt, to: f.textAt + int32(len(t))}
 	}
-	if int(f.more) == len(p.text) {
-		p.text = append(p.text, f.text...)
+	canon := f.canon && f.content
+	el.end, el.close, el.canon = int32(len(m.elems)), int32(end), canon
+	if top > 0 && !canon {
+		m.stack[top-1].canon = false
 	}
-	p.text = append(p.text, run...)
+	m.stack = m.stack[:top]
+	p.done = top == 0
 }
 
 // rewritten marks the innermost open element as not written back as read:
 // it holds a comment, a processing instruction, a directive or CDATA.
-func (p *parser) rewritten() {
-	if len(p.stack) > 0 {
-		p.stack[len(p.stack)-1].canon = false
+func (p *scanner) rewritten() {
+	if st := p.m.stack; len(st) > 0 {
+		st[len(st)-1].canon = false
 	}
 }
 
 // procInst skips "<?target …?>" at p.i. An XML declaration must say version
 // 1.0 and, if it names an encoding, UTF-8: nothing here transcodes.
-func (p *parser) procInst() error {
+func (p *scanner) procInst() error {
 	s := p.s
 	at := p.i
-	p.i += 2
-	target, err := p.name()
+	i, err := p.name(at+2, at+2)
 	if err != nil {
 		return err
 	}
-	p.space()
-	end := strings.Index(s[p.i:], "?>")
+	target := s[at+2 : i]
+	i = skip(s, i, xmlSpace)
+	end := strings.Index(s[i:], "?>")
 	if end < 0 {
 		return p.fail(at, "unterminated processing instruction <?"+target)
 	}
 	p.rewritten()
 	if target == "xml" {
-		decl := s[p.i : p.i+end]
+		decl := s[i : i+end]
 		if v := declValue(decl, "version"); v != "" && v != "1.0" {
 			return p.fail(at, "unsupported XML version "+strconv.Quote(v))
 		}
@@ -483,7 +510,7 @@ func (p *parser) procInst() error {
 			return p.fail(at, "unsupported encoding "+strconv.Quote(enc))
 		}
 	}
-	p.i += end + 2
+	p.i = i + end + 2
 	return nil
 }
 
@@ -512,7 +539,7 @@ func declValue(decl, param string) string {
 
 // bang handles the three things that start with "<!" at p.i: a comment, a
 // CDATA section, or a directive such as <!DOCTYPE …>.
-func (p *parser) bang() error {
+func (p *scanner) bang() error {
 	s := p.s
 	at := p.i
 	switch {
@@ -527,18 +554,16 @@ func (p *parser) bang() error {
 		return nil
 
 	case strings.HasPrefix(s[at:], "<![CDATA["):
-		p.i = at + 9
-		end := strings.Index(s[p.i:], "]]>")
+		from := at + 9
+		end := strings.Index(s[from:], "]]>")
 		if end < 0 {
 			return p.fail(at, "unterminated CDATA section")
 		}
-		end += p.i
-		from := p.i
-		text, err := p.chars(end, 0, true)
-		if err != nil {
+		end += from
+		if _, err := p.chars(from, from, end, 0, true); err != nil {
 			return err
 		}
-		p.addText(text, from)
+		p.addText(s[from:end], from, p.decoded, p.canon)
 		p.rewritten()
 		p.i = end + 3
 		return nil
@@ -584,41 +609,31 @@ func (p *parser) bang() error {
 	return p.fail(at, "unterminated directive")
 }
 
-// space skips white space inside a tag.
-func (p *parser) space() {
-	for p.i < len(p.s) {
-		switch p.s[p.i] {
-		case ' ', '\n', '\t', '\r':
-			p.i++
-		default:
-			return
-		}
-	}
+// bare returns the end of the name at i if it is bare: all word bytes, so
+// no prefix to split and no UTF-8 to check. If not, it reports false, and
+// returns where the word bytes end for name to read on from.
+func bare(s string, i int) (int, bool) {
+	j := skip(s, i, word)
+	return j, j > i && j < len(s) && class[s[i]]&nameStart != 0 && class[s[j]]&nameByte == 0
 }
 
-// name reads the name at p.i as written. The input ending inside it is an
+// name reads the name at start as written, the bytes up to i already
+// passed, and returns the offset after it. The input ending inside it is an
 // error: a name is always followed by something.
-func (p *parser) name() (string, error) {
-	s, start := p.s, p.i
-	i := start
-	var seen byte
-	for i < len(s) && class[s[i]]&nameByte != 0 {
-		seen |= s[i]
-		i++
-	}
-	p.i = i
-	name := s[start:i]
-	switch {
+func (p *scanner) name(start, i int) (int, error) {
+	s := p.s
+	i = skip(s, i, nameByte)
+	switch name := s[start:i]; {
 	case i == len(s):
-		return "", p.fail(i, "unexpected end of input")
+		return 0, p.fail(i, "unexpected end of input")
 	case name == "":
-		return "", p.fail(start, "expected a name")
+		return 0, p.fail(start, "expected a name")
 	case class[name[0]]&nameStart == 0:
-		return "", p.fail(start, "invalid name "+name)
-	case seen >= utf8.RuneSelf && !utf8.ValidString(name):
-		return "", p.fail(start, "name is not valid UTF-8")
+		return 0, p.fail(start, "invalid name "+name)
+	case !utf8.ValidString(name):
+		return 0, p.fail(start, "name is not valid UTF-8")
 	}
-	return name, nil
+	return i, nil
 }
 
 // splitName cuts prefix:local. A name with a colon at either end is all
@@ -642,35 +657,31 @@ func splitName(raw string) (prefix, local string, ok bool) {
 	return raw[:c], raw[c+1:], true
 }
 
-// chars reads character data from p.i and returns it decoded: entity and
-// character references replaced, CR and CRLF folded to LF, every character
-// checked against XML's Char range. With quote == 0 it is element content
-// and stops before the next '<' or at limit; otherwise it is an attribute
-// value, stops at the closing quote, and reaching limit is an error. In a
-// CDATA section (limit is then where "]]>" starts) markup characters are
-// literal. Data that needs no decoding is returned as a substring of the
-// input. For an index, data is always returned as read: p.decoded says
-// whether it needed decoding, the decoded bytes then in p.buf until the
-// next call. p.canon says whether appendEscaped writes the decoded value
-// back as it was read.
-func (p *parser) chars(limit int, quote byte, cdata bool) (string, error) {
+// chars reads the character data that starts at from, the plain bytes up
+// to i already passed, and returns where it stopped: entity and
+// character references are decoded, CR and CRLF folded to LF, every
+// character checked against XML's Char range. With quote == 0 it is element
+// content and stops before the next '<' or at limit; otherwise it is an
+// attribute value, stops at the closing quote, and reaching limit is an
+// error. In a CDATA section (limit is then where "]]>" starts) markup
+// characters are literal. p.decoded says whether the data needed decoding,
+// the decoded bytes then in m.scratch until the next call; p.canon says
+// whether appendEscaped writes the decoded value back as it was read.
+func (p *scanner) chars(from, i, limit int, quote byte, cdata bool) (int, error) {
 	s := p.s[:limit]
-	start, i := p.i, p.i
 	var (
-		buf     = p.buf[:0]
+		buf     = p.m.scratch[:0]
 		decoded = false
-		from    = i // s[from:i] is read but not yet in buf
-		run     = i // where the current stretch without a reference began: "]]>" must fit in one
+		run     = from // where the current stretch without a reference began: "]]>" must fit in one
 	)
+	// s[from:i] is read but not yet in buf.
 	p.canon = !cdata
 scan:
 	for {
-		for i < len(s) && class[s[i]]&plain != 0 {
-			i++
-		}
+		i = skipPlain(s, i)
 		if i == len(s) {
 			if quote != 0 {
-				return "", p.fail(i, "unexpected end of input in attribute value")
+				return 0, p.fail(i, "unexpected end of input in attribute value")
 			}
 			break
 		}
@@ -679,7 +690,7 @@ scan:
 			i++
 		case c == '<':
 			if quote != 0 {
-				return "", p.fail(i, "unescaped < in attribute value")
+				return 0, p.fail(i, "unescaped < in attribute value")
 			}
 			break scan
 		case c == quote && quote != 0:
@@ -689,7 +700,7 @@ scan:
 			ref := i
 			var err error
 			if buf, i, err = p.reference(buf, i); err != nil {
-				return "", err
+				return 0, err
 			}
 			p.canon = p.canon && isEscape(s[ref:i], quote != 0)
 			decoded, from, run = true, i, i
@@ -702,7 +713,7 @@ scan:
 			decoded, from, p.canon = true, i, false
 		case c == '>':
 			if quote == 0 && i-run >= 2 && s[i-1] == ']' && s[i-2] == ']' {
-				return "", p.fail(i-2, "]]> outside a CDATA section")
+				return 0, p.fail(i-2, "]]> outside a CDATA section")
 			}
 			i++
 			p.canon = false
@@ -711,24 +722,19 @@ scan:
 		default:
 			r, size := utf8.DecodeRuneInString(s[i:])
 			if r == utf8.RuneError && size == 1 {
-				return "", p.fail(i, "invalid UTF-8")
+				return 0, p.fail(i, "invalid UTF-8")
 			}
 			if !isChar(r) {
-				return "", p.fail(i, fmt.Sprintf("illegal character %U", r))
+				return 0, p.fail(i, fmt.Sprintf("illegal character %U", r))
 			}
 			i += size
 		}
 	}
-	p.i, p.decoded = i, decoded
-	if !decoded {
-		return s[start:i], nil
+	p.decoded = decoded
+	if decoded {
+		p.m.scratch = append(buf, s[from:i]...)
 	}
-	buf = append(buf, s[from:i]...)
-	p.buf = buf
-	if p.ix != nil {
-		return s[start:i], nil
-	}
-	return string(buf), nil
+	return i, nil
 }
 
 // isEscape reports whether ref is the reference appendEscaped writes for
@@ -746,7 +752,7 @@ func isEscape(ref string, attr bool) bool {
 // reference decodes the entity or character reference whose '&' is s[i],
 // appends its value to buf and returns the index after its ';'. Only the
 // five predefined entities exist: a DOCTYPE's own are not read.
-func (p *parser) reference(buf []byte, i int) ([]byte, int, error) {
+func (p *scanner) reference(buf []byte, i int) ([]byte, int, error) {
 	rest := p.s[i+1:]
 	for _, e := range [...]struct {
 		name  string

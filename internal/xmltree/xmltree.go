@@ -80,6 +80,8 @@ func (n *Node) attrAt(name string) (int, bool) {
 
 func byName(a Attr, name string) int { return strings.Compare(a.Name, name) }
 
+func attrName(a Attr) string { return a.Name }
+
 // SetAttr sets an attribute and returns n for chaining. It writes a new
 // array, never into the one n has: that one may be shared (see Bare).
 func (n *Node) SetAttr(name, value string) *Node {
