@@ -3,6 +3,7 @@ package core
 import (
 	"container/list"
 	"sync"
+	"time"
 )
 
 // componentCache is the MDM's LRU cache of merged components (§5.2:
@@ -10,10 +11,12 @@ import (
 // user profile component faster", §5.3 "GUPster can also offer some caching
 // services"). Entries are invalidated wholesale per owner when any of the
 // owner's components changes — coarse, but correct without tracking which
-// registrations fed which merge.
+// registrations fed which merge. An entry filled under a schema adjunct's
+// CacheTTL also expires: a probe past its expiry is a miss.
 type componentCache struct {
 	mu      sync.Mutex
 	cap     int
+	now     func() time.Time         // the clock expiries are read on
 	lru     *list.List               // front = most recent; values are *cacheEntry
 	entries map[string]*list.Element // key → element
 	byOwner map[string]map[string]bool
@@ -40,14 +43,16 @@ type componentCache struct {
 }
 
 type cacheEntry struct {
-	key   string
-	owner string
-	xml   string
+	key     string
+	owner   string
+	xml     string
+	expires time.Time // zero: until evicted or invalidated
 }
 
 func newComponentCache(capacity int) *componentCache {
 	return &componentCache{
 		cap:      capacity,
+		now:      time.Now,
 		lru:      list.New(),
 		entries:  make(map[string]*list.Element),
 		byOwner:  make(map[string]map[string]bool),
@@ -91,19 +96,42 @@ func (c *componentCache) maybePruneGen(owner string) {
 	}
 }
 
-// putIfFresh inserts only when no invalidation for owner happened since
-// gen was snapshotted by beginFill; it reports whether the entry was
-// stored.
-func (c *componentCache) putIfFresh(key, owner, xml string, gen uint64) bool {
+// fill inserts only when no invalidation for owner happened since gen was
+// snapshotted by beginFill; it reports whether the entry was stored. A
+// positive ttl makes the entry expire that long after it is stored.
+func (c *componentCache) fill(key, owner, xml string, gen uint64, ttl time.Duration) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.gens[owner] != gen {
 		return false
 	}
-	c.insert(key, owner, xml)
+	c.insert(key, owner, xml, c.expiry(ttl))
 	return true
 }
 
+// putIfFresh is fill for an entry that does not expire.
+func (c *componentCache) putIfFresh(key, owner, xml string, gen uint64) bool {
+	return c.fill(key, owner, xml, gen, 0)
+}
+
+// put inserts an entry that does not expire, whatever the generation.
+func (c *componentCache) put(key, owner, xml string) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.insert(key, owner, xml, time.Time{})
+}
+
+// expiry is when an entry stored now with ttl expires; zero for no ttl.
+// Caller holds the lock.
+func (c *componentCache) expiry(ttl time.Duration) time.Time {
+	if ttl <= 0 {
+		return time.Time{}
+	}
+	return c.now().Add(ttl)
+}
+
+// get probes the cache. An expired entry is a miss, and is dropped as a
+// capacity eviction drops an entry: it is not parked as stale.
 func (c *componentCache) get(key string) (string, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -111,14 +139,13 @@ func (c *componentCache) get(key string) (string, bool) {
 	if !ok {
 		return "", false
 	}
+	e := el.Value.(*cacheEntry)
+	if !e.expires.IsZero() && !c.now().Before(e.expires) {
+		c.evict(el)
+		return "", false
+	}
 	c.lru.MoveToFront(el)
-	return el.Value.(*cacheEntry).xml, true
-}
-
-func (c *componentCache) put(key, owner, xml string) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.insert(key, owner, xml)
+	return e.xml, true
 }
 
 // staleGet serves the side-buffer: the last value an invalidation evicted
@@ -158,18 +185,19 @@ func (c *componentCache) staleInsert(key, owner, xml string) {
 }
 
 // insert adds or refreshes an entry; caller holds the lock.
-func (c *componentCache) insert(key, owner, xml string) {
+func (c *componentCache) insert(key, owner, xml string, expires time.Time) {
 	// Fresh data supersedes any parked stale copy.
 	if el, ok := c.stale[key]; ok {
 		delete(c.stale, key)
 		c.staleLRU.Remove(el)
 	}
 	if el, ok := c.entries[key]; ok {
-		el.Value.(*cacheEntry).xml = xml
+		e := el.Value.(*cacheEntry)
+		e.xml, e.expires = xml, expires
 		c.lru.MoveToFront(el)
 		return
 	}
-	el := c.lru.PushFront(&cacheEntry{key: key, owner: owner, xml: xml})
+	el := c.lru.PushFront(&cacheEntry{key: key, owner: owner, xml: xml, expires: expires})
 	c.entries[key] = el
 	keys := c.byOwner[owner]
 	if keys == nil {

@@ -365,7 +365,7 @@ func (m *MDM) resolve(ctx context.Context, sp *trace.Active, req *wire.ResolveRe
 	decision := m.PDP.Decide(owner, p, req.Context)
 	if !decision.Granted() {
 		m.Stats.Denied.Add(1)
-		m.recordProvenance(owner, req, verb, decision, nil)
+		m.recordProvenance(owner, req, verb, decision, nil, nil)
 		return nil, fmt.Errorf("%w: %s for %s", ErrDenied, req.Path, req.Context.Requester)
 	}
 
@@ -373,7 +373,10 @@ func (m *MDM) resolve(ctx context.Context, sp *trace.Active, req *wire.ResolveRe
 	if err != nil {
 		return nil, err
 	}
-	m.recordProvenance(owner, req, verb, decision, routes)
+	// The grants are rendered once: the provenance record and the cache
+	// key share the strings.
+	grants := renderGrants(decision.Grants)
+	m.recordProvenance(owner, req, verb, decision, grants, routes)
 	if len(degraded) > 0 {
 		m.Liveness.DegradedResolves.Add(1)
 		sp.Annotate("degraded=" + strings.Join(degraded, ","))
@@ -388,8 +391,8 @@ func (m *MDM) resolve(ctx context.Context, sp *trace.Active, req *wire.ResolveRe
 		return &wire.ResolveResponse{Alternatives: m.sign(routes, owner, verb, requester), Degraded: degraded}, nil
 	case wire.PatternChaining:
 		sp.Annotate("pattern=chaining")
-		key := cacheKey(owner, decision.Grants)
-		cacheable := m.cache != nil && m.cacheableGrants(decision.Grants)
+		key := cacheKey(owner, grants)
+		cacheable, ttl := m.cacheableGrants(decision.Grants)
 		if cacheable {
 			// A hit has passed the filter, the decision and the routing
 			// above, so it keeps every verdict a miss gets; it only skips
@@ -401,7 +404,7 @@ func (m *MDM) resolve(ctx context.Context, sp *trace.Active, req *wire.ResolveRe
 			}
 		}
 		return m.coalesce(ctx, flightKey(wire.PatternChaining, requester, verb, key), sp, func() (*wire.ResolveResponse, error) {
-			resp, err := m.chain(ctx, owner, key, cacheable, decision.Grants, m.sign(routes, owner, verb, requester))
+			resp, err := m.chain(ctx, owner, key, cacheable, ttl, grants, m.sign(routes, owner, verb, requester))
 			if resp != nil {
 				// Append, not overwrite: chain may have stamped its own
 				// degradation (brownout-stale paths) that must survive.
@@ -411,7 +414,7 @@ func (m *MDM) resolve(ctx context.Context, sp *trace.Active, req *wire.ResolveRe
 		})
 	case wire.PatternRecruiting:
 		sp.Annotate("pattern=recruiting")
-		key := flightKey(wire.PatternRecruiting, requester, verb, cacheKey(owner, decision.Grants))
+		key := flightKey(wire.PatternRecruiting, requester, verb, cacheKey(owner, grants))
 		return m.coalesce(ctx, key, sp, func() (*wire.ResolveResponse, error) {
 			resp, err := m.recruit(ctx, m.sign(routes, owner, verb, requester))
 			if resp != nil {
@@ -483,10 +486,25 @@ func (m *MDM) BatchResolve(ctx context.Context, req *wire.BatchResolveRequest) (
 }
 
 // route is one referral of a plan before it is signed: the store that
-// holds the piece and the path the grant allows there.
+// holds the piece, the grant it serves, and, for a store holding only part
+// of the grant, the registration that says which part.
 type route struct {
 	store coverage.StoreID
-	path  xpath.Path
+	grant xpath.Path
+	reg   xpath.Path // zero when the store covers the whole grant
+}
+
+// path is what the route's token allows: the grant itself where the store
+// covers all of it (the store holds a superset, the client asks for exactly
+// what was granted), else the intersection of the grant and the
+// registration, exactly the piece this store holds of what was granted.
+// The registration partly covers the grant, so the two meet.
+func (r route) path() xpath.Path {
+	if r.reg.IsZero() {
+		return r.grant
+	}
+	piece, _ := xpath.Intersect(r.grant, r.reg)
+	return piece
 }
 
 // option is one alternative of a plan: its routes are answered together,
@@ -514,47 +532,32 @@ type option struct {
 // nothing to answer with.
 func (m *MDM) plan(grants []xpath.Path) ([]option, []string, error) {
 	var degraded []string
-	perGrant := make([][]option, 0, len(grants))
+	var local [4][]option
+	perGrant := local[:0]
 	for _, g := range grants {
+		// Lookup answers full covers before partial ones.
 		matches := m.Registry.Lookup(g)
-		var full []coverage.Match
-		var partial []coverage.Match
+		var opts []option
+		var pieces []route
 		excluded := 0
-		for _, mt := range matches {
-			if !m.storeLive(mt.Store) {
+		for i, mt := range matches {
+			switch {
+			case !m.storeLive(mt.Store):
 				excluded++
-				continue
-			}
-			if mt.Rel == xpath.CoverFull {
-				full = append(full, mt)
-			} else {
-				partial = append(partial, mt)
+			case mt.Rel == xpath.CoverFull:
+				opts = append(opts, option{routes: []route{{store: mt.Store, grant: g}}})
+			case len(opts) == 0:
+				if pieces == nil {
+					pieces = make([]route, 0, len(matches)-i)
+				}
+				pieces = append(pieces, route{store: mt.Store, grant: g, reg: mt.Path})
 			}
 		}
 		if excluded > 0 {
 			m.Liveness.PlanExclusions.Add(uint64(excluded))
 		}
-		var opts []option
-		for _, f := range full {
-			// The signed path is the grant itself: the store holds a
-			// superset, the client asks for exactly what was granted.
-			opts = append(opts, option{routes: []route{{f.Store, g}}})
-		}
-		if len(opts) == 0 && len(partial) > 0 {
-			var pieces []route
-			for _, pm := range partial {
-				// The signed path is the intersection of the grant and the
-				// registration: exactly the piece this store holds of what
-				// was granted.
-				piece, ok := xpath.Intersect(g, pm.Path)
-				if !ok {
-					continue
-				}
-				pieces = append(pieces, route{pm.Store, piece})
-			}
-			if len(pieces) > 0 {
-				opts = append(opts, option{routes: pieces, merge: "deep-union"})
-			}
+		if len(opts) == 0 && len(pieces) > 0 {
+			opts = []option{{routes: pieces, merge: "deep-union"}}
 		}
 		if len(opts) == 0 {
 			if excluded > 0 {
@@ -582,14 +585,15 @@ func (m *MDM) plan(grants []xpath.Path) ([]option, []string, error) {
 }
 
 // sign turns a plan into referral alternatives: one token per route, for
-// requester to perform verb on owner's data, valid for GrantTTL.
+// requester to perform verb on owner's data, valid for GrantTTL. A route's
+// path is cut here, so only the routes signed are intersected.
 func (m *MDM) sign(opts []option, owner string, verb token.Verb, requester string) []wire.Alternative {
 	alts := make([]wire.Alternative, len(opts))
 	for i, o := range opts {
 		refs := make([]wire.Referral, len(o.routes))
 		for j, r := range o.routes {
 			refs[j] = wire.Referral{
-				Query:   m.cfg.Signer.Sign(string(r.store), owner, r.path, verb, requester, m.cfg.GrantTTL),
+				Query:   m.cfg.Signer.Sign(string(r.store), owner, r.path(), verb, requester, m.cfg.GrantTTL),
 				Address: m.AddrOf(r.store),
 			}
 		}
@@ -598,14 +602,24 @@ func (m *MDM) sign(opts []option, owner string, verb token.Verb, requester strin
 	return alts
 }
 
+// renderGrants renders granted paths, in order.
+func renderGrants(grants []xpath.Path) []string {
+	out := make([]string, len(grants))
+	for i, g := range grants {
+		out[i] = g.String()
+	}
+	return out
+}
+
 // cacheKey derives the cache identity of a grant set: the owner and the
 // sorted rendered grants, NUL-separated.
-func cacheKey(owner string, grants []xpath.Path) string {
+func cacheKey(owner string, grants []string) string {
+	if len(grants) == 1 {
+		return owner + "\x00" + grants[0]
+	}
 	parts := make([]string, 1+len(grants))
 	parts[0] = owner
-	for i, g := range grants {
-		parts[1+i] = g.String()
-	}
+	copy(parts[1:], grants)
 	sort.Strings(parts[1:])
 	return strings.Join(parts, "\x00")
 }
@@ -613,8 +627,8 @@ func cacheKey(owner string, grants []xpath.Path) string {
 // chain implements the chaining pattern on a cache miss: the MDM fetches
 // the pieces itself, merges, and returns data — for clients too limited to
 // follow referrals (§5.2). When cacheable, the result is cached under key
-// (resolve probed it before the flight).
-func (m *MDM) chain(ctx context.Context, owner, key string, cacheable bool, grants []xpath.Path, alts []wire.Alternative) (resp *wire.ResolveResponse, err error) {
+// (resolve probed it before the flight), to expire after ttl if positive.
+func (m *MDM) chain(ctx context.Context, owner, key string, cacheable bool, ttl time.Duration, grants []string, alts []wire.Alternative) (resp *wire.ResolveResponse, err error) {
 	ctx, sp := trace.Start(ctx, "mdm.chain")
 	defer func() { sp.Finish(err) }()
 	var gen uint64
@@ -630,10 +644,7 @@ func (m *MDM) chain(ctx context.Context, owner, key string, cacheable bool, gran
 			if xml, ok := m.cache.staleGet(key); ok {
 				m.adm.Stats.BrownoutServed.Add(1)
 				sp.Annotate("brownout-stale")
-				deg := make([]string, 0, len(grants))
-				for _, g := range grants {
-					deg = append(deg, g.String())
-				}
+				deg := slices.Clone(grants)
 				return &wire.ResolveResponse{Data: xml, Cached: true, Stale: true, Degraded: deg}, nil
 			}
 		}
@@ -652,24 +663,37 @@ func (m *MDM) chain(ctx context.Context, owner, key string, cacheable bool, gran
 	}
 	m.Stats.BytesProxied.Add(uint64(len(xml)))
 	if cacheable && xml != "" {
-		m.cache.putIfFresh(key, owner, xml, gen)
+		m.cache.fill(key, owner, xml, gen, ttl)
 	}
 	return &wire.ResolveResponse{Data: xml}, nil
 }
 
-// cacheableGrants reports whether every granted path may be cached under
-// the schema adjuncts (volatile and financial components are annotated
-// NoCache). Without adjuncts everything is cacheable.
-func (m *MDM) cacheableGrants(grants []xpath.Path) bool {
-	if m.cfg.Adjuncts == nil {
-		return true
+// cacheableGrants reports whether the answer to grants may be cached: the
+// MDM has a cache and no granted path is annotated NoCache by the schema
+// adjuncts (volatile and financial components are). It also says for how
+// long: the least CacheTTL among the grants, 0 when none sets one. Without
+// adjuncts everything is cacheable, for as long as it stays in the cache.
+func (m *MDM) cacheableGrants(grants []xpath.Path) (bool, time.Duration) {
+	if m.cache == nil {
+		return false, 0
 	}
+	if m.cfg.Adjuncts == nil {
+		return true, 0
+	}
+	var ttl time.Duration
 	for _, g := range grants {
-		if adj, ok := m.cfg.Adjuncts.Lookup(g); ok && adj.NoCache {
-			return false
+		adj, ok := m.cfg.Adjuncts.Lookup(g)
+		if !ok {
+			continue
+		}
+		if adj.NoCache {
+			return false, 0
+		}
+		if adj.CacheTTL > 0 && (ttl == 0 || adj.CacheTTL < ttl) {
+			ttl = adj.CacheTTL
 		}
 	}
-	return true
+	return true, ttl
 }
 
 // recruit implements the recruiting pattern: the query migrates to the
@@ -726,7 +750,7 @@ func (m *MDM) recruit(ctx context.Context, alts []wire.Alternative) (*wire.Resol
 // recordProvenance appends a disclosure record when the ledger is enabled.
 // A grant's record lists the stores its plan routes to, whether or not the
 // resolve went on to sign for them.
-func (m *MDM) recordProvenance(owner string, req *wire.ResolveRequest, verb token.Verb, d policy.Decision, opts []option) {
+func (m *MDM) recordProvenance(owner string, req *wire.ResolveRequest, verb token.Verb, d policy.Decision, grants []string, opts []option) {
 	if m.cfg.Provenance == nil {
 		return
 	}
@@ -742,8 +766,13 @@ func (m *MDM) recordProvenance(owner string, req *wire.ResolveRequest, verb toke
 	}
 	if d.Granted() {
 		rec.Outcome = provenance.Granted
-		for _, g := range d.Grants {
-			rec.Grants = append(rec.Grants, g.String())
+		rec.Grants = grants
+		n := 0
+		for _, o := range opts {
+			n += len(o.routes)
+		}
+		if n > 0 {
+			rec.Stores = make([]string, 0, n)
 		}
 		for _, o := range opts {
 			for _, r := range o.routes {

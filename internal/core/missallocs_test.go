@@ -27,9 +27,9 @@ import (
 // of four loopback stores holding the benchmark's 8 KiB book split four
 // ways, so every chaining resolve fetches, merges and answers. The stores
 // run in this process, so their share — four fetches served and rendered —
-// is counted too. It measures 225. The MDM moves the replies as bytes
-// (DESIGN.md §23): a tree parsed, merged and rendered there costs some 40
-// allocations more.
+// is counted too. It measures 193; the ceiling is that plus 10 %. The MDM
+// moves the replies as bytes (DESIGN.md §23): a tree parsed, merged and
+// rendered there costs some 40 allocations more.
 func TestChainingMissAllocs(t *testing.T) {
 	if racetag.Enabled {
 		t.Skip("the race detector's instrumentation allocates")
@@ -99,7 +99,7 @@ func TestChainingMissAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	const ceiling = 235
+	const ceiling = 212
 	t.Logf("chaining miss: %.0f allocs/op", allocs)
 	if allocs > ceiling {
 		t.Errorf("chaining miss: %.0f allocs/op, ceiling %d", allocs, ceiling)

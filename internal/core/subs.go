@@ -139,7 +139,7 @@ func (m *MDM) Subscribe(req *wire.SubscribeRequest, deliver func(wire.Notificati
 	}
 	m.Stats.ShieldEvals.Add(1)
 	decision := m.PDP.Decide(owner, p, ctx)
-	m.recordProvenance(owner, &wire.ResolveRequest{Path: req.Path, Context: ctx}, token.VerbSubscribe, decision, nil)
+	m.recordProvenance(owner, &wire.ResolveRequest{Path: req.Path, Context: ctx}, token.VerbSubscribe, decision, renderGrants(decision.Grants), nil)
 	if !decision.Granted() {
 		m.Stats.Denied.Add(1)
 		return nil, fmt.Errorf("%w: subscribe %s for %s", ErrDenied, req.Path, ctx.Requester)

@@ -12,6 +12,7 @@
 package coverage
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"slices"
@@ -214,7 +215,9 @@ func (r *Registry) StoreCount(store StoreID) int {
 // Lookup returns all registrations relevant to the request, full covers
 // first, then partials; within each class results are ordered by store then
 // path for determinism. The index narrows the scan to the request's user and
-// section buckets (plus the unpinned buckets).
+// section buckets (plus the unpinned buckets). Every bucket is consulted at
+// most once, and a registration lives in one bucket only, so no
+// registration is answered twice.
 func (r *Registry) Lookup(q xpath.Path) []Match {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
@@ -222,31 +225,33 @@ func (r *Registry) Lookup(q xpath.Path) []Match {
 	user, pinned := UserOf(q)
 	section := sectionOf(q)
 
-	var candidates []*entry
+	var local [16]hit
+	hits := local[:0]
 	collect := func(bucket map[string][]*entry) {
-		if bucket == nil {
-			return
-		}
 		if section == "*" {
 			// Request spans sections: consult every bucket.
 			for _, list := range bucket {
-				candidates = append(candidates, list...)
+				hits = classify(hits, list, q)
 			}
 			return
 		}
-		candidates = append(candidates, bucket[section]...)
-		candidates = append(candidates, bucket["*"]...)
+		hits = classify(hits, bucket[section], q)
+		hits = classify(hits, bucket["*"], q)
 	}
 	if pinned {
 		collect(r.byUser[user])
-		collect(r.byUser[""]) // registrations not pinned to a user
+		if user != "" {
+			// Registrations not pinned to a user; a request pinned to
+			// @id='' has just consulted them as its own.
+			collect(r.byUser[""])
+		}
 	} else {
 		// Request does not pin a user: all buckets are candidates.
 		for _, bucket := range r.byUser {
 			collect(bucket)
 		}
 	}
-	return classify(candidates, q)
+	return matches(hits)
 }
 
 // LinearLookup evaluates the request against every registration without
@@ -254,7 +259,7 @@ func (r *Registry) Lookup(q xpath.Path) []Match {
 func (r *Registry) LinearLookup(q xpath.Path) []Match {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	return classify(r.entriesLocked(), q)
+	return matches(classify(nil, r.entriesLocked(), q))
 }
 
 // entriesLocked lists every registration, bucket by bucket. Caller holds
@@ -269,33 +274,37 @@ func (r *Registry) entriesLocked() []*entry {
 	return out
 }
 
-func classify(candidates []*entry, q xpath.Path) []Match {
-	var full, partial []*entry
-	seen := make(map[string]bool, len(candidates))
-	for _, e := range candidates {
-		dedupeKey := string(e.store) + "\x00" + e.pathStr
-		if seen[dedupeKey] {
-			continue
-		}
-		seen[dedupeKey] = true
-		switch xpath.Covers(e.path, q) {
-		case xpath.CoverFull:
-			full = append(full, e)
-		case xpath.CoverPartial:
-			partial = append(partial, e)
+// hit is a registration relevant to a request, with how it covers it.
+type hit struct {
+	e   *entry
+	rel xpath.CoverRelation
+}
+
+// classify appends to hits the entries that cover q fully or partly.
+func classify(hits []hit, entries []*entry, q xpath.Path) []hit {
+	for _, e := range entries {
+		if rel := xpath.Covers(e.path, q); rel != xpath.CoverNone {
+			hits = append(hits, hit{e, rel})
 		}
 	}
-	if len(full)+len(partial) == 0 {
+	return hits
+}
+
+// matches sorts hits, full covers before partial ones and each class by
+// compareEntries, and returns them as Matches: a lookup's one allocation.
+func matches(hits []hit) []Match {
+	if len(hits) == 0 {
 		return nil
 	}
-	slices.SortFunc(full, compareEntries)
-	slices.SortFunc(partial, compareEntries)
-	out := make([]Match, 0, len(full)+len(partial))
-	for _, e := range full {
-		out = append(out, Match{Store: e.store, Path: e.path, Rel: xpath.CoverFull})
-	}
-	for _, e := range partial {
-		out = append(out, Match{Store: e.store, Path: e.path, Rel: xpath.CoverPartial})
+	slices.SortFunc(hits, func(a, b hit) int {
+		if a.rel != b.rel {
+			return cmp.Compare(a.rel, b.rel) // CoverFull < CoverPartial
+		}
+		return compareEntries(a.e, b.e)
+	})
+	out := make([]Match, len(hits))
+	for i, h := range hits {
+		out[i] = Match{Store: h.e.store, Path: h.e.path, Rel: h.rel}
 	}
 	return out
 }

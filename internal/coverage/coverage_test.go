@@ -306,3 +306,51 @@ func TestQuickIndexedEqualsLinear(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestLookupReturnsEachRegistrationOnce: registrations that pin no user live
+// in byUser[""], which every lookup consults, and a request pinned to the
+// empty id would reach that bucket twice, once as its own user's. Each
+// registration is answered once whatever the request pins: a user, no
+// user, every section, or the empty id.
+func TestLookupReturnsEachRegistrationOnce(t *testing.T) {
+	r := New()
+	for _, reg := range []struct{ path, store string }{
+		{"/user/address-book", "s1"},
+		{"/user/address-book/item[@type='personal']", "s2"},
+		{"/user/*", "s3"},
+		{"/user", "s4"},
+		{"/user[@id='']/address-book", "s5"},
+		{"/user[@id='a']/address-book", "s6"},
+	} {
+		if err := r.Register(mp(reg.path), StoreID(reg.store)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, c := range []struct {
+		req  string
+		want int
+	}{
+		{"/user[@id='a']/address-book", 5},
+		{"/user/address-book", 6},
+		{"/user[@id='a']", 5},
+		{"/user[@id='a']/*", 5},
+		{"/user[@id='']/address-book", 5},
+		{"/user[@id='']", 5},
+	} {
+		ms := r.Lookup(mp(c.req))
+		seen := map[string]bool{}
+		for _, m := range ms {
+			k := string(m.Store) + " " + m.Path.String()
+			if seen[k] {
+				t.Errorf("Lookup(%s) answers %s twice: %v", c.req, k, ms)
+			}
+			seen[k] = true
+		}
+		if len(ms) != c.want {
+			t.Errorf("Lookup(%s) = %d matches, want %d: %v", c.req, len(ms), c.want, ms)
+		}
+		if lin := r.LinearLookup(mp(c.req)); len(lin) != len(ms) {
+			t.Errorf("Lookup(%s) = %v, LinearLookup %v", c.req, ms, lin)
+		}
+	}
+}

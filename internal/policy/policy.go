@@ -14,6 +14,7 @@
 package policy
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"slices"
@@ -286,12 +287,16 @@ type Shield struct {
 // requester equal to the owner), unless an explicit higher-priority deny
 // (e.g. a provisioning lock) says otherwise.
 func (s *Shield) Decide(req xpath.Path, ctx Context) Decision {
-	type scored struct {
-		rule Rule
+	// The applicable rules are ranked as pointers into s.Rules, on the
+	// stack while they fit; the shield itself is only read.
+	type ranked struct {
+		rule *Rule
 		rel  xpath.CoverRelation
 	}
-	var applicable []scored
-	for _, r := range s.Rules {
+	var local [16]ranked
+	applicable := local[:0]
+	for i := range s.Rules {
+		r := &s.Rules[i]
 		if !r.cond().Eval(ctx) {
 			continue
 		}
@@ -299,20 +304,23 @@ func (s *Shield) Decide(req xpath.Path, ctx Context) Decision {
 		if rel == xpath.CoverNone {
 			continue
 		}
-		applicable = append(applicable, scored{r, rel})
+		applicable = append(applicable, ranked{r, rel})
 	}
 	if ctx.Requester != "" && ctx.Requester == s.Owner {
-		applicable = append(applicable, scored{
-			rule: Rule{ID: "owner", Path: req, Effect: Permit, Priority: ownerPriority},
-			rel:  xpath.CoverFull,
-		})
+		applicable = append(applicable, ranked{&ownerRule, xpath.CoverFull})
 	}
 	// Highest priority first; deny before permit at the same priority.
-	sort.SliceStable(applicable, func(i, j int) bool {
-		if applicable[i].rule.Priority != applicable[j].rule.Priority {
-			return applicable[i].rule.Priority > applicable[j].rule.Priority
+	slices.SortStableFunc(applicable, func(a, b ranked) int {
+		if a.rule.Priority != b.rule.Priority {
+			return cmp.Compare(b.rule.Priority, a.rule.Priority)
 		}
-		return applicable[i].rule.Effect == Deny && applicable[j].rule.Effect == Permit
+		switch {
+		case a.rule.Effect == Deny && b.rule.Effect == Permit:
+			return -1
+		case a.rule.Effect == Permit && b.rule.Effect == Deny:
+			return 1
+		}
+		return 0
 	})
 
 	for _, a := range applicable {
@@ -351,6 +359,10 @@ func (s *Shield) Decide(req xpath.Path, ctx Context) Decision {
 // explicit administrative locks.
 const ownerPriority = 1 << 20
 
+// ownerRule is the implicit owner-access rule. It always covers the whole
+// request, so Decide never reads its path.
+var ownerRule = Rule{ID: "owner", Effect: Permit, Priority: ownerPriority}
+
 func (s *Shield) deniedBy(p xpath.Path, ctx Context, priority int) bool {
 	for _, r := range s.Rules {
 		if r.Effect != Deny || r.Priority < priority {
@@ -367,6 +379,9 @@ func (s *Shield) deniedBy(p xpath.Path, ctx Context, priority int) bool {
 }
 
 func dedupePaths(ps []xpath.Path) []xpath.Path {
+	if len(ps) < 2 {
+		return ps
+	}
 	seen := make(map[string]bool, len(ps))
 	out := ps[:0]
 	for _, p := range ps {
@@ -418,15 +433,23 @@ func (r *Repository) Put(s *Shield) {
 
 // Get returns a copy of a user's shield.
 func (r *Repository) Get(owner string) (*Shield, error) {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	s, ok := r.shields[owner]
+	s, ok := r.shield(owner)
 	if !ok {
 		return nil, fmt.Errorf("%w: %s", ErrNoShield, owner)
 	}
 	cp := *s
 	cp.Rules = append([]Rule(nil), s.Rules...)
 	return &cp, nil
+}
+
+// shield returns the stored shield itself. A stored shield is never changed
+// in place: Put stores a private copy and Replace swaps whole maps, so it
+// may be read after the lock is released, and is seen whole.
+func (r *Repository) shield(owner string) (*Shield, bool) {
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	s, ok := r.shields[owner]
+	return s, ok
 }
 
 // Replace makes the repository hold exactly fresh's shields, in one step
@@ -556,8 +579,8 @@ type DecisionPoint struct {
 
 // Decide evaluates owner's shield for a request.
 func (d *DecisionPoint) Decide(owner string, req xpath.Path, ctx Context) Decision {
-	s, err := d.Repo.Get(owner)
-	if err != nil {
+	s, ok := d.Repo.shield(owner)
+	if !ok {
 		if d.DefaultOwnerAccess && ctx.Requester == owner {
 			return Decision{Effect: Permit, Grants: []xpath.Path{req}, RuleID: "owner-default"}
 		}

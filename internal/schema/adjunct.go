@@ -92,14 +92,14 @@ func (a *Adjuncts) Set(path xpath.Path, adj Adjunct) {
 func (a *Adjuncts) Lookup(path xpath.Path) (Adjunct, bool) {
 	a.mu.RLock()
 	defer a.mu.RUnlock()
-	var covering []adjunctEntry
+	var local [16]*adjunctEntry
+	covering := local[:0]
 	maxDepth := 0
-	for _, e := range a.entries {
+	for i := range a.entries {
+		e := &a.entries[i]
 		if xpath.Covers(e.path, path) == xpath.CoverFull {
 			covering = append(covering, e)
-			if d := e.path.Depth(); d > maxDepth {
-				maxDepth = d
-			}
+			maxDepth = max(maxDepth, e.path.Depth())
 		}
 	}
 	if len(covering) == 0 {

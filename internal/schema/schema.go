@@ -163,19 +163,18 @@ func (s *Schema) ValidatePath(p xpath.Path) error {
 	if len(p.Steps) == 0 {
 		return fmt.Errorf("%w: empty path", ErrInvalid)
 	}
-	els := []*Element{}
 	first := p.Steps[0]
-	if first.Name == "*" || first.Name == s.Root.Name {
-		els = append(els, s.Root)
-	}
-	if len(els) == 0 {
+	if first.Name != "*" && first.Name != s.Root.Name {
 		return fmt.Errorf("%w: path %s does not start at <%s>", ErrInvalid, p, s.Root.Name)
 	}
+	// The elements a step may land on alternate between two stack arrays.
+	var scratch [2][8]*Element
+	els := append(scratch[0][:0], s.Root)
 	if err := checkStepAttrs(first, els); err != nil {
 		return fmt.Errorf("%w: %s in %s", ErrInvalid, err, p)
 	}
-	for _, step := range p.Steps[1:] {
-		var next []*Element
+	for i, step := range p.Steps[1:] {
+		next := scratch[(i+1)%2][:0]
 		for _, el := range els {
 			if step.Name == "*" {
 				next = append(next, el.Children...)

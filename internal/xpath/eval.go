@@ -1,6 +1,10 @@
 package xpath
 
-import "gupster/internal/xmltree"
+import (
+	"slices"
+
+	"gupster/internal/xmltree"
+)
 
 // Select evaluates the path's element steps against a document whose root is
 // root: the first step must match the root element itself, each subsequent
@@ -159,15 +163,14 @@ func (c CoverRelation) String() string {
 // be deeper (Figure 9's per-type address book split), more specific in a
 // predicate (one user's data against an all-users request), or both at once
 // (an unpinned deep registration against a pinned shallow request). The
-// store then holds a piece the client must merge.
+// store then holds a piece the client must merge. Neither verdict builds
+// anything.
 func Covers(r, q Path) CoverRelation {
 	if prefixContains(r, q) {
 		return CoverFull
 	}
-	if q.Attr == "" {
-		if _, ok := Intersect(r, q); ok {
-			return CoverPartial
-		}
+	if q.Attr == "" && meet(r, q) {
+		return CoverPartial
 	}
 	return CoverNone
 }
@@ -176,9 +179,9 @@ func Covers(r, q Path) CoverRelation {
 // and q under subtree semantics: the deeper path's steps with the shallower
 // path's predicates merged in. ok is false when the paths cannot select
 // overlapping subtrees (incompatible names or contradictory equality
-// predicates).
+// predicates), which meet decides before anything is built.
 func Intersect(p, q Path) (Path, bool) {
-	if p.Attr != "" && q.Attr != "" && p.Attr != q.Attr {
+	if !meet(p, q) {
 		return Path{}, false
 	}
 	long, short := p, q
@@ -186,66 +189,71 @@ func Intersect(p, q Path) (Path, bool) {
 		long, short = q, p
 	}
 	steps := make([]Step, len(long.Steps))
-	for i := range long.Steps {
-		if i < len(short.Steps) {
-			merged, ok := mergeSteps(long.Steps[i], short.Steps[i])
-			if !ok {
-				return Path{}, false
-			}
-			steps[i] = merged
-		} else {
-			steps[i] = long.Steps[i]
-		}
+	copy(steps, long.Steps)
+	for i, s := range short.Steps {
+		steps[i] = mergeSteps(steps[i], s)
 	}
-	attr := p.Attr
-	if attr == "" {
-		attr = q.Attr
+	attr := long.Attr
+	if attr == "" && len(p.Steps) == len(q.Steps) {
+		attr = short.Attr
+	}
+	return Path{Steps: steps, Attr: attr}, true
+}
+
+// meet reports whether p and q can select overlapping subtrees: their
+// attribute axes agree, each pair of steps can match one node, and the
+// deeper path's further steps can match at all. It is the one statement of
+// when two paths meet: Covers asks it, and Intersect builds only once it
+// said yes.
+func meet(p, q Path) bool {
+	if p.Attr != "" && q.Attr != "" && p.Attr != q.Attr {
+		return false
+	}
+	long, short := p, q
+	if len(q.Steps) > len(p.Steps) {
+		long, short = q, p
 	}
 	// An attribute axis on the shorter path only composes when the paths
 	// have equal depth (an attribute node has no subtree to intersect).
-	if len(p.Steps) != len(q.Steps) {
-		shorterAttr := short.Attr
-		if shorterAttr != "" {
-			return Path{}, false
+	if short.Attr != "" && len(short.Steps) != len(long.Steps) {
+		return false
+	}
+	for i, s := range long.Steps {
+		if i < len(short.Steps) {
+			if !stepsMeet(s, short.Steps[i]) {
+				return false
+			}
+		} else if s.unsatisfiable() {
+			return false
 		}
-		attr = long.Attr
 	}
-	out := Path{Steps: steps, Attr: attr}
-	if out.Empty() {
-		return Path{}, false
-	}
-	return out, true
+	return true
 }
 
-// mergeSteps unifies two location steps: the more specific name test and
-// the union of predicates.
-func mergeSteps(a, b Step) (Step, bool) {
-	name := a.Name
-	switch {
-	case a.Name == "*":
-		name = b.Name
-	case b.Name == "*" || a.Name == b.Name:
-		// keep a's name
-	default:
-		return Step{}, false
+// stepsMeet reports whether one node can match both a and b: the name tests
+// agree (or one is "*"), and no predicate of either contradicts another of
+// either.
+func stepsMeet(a, b Step) bool {
+	if a.Name != "*" && b.Name != "*" && a.Name != b.Name {
+		return false
 	}
-	out := Step{Name: name, Preds: append([]Pred(nil), a.Preds...)}
+	return !contradict(a.Preds, b.Preds)
+}
+
+// mergeSteps unifies two steps meet has paired: the more specific name test,
+// and a's predicates followed by those of b's not already among them.
+func mergeSteps(a, b Step) Step {
+	if a.Name == "*" {
+		a.Name = b.Name
+	}
+	preds := append([]Pred(nil), a.Preds...)
 	for _, bp := range b.Preds {
-		dup := false
-		for _, ap := range out.Preds {
-			if ap == bp {
-				dup = true
-				break
-			}
-		}
-		if !dup {
-			out.Preds = append(out.Preds, bp)
+		if !slices.Contains(preds, bp) {
+			preds = append(preds, bp)
 		}
 	}
-	if out.unsatisfiable() {
-		return Step{}, false
-	}
-	return out, true
+	a.Preds = preds
+	return a
 }
 
 // prefixContains reports whether a (the shorter or equal path) step-wise

@@ -82,3 +82,109 @@ func extract(n *xmltree.Node, rest []Step) *xmltree.Node {
 	}
 	return shell
 }
+
+// referenceCovers, referenceIntersect and referenceEmpty are Covers,
+// Intersect and Path.Empty as first written: Covers decided a partial
+// overlap by building the intersection, and a step's satisfiability was
+// checked through a map of the values it requires. They are kept only as
+// the oracle the walk that builds nothing must agree with. Full covers are
+// decided by prefixContains, which did not change.
+func referenceCovers(r, q Path) CoverRelation {
+	if prefixContains(r, q) {
+		return CoverFull
+	}
+	if q.Attr == "" {
+		if _, ok := referenceIntersect(r, q); ok {
+			return CoverPartial
+		}
+	}
+	return CoverNone
+}
+
+func referenceIntersect(p, q Path) (Path, bool) {
+	if p.Attr != "" && q.Attr != "" && p.Attr != q.Attr {
+		return Path{}, false
+	}
+	long, short := p, q
+	if len(q.Steps) > len(p.Steps) {
+		long, short = q, p
+	}
+	steps := make([]Step, len(long.Steps))
+	for i := range long.Steps {
+		if i < len(short.Steps) {
+			merged, ok := referenceMergeSteps(long.Steps[i], short.Steps[i])
+			if !ok {
+				return Path{}, false
+			}
+			steps[i] = merged
+		} else {
+			steps[i] = long.Steps[i]
+		}
+	}
+	attr := p.Attr
+	if attr == "" {
+		attr = q.Attr
+	}
+	if len(p.Steps) != len(q.Steps) {
+		if short.Attr != "" {
+			return Path{}, false
+		}
+		attr = long.Attr
+	}
+	out := Path{Steps: steps, Attr: attr}
+	if referenceEmpty(out) {
+		return Path{}, false
+	}
+	return out, true
+}
+
+func referenceMergeSteps(a, b Step) (Step, bool) {
+	name := a.Name
+	switch {
+	case a.Name == "*":
+		name = b.Name
+	case b.Name == "*" || a.Name == b.Name:
+	default:
+		return Step{}, false
+	}
+	out := Step{Name: name, Preds: append([]Pred(nil), a.Preds...)}
+	for _, bp := range b.Preds {
+		dup := false
+		for _, ap := range out.Preds {
+			if ap == bp {
+				dup = true
+				break
+			}
+		}
+		if !dup {
+			out.Preds = append(out.Preds, bp)
+		}
+	}
+	if referenceUnsatisfiable(out) {
+		return Step{}, false
+	}
+	return out, true
+}
+
+func referenceEmpty(p Path) bool {
+	for _, s := range p.Steps {
+		if referenceUnsatisfiable(s) {
+			return true
+		}
+	}
+	return false
+}
+
+func referenceUnsatisfiable(s Step) bool {
+	vals := make(map[string]string)
+	for _, p := range s.Preds {
+		if !p.HasValue {
+			continue
+		}
+		if v, ok := vals[p.Attr]; ok && v != p.Value {
+			return true
+		}
+		vals[p.Attr] = p.Value
+	}
+	return false
+}

@@ -173,15 +173,27 @@ func (s Step) Contains(t Step) bool {
 // (two different required values for the same attribute). An unsatisfiable
 // step matches no node, so the whole path is empty.
 func (s Step) unsatisfiable() bool {
-	vals := make(map[string]string)
-	for _, p := range s.Preds {
-		if !p.HasValue {
-			continue
-		}
-		if v, ok := vals[p.Attr]; ok && v != p.Value {
+	return contradict(s.Preds, nil)
+}
+
+// contradict reports whether predicates a and b, taken together, require
+// two different values of one attribute. It sorts a copy into canonical
+// order, where the equality tests on one attribute sit side by side: the
+// cost grows as n log n in predicates a request supplies, where comparing
+// them pairwise would grow as n², and a copy of up to eight stays on the
+// stack.
+func contradict(a, b []Pred) bool {
+	if len(a)+len(b) < 2 {
+		return false
+	}
+	var local [8]Pred
+	preds := append(append(local[:0], a...), b...)
+	slices.SortFunc(preds, comparePreds)
+	for i := 1; i < len(preds); i++ {
+		p, q := preds[i-1], preds[i]
+		if p.HasValue && q.HasValue && p.Attr == q.Attr && p.Value != q.Value {
 			return true
 		}
-		vals[p.Attr] = p.Value
 	}
 	return false
 }
