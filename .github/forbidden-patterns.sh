@@ -96,6 +96,14 @@ row "Server roles move bytes" §23 \
 	'xmltree\.(MergeAll|MergeOwned|DeepUnion)\(' "$src internal/core/mdm.go internal/store/" \
 	'internal/store/plan.go:[0-9]*:.return.xmltree\.MergeOwned('
 
+# A store keeps each user's document as the XML String wrote for it: a read
+# parses it, a write parses, changes and renders it, and no tree outlives a
+# call, so no engine field holds one.
+row "A store keeps bytes" §24 \
+	"a tree kept in the store's engine: keep the document's XML and parse it for the call" \
+	'^[[:space:]]+[[:alnum:]_]+(, *[[:alnum:]_]+)*[[:space:]]+(\[\]|\*|map\[[^]]*\])*xmltree\.Node\b' \
+	"$src -H internal/store/engine.go"
+
 # A phase's faults are its events list, and the scenario schema is the
 # yaml tags on the structs in internal/scenario/scenario.go — in tests and
 # scenario files too.

@@ -95,9 +95,9 @@ func main() {
 	defer mdm.Close()
 
 	// Change notifications keep MDM caches and subscriptions fresh.
-	eng.OnChange(func(u string, path xpath.Path, frag *xmltree.Node, version uint64) {
+	eng.OnChange(func(u string, path xpath.Path, xml string, version uint64) {
 		err := mdm.Call(context.Background(), u, wire.TypeChanged, &wire.ChangedNotice{
-			Store: *id, User: u, Path: path.String(), XML: frag.String(), Version: version,
+			Store: *id, User: u, Path: path.String(), XML: xml, Version: version,
 		}, nil)
 		if err != nil {
 			slog.Warn("change notice failed", "store", *id, "err", err)

@@ -65,9 +65,9 @@ func (r *rig) addStore(id string) *store.Server {
 	if err := srv.Start("127.0.0.1:0"); err != nil {
 		r.t.Fatalf("store %s start: %v", id, err)
 	}
-	eng.OnChange(func(user string, path xpath.Path, frag *xmltree.Node, version uint64) {
+	eng.OnChange(func(user string, path xpath.Path, xml string, version uint64) {
 		r.mdm.HandleChanged(&wire.ChangedNotice{
-			Store: id, User: user, Path: path.String(), XML: frag.String(), Version: version,
+			Store: id, User: user, Path: path.String(), XML: xml, Version: version,
 		})
 	})
 	r.stores[id] = srv

@@ -27,7 +27,9 @@ var (
 	ErrNoComponent = errors.New("store: nothing stored under path")
 )
 
-// changeRec is one entry of a component change log.
+// changeRec is one entry of a component change log. A log's first record
+// only anchors ChangesSince, which serves the ops of the records after the
+// one a device last saw, so it keeps none.
 type changeRec struct {
 	version uint64
 	ops     []xmltree.Op
@@ -49,7 +51,7 @@ type Engine struct {
 	Adjuncts *schema.Adjuncts
 
 	mu      sync.RWMutex
-	docs    map[string]*userDoc // user → profile tree rooted at <user>
+	docs    map[string]*userDoc // user → profile document rooted at <user>
 	version uint64              // global monotonic write counter
 	// compVer tracks the version of the last write touching (user, section).
 	compVer map[string]uint64
@@ -58,23 +60,24 @@ type Engine struct {
 
 	// onChange, when set, runs after every successful write, outside the
 	// engine lock. Used by the server to notify the MDM and subscribers.
-	onChange func(user string, path xpath.Path, frag *xmltree.Node, version uint64)
+	onChange func(user string, path xpath.Path, xml string, version uint64)
 }
 
-// userDoc is one user's profile tree and the last fetch answer rendered
-// from it. A published tree never changes: a write path-copies it and
-// assigns the copy under the engine's write lock. gen counts those writes,
-// and a render is an answer only while it carries the gen of the tree it
-// was rendered from, whenever it was published.
+// userDoc is one user's profile document, kept as the canonical XML String
+// wrote for it, and the last fetch answer rendered from it. No tree outlives
+// a call: a read parses the string, and a write parses it, changes that
+// tree and stores its render under the engine's write lock. gen counts
+// those writes, and a render is an answer only while it carries the gen of
+// the document it was rendered from, whenever it was published.
 type userDoc struct {
-	tree    *xmltree.Node
+	xml     string
 	gen     uint64
 	fetched atomic.Pointer[rendered]
 }
 
 // rendered is one GetXML answer: the compact XML for the path whose
 // canonical String() is path, the version it carried, and the gen of the
-// tree it was rendered from. It is immutable.
+// document it was rendered from. It is immutable.
 type rendered struct {
 	path    string
 	xml     string
@@ -96,9 +99,9 @@ func NewEngine(id string) *Engine {
 func (e *Engine) ID() string { return e.id }
 
 // OnChange registers the write hook. Must be called before the engine is
-// shared across goroutines. The hook's frag is the written component as it
-// stands in the engine's tree: shared, and read-only.
-func (e *Engine) OnChange(fn func(user string, path xpath.Path, frag *xmltree.Node, version uint64)) {
+// shared across goroutines. The hook's xml is the written component as
+// String renders it.
+func (e *Engine) OnChange(fn func(user string, path xpath.Path, xml string, version uint64)) {
 	e.onChange = fn
 }
 
@@ -130,8 +133,9 @@ func sectionKey(user string, p xpath.Path) string {
 //     matching children. This is how partial-coverage updates (Figure 9
 //     splits) write just their piece.
 //
-// Put copies frag once; the tree it publishes shares every subtree off the
-// written path with the tree before it.
+// Put writes none of frag's nodes and copies only its root, shallowly, so
+// that the copy alone may gain an attribute: it parses the stored document,
+// links frag's subtrees into that tree and stores the render.
 func (e *Engine) Put(user string, path xpath.Path, frag *xmltree.Node) (uint64, error) {
 	if len(path.Steps) == 0 {
 		return 0, fmt.Errorf("store: empty path")
@@ -155,56 +159,115 @@ func (e *Engine) Put(user string, path xpath.Path, frag *xmltree.Node) (uint64, 
 	if scoped {
 		logPath = path.Prefix(len(path.Steps) - 1)
 	}
+	// frag's root lands at the depth of logPath's last step; the stored
+	// document must stay readable by ParseString.
+	if deeper(frag, xmltree.MaxDepth-len(logPath.Steps)+1) {
+		return 0, fmt.Errorf("store: fragment <%s> at %s nests deeper than %d elements", frag.Name, logPath, xmltree.MaxDepth)
+	}
 	if e.Schema != nil && len(logPath.Steps) > 1 {
 		if err := e.Schema.ValidateComponent(barePath(logPath), frag); err != nil {
 			return 0, err
 		}
 	}
 
-	frag = frag.Clone()
-
 	e.mu.Lock()
 	ud := e.docs[user]
+	var doc *xmltree.Node
 	if ud == nil {
-		ud = &userDoc{tree: xmltree.New("user").SetAttr("id", user)}
+		doc = xmltree.New("user").SetAttr("id", user)
+	} else {
+		var err error
+		if doc, err = parse(ud.xml); err != nil {
+			e.mu.Unlock()
+			return 0, err
+		}
+	}
+	// The write swaps the old component's node out of the tree and changes
+	// nothing below it, so it stays whole for Diff.
+	oldComp := first(doc, logPath)
+	if scoped {
+		doc = scopedReplace(doc, path, frag)
+	} else {
+		root := *frag
+		doc = graft(doc, path.Steps[1:], &root)
+	}
+	newComp := first(doc, logPath)
+	if ud == nil {
+		ud = &userDoc{}
 		e.docs[user] = ud
 	}
+	ud.xml = doc.String()
 	ud.gen++
-	old := ud.tree
-	if scoped {
-		ud.tree = scopedReplace(old, path, frag)
-	} else {
-		ud.tree = graft(old, path.Steps[1:], frag)
-	}
-	// Neither tree changes once published, so the component before and
-	// after the write are the two trees' own nodes.
-	oldComp, newComp := first(old, logPath), first(ud.tree, logPath)
 	e.version++
 	v := e.version
 	e.compVer[sectionKey(user, path)] = v
 
-	// Append item-level ops to the change log for delta sync.
+	// Append item-level ops to the change log for delta sync. A log's first
+	// record is written where Diff would find a change, but only anchors.
 	key := compKey(user, logPath)
-	ops := xmltree.Diff(oldComp, newComp, xmltree.DefaultKeys)
-	if len(ops) > 0 {
-		log := append(e.logs[key], changeRec{version: v, ops: ops})
-		if len(log) > maxLogPerComponent {
-			log = log[len(log)-maxLogPerComponent:]
+	log := e.logs[key]
+	if len(log) > 0 {
+		if ops := xmltree.Diff(oldComp, newComp, xmltree.DefaultKeys); len(ops) > 0 {
+			log = append(log, changeRec{version: v, ops: ops})
 		}
+	} else if changed(oldComp, newComp) {
+		log = append(log, changeRec{version: v})
+	}
+	if n := len(log) - maxLogPerComponent; n > 0 {
+		clear(log[:n])
+		log = log[n:]
+		log[0].ops = nil
+	}
+	if len(log) > 0 {
 		e.logs[key] = log
 	}
 	hook := e.onChange
 	e.mu.Unlock()
 
 	if hook != nil && newComp != nil {
-		hook(user, logPath, newComp, v)
+		hook(user, logPath, newComp.String(), v)
 	}
 	return v, nil
 }
 
-// scopedReplace returns a copy of doc in which the children of the last
-// step's parent that match the last step are swapped for frag's matching
-// children, creating the parent spine as needed.
+// changed reports whether Diff finds ops between a component's two
+// versions, diffing only when both exist.
+func changed(oldComp, newComp *xmltree.Node) bool {
+	if oldComp == nil || newComp == nil {
+		return oldComp != newComp
+	}
+	return len(xmltree.Diff(oldComp, newComp, xmltree.DefaultKeys)) > 0
+}
+
+// deeper reports whether n's elements nest more than limit deep, n itself
+// counting as one.
+func deeper(n *xmltree.Node, limit int) bool {
+	if limit < 1 {
+		return true
+	}
+	for _, c := range n.Children {
+		if deeper(c, limit-1) {
+			return true
+		}
+	}
+	return false
+}
+
+// parse reads a stored document. The engine wrote it with String and Put
+// keeps it within MaxDepth, so only a fragment built in-process with a
+// character ParseString refuses can make it fail.
+func parse(xml string) (*xmltree.Node, error) {
+	doc, err := xmltree.ParseString(xml)
+	if err != nil {
+		return nil, fmt.Errorf("store: stored document: %w", err)
+	}
+	return doc, nil
+}
+
+// scopedReplace swaps the children of the last step's parent that match the
+// last step for frag's matching children, creating the parent spine as
+// needed, and returns the document. The parent is replaced by a new node,
+// so the old one stays as it was.
 func scopedReplace(doc *xmltree.Node, path xpath.Path, frag *xmltree.Node) *xmltree.Node {
 	parentPath := path.Prefix(len(path.Steps) - 1)
 	last := path.Steps[len(path.Steps)-1]
@@ -242,10 +305,10 @@ func barePath(p xpath.Path) xpath.Path {
 	return xpath.Path{Steps: steps, Attr: p.Attr}
 }
 
-// graft returns a copy of n with frag placed at rest below it, creating
-// missing spine elements: the first element matching the final step is
-// replaced, or else frag is appended under the deepest ancestor. An empty
-// rest is a whole-profile write: frag replaces n but keeps n's id.
+// graft places frag at rest below n, in place, creating missing spine
+// elements: the first element matching the final step is replaced, or else
+// frag is appended under the deepest ancestor. It returns n, or, when rest
+// is empty (a whole-profile write), frag given n's id.
 func graft(n *xmltree.Node, rest []xpath.Step, frag *xmltree.Node) *xmltree.Node {
 	if len(rest) == 0 {
 		if id, ok := n.Attr("id"); ok {
@@ -255,26 +318,30 @@ func graft(n *xmltree.Node, rest []xpath.Step, frag *xmltree.Node) *xmltree.Node
 		}
 		return frag
 	}
-	step := rest[0]
-	i := firstMatch(n, step)
-	if len(rest) == 1 {
-		if i < 0 {
-			applyPreds(frag, step)
+	at := n
+	for _, step := range rest[:len(rest)-1] {
+		if i := firstMatch(at, step); i >= 0 {
+			at = at.Children[i]
+		} else {
+			next := xmltree.New(step.Name)
+			applyPreds(next, step)
+			at.Add(next)
+			at = next
 		}
-		return withChild(n, i, frag)
 	}
-	var next *xmltree.Node
-	if i >= 0 {
-		next = n.Children[i]
+	step := rest[len(rest)-1]
+	if i := firstMatch(at, step); i >= 0 {
+		at.Children[i] = frag
 	} else {
-		next = xmltree.New(step.Name)
-		applyPreds(next, step)
+		applyPreds(frag, step)
+		at.Add(frag)
 	}
-	return withChild(n, i, graft(next, rest[1:], frag))
+	return n
 }
 
-// edit returns a copy of n in which fn has replaced the first element, in
-// document order, that steps select from n; nil when they select nothing.
+// edit replaces the first element, in document order, that steps select
+// from n with fn of it, in its parent's children. It returns n, or fn's
+// element when steps select n itself; nil when they select nothing.
 func edit(n *xmltree.Node, steps []xpath.Step, fn func(*xmltree.Node) *xmltree.Node) *xmltree.Node {
 	if !steps[0].Matches(n) {
 		return nil
@@ -284,16 +351,17 @@ func edit(n *xmltree.Node, steps []xpath.Step, fn func(*xmltree.Node) *xmltree.N
 	}
 	for i, c := range n.Children {
 		if next := edit(c, steps[1:], fn); next != nil {
-			return withChild(n, i, next)
+			n.Children[i] = next
+			return n
 		}
 	}
 	return nil
 }
 
-// prune returns a copy of n without the elements rest selects below it,
-// and how many those were; n itself when there were none.
-func prune(n *xmltree.Node, rest []xpath.Step) (*xmltree.Node, int) {
-	kids := make([]*xmltree.Node, 0, len(n.Children))
+// prune removes the elements rest selects below n, in place, and returns
+// how many those were.
+func prune(n *xmltree.Node, rest []xpath.Step) int {
+	kids := n.Children[:0]
 	dropped := 0
 	for _, c := range n.Children {
 		if rest[0].Matches(c) {
@@ -301,33 +369,12 @@ func prune(n *xmltree.Node, rest []xpath.Step) (*xmltree.Node, int) {
 				dropped++
 				continue
 			}
-			var k int
-			c, k = prune(c, rest[1:])
-			dropped += k
+			dropped += prune(c, rest[1:])
 		}
 		kids = append(kids, c)
 	}
-	if dropped == 0 {
-		return n, 0
-	}
-	out := *n
-	out.Children = kids
-	return &out, dropped
-}
-
-// withChild returns a copy of n whose child i is c, or with c appended when
-// i < 0. The copy has a children slice of its own and shares every other
-// child, and n's attributes, with n. The copies along a written path are
-// the only new nodes a write makes besides its fragment.
-func withChild(n *xmltree.Node, i int, c *xmltree.Node) *xmltree.Node {
-	out := *n
-	if i < 0 {
-		out.Children = append(n.Children[:len(n.Children):len(n.Children)], c)
-	} else {
-		out.Children = slices.Clone(n.Children)
-		out.Children[i] = c
-	}
-	return &out
+	n.Children = kids
+	return dropped
 }
 
 // firstMatch is the index of n's first child matching step, or -1.
@@ -355,71 +402,103 @@ func applyPreds(n *xmltree.Node, step xpath.Step) {
 	}
 }
 
+// stored is what one read lock saw of a user: the document, its gen, and
+// the version of the newest write touching a path's section.
+type stored struct {
+	ud      *userDoc
+	xml     string
+	gen     uint64
+	version uint64
+}
+
+// read takes the user's stored document for a read of path; the caller
+// parses it outside the lock.
+func (e *Engine) read(user string, path xpath.Path) (stored, error) {
+	e.mu.RLock()
+	defer e.mu.RUnlock()
+	ud := e.docs[user]
+	if ud == nil {
+		return stored{}, fmt.Errorf("%w: %s", ErrNoUser, user)
+	}
+	return stored{ud, ud.xml, ud.gen, e.compVer[sectionKey(user, path)]}, nil
+}
+
 // Get returns the pruned profile document (ancestor spine plus the subtrees
 // selected by path) for the user, and the version of the newest write
 // touching the path's section. Merging results from several stores is then
 // a DeepUnion of the returned documents. The document is the caller's: it
-// shares nothing with the engine's tree.
+// is a view of a tree parsed for this call.
 func (e *Engine) Get(user string, path xpath.Path) (*xmltree.Node, uint64, error) {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	view, v, err := e.view(user, path)
-	return view.Clone(), v, err
+	s, err := e.read(user, path)
+	if err != nil {
+		return nil, 0, err
+	}
+	view, err := view(s.xml, path)
+	if err != nil {
+		return nil, 0, err
+	}
+	return view, s.version, nil
 }
 
 // GetXML is Get rendered as compact XML, for a store answering a fetch. A
 // user's document is rendered once per write: a fetch of the path the last
 // one rendered returns those bytes again while no write has bumped the
-// tree's gen since. A render is written straight from the engine's tree
-// under the read lock, so no node of it is copied; its gen, not the time
-// it is published, keeps it from answering for a tree a write has replaced.
+// document's gen since. The parse and render run outside the lock; the
+// answer's gen, not the time it is published, keeps it from answering for
+// a document a write has replaced.
 func (e *Engine) GetXML(user string, path xpath.Path) (string, uint64, error) {
 	key := path.String()
 	e.mu.RLock()
-	defer e.mu.RUnlock()
-	ud := e.docs[user]
-	if ud != nil {
+	if ud := e.docs[user]; ud != nil {
 		if r := ud.fetched.Load(); r != nil && r.path == key && r.gen == ud.gen {
+			e.mu.RUnlock()
 			return r.xml, r.version, nil
 		}
 	}
-	view, v, err := e.view(user, path)
+	e.mu.RUnlock()
+	s, err := e.read(user, path)
+	if err != nil {
+		return "", 0, err
+	}
+	view, err := view(s.xml, path)
 	if err != nil {
 		return "", 0, err
 	}
 	xml := view.String()
-	ud.fetched.Store(&rendered{path: key, xml: xml, version: v, gen: ud.gen})
-	return xml, v, nil
+	s.ud.fetched.Store(&rendered{path: key, xml: xml, version: s.version, gen: s.gen})
+	return xml, s.version, nil
 }
 
-// view is Get's document as an xpath.View of the engine's tree. The caller
-// holds e.mu and is done with the view before releasing it.
-func (e *Engine) view(user string, path xpath.Path) (*xmltree.Node, uint64, error) {
-	ud := e.docs[user]
-	if ud == nil {
-		return nil, 0, fmt.Errorf("%w: %s", ErrNoUser, user)
+// view parses a stored document and returns Get's view of it.
+func view(xml string, path xpath.Path) (*xmltree.Node, error) {
+	doc, err := parse(xml)
+	if err != nil {
+		return nil, err
 	}
-	view := xpath.View(ud.tree, path)
+	view := xpath.View(doc, path)
 	if view == nil {
-		return nil, 0, fmt.Errorf("%w: %s", ErrNoComponent, path)
+		return nil, fmt.Errorf("%w: %s", ErrNoComponent, path)
 	}
-	return view, e.compVer[sectionKey(user, path)], nil
+	return view, nil
 }
 
 // GetComponent returns the first element selected by path (the component
-// fragment itself rather than the spine document).
+// fragment itself rather than the spine document), from a tree parsed for
+// this call.
 func (e *Engine) GetComponent(user string, path xpath.Path) (*xmltree.Node, uint64, error) {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	ud := e.docs[user]
-	if ud == nil {
-		return nil, 0, fmt.Errorf("%w: %s", ErrNoUser, user)
+	s, err := e.read(user, path)
+	if err != nil {
+		return nil, 0, err
 	}
-	comp := first(ud.tree, path)
+	doc, err := parse(s.xml)
+	if err != nil {
+		return nil, 0, err
+	}
+	comp := first(doc, path)
 	if comp == nil {
 		return nil, 0, fmt.Errorf("%w: %s", ErrNoComponent, path)
 	}
-	return comp.Clone(), e.compVer[sectionKey(user, path)], nil
+	return comp, s.version, nil
 }
 
 // Delete removes the elements selected by path and returns how many were
@@ -431,11 +510,19 @@ func (e *Engine) Delete(user string, path xpath.Path) (int, error) {
 	if ud == nil {
 		return 0, fmt.Errorf("%w: %s", ErrNoUser, user)
 	}
+	if len(path.Steps) < 2 {
+		return 0, nil
+	}
+	doc, err := parse(ud.xml)
+	if err != nil {
+		return 0, err
+	}
 	n := 0
-	if len(path.Steps) > 1 && path.Steps[0].Matches(ud.tree) {
-		ud.tree, n = prune(ud.tree, path.Steps[1:])
+	if path.Steps[0].Matches(doc) {
+		n = prune(doc, path.Steps[1:])
 	}
 	if n > 0 {
+		ud.xml = doc.String()
 		ud.gen++
 		e.version++
 		e.compVer[sectionKey(user, path)] = e.version

@@ -3,6 +3,7 @@ package store
 import (
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 
@@ -243,20 +244,21 @@ func TestOnChangeHook(t *testing.T) {
 	type change struct {
 		user string
 		path string
+		xml  string
 		v    uint64
 	}
 	var mu sync.Mutex
 	var got []change
-	e.OnChange(func(user string, path xpath.Path, frag *xmltree.Node, v uint64) {
+	e.OnChange(func(user string, path xpath.Path, xml string, v uint64) {
 		mu.Lock()
-		got = append(got, change{user, path.String(), v})
+		got = append(got, change{user, path.String(), xml, v})
 		mu.Unlock()
 	})
 	p := mp("/user[@id='u']/presence")
 	v, _ := e.Put("u", p, xmltree.MustParse(`<presence status="on"/>`))
 	mu.Lock()
 	defer mu.Unlock()
-	if len(got) != 1 || got[0].user != "u" || got[0].v != v || got[0].path != p.String() {
+	if len(got) != 1 || got[0].user != "u" || got[0].v != v || got[0].path != p.String() || got[0].xml != `<presence status="on"/>` {
 		t.Errorf("hook calls = %+v", got)
 	}
 }
@@ -311,10 +313,11 @@ func TestPutDoesNotAliasCallerFragment(t *testing.T) {
 	}
 }
 
-// A published tree never changes: every kind of write builds a new tree and
-// leaves the one before it as it was, so a render of the engine's tree, a
-// hook's frag and the ops ChangesSince returned stay what they were when
-// taken, whatever is written after.
+// The engine keeps no tree: a write links the caller's fragment into a tree
+// parsed for the write and stores the render, so no kind of write may change
+// a node it was handed — the fragment, whose root alone it copies to stamp
+// an id or a predicate's attribute — nor one it handed out: a tree Get
+// returned or an op ChangesSince returned.
 func TestWritesLeavePublishedTreesAlone(t *testing.T) {
 	e := NewEngine("s1")
 	e.Schema = schema.GUP()
@@ -324,12 +327,15 @@ func TestWritesLeavePublishedTreesAlone(t *testing.T) {
 		xml  string
 	}
 	var held []kept
-	e.OnChange(func(_ string, path xpath.Path, frag *xmltree.Node, v uint64) {
-		held = append(held, kept{fmt.Sprintf("hook frag of %s at v%d", path, v), frag, frag.String()})
-	})
+	hold := func(what string, n *xmltree.Node) { held = append(held, kept{what, n, n.String()}) }
 	book := mp("/user[@id='u']/address-book")
 	put := func(path, xml string) func() error {
-		return func() error { _, err := e.Put("u", mp(path), xmltree.MustParse(xml)); return err }
+		return func() error {
+			frag := xmltree.MustParse(xml)
+			hold("the fragment written at "+path, frag)
+			_, err := e.Put("u", mp(path), frag)
+			return err
+		}
 	}
 	if err := put("/user[@id='u']/presence", `<presence status="off"/>`)(); err != nil {
 		t.Fatal(err)
@@ -340,15 +346,19 @@ func TestWritesLeavePublishedTreesAlone(t *testing.T) {
 		write func() error
 	}{
 		{"whole-component put", func() (err error) {
-			v1, err = e.Put("u", book, xmltree.MustParse(bookOf("one")))
+			frag := xmltree.MustParse(bookOf("one"))
+			hold("the whole book", frag)
+			v1, err = e.Put("u", book, frag)
 			return err
 		}},
 		{"scoped put", put("/user[@id='u']/address-book/item[@type='personal']",
 			`<address-book><item name="s0" type="personal"><note>scoped</note></item></address-book>`)},
 		{"deep-path put", put("/user[@id='u']/address-book/item[@name='s0']",
 			`<item name="s0" type="personal"><note>deep</note></item>`)},
-		{"whole-profile put", put("/user[@id='u']",
-			`<user id="u"><presence status="on"/><address-book><item name="p" type="personal"/></address-book></user>`)},
+		{"deep-path put stamping its predicate", put("/user[@id='u']/address-book/item[@type='work']",
+			`<item name="w1"><note>stamped</note></item>`)},
+		{"whole-profile put stamping the id", put("/user[@id='u']",
+			`<user><presence status="on"/><address-book><item name="p" type="personal"/></address-book></user>`)},
 		{"delete", func() error {
 			n, err := e.Delete("u", mp("/user[@id='u']/presence"))
 			if err == nil && n != 1 {
@@ -357,14 +367,16 @@ func TestWritesLeavePublishedTreesAlone(t *testing.T) {
 			return err
 		}},
 	} {
-		before := e.docs["u"].tree
-		was := before.String()
-		held = append(held, kept{"tree before the " + w.name, before, was})
+		doc, _, err := e.Get("u", mp("/user[@id='u']"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		hold("the document Get returned before the "+w.name, doc)
 		if err := w.write(); err != nil {
 			t.Fatalf("%s: %v", w.name, err)
 		}
-		if e.docs["u"].tree.String() == was {
-			t.Fatalf("%s left the tree as it was", w.name)
+		if after, _, _ := e.Get("u", mp("/user[@id='u']")); after.String() == doc.String() {
+			t.Fatalf("%s left the document as it was", w.name)
 		}
 		if w.name == "scoped put" {
 			ops, ok := e.ChangesSince("u", book, v1)
@@ -372,7 +384,7 @@ func TestWritesLeavePublishedTreesAlone(t *testing.T) {
 				t.Fatalf("ChangesSince after the scoped put = %v, %v", ops, ok)
 			}
 			for i, op := range ops {
-				held = append(held, kept{fmt.Sprintf("op %d since v%d", i, v1), op.Node, op.Node.String()})
+				hold(fmt.Sprintf("op %d since v%d", i, v1), op.Node)
 			}
 		}
 	}
@@ -380,5 +392,33 @@ func TestWritesLeavePublishedTreesAlone(t *testing.T) {
 		if got := k.node.String(); got != k.xml {
 			t.Errorf("%s changed:\n was %s\n now %s", k.what, k.xml, got)
 		}
+	}
+	if doc, _, _ := e.Get("u", mp("/user[@id='u']")); doc.String() != `<user id="u"><address-book><item name="p" type="personal"/></address-book></user>` {
+		t.Errorf("document after every write: %s", doc)
+	}
+}
+
+// The stored document is read back with ParseString, which refuses nesting
+// beyond xmltree.MaxDepth, so Put refuses a fragment that would nest the
+// document deeper than that, and keeps the document it had.
+func TestPutRefusesWhatCannotBeReadBack(t *testing.T) {
+	nest := func(depth int) *xmltree.Node {
+		return xmltree.MustParse(strings.Repeat("<note>", depth) + strings.Repeat("</note>", depth))
+	}
+	e := NewEngine("s1")
+	p := mp("/user[@id='u']/note")
+	// <user> is one level, so the deepest fragment at depth 2 has MaxDepth-1.
+	if _, err := e.Put("u", p, nest(xmltree.MaxDepth-1)); err != nil {
+		t.Fatalf("a fragment the document can hold: %v", err)
+	}
+	if _, err := e.Put("u", p, nest(xmltree.MaxDepth)); err == nil {
+		t.Fatal("a fragment nesting the document past MaxDepth was stored")
+	}
+	if _, err := e.Put("u", mp("/user[@id='u']/note/note/note"), nest(xmltree.MaxDepth-2)); err == nil {
+		t.Fatal("a deep-path fragment nesting the document past MaxDepth was stored")
+	}
+	comp, _, err := e.GetComponent("u", p)
+	if err != nil || !comp.Equal(nest(xmltree.MaxDepth-1)) {
+		t.Errorf("after the refusals: %v, %v", comp, err)
 	}
 }

@@ -3,6 +3,7 @@ package store
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -28,8 +29,9 @@ func bookOf(tag string) string {
 	return b.String()
 }
 
-// A fetch renders the engine's own tree, so the render must be done and
-// published before a Put may change that tree. Each round, writers alternate
+// A fetch parses and renders the stored document outside the engine's lock
+// and publishes its answer afterwards, so an answer a write has overtaken
+// must never be served. Each round, writers alternate
 // whole-component and scoped Puts of one user's book while readers fetch it
 // over the wire, so the remembered answer is cleared under them: every reply
 // must be one of the written books whole. Then the writers stop and the
@@ -213,9 +215,9 @@ func bigBook(tb testing.TB, e *Engine) xpath.Path {
 	return mp("/user[@id='u00000']/address-book/item[@type='personal']")
 }
 
-// The allocs/op gate, continued: a store's fetch of a 16-item piece renders
-// the engine's tree through a view, without copying it, once per write. A
-// miss measures 7; a hit allocates only the path's key.
+// The allocs/op gate, continued: a store's fetch of a 16-item piece parses
+// the stored document and renders its view, once per write. A miss measures
+// 10; a hit allocates only the path's key.
 func TestFetchAllocs(t *testing.T) {
 	if racetag.Enabled {
 		t.Skip("the race detector's instrumentation allocates")
@@ -279,8 +281,8 @@ func BenchmarkGetXML(b *testing.B) {
 var putSink uint64
 
 // BenchmarkPut is a store's write of a 16-item, 2 KiB address book checked
-// against the GUP schema: first is the user's first write, rewrite writes
-// the same book over itself.
+// against the GUP schema: first is the user's first write, with no document
+// and no change log; rewrite writes the same book over itself.
 func BenchmarkPut(b *testing.B) {
 	e := NewEngine("s1")
 	e.Schema = schema.GUP()
@@ -297,6 +299,7 @@ func BenchmarkPut(b *testing.B) {
 			for b.Loop() {
 				if row.first {
 					delete(e.docs, "u00000")
+					delete(e.logs, compKey("u00000", book))
 				}
 				var err error
 				if putSink, err = e.Put("u00000", book, piece); err != nil {
@@ -304,5 +307,59 @@ func BenchmarkPut(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// A store keeps each user's document as its XML, so a stored user costs
+// little more than its text: 5 000 users of bigBookXML may hold at most 1.6
+// times the book's bytes each on the heap, and at most 3 times once each
+// has been fetched and keeps its answer beside its document.
+func TestBytesPerUser(t *testing.T) {
+	if racetag.Enabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	const users = 5000
+	text := bigBookXML()
+	heap := func() uint64 {
+		runtime.GC()
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	book := func(i int) (string, xpath.Path) {
+		id := fmt.Sprintf("u%05d", i)
+		return id, mp("/user[@id='" + id + "']/address-book")
+	}
+	e := NewEngine("s1")
+	base := heap()
+	for i := 0; i < users; i++ {
+		id, p := book(i)
+		if _, err := e.Put(id, p, xmltree.MustParse(text)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cold := heap()
+	for i := 0; i < users; i++ {
+		id, p := book(i)
+		if _, _, err := e.GetXML(id, p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	warm := heap()
+	runtime.KeepAlive(e)
+	for _, row := range []struct {
+		name    string
+		heap    uint64
+		ceiling float64
+	}{
+		{"cold", cold, 1.6},
+		{"warm", warm, 3},
+	} {
+		per := float64(int64(row.heap)-int64(base)) / users
+		t.Logf("%s: %.0f B/user, %.2f× the %d-byte book", row.name, per, per/float64(len(text)), len(text))
+		if per > row.ceiling*float64(len(text)) {
+			t.Errorf("%s: %.0f B/user, ceiling %.1f× the book's %d bytes", row.name, per, row.ceiling, len(text))
+		}
 	}
 }

@@ -134,9 +134,9 @@ func NewTestbed(opts TestbedOptions) (*Testbed, error) {
 			return nil, err
 		}
 		storeID := id
-		eng.OnChange(func(user string, path xpath.Path, frag *xmltree.Node, version uint64) {
+		eng.OnChange(func(user string, path xpath.Path, xml string, version uint64) {
 			mdm.HandleChanged(&wire.ChangedNotice{
-				Store: storeID, User: user, Path: path.String(), XML: frag.String(), Version: version,
+				Store: storeID, User: user, Path: path.String(), XML: xml, Version: version,
 			})
 		})
 		tb.Stores[id] = srv

@@ -270,9 +270,28 @@ func (p Path) Prefix(n int) Path {
 // ErrSyntax wraps all parse failures.
 var ErrSyntax = errors.New("xpath: syntax error")
 
-// Parse parses an expression of the coverage fragment.
+// Parse parses an expression of the coverage fragment. A path's steps come
+// from one array and all its steps' predicates from another, each sized by
+// a count of the bytes that open one outside quoted values, so a value
+// full of them sizes nothing.
 func Parse(expr string) (Path, error) {
-	p := &parser{in: expr}
+	steps, preds := 0, 0
+	quoted := false
+	for i := 0; i < len(expr); i++ {
+		switch c := expr[i]; {
+		case c == '\'':
+			quoted = !quoted
+		case quoted:
+		case c == '/':
+			steps++
+		case c == '[':
+			preds++
+		}
+	}
+	p := &parser{in: expr, steps: steps}
+	if preds > 0 {
+		p.preds = make([]Pred, 0, preds)
+	}
 	path, err := p.parse()
 	if err != nil {
 		return Path{}, fmt.Errorf("%w: %s in %q", ErrSyntax, err, expr)
@@ -290,15 +309,20 @@ func MustParse(expr string) Path {
 }
 
 type parser struct {
-	in  string
-	pos int
+	in    string
+	pos   int
+	steps int // the '/' outside quoted values: no fewer than the steps
+	// preds holds every predicate parsed so far; a step's Preds is its run
+	// of them, capped so that an append to one step's never reaches the
+	// next's.
+	preds []Pred
 }
 
 func (p *parser) parse() (Path, error) {
-	var path Path
 	if !p.eat('/') {
 		return Path{}, errors.New("path must be absolute (start with '/')")
 	}
+	path := Path{Steps: make([]Step, 0, p.steps)}
 	for {
 		if p.peek() == '@' {
 			p.pos++
@@ -342,12 +366,16 @@ func (p *parser) step() (Step, error) {
 		}
 		s.Name = name
 	}
+	from := len(p.preds)
 	for p.peek() == '[' {
 		pred, err := p.pred()
 		if err != nil {
 			return Step{}, err
 		}
-		s.Preds = append(s.Preds, pred)
+		p.preds = append(p.preds, pred)
+	}
+	if to := len(p.preds); to > from {
+		s.Preds = p.preds[from:to:to]
 	}
 	return s, nil
 }

@@ -388,3 +388,18 @@ func TestParseWhitespaceRejected(t *testing.T) {
 		t.Error("sanity")
 	}
 }
+
+// A parsed path's steps and predicates are sized by its structure: slashes
+// and brackets inside a quoted value size nothing, and each step's
+// predicates are a run capped at its own length.
+func TestParseSizesByStructure(t *testing.T) {
+	p := MustParse("/user[@id='" + strings.Repeat("/[", 4096) + "'][@v]/address-book[@type='x']")
+	if len(p.Steps) != 2 || cap(p.Steps) != 2 {
+		t.Errorf("steps: len %d cap %d, want 2 and 2", len(p.Steps), cap(p.Steps))
+	}
+	for i, want := range []int{2, 1} {
+		if got := p.Steps[i].Preds; len(got) != want || cap(got) != want {
+			t.Errorf("step %d predicates: len %d cap %d, want %d", i, len(got), cap(got), want)
+		}
+	}
+}
