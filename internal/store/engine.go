@@ -135,7 +135,9 @@ func sectionKey(user string, p xpath.Path) string {
 //
 // Put writes none of frag's nodes and copies only its root, shallowly, so
 // that the copy alone may gain an attribute: it parses the stored document,
-// links frag's subtrees into that tree and stores the render.
+// links frag's subtrees into that tree and stores the render. A write whose
+// document would not read back as written (see xmltree.Node.Canonical) is
+// refused and changes nothing.
 func (e *Engine) Put(user string, path xpath.Path, frag *xmltree.Node) (uint64, error) {
 	if len(path.Steps) == 0 {
 		return 0, fmt.Errorf("store: empty path")
@@ -158,11 +160,6 @@ func (e *Engine) Put(user string, path xpath.Path, frag *xmltree.Node) (uint64, 
 	logPath := path
 	if scoped {
 		logPath = path.Prefix(len(path.Steps) - 1)
-	}
-	// frag's root lands at the depth of logPath's last step; the stored
-	// document must stay readable by ParseString.
-	if deeper(frag, xmltree.MaxDepth-len(logPath.Steps)+1) {
-		return 0, fmt.Errorf("store: fragment <%s> at %s nests deeper than %d elements", frag.Name, logPath, xmltree.MaxDepth)
 	}
 	if e.Schema != nil && len(logPath.Steps) > 1 {
 		if err := e.Schema.ValidateComponent(barePath(logPath), frag); err != nil {
@@ -191,12 +188,19 @@ func (e *Engine) Put(user string, path xpath.Path, frag *xmltree.Node) (uint64, 
 		root := *frag
 		doc = graft(doc, path.Steps[1:], &root)
 	}
+	// The stored document is read back with ParseString, so a write that
+	// would store what it does not read back as written changes nothing.
+	xml, err := doc.Canonical()
+	if err != nil {
+		e.mu.Unlock()
+		return 0, fmt.Errorf("store: %s: %w", path, err)
+	}
 	newComp := first(doc, logPath)
 	if ud == nil {
 		ud = &userDoc{}
 		e.docs[user] = ud
 	}
-	ud.xml = doc.String()
+	ud.xml = xml
 	ud.gen++
 	e.version++
 	v := e.version
@@ -239,23 +243,8 @@ func changed(oldComp, newComp *xmltree.Node) bool {
 	return len(xmltree.Diff(oldComp, newComp, xmltree.DefaultKeys)) > 0
 }
 
-// deeper reports whether n's elements nest more than limit deep, n itself
-// counting as one.
-func deeper(n *xmltree.Node, limit int) bool {
-	if limit < 1 {
-		return true
-	}
-	for _, c := range n.Children {
-		if deeper(c, limit-1) {
-			return true
-		}
-	}
-	return false
-}
-
-// parse reads a stored document. The engine wrote it with String and Put
-// keeps it within MaxDepth, so only a fragment built in-process with a
-// character ParseString refuses can make it fail.
+// parse reads a stored document. The engine wrote it with Canonical, so
+// it fails only on a fault of the engine.
 func parse(xml string) (*xmltree.Node, error) {
 	doc, err := xmltree.ParseString(xml)
 	if err != nil {
@@ -402,13 +391,15 @@ func applyPreds(n *xmltree.Node, step xpath.Step) {
 	}
 }
 
-// stored is what one read lock saw of a user: the document, its gen, and
-// the version of the newest write touching a path's section.
+// stored is what one read lock saw of a user: the document, its gen, the
+// version of the newest write touching a path's section, and the last fetch
+// answer published.
 type stored struct {
 	ud      *userDoc
 	xml     string
 	gen     uint64
 	version uint64
+	fetched *rendered
 }
 
 // read takes the user's stored document for a read of path; the caller
@@ -420,7 +411,7 @@ func (e *Engine) read(user string, path xpath.Path) (stored, error) {
 	if ud == nil {
 		return stored{}, fmt.Errorf("%w: %s", ErrNoUser, user)
 	}
-	return stored{ud, ud.xml, ud.gen, e.compVer[sectionKey(user, path)]}, nil
+	return stored{ud, ud.xml, ud.gen, e.compVer[sectionKey(user, path)], ud.fetched.Load()}, nil
 }
 
 // Get returns the pruned profile document (ancestor spine plus the subtrees
@@ -448,25 +439,32 @@ func (e *Engine) Get(user string, path xpath.Path) (*xmltree.Node, uint64, error
 // a document a write has replaced.
 func (e *Engine) GetXML(user string, path xpath.Path) (string, uint64, error) {
 	key := path.String()
-	e.mu.RLock()
-	if ud := e.docs[user]; ud != nil {
-		if r := ud.fetched.Load(); r != nil && r.path == key && r.gen == ud.gen {
-			e.mu.RUnlock()
-			return r.xml, r.version, nil
-		}
-	}
-	e.mu.RUnlock()
 	s, err := e.read(user, path)
 	if err != nil {
 		return "", 0, err
+	}
+	if r := s.fetched; r != nil && r.path == key && r.gen == s.gen {
+		return r.xml, r.version, nil
 	}
 	view, err := view(s.xml, path)
 	if err != nil {
 		return "", 0, err
 	}
 	xml := view.String()
-	s.ud.fetched.Store(&rendered{path: key, xml: xml, version: s.version, gen: s.gen})
+	s.ud.publish(&rendered{path: key, xml: xml, version: s.version, gen: s.gen})
 	return xml, s.version, nil
+}
+
+// publish makes r the user's fetch answer unless the one there was rendered
+// from a newer document: a render that read the document before a write
+// may finish after one that read it after.
+func (ud *userDoc) publish(r *rendered) {
+	for {
+		cur := ud.fetched.Load()
+		if cur != nil && cur.gen > r.gen || ud.fetched.CompareAndSwap(cur, r) {
+			return
+		}
+	}
 }
 
 // view parses a stored document and returns Get's view of it.

@@ -398,9 +398,12 @@ func TestWritesLeavePublishedTreesAlone(t *testing.T) {
 	}
 }
 
-// The stored document is read back with ParseString, which refuses nesting
-// beyond xmltree.MaxDepth, so Put refuses a fragment that would nest the
-// document deeper than that, and keeps the document it had.
+// The stored document is read back with ParseString, so Put refuses, and
+// keeps the document it had, what ParseString would refuse or change: nesting
+// past xmltree.MaxDepth, a character outside XML's Char or invalid UTF-8 in
+// text or an attribute, text it would trim, a prefixed name, a namespace
+// declaration, and the same in what the path and user id add, the spine's
+// predicates and a new document's id. The user stays readable and writable.
 func TestPutRefusesWhatCannotBeReadBack(t *testing.T) {
 	nest := func(depth int) *xmltree.Node {
 		return xmltree.MustParse(strings.Repeat("<note>", depth) + strings.Repeat("</note>", depth))
@@ -411,14 +414,46 @@ func TestPutRefusesWhatCannotBeReadBack(t *testing.T) {
 	if _, err := e.Put("u", p, nest(xmltree.MaxDepth-1)); err != nil {
 		t.Fatalf("a fragment the document can hold: %v", err)
 	}
-	if _, err := e.Put("u", p, nest(xmltree.MaxDepth)); err == nil {
-		t.Fatal("a fragment nesting the document past MaxDepth was stored")
-	}
-	if _, err := e.Put("u", mp("/user[@id='u']/note/note/note"), nest(xmltree.MaxDepth-2)); err == nil {
-		t.Fatal("a deep-path fragment nesting the document past MaxDepth was stored")
+	for _, c := range []struct {
+		user string
+		path xpath.Path
+		frag *xmltree.Node
+	}{
+		{"u", p, nest(xmltree.MaxDepth)},
+		{"u", mp("/user[@id='u']/note/note/note"), nest(xmltree.MaxDepth - 2)},
+		{"u", p, xmltree.NewText("note", "a\x01b")},
+		{"u", p, xmltree.NewText("note", "a\xffb")},
+		{"u", p, &xmltree.Node{Name: "note", Text: " x "}},
+		{"u", p, xmltree.New("note").SetAttr("k", "a\uFFFEb")},
+		{"u", p, xmltree.New("note").Add(&xmltree.Node{Name: "line", Text: "x\n"})},
+		{"u", p, xmltree.New("note").SetAttr("xmlns", "urn:x")},
+		{"u", p, xmltree.New("note").Add(xmltree.New("p:line"))},
+		{"u", mp("/user[@id='u']/calendar[@title='a\x02']/event"), xmltree.New("event")},
+		{"u", mp("/user[@id='u']/calendar/event[@title='a\x02']"), xmltree.New("event")},
+		{"u", mp("/user[@id='u']/1calendar/event"), xmltree.New("event")},
+		{"v\x00", mp("/user[@id='v\x00']/note"), xmltree.NewText("note", "x")},
+	} {
+		if _, err := e.Put(c.user, c.path, c.frag); err == nil {
+			t.Errorf("Put(%q, %s, %.40q) stored what does not read back", c.user, c.path, c.frag.String())
+		}
 	}
 	comp, _, err := e.GetComponent("u", p)
 	if err != nil || !comp.Equal(nest(xmltree.MaxDepth-1)) {
 		t.Errorf("after the refusals: %v, %v", comp, err)
+	}
+	if _, _, err := e.Get("v\x00", mp("/user")); !errors.Is(err, ErrNoUser) {
+		t.Errorf("a refused first write left a document: %v", err)
+	}
+	if _, err := e.Put("u", p, xmltree.NewText("note", "a\tb \u00e9\U0001F600\uFFFD")); err != nil {
+		t.Fatalf("a writable note: %v", err)
+	}
+	if got, _, err := e.GetXML("u", p); err != nil || got != "<user id=\"u\"><note>a\tb \u00e9\U0001F600\uFFFD</note></user>" {
+		t.Errorf("after the refusals and a write: %q, %v", got, err)
+	}
+	if _, err := e.Put("u", p, xmltree.NewText("note", " brb\n")); err != nil {
+		t.Errorf("a note NewText built from untrimmed text: %v", err)
+	}
+	if n, err := e.Delete("u", p); n != 1 || err != nil {
+		t.Errorf("Delete after the refusals = %d, %v", n, err)
 	}
 }

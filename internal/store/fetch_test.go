@@ -195,6 +195,28 @@ func TestGetXMLIgnoresALatePublish(t *testing.T) {
 	}
 }
 
+// A render that read the document before a write and publishes after one
+// that read it after leaves the newer answer in place: the next fetch hits.
+func TestGetXMLKeepsTheNewerPublish(t *testing.T) {
+	const user = "u"
+	book := mp("/user[@id='u']/address-book")
+	e := NewEngine("s1")
+	if _, err := e.Put(user, book, xmltree.MustParse(bookOf("before"))); err != nil {
+		t.Fatal(err)
+	}
+	fetchAsGet(t, e, user, book)
+	stale := e.docs[user].fetched.Load()
+	if _, err := e.Put(user, book, xmltree.MustParse(bookOf("after"))); err != nil {
+		t.Fatal(err)
+	}
+	fetchAsGet(t, e, user, book)
+	fresh := e.docs[user].fetched.Load()
+	e.docs[user].publish(stale)
+	if got := e.docs[user].fetched.Load(); got != fresh {
+		t.Errorf("a late publish of gen %d replaced the answer of gen %d", stale.gen, fresh.gen)
+	}
+}
+
 // bigBookXML is a 16-item, 2 KiB address book.
 func bigBookXML() string {
 	var b strings.Builder

@@ -234,6 +234,9 @@ func checkAgainstReference(t *testing.T, in string) {
 		}
 		return
 	}
+	if s, err := got.Canonical(); err != nil || s != got.String() {
+		t.Fatalf("ParseString(%q) returned a tree Canonical writes as %q, %v", in, s, err)
+	}
 	// What was read is written and read again unchanged, compact or indented.
 	for _, doc := range []string{got.String(), got.Indent()} {
 		back, err := ParseString(doc)

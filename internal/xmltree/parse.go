@@ -786,6 +786,21 @@ func (p *scanner) reference(buf []byte, i int) ([]byte, int, error) {
 	return nil, 0, p.fail(i, "invalid entity or character reference "+strconv.Quote("&"+rest))
 }
 
+// storableName reports whether ParseString reads name, written as it is, as
+// a name and keeps all of it.
+func storableName(name string) bool {
+	switch {
+	case name == "" || class[name[0]]&nameStart == 0:
+		return false
+	case skip(name, 0, word) == len(name):
+		return true
+	case skip(name, 0, nameByte) < len(name) || !utf8.ValidString(name):
+		return false
+	}
+	_, local, ok := splitName(name)
+	return ok && local == name
+}
+
 // isChar reports whether r is in XML 1.0's Char production.
 func isChar(r rune) bool {
 	return r == '\t' || r == '\n' || r == '\r' ||

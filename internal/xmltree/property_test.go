@@ -1,6 +1,7 @@
 package xmltree
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"sort"
@@ -98,6 +99,66 @@ func TestQuickSerializationRoundTrip(t *testing.T) {
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 500}); err != nil {
 		t.Error(err)
+	}
+}
+
+// genRoughTree is genTree with names, values and text that ParseString may
+// refuse or read back changed as well: prefixes, namespace declarations,
+// characters outside XML's Char, invalid UTF-8, white space at the ends.
+func genRoughTree(rng *rand.Rand, depth int) *Node {
+	names := []string{"a", "\u00e9l", "p:a", ":a", "a:", "1a", "-a", "a b", "", "a\xff", "xmlns"}
+	values := []string{"a", " ", "\x01", "\xff", "\uFFFE", "\uFFFD", "\U0001f600", "\r", "\t", "\u00a0", "\u0085"}
+	value := func() string {
+		var b strings.Builder
+		for i := rng.Intn(4); i > 0; i-- {
+			b.WriteString(values[rng.Intn(len(values))])
+		}
+		return b.String()
+	}
+	n := New(names[rng.Intn(len(names))])
+	for i := rng.Intn(3); i > 0; i-- {
+		n.SetAttr(names[rng.Intn(len(names))], value())
+	}
+	if rng.Intn(2) == 0 {
+		n.Text = value()
+	}
+	if depth > 0 {
+		for i := rng.Intn(3); i > 0; i-- {
+			n.Add(genRoughTree(rng, depth-1))
+		}
+	}
+	return n
+}
+
+// Property: Canonical accepts a tree exactly when ParseString reads its
+// String back Equal to it, and then returns that String.
+func TestQuickCanonicalIsRoundTrip(t *testing.T) {
+	prop := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		n := genRoughTree(rng, 2)
+		if rng.Intn(4) == 0 {
+			n = genTree(rng, 2)
+		}
+		back, err := ParseString(n.String())
+		reads := err == nil && n.Equal(back)
+		if s, cerr := n.Canonical(); reads != (cerr == nil) || reads && s != n.String() {
+			t.Logf("%q: Canonical = %q, %v; read back as %v, %v", n.String(), s, cerr, back, err)
+			return false
+		}
+		return true
+	}
+	if err := quick.Check(prop, &quick.Config{MaxCount: 2000}); err != nil {
+		t.Error(err)
+	}
+	deep := New("a")
+	for range MaxDepth {
+		deep = New("a").Add(deep)
+	}
+	if _, err := deep.Canonical(); !errors.Is(err, ErrTooDeep) {
+		t.Errorf("Canonical of %d nested elements = %v, want ErrTooDeep", MaxDepth+1, err)
+	}
+	if _, err := deep.Children[0].Canonical(); err != nil {
+		t.Errorf("Canonical of %d nested elements = %v", MaxDepth, err)
 	}
 }
 

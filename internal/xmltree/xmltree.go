@@ -17,9 +17,13 @@
 package xmltree
 
 import (
+	"errors"
+	"fmt"
 	"slices"
 	"strings"
 	"sync"
+	"unicode"
+	"unicode/utf8"
 )
 
 // Node is one element in a profile component tree. The zero value is an
@@ -44,9 +48,11 @@ func New(name string) *Node {
 	return &Node{Name: name}
 }
 
-// NewText returns a named element holding only text content.
+// NewText returns a named element holding only text content, trimmed of
+// white space at its ends as ParseString trims it, so that a tree built
+// from outside text reads back from its String as it was built.
 func NewText(name, text string) *Node {
-	return &Node{Name: name, Text: text}
+	return &Node{Name: name, Text: strings.TrimSpace(text)}
 }
 
 // Attr is one attribute of an element.
@@ -288,13 +294,81 @@ const maxPooledWrite = 64 << 10
 // the only allocation.
 func (n *Node) render(indent bool) string {
 	bp := writeBufs.Get().(*[]byte)
-	b := n.appendXML((*bp)[:0], indent, 0)
+	return pooled(bp, n.appendXML((*bp)[:0], indent, 0))
+}
+
+// pooled returns b, written into *bp, as a string and gives the buffer back.
+func pooled(bp *[]byte, b []byte) string {
 	s := string(b)
 	if cap(b) <= maxPooledWrite {
 		*bp = b
 		writeBufs.Put(bp)
 	}
 	return s
+}
+
+// Canonical is String for a tree that is to be read back: it fails on the
+// first thing in n's subtree ParseString would not read back as it is, so
+// that what it returns reads back Equal to n. That is a name that is not an
+// XML name or has a prefix, which ParseString drops; an attribute declaring
+// a namespace, which it drops; a value or text holding invalid UTF-8 or a
+// character outside XML's Char, which it refuses; text with white space at
+// an end, which it trims; elements nested deeper than MaxDepth.
+func (n *Node) Canonical() (string, error) {
+	bp := writeBufs.Get().(*[]byte)
+	b, err := n.appendCanonical((*bp)[:0], 1)
+	if s := pooled(bp, b); err == nil {
+		return s, nil
+	}
+	return "", err
+}
+
+// appendCanonical is appendXML, unindented, with Canonical's checks; n is
+// depth elements deep.
+func (n *Node) appendCanonical(b []byte, depth int) ([]byte, error) {
+	if depth > MaxDepth {
+		return b, fmt.Errorf("%w: <%s>", ErrTooDeep, n.Name)
+	}
+	if !storableName(n.Name) {
+		return b, fmt.Errorf("xmltree: element name %q is not read back as written", n.Name)
+	}
+	b = append(b, '<')
+	b = append(b, n.Name...)
+	var err error
+	for _, a := range n.attrs {
+		if !storableName(a.Name) || a.Name == "xmlns" {
+			return b, fmt.Errorf("xmltree: attribute name %q in <%s> is not read back as written", a.Name, n.Name)
+		}
+		b = append(b, ' ')
+		b = append(b, a.Name...)
+		b = append(b, `="`...)
+		if b, err = appendValid(b, a.Value, true); err != nil {
+			return b, fmt.Errorf("xmltree: %w in attribute %s of <%s>", err, a.Name, n.Name)
+		}
+		b = append(b, '"')
+	}
+	if n.Text == "" && len(n.Children) == 0 {
+		return append(b, "/>"...), nil
+	}
+	if t := n.Text; t != "" {
+		first, _ := utf8.DecodeRuneInString(t)
+		last, _ := utf8.DecodeLastRuneInString(t)
+		if unicode.IsSpace(first) || unicode.IsSpace(last) {
+			return b, fmt.Errorf("xmltree: the text of <%s> has white space at an end", n.Name)
+		}
+	}
+	b = append(b, '>')
+	if b, err = appendValid(b, n.Text, false); err != nil {
+		return b, fmt.Errorf("xmltree: %w in the text of <%s>", err, n.Name)
+	}
+	for _, c := range n.Children {
+		if b, err = c.appendCanonical(b, depth+1); err != nil {
+			return b, err
+		}
+	}
+	b = append(b, "</"...)
+	b = append(b, n.Name...)
+	return append(b, '>'), nil
 }
 
 func (n *Node) appendXML(b []byte, indent bool, depth int) []byte {
@@ -373,6 +447,49 @@ func appendEscaped(b []byte, s string, attr bool) []byte {
 		last = i + 1
 	}
 	return append(b, s[last:]...)
+}
+
+// appendValid is appendEscaped for Canonical: it fails on invalid UTF-8 and
+// on a character outside XML's Char. Most bytes are plain, one lookup each.
+func appendValid(b []byte, s string, attr bool) ([]byte, error) {
+	last := 0
+	for i := 0; i < len(s); i++ {
+		c := s[i]
+		if class[c]&plain != 0 {
+			continue
+		}
+		var ref string
+		switch {
+		case c == '&':
+			ref = "&amp;"
+		case c == '<':
+			ref = "&lt;"
+		case c == '>':
+			ref = "&gt;"
+		case c == '\r':
+			ref = "&#xD;"
+		case c == '"' && attr:
+			ref = "&quot;"
+		case c == '"' || c == '\'':
+			continue
+		case c < utf8.RuneSelf:
+			return b, fmt.Errorf("illegal character %U", rune(c))
+		default:
+			r, size := utf8.DecodeRuneInString(s[i:])
+			if r == utf8.RuneError && size == 1 {
+				return b, errors.New("invalid UTF-8")
+			}
+			if !isChar(r) {
+				return b, fmt.Errorf("illegal character %U", r)
+			}
+			i += size - 1
+			continue
+		}
+		b = append(b, s[last:i]...)
+		b = append(b, ref...)
+		last = i + 1
+	}
+	return append(b, s[last:]...), nil
 }
 
 // Size returns the length in bytes of the compact serialization. It is the
