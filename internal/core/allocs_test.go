@@ -83,10 +83,9 @@ func chained(tb testing.TB, m *MDM, req *wire.ResolveRequest) *wire.ResolveReque
 	owner, _ := coverage.UserOf(p)
 	grants := m.PDP.Decide(owner, p, req.Context).Grants
 	_, ttl := m.cacheableGrants(grants)
-	if !m.cache.fill(cacheKey(owner, renderGrants(grants)), owner, "<address-book/>", m.cache.beginFill(owner), ttl) {
+	if !m.cache.fill(cacheKey(owner, renderGrants(grants)), owner, "<address-book/>", m.cache.gen(owner), ttl) {
 		tb.Fatal("cache fill refused")
 	}
-	m.cache.endFill(owner)
 	c := *req
 	c.Pattern = wire.PatternChaining
 	return &c

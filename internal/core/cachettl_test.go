@@ -80,23 +80,21 @@ func TestCacheHonoursAdjunctTTL(t *testing.T) {
 }
 
 // TestCacheTTLExpiry: an expired entry is a miss and leaves as a capacity
-// eviction does, not parked in the brownout side-buffer; an entry filled
-// without a TTL does not expire.
+// eviction does, not kept for the brownout path; an entry filled without a
+// TTL does not expire.
 func TestCacheTTLExpiry(t *testing.T) {
 	c := newComponentCache(4)
 	now := time.Date(2026, 7, 6, 12, 0, 0, 0, time.UTC)
 	c.now = func() time.Time { return now }
-	if !c.fill("k", "u", "<x/>", c.beginFill("u"), time.Minute) {
+	if !c.fill("k", "u", "<x/>", c.gen("u"), time.Minute) || !c.fill("forever", "v", "<y/>", c.gen("v"), 0) {
 		t.Fatal("fill refused")
 	}
-	c.endFill("u")
-	c.put("forever", "v", "<y/>")
 	now = now.Add(time.Minute)
 	if _, ok := c.get("k"); ok {
 		t.Fatal("expired entry served")
 	}
 	if _, ok := c.staleGet("k"); ok {
-		t.Fatal("expired entry parked as stale")
+		t.Fatal("expired entry kept as stale")
 	}
 	if xml, ok := c.get("forever"); !ok || xml != "<y/>" {
 		t.Fatalf("entry without TTL: %q, %v", xml, ok)

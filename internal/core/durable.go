@@ -107,8 +107,8 @@ func (m *MDM) Journal() *journal.Journal { return m.journal }
 // decides and plans against the old directory or the new one — stale for
 // a moment, never partial — and no interleaving grants more than one of
 // the two shield sets allows. Once the new coverage is live the component
-// cache (including the brownout side-buffer, merged under the discarded
-// history) is reset, and every live push subscription is cancelled with a
+// cache (its stale entries too, merged under the discarded history) is
+// reset, and every live push subscription is cancelled with a
 // tombstone, so its client re-subscribes against the installed directory.
 // Entries that fail to apply are skipped: the journal is machine-written,
 // so a bad entry is corruption best dropped, not a reason to refuse boot.

@@ -635,11 +635,11 @@ func (m *MDM) chain(ctx context.Context, owner, key string, cacheable bool, ttl 
 	if cacheable {
 		m.Stats.CacheMisses.Add(1)
 		sp.Annotate("cache-miss")
-		// Brownout: under sustained pressure a miss serves the stale
-		// side-buffer instead of dialing stores — a possibly outdated
-		// answer on the call-setup path beats a shed, and skipping the
-		// fetch is precisely what relieves the pressure. The response is
-		// stamped Stale and lists the grants whose fresh fetch was skipped.
+		// Brownout: under sustained pressure a miss serves the invalidated
+		// entry instead of dialing stores — a possibly outdated answer on
+		// the call-setup path beats a shed, and skipping the fetch is
+		// precisely what relieves the pressure. The response is stamped
+		// Stale and lists the grants whose fresh fetch was skipped.
 		if m.adm.Brownout() {
 			if xml, ok := m.cache.staleGet(key); ok {
 				m.adm.Stats.BrownoutServed.Add(1)
@@ -648,13 +648,10 @@ func (m *MDM) chain(ctx context.Context, owner, key string, cacheable bool, ttl 
 				return &wire.ResolveResponse{Data: xml, Cached: true, Stale: true, Degraded: deg}, nil
 			}
 		}
-		// Snapshot the owner's invalidation generation before fetching: if a
+		// Read the owner's invalidation generation before fetching: if a
 		// component changes while this flight is up, the stale result must
-		// not be reinstated into the cache (putIfFresh below refuses it).
-		// beginFill also pins the owner's generation counter against
-		// pruning until the paired endFill.
-		gen = m.cache.beginFill(owner)
-		defer m.cache.endFill(owner)
+		// not be reinstated into the cache (fill below refuses it).
+		gen = m.cache.gen(owner)
 	}
 
 	xml, err := store.Run(ctx, m.plans, alts, m.plans.FetchXML)

@@ -108,7 +108,7 @@ func TestBatchResolveShedsAtomically(t *testing.T) {
 }
 
 // Under brownout a chaining resolve whose cache entry was invalidated is
-// answered from the stale side-buffer — stamped Stale and Degraded — and
+// answered from that stale entry — stamped Stale and Degraded — and
 // fresh data returns once pressure recedes.
 func TestBrownoutServesStaleChainedResolve(t *testing.T) {
 	r := newOverloadRig(t, overload.Config{
@@ -132,7 +132,7 @@ func TestBrownoutServesStaleChainedResolve(t *testing.T) {
 	}
 
 	// Populate the cache, then invalidate it by changing the component:
-	// the change notice parks the old value in the stale side-buffer.
+	// the change notice marks the old value stale in place.
 	if _, err := cli.Resolve(context.Background(), chainReq); err != nil {
 		t.Fatalf("warm resolve: %v", err)
 	}

@@ -1,7 +1,9 @@
 package workload
 
 import (
+	"context"
 	"fmt"
+	"log/slog"
 	"math/rand"
 	"time"
 
@@ -212,11 +214,9 @@ func (tb *Testbed) StoreAddr(id string) string {
 // wireSubstrates connects the live simulators to their GUP stores so
 // dynamic data (location, presence) flows into the federation.
 func (tb *Testbed) wireSubstrates() {
-	hlrEng := tb.Stores[StoreHLR].Engine
 	tb.HLR.OnMove(func(imsi string, loc *xmltree.Node) {
-		user := userFromIMSI(imsi)
 		if loc != nil {
-			_, _ = hlrEng.Put(user, xpath.MustParse(fmt.Sprintf("/user[@id='%s']/location", user)), loc)
+			tb.publish(StoreHLR, userFromIMSI(imsi), "location", loc)
 		}
 	})
 }
@@ -224,12 +224,20 @@ func (tb *Testbed) wireSubstrates() {
 // WatchPresence routes presence updates for a user into the portal store;
 // callers that drive presence churn must enable it per user.
 func (tb *Testbed) WatchPresence(user string) {
-	portal := tb.Stores[StorePortal].Engine
 	tb.Presence.Watch(user, func(st presence.State) {
 		if comp := tb.Presence.Component(user); comp != nil {
-			_, _ = portal.Put(user, xpath.MustParse(fmt.Sprintf("/user[@id='%s']/presence", user)), comp)
+			tb.publish(StorePortal, user, "presence", comp)
 		}
 	})
+}
+
+// publish writes a simulator's component of user into a store. Nothing
+// retries a write the store refuses, so the refusal is a Warn event and
+// the store goes on serving what it held.
+func (tb *Testbed) publish(storeID, user, section string, comp *xmltree.Node) {
+	if _, err := tb.Stores[storeID].Engine.Put(user, xpath.MustParse(fmt.Sprintf("/user[@id='%s']/%s", user, section)), comp); err != nil {
+		slog.Warn("store refused a component", "user", user, "store", storeID, "component", section, "err", err)
+	}
 }
 
 func imsiFor(user string) string   { return "imsi-" + user }
@@ -253,6 +261,15 @@ func (tb *Testbed) seed(opts TestbedOptions, rng *rand.Rand) error {
 	sipEng := tb.Stores[StoreSIP].Engine
 	portalEng := tb.Stores[StorePortal].Engine
 	entEng := tb.Stores[StoreEnterprise].Engine
+	// Shield rules go in as any client's do, through the MDM's journaled
+	// write path.
+	var admin *core.Client
+	if opts.AllowRole != "" {
+		var err error
+		if admin, err = tb.Client("testbed-admin", "admin"); err != nil {
+			return err
+		}
+	}
 
 	for i := 0; i < opts.Users; i++ {
 		user := UserID(i)
@@ -367,8 +384,8 @@ func (tb *Testbed) seed(opts TestbedOptions, rng *rand.Rand) error {
 		}
 
 		// Privacy shield provisioning.
-		if opts.AllowRole != "" {
-			if err := tb.MDM.PAP.PutRule(user, policy.Rule{
+		if admin != nil {
+			if err := admin.PutRule(context.Background(), user, policy.Rule{
 				ID:     "allow-" + opts.AllowRole,
 				Path:   xpath.MustParse(fmt.Sprintf("/user[@id='%s']", user)),
 				Cond:   policy.RoleIs(opts.AllowRole),

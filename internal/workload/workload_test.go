@@ -2,10 +2,12 @@ package workload
 
 import (
 	"context"
+	"log/slog"
 	"strings"
 	"testing"
 	"time"
 
+	"gupster/internal/eventlog"
 	"gupster/internal/presence"
 	"gupster/internal/reachme"
 	"gupster/internal/schema"
@@ -215,6 +217,43 @@ func TestTestbedPresenceChurnInvalidatesAndNotifies(t *testing.T) {
 		}
 	case <-time.After(3 * time.Second):
 		t.Fatal("presence change never pushed")
+	}
+}
+
+// A presence note the portal store refuses (a control character its stored
+// document could not read back) is a Warn event naming the user, the store
+// and the error, and the portal goes on serving the status it held.
+func TestTestbedLogsRefusedPresence(t *testing.T) {
+	tb, err := NewTestbed(TestbedOptions{Users: 1, Seed: 19})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tb.Close()
+	user := tb.Users[0]
+	tb.WatchPresence(user)
+	events := eventlog.Install(slog.LevelWarn)
+	defer events.Remove()
+
+	tb.Presence.Set(user, presence.Busy, "a\x01b")
+	refused := eventlog.Is("store refused a component", "user", user, "store", StorePortal, "component", "presence")
+	ev, ok := events.Await(0, time.Now().Add(time.Second), refused)
+	if !ok {
+		t.Fatalf("no Warn event for the refused presence write; events: %+v", events.Since(0))
+	}
+	if ev.Level != slog.LevelWarn || ev.Attrs["err"].String() == "" {
+		t.Errorf("event = %+v, want a Warn carrying the store's error", ev)
+	}
+
+	cli, err := tb.Client(user, "self")
+	if err != nil {
+		t.Fatal(err)
+	}
+	doc, err := cli.Get(context.Background(), "/user[@id='"+user+"']/presence")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if status, _ := doc.Child("presence").Attr("status"); status != string(presence.Available) {
+		t.Errorf("presence served after the refused write: %s", doc)
 	}
 }
 
